@@ -12,17 +12,30 @@ multiplier off the residual, update the set from the sign of
 lam + c*(obstacle - u), and stop once the set repeats.  At a fixed point
 complementarity holds exactly by construction.
 
+Truth steps predict the contact set, then let the iteration certify it.
+Only the previous state changes between the steps of a trajectory, so the
+tridiagonal bands of S, mass/dt and a(mu), the load, and the
+Brennan-Schwartz pivots of S (a UL elimination from the last node down)
+are built once per trajectory.  The put is exercised on one interval
+[0, k) of low asset prices; the projected forward sweep of Brennan and
+Schwartz (1977) predicts k with one bidiagonal solve, and the iteration
+starts from [0, k).  A correct guess is reproduced by the first update,
+so one solve certifies it (Hintermueller, Ito and Kunisch, 2003).  A wrong
+guess (as at theta = 0, where the positive off-diagonals of mass/dt break
+the sweep's monotonicity) costs further iterations but still ends at the
+exact solution.
+
 On tridiagonal matrices each iteration costs O(H) through a banded
 elimination; dense inputs (used by the reduced-order Schur complements
-and by small test problems) take a dense path.
+and by small test problems) take a dense path from the empty set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from .errors import AmrbError, NumericalBreakdownError, SolverDivergenceError
@@ -51,17 +64,44 @@ class SchemeConfig:
         return self.T / self.L
 
 
+class Tridiagonal(NamedTuple):
+    """Tridiagonal matrix by its bands: lower[i] = A[i+1, i], upper[i] = A[i, i+1]."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def of(cls, matrix) -> "Tridiagonal":
+        """Bands of a tridiagonal scipy sparse matrix."""
+        return cls(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # row i sums the lower, diagonal and upper terms in that order, as a
+        # CSR product does, so results match the sparse operators bit for bit
+        y = self.diag * x
+        y[1:] += self.lower * x[:-1]
+        y[:-1] += self.upper * x[1:]
+        return y
+
+
 @dataclass(frozen=True)
 class LcpProblem:
-    """One complementarity problem S u - lam = rhs against a lower obstacle."""
+    """One complementarity problem S u - lam = rhs against a lower obstacle.
 
-    S: object  # dense (n, n) array or scipy sparse matrix
+    ``start`` is the active set the iteration starts from (empty if None).
+    """
+
+    S: object  # dense (n, n) array or Tridiagonal
     rhs: np.ndarray
     obstacle: np.ndarray
+    start: np.ndarray | None = None
 
     def __post_init__(self):
-        diag = self.S.diagonal() if sp.issparse(self.S) else np.diag(np.asarray(self.S))
+        diag = self.S.diag if isinstance(self.S, Tridiagonal) else np.diag(np.asarray(self.S))
         if diag.size != self.rhs.size or self.rhs.size != self.obstacle.size:
+            raise ValueError("inconsistent LCP dimensions")
+        if self.start is not None and np.shape(self.start) != (diag.size,):
             raise ValueError("inconsistent LCP dimensions")
         if diag.size == 0:
             raise ValueError("empty LCP")
@@ -69,21 +109,7 @@ class LcpProblem:
             raise ValueError("LCP matrix must have a positive diagonal")
 
 
-def _tridiagonal_bands(S):
-    """Return (sub, diag, super) diagonals if S is tridiagonal sparse, else None."""
-    if not sp.issparse(S):
-        return None
-    d = S.diagonal()
-    du = S.diagonal(1)
-    dl = S.diagonal(-1)
-    resid = (S - sp.diags([dl, d, du], offsets=(-1, 0, 1), shape=S.shape)).tocsr()
-    resid.eliminate_zeros()
-    if resid.nnz:
-        return None
-    return dl, d, du
-
-
-def _solve_for_active_set(S, dense, bands, rhs, obstacle, active):
+def _solve_for_active_set(S, rhs, obstacle, active):
     """Solve with the state pinned to the obstacle on the active set."""
     n = rhs.size
     u = np.empty(n)
@@ -99,19 +125,18 @@ def _solve_for_active_set(S, dense, bands, rhs, obstacle, active):
             shifted = rhs - S @ pinned
         sub_rhs = shifted[ix]
         try:
-            if bands is not None:
-                dl, d, du = bands
+            if isinstance(S, Tridiagonal):
                 m = ix.size
                 ab = np.zeros((3, m))
-                ab[1] = d[ix]
+                ab[1] = S.diag[ix]
                 if m > 1:
                     # a sorted index subset of a tridiagonal matrix is tridiagonal
                     adjacent = np.diff(ix) == 1
-                    ab[0, 1:] = np.where(adjacent, du[ix[:-1]], 0.0)
-                    ab[2, :-1] = np.where(adjacent, dl[ix[:-1]], 0.0)
+                    ab[0, 1:] = np.where(adjacent, S.upper[ix[:-1]], 0.0)
+                    ab[2, :-1] = np.where(adjacent, S.lower[ix[:-1]], 0.0)
                 sol = solve_banded((1, 1), ab, sub_rhs)
             else:
-                sol = np.linalg.solve(dense[np.ix_(ix, ix)], sub_rhs)
+                sol = np.linalg.solve(S[np.ix_(ix, ix)], sub_rhs)
         except np.linalg.LinAlgError as err:
             raise NumericalBreakdownError(
                 f"singular linear system on an active-set iterate: {err}",
@@ -128,24 +153,26 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
     """Primal-dual active-set solve.
 
     Returns (u, lam, number of linear solves).  The iteration starts from
-    the unconstrained solve and stops as soon as the updated active set
+    ``problem.start`` (the unconstrained solve when that is None) and stops
+    as soon as the updated active set
     {i : lam_i + penalty*(obstacle_i - u_i) > 0} reproduces the current
     one, which makes the final iterate feasible and exactly complementary.
 
     The full-set update can cycle on strongly coupled non-M matrices (the
     reduced Schur complements are the prime source).  A revisited active
     set therefore switches the iteration to least-index single toggles,
-    which terminate for P-matrices and keep the run deterministic.
+    which keep the run deterministic.  They are not guaranteed to settle:
+    in floating point a node at the free boundary whose gap and multiplier
+    both vanish up to rounding can make them cycle until ``max_iter``.
     """
     S, rhs, obstacle = problem.S, np.asarray(problem.rhs, float), np.asarray(problem.obstacle, float)
-    bands = _tridiagonal_bands(S)
-    if bands is not None:
-        dense = None
+    if not isinstance(S, Tridiagonal):
+        S = np.asarray(S, dtype=float)
+    if problem.start is None:
+        active = np.zeros(rhs.size, dtype=bool)
     else:
-        dense = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-    n = rhs.size
-    active = np.zeros(n, dtype=bool)
-    u, lam = _solve_for_active_set(S, dense, bands, rhs, obstacle, active)
+        active = np.asarray(problem.start, dtype=bool)
+    u, lam = _solve_for_active_set(S, rhs, obstacle, active)
     solves = 1
     seen = {active.tobytes()}
     least_index_mode = False
@@ -174,18 +201,82 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        u, lam = _solve_for_active_set(S, dense, bands, rhs, obstacle, active)
+        u, lam = _solve_for_active_set(S, rhs, obstacle, active)
         solves += 1
 
 
+@dataclass(frozen=True)
+class StepOperators:
+    """What every step of one trajectory shares: operators, load, pivots.
+
+    ``pivots`` are those of the UL elimination S = U L, with U unit upper
+    bidiagonal; ``upper_factor`` holds U in ``solve_banded`` layout.
+    """
+
+    S: Tridiagonal
+    m_dt: Tridiagonal
+    a_mu: Tridiagonal
+    f_mu: np.ndarray
+    theta: float
+    pivots: np.ndarray
+    upper_factor: np.ndarray
+
+    def rhs(self, u_prev: np.ndarray) -> np.ndarray:
+        """Right-hand side of the step that starts from ``u_prev``."""
+        return self.m_dt @ u_prev - (1.0 - self.theta) * (self.a_mu @ u_prev) + self.f_mu
+
+    def predict_contact(self, rhs: np.ndarray, obstacle: np.ndarray) -> np.ndarray:
+        """Brennan-Schwartz guess of the active set: the prefix [0, k).
+
+        After the upward elimination, node i would leave the obstacle when
+        its forward-sweep value, with node i-1 pinned, exceeds the obstacle;
+        k is the first such node.
+        """
+        swept = solve_banded((0, 1), self.upper_factor, rhs, check_finite=False)
+        swept[1:] -= self.S.lower * obstacle[:-1]
+        above = swept / self.pivots > obstacle
+        k = int(np.argmax(above)) if above.any() else above.size
+        return np.arange(above.size) < k
+
+
+def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOperators:
+    """Build the loop invariants of a trajectory at parameter ``mu``.
+
+    The bands are combined in the same order as ``ops.a_matrix`` and the
+    sparse sums, so every product matches the sparse operators exactly.
+    """
+    a1, a2, a3 = Tridiagonal.of(ops.a1), Tridiagonal.of(ops.a2), Tridiagonal.of(ops.a3)
+    a_mu = Tridiagonal(*((mu.sigma ** 2) * b1 + (mu.r - mu.q) * b2 + mu.r * b3
+                         for b1, b2, b3 in zip(a1, a2, a3)))
+    m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in Tridiagonal.of(ops.mass)))
+    S = Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu)))
+
+    diag, coupling = S.diag.tolist(), (S.upper * S.lower).tolist()
+    pivots = [0.0] * len(diag)
+    p = pivots[-1] = diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        p = pivots[i] = diag[i] - coupling[i] / p
+    pivots = np.array(pivots)
+    upper_factor = np.ones((2, pivots.size))
+    upper_factor[0, 1:] = S.upper / pivots[1:]
+    return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu),
+                         theta=config.theta, pivots=pivots, upper_factor=upper_factor)
+
+
 def theta_step(u_prev: np.ndarray, mu, ops: AffineOperatorSet,
-               obstacle: ObstacleData, config: SchemeConfig):
-    """One backward-time step; returns (u_next, lam_next, solver iterations)."""
-    a_mu = ops.a_matrix(mu)
-    m_dt = (ops.mass * (1.0 / config.delta_t)).tocsr()
-    s_matrix = (m_dt + config.theta * a_mu).tocsr()
-    rhs = m_dt @ u_prev - (1.0 - config.theta) * (a_mu @ u_prev) + ops.f_vector(mu)
-    return solve_lcp(LcpProblem(S=s_matrix, rhs=rhs, obstacle=obstacle.psi_tilde))
+               obstacle: ObstacleData, config: SchemeConfig,
+               step: StepOperators | None = None):
+    """One backward-time step; returns (u_next, lam_next, solver iterations).
+
+    ``step`` passes the trajectory's ``step_operators(mu, ops, config)``;
+    they are built here when it is None.
+    """
+    if step is None:
+        step = step_operators(mu, ops, config)
+    rhs = step.rhs(u_prev)
+    psi = obstacle.psi_tilde
+    return solve_lcp(LcpProblem(S=step.S, rhs=rhs, obstacle=psi,
+                                start=step.predict_contact(rhs, psi)))
 
 
 @dataclass(frozen=True)
@@ -211,9 +302,10 @@ def solve_trajectory(mu, ops: AffineOperatorSet, obstacle: ObstacleData,
     multipliers = np.empty((config.L, H))
     iterations = np.empty(config.L, dtype=int)
     states[0] = obstacle.psi_tilde
+    step = step_operators(mu, ops, config)
     for n in range(config.L):
         try:
-            u, lam, its = theta_step(states[n], mu, ops, obstacle, config)
+            u, lam, its = theta_step(states[n], mu, ops, obstacle, config, step)
         except AmrbError as err:
             raise type(err)(f"time step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
@@ -228,10 +320,7 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
                          obstacle: ObstacleData) -> dict:
     """Worst-case feasibility, complementarity, and linear residuals."""
     cfg = traj.config
-    a_mu = ops.a_matrix(traj.mu)
-    m_dt = (ops.mass * (1.0 / cfg.delta_t)).tocsr()
-    s_matrix = (m_dt + cfg.theta * a_mu).tocsr()
-    f_mu = ops.f_vector(traj.mu)
+    step = step_operators(traj.mu, ops, cfg)
     psi_tilde = obstacle.psi_tilde
 
     min_gap = np.inf
@@ -241,8 +330,8 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
     for n in range(cfg.L):
         u = traj.states[n + 1]
         lam = traj.multipliers[n]
-        rhs = m_dt @ traj.states[n] - (1.0 - cfg.theta) * (a_mu @ traj.states[n]) + f_mu
-        residual = s_matrix @ u - lam - rhs
+        rhs = step.rhs(traj.states[n])
+        residual = step.S @ u - lam - rhs
         scale = max(1.0, float(np.abs(rhs).max()))
         max_lin = max(max_lin, float(np.abs(residual).max()) / scale)
         gap = u - psi_tilde

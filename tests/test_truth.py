@@ -2,13 +2,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from amrb import (
     LcpProblem,
     SchemeConfig,
     SolverDivergenceError,
+    Tridiagonal,
+    assemble_operators,
+    build_mesh,
     obstacle_data,
+    sample_training_set,
     solve_lcp,
     solve_trajectory,
     theta_step,
@@ -112,13 +115,32 @@ def test_solve_lcp_banded_equals_dense():
     main = 4.0 + rng.random(n)
     lower = -rng.random(n - 1)
     upper = -rng.random(n - 1)
-    S_sparse = sp.diags([lower, main, upper], offsets=(-1, 0, 1), format="csr")
-    rhs = rng.normal(size=n) * 5
+    S = Tridiagonal(lower, main, upper)
+    dense = np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
     obstacle = rng.normal(size=n)
-    u1, lam1, _ = solve_lcp(LcpProblem(S=S_sparse, rhs=rhs, obstacle=obstacle))
-    u2, lam2, _ = solve_lcp(LcpProblem(S=S_sparse.toarray(), rhs=rhs, obstacle=obstacle))
-    assert np.abs(u1 - u2).max() <= 1e-11 * (1 + np.abs(u2).max())
-    assert np.abs(lam1 - lam2).max() <= 1e-11 * (1 + np.abs(lam2).max())
+    # a random right-hand side, and one built from a known solution whose
+    # contact set is scattered rather than a prefix
+    contact = rng.random(n) < 0.4
+    assert not np.array_equal(contact, np.arange(n) < contact.sum())
+    u_star = obstacle + np.where(contact, 0.0, rng.random(n) + 0.1)
+    lam_star = np.where(contact, rng.random(n) + 0.1, 0.0)
+    for rhs in (rng.normal(size=n) * 5, S @ u_star - lam_star):
+        u1, lam1, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle))
+        u2, lam2, _ = solve_lcp(LcpProblem(S=dense, rhs=rhs, obstacle=obstacle))
+        # a wrong prefix guess is corrected by the iteration
+        u3, lam3, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle,
+                                           start=np.arange(n) < n // 2))
+        for u, lam in ((u1, lam1), (u3, lam3)):
+            assert np.abs(u - u2).max() <= 1e-11 * (1 + np.abs(u2).max())
+            assert np.abs(lam - lam2).max() <= 1e-11 * (1 + np.abs(lam2).max())
+    assert np.abs(u2 - u_star).max() <= 1e-11 * (1 + np.abs(u_star).max())
+    assert np.abs(lam2 - lam_star).max() <= 1e-11 * (1 + np.abs(lam_star).max())
+
+
+def test_tridiagonal_matches_sparse_product(default_ops):
+    x = np.random.default_rng(8).normal(size=default_ops.dim)
+    for matrix in (default_ops.a1, default_ops.a2, default_ops.gram):
+        assert np.array_equal(Tridiagonal.of(matrix) @ x, matrix @ x)
 
 
 def test_solve_lcp_iteration_budget():
@@ -237,6 +259,42 @@ def test_american_dominates_european(default_ops, default_scheme, mu0):
     for n in range(default_scheme.L):
         u = np.linalg.solve(smat, rhsm @ u + f_mu)
         assert (traj.states[n + 1] - u).min() >= -1e-8
+
+
+def test_trajectory_fine_mesh_contract(default_scheme, mu0):
+    # an empty start needs about one solve per contact node moved, which
+    # overran max_iter=100 at step 1 on this mesh
+    ops = assemble_operators(build_mesh(9999, 300.0))
+    obstacle = obstacle_data(ops.mesh, mu0.K)
+    traj = solve_trajectory(mu0, ops, obstacle, default_scheme)
+    res = trajectory_residuals(traj, ops, obstacle)
+    assert res["min_state_gap"] >= -1e-9
+    assert res["min_multiplier"] >= -1e-12
+    assert res["max_complementarity"] <= 1e-9
+    assert res["max_linear_residual"] <= 1e-10
+    assert traj.pdas_iterations.max() <= 2
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_predicted_start_is_exact(default_box, theta, monkeypatch):
+    ops = assemble_operators(build_mesh(999, 300.0))
+    scheme = SchemeConfig(T=1.0, L=20, theta=theta)
+    params = sample_training_set(default_box, 3, np.random.SeedSequence([12, 1]))
+    predicted = []
+    for mu in params:
+        predicted.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme))
+    monkeypatch.setattr(truth_mod.StepOperators, "predict_contact",
+                        lambda self, rhs, obstacle: None)
+    for mu, fast in zip(params, predicted):
+        slow = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+        assert np.array_equal(fast.states, slow.states)
+        assert np.array_equal(fast.multipliers, slow.multipliers)
+        if theta > 0.0:
+            assert fast.pdas_iterations.max() == 1
+            assert slow.pdas_iterations.max() > 1
+    if theta == 0.0:
+        # mass/dt has positive off-diagonals, so the sweep guesses wrong
+        assert max(t.pdas_iterations.max() for t in predicted) > 1
 
 
 def test_trajectory_determinism(default_ops, default_scheme, mu0):
