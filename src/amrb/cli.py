@@ -215,6 +215,16 @@ def _gnuplot(path, lines: list[str]) -> None:
 # commands
 
 
+def _iteration_stats(counts) -> dict:
+    """Active-set solves per time step and their range and mean."""
+    return {
+        "per_step": [int(i) for i in counts],
+        "min": int(counts.min()),
+        "max": int(counts.max()),
+        "mean": float(counts.mean()),
+    }
+
+
 def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     mesh = build_mesh(cfg.h, cfg.s_f)
     ops = assemble_operators(mesh)
@@ -227,7 +237,6 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     write_trajectory_csv(csv_path, traj, mesh)
     residuals = trajectory_residuals(traj, ops, obstacle)
     final_price = traj.states[-1] + obstacle.p0
-    iters = traj.pdas_iterations
     summary = {
         "schema_version": 1,
         "mu": {"K": mu.K, "r": mu.r, "q": mu.q, "sigma": mu.sigma},
@@ -235,12 +244,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
         "time": {"T": cfg.t_final, "L": cfg.steps, "theta": cfg.theta},
         "final_price_curve": [[float(s), float(p)]
                               for s, p in zip(mesh.interior_nodes, final_price)],
-        "pdas_iteration_stats": {
-            "per_step": [int(i) for i in iters],
-            "min": int(iters.min()),
-            "max": int(iters.max()),
-            "mean": float(iters.mean()),
-        },
+        "pdas_iteration_stats": _iteration_stats(traj.pdas_iterations),
         "feasibility_residuals": residuals,
     }
     textio.write_json(os.path.join(out, "truth_summary.json"), summary)
@@ -315,6 +319,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
         "mu": {"K": mu.K, "r": mu.r, "q": mu.q, "sigma": mu.sigma},
         "model": {"NV_tilde": model.nv_tilde, "NW": model.nw, "NV": model.nv},
         "in_box": in_box,
+        "cone_iteration_stats": _iteration_stats(rt.lcp_solves),
     }
     if compare:
         ops = assemble_operators(mesh)

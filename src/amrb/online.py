@@ -6,7 +6,11 @@ affine blocks, the step matrix is factorized once, and the obstacle data
 Each time step then solves a small mixed complementarity system by
 eliminating the state through the Schur complement and running the
 primal-dual active-set iteration on the cone coefficients, so the
-per-step cost depends only on the reduced dimensions.
+per-step cost depends only on the reduced dimensions.  Within a
+trajectory each step starts that iteration from the active-set update of
+the previous step's solution, {lam - alpha > 0}.  The Schur complement is
+positive definite, so the cone problem has one solution whatever the
+start; a start that is already right is certified by a single solve.
 
 The enriched basis is kept as a plain union of POD modes and supremizer
 lifts, so its Gram matrix can be ill conditioned even though the spanned
@@ -120,26 +124,36 @@ def online_setup(model: ReducedModel, mu, config: SchemeConfig | None = None) ->
                       sinv_b_orth=sinv_b_orth, schur=schur)
 
 
-def _orth_step(y_prev: np.ndarray, data: OnlineData):
-    """One step in energy-orthonormal coordinates."""
+def _cone_step(y_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
+    """One step in energy-orthonormal coordinates from the cone active set ``start``.
+
+    Returns (y, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
+    """
     rhs = data.rhs_orth @ y_prev + data.f_orth
-    base = lu_solve(data.s_lu, rhs)
-    if data.schur.shape[0] == 0:
-        return base, np.zeros(0)
+    base = lu_solve(data.s_lu, rhs, check_finite=False)  # online_setup checked the factor
+    if zero.size == 0:
+        return base, zero, zero, 0
     q = data.b_orth.T @ base
-    alpha, _, _ = solve_lcp(LcpProblem(S=data.schur, rhs=data.g_n - q,
-                                       obstacle=np.zeros(data.schur.shape[0])))
-    return base + data.sinv_b_orth @ alpha, alpha
+    alpha, lam, solves = solve_lcp(LcpProblem(S=data.schur, rhs=data.g_n - q,
+                                              obstacle=zero, start=start))
+    return base + data.sinv_b_orth @ alpha, alpha, lam, solves
 
 
-def reduced_step(u_prev: np.ndarray, data: OnlineData, model: ReducedModel,
-                 config: SchemeConfig | None = None):
+def _orth_step(y_prev: np.ndarray, data: OnlineData):
+    """One step in energy-orthonormal coordinates from the empty cone active set."""
+    y, alpha, _, _ = _cone_step(y_prev, data, None, np.zeros(data.schur.shape[0]))
+    return y, alpha
+
+
+def reduced_step(u_prev: np.ndarray, data: OnlineData):
     """One reduced step; returns (next coefficients, cone coefficients).
 
     The state is eliminated through the Schur complement, leaving a small
     complementarity problem in the nonnegative cone coefficients that the
-    active-set solver handles on its dense path.
+    active-set solver handles on its dense path from the empty set.
     """
+    if not np.isfinite(u_prev).all():  # the step's solves skip this check
+        raise ValueError("reduced coefficients must be finite")
     y_prev = data.precond @ u_prev
     y_next, alpha = _orth_step(y_prev, data)
     return solve_triangular(data.precond, y_next, lower=False), alpha
@@ -152,6 +166,7 @@ class ReducedTrajectory:
     mu: ParameterVector
     states: np.ndarray       # (L+1, NV)
     cone_coeffs: np.ndarray  # (L, NW)
+    lcp_solves: np.ndarray | None = None  # (L,) cone active-set solves per step
 
 
 def reduced_trajectory(model: ReducedModel, mu,
@@ -160,18 +175,22 @@ def reduced_trajectory(model: ReducedModel, mu,
     data = online_setup(model, mu, cfg)
     orth_states = np.empty((cfg.L + 1, model.nv))
     alphas = np.empty((cfg.L, model.nw))
+    solves = np.empty(cfg.L, dtype=int)
     orth_states[0] = data.precond @ data.u0
+    zero = np.zeros(model.nw)
+    start = None
     for n in range(cfg.L):
         try:
-            y, alpha = _orth_step(orth_states[n], data)
+            y, alpha, lam, solves[n] = _cone_step(orth_states[n], data, start, zero)
         except AmrbError as err:
             raise type(err)(f"reduced step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
         orth_states[n + 1] = y
         alphas[n] = alpha
+        start = (lam - alpha) > 0.0  # the active-set update at this step's solution
     states = solve_triangular(data.precond, orth_states.T, lower=False).T
     states[0] = data.u0  # keep the initial projection exactly as computed
-    return ReducedTrajectory(mu=mu, states=states, cone_coeffs=alphas)
+    return ReducedTrajectory(mu=mu, states=states, cone_coeffs=alphas, lcp_solves=solves)
 
 
 def reduced_residuals(rt: ReducedTrajectory, data: OnlineData,

@@ -27,7 +27,8 @@ exact solution.
 
 On tridiagonal matrices each iteration costs O(H) through a banded
 elimination; dense inputs (used by the reduced-order Schur complements
-and by small test problems) take a dense path from the empty set.
+and by small test problems) take a dense path, from the empty set unless
+the caller passes a start.
 """
 
 from __future__ import annotations
@@ -98,8 +99,14 @@ class LcpProblem:
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        diag = self.S.diag if isinstance(self.S, Tridiagonal) else np.diag(np.asarray(self.S))
-        if diag.size != self.rhs.size or self.rhs.size != self.obstacle.size:
+        n = self.rhs.size
+        if isinstance(self.S, Tridiagonal):
+            diag = self.S.diag
+        elif np.shape(self.S) == (n, n):
+            diag = np.asarray(self.S).diagonal()
+        else:
+            raise ValueError("inconsistent LCP dimensions")
+        if diag.size != n or n != self.obstacle.size:
             raise ValueError("inconsistent LCP dimensions")
         if self.start is not None and np.shape(self.start) != (diag.size,):
             raise ValueError("inconsistent LCP dimensions")
@@ -119,10 +126,11 @@ def _solve_for_active_set(S, rhs, obstacle, active):
     else:
         ix = np.flatnonzero(inactive)
         shifted = rhs
-        if active.any():
-            pinned = np.zeros(n)
-            pinned[active] = obstacle[active]
-            shifted = rhs - S @ pinned
+        pinned = obstacle[active]
+        if pinned.any():  # a zero obstacle shifts nothing
+            shift = np.zeros(n)
+            shift[active] = pinned
+            shifted = rhs - S @ shift
         sub_rhs = shifted[ix]
         try:
             if isinstance(S, Tridiagonal):
@@ -136,13 +144,13 @@ def _solve_for_active_set(S, rhs, obstacle, active):
                     ab[2, :-1] = np.where(adjacent, S.lower[ix[:-1]], 0.0)
                 sol = solve_banded((1, 1), ab, sub_rhs)
             else:
-                sol = np.linalg.solve(S[np.ix_(ix, ix)], sub_rhs)
+                sol = np.linalg.solve(S[ix[:, None], ix], sub_rhs)
         except np.linalg.LinAlgError as err:
             raise NumericalBreakdownError(
                 f"singular linear system on an active-set iterate: {err}",
                 active_size=int(active.sum())) from err
         u[ix] = sol
-        u[active] = obstacle[active]
+        u[active] = pinned
     lam = S @ u - rhs
     lam[inactive] = 0.0
     return u, lam

@@ -170,6 +170,9 @@ def test_online_compare_reproduces_training_mu(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out / "online_summary.json").read_text())
     assert summary["err_N"] <= 1e-3
+    cone = summary["cone_iteration_stats"]
+    assert len(cone["per_step"]) == 10
+    assert 1 <= cone["min"] <= cone["mean"] <= cone["max"] == max(cone["per_step"])
     header, rows = read_csv(out / "comparison.csv")
     assert header == ["step", "t", "s", "u", "lambda", "price", "source"]
     assert {r[-1] for r in rows} == {"truth", "reduced"}

@@ -118,13 +118,15 @@ def test_reduced_step_unconstrained(small_model, small_store):
     free = dataclasses.replace(data, g_n=np.full(small_model.nw, -1e6))
     rng = np.random.default_rng(1)
     u_prev = rng.normal(size=small_model.nv)
-    u, alpha = reduced_step(u_prev, free, small_model)
+    u, alpha = reduced_step(u_prev, free)
     assert np.all(alpha == 0.0)
     # independent check through the raw matrices
     mass_dt = small_model.mass_n / small_model.config.delta_t
     rhs = (mass_dt - 0.5 * data.a_n) @ u_prev + data.f_n
     expected = np.linalg.solve(data.s_n, rhs)
     assert np.abs(u - expected).max() <= 1e-9 * (1 + np.abs(expected).max())
+    with pytest.raises(ValueError):
+        reduced_step(np.full(small_model.nv, np.nan), free)
 
 
 def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
@@ -135,7 +137,7 @@ def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
     rng = np.random.default_rng(2)
     for _ in range(10):
         u_prev = rng.normal(size=model.nv) * 10
-        u, alpha = reduced_step(u_prev, data, model)
+        u, alpha = reduced_step(u_prev, data)
         mass_dt = model.mass_n / model.config.delta_t
         rhs = (mass_dt - 0.5 * data.a_n) @ u_prev + data.f_n
         base = np.linalg.solve(data.s_n, rhs)
@@ -155,7 +157,7 @@ def test_reduced_step_matches_enumeration(model_8_8, store16):
     for k in range(20):
         # random states near the trajectory keep the problem realistic
         u_prev = rt.states[k % rt.states.shape[0]] + rng.normal(size=model_8_8.nv)
-        u, alpha = reduced_step(u_prev, data, model_8_8)
+        u, alpha = reduced_step(u_prev, data)
         y_prev = data.precond @ u_prev
         base = lu_solve(data.s_lu, data.rhs_orth @ y_prev + data.f_orth)
         q = data.b_orth.T @ base
@@ -191,6 +193,35 @@ def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10)
             assert rt.cone_coeffs.min() >= -1e-12
             assert res["min_cone_gap"] >= -1e-9
             assert res["max_complementarity"] <= 1e-9
+
+
+def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
+    # each step of reduced_trajectory starts from the previous cone active
+    # set; a march that starts every step from the empty set must agree
+    from scipy.linalg import solve_triangular
+
+    from amrb.online import _orth_step
+
+    for model in (model_8_8, model_16_16):
+        solves = []
+        for mu in test_params10:
+            rt = reduced_trajectory(model, mu)
+            data = online_setup(model, mu)
+            orth = [data.precond @ data.u0]
+            alphas = []
+            for _ in range(model.config.L):
+                y, alpha = _orth_step(orth[-1], data)
+                orth.append(y)
+                alphas.append(alpha)
+            states = solve_triangular(data.precond, np.array(orth).T, lower=False).T
+            states[0] = data.u0
+            assert np.array_equal(rt.states, states)
+            assert np.array_equal(rt.cone_coeffs, np.array(alphas))
+            assert rt.lcp_solves.shape == (model.config.L,)
+            solves.append(rt.lcp_solves)
+        if model is model_8_8:
+            # a cold start needs about 5.7 solves per step here
+            assert np.mean(solves) <= 2.5
 
 
 # ---------------------------------------------------------------------------

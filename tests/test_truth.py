@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +70,9 @@ def test_lcp_problem_validation():
                    obstacle=np.zeros(2))
     with pytest.raises(ValueError):
         LcpProblem(S=np.eye(3), rhs=np.zeros(2), obstacle=np.zeros(3))
+    for shape in ((3, 4), (4, 3)):
+        with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
+            LcpProblem(S=np.eye(*shape), rhs=np.zeros(3), obstacle=np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +139,25 @@ def test_solve_lcp_banded_equals_dense():
             assert np.abs(lam - lam2).max() <= 1e-11 * (1 + np.abs(lam2).max())
     assert np.abs(u2 - u_star).max() <= 1e-11 * (1 + np.abs(u_star).max())
     assert np.abs(lam2 - lam_star).max() <= 1e-11 * (1 + np.abs(lam_star).max())
+
+
+def test_solve_lcp_dense_from_any_start():
+    # the solution is unique for positive definite S, so every start ends
+    # there.  The S of criterion 2 (A'A + nI) are generally not M-matrices;
+    # half of them get a skew part, as the reduced Schur complements have.
+    rng = np.random.default_rng(9)
+    for k in range(40):
+        n = int(rng.integers(4, 13))
+        problem = random_spd_lcp(rng, n)
+        if k % 2:
+            B = rng.normal(size=(n, n))
+            problem = dataclasses.replace(problem, S=problem.S + B - B.T)
+        u_ref, lam_ref, _ = solve_lcp(problem)
+        for _ in range(5):
+            start = rng.random(n) < rng.random()
+            u, lam, _ = solve_lcp(dataclasses.replace(problem, start=start))
+            assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
+            assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
 
 
 def test_tridiagonal_matches_sparse_product(default_ops):
