@@ -17,7 +17,6 @@ from .errors import (
 )
 from .fem import (
     AffineOperatorSet,
-    DualVector,
     Mesh1D,
     ObstacleData,
     ParameterBox,
@@ -42,15 +41,12 @@ from .truth import (
     write_trajectory_csv,
 )
 from .offline import (
-    DualConeBasis,
     GreedyDiagnostics,
-    PrimalBasis,
     ReducedModel,
     SnapshotStore,
     angle_greedy,
     angle_to_subspace,
     assemble_reduced,
-    build_reduced_model,
     build_reduced_model_from_store,
     enrich_with_supremizers,
     generate_snapshots,

@@ -227,34 +227,10 @@ def obstacle_data(mesh: Mesh1D, K: float) -> ObstacleData:
     return ObstacleData(psi=psi, p0=p0, psi_tilde=psi - p0)
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """Multiplier in the basis biorthogonal to the nodal hat functions.
-
-    Biorthogonality makes the duality action on a primal coefficient
-    vector a plain dot product, and cone membership a sign condition on
-    the coefficients.
-    """
-
-    coeffs: np.ndarray
-
-    def apply(self, v: np.ndarray) -> float:
-        return float(np.asarray(self.coeffs) @ v)
-
-    def in_cone(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.asarray(self.coeffs) >= -tol))
-
-
-def dual_coeffs(eta) -> np.ndarray:
-    """Coefficient array of a DualVector or a raw array-like."""
-    coeffs = eta.coeffs if isinstance(eta, DualVector) else eta
-    return np.asarray(coeffs, dtype=float)
-
-
 def w_inner(eta, zeta, ops: AffineOperatorSet) -> float:
     """Dual-space inner product eta' gram^{-1} zeta."""
-    e = dual_coeffs(eta)
-    z = dual_coeffs(zeta)
+    e = np.asarray(eta, dtype=float)
+    z = np.asarray(zeta, dtype=float)
     if e.shape != (ops.dim,) or z.shape != (ops.dim,):
         raise ValueError(f"dual vectors must have shape ({ops.dim},), got {e.shape} and {z.shape}")
     return float(e @ ops.x_solve(z))
@@ -270,7 +246,7 @@ def riesz_supremizer(xi, ops: AffineOperatorSet) -> np.ndarray:
     The lift realizes the duality pairing through the energy inner product,
     so its energy norm equals the dual norm of the input.
     """
-    c = dual_coeffs(xi)
+    c = np.asarray(xi, dtype=float)
     if c.shape != (ops.dim,):
         raise ValueError(f"dual vector must have shape ({ops.dim},), got {c.shape}")
     return ops.x_solve(c)

@@ -7,12 +7,14 @@ projection-error history to its dominant POD mode, orthonormalize, repeat.
 The dual cone grows by an angle-greedy loop over the multiplier snapshots:
 pick the snapshot forming the largest principal angle with the span of the
 current generators, normalize it in the dual norm, repeat.  Supremizer
-lifts of the cone generators are appended to the primal basis so the
-reduced primal-dual coupling keeps full column rank.
+lifts of the cone generators are Gram-Schmidt orthogonalized against the
+POD modes and appended, so the reduced primal-dual coupling keeps full
+column rank and the whole primal basis stays energy-orthonormal: its Gram
+matrix is the identity, and the online phase works on the basis as it is.
 
-A ``ReducedModel`` collects the basis matrices, all reduced operator
-blocks, the data needed for the online initial projection, and the greedy
-diagnostics; it serializes to a single JSON document.
+Bases and cones are plain column arrays.  A ``ReducedModel`` collects
+them, all reduced operator blocks and the greedy diagnostics; it
+serializes to a single JSON document.
 """
 
 from __future__ import annotations
@@ -31,24 +33,28 @@ from .errors import (
     DegenerateInputError,
     IllConditionedBasisError,
     InfSupFailureError,
+    ModelCorruptionError,
     ModelLoadError,
     ModelVersionError,
 )
 from .fem import (
     AffineOperatorSet,
-    DualVector,
     Mesh1D,
     ParameterBox,
     ParameterVector,
-    dual_coeffs,
+    assemble_operators,
+    build_mesh,
     obstacle_data,
 )
 from .truth import SchemeConfig, Trajectory, solve_trajectory
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 NORM_FLOOR = 1e-12       # below this a vector counts as zero in its norm
 MIN_GREEDY_ANGLE = 1e-10  # smaller angles mean the snapshot cone is exhausted
+RANK_FLOOR = 1e-10       # smin/smax of B_N below this means lost column rank
+BLOCK_RTOL = 1e-12       # stored reduced blocks must match their recomputation
+ORTHO_TOL = 1e-9         # max |psi' gram psi - I|; stock bases reach 5.6e-12 at H=9999
 
 
 def sample_training_set(box: ParameterBox, n: int, seed) -> list[ParameterVector]:
@@ -224,12 +230,12 @@ def angle_to_subspace(lam, basis, ops: AffineOperatorSet) -> float:
     projection norms, which keeps tiny angles accurate where
     arccos(1 - eps) loses half the digits.  An empty basis gives pi/2.
     """
-    c = dual_coeffs(lam)
+    c = np.asarray(lam, dtype=float)
     y = ops.x_solve(c)
     norm_sq = float(c @ y)
     if norm_sq <= NORM_FLOOR ** 2:
         raise DegenerateInputError("multiplier vanishes in the dual norm")
-    cols = [dual_coeffs(b) for b in basis]
+    cols = [np.asarray(b, dtype=float) for b in basis]
     if not cols:
         return float(np.pi / 2)
     xi = np.column_stack(cols)
@@ -248,31 +254,8 @@ def angle_to_subspace(lam, basis, ops: AffineOperatorSet) -> float:
     return float(np.arctan2(sin_part, cos_part))
 
 
-@dataclass(frozen=True)
-class DualConeBasis:
-    """Normalized multiplier snapshots generating the reduced cone."""
-
-    generators: tuple[DualVector, ...]
-    selected: tuple[tuple[int, int], ...]  # (time step, parameter index)
-    dim: int
-
-    @property
-    def size(self) -> int:
-        return len(self.generators)
-
-    def matrix(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((self.dim, 0))
-        return np.column_stack([np.asarray(g.coeffs, dtype=float) for g in self.generators])
-
-
-def _make_cone(xi: np.ndarray, selected: list[tuple[int, int]], dim: int) -> DualConeBasis:
-    gens = tuple(DualVector(coeffs=xi[:, j].copy()) for j in range(xi.shape[1]))
-    return DualConeBasis(generators=gens, selected=tuple(selected), dim=dim)
-
-
 def angle_greedy(store: SnapshotStore, n_w: int,
-                 ops: AffineOperatorSet) -> tuple[DualConeBasis, np.ndarray]:
+                 ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Greedy dual cone construction.
 
     Initialize with the first multiplier snapshot of positive dual norm
@@ -281,8 +264,9 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     record the maximum, and append the normalized maximizer (ties break to
     the smallest parameter index, then the smallest time step).
 
-    Returns (cone, angle decay).  Raises ConeSaturationError (carrying the
-    partial cone in ``info``) when no snapshot keeps an angle above the
+    Returns (generator columns, angle decay, selected (time step,
+    parameter index) pairs).  Raises ConeSaturationError (carrying the
+    partial result in ``info``) when no snapshot keeps an angle above the
     floor.
     """
     if n_w < 1:
@@ -295,8 +279,7 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     if not valid.any():
         raise ConeSaturationError(
             "no multiplier snapshot has positive dual norm", achieved=0,
-            cone=DualConeBasis(generators=(), selected=(), dim=ops.dim),
-            eps_lambda=np.zeros(0))
+            xi=np.zeros((ops.dim, 0)), eps_lambda=np.zeros(0), selected=[])
 
     first = int(np.flatnonzero(valid)[0])
     xi = lam_matrix[:, [first]] / w_norm[first]
@@ -336,57 +319,36 @@ def angle_greedy(store: SnapshotStore, n_w: int,
                 lam_matrix[:, best] / w_norm[best]):
             raise ConeSaturationError(
                 f"multiplier snapshots exhausted at cone size {k}",
-                achieved=k, cone=_make_cone(xi, selected, ops.dim),
-                eps_lambda=np.array(eps_lambda))
+                achieved=k, xi=xi, eps_lambda=np.array(eps_lambda), selected=selected)
         xi = np.hstack([xi, lam_matrix[:, [best]] / w_norm[best]])
         selected.append(labels[best])
-    return _make_cone(xi, selected, ops.dim), np.array(eps_lambda)
+    return xi, np.array(eps_lambda), selected
 
 
-@dataclass(frozen=True)
-class PrimalBasis:
-    """POD block plus supremizer lifts spanning the reduced primal space."""
-
-    pod_vectors: np.ndarray   # (H, NV_tilde), orthonormal in the energy product
-    supremizers: np.ndarray   # (H, kept) lifts, appended unorthonormalized
-    combined: np.ndarray      # (H, NV)
-    reduced_gram: np.ndarray  # (NV, NV) energy Gram of the combined basis
-    dropped: tuple[int, ...] = ()  # generator indices whose lift was dependent
-
-
-def enrich_with_supremizers(pod_vectors, cone: DualConeBasis,
-                            ops: AffineOperatorSet,
-                            cond_limit: float = 1e12) -> PrimalBasis:
+def enrich_with_supremizers(pod_vectors: np.ndarray, xi: np.ndarray,
+                            ops: AffineOperatorSet) -> tuple[np.ndarray, list[int]]:
     """Append the supremizer lift of each cone generator to the POD block.
 
-    A lift that would push the combined Gram condition number past the
-    limit is dropped (recorded in ``dropped``) and the enrichment
-    continues with the rest.
+    Each lift gram^{-1} xi_j is Gram-Schmidt orthogonalized twice against
+    the columns so far, as in ``pod_greedy``, and normalized, so an
+    energy-orthonormal POD block gives an energy-orthonormal result.  A
+    lift whose residual norm falls below ``NORM_FLOOR`` adds no direction;
+    it is dropped and its generator index recorded.
+
+    Returns (psi, dropped): the (H, NV) basis and the dropped indices.
     """
-    if isinstance(pod_vectors, np.ndarray) and pod_vectors.ndim == 2:
-        pod = pod_vectors
-    else:
-        pod = np.column_stack([np.asarray(v, dtype=float) for v in pod_vectors])
-    lifts = ops.x_solve(cone.matrix()) if cone.size else np.zeros((pod.shape[0], 0))
-    if lifts.ndim == 1:
-        lifts = lifts[:, None]
-    combined = pod
-    kept: list[int] = []
+    psi = pod_vectors
     dropped: list[int] = []
-    for j in range(lifts.shape[1]):
-        trial = np.hstack([combined, lifts[:, [j]]])
-        gram = trial.T @ (ops.gram @ trial)
-        gram = 0.5 * (gram + gram.T)
-        if np.linalg.cond(gram) >= cond_limit:
+    for j in range(xi.shape[1]):
+        vec = ops.x_solve(xi[:, j])
+        for _ in range(2):
+            vec = vec - psi @ (psi.T @ (ops.gram @ vec))
+        nrm = ops.v_norm(vec)
+        if nrm < NORM_FLOOR:
             dropped.append(j)
             continue
-        combined = trial
-        kept.append(j)
-    reduced_gram = combined.T @ (ops.gram @ combined)
-    reduced_gram = 0.5 * (reduced_gram + reduced_gram.T)
-    return PrimalBasis(pod_vectors=pod, supremizers=lifts[:, kept],
-                       combined=combined, reduced_gram=reduced_gram,
-                       dropped=tuple(dropped))
+        psi = np.hstack([psi, (vec / nrm)[:, None]])
+    return psi, dropped
 
 
 @dataclass(frozen=True)
@@ -402,7 +364,11 @@ class GreedyDiagnostics:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Offline output: bases, reduced operators, and online initial data."""
+    """Offline output: bases, reduced operators, and greedy diagnostics.
+
+    ``psi_matrix`` is energy-orthonormal, so the energy projection of a
+    nodal vector v onto the reduced space has coefficients gram_psi' v.
+    """
 
     mesh_h: int
     mesh_s_f: float
@@ -410,57 +376,60 @@ class ReducedModel:
     nv_tilde: int
     nw: int
     nv: int
-    psi_matrix: np.ndarray        # (H, NV) primal basis columns
+    psi_matrix: np.ndarray        # (H, NV) energy-orthonormal primal basis
     xi_matrix: np.ndarray         # (H, NW) cone generator coefficients
     mass_n: np.ndarray            # (NV, NV)
     a1_n: np.ndarray
     a2_n: np.ndarray
-    a3_n: np.ndarray
     f1_n: np.ndarray              # (NV,)
     f2_n: np.ndarray
     b_n: np.ndarray               # (NV, NW) primal-dual coupling
-    init_gram: np.ndarray         # (NV, NV) energy Gram for the initial projection
-    init_rhs_factor: np.ndarray   # (H, NV) gram @ psi
+    gram_psi: np.ndarray          # (H, NV) gram @ psi; recomputed on load, not stored
     diagnostics: GreedyDiagnostics | None = None
 
 
-def assemble_reduced(basis: PrimalBasis, cone: DualConeBasis,
-                     ops: AffineOperatorSet, config: SchemeConfig,
-                     diagnostics: GreedyDiagnostics | None = None,
-                     rank_floor: float = 1e-10) -> ReducedModel:
-    """Project all operator blocks onto the enriched basis.
+def _check_coupling_rank(b_n: np.ndarray, error: type[AmrbError], message: str) -> None:
+    """Raise ``error`` unless b_n has numerically full column rank."""
+    if b_n.shape[1] == 0:
+        return
+    svals = np.linalg.svd(b_n, compute_uv=False)
+    if svals[0] <= 0 or svals[-1] <= RANK_FLOOR * svals[0]:
+        raise error(f"{message} (smin={svals[-1]:.3e}, smax={svals[0]:.3e})",
+                    smin=float(svals[-1]), smax=float(svals[0]))
 
-    Fails with InfSupFailureError if the reduced coupling b_n loses full
-    column rank, which would make the reduced saddle-point steps ill
-    posed.
+
+def _check_unit_gram(psi: np.ndarray, gram_psi: np.ndarray,
+                     error: type[AmrbError]) -> None:
+    """Raise ``error`` unless psi' gram psi is the identity to ``ORTHO_TOL``."""
+    dev = float(np.abs(psi.T @ gram_psi - np.eye(psi.shape[1])).max(initial=0.0))
+    if not dev <= ORTHO_TOL:
+        raise error(f"primal basis is not energy-orthonormal (max deviation {dev:.3e})")
+
+
+def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
+                     config: SchemeConfig, *, nv_tilde: int,
+                     diagnostics: GreedyDiagnostics | None = None) -> ReducedModel:
+    """Project all operator blocks onto the energy-orthonormal basis psi.
+
+    ``nv_tilde`` counts the POD columns in front of the supremizers.  Fails
+    with InfSupFailureError if the reduced coupling b_n loses full column
+    rank, which would make the reduced saddle-point steps ill posed.
     """
-    psi = basis.combined
-    xi = cone.matrix()
     mass_n = psi.T @ (ops.mass @ psi)
     mass_n = 0.5 * (mass_n + mass_n.T)
-    a1_n = psi.T @ (ops.a1 @ psi)
-    a2_n = psi.T @ (ops.a2 @ psi)
     b_n = psi.T @ xi
-    if cone.size:
-        svals = np.linalg.svd(b_n, compute_uv=False)
-        if svals[0] <= 0 or svals[-1] <= rank_floor * svals[0]:
-            raise InfSupFailureError(
-                "reduced coupling lost full column rank; supremizer "
-                f"enrichment is broken (smin={svals[-1]:.3e}, smax={svals[0]:.3e})",
-                smin=float(svals[-1]), smax=float(svals[0]))
-    init_rhs_factor = ops.gram @ psi
-    init_gram = psi.T @ init_rhs_factor
-    init_gram = 0.5 * (init_gram + init_gram.T)
+    _check_coupling_rank(b_n, InfSupFailureError,
+                         "reduced coupling lost full column rank; "
+                         "supremizer enrichment is broken")
     model = ReducedModel(
         mesh_h=ops.mesh.H, mesh_s_f=ops.mesh.s_f, config=config,
-        nv_tilde=basis.pod_vectors.shape[1], nw=cone.size, nv=psi.shape[1],
+        nv_tilde=nv_tilde, nw=xi.shape[1], nv=psi.shape[1],
         psi_matrix=psi.copy(), xi_matrix=xi.copy(),
-        mass_n=mass_n, a1_n=a1_n, a2_n=a2_n, a3_n=mass_n.copy(),
+        mass_n=mass_n, a1_n=psi.T @ (ops.a1 @ psi), a2_n=psi.T @ (ops.a2 @ psi),
         f1_n=psi.T @ ops.f1, f2_n=psi.T @ ops.f2, b_n=b_n,
-        init_gram=init_gram, init_rhs_factor=init_rhs_factor,
-        diagnostics=diagnostics,
+        gram_psi=ops.gram @ psi, diagnostics=diagnostics,
     )
-    verify_model(model, ops, rank_floor=rank_floor)
+    verify_model(model, ops)
     return model
 
 
@@ -481,45 +450,39 @@ def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
         selected_u = err.info["selected"]
         warnings.append(f"primal basis saturated at {vectors.shape[1]} of {nv_tilde} vectors")
     try:
-        cone, eps_lambda = angle_greedy(store, nw, ops)
+        xi, eps_lambda, selected_lambda = angle_greedy(store, nw, ops)
     except ConeSaturationError as err:
-        cone = err.info["cone"]
+        xi = err.info["xi"]
         eps_lambda = err.info["eps_lambda"]
-        warnings.append(f"dual cone saturated at {cone.size} of {nw} generators")
+        selected_lambda = err.info["selected"]
+        warnings.append(f"dual cone saturated at {xi.shape[1]} of {nw} generators")
 
     while True:
-        basis = enrich_with_supremizers(vectors, cone, ops)
+        psi, dropped = enrich_with_supremizers(vectors, xi, ops)
         diagnostics = GreedyDiagnostics(
             eps_u=np.asarray(eps_u, dtype=float),
-            eps_lambda=np.asarray(eps_lambda, dtype=float)[:cone.size],
+            eps_lambda=np.asarray(eps_lambda, dtype=float)[:xi.shape[1]],
             selected_params_u=tuple(int(i) for i in selected_u),
-            selected_pairs_lambda=cone.selected,
+            selected_pairs_lambda=tuple(selected_lambda),
             training_params=np.array([p.as_array() for p in store.params]),
         )
         try:
-            model = assemble_reduced(basis, cone, ops, store.config,
-                                     diagnostics=diagnostics)
+            model = assemble_reduced(psi, xi, ops, store.config,
+                                     nv_tilde=vectors.shape[1], diagnostics=diagnostics)
             break
         except InfSupFailureError:
             # a generator selected at a tiny (but legal) angle can push the
             # coupling below the rank floor; trim from the least independent
             # end, exactly as if the greedy had saturated one step earlier
-            if cone.size == 0:
+            if xi.shape[1] == 0:
                 raise
             warnings.append(
-                f"dropped cone generator {cone.size - 1}: coupling rank floor")
-            cone = DualConeBasis(generators=cone.generators[:-1],
-                                 selected=cone.selected[:-1], dim=cone.dim)
-    for j in basis.dropped:
+                f"dropped cone generator {xi.shape[1] - 1}: coupling rank floor")
+            xi = xi[:, :-1]
+            selected_lambda = selected_lambda[:-1]
+    for j in dropped:
         warnings.append(f"dropped supremizer {j}: direction dependent on the basis")
     return model, warnings
-
-
-def build_reduced_model(params, ops: AffineOperatorSet, config: SchemeConfig,
-                        nv_tilde: int, nw: int):
-    """Snapshot generation followed by the full offline reduction."""
-    store = generate_snapshots(params, ops, config)
-    return build_reduced_model_from_store(store, nv_tilde, nw, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +512,9 @@ def model_document(model: ReducedModel) -> dict:
         "Mass_N": model.mass_n,
         "A1_N": model.a1_n,
         "A2_N": model.a2_n,
-        "A3_N": model.a3_n,
         "f1_N": model.f1_n,
         "f2_N": model.f2_n,
         "B_N": model.b_n,
-        "init_gram": model.init_gram,
-        "init_rhs_factor": model.init_rhs_factor,
         "diagnostics": diagnostics,
     }
 
@@ -569,12 +529,22 @@ def _need(data: dict, key: str):
     return data[key]
 
 
+def _object(data: dict, key: str) -> dict:
+    """Optional JSON object field; absent or null reads as empty."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ModelLoadError(f"model field {key!r} must be a JSON object")
+    return value
+
+
 def _array(data, key: str, shape: tuple) -> np.ndarray:
     try:
         arr = np.array(_need(data, key) if isinstance(data, dict) else data, dtype=float)
     except (TypeError, ValueError) as err:
         raise ModelLoadError(f"field {key!r} is not a numeric array: {err}") from err
-    if arr.size == 0:
+    if arr.size == 0 and 0 in shape:
         arr = arr.reshape(shape)
     if arr.shape != shape:
         raise ModelLoadError(f"field {key!r} has shape {arr.shape}, expected {shape}")
@@ -583,8 +553,12 @@ def _array(data, key: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def load_model(path, rank_floor: float = 1e-10) -> ReducedModel:
-    """Parse and validate a model file; rejects corrupted coupling blocks."""
+def load_model(path) -> ReducedModel:
+    """Parse and validate a model file; rejects corrupted coupling blocks.
+
+    The operators of the stored mesh are reassembled to recompute
+    gram @ psi and to check that the basis is energy-orthonormal.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -609,35 +583,35 @@ def load_model(path, rank_floor: float = 1e-10) -> ReducedModel:
         nv = int(_need(data, "NV"))
     except (KeyError, TypeError, ValueError) as err:
         raise ModelLoadError(f"model header is malformed: {err}") from err
-    if h < 2 or nv < 1 or nw < 0 or nv_tilde < 1:
-        raise ModelLoadError(f"model sizes are out of range: H={h}, NV={nv}, NW={nw}")
+    if h < 2 or not 0 < s_f < np.inf or nv < 1 or nw < 0 or nv_tilde < 1:
+        raise ModelLoadError(
+            f"model sizes are out of range: H={h}, s_f={s_f}, NV={nv}, NW={nw}")
 
     psi = _array(data, "psi_matrix", (h, nv))
     xi = _array(data, "xi_matrix", (h, nw))
     mass_n = _array(data, "Mass_N", (nv, nv))
     a1_n = _array(data, "A1_N", (nv, nv))
     a2_n = _array(data, "A2_N", (nv, nv))
-    a3_n = _array(data, "A3_N", (nv, nv))
     f1_n = _array(data, "f1_N", (nv,))
     f2_n = _array(data, "f2_N", (nv,))
     b_n = _array(data, "B_N", (nv, nw))
-    init_gram = _array(data, "init_gram", (nv, nv))
-    init_rhs_factor = _array(data, "init_rhs_factor", (h, nv))
 
-    if nw:
-        svals = np.linalg.svd(b_n, compute_uv=False)
-        if svals[0] <= 0 or svals[-1] <= rank_floor * svals[0]:
-            raise ModelLoadError(
-                "model coupling block fails the full-rank check "
-                f"(smin={svals[-1]:.3e}, smax={svals[0]:.3e}); file is corrupt")
+    gram_psi = assemble_operators(build_mesh(h, s_f)).gram @ psi
+    _check_unit_gram(psi, gram_psi, ModelLoadError)
+    _check_coupling_rank(b_n, ModelLoadError,
+                         "model coupling block fails the full-rank check; file is corrupt")
 
-    diag_data = data.get("diagnostics") or {}
-    selections = diag_data.get("selections") or {}
+    diag_data = _object(data, "diagnostics")
+    selections = _object(diag_data, "selections")
     try:
         train = np.array(selections.get("training_params", []), dtype=float).reshape(-1, 4)
+        eps_u = np.array(diag_data.get("eps_u", []), dtype=float)
+        eps_lambda = np.array(diag_data.get("eps_lambda", []), dtype=float)
+        if eps_u.ndim != 1 or eps_lambda.ndim != 1:
+            raise ValueError("greedy decay sequences must be flat lists")
         diagnostics = GreedyDiagnostics(
-            eps_u=np.array(diag_data.get("eps_u", []), dtype=float),
-            eps_lambda=np.array(diag_data.get("eps_lambda", []), dtype=float),
+            eps_u=eps_u,
+            eps_lambda=eps_lambda,
             selected_params_u=tuple(int(i) for i in selections.get("pod_train_indices", [])),
             selected_pairs_lambda=tuple((int(a), int(b))
                                         for a, b in selections.get("angle_pairs", [])),
@@ -650,24 +624,19 @@ def load_model(path, rank_floor: float = 1e-10) -> ReducedModel:
         mesh_h=h, mesh_s_f=s_f, config=config,
         nv_tilde=nv_tilde, nw=nw, nv=nv,
         psi_matrix=psi, xi_matrix=xi,
-        mass_n=mass_n, a1_n=a1_n, a2_n=a2_n, a3_n=a3_n,
+        mass_n=mass_n, a1_n=a1_n, a2_n=a2_n,
         f1_n=f1_n, f2_n=f2_n, b_n=b_n,
-        init_gram=init_gram, init_rhs_factor=init_rhs_factor,
-        diagnostics=diagnostics,
+        gram_psi=gram_psi, diagnostics=diagnostics,
     )
 
 
-def verify_model(model: ReducedModel, ops: AffineOperatorSet | None = None,
-                 rtol: float = 1e-12, rank_floor: float = 1e-10) -> None:
+def verify_model(model: ReducedModel, ops: AffineOperatorSet | None = None) -> None:
     """Recompute every reduced block from the stored bases and compare.
 
     Raises ModelCorruptionError on the first violated invariant.  When no
     operator set is passed, the full-order operators are reassembled from
     the stored mesh descriptor.
     """
-    from .errors import ModelCorruptionError
-    from .fem import assemble_operators, build_mesh
-
     if ops is None:
         ops = assemble_operators(build_mesh(model.mesh_h, model.mesh_s_f))
     if ops.mesh.H != model.mesh_h:
@@ -677,22 +646,19 @@ def verify_model(model: ReducedModel, ops: AffineOperatorSet | None = None,
 
     def close(name: str, stored: np.ndarray, recomputed: np.ndarray) -> None:
         scale = 1.0 + float(np.linalg.norm(recomputed))
-        if float(np.linalg.norm(stored - recomputed)) > rtol * scale:
+        if float(np.linalg.norm(stored - recomputed)) > BLOCK_RTOL * scale:
             raise ModelCorruptionError(f"reduced block {name} does not match its recomputation")
 
     close("Mass_N", model.mass_n, psi.T @ (ops.mass @ psi))
     close("A1_N", model.a1_n, psi.T @ (ops.a1 @ psi))
     close("A2_N", model.a2_n, psi.T @ (ops.a2 @ psi))
-    close("A3_N", model.a3_n, psi.T @ (ops.a3 @ psi))
     close("f1_N", model.f1_n, psi.T @ ops.f1)
     close("f2_N", model.f2_n, psi.T @ ops.f2)
     close("B_N", model.b_n, psi.T @ xi)
-    close("init_rhs_factor", model.init_rhs_factor, ops.gram @ psi)
-    close("init_gram", model.init_gram, psi.T @ (ops.gram @ psi))
-    if model.nw:
-        svals = np.linalg.svd(model.b_n, compute_uv=False)
-        if svals[0] <= 0 or svals[-1] <= rank_floor * svals[0]:
-            raise ModelCorruptionError("reduced coupling block lost full column rank")
+    close("gram_psi", model.gram_psi, ops.gram @ psi)
+    _check_unit_gram(psi, model.gram_psi, ModelCorruptionError)
+    _check_coupling_rank(model.b_n, ModelCorruptionError,
+                         "reduced coupling block lost full column rank")
     try:
         np.linalg.cholesky(model.mass_n)
     except np.linalg.LinAlgError as err:

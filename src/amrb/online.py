@@ -12,11 +12,10 @@ the previous step's solution, {lam - alpha > 0}.  The Schur complement is
 positive definite, so the cone problem has one solution whatever the
 start; a start that is already right is certified by a single solve.
 
-The enriched basis is kept as a plain union of POD modes and supremizer
-lifts, so its Gram matrix can be ill conditioned even though the spanned
-space is fine.  All internal solves therefore run in energy-orthonormal
-coordinates obtained from the Cholesky factor of the stored basis Gram;
-coefficients are mapped back to the raw basis only at the interface.
+The primal basis is energy-orthonormal (see ``amrb.offline``), so the
+reduced blocks are well conditioned as stored: every solve works on them
+directly, and the initial state is the energy projection gram_psi' psi_tilde
+of the lifted obstacle.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve
 
 from . import textio
 from .errors import AmrbError, ModelCorruptionError
@@ -42,27 +41,20 @@ from .truth import (
 
 @dataclass(frozen=True)
 class OnlineData:
-    """Per-parameter reduced operators, factorizations, and obstacle data.
-
-    Fields with a ``_orth`` suffix live in the energy-orthonormal
-    coordinates y = precond @ u; everything else is in raw basis
-    coordinates.
-    """
+    """Per-parameter reduced operators, factorizations, and obstacle data."""
 
     mu: ParameterVector
     config: SchemeConfig
     a_n: np.ndarray            # (NV, NV) combined operator
     f_n: np.ndarray            # (NV,) combined load
     s_n: np.ndarray            # (NV, NV) step matrix mass/dt + theta * a_n
+    rhs_n: np.ndarray          # (NV, NV) explicit part mass/dt - (1-theta) * a_n
+    s_lu: tuple                # LU factorization of s_n
+    b_n: np.ndarray            # (NV, NW) primal-dual coupling
+    sinv_b: np.ndarray         # (NV, NW) s_n^{-1} b_n
+    schur: np.ndarray          # (NW, NW) b_n' s_n^{-1} b_n
     g_n: np.ndarray            # (NW,) cone loads xi_j . obstacle
     u0: np.ndarray             # (NV,) projected initial state
-    precond: np.ndarray        # (NV, NV) upper Cholesky factor of the basis Gram
-    s_lu: tuple                # LU factorization of the orthonormalized step matrix
-    rhs_orth: np.ndarray       # (NV, NV) orthonormalized mass/dt - (1-theta)*a_n
-    f_orth: np.ndarray         # (NV,)
-    b_orth: np.ndarray         # (NV, NW) orthonormalized coupling
-    sinv_b_orth: np.ndarray    # (NV, NW)
-    schur: np.ndarray          # (NW, NW) b_n' s_n^{-1} b_n
 
 
 def lifted_obstacle(model: ReducedModel, K: float) -> np.ndarray:
@@ -76,24 +68,12 @@ def online_setup(model: ReducedModel, mu, config: SchemeConfig | None = None) ->
     if mu.K <= 0 or mu.sigma <= 0:
         raise ValueError(f"need K > 0 and sigma > 0, got K={mu.K}, sigma={mu.sigma}")
     cfg = config if config is not None else model.config
-    a_n = (mu.sigma ** 2) * model.a1_n + (mu.r - mu.q) * model.a2_n + mu.r * model.a3_n
+    a_n = (mu.sigma ** 2) * model.a1_n + (mu.r - mu.q) * model.a2_n + mu.r * model.mass_n
     f_n = mu.K * mu.q * model.f1_n - mu.K * mu.r * model.f2_n
     mass_dt = model.mass_n / cfg.delta_t
     s_n = mass_dt + cfg.theta * a_n
-
     try:
-        precond = cholesky(model.init_gram, lower=False)
-    except np.linalg.LinAlgError as err:
-        raise ModelCorruptionError(f"basis Gram is not SPD: {err}") from err
-
-    def to_orth(matrix: np.ndarray) -> np.ndarray:
-        # congruence R^-T M R^-1 of a raw-coordinate operator block
-        half = solve_triangular(precond, matrix, trans="T", lower=False)
-        return solve_triangular(precond, half.T, trans="T", lower=False).T
-
-    s_orth = to_orth(s_n)
-    try:
-        s_lu = lu_factor(s_orth)
+        s_lu = lu_factor(s_n)
     except np.linalg.LinAlgError as err:
         raise ModelCorruptionError(f"reduced step matrix is singular: {err}") from err
     pivots = np.abs(np.diag(s_lu[0]))
@@ -101,48 +81,33 @@ def online_setup(model: ReducedModel, mu, config: SchemeConfig | None = None) ->
         raise ModelCorruptionError("reduced step matrix is numerically singular")
 
     psi_tilde = lifted_obstacle(model, mu.K)
-    g_n = model.xi_matrix.T @ psi_tilde
-    init_rhs = model.init_rhs_factor.T @ psi_tilde
-    gram_cho = (precond, False)
-    u0 = cho_solve(gram_cho, init_rhs)
-    for _ in range(2):  # refinement keeps the residual small despite the Gram's conditioning
-        u0 += cho_solve(gram_cho, init_rhs - model.init_gram @ u0)
-
-    f_orth = solve_triangular(precond, f_n, trans="T", lower=False)
-    rhs_orth = to_orth(mass_dt - (1.0 - cfg.theta) * a_n)
-    if model.nw:
-        b_orth = solve_triangular(precond, model.b_n, trans="T", lower=False)
-        sinv_b_orth = lu_solve(s_lu, b_orth)
-        schur = b_orth.T @ sinv_b_orth
-    else:
-        b_orth = np.zeros((model.nv, 0))
-        sinv_b_orth = np.zeros((model.nv, 0))
-        schur = np.zeros((0, 0))
+    sinv_b = lu_solve(s_lu, model.b_n)
     return OnlineData(mu=mu, config=cfg, a_n=a_n, f_n=f_n, s_n=s_n,
-                      g_n=g_n, u0=u0, precond=precond, s_lu=s_lu,
-                      rhs_orth=rhs_orth, f_orth=f_orth, b_orth=b_orth,
-                      sinv_b_orth=sinv_b_orth, schur=schur)
+                      rhs_n=mass_dt - (1.0 - cfg.theta) * a_n, s_lu=s_lu,
+                      b_n=model.b_n, sinv_b=sinv_b, schur=model.b_n.T @ sinv_b,
+                      g_n=model.xi_matrix.T @ psi_tilde,
+                      u0=model.gram_psi.T @ psi_tilde)
 
 
-def _cone_step(y_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
-    """One step in energy-orthonormal coordinates from the cone active set ``start``.
+def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
+    """One reduced step from the cone active set ``start``.
 
-    Returns (y, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
+    Returns (u, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
     """
-    rhs = data.rhs_orth @ y_prev + data.f_orth
+    rhs = data.rhs_n @ u_prev + data.f_n
     base = lu_solve(data.s_lu, rhs, check_finite=False)  # online_setup checked the factor
     if zero.size == 0:
         return base, zero, zero, 0
-    q = data.b_orth.T @ base
+    q = data.b_n.T @ base
     alpha, lam, solves = solve_lcp(LcpProblem(S=data.schur, rhs=data.g_n - q,
                                               obstacle=zero, start=start))
-    return base + data.sinv_b_orth @ alpha, alpha, lam, solves
+    return base + data.sinv_b @ alpha, alpha, lam, solves
 
 
-def _orth_step(y_prev: np.ndarray, data: OnlineData):
-    """One step in energy-orthonormal coordinates from the empty cone active set."""
-    y, alpha, _, _ = _cone_step(y_prev, data, None, np.zeros(data.schur.shape[0]))
-    return y, alpha
+def _cold_step(u_prev: np.ndarray, data: OnlineData):
+    """One reduced step from the empty cone active set; returns (u, alpha)."""
+    u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(data.schur.shape[0]))
+    return u, alpha
 
 
 def reduced_step(u_prev: np.ndarray, data: OnlineData):
@@ -154,9 +119,7 @@ def reduced_step(u_prev: np.ndarray, data: OnlineData):
     """
     if not np.isfinite(u_prev).all():  # the step's solves skip this check
         raise ValueError("reduced coefficients must be finite")
-    y_prev = data.precond @ u_prev
-    y_next, alpha = _orth_step(y_prev, data)
-    return solve_triangular(data.precond, y_next, lower=False), alpha
+    return _cold_step(u_prev, data)
 
 
 @dataclass(frozen=True)
@@ -173,23 +136,21 @@ def reduced_trajectory(model: ReducedModel, mu,
                        config: SchemeConfig | None = None) -> ReducedTrajectory:
     cfg = config if config is not None else model.config
     data = online_setup(model, mu, cfg)
-    orth_states = np.empty((cfg.L + 1, model.nv))
+    states = np.empty((cfg.L + 1, model.nv))
     alphas = np.empty((cfg.L, model.nw))
     solves = np.empty(cfg.L, dtype=int)
-    orth_states[0] = data.precond @ data.u0
+    states[0] = data.u0
     zero = np.zeros(model.nw)
     start = None
     for n in range(cfg.L):
         try:
-            y, alpha, lam, solves[n] = _cone_step(orth_states[n], data, start, zero)
+            u, alpha, lam, solves[n] = _cone_step(states[n], data, start, zero)
         except AmrbError as err:
             raise type(err)(f"reduced step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
-        orth_states[n + 1] = y
+        states[n + 1] = u
         alphas[n] = alpha
         start = (lam - alpha) > 0.0  # the active-set update at this step's solution
-    states = solve_triangular(data.precond, orth_states.T, lower=False).T
-    states[0] = data.u0  # keep the initial projection exactly as computed
     return ReducedTrajectory(mu=mu, states=states, cone_coeffs=alphas, lcp_solves=solves)
 
 

@@ -102,7 +102,7 @@ def test_offline_artifacts(tmp_path):
     out = tmp_path / "run"
     assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
     model = json.loads((out / "model.json").read_text())
-    assert model["schema_version"] == 1
+    assert model["schema_version"] == 2
     assert model["NV"] == model["NV_tilde"] + model["NW"]
     header, rows = read_csv(out / "pod_greedy.csv")
     assert header == ["iteration", "eps_u", "K", "r", "q", "sigma"]
@@ -254,6 +254,9 @@ def test_validate_roundtrip(tmp_path, capsys):
     assert main(["validate", "--model", str(out / "model.json")]) == 0
     assert main(["validate", "--model", str(out / "missing.json")]) == 3
     doc = json.loads((out / "model.json").read_text())
+    for key, value in (("B_N", []), ("diagnostics", [1])):
+        (out / "bad.json").write_text(json.dumps(dict(doc, **{key: value})))
+        assert main(["validate", "--model", str(out / "bad.json")]) == 3
     doc["Mass_N"][0][0] += 1.0
     (out / "model.json").write_text(json.dumps(doc))
     assert main(["validate", "--model", str(out / "model.json")]) == 3

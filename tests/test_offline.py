@@ -7,7 +7,6 @@ from amrb import (
     BasisSaturationError,
     ConeSaturationError,
     DegenerateInputError,
-    DualVector,
     InfSupFailureError,
     ModelCorruptionError,
     ModelLoadError,
@@ -32,7 +31,7 @@ from amrb import (
     w_inner,
     w_norm,
 )
-from amrb.offline import DualConeBasis, PrimalBasis, write_greedy_csvs
+from amrb.offline import write_greedy_csvs
 
 from conftest import identity_operator_set
 
@@ -258,24 +257,25 @@ def _parallel_multiplier_store(ops, scheme):
 
 def test_angle_greedy_parallel_snapshots(default_ops, default_scheme):
     store = _parallel_multiplier_store(default_ops, default_scheme)
-    cone, eps = angle_greedy(store, 1, default_ops)
-    assert cone.size == 1
-    assert cone.selected == ((1, 0),)
+    xi, eps, selected = angle_greedy(store, 1, default_ops)
+    assert xi.shape[1] == 1
+    assert selected == [(1, 0)]
     with pytest.raises(ConeSaturationError) as err:
         angle_greedy(store, 2, default_ops)
     assert err.value.achieved == 1
-    assert err.value.info["cone"].size == 1
+    assert err.value.info["xi"].shape[1] == 1
 
 
 def test_angle_greedy_small_run(small_store, small_setup):
     _, ops, _, _ = small_setup
-    cone, eps = angle_greedy(small_store, 5, ops)
-    assert cone.size == 5
+    xi, eps, selected = angle_greedy(small_store, 5, ops)
+    assert xi.shape[1] == 5
+    assert len(selected) == 5
     assert eps[0] <= np.pi / 2 + 1e-12
     assert np.all(np.diff(eps) <= 1e-12 + 1e-10 * eps[:-1])
-    for gen in cone.generators:
-        assert np.asarray(gen.coeffs).min() >= -1e-14
-        assert w_norm(gen.coeffs, ops) == pytest.approx(1.0, abs=1e-10)
+    for gen in xi.T:
+        assert gen.min() >= -1e-14
+        assert w_norm(gen, ops) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_angle_greedy_all_zero_multipliers(default_ops, default_scheme):
@@ -292,67 +292,67 @@ def test_angle_greedy_all_zero_multipliers(default_ops, default_scheme):
 def test_enrich_empty_cone(default_ops):
     rng = np.random.default_rng(5)
     pod = rng.normal(size=(default_ops.dim, 3))
-    cone = DualConeBasis(generators=(), selected=(), dim=default_ops.dim)
-    basis = enrich_with_supremizers(pod, cone, default_ops)
-    assert np.array_equal(basis.combined, pod)
-    assert basis.supremizers.shape == (default_ops.dim, 0)
+    psi, dropped = enrich_with_supremizers(pod, np.zeros((default_ops.dim, 0)), default_ops)
+    assert np.array_equal(psi, pod)
+    assert dropped == []
 
 
 def test_enrich_supremizer_residual(small_store, small_setup):
     _, ops, _, _ = small_setup
     vectors, _, _ = pod_greedy(small_store, 4, ops)
-    cone, _ = angle_greedy(small_store, 3, ops)
-    basis = enrich_with_supremizers(vectors, cone, ops)
-    assert basis.combined.shape[1] == 7
-    xi = cone.matrix()
-    for j in range(cone.size):
-        resid = ops.gram @ basis.supremizers[:, j] - xi[:, j]
-        assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(xi[:, j]).max())
+    xi, _, _ = angle_greedy(small_store, 3, ops)
+    psi, dropped = enrich_with_supremizers(vectors, xi, ops)
+    assert psi.shape[1] == 7 and dropped == []
+    assert np.array_equal(psi[:, :4], vectors)
+    assert np.abs(psi.T @ (ops.gram @ psi) - np.eye(7)).max() <= 1e-10
+    for j in range(xi.shape[1]):
+        # each supremizer lift lies in the span of the enriched basis
+        lift = ops.x_solve(xi[:, j])
+        resid = lift - psi @ (psi.T @ (ops.gram @ lift))
+        assert ops.v_norm(resid) <= 1e-10 * ops.v_norm(lift)
 
 
 def test_enrich_drops_dependent_lift(small_store, small_setup):
     _, ops, _, _ = small_setup
     vectors, _, _ = pod_greedy(small_store, 3, ops)
-    cone, _ = angle_greedy(small_store, 2, ops)
-    dup = DualConeBasis(generators=cone.generators + (cone.generators[-1],),
-                        selected=cone.selected + (cone.selected[-1],),
-                        dim=cone.dim)
-    basis = enrich_with_supremizers(vectors, dup, ops)
-    assert basis.dropped == (2,)
-    assert basis.combined.shape[1] == 3 + 2
+    xi, _, _ = angle_greedy(small_store, 2, ops)
+    dup = np.hstack([xi, xi[:, -1:]])
+    psi, dropped = enrich_with_supremizers(vectors, dup, ops)
+    assert dropped == [2]
+    assert psi.shape[1] == 3 + 2
 
 
 def test_assemble_reduced_identity_basis():
     from amrb import assemble_operators, build_mesh
     ops = assemble_operators(build_mesh(6, 12.0))
-    pod = np.eye(6)
-    gens = tuple(DualVector(coeffs=row) for row in np.eye(6)[:2])
-    cone = DualConeBasis(generators=gens, selected=((1, 0), (2, 0)), dim=6)
-    basis = PrimalBasis(pod_vectors=pod, supremizers=np.zeros((6, 0)),
-                        combined=pod, reduced_gram=ops.gram.toarray() @ np.eye(6))
+    # a full basis orthonormal in the energy product: psi = L^{-T}, gram = L L'
+    chol = np.linalg.cholesky(ops.gram.toarray())
+    psi = np.linalg.inv(chol).T
+    inv = chol.T  # psi^{-1}
+    xi = np.eye(6)[:, :2]
     cfg = SchemeConfig(T=1.0, L=4, theta=0.5)
-    model = assemble_reduced(basis, cone, ops, cfg)
-    assert np.allclose(model.mass_n, ops.mass.toarray())
-    assert np.allclose(model.a1_n, ops.a1.toarray())
-    assert np.allclose(model.a2_n, ops.a2.toarray())
-    assert np.allclose(model.f1_n, ops.f1)
-    assert np.allclose(model.b_n, cone.matrix())
+    model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=6)
+    # mapped back to nodal coordinates, the reduced blocks are the full ones
+    assert np.allclose(inv.T @ model.mass_n @ inv, ops.mass.toarray())
+    assert np.allclose(inv.T @ model.a1_n @ inv, ops.a1.toarray())
+    assert np.allclose(inv.T @ model.a2_n @ inv, ops.a2.toarray())
+    assert np.allclose(inv.T @ model.f1_n, ops.f1)
+    assert np.allclose(inv.T @ model.b_n, xi)
     np.linalg.cholesky(model.mass_n)  # SPD
 
 
 def test_assemble_reduced_coupling_two_ways(small_store, small_setup):
     _, ops, _, _ = small_setup
     vectors, _, _ = pod_greedy(small_store, 4, ops)
-    cone, _ = angle_greedy(small_store, 3, ops)
-    basis = enrich_with_supremizers(vectors, cone, ops)
+    xi, _, _ = angle_greedy(small_store, 3, ops)
+    psi, _ = enrich_with_supremizers(vectors, xi, ops)
     cfg = small_store.config
-    model = assemble_reduced(basis, cone, ops, cfg)
-    xi = cone.matrix()
+    model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=4)
     for i in range(model.nv):
         for j in range(model.nw):
-            direct = float(xi[:, j] @ basis.combined[:, i])
+            direct = float(xi[:, j] @ psi[:, i])
             lift = ops.x_solve(xi[:, j])
-            via_riesz = ops.v_inner(lift, basis.combined[:, i])
+            via_riesz = ops.v_inner(lift, psi[:, i])
             assert model.b_n[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-12)
             assert direct == pytest.approx(via_riesz, rel=1e-10, abs=1e-10)
 
@@ -360,12 +360,10 @@ def test_assemble_reduced_coupling_two_ways(small_store, small_setup):
 def test_assemble_reduced_rank_failure(small_store, small_setup):
     _, ops, _, _ = small_setup
     vectors, _, _ = pod_greedy(small_store, 3, ops)
-    gen = DualVector(coeffs=np.abs(np.random.default_rng(6).normal(size=ops.dim)))
-    cone = DualConeBasis(generators=(gen, gen), selected=((1, 0), (2, 0)), dim=ops.dim)
-    basis = PrimalBasis(pod_vectors=vectors, supremizers=np.zeros((ops.dim, 0)),
-                        combined=vectors, reduced_gram=np.eye(3))
+    gen = np.abs(np.random.default_rng(6).normal(size=ops.dim))
+    xi = np.column_stack([gen, gen])
     with pytest.raises(InfSupFailureError):
-        assemble_reduced(basis, cone, ops, small_store.config)
+        assemble_reduced(vectors, xi, ops, small_store.config, nv_tilde=3)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +397,11 @@ def test_load_rejects_wrong_version(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    doc["schema_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelVersionError):
-        load_model(path)
+    for version in (99, 1):
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelVersionError):
+            load_model(path)
 
 
 def test_load_rejects_corrupted_coupling(tmp_path, small_model):
@@ -413,6 +412,14 @@ def test_load_rejects_corrupted_coupling(tmp_path, small_model):
     doc["B_N"] = [[0.0] * nw for _ in range(nv)]
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelLoadError):
+        load_model(path)
+    # a rescaled basis column breaks energy orthonormality
+    save_model(small_model, path)
+    doc = json.loads(path.read_text())
+    for row in doc["psi_matrix"]:
+        row[0] *= 1.0 + 1e-6
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelLoadError, match="energy-orthonormal"):
         load_model(path)
 
 
@@ -433,6 +440,14 @@ def test_load_rejects_malformed(tmp_path, small_model):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelLoadError):
         load_model(path)
+    for key, value in (("B_N", []), ("diagnostics", [1]),
+                       ("diagnostics", {"eps_u": [[1.0, 0.5]]})):
+        save_model(small_model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError):
+            load_model(path)
 
 
 def test_verify_model_detects_tampering(small_model, small_setup):
@@ -440,6 +455,16 @@ def test_verify_model_detects_tampering(small_model, small_setup):
     import dataclasses
     bad = dataclasses.replace(small_model, mass_n=small_model.mass_n + 1e-6)
     with pytest.raises(ModelCorruptionError):
+        verify_model(bad, ops)
+    # a rescaled basis with every block recomputed from it: only the
+    # energy orthonormality of psi is violated
+    psi = small_model.psi_matrix * (1.0 + 1e-6)
+    bad = dataclasses.replace(
+        small_model, psi_matrix=psi, gram_psi=ops.gram @ psi,
+        mass_n=psi.T @ (ops.mass @ psi), a1_n=psi.T @ (ops.a1 @ psi),
+        a2_n=psi.T @ (ops.a2 @ psi), f1_n=psi.T @ ops.f1, f2_n=psi.T @ ops.f2,
+        b_n=psi.T @ small_model.xi_matrix)
+    with pytest.raises(ModelCorruptionError, match="energy-orthonormal"):
         verify_model(bad, ops)
 
 
@@ -464,17 +489,54 @@ def test_saturation_degrades_gracefully(default_ops, default_scheme):
     assert any("saturated" in w for w in warnings)
 
 
-def test_rank_floor_trims_cone(default_ops, default_scheme, default_box):
-    # seed 13 selects one generator at a tiny legal angle whose coupling
-    # column violates the rank floor; the pipeline must trim and proceed
+def test_rank_floor_trims_cone(default_ops, default_scheme):
+    # the third multiplier snapshot sits at an angle of about 1.5e-10 to the
+    # span of the first two: above the greedy's angle floor, so it is
+    # selected, but its coupling column puts smin/smax(B_N) near 7e-11,
+    # below the rank floor; the pipeline must trim it and proceed
+    H = default_ops.dim
+    s = default_ops.mesh.interior_nodes
+    a = np.exp(-s / 50.0)
+    b = np.exp(-((s - 100.0) / 30.0) ** 2)
+    c = np.exp(-((s - 200.0) / 30.0) ** 2)
+    lam = np.tile(a, (default_scheme.L, 1))
+    lam[1] = b
+    lam[2] = a + 4e-10 * c
+    mu = ParameterVector(K=100.0, r=0.05, q=0.0015, sigma=0.5)
+    traj = Trajectory(mu=mu, states=np.ones((default_scheme.L + 1, H)),
+                      multipliers=lam, config=default_scheme,
+                      pdas_iterations=np.ones(default_scheme.L, dtype=int))
+    from amrb import obstacle_data
+    store = SnapshotStore(params=(mu,), trajectories=(traj,),
+                          obstacles=(obstacle_data(default_ops.mesh, mu.K),),
+                          mesh=default_ops.mesh, config=default_scheme)
+    _, eps, _ = angle_greedy(store, 3, default_ops)
+    assert 1e-10 < eps[1] < 3e-10
+    model, warnings = build_reduced_model_from_store(store, 1, 3, default_ops)
+    assert model.nw == 2
+    assert warnings == ["dropped cone generator 2: coupling rank floor"]
+    assert len(model.diagnostics.eps_lambda) == model.nw
+    assert model.diagnostics.selected_pairs_lambda == ((1, 0), (2, 0))
+    verify_model(model, default_ops)
+
+
+def test_seed13_keeps_full_cone(default_ops, default_scheme, default_box):
+    # with the plain union of POD modes and lifts, seed 13's 16th generator
+    # fell below the rank floor (smin/smax 6.7e-11); in the orthonormal
+    # basis the same cone keeps smin/smax near 8e-6 and all 16 generators
     from amrb import sample_training_set
-    from amrb.cli import train_stream
+    from amrb.cli import test_stream, train_stream
+    from amrb.online import online_setup, reduced_residuals, reduced_trajectory
 
     params = sample_training_set(default_box, 16, train_stream(13))
     store = generate_snapshots(params, default_ops, default_scheme)
     model, warnings = build_reduced_model_from_store(store, 16, 16, default_ops)
-    assert model.nw == 15
-    assert any("rank floor" in w for w in warnings)
-    assert len(model.diagnostics.eps_lambda) == model.nw
-    assert len(model.diagnostics.selected_pairs_lambda) == model.nw
+    assert model.nw == 16 and model.nv == 32
+    assert not any("rank floor" in w for w in warnings)
     verify_model(model, default_ops)
+    for mu in sample_training_set(default_box, 10, test_stream(13)):
+        rt = reduced_trajectory(model, mu)
+        res = reduced_residuals(rt, online_setup(model, mu), model)
+        assert rt.cone_coeffs.min() >= -1e-12
+        assert res["min_cone_gap"] >= -1e-9
+        assert res["max_complementarity"] <= 1e-9

@@ -56,7 +56,7 @@ def alpha_by_enumeration(schur, q, g_n, tol=1e-10):
 def test_online_setup_affine_arithmetic(small_model):
     mu = ParameterVector(K=50.0, r=1.0, q=1.0, sigma=1.0)
     data = online_setup(small_model, mu)
-    assert np.allclose(data.a_n, small_model.a1_n + small_model.a3_n, rtol=0, atol=1e-14)
+    assert np.allclose(data.a_n, small_model.a1_n + small_model.mass_n, rtol=0, atol=1e-14)
     expected_f = 50.0 * small_model.f1_n - 50.0 * small_model.f2_n
     assert np.allclose(data.f_n, expected_f)
 
@@ -70,35 +70,20 @@ def test_online_setup_cone_loads_match_store(small_model, small_store):
     assert np.allclose(lifted_obstacle(small_model, mu.K), obstacle.psi_tilde)
 
 
-def test_online_setup_initial_projection_residual(small_model, small_store):
-    mu = small_store.params[1]
-    data = online_setup(small_model, mu)
-    rhs = small_model.init_rhs_factor.T @ lifted_obstacle(small_model, mu.K)
-    resid = small_model.init_gram @ data.u0 - rhs
-    assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(rhs).max())
-
-
-def test_online_setup_initial_projection_residual_large_basis(model_16_16, test_params10):
-    # the enriched basis Gram is badly conditioned here; refinement must
-    # still push the projection residual to the contract level
-    for mu in test_params10[:3]:
-        data = online_setup(model_16_16, mu)
-        rhs = model_16_16.init_rhs_factor.T @ lifted_obstacle(model_16_16, mu.K)
-        resid = model_16_16.init_gram @ data.u0 - rhs
-        assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(rhs).max())
-
-
-def test_online_setup_initial_projection_is_optimal(small_model, small_setup, small_store):
-    _, ops, _, _ = small_setup
-    mu = small_store.params[2]
-    data = online_setup(small_model, mu)
-    psi_tilde = lifted_obstacle(small_model, mu.K)
-    best = ops.v_norm(psi_tilde - small_model.psi_matrix @ data.u0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        candidate = data.u0 + rng.normal(size=small_model.nv) * rng.random()
-        other = ops.v_norm(psi_tilde - small_model.psi_matrix @ candidate)
-        assert best <= other * (1 + 1e-12)
+def test_online_setup_initial_projection_is_optimal(small_model, small_setup, small_store,
+                                                    model_16_16, default_ops, test_params10):
+    _, small_ops, _, _ = small_setup
+    cases = [(small_model, small_ops, small_store.params[2])]
+    cases += [(model_16_16, default_ops, mu) for mu in test_params10[:3]]
+    for model, ops, mu in cases:
+        data = online_setup(model, mu)
+        psi_tilde = lifted_obstacle(model, mu.K)
+        best = ops.v_norm(psi_tilde - model.psi_matrix @ data.u0)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            candidate = data.u0 + rng.normal(size=model.nv) * rng.random()
+            other = ops.v_norm(psi_tilde - model.psi_matrix @ candidate)
+            assert best <= other * (1 + 1e-12)
 
 
 def test_online_setup_rejects_bad_mu(small_model):
@@ -148,7 +133,7 @@ def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
 
 
 def test_reduced_step_matches_enumeration(model_8_8, store16):
-    from scipy.linalg import lu_solve, solve_triangular
+    from scipy.linalg import lu_solve
 
     mu = store16.params[3]
     data = online_setup(model_8_8, mu)
@@ -158,14 +143,12 @@ def test_reduced_step_matches_enumeration(model_8_8, store16):
         # random states near the trajectory keep the problem realistic
         u_prev = rt.states[k % rt.states.shape[0]] + rng.normal(size=model_8_8.nv)
         u, alpha = reduced_step(u_prev, data)
-        y_prev = data.precond @ u_prev
-        base = lu_solve(data.s_lu, data.rhs_orth @ y_prev + data.f_orth)
-        q = data.b_orth.T @ base
+        base = lu_solve(data.s_lu, data.rhs_n @ u_prev + data.f_n)
+        q = data.b_n.T @ base
         alpha_ref = alpha_by_enumeration(data.schur, q, data.g_n)
         assert alpha_ref is not None
         assert np.abs(alpha - alpha_ref).max() <= 1e-11 * (1 + np.abs(alpha_ref).max())
-        y_ref = base + data.sinv_b_orth @ alpha_ref
-        u_ref = solve_triangular(data.precond, y_ref, lower=False)
+        u_ref = base + data.sinv_b @ alpha_ref
         assert np.abs(u - u_ref).max() <= 1e-9 * (1 + np.abs(u_ref).max())
 
 
@@ -198,24 +181,20 @@ def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10)
 def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
     # each step of reduced_trajectory starts from the previous cone active
     # set; a march that starts every step from the empty set must agree
-    from scipy.linalg import solve_triangular
-
-    from amrb.online import _orth_step
+    from amrb.online import _cold_step
 
     for model in (model_8_8, model_16_16):
         solves = []
         for mu in test_params10:
             rt = reduced_trajectory(model, mu)
             data = online_setup(model, mu)
-            orth = [data.precond @ data.u0]
+            states = [data.u0]
             alphas = []
             for _ in range(model.config.L):
-                y, alpha = _orth_step(orth[-1], data)
-                orth.append(y)
+                u, alpha = _cold_step(states[-1], data)
+                states.append(u)
                 alphas.append(alpha)
-            states = solve_triangular(data.precond, np.array(orth).T, lower=False).T
-            states[0] = data.u0
-            assert np.array_equal(rt.states, states)
+            assert np.array_equal(rt.states, np.array(states))
             assert np.array_equal(rt.cone_coeffs, np.array(alphas))
             assert rt.lcp_solves.shape == (model.config.L,)
             solves.append(rt.lcp_solves)
@@ -231,12 +210,10 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
 def test_reconstruct_identity_basis(small_store, small_setup):
     mesh, ops, scheme, _ = small_setup
     import amrb.offline as off
-    gens = tuple()
-    cone = off.DualConeBasis(generators=gens, selected=(), dim=ops.dim)
-    basis = off.PrimalBasis(pod_vectors=np.eye(ops.dim),
-                            supremizers=np.zeros((ops.dim, 0)),
-                            combined=np.eye(ops.dim), reduced_gram=np.eye(ops.dim))
-    model = off.assemble_reduced(basis, cone, ops, scheme)
+    from conftest import identity_operator_set
+    # the identity basis is energy-orthonormal when the energy Gram is the identity
+    model = off.assemble_reduced(np.eye(ops.dim), np.zeros((ops.dim, 0)),
+                                 identity_operator_set(ops.dim), scheme, nv_tilde=ops.dim)
     truth = small_store.trajectories[0]
     rt_like = dataclasses.replace  # direct container
     from amrb.online import ReducedTrajectory
