@@ -70,6 +70,31 @@ def test_online_setup_cone_loads_match_store(small_model, small_store):
     assert np.allclose(lifted_obstacle(small_model, mu.K), obstacle.psi_tilde)
 
 
+def projection_residual(model, ops, mu, u0):
+    """Normal-equation residual of the energy projection, through the raw Gram."""
+    psi = model.psi_matrix
+    rhs = psi.T @ (ops.gram @ lifted_obstacle(model, mu.K))
+    return (psi.T @ (ops.gram @ psi)) @ u0 - rhs, rhs
+
+
+def test_online_setup_initial_projection_residual(small_model, small_setup, small_store):
+    _, ops, _, _ = small_setup
+    mu = small_store.params[1]
+    data = online_setup(small_model, mu)
+    resid, rhs = projection_residual(small_model, ops, mu, data.u0)
+    assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(rhs).max())
+
+
+def test_online_setup_initial_projection_residual_large_basis(model_16_16, default_ops,
+                                                              test_params10):
+    # the enriched basis is large here; the stored orthonormality must still
+    # hold the projection residual to the contract level
+    for mu in test_params10[:3]:
+        data = online_setup(model_16_16, mu)
+        resid, rhs = projection_residual(model_16_16, default_ops, mu, data.u0)
+        assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(rhs).max())
+
+
 def test_online_setup_initial_projection_is_optimal(small_model, small_setup, small_store,
                                                     model_16_16, default_ops, test_params10):
     _, small_ops, _, _ = small_setup
