@@ -31,6 +31,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .errors import AssemblyError, IllConditionedBasisError
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
+COND_LIMIT = 1e12  # v_project refuses a basis whose Gram condition number reaches this
 
 
 @dataclass(frozen=True)
@@ -252,8 +253,7 @@ def riesz_supremizer(xi, ops: AffineOperatorSet) -> np.ndarray:
     return ops.x_solve(c)
 
 
-def v_project(v: np.ndarray, basis, ops: AffineOperatorSet,
-              cond_limit: float = 1e12) -> tuple[np.ndarray, float]:
+def v_project(v: np.ndarray, basis, ops: AffineOperatorSet) -> tuple[np.ndarray, float]:
     """Energy-orthogonal projection of v onto the span of the basis.
 
     Returns the coefficients of the best approximation and the energy norm
@@ -273,7 +273,7 @@ def v_project(v: np.ndarray, basis, ops: AffineOperatorSet,
     gmat = cols.T @ xcols
     gmat = 0.5 * (gmat + gmat.T)
     cond = np.linalg.cond(gmat)
-    if not np.isfinite(cond) or cond >= cond_limit:
+    if not np.isfinite(cond) or cond >= COND_LIMIT:
         raise IllConditionedBasisError(
             f"projection basis has Gram condition number {cond:.3e}", cond=float(cond))
     coeffs = np.linalg.solve(gmat, xcols.T @ v)

@@ -1,16 +1,18 @@
 """Online phase: parameter-fast reduced simulations and error metrics.
 
 Per parameter, the reduced operator and load are combined from the stored
-affine blocks, the step matrix is factorized once, and the obstacle data
-(cone loads and the initial projection) is formed in a single O(H) pass.
-Each time step then solves a small mixed complementarity system by
-eliminating the state through the Schur complement and running the
-primal-dual active-set iteration on the cone coefficients, so the
-per-step cost depends only on the reduced dimensions.  Within a
-trajectory each step starts that iteration from the active-set update of
-the previous step's solution, {lam - alpha > 0}.  The Schur complement is
-positive definite, so the cone problem has one solution whatever the
-start; a start that is already right is certified by a single solve.
+affine blocks, the step matrix is factorized once (LAPACK ``getrf``), the
+Schur complement is checked once (``check_lcp_matrix``), and the obstacle
+data (cone loads and the initial projection) is formed in a single O(H)
+pass.  Each time step then solves a small mixed complementarity system by
+eliminating the state through the Schur complement (LAPACK ``getrs`` on
+the stored factors) and running the primal-dual active-set iteration of
+``amrb.truth`` on the cone coefficients, so the per-step cost depends only
+on the reduced dimensions.  Within a trajectory each step starts that
+iteration from the active-set update of the previous step's solution,
+{lam - alpha > 0}.  The Schur complement is positive definite, so the cone
+problem has one solution whatever the start; a start that is already right
+is certified by a single solve.
 
 The primal basis is energy-orthonormal (see ``amrb.offline``), so the
 reduced blocks are well conditioned as stored: every solve works on them
@@ -23,16 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import textio
 from .errors import AmrbError, ModelCorruptionError
 from .fem import AffineOperatorSet, Mesh1D, ParameterBox, ParameterVector, obstacle_data
 from .offline import ReducedModel
 from .truth import (
-    LcpProblem,
+    LcpStep,
     SchemeConfig,
     Trajectory,
+    check_lcp_matrix,
     solve_lcp,
     solve_trajectory,
     state_rows,
@@ -52,7 +55,7 @@ class OnlineData:
     s_lu: tuple                # LU factorization of s_n
     b_n: np.ndarray            # (NV, NW) primal-dual coupling
     sinv_b: np.ndarray         # (NV, NW) s_n^{-1} b_n
-    schur: np.ndarray          # (NW, NW) b_n' s_n^{-1} b_n
+    schur: np.ndarray          # (NW, NW) b_n' s_n^{-1} b_n, checked by check_lcp_matrix
     g_n: np.ndarray            # (NW,) cone loads xi_j . obstacle
     u0: np.ndarray             # (NV,) projected initial state
 
@@ -72,19 +75,19 @@ def online_setup(model: ReducedModel, mu, config: SchemeConfig | None = None) ->
     f_n = mu.K * mu.q * model.f1_n - mu.K * mu.r * model.f2_n
     mass_dt = model.mass_n / cfg.delta_t
     s_n = mass_dt + cfg.theta * a_n
-    try:
-        s_lu = lu_factor(s_n)
-    except np.linalg.LinAlgError as err:
-        raise ModelCorruptionError(f"reduced step matrix is singular: {err}") from err
-    pivots = np.abs(np.diag(s_lu[0]))
+    if not np.isfinite(s_n).all():
+        raise ValueError("reduced step matrix must be finite")
+    lu, piv, _ = dgetrf(s_n)  # an exactly zero pivot fails the test below
+    pivots = np.abs(np.diag(lu))
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise ModelCorruptionError("reduced step matrix is numerically singular")
 
     psi_tilde = lifted_obstacle(model, mu.K)
-    sinv_b = lu_solve(s_lu, model.b_n)
+    sinv_b = dgetrs(lu, piv, model.b_n)[0]
     return OnlineData(mu=mu, config=cfg, a_n=a_n, f_n=f_n, s_n=s_n,
-                      rhs_n=mass_dt - (1.0 - cfg.theta) * a_n, s_lu=s_lu,
-                      b_n=model.b_n, sinv_b=sinv_b, schur=model.b_n.T @ sinv_b,
+                      rhs_n=mass_dt - (1.0 - cfg.theta) * a_n, s_lu=(lu, piv),
+                      b_n=model.b_n, sinv_b=sinv_b,
+                      schur=check_lcp_matrix(model.b_n.T @ sinv_b),
                       g_n=model.xi_matrix.T @ psi_tilde,
                       u0=model.gram_psi.T @ psi_tilde)
 
@@ -95,12 +98,12 @@ def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
     Returns (u, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
     """
     rhs = data.rhs_n @ u_prev + data.f_n
-    base = lu_solve(data.s_lu, rhs, check_finite=False)  # online_setup checked the factor
+    base = dgetrs(*data.s_lu, rhs)[0]  # info is nonzero only for malformed arguments
     if zero.size == 0:
         return base, zero, zero, 0
     q = data.b_n.T @ base
-    alpha, lam, solves = solve_lcp(LcpProblem(S=data.schur, rhs=data.g_n - q,
-                                              obstacle=zero, start=start))
+    alpha, lam, solves = solve_lcp(LcpStep(S=data.schur, rhs=data.g_n - q,
+                                           obstacle=zero, start=start))
     return base + data.sinv_b @ alpha, alpha, lam, solves
 
 
@@ -188,8 +191,8 @@ def reconstruct(model: ReducedModel, rt: ReducedTrajectory, K: float,
     states = reconstruct_states(model, rt)
     if states.shape[1] != mesh.H:
         raise ValueError(f"model has {states.shape[1]} nodes, mesh has {mesh.H}")
-    lift = K * (1.0 - mesh.interior_nodes / mesh.s_f)
-    return states + lift[None, :]
+    states += K * (1.0 - mesh.interior_nodes / mesh.s_f)
+    return states
 
 
 def error_metrics(truth: Trajectory, reduced_states: np.ndarray,

@@ -23,22 +23,36 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 so reruns and round-trips agree bytewise
-    return format(x, ".17g")
+    return _float_text(float(value))
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def fmt_floats(values) -> list[str]:
+    """Render every entry of a float array as ``fmt`` renders one."""
+    return list(map(_float_text, np.asarray(values, dtype=float).tolist()))
+
+
+def _float_text(x: float) -> str:
+    """``%.17g``, spelling nan, inf and -inf so.
+
+    Adding 0.0 turns -0.0 into 0.0, so reruns and round-trips agree bytewise.
+    """
+    return format(x + 0.0, ".17g")
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence | str]) -> None:
+    """Write the header and the rows.
+
+    A row is a sequence of cells, each rendered by ``fmt``, or a str of
+    whole lines already rendered (by ``fmt_floats``), written as it is.
+    """
     _ensure_parent(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(cell) for cell in row) + "\n")
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                fh.write(",".join(fmt(cell) for cell in row) + "\n")
 
 
 def json_text(obj) -> str:
@@ -83,9 +97,7 @@ def _emit(obj, parts: list[str]) -> None:
         x = float(obj)
         if not math.isfinite(x):
             raise ValueError("non-finite value cannot be written to JSON")
-        if x == 0.0:
-            x = 0.0
-        parts.append(format(x, ".17g"))
+        parts.append(_float_text(x))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     else:

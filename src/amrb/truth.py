@@ -25,10 +25,13 @@ guess (as at theta = 0, where the positive off-diagonals of mass/dt break
 the sweep's monotonicity) costs further iterations but still ends at the
 exact solution.
 
-On tridiagonal matrices each iteration costs O(H) through a banded
-elimination; dense inputs (used by the reduced-order Schur complements
-and by small test problems) take a dense path, from the empty set unless
-the caller passes a start.
+On tridiagonal matrices each iteration costs O(H): the subsystem goes
+straight to LAPACK ``gtsv``, and the predictor's bidiagonal solve to BLAS
+``tbsv``.  Dense inputs (the reduced-order Schur complements and small
+test problems) take a dense path through ``np.linalg.solve``, from the
+empty set unless the caller passes a start.  A trajectory checks its step
+matrix once (``check_lcp_matrix``) and poses every step as an ``LcpStep``,
+which checks only that step's vectors.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgtsv
 
 from .errors import AmrbError, NumericalBreakdownError, SolverDivergenceError
 from .fem import AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector
@@ -86,11 +90,33 @@ class Tridiagonal(NamedTuple):
         return y
 
 
+def check_lcp_matrix(S):
+    """Check a complementarity matrix once for every problem posed on it.
+
+    S is a ``Tridiagonal`` or a square dense array (returned in floats); it
+    must be finite with a positive diagonal.
+    """
+    if isinstance(S, Tridiagonal):
+        diag, entries = S.diag, np.concatenate(S)
+    else:
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise ValueError("inconsistent LCP dimensions")
+        diag, entries = S.diagonal(), S
+    if not np.isfinite(entries).all():
+        raise ValueError("LCP matrix must be finite")
+    if not (diag > 0.0).all():
+        raise ValueError("LCP matrix must have a positive diagonal")
+    return S
+
+
 @dataclass(frozen=True)
 class LcpProblem:
     """One complementarity problem S u - lam = rhs against a lower obstacle.
 
     ``start`` is the active set the iteration starts from (empty if None).
+    The matrix goes through ``check_lcp_matrix``; rhs and obstacle must be
+    finite vectors of its size.
     """
 
     S: object  # dense (n, n) array or Tridiagonal
@@ -99,58 +125,72 @@ class LcpProblem:
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.rhs.size
-        if isinstance(self.S, Tridiagonal):
-            diag = self.S.diag
-        elif np.shape(self.S) == (n, n):
-            diag = np.asarray(self.S).diagonal()
-        else:
+        object.__setattr__(self, "S", check_lcp_matrix(self.S))
+        self._check_vectors()
+
+    def _check_vectors(self):
+        n = self.S.diag.size if isinstance(self.S, Tridiagonal) else self.S.shape[0]
+        if (self.rhs.shape != (n,) or self.obstacle.shape != (n,)
+                or (self.start is not None and np.shape(self.start) != (n,))):
             raise ValueError("inconsistent LCP dimensions")
-        if diag.size != n or n != self.obstacle.size:
-            raise ValueError("inconsistent LCP dimensions")
-        if self.start is not None and np.shape(self.start) != (diag.size,):
-            raise ValueError("inconsistent LCP dimensions")
-        if diag.size == 0:
+        if n == 0:
             raise ValueError("empty LCP")
-        if float(np.min(diag)) <= 0.0:
-            raise ValueError("LCP matrix must have a positive diagonal")
+        # count_nonzero is a direct loop; .all() goes through the reduction machinery
+        if np.count_nonzero(np.isfinite(self.rhs)) + np.count_nonzero(np.isfinite(self.obstacle)) < 2 * n:
+            raise ValueError("LCP right-hand side and obstacle must be finite")
+
+
+class LcpStep(LcpProblem):
+    """A problem on a matrix that ``check_lcp_matrix`` has already passed.
+
+    A trajectory poses one problem per step on the same matrix, so it checks
+    the matrix once and each step only its own vectors.
+    """
+
+    def __post_init__(self):
+        self._check_vectors()
+
+
+def _solve_subsystem(S, ix: np.ndarray, b: np.ndarray):
+    """Solve the rows and columns ``ix`` of S against b; None if singular.
+
+    The dense path keeps ``np.linalg.solve``: scipy's LAPACK ``gesv`` can
+    come from another OpenBLAS build than numpy's and then differ from it in
+    the last bit on systems of order six and up.
+    """
+    if not isinstance(S, Tridiagonal):
+        try:
+            return np.linalg.solve(S[ix[:, None], ix], b)
+        except np.linalg.LinAlgError:
+            return None
+    if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
+        return b / S.diag[ix]
+    lo, hi = ix[0], ix[-1] + 1
+    if hi - lo == ix.size:  # one run of nodes, as a predicted contact prefix leaves
+        dl, d, du = S.lower[lo:hi - 1].copy(), S.diag[lo:hi].copy(), S.upper[lo:hi - 1].copy()
+    else:  # a sorted index subset of a tridiagonal matrix is tridiagonal
+        adjacent = np.diff(ix) == 1
+        dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
+        d = S.diag[ix]
+        du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
+    _, _, _, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    return None if info > 0 else x
 
 
 def _solve_for_active_set(S, rhs, obstacle, active):
     """Solve with the state pinned to the obstacle on the active set."""
-    n = rhs.size
-    u = np.empty(n)
     inactive = ~active
-    if not inactive.any():
-        u[:] = obstacle
-    else:
-        ix = np.flatnonzero(inactive)
+    ix = inactive.nonzero()[0]
+    u = obstacle.copy()
+    if ix.size:
         shifted = rhs
-        pinned = obstacle[active]
-        if pinned.any():  # a zero obstacle shifts nothing
-            shift = np.zeros(n)
-            shift[active] = pinned
-            shifted = rhs - S @ shift
-        sub_rhs = shifted[ix]
-        try:
-            if isinstance(S, Tridiagonal):
-                m = ix.size
-                ab = np.zeros((3, m))
-                ab[1] = S.diag[ix]
-                if m > 1:
-                    # a sorted index subset of a tridiagonal matrix is tridiagonal
-                    adjacent = np.diff(ix) == 1
-                    ab[0, 1:] = np.where(adjacent, S.upper[ix[:-1]], 0.0)
-                    ab[2, :-1] = np.where(adjacent, S.lower[ix[:-1]], 0.0)
-                sol = solve_banded((1, 1), ab, sub_rhs)
-            else:
-                sol = np.linalg.solve(S[ix[:, None], ix], sub_rhs)
-        except np.linalg.LinAlgError as err:
-            raise NumericalBreakdownError(
-                f"singular linear system on an active-set iterate: {err}",
-                active_size=int(active.sum())) from err
+        if np.count_nonzero(obstacle[active]):  # a zero obstacle shifts nothing
+            shifted = rhs - S @ np.where(active, obstacle, 0.0)
+        sol = _solve_subsystem(S, ix, shifted[ix])
+        if sol is None:
+            raise NumericalBreakdownError("singular linear system on an active-set iterate",
+                                          active_size=int(active.sum()))
         u[ix] = sol
-        u[active] = pinned
     lam = S @ u - rhs
     lam[inactive] = 0.0
     return u, lam
@@ -174,15 +214,14 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
     both vanish up to rounding can make them cycle until ``max_iter``.
     """
     S, rhs, obstacle = problem.S, np.asarray(problem.rhs, float), np.asarray(problem.obstacle, float)
-    if not isinstance(S, Tridiagonal):
-        S = np.asarray(S, dtype=float)
     if problem.start is None:
         active = np.zeros(rhs.size, dtype=bool)
     else:
         active = np.asarray(problem.start, dtype=bool)
     u, lam = _solve_for_active_set(S, rhs, obstacle, active)
     solves = 1
-    seen = {active.tobytes()}
+    key = active.tobytes()
+    seen = {key}
     least_index_mode = False
     while True:
         if least_index_mode:
@@ -194,12 +233,14 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
             new_active[violated[0]] = not new_active[violated[0]]
         else:
             new_active = (lam + penalty * (obstacle - u)) > 0.0
-            if np.array_equal(new_active, active):
+            new_key = new_active.tobytes()
+            if new_key == key:
                 return u, lam, solves
-            if new_active.tobytes() in seen:
+            if new_key in seen:
                 least_index_mode = True
                 continue
-            seen.add(new_active.tobytes())
+            seen.add(new_key)
+            key = new_key
         if solves >= max_iter:
             gap = u - obstacle
             raise SolverDivergenceError(
@@ -218,7 +259,9 @@ class StepOperators:
     """What every step of one trajectory shares: operators, load, pivots.
 
     ``pivots`` are those of the UL elimination S = U L, with U unit upper
-    bidiagonal; ``upper_factor`` holds U in ``solve_banded`` layout.
+    bidiagonal; ``upper_factor`` holds U in LAPACK band storage (row 0 the
+    superdiagonal, row 1 the diagonal), in Fortran order.  ``S`` has passed
+    ``check_lcp_matrix``.
     """
 
     S: Tridiagonal
@@ -240,7 +283,7 @@ class StepOperators:
         its forward-sweep value, with node i-1 pinned, exceeds the obstacle;
         k is the first such node.
         """
-        swept = solve_banded((0, 1), self.upper_factor, rhs, check_finite=False)
+        swept = dtbsv(1, self.upper_factor, rhs)  # what a (0, 1) gbsv reduces to
         swept[1:] -= self.S.lower * obstacle[:-1]
         above = swept / self.pivots > obstacle
         k = int(np.argmax(above)) if above.any() else above.size
@@ -257,7 +300,7 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOper
     a_mu = Tridiagonal(*((mu.sigma ** 2) * b1 + (mu.r - mu.q) * b2 + mu.r * b3
                          for b1, b2, b3 in zip(a1, a2, a3)))
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in Tridiagonal.of(ops.mass)))
-    S = Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu)))
+    S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
 
     diag, coupling = S.diag.tolist(), (S.upper * S.lower).tolist()
     pivots = [0.0] * len(diag)
@@ -265,7 +308,7 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOper
     for i in range(len(diag) - 2, -1, -1):
         p = pivots[i] = diag[i] - coupling[i] / p
     pivots = np.array(pivots)
-    upper_factor = np.ones((2, pivots.size))
+    upper_factor = np.ones((2, pivots.size), order="F")
     upper_factor[0, 1:] = S.upper / pivots[1:]
     return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu),
                          theta=config.theta, pivots=pivots, upper_factor=upper_factor)
@@ -283,8 +326,8 @@ def theta_step(u_prev: np.ndarray, mu, ops: AffineOperatorSet,
         step = step_operators(mu, ops, config)
     rhs = step.rhs(u_prev)
     psi = obstacle.psi_tilde
-    return solve_lcp(LcpProblem(S=step.S, rhs=rhs, obstacle=psi,
-                                start=step.predict_contact(rhs, psi)))
+    return solve_lcp(LcpStep(S=step.S, rhs=rhs, obstacle=psi,
+                             start=step.predict_contact(rhs, psi)))
 
 
 @dataclass(frozen=True)
@@ -357,22 +400,24 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
 
 def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,
                delta_t: float, source: str | None = None):
-    """Yield CSV rows (step, t, s, u, lambda, price[, source]).
+    """Yield the CSV lines (step, t, s, u, lambda, price[, source]), one
+    text block per time step.
 
     The multiplier column for step 0 is written as nan: the scheme defines
     no multiplier there.
     """
     s = mesh.interior_nodes
     lift = K * (1.0 - s / mesh.s_f)
+    s_cells = textio.fmt_floats(s)
+    tail = "\n" if source is None else f",{source}\n"
+    no_lam = ["nan"] * s.size
     for n in range(states.shape[0]):
-        t = n * delta_t
-        lam_row = multipliers[n - 1] if (multipliers is not None and n >= 1) else None
-        for j in range(s.size):
-            lam = float(lam_row[j]) if lam_row is not None else float("nan")
-            row = [n, t, s[j], states[n, j], lam, states[n, j] + lift[j]]
-            if source is not None:
-                row.append(source)
-            yield row
+        head = f"{n},{textio.fmt(n * delta_t)},"
+        lam_cells = (textio.fmt_floats(multipliers[n - 1])
+                     if multipliers is not None and n >= 1 else no_lam)
+        yield "".join(f"{head}{x},{u},{lam},{price}{tail}" for x, u, lam, price in zip(
+            s_cells, textio.fmt_floats(states[n]), lam_cells,
+            textio.fmt_floats(states[n] + lift)))
 
 
 def write_trajectory_csv(path, traj: Trajectory, mesh: Mesh1D,

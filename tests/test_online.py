@@ -192,6 +192,17 @@ def test_reduced_trajectory_contract(small_model, small_store):
     assert res["max_complementarity"] <= 1e-9
 
 
+def test_reduced_trajectory_checks_schur_once(model_8_8, test_params10, monkeypatch):
+    import amrb.online as online_mod
+
+    calls = []
+    check = online_mod.check_lcp_matrix
+    monkeypatch.setattr(online_mod, "check_lcp_matrix", lambda S: calls.append(1) or check(S))
+    rt = reduced_trajectory(model_8_8, test_params10[0])
+    assert len(calls) == 1
+    assert rt.lcp_solves.sum() > 0
+
+
 def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10):
     for model in (model_8_8, model_16_16):
         for mu in test_params10[:3]:

@@ -6,8 +6,10 @@ import pytest
 
 from amrb import (
     LcpProblem,
+    NumericalBreakdownError,
     SchemeConfig,
     SolverDivergenceError,
+    Trajectory,
     Tridiagonal,
     assemble_operators,
     build_mesh,
@@ -20,6 +22,8 @@ from amrb import (
     write_trajectory_csv,
 )
 from amrb.fem import ObstacleData
+from amrb.textio import fmt
+from amrb.truth import LcpStep
 import amrb.truth as truth_mod
 
 
@@ -75,8 +79,49 @@ def test_lcp_problem_validation():
             LcpProblem(S=np.eye(*shape), rhs=np.zeros(3), obstacle=np.zeros(3))
 
 
+def test_lcp_problem_rejects_non_finite_inputs():
+    banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
+    for S in (np.eye(3) * 4.0, banded):
+        with pytest.raises(ValueError, match="must be finite"):
+            LcpProblem(S=S, rhs=np.array([1.0, np.nan, 0.0]), obstacle=np.zeros(3))
+        with pytest.raises(ValueError, match="must be finite"):
+            LcpProblem(S=S, rhs=np.zeros(3), obstacle=np.array([0.0, -np.inf, 0.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        LcpProblem(S=np.array([[1.0, np.inf], [0.0, 1.0]]), rhs=np.zeros(2), obstacle=np.zeros(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        LcpProblem(S=Tridiagonal(np.array([np.nan]), np.ones(2), np.zeros(1)),
+                   rhs=np.zeros(2), obstacle=np.zeros(2))
+
+
+def test_lcp_step_checks_vectors_only():
+    # the trajectory checks the matrix once; each step still checks its vectors
+    S = np.array([[1.0, 0.0], [0.0, -1.0]])
+    LcpStep(S=S, rhs=np.zeros(2), obstacle=np.zeros(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        LcpStep(S=np.eye(2), rhs=np.array([np.inf, 0.0]), obstacle=np.zeros(2))
+    with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
+        LcpStep(S=np.eye(2), rhs=np.zeros(3), obstacle=np.zeros(2))
+
+
+def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch):
+    calls = []
+    check = truth_mod.check_lcp_matrix
+    monkeypatch.setattr(truth_mod, "check_lcp_matrix", lambda S: calls.append(1) or check(S))
+    traj = solve_trajectory(mu0, default_ops, obstacle_data(default_ops.mesh, mu0.K),
+                            default_scheme)
+    assert len(calls) == 1
+    assert traj.pdas_iterations.size == default_scheme.L
+
+
 # ---------------------------------------------------------------------------
 # LCP solver
+
+
+def test_solve_lcp_singular_subsystem_breaks_down():
+    # both paths hit the singular 2x2 block [[1, 1], [1, 1]] from the empty set
+    for S in (np.ones((2, 2)), Tridiagonal(np.ones(1), np.ones(2), np.ones(1))):
+        with pytest.raises(NumericalBreakdownError):
+            solve_lcp(LcpProblem(S=S, rhs=np.array([1.0, 2.0]), obstacle=np.full(2, -10.0)))
 
 
 def test_solve_lcp_unconstrained():
@@ -372,3 +417,27 @@ def test_trajectory_csv_source_column(tmp_path, default_ops, default_scheme, mu0
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",source")
     assert lines[1].endswith(",truth")
+
+
+def test_trajectory_csv_matches_cellwise_rendering(tmp_path, mu0):
+    # the per-step blocks render as the cell-by-cell fmt loop does, -0.0,
+    # nan and the infinities included
+    assert [fmt(x) for x in (-0.0, np.nan, np.inf, -np.inf, 0.1)] == [
+        "0", "nan", "inf", "-inf", "0.10000000000000001"]
+    mesh = build_mesh(3, 300.0)
+    states = np.array([[0.5, -0.0, 1e-300], [np.inf, -np.inf, np.nan]])
+    multipliers = np.array([[-0.0, 2.5, 1.0 / 3.0]])
+    config = SchemeConfig(T=0.3, L=1, theta=0.5)
+    traj = Trajectory(mu=mu0, states=states, multipliers=multipliers, config=config,
+                      pdas_iterations=np.ones(1, dtype=int))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj, mesh, source="truth")
+    s = mesh.interior_nodes
+    lift = mu0.K * (1.0 - s / mesh.s_f)
+    expected = ["step,t,s,u,lambda,price,source"]
+    for n in range(2):
+        for j in range(3):
+            lam = multipliers[n - 1, j] if n else float("nan")
+            row = [n, n * config.delta_t, s[j], states[n, j], lam, states[n, j] + lift[j], "truth"]
+            expected.append(",".join(fmt(cell) for cell in row))
+    assert path.read_text() == "\n".join(expected) + "\n"
