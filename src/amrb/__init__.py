@@ -21,6 +21,7 @@ from .fem import (
     ObstacleData,
     ParameterBox,
     ParameterVector,
+    Tridiagonal,
     assemble_operators,
     build_mesh,
     obstacle_data,
@@ -33,7 +34,6 @@ from .truth import (
     LcpProblem,
     SchemeConfig,
     Trajectory,
-    Tridiagonal,
     solve_lcp,
     solve_trajectory,
     theta_step,

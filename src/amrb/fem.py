@@ -5,12 +5,14 @@ nodes; the affine boundary lift K*(1 - s/s_f) is subtracted from the price
 so all fields satisfy homogeneous Dirichlet conditions.  The bilinear form
 and load separate into parameter-independent blocks,
 
-    a(mu) = sigma^2 * a1 + (r - q) * a2 + r * a3,
+    a(mu) = sigma^2 * a1 + (r - q) * a2 + r * mass,
     f(mu) = K*q * f1 - K*r * f2,
 
 where a1 is the s^2-diffusion block (the 1/2 factor folded in), a2 the
-convection block -<s u', v>, a3 the reaction/mass block <u, v>, f1 the
-ramp load <s/s_f, phi_i> and f2 the constant load <1, phi_i>.
+convection block -<s u', v>, mass the reaction block <u, v>, f1 the ramp
+load <s/s_f, phi_i> and f2 the constant load <1, phi_i>.  The P1 hats
+make every block tridiagonal, and every operator is stored as its three
+bands (``Tridiagonal``).
 
 The energy inner product <u, v> = <s u', s v'> + <u, v> has Gram matrix
 ``gram``.  Multipliers are expanded in the basis biorthogonal to the nodal
@@ -23,9 +25,9 @@ factorization of ``gram`` backs all of these at O(H) per solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import AssemblyError, IllConditionedBasisError
@@ -110,16 +112,39 @@ class ParameterBox:
         return bool(np.all(x >= lo - pad) and np.all(x <= hi + pad))
 
 
+class Tridiagonal(NamedTuple):
+    """Tridiagonal matrix by its bands: lower[i] = A[i+1, i], upper[i] = A[i, i+1]."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Product with a vector (H,) or a block of columns (H, k).
+
+        Row i sums the lower, diagonal and upper terms in that order, and the
+        result is C-ordered whatever the layout of x, as a CSR product is:
+        the GEMMs downstream round differently by layout.
+        """
+        if x.ndim == 1:
+            lower, diag, upper = self
+        else:
+            lower, diag, upper = self.lower[:, None], self.diag[:, None], self.upper[:, None]
+        y = np.multiply(diag, x, order="C")
+        y[1:] += lower * x[:-1]
+        y[:-1] += upper * x[1:]
+        return y
+
+
 @dataclass(frozen=True)
 class AffineOperatorSet:
-    """Parameter-separable operator blocks plus inner-product machinery."""
+    """Parameter-separable operator bands plus inner-product machinery."""
 
     mesh: Mesh1D
-    gram: sp.csr_matrix
-    mass: sp.csr_matrix
-    a1: sp.csr_matrix
-    a2: sp.csr_matrix
-    a3: sp.csr_matrix
+    gram: Tridiagonal
+    mass: Tridiagonal
+    a1: Tridiagonal
+    a2: Tridiagonal
     f1: np.ndarray
     f2: np.ndarray
     gram_chol: np.ndarray
@@ -128,9 +153,10 @@ class AffineOperatorSet:
     def dim(self) -> int:
         return self.mesh.H
 
-    def a_matrix(self, mu) -> sp.csr_matrix:
-        """Assembled bilinear form sigma^2*a1 + (r - q)*a2 + r*a3."""
-        return ((mu.sigma ** 2) * self.a1 + (mu.r - mu.q) * self.a2 + mu.r * self.a3).tocsr()
+    def a_matrix(self, mu) -> Tridiagonal:
+        """Bands of the bilinear form sigma^2*a1 + (r - q)*a2 + r*mass."""
+        return Tridiagonal(*((mu.sigma ** 2) * b1 + (mu.r - mu.q) * b2 + mu.r * bm
+                             for b1, b2, bm in zip(self.a1, self.a2, self.mass)))
 
     def f_vector(self, mu) -> np.ndarray:
         return mu.K * mu.q * self.f1 - mu.K * mu.r * self.f2
@@ -146,19 +172,17 @@ class AffineOperatorSet:
         return cho_solve_banded((self.gram_chol, False), b)
 
 
-def _upper_banded(matrix: sp.spmatrix) -> np.ndarray:
-    n = matrix.shape[0]
-    ab = np.zeros((2, n))
-    ab[1] = matrix.diagonal()
-    ab[0, 1:] = matrix.diagonal(1)
-    return ab
+def _upper_banded(matrix: Tridiagonal) -> np.ndarray:
+    """LAPACK upper band storage of a symmetric tridiagonal matrix."""
+    return np.array([np.r_[0.0, matrix.upper], matrix.diag])
 
 
 def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
     """Assemble all operator blocks with 2-point Gauss quadrature.
 
     Each integrand is a polynomial of degree at most two in s per element,
-    so the rule is exact; the P1 hat overlap makes every block tridiagonal.
+    so the rule is exact; the P1 hat overlap makes every block tridiagonal,
+    and the element blocks are scattered straight into its bands.
     """
     nodes = mesh.nodes
     h = np.diff(nodes)
@@ -175,21 +199,13 @@ def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
     sgrad = np.einsum("ge,ge,ae,be->abe", gw, gp ** 2, der, der)
     mass_loc = np.einsum("ge,age,bge->abe", gw, val, val)
 
-    n_all = mesh.H + 2
-    elems = np.arange(h.size)
-    rows = np.concatenate([elems, elems, elems + 1, elems + 1])
-    cols = np.concatenate([elems, elems + 1, elems, elems + 1])
-
-    def scatter(block: np.ndarray) -> sp.csr_matrix:
-        data = np.concatenate([block[0, 0], block[0, 1], block[1, 0], block[1, 1]])
-        full = sp.coo_matrix((data, (rows, cols)), shape=(n_all, n_all)).tocsr()
-        return full[1:-1, 1:-1].tocsr()
+    def scatter(block: np.ndarray) -> Tridiagonal:
+        # element e couples nodes e and e + 1; interior node i is node i + 1
+        return Tridiagonal(block[1, 0, 1:-1], block[0, 0, 1:] + block[1, 1, :-1],
+                           block[0, 1, 1:-1])
 
     def scatter_vec(block: np.ndarray) -> np.ndarray:
-        full = np.zeros(n_all)
-        np.add.at(full, elems, block[0])
-        np.add.at(full, elems + 1, block[1])
-        return full[1:-1]
+        return block[0, 1:] + block[1, :-1]
 
     mass = scatter(mass_loc)
     gram = scatter(sgrad + mass_loc)
@@ -205,7 +221,7 @@ def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
         raise AssemblyError(f"inner-product matrices are not SPD: {err}") from err
 
     return AffineOperatorSet(
-        mesh=mesh, gram=gram, mass=mass, a1=a1, a2=a2, a3=mass,
+        mesh=mesh, gram=gram, mass=mass, a1=a1, a2=a2,
         f1=f1, f2=f2, gram_chol=gram_chol,
     )
 

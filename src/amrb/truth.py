@@ -37,14 +37,12 @@ which checks only that step's vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
 
 from .errors import AmrbError, NumericalBreakdownError, SolverDivergenceError
-from .fem import AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector
+from .fem import AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal
 from . import textio
 
 
@@ -67,27 +65,6 @@ class SchemeConfig:
     @property
     def delta_t(self) -> float:
         return self.T / self.L
-
-
-class Tridiagonal(NamedTuple):
-    """Tridiagonal matrix by its bands: lower[i] = A[i+1, i], upper[i] = A[i, i+1]."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    @classmethod
-    def of(cls, matrix) -> "Tridiagonal":
-        """Bands of a tridiagonal scipy sparse matrix."""
-        return cls(matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        # row i sums the lower, diagonal and upper terms in that order, as a
-        # CSR product does, so results match the sparse operators bit for bit
-        y = self.diag * x
-        y[1:] += self.lower * x[:-1]
-        y[:-1] += self.upper * x[1:]
-        return y
 
 
 def check_lcp_matrix(S):
@@ -291,15 +268,9 @@ class StepOperators:
 
 
 def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOperators:
-    """Build the loop invariants of a trajectory at parameter ``mu``.
-
-    The bands are combined in the same order as ``ops.a_matrix`` and the
-    sparse sums, so every product matches the sparse operators exactly.
-    """
-    a1, a2, a3 = Tridiagonal.of(ops.a1), Tridiagonal.of(ops.a2), Tridiagonal.of(ops.a3)
-    a_mu = Tridiagonal(*((mu.sigma ** 2) * b1 + (mu.r - mu.q) * b2 + mu.r * b3
-                         for b1, b2, b3 in zip(a1, a2, a3)))
-    m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in Tridiagonal.of(ops.mass)))
+    """Build the loop invariants of a trajectory at parameter ``mu``."""
+    a_mu = ops.a_matrix(mu)
+    m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
 
     diag, coupling = S.diag.tolist(), (S.upper * S.lower).tolist()

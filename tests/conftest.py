@@ -92,17 +92,21 @@ def small_model(small_store, small_setup):
     return model
 
 
+def dense(op) -> np.ndarray:
+    """Dense copy of a Tridiagonal operator."""
+    return np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
+
+
 def identity_operator_set(n: int):
     """Operator set with identity matrices; dual norms become Euclidean."""
-    import scipy.sparse as sp
     from scipy.linalg import cholesky_banded
 
-    from amrb.fem import AffineOperatorSet, build_mesh as _bm
+    from amrb.fem import AffineOperatorSet, Tridiagonal, build_mesh as _bm
 
-    eye = sp.identity(n, format="csr")
+    eye = Tridiagonal(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
     ab = np.zeros((2, n))
     ab[1] = 1.0
     chol = cholesky_banded(ab, lower=False)
     return AffineOperatorSet(mesh=_bm(n, float(n + 1)), gram=eye, mass=eye,
-                             a1=eye, a2=eye, a3=eye,
+                             a1=eye, a2=eye,
                              f1=np.zeros(n), f2=np.zeros(n), gram_chol=chol)

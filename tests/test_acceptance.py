@@ -34,6 +34,7 @@ from amrb import (
 from amrb.cli import main as cli_main, train_stream
 from amrb.online import _cold_step, err_linf, online_setup
 
+from conftest import dense
 from test_truth import lcp_by_enumeration
 
 
@@ -101,8 +102,8 @@ def test_criterion_02_lcp_oracle():
 def test_criterion_03_american_dominates_european(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
-    a_mu = default_ops.a_matrix(mu0).toarray()
-    m_dt = default_ops.mass.toarray() / default_scheme.delta_t
+    a_mu = dense(default_ops.a_matrix(mu0))
+    m_dt = dense(default_ops.mass) / default_scheme.delta_t
     smat = m_dt + default_scheme.theta * a_mu
     rhsm = m_dt - (1 - default_scheme.theta) * a_mu
     f_mu = default_ops.f_vector(mu0)

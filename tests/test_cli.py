@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +34,16 @@ def write_config(tmp_path, data, name="config.json"):
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # operators are bands; nothing in the package needs scipy.sparse
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, amrb.cli; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

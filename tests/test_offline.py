@@ -33,7 +33,7 @@ from amrb import (
 )
 from amrb.offline import write_greedy_csvs
 
-from conftest import identity_operator_set
+from conftest import dense, identity_operator_set
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +326,16 @@ def test_assemble_reduced_identity_basis():
     from amrb import assemble_operators, build_mesh
     ops = assemble_operators(build_mesh(6, 12.0))
     # a full basis orthonormal in the energy product: psi = L^{-T}, gram = L L'
-    chol = np.linalg.cholesky(ops.gram.toarray())
+    chol = np.linalg.cholesky(dense(ops.gram))
     psi = np.linalg.inv(chol).T
     inv = chol.T  # psi^{-1}
     xi = np.eye(6)[:, :2]
     cfg = SchemeConfig(T=1.0, L=4, theta=0.5)
     model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=6)
     # mapped back to nodal coordinates, the reduced blocks are the full ones
-    assert np.allclose(inv.T @ model.mass_n @ inv, ops.mass.toarray())
-    assert np.allclose(inv.T @ model.a1_n @ inv, ops.a1.toarray())
-    assert np.allclose(inv.T @ model.a2_n @ inv, ops.a2.toarray())
+    assert np.allclose(inv.T @ model.mass_n @ inv, dense(ops.mass))
+    assert np.allclose(inv.T @ model.a1_n @ inv, dense(ops.a1))
+    assert np.allclose(inv.T @ model.a2_n @ inv, dense(ops.a2))
     assert np.allclose(inv.T @ model.f1_n, ops.f1)
     assert np.allclose(inv.T @ model.b_n, xi)
     np.linalg.cholesky(model.mass_n)  # SPD

@@ -26,6 +26,8 @@ from amrb.textio import fmt
 from amrb.truth import LcpStep
 import amrb.truth as truth_mod
 
+from conftest import dense
+
 
 def lcp_by_enumeration(S, rhs, obstacle, tol=1e-11):
     """Exhaustive active-set oracle: try every subset, return the feasible one."""
@@ -206,9 +208,20 @@ def test_solve_lcp_dense_from_any_start():
 
 
 def test_tridiagonal_matches_sparse_product(default_ops):
-    x = np.random.default_rng(8).normal(size=default_ops.dim)
-    for matrix in (default_ops.a1, default_ops.a2, default_ops.gram):
-        assert np.array_equal(Tridiagonal.of(matrix) @ x, matrix @ x)
+    # a CSR product sums each row as lower, diagonal, upper and returns a
+    # C-ordered array; the bands must do both, whatever the input layout
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(8)
+    H = default_ops.dim
+    block = rng.normal(size=(H, 7))
+    inputs = (rng.normal(size=H), block, np.asfortranarray(block))
+    for bands in (default_ops.a1, default_ops.a2, default_ops.gram):
+        csr = sp.diags([bands.lower, bands.diag, bands.upper], [-1, 0, 1], format="csr")
+        for x in inputs:
+            y = bands @ x
+            assert y.flags.c_contiguous
+            assert np.array_equal(y, csr @ x)
 
 
 def test_solve_lcp_iteration_budget():
@@ -276,8 +289,8 @@ def test_theta_step_empty_active_set_is_linear(default_ops, default_scheme, mu0)
     u_prev = rng.normal(size=H) * 10
     u, lam, _ = theta_step(u_prev, mu0, default_ops, obstacle, default_scheme)
     # independent dense unconstrained step
-    a_mu = default_ops.a_matrix(mu0).toarray()
-    m_dt = default_ops.mass.toarray() / default_scheme.delta_t
+    a_mu = dense(default_ops.a_matrix(mu0))
+    m_dt = dense(default_ops.mass) / default_scheme.delta_t
     expected = np.linalg.solve(
         m_dt + default_scheme.theta * a_mu,
         (m_dt - (1 - default_scheme.theta) * a_mu) @ u_prev + default_ops.f_vector(mu0))
@@ -318,8 +331,8 @@ def test_american_dominates_european(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
     # independent dense unconstrained marching
-    a_mu = default_ops.a_matrix(mu0).toarray()
-    m_dt = default_ops.mass.toarray() / default_scheme.delta_t
+    a_mu = dense(default_ops.a_matrix(mu0))
+    m_dt = dense(default_ops.mass) / default_scheme.delta_t
     smat = m_dt + default_scheme.theta * a_mu
     rhsm = m_dt - (1 - default_scheme.theta) * a_mu
     f_mu = default_ops.f_vector(mu0)
