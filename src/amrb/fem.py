@@ -19,7 +19,10 @@ The energy inner product <u, v> = <s u', s v'> + <u, v> has Gram matrix
 hats, so their duality action on a coefficient vector is a plain dot
 product, the dual norm is sqrt(eta' gram^{-1} eta), and the Riesz lift of
 a multiplier (its supremizer) is gram^{-1} eta.  One banded Cholesky
-factorization of ``gram`` backs all of these at O(H) per solve.
+factorization gram = U'U backs all of these at O(H) per solve.  It also
+whitens: in the coordinates U u the energy inner product is the dot
+product, and in the coordinates U^{-T} eta so is the dual one, which is
+where the greedy loops of ``amrb.offline`` run.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import AssemblyError, IllConditionedBasisError
 
@@ -167,9 +171,39 @@ class AffineOperatorSet:
     def v_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.v_inner(u, u), 0.0)))
 
+    def whiten(self, u: np.ndarray) -> np.ndarray:
+        """U u, for the stored Cholesky factor gram = U'U.
+
+        In these coordinates the energy inner product is the dot product.
+        """
+        chol = self.gram_chol
+        return Tridiagonal(np.zeros(self.dim - 1), chol[1], chol[0, 1:]) @ u
+
+    def unwhiten(self, w: np.ndarray) -> np.ndarray:
+        """U^{-1} w: the nodal vector whose whitened coordinates are w."""
+        return _band_solve(self.gram_chol, w, "N")
+
+    def whiten_dual(self, eta: np.ndarray) -> np.ndarray:
+        """U^{-T} eta: the whitened Riesz lift of a dual vector.
+
+        U gram^{-1} eta = U^{-T} eta, so the dot product of two such lifts
+        is the dual inner product eta' gram^{-1} zeta.
+        """
+        return _band_solve(self.gram_chol, eta, "T")
+
     def x_solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply gram^{-1} through the stored banded Cholesky factor."""
-        return cho_solve_banded((self.gram_chol, False), b)
+        """Apply gram^{-1} = U^{-1} U^{-T} through the stored banded factor."""
+        return self.unwhiten(self.whiten_dual(b))
+
+
+def _band_solve(chol: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
+    """Solve U x = b (trans "N") or U' x = b (trans "T") with LAPACK ``tbtrs``."""
+    if b.size == 0:  # scipy 1.17's tbtrs wrapper corrupts memory on zero columns
+        return np.zeros(b.shape)
+    x, info = dtbtrs(chol, b, trans=trans)
+    if info:
+        raise ValueError(f"banded triangular solve failed (info={info})")
+    return x
 
 
 def _upper_banded(matrix: Tridiagonal) -> np.ndarray:

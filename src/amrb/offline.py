@@ -12,6 +12,13 @@ POD modes and appended, so the reduced primal-dual coupling keeps full
 column rank and the whole primal basis stays energy-orthonormal: its Gram
 matrix is the identity, and the online phase works on the basis as it is.
 
+All three loops run in whitened coordinates.  With the banded Cholesky
+factor gram = U'U, a state u becomes U u and a multiplier eta becomes
+U^{-T} eta (its supremizer lift, whitened); both the energy and the dual
+inner products are then dot products, every loop shares one Euclidean
+Gram-Schmidt step, and only the results are mapped back to nodal
+coordinates.
+
 Bases and cones are plain column arrays.  A ``ReducedModel`` collects
 them, all reduced operator blocks and the greedy diagnostics; it
 serializes to a single JSON document.
@@ -126,35 +133,54 @@ def generate_snapshots(params, ops: AffineOperatorSet,
                          obstacles=tuple(obstacles), mesh=ops.mesh, config=config)
 
 
+def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
+    """The orthonormal columns ``basis`` with vec, orthonormalized, appended.
+
+    Euclidean Gram-Schmidt, applied twice so rounding leaves no component
+    along the basis.  Returns None, a drop, when what is left of vec has a
+    norm below ``NORM_FLOOR``.
+    """
+    for _ in range(2):
+        vec = vec - basis @ (basis.T @ vec)
+    nrm = np.linalg.norm(vec)
+    if nrm < NORM_FLOOR:
+        return None
+    return np.hstack([basis, (vec / nrm)[:, None]])
+
+
+def _dominant_mode(white: np.ndarray, ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant POD mode of whitened columns, whitened and nodal.
+
+    Method of snapshots: eigen-decompose the small family Gram matrix,
+    lift the dominant eigenvector back, and normalize.  The sign is fixed
+    so the largest-magnitude component of the nodal mode is positive.
+    """
+    if float(np.max(np.einsum("ij,ij->j", white, white), initial=0.0)) <= NORM_FLOOR ** 2:
+        raise DegenerateInputError("all input vectors vanish in the energy norm")
+    _, eigvecs = np.linalg.eigh(white.T @ white)
+    mode = white @ eigvecs[:, -1]
+    nrm = np.linalg.norm(mode)
+    if nrm <= NORM_FLOOR:
+        raise DegenerateInputError("dominant mode vanishes in the energy norm")
+    mode = mode / nrm
+    nodal = ops.unwhiten(mode)
+    if nodal[np.argmax(np.abs(nodal))] < 0:
+        return -mode, -nodal
+    return mode, nodal
+
+
 def pod1(vectors, ops: AffineOperatorSet) -> np.ndarray:
     """Dominant POD mode of a vector family in the energy inner product.
 
-    Method of snapshots: eigen-decompose the small family Gram matrix,
-    lift the dominant eigenvector back, and normalize.  The result
-    maximizes the captured energy (the sum of squared inner products with
-    the family); its sign is fixed so the largest-magnitude component is
-    positive.
+    The result has unit energy norm and maximizes the captured energy (the
+    sum of squared inner products with the family); its sign is fixed so
+    the largest-magnitude component is positive.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         mat = vectors
     else:
         mat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    xmat = ops.gram @ mat
-    sq_norms = np.einsum("ij,ij->j", mat, xmat)
-    if float(np.max(sq_norms, initial=0.0)) <= NORM_FLOOR ** 2:
-        raise DegenerateInputError("all input vectors vanish in the energy norm")
-    gram = mat.T @ xmat
-    gram = 0.5 * (gram + gram.T)
-    _, eigvecs = np.linalg.eigh(gram)
-    mode = mat @ eigvecs[:, -1]
-    nrm = ops.v_norm(mode)
-    if nrm <= NORM_FLOOR:
-        raise DegenerateInputError("dominant mode vanishes in the energy norm")
-    mode = mode / nrm
-    peak = int(np.argmax(np.abs(mode)))
-    if mode[peak] < 0:
-        mode = -mode
-    return mode
+    return _dominant_mode(ops.whiten(mat), ops)[1]
 
 
 def pod_greedy(store: SnapshotStore, n_v_tilde: int,
@@ -167,6 +193,8 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     space, record the square root of the maximum, and grow the basis with
     the dominant POD mode of the worst trajectory's error history,
     orthonormalized against the basis (ties break to the smallest index).
+    The loop runs on the whitened snapshots (``ops.whiten``), where energy
+    inner products are dot products.
 
     Returns (orthonormal basis columns, error decay, selected indices).
     Raises BasisSaturationError (carrying the partial result in ``info``)
@@ -176,12 +204,11 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
         raise ValueError(f"need a positive basis budget, got {n_v_tilde}")
     if store.n_params == 0:
         raise ValueError("empty snapshot store")
-    snaps = store.primal_matrix()
-    xsnaps = ops.gram @ snaps
+    snaps = ops.whiten(store.primal_matrix())
     width = store.config.L + 1
 
-    first = store.trajectories[0].states[0]
-    nrm = ops.v_norm(first)
+    first = snaps[:, 0]  # the initial state of the first training parameter
+    nrm = np.linalg.norm(first)
     if nrm <= NORM_FLOOR:
         raise DegenerateInputError("initial snapshot vanishes in the energy norm")
     basis = (first / nrm)[:, None]
@@ -190,66 +217,53 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
 
     def saturation(message: str) -> BasisSaturationError:
         return BasisSaturationError(
-            message, achieved=basis.shape[1], vectors=basis.copy(),
+            message, achieved=basis.shape[1], vectors=ops.unwhiten(basis),
             eps_u=np.array(eps_u), selected=list(selected))
 
     while True:
         k = basis.shape[1]
-        proj = basis.T @ xsnaps  # projection coefficients, basis is orthonormal
-        resid = snaps - basis @ proj
         # explicit residuals: the norm-subtraction form floors at
         # sqrt(eps_machine) * snapshot scale, far above the greedy's tail
-        err_sq = np.maximum(np.einsum("ij,ij->j", resid, ops.gram @ resid), 0.0)
-        per_mu = err_sq.reshape(store.n_params, width).sum(axis=1)
+        resid = snaps - basis @ (basis.T @ snaps)
+        per_mu = np.einsum("ij,ij->j", resid, resid).reshape(store.n_params, width).sum(axis=1)
         best = int(np.argmax(per_mu))
         eps_u.append(float(np.sqrt(per_mu[best])))
         if k == n_v_tilde:
             break
-        block = slice(best * width, (best + 1) * width)
-        errors = resid[:, block]
         try:
-            mode = pod1(errors, ops)
+            mode, _ = _dominant_mode(resid[:, best * width:(best + 1) * width], ops)
         except DegenerateInputError as err:
             raise saturation(f"snapshots exhausted at basis size {k}: {err}") from err
-        vec = mode
-        for _ in range(2):  # modified Gram-Schmidt, re-orthogonalized once
-            vec = vec - basis @ (basis.T @ (ops.gram @ vec))
-        nrm = ops.v_norm(vec)
-        if nrm < NORM_FLOOR:
+        grown = _append_orthonormal(basis, mode)
+        if grown is None:
             raise saturation(f"snapshots exhausted at basis size {k}")
-        basis = np.hstack([basis, (vec / nrm)[:, None]])
+        basis = grown
         selected.append(best)
-    return basis, np.array(eps_u), selected
+    return ops.unwhiten(basis), np.array(eps_u), selected
 
 
 def angle_to_subspace(lam, basis, ops: AffineOperatorSet) -> float:
     """Principal angle between a multiplier and the span of dual vectors.
 
-    The projection is computed in the dual inner product via the basis
-    Gram normal equations; the angle comes from atan2 of the residual and
-    projection norms, which keeps tiny angles accurate where
-    arccos(1 - eps) loses half the digits.  An empty basis gives pi/2.
+    The projection is computed in the dual inner product, as the dot
+    product of whitened lifts, via the basis Gram normal equations; the
+    angle comes from atan2 of the residual and projection norms, which
+    keeps tiny angles accurate where arccos(1 - eps) loses half the digits.
+    An empty basis gives pi/2.
     """
-    c = np.asarray(lam, dtype=float)
-    y = ops.x_solve(c)
-    norm_sq = float(c @ y)
-    if norm_sq <= NORM_FLOOR ** 2:
+    c = ops.whiten_dual(np.asarray(lam, dtype=float))
+    if float(c @ c) <= NORM_FLOOR ** 2:
         raise DegenerateInputError("multiplier vanishes in the dual norm")
     cols = [np.asarray(b, dtype=float) for b in basis]
     if not cols:
         return float(np.pi / 2)
-    xi = np.column_stack(cols)
-    xi_y = ops.x_solve(xi)
-    gmat = xi.T @ xi_y
-    gmat = 0.5 * (gmat + gmat.T)
-    rhs = xi.T @ y
+    xi = ops.whiten_dual(np.column_stack(cols))
+    rhs = xi.T @ c
     try:
-        coef = np.linalg.solve(gmat, rhs)
+        coef = np.linalg.solve(xi.T @ xi, rhs)
     except np.linalg.LinAlgError as err:
         raise IllConditionedBasisError(f"dual basis Gram is singular: {err}") from err
-    resid = c - xi @ coef
-    resid_y = y - xi_y @ coef
-    sin_part = np.sqrt(max(float(resid @ resid_y), 0.0))
+    sin_part = np.linalg.norm(c - xi @ coef)
     cos_part = np.sqrt(max(float(coef @ rhs), 0.0))
     return float(np.arctan2(sin_part, cos_part))
 
@@ -262,7 +276,9 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     (parameter-major, time-minor scan order).  At cone size k, compute the
     angle of every usable snapshot to the span of the current generators,
     record the maximum, and append the normalized maximizer (ties break to
-    the smallest parameter index, then the smallest time step).
+    the smallest parameter index, then the smallest time step).  The loop
+    runs on the whitened lifts of the snapshots (``ops.whiten_dual``),
+    where dual inner products are dot products.
 
     Returns (generator columns, angle decay, selected (time step,
     parameter index) pairs).  Raises ConeSaturationError (carrying the
@@ -272,9 +288,8 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     if n_w < 1:
         raise ValueError(f"need a positive cone budget, got {n_w}")
     lam_matrix, labels = store.multiplier_matrix()
-    y = ops.x_solve(lam_matrix)
-    w_sq = np.einsum("ij,ij->j", lam_matrix, y)
-    w_norm = np.sqrt(np.maximum(w_sq, 0.0))
+    lifts = ops.whiten_dual(lam_matrix)
+    w_norm = np.sqrt(np.einsum("ij,ij->j", lifts, lifts))
     valid = w_norm > NORM_FLOOR
     if not valid.any():
         raise ConeSaturationError(
@@ -285,41 +300,29 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     xi = lam_matrix[:, [first]] / w_norm[first]
     selected = [labels[first]]
     eps_lambda: list[float] = []
-    # the span is tracked through an orthonormal companion basis so angle
-    # scans stay stable when generators become nearly dependent
-    ortho = xi.copy()
-    ortho_y = y[:, [first]] / w_norm[first]
-
-    def orthonormal_append(column: np.ndarray) -> bool:
-        nonlocal ortho, ortho_y
-        vec = column
-        for _ in range(2):
-            vec = vec - ortho @ (ortho_y.T @ vec)
-        vec_y = ops.x_solve(vec)
-        nrm = np.sqrt(max(float(vec @ vec_y), 0.0))
-        if nrm <= NORM_FLOOR:
-            return False
-        ortho = np.hstack([ortho, (vec / nrm)[:, None]])
-        ortho_y = np.hstack([ortho_y, (vec_y / nrm)[:, None]])
-        return True
+    # the span is tracked through an orthonormal basis of the generators'
+    # lifts, so angle scans stay stable when generators become nearly dependent
+    ortho = lifts[:, [first]] / w_norm[first]
 
     while True:
         k = xi.shape[1]
-        coef = ortho.T @ y
-        resid = lam_matrix - ortho @ coef
-        resid_y = y - ortho_y @ coef
-        sin_sq = np.maximum(np.einsum("ij,ij->j", resid, resid_y), 0.0)
-        cos_sq = np.maximum(np.einsum("ij,ij->j", coef, coef), 0.0)
-        angles = np.where(valid, np.arctan2(np.sqrt(sin_sq), np.sqrt(cos_sq)), -1.0)
+        coef = ortho.T @ lifts
+        resid = lifts - ortho @ coef
+        sin_part = np.sqrt(np.einsum("ij,ij->j", resid, resid))
+        cos_part = np.sqrt(np.einsum("ij,ij->j", coef, coef))
+        angles = np.where(valid, np.arctan2(sin_part, cos_part), -1.0)
         best = int(np.argmax(angles))
         eps_lambda.append(float(angles[best]))
         if k == n_w:
             break
-        if angles[best] <= MIN_GREEDY_ANGLE or not orthonormal_append(
-                lam_matrix[:, best] / w_norm[best]):
+        grown = None
+        if angles[best] > MIN_GREEDY_ANGLE:
+            grown = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
+        if grown is None:
             raise ConeSaturationError(
                 f"multiplier snapshots exhausted at cone size {k}",
                 achieved=k, xi=xi, eps_lambda=np.array(eps_lambda), selected=selected)
+        ortho = grown
         xi = np.hstack([xi, lam_matrix[:, [best]] / w_norm[best]])
         selected.append(labels[best])
     return xi, np.array(eps_lambda), selected
@@ -331,24 +334,25 @@ def enrich_with_supremizers(pod_vectors: np.ndarray, xi: np.ndarray,
 
     Each lift gram^{-1} xi_j is Gram-Schmidt orthogonalized twice against
     the columns so far, as in ``pod_greedy``, and normalized, so an
-    energy-orthonormal POD block gives an energy-orthonormal result.  A
-    lift whose residual norm falls below ``NORM_FLOOR`` adds no direction;
-    it is dropped and its generator index recorded.
+    energy-orthonormal POD block gives an energy-orthonormal result.  This
+    runs in whitened coordinates, where the lift is U^{-T} xi_j
+    (``ops.whiten_dual``); only the appended columns are mapped back, and
+    the POD block is returned as it came.  A lift whose residual norm falls
+    below ``NORM_FLOOR`` adds no direction; it is dropped and its generator
+    index recorded.
 
     Returns (psi, dropped): the (H, NV) basis and the dropped indices.
     """
-    psi = pod_vectors
+    basis = ops.whiten(pod_vectors)
+    lifts = ops.whiten_dual(xi)
     dropped: list[int] = []
     for j in range(xi.shape[1]):
-        vec = ops.x_solve(xi[:, j])
-        for _ in range(2):
-            vec = vec - psi @ (psi.T @ (ops.gram @ vec))
-        nrm = ops.v_norm(vec)
-        if nrm < NORM_FLOOR:
+        grown = _append_orthonormal(basis, lifts[:, j])
+        if grown is None:
             dropped.append(j)
             continue
-        psi = np.hstack([psi, (vec / nrm)[:, None]])
-    return psi, dropped
+        basis = grown
+    return np.hstack([pod_vectors, ops.unwhiten(basis[:, pod_vectors.shape[1]:])]), dropped
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,31 @@ def test_w_norm_is_the_dual_norm(default_ops):
     assert attained == pytest.approx(wn, rel=1e-10)
 
 
+def test_whitened_coordinates(default_ops):
+    # gram = U'U: U u carries the energy product, U^{-T} eta the dual one,
+    # and two triangular solves are the Cholesky solve bit for bit
+    from scipy.linalg import cho_solve_banded
+
+    rng = np.random.default_rng(10)
+    H = default_ops.dim
+    u, v = rng.normal(size=(2, H))
+    wu, wv = default_ops.whiten(u), default_ops.whiten(v)
+    assert float(wu @ wv) == pytest.approx(default_ops.v_inner(u, v), rel=1e-12)
+    assert np.abs(default_ops.unwhiten(wu) - u).max() <= 1e-12 * np.abs(u).max()
+    lift = default_ops.whiten_dual(u)
+    assert float(lift @ lift) == pytest.approx(w_inner(u, u, default_ops), rel=1e-12)
+    block = rng.normal(size=(H, 4))
+    for b in (u, block, np.asfortranarray(block)):
+        assert np.array_equal(default_ops.x_solve(b),
+                              cho_solve_banded((default_ops.gram_chol, False), b))
+
+
+def test_triangular_solves_take_empty_blocks(default_ops):
+    empty = np.zeros((default_ops.dim, 0))
+    assert default_ops.unwhiten(empty).shape == (default_ops.dim, 0)
+    assert default_ops.whiten_dual(empty).shape == (default_ops.dim, 0)
+
+
 def test_riesz_identity_ops():
     ops = identity_operator_set(5)
     xi = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
