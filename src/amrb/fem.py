@@ -10,19 +10,16 @@ and load separate into parameter-independent blocks,
 
 where a1 is the s^2-diffusion block (the 1/2 factor folded in), a2 the
 convection block -<s u', v>, mass the reaction block <u, v>, f1 the ramp
-load <s/s_f, phi_i> and f2 the constant load <1, phi_i>.  The P1 hats
-make every block tridiagonal, and every operator is stored as its three
-bands (``Tridiagonal``).
+load <s/s_f, phi_i> and f2 the constant load <1, phi_i>.  Every block is
+stored as its three bands (``Tridiagonal``).
 
 The energy inner product <u, v> = <s u', s v'> + <u, v> has Gram matrix
 ``gram``.  Multipliers are expanded in the basis biorthogonal to the nodal
 hats, so their duality action on a coefficient vector is a plain dot
 product, the dual norm is sqrt(eta' gram^{-1} eta), and the Riesz lift of
 a multiplier (its supremizer) is gram^{-1} eta.  One banded Cholesky
-factorization gram = U'U backs all of these at O(H) per solve.  It also
-whitens: in the coordinates U u the energy inner product is the dot
-product, and in the coordinates U^{-T} eta so is the dual one, which is
-where the greedy loops of ``amrb.offline`` run.
+factorization gram = U'U backs all of these at O(H) per solve, and whitens
+both products: they are dot products of U u and of U^{-T} eta.
 """
 
 from __future__ import annotations
@@ -124,17 +121,10 @@ class Tridiagonal(NamedTuple):
     upper: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Product with a vector (H,) or a block of columns (H, k).
-
-        Row i sums the lower, diagonal and upper terms in that order, and the
-        result is C-ordered whatever the layout of x, as a CSR product is:
-        the GEMMs downstream round differently by layout.
-        """
-        if x.ndim == 1:
-            lower, diag, upper = self
-        else:
-            lower, diag, upper = self.lower[:, None], self.diag[:, None], self.upper[:, None]
-        y = np.multiply(diag, x, order="C")
+        """Product with x of shape (H,) or (H, k), as a CSR product computes it:
+        each row summed lower, diagonal, upper, and a C-ordered result."""
+        lower, diag, upper = self if x.ndim == 1 else (band[:, None] for band in self)
+        y = np.multiply(diag, x, order="C")  # whatever x's layout: GEMMs round by layout
         y[1:] += lower * x[:-1]
         y[:-1] += upper * x[1:]
         return y
@@ -172,23 +162,15 @@ class AffineOperatorSet:
         return float(np.sqrt(max(self.v_inner(u, u), 0.0)))
 
     def whiten(self, u: np.ndarray) -> np.ndarray:
-        """U u, for the stored Cholesky factor gram = U'U.
-
-        In these coordinates the energy inner product is the dot product.
-        """
-        chol = self.gram_chol
-        return Tridiagonal(np.zeros(self.dim - 1), chol[1], chol[0, 1:]) @ u
+        """U u for the factor gram = U'U: energy products become dot products."""
+        return Tridiagonal(np.zeros(self.dim - 1), self.gram_chol[1], self.gram_chol[0, 1:]) @ u
 
     def unwhiten(self, w: np.ndarray) -> np.ndarray:
-        """U^{-1} w: the nodal vector whose whitened coordinates are w."""
+        """U^{-1} w, the nodal vector with whitened coordinates w."""
         return _band_solve(self.gram_chol, w, "N")
 
     def whiten_dual(self, eta: np.ndarray) -> np.ndarray:
-        """U^{-T} eta: the whitened Riesz lift of a dual vector.
-
-        U gram^{-1} eta = U^{-T} eta, so the dot product of two such lifts
-        is the dual inner product eta' gram^{-1} zeta.
-        """
+        """U^{-T} eta = U gram^{-1} eta: dual products become dot products."""
         return _band_solve(self.gram_chol, eta, "T")
 
     def x_solve(self, b: np.ndarray) -> np.ndarray:
@@ -204,11 +186,6 @@ def _band_solve(chol: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     if info:
         raise ValueError(f"banded triangular solve failed (info={info})")
     return x
-
-
-def _upper_banded(matrix: Tridiagonal) -> np.ndarray:
-    """LAPACK upper band storage of a symmetric tridiagonal matrix."""
-    return np.array([np.r_[0.0, matrix.upper], matrix.diag])
 
 
 def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
@@ -249,8 +226,8 @@ def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
     f2 = scatter_vec(np.einsum("ge,age->ae", gw, val))
 
     try:
-        gram_chol = cholesky_banded(_upper_banded(gram), lower=False)
-        cholesky_banded(_upper_banded(mass), lower=False)
+        gram_chol, _ = (cholesky_banded(np.array([np.r_[0.0, m.upper], m.diag]), lower=False)
+                        for m in (gram, mass))  # LAPACK upper band storage
     except np.linalg.LinAlgError as err:
         raise AssemblyError(f"inner-product matrices are not SPD: {err}") from err
 

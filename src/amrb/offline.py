@@ -12,12 +12,9 @@ POD modes and appended, so the reduced primal-dual coupling keeps full
 column rank and the whole primal basis stays energy-orthonormal: its Gram
 matrix is the identity, and the online phase works on the basis as it is.
 
-All three loops run in whitened coordinates.  With the banded Cholesky
-factor gram = U'U, a state u becomes U u and a multiplier eta becomes
-U^{-T} eta (its supremizer lift, whitened); both the energy and the dual
-inner products are then dot products, every loop shares one Euclidean
-Gram-Schmidt step, and only the results are mapped back to nodal
-coordinates.
+All three loops run in the whitened coordinates U u of states and U^{-T} eta
+of multipliers (gram = U'U, see ``amrb.fem``), where both inner products
+are dot products; they share one Euclidean Gram-Schmidt step.
 
 Bases and cones are plain column arrays.  A ``ReducedModel`` collects
 them, all reduced operator blocks and the greedy diagnostics; it
@@ -193,8 +190,7 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     space, record the square root of the maximum, and grow the basis with
     the dominant POD mode of the worst trajectory's error history,
     orthonormalized against the basis (ties break to the smallest index).
-    The loop runs on the whitened snapshots (``ops.whiten``), where energy
-    inner products are dot products.
+    The loop runs on the whitened snapshots.
 
     Returns (orthonormal basis columns, error decay, selected indices).
     Raises BasisSaturationError (carrying the partial result in ``info``)
@@ -207,11 +203,9 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     snaps = ops.whiten(store.primal_matrix())
     width = store.config.L + 1
 
-    first = snaps[:, 0]  # the initial state of the first training parameter
-    nrm = np.linalg.norm(first)
-    if nrm <= NORM_FLOOR:
+    basis = _append_orthonormal(np.zeros((ops.dim, 0)), snaps[:, 0])  # first initial state
+    if basis is None:
         raise DegenerateInputError("initial snapshot vanishes in the energy norm")
-    basis = (first / nrm)[:, None]
     selected = [0]
     eps_u: list[float] = []
 
@@ -245,11 +239,10 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
 def angle_to_subspace(lam, basis, ops: AffineOperatorSet) -> float:
     """Principal angle between a multiplier and the span of dual vectors.
 
-    The projection is computed in the dual inner product, as the dot
-    product of whitened lifts, via the basis Gram normal equations; the
-    angle comes from atan2 of the residual and projection norms, which
-    keeps tiny angles accurate where arccos(1 - eps) loses half the digits.
-    An empty basis gives pi/2.
+    The projection is computed in the dual inner product via the basis
+    Gram normal equations; the angle comes from atan2 of the residual and
+    projection norms, which keeps tiny angles accurate where
+    arccos(1 - eps) loses half the digits.  An empty basis gives pi/2.
     """
     c = ops.whiten_dual(np.asarray(lam, dtype=float))
     if float(c @ c) <= NORM_FLOOR ** 2:
@@ -277,8 +270,7 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     angle of every usable snapshot to the span of the current generators,
     record the maximum, and append the normalized maximizer (ties break to
     the smallest parameter index, then the smallest time step).  The loop
-    runs on the whitened lifts of the snapshots (``ops.whiten_dual``),
-    where dual inner products are dot products.
+    runs on the whitened snapshots.
 
     Returns (generator columns, angle decay, selected (time step,
     parameter index) pairs).  Raises ConeSaturationError (carrying the
@@ -315,9 +307,8 @@ def angle_greedy(store: SnapshotStore, n_w: int,
         eps_lambda.append(float(angles[best]))
         if k == n_w:
             break
-        grown = None
-        if angles[best] > MIN_GREEDY_ANGLE:
-            grown = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
+        grown = (_append_orthonormal(ortho, lifts[:, best] / w_norm[best])
+                 if angles[best] > MIN_GREEDY_ANGLE else None)
         if grown is None:
             raise ConeSaturationError(
                 f"multiplier snapshots exhausted at cone size {k}",
@@ -334,12 +325,10 @@ def enrich_with_supremizers(pod_vectors: np.ndarray, xi: np.ndarray,
 
     Each lift gram^{-1} xi_j is Gram-Schmidt orthogonalized twice against
     the columns so far, as in ``pod_greedy``, and normalized, so an
-    energy-orthonormal POD block gives an energy-orthonormal result.  This
-    runs in whitened coordinates, where the lift is U^{-T} xi_j
-    (``ops.whiten_dual``); only the appended columns are mapped back, and
-    the POD block is returned as it came.  A lift whose residual norm falls
-    below ``NORM_FLOOR`` adds no direction; it is dropped and its generator
-    index recorded.
+    energy-orthonormal POD block gives an energy-orthonormal result; the
+    lifts are whitened as U^{-T} xi_j, and the POD block is returned as it
+    came.  A lift whose residual norm falls below ``NORM_FLOOR`` adds no
+    direction; it is dropped and its generator index recorded.
 
     Returns (psi, dropped): the (H, NV) basis and the dropped indices.
     """

@@ -79,8 +79,13 @@ def _emit(obj, parts: list[str]) -> None:
             parts.append(":")
             _emit(val, parts)
         parts.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        if not np.isfinite(obj).all():  # a float row is checked and rendered whole
+            raise ValueError("non-finite value cannot be written to JSON")
+        parts.append("[" + ",".join(fmt_floats(obj)) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        # arrays of more dimensions go row by row, into the branch above
+        seq = obj.tolist() if isinstance(obj, np.ndarray) and obj.ndim == 1 else obj
         parts.append("[")
         for i, val in enumerate(seq):
             if i:

@@ -13,8 +13,9 @@ lam + c*(obstacle - u), and stop once the set repeats.  At a fixed point
 complementarity holds exactly by construction.
 
 Truth steps predict the contact set, then let the iteration certify it.
-Only the previous state changes between the steps of a trajectory, so the
-tridiagonal bands of S, mass/dt and a(mu), the load, and the
+The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
+previous state changes between the steps of a trajectory, so the bands of
+S, mass/dt and a(mu) (``ops.a_matrix``), the load, and the
 Brennan-Schwartz pivots of S (a UL elimination from the last node down)
 are built once per trajectory.  The put is exercised on one interval
 [0, k) of low asset prices; the projected forward sweep of Brennan and
@@ -37,6 +38,7 @@ which checks only that step's vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
