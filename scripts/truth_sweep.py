@@ -1,0 +1,86 @@
+"""Truth solver sweep over meshes, horizons, step counts and theta weights.
+
+Solves every trajectory of the grid on the first draws of the CLI's seed-0
+training stream and checks the criterion-1 contract (feasibility,
+complementarity, linear residual).  Prints one line per configuration and a
+summary; exits 1 if any trajectory raised or broke the contract.
+
+    PYTHONPATH=src python scripts/truth_sweep.py
+    PYTHONPATH=src python scripts/truth_sweep.py --H 99,999 --theta 0.5,1 --draws 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+from collections import Counter
+import sys
+import time
+
+import numpy as np
+
+from amrb import (AmrbError, SchemeConfig, assemble_operators, build_mesh, obstacle_data,
+                  sample_training_set, solve_trajectory, trajectory_residuals)
+from amrb.cli import load_config, train_stream
+
+# the truth contract of acceptance criterion 1
+LOWER = {"min_state_gap": -1e-9, "min_multiplier": -1e-12}
+UPPER = {"max_complementarity": 1e-9, "max_linear_residual": 1e-10}
+
+
+def contract_violations(res: dict) -> list[str]:
+    """Contract entries the residuals break (NaN breaks every one)."""
+    bad = [key for key, limit in LOWER.items() if not res[key] >= limit]
+    bad += [key for key, limit in UPPER.items() if not res[key] <= limit]
+    return [f"{key}={res[key]:.3g}" for key in bad]
+
+
+def floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--H", default="99,999,3999,9999", help="interior node counts")
+    parser.add_argument("--L", default="20,100", help="time step counts")
+    parser.add_argument("--T", default="0.25,1", help="horizons")
+    parser.add_argument("--theta", default="0.5,1", help="theta weights")
+    parser.add_argument("--draws", type=int, default=6, help="training draws per cell")
+    args = parser.parse_args(argv)
+
+    cfg = load_config(None)
+    params = sample_training_set(cfg.box, args.draws, train_stream(cfg.seed))
+    total = failed = 0
+    solves, errors = [], Counter()
+    for H in (int(h) for h in floats(args.H)):
+        ops = assemble_operators(build_mesh(H, cfg.s_f))
+        for L, T, theta in itertools.product(floats(args.L), floats(args.T), floats(args.theta)):
+            scheme = SchemeConfig(T=T, L=int(L), theta=theta)
+            bad, start = [], time.perf_counter()
+            for k, mu in enumerate(params):
+                total += 1
+                obstacle = obstacle_data(ops.mesh, mu.K)
+                try:
+                    traj = solve_trajectory(mu, ops, obstacle, scheme)
+                except AmrbError as err:
+                    errors[type(err).__name__] += 1
+                    bad.append(f"draw {k}: {type(err).__name__} at step {err.info.get('step')}")
+                    continue
+                solves.append(traj.pdas_iterations)
+                broken = contract_violations(trajectory_residuals(traj, ops, obstacle))
+                if broken:
+                    errors["contract"] += 1
+                    bad.append(f"draw {k}: " + ", ".join(broken))
+            failed += len(bad)
+            print(f"H={H} L={int(L)} T={T:g} theta={theta:g}: {len(params) - len(bad)}/"
+                  f"{len(params)} ok in {time.perf_counter() - start:.2f} s"
+                  + "".join(f"\n  {line}" for line in bad))
+    per_step = np.concatenate(solves) if solves else np.zeros(0)
+    print(f"summary: {failed}/{total} trajectories failed {dict(errors)}; "
+          f"solves per step mean {per_step.mean() if per_step.size else float('nan'):.3f}, "
+          f"max {per_step.max(initial=0)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,15 +4,19 @@ Per parameter, the reduced operator and load are combined from the stored
 affine blocks, the step matrix is factorized once (LAPACK ``getrf``), the
 Schur complement is checked once (``check_lcp_matrix``), and the obstacle
 data (cone loads and the initial projection) is formed in a single O(H)
-pass.  Each time step then solves a small mixed complementarity system by
-eliminating the state through the Schur complement (LAPACK ``getrs`` on
-the stored factors) and running the primal-dual active-set iteration of
-``amrb.truth`` on the cone coefficients, so the per-step cost depends only
-on the reduced dimensions.  Within a trajectory each step starts that
-iteration from the active-set update of the previous step's solution,
-{lam - alpha > 0}.  The Schur complement is positive definite, so the cone
-problem has one solution whatever the start; a start that is already right
-is certified by a single solve.
+pass.  The same set-up forms the step maps of ``OnlineData``: with
+P = s_n^-1 rhs_n and c = s_n^-1 f_n, the state with the cone inactive is
+P u + c, and the cone right-hand side is d - Q u, with Q = b_n' P and
+d = g_n - b_n' c.  Each time step is then three matrix-vector products and
+the primal-dual active-set iteration of ``amrb.truth`` on the cone
+coefficients alpha, and the next state is P u + c + s_n^-1 b_n alpha; the
+per-step cost depends only on the reduced dimensions.
+
+Within a trajectory, v = lam - alpha is positive exactly on a step's cone
+active set.  Step 2 starts its iteration from {v_1 > 0}, and step n+1 from
+the linear extrapolation {2 v_n - v_(n-1) > 0}.  The Schur complement is
+positive definite, so the cone problem has one solution whatever the
+start; a start that is already right is certified by a single solve.
 
 The primal basis is energy-orthonormal (see ``amrb.offline``), so the
 reduced blocks are well conditioned as stored: every solve works on them
@@ -22,7 +26,7 @@ of the lifted obstacle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -44,7 +48,12 @@ from .truth import (
 
 @dataclass(frozen=True)
 class OnlineData:
-    """Per-parameter reduced operators, factorizations, and obstacle data."""
+    """Per-parameter reduced operators, factorizations, and obstacle data.
+
+    A step maps u to ``step_map @ u + step_load + sinv_b @ alpha``, where
+    alpha solves the cone problem on ``schur`` with the right-hand side
+    ``cone_load - cone_map @ u``.
+    """
 
     mu: ParameterVector
     config: SchemeConfig
@@ -58,6 +67,19 @@ class OnlineData:
     schur: np.ndarray          # (NW, NW) b_n' s_n^{-1} b_n, checked by check_lcp_matrix
     g_n: np.ndarray            # (NW,) cone loads xi_j . obstacle
     u0: np.ndarray             # (NV,) projected initial state
+    step_map: np.ndarray = field(init=False)   # (NV, NV) s_n^{-1} rhs_n
+    step_load: np.ndarray = field(init=False)  # (NV,) s_n^{-1} f_n
+    cone_map: np.ndarray = field(init=False)   # (NW, NV) b_n' step_map
+    cone_load: np.ndarray = field(init=False)  # (NW,) g_n - b_n' step_load
+
+    def __post_init__(self):
+        # derived here, so that dataclasses.replace keeps the maps consistent
+        step_map = dgetrs(*self.s_lu, self.rhs_n)[0]
+        step_load = dgetrs(*self.s_lu, self.f_n)[0]
+        for name, value in (("step_map", step_map), ("step_load", step_load),
+                            ("cone_map", self.b_n.T @ step_map),
+                            ("cone_load", self.g_n - self.b_n.T @ step_load)):
+            object.__setattr__(self, name, value)
 
 
 def lifted_obstacle(model: ReducedModel, K: float) -> np.ndarray:
@@ -97,14 +119,12 @@ def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
 
     Returns (u, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
     """
-    rhs = data.rhs_n @ u_prev + data.f_n
-    base = dgetrs(*data.s_lu, rhs)[0]  # info is nonzero only for malformed arguments
+    u = data.step_map @ u_prev + data.step_load
     if zero.size == 0:
-        return base, zero, zero, 0
-    q = data.b_n.T @ base
-    alpha, lam, solves = solve_lcp(LcpStep(S=data.schur, rhs=data.g_n - q,
-                                           obstacle=zero, start=start))
-    return base + data.sinv_b @ alpha, alpha, lam, solves
+        return u, zero, zero, 0
+    rhs = data.cone_load - data.cone_map @ u_prev
+    alpha, lam, solves = solve_lcp(LcpStep(S=data.schur, rhs=rhs, obstacle=zero, start=start))
+    return u + data.sinv_b @ alpha, alpha, lam, solves
 
 
 def _cold_step(u_prev: np.ndarray, data: OnlineData):
@@ -120,7 +140,7 @@ def reduced_step(u_prev: np.ndarray, data: OnlineData):
     complementarity problem in the nonnegative cone coefficients that the
     active-set solver handles on its dense path from the empty set.
     """
-    if not np.isfinite(u_prev).all():  # the step's solves skip this check
+    if not np.isfinite(u_prev).all():  # the step's products skip this check
         raise ValueError("reduced coefficients must be finite")
     return _cold_step(u_prev, data)
 
@@ -144,7 +164,7 @@ def reduced_trajectory(model: ReducedModel, mu,
     solves = np.empty(cfg.L, dtype=int)
     states[0] = data.u0
     zero = np.zeros(model.nw)
-    start = None
+    start = v_prev = None
     for n in range(cfg.L):
         try:
             u, alpha, lam, solves[n] = _cone_step(states[n], data, start, zero)
@@ -153,7 +173,11 @@ def reduced_trajectory(model: ReducedModel, mu,
                             step=n + 1, **err.info) from err
         states[n + 1] = u
         alphas[n] = alpha
-        start = (lam - alpha) > 0.0  # the active-set update at this step's solution
+        # v = lam - alpha is positive exactly on this step's active set;
+        # the next step starts from its linear extrapolation
+        v = lam - alpha
+        start = (v if v_prev is None else 2.0 * v - v_prev) > 0.0
+        v_prev = v
     return ReducedTrajectory(mu=mu, states=states, cone_coeffs=alphas, lcp_solves=solves)
 
 

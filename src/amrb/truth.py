@@ -9,43 +9,52 @@ applied to the previous state plus the load.  Steps are solved with a
 primal-dual active-set iteration: freeze a guess of the contact set, solve
 the linear system with the state pinned to the obstacle there, read the
 multiplier off the residual, update the set from the sign of
-lam + c*(obstacle - u), and stop once the set repeats.  At a fixed point
-complementarity holds exactly by construction.
+lam + c*(obstacle - u) against a tie threshold of 16 machine epsilons
+times ||rhs||_inf, and stop once the set repeats.  At a fixed point
+complementarity holds exactly by construction.  The threshold sets a node
+whose gap and multiplier both vanish up to rounding (a failure of strict
+complementarity) inactive, whatever the start; see ``solve_lcp``.
 
 Truth steps predict the contact set, then let the iteration certify it.
 The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
 previous state changes between the steps of a trajectory, so the bands of
 S, mass/dt and a(mu) (``ops.a_matrix``), the load, and the
-Brennan-Schwartz pivots of S (a UL elimination from the last node down)
-are built once per trajectory.  The put is exercised on one interval
-[0, k) of low asset prices; the projected forward sweep of Brennan and
-Schwartz (1977) predicts k with one bidiagonal solve, and the iteration
-starts from [0, k).  A correct guess is reproduced by the first update,
-so one solve certifies it (Hintermueller, Ito and Kunisch, 2003).  A wrong
-guess (as at theta = 0, where the positive off-diagonals of mass/dt break
-the sweep's monotonicity) costs further iterations but still ends at the
-exact solution.
+Brennan-Schwartz pivots of S (a UL elimination from the last node down,
+LAPACK ``gttrf`` on the reversed bands) are built once per trajectory.
+The put is exercised on one interval [0, k) of low asset prices; the
+projected forward sweep of Brennan and Schwartz (1977) predicts k with one
+bidiagonal solve, and the iteration starts from [0, k).  A correct guess
+is reproduced by the first update, so one solve certifies it (Hintermueller,
+Ito and Kunisch, 2003).  A wrong guess (as at theta = 0, where the positive
+off-diagonals of mass/dt break the sweep's monotonicity) costs further
+iterations but still ends at the exact solution; so does the empty guess
+made where the elimination would need row interchanges.
 
 On tridiagonal matrices each iteration costs O(H): the subsystem goes
 straight to LAPACK ``gtsv``, and the predictor's bidiagonal solve to BLAS
 ``tbsv``.  Dense inputs (the reduced-order Schur complements and small
-test problems) take a dense path through ``np.linalg.solve``, from the
-empty set unless the caller passes a start.  A trajectory checks its step
+test problems) take a dense path through LAPACK ``gesv``, from the empty
+set unless the caller passes a start.  A trajectory checks its step
 matrix once (``check_lcp_matrix``) and poses every step as an ``LcpStep``,
-which checks only that step's vectors.
+which checks only that step's vectors; a non-finite one there means the
+state blew up and raises ``NumericalBreakdownError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgesv, dgtsv, dgttrf
 
 from .errors import AmrbError, NumericalBreakdownError, SolverDivergenceError
 from .fem import AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal
 from . import textio
+
+# ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero
+TIE_TOL = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -95,53 +104,58 @@ class LcpProblem:
 
     ``start`` is the active set the iteration starts from (empty if None).
     The matrix goes through ``check_lcp_matrix``; rhs and obstacle must be
-    finite vectors of its size.
+    finite vectors of its size (``ValueError`` otherwise).  ``rhs_scale``
+    is ||rhs||_inf, found by the finiteness check.
     """
 
     S: object  # dense (n, n) array or Tridiagonal
     rhs: np.ndarray
     obstacle: np.ndarray
     start: np.ndarray | None = None
+    rhs_scale: float = field(init=False, repr=False, compare=False)
+
+    non_finite = ValueError  # raised for a non-finite rhs or obstacle
 
     def __post_init__(self):
         object.__setattr__(self, "S", check_lcp_matrix(self.S))
         self._check_vectors()
 
     def _check_vectors(self):
-        n = self.S.diag.size if isinstance(self.S, Tridiagonal) else self.S.shape[0]
-        if (self.rhs.shape != (n,) or self.obstacle.shape != (n,)
+        S, rhs, obstacle = self.S, self.rhs, self.obstacle
+        n = S.diag.size if isinstance(S, Tridiagonal) else S.shape[0]
+        if (rhs.shape != (n,) or obstacle.shape != (n,)
                 or (self.start is not None and np.shape(self.start) != (n,))):
             raise ValueError("inconsistent LCP dimensions")
         if n == 0:
             raise ValueError("empty LCP")
-        # count_nonzero is a direct loop; .all() goes through the reduction machinery
-        if np.count_nonzero(np.isfinite(self.rhs)) + np.count_nonzero(np.isfinite(self.obstacle)) < 2 * n:
-            raise ValueError("LCP right-hand side and obstacle must be finite")
+        # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
+        # Python wrapper, and count_nonzero is a direct loop where .all() is not
+        scale = float(np.maximum.reduce(np.abs(rhs)))
+        if not math.isfinite(scale) or np.count_nonzero(np.isfinite(obstacle)) < n:
+            raise self.non_finite("LCP right-hand side and obstacle must be finite")
+        object.__setattr__(self, "rhs_scale", scale)
 
 
 class LcpStep(LcpProblem):
     """A problem on a matrix that ``check_lcp_matrix`` has already passed.
 
     A trajectory poses one problem per step on the same matrix, so it checks
-    the matrix once and each step only its own vectors.
+    the matrix once and each step only its own vectors.  Those vectors come
+    from the trajectory's own arithmetic, so a non-finite one means the state
+    blew up: it raises ``NumericalBreakdownError``, not ``ValueError``.
     """
+
+    non_finite = NumericalBreakdownError
 
     def __post_init__(self):
         self._check_vectors()
 
 
 def _solve_subsystem(S, ix: np.ndarray, b: np.ndarray):
-    """Solve the rows and columns ``ix`` of S against b; None if singular.
-
-    The dense path keeps ``np.linalg.solve``: scipy's LAPACK ``gesv`` can
-    come from another OpenBLAS build than numpy's and then differ from it in
-    the last bit on systems of order six and up.
-    """
-    if not isinstance(S, Tridiagonal):
-        try:
-            return np.linalg.solve(S[ix[:, None], ix], b)
-        except np.linalg.LinAlgError:
-            return None
+    """Solve the rows and columns ``ix`` of S against b; None if singular."""
+    if not isinstance(S, Tridiagonal):  # both operands are fresh copies
+        _, _, x, info = dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)
+        return None if info > 0 else x
     if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
         return b / S.diag[ix]
     lo, hi = ix[0], ix[-1] + 1
@@ -156,15 +170,20 @@ def _solve_subsystem(S, ix: np.ndarray, b: np.ndarray):
     return None if info > 0 else x
 
 
-def _solve_for_active_set(S, rhs, obstacle, active):
-    """Solve with the state pinned to the obstacle on the active set."""
+def _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle):
+    """Solve with the state pinned to the obstacle on the active set.
+
+    ``pinned_obstacle`` False says the obstacle is zero, so pinning shifts
+    nothing.
+    """
     inactive = ~active
     ix = inactive.nonzero()[0]
-    u = obstacle.copy()
+    if pinned_obstacle and ix.size < active.size:
+        u = np.where(active, obstacle, 0.0)
+        shifted = rhs - S @ u
+    else:
+        u, shifted = obstacle.copy(), rhs
     if ix.size:
-        shifted = rhs
-        if np.count_nonzero(obstacle[active]):  # a zero obstacle shifts nothing
-            shifted = rhs - S @ np.where(active, obstacle, 0.0)
         sol = _solve_subsystem(S, ix, shifted[ix])
         if sol is None:
             raise NumericalBreakdownError("singular linear system on an active-set iterate",
@@ -182,36 +201,48 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
     Returns (u, lam, number of linear solves).  The iteration starts from
     ``problem.start`` (the unconstrained solve when that is None) and stops
     as soon as the updated active set
-    {i : lam_i + penalty*(obstacle_i - u_i) > 0} reproduces the current
+    {i : lam_i + penalty*(obstacle_i - u_i) > tol} reproduces the current
     one, which makes the final iterate feasible and exactly complementary.
 
-    The full-set update can cycle on strongly coupled non-M matrices (the
-    reduced Schur complements are the prime source).  A revisited active
-    set therefore switches the iteration to least-index single toggles,
-    which keep the run deterministic.  They are not guaranteed to settle:
-    in floating point a node at the free boundary whose gap and multiplier
-    both vanish up to rounding can make them cycle until ``max_iter``.
+    ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
+    breaks ties; it is a property of the iteration, not a relaxed check.
+    An iterate has a zero gap on its active nodes and a zero multiplier on
+    its inactive ones, so a node whose gap and multiplier both vanish to
+    within tol is set inactive whatever the start.  Such a node is where
+    strict complementarity fails; with a zero threshold its rounding can
+    make it flip on every update.  At the fixed point active nodes carry
+    multipliers above tol and inactive nodes lie at most tol/penalty below
+    the obstacle.
+
+    The full-set update can still cycle on strongly coupled non-M matrices
+    (the reduced Schur complements are the prime source), and on a tie
+    whose rounding exceeds tol, as the free value of a node can on an
+    ill-conditioned dense system.  A revisited active set therefore
+    switches the iteration to least-index single toggles of the first node
+    with a negative multiplier (active) or a negative gap (inactive), which
+    keep the run deterministic and stop only at exact signs.
     """
     S, rhs, obstacle = problem.S, np.asarray(problem.rhs, float), np.asarray(problem.obstacle, float)
+    tol = TIE_TOL * problem.rhs_scale
+    pinned_obstacle = np.count_nonzero(obstacle) > 0
     if problem.start is None:
         active = np.zeros(rhs.size, dtype=bool)
     else:
         active = np.asarray(problem.start, dtype=bool)
-    u, lam = _solve_for_active_set(S, rhs, obstacle, active)
+    u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle)
     solves = 1
     key = active.tobytes()
     seen = {key}
     least_index_mode = False
     while True:
         if least_index_mode:
-            gap = u - obstacle
-            violated = np.flatnonzero(np.where(active, lam < 0.0, gap < 0.0))
+            violated = np.flatnonzero(np.where(active, lam < 0.0, u < obstacle))
             if violated.size == 0:
                 return u, lam, solves
             new_active = active.copy()
             new_active[violated[0]] = not new_active[violated[0]]
         else:
-            new_active = (lam + penalty * (obstacle - u)) > 0.0
+            new_active = (lam + penalty * (obstacle - u)) > tol
             new_key = new_active.tobytes()
             if new_key == key:
                 return u, lam, solves
@@ -229,7 +260,7 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        u, lam = _solve_for_active_set(S, rhs, obstacle, active)
+        u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle)
         solves += 1
 
 
@@ -239,8 +270,9 @@ class StepOperators:
 
     ``pivots`` are those of the UL elimination S = U L, with U unit upper
     bidiagonal; ``upper_factor`` holds U in LAPACK band storage (row 0 the
-    superdiagonal, row 1 the diagonal), in Fortran order.  ``S`` has passed
-    ``check_lcp_matrix``.
+    superdiagonal, row 1 the diagonal), in Fortran order.  Both are None
+    where ``ul_factor`` finds no UL pivots.
+    ``S`` has passed ``check_lcp_matrix``.
     """
 
     S: Tridiagonal
@@ -248,8 +280,8 @@ class StepOperators:
     a_mu: Tridiagonal
     f_mu: np.ndarray
     theta: float
-    pivots: np.ndarray
-    upper_factor: np.ndarray
+    pivots: np.ndarray | None
+    upper_factor: np.ndarray | None
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``."""
@@ -260,8 +292,11 @@ class StepOperators:
 
         After the upward elimination, node i would leave the obstacle when
         its forward-sweep value, with node i-1 pinned, exceeds the obstacle;
-        k is the first such node.
+        k is the first such node.  Without pivots the guess is the empty
+        prefix, which the iteration corrects as it does any wrong guess.
         """
+        if self.pivots is None:
+            return np.zeros(rhs.size, dtype=bool)
         swept = dtbsv(1, self.upper_factor, rhs)  # what a (0, 1) gbsv reduces to
         swept[1:] -= self.S.lower * obstacle[:-1]
         above = swept / self.pivots > obstacle
@@ -269,20 +304,33 @@ class StepOperators:
         return np.arange(above.size) < k
 
 
+def ul_factor(S: Tridiagonal):
+    """Pivots and unit upper factor of the UL elimination S = U L.
+
+    Eliminating from the last node up is LU on the reversed bands, which is
+    LAPACK ``gttrf``.  Returns (pivots, upper_factor) as ``StepOperators``
+    stores them, or (None, None) when ``gttrf`` finds S singular or swaps
+    rows, so that it computed no UL pivots, and below three nodes, which
+    scipy's ``gttrf`` wrapper rejects.
+    """
+    n = S.diag.size
+    if n < 3:
+        return None, None
+    multipliers, pivots, _, _, ipiv, info = dgttrf(
+        S.upper[::-1].copy(), S.diag[::-1].copy(), S.lower[::-1].copy(), 1, 1, 1)
+    if info > 0 or np.count_nonzero(ipiv != np.arange(1, n + 1)):
+        return None, None
+    upper_factor = np.ones((2, n), order="F")
+    upper_factor[0, 1:] = multipliers[::-1]  # upper[i] / pivots[i + 1]
+    return pivots[::-1].copy(), upper_factor
+
+
 def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOperators:
     """Build the loop invariants of a trajectory at parameter ``mu``."""
     a_mu = ops.a_matrix(mu)
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
-
-    diag, coupling = S.diag.tolist(), (S.upper * S.lower).tolist()
-    pivots = [0.0] * len(diag)
-    p = pivots[-1] = diag[-1]
-    for i in range(len(diag) - 2, -1, -1):
-        p = pivots[i] = diag[i] - coupling[i] / p
-    pivots = np.array(pivots)
-    upper_factor = np.ones((2, pivots.size), order="F")
-    upper_factor[0, 1:] = S.upper / pivots[1:]
+    pivots, upper_factor = ul_factor(S)
     return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu),
                          theta=config.theta, pivots=pivots, upper_factor=upper_factor)
 

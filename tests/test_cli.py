@@ -106,6 +106,19 @@ def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "SolverDivergenceError" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_blown_up_truth_exits_4(tmp_path, capsys):
+    # the explicit scheme is unstable here: the state overflows mid-trajectory,
+    # which is a typed breakdown, not an untyped ValueError
+    cfg = write_config(tmp_path, {"mesh": {"H": 999}, "time": {"L": 100, "theta": 0.0}})
+    code = main(["truth", "--config", cfg, "--mu", "100,0.05,0.0015,0.5",
+                 "--out", str(tmp_path / "o")])
+    assert code == 4
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "NumericalBreakdownError"
+    assert "must be finite" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # offline
 

@@ -70,6 +70,24 @@ def test_online_setup_cone_loads_match_store(small_model, small_store):
     assert np.allclose(lifted_obstacle(small_model, mu.K), obstacle.psi_tilde)
 
 
+def test_online_setup_step_maps(small_model, small_store):
+    # a step is u -> step_map u + step_load + sinv_b alpha, with the cone
+    # right-hand side cone_load - cone_map u; replace() rederives the maps
+    data = online_setup(small_model, small_store.params[0])
+    step_map = np.linalg.solve(data.s_n, data.rhs_n)
+    step_load = np.linalg.solve(data.s_n, data.f_n)
+    expected = {"step_map": step_map, "step_load": step_load,
+                "cone_map": data.b_n.T @ step_map,
+                "cone_load": data.g_n - data.b_n.T @ step_load}
+    for name, value in expected.items():
+        got = getattr(data, name)
+        assert got.shape == value.shape
+        assert np.abs(got - value).max() <= 1e-12 * (1 + np.abs(value).max()), name
+    moved = dataclasses.replace(data, g_n=data.g_n + 1.0)
+    assert np.abs(moved.cone_load - (data.cone_load + 1.0)).max() <= 1e-12 * (
+        1 + np.abs(data.cone_load).max())
+
+
 def projection_residual(model, ops, mu, u0):
     """Normal-equation residual of the energy projection, through the raw Gram."""
     psi = model.psi_matrix

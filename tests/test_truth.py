@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from amrb import (
     trajectory_residuals,
     write_trajectory_csv,
 )
+from amrb.cli import train_stream
 from amrb.fem import ObstacleData
 from amrb.textio import fmt
 from amrb.truth import LcpStep
@@ -96,10 +98,11 @@ def test_lcp_problem_rejects_non_finite_inputs():
 
 
 def test_lcp_step_checks_vectors_only():
-    # the trajectory checks the matrix once; each step still checks its vectors
+    # the trajectory checks the matrix once; each step still checks its vectors,
+    # and a non-finite one is a blown-up state, not bad input
     S = np.array([[1.0, 0.0], [0.0, -1.0]])
     LcpStep(S=S, rhs=np.zeros(2), obstacle=np.zeros(2))
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(NumericalBreakdownError, match="must be finite"):
         LcpStep(S=np.eye(2), rhs=np.array([np.inf, 0.0]), obstacle=np.zeros(2))
     with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
         LcpStep(S=np.eye(2), rhs=np.zeros(3), obstacle=np.zeros(2))
@@ -205,6 +208,28 @@ def test_solve_lcp_dense_from_any_start():
             u, lam, _ = solve_lcp(dataclasses.replace(problem, start=start))
             assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
             assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
+
+
+def test_solve_lcp_degenerate_node_from_any_start():
+    # node 5 sits on the obstacle with a zero multiplier, so its computed gap
+    # and multiplier are both rounding noise; the tie threshold sets it
+    # inactive, and every start ends at the same bytes
+    rng = np.random.default_rng(10)
+    n = 12
+    starts = (None, np.arange(n) < 5, np.arange(n) < 6, np.ones(n, dtype=bool))
+    for _ in range(200):
+        lower, main, upper = -rng.random(n - 1), 3.0 + rng.random(n), -rng.random(n - 1)
+        for S in (Tridiagonal(lower, main, upper), dense(Tridiagonal(lower, main, upper))):
+            obstacle = rng.normal(size=n) * 10
+            u_star = obstacle + np.where(np.arange(n) < 6, 0.0, rng.random(n) + 0.1)
+            lam_star = np.where(np.arange(n) < 5, rng.random(n) + 0.1, 0.0)
+            rhs = S @ u_star - lam_star
+            results = set()
+            for start in starts:
+                u, lam, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle, start=start))
+                assert lam[5] == 0.0
+                results.add((u.tobytes(), lam.tobytes()))
+            assert len(results) == 1
 
 
 def test_tridiagonal_matches_sparse_product(default_ops):
@@ -376,6 +401,74 @@ def test_predicted_start_is_exact(default_box, theta, monkeypatch):
     if theta == 0.0:
         # mass/dt has positive off-diagonals, so the sweep guesses wrong
         assert max(t.pdas_iterations.max() for t in predicted) > 1
+
+
+def ul_pivots_by_loop(S):
+    """Reference UL elimination from the last node up, one node at a time."""
+    pivots = np.empty(S.diag.size)
+    pivots[-1] = S.diag[-1]
+    for i in range(S.diag.size - 2, -1, -1):
+        pivots[i] = S.diag[i] - S.upper[i] * S.lower[i] / pivots[i + 1]
+    return pivots
+
+
+def test_ul_factor_matches_elimination_loop(default_ops, default_scheme, mu0):
+    # gttrf on the reversed bands eliminates in the loop's order but rounds
+    # d - (l / p) * u where the loop rounds d - (u * l) / p
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme)
+    rng = np.random.default_rng(11)
+    n = 50
+    cases = [step.S, Tridiagonal(-rng.random(n - 1), 2.0 + rng.random(n), -rng.random(n - 1))]
+    for S in cases:
+        pivots, upper_factor = truth_mod.ul_factor(S)
+        reference = ul_pivots_by_loop(S)
+        assert np.abs(pivots / reference - 1.0).max() <= 64 * np.finfo(float).eps
+        assert np.array_equal(upper_factor[0, 1:], S.upper / pivots[1:])
+        assert np.all(upper_factor[1] == 1.0) and upper_factor.flags.f_contiguous
+    assert np.array_equal(step.pivots, truth_mod.ul_factor(step.S)[0])
+
+
+def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_scheme, mu0):
+    # |upper| above the next pivot makes gttrf swap rows, so its factors are
+    # no UL pivots; the predictor then guesses the empty prefix
+    S = Tridiagonal(np.full(4, -5.0), np.full(5, 4.0), np.full(4, 5.0))  # S + S' = 8 I
+    assert truth_mod.ul_factor(S) == (None, None)
+    singular = Tridiagonal(np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0]))
+    assert truth_mod.ul_factor(singular) == (None, None)
+    two_nodes = Tridiagonal(-np.ones(1), np.full(2, 4.0), -np.ones(1))
+    assert truth_mod.ul_factor(two_nodes) == (None, None)
+
+    step = dataclasses.replace(truth_mod.step_operators(mu0, default_ops, default_scheme),
+                               S=S, pivots=None, upper_factor=None)
+    rng = np.random.default_rng(12)
+    rhs, obstacle = rng.normal(size=5), rng.normal(size=5)
+    start = step.predict_contact(rhs, obstacle)
+    assert start.dtype == bool and not start.any()
+    u, lam, _ = solve_lcp(LcpStep(S=S, rhs=rhs, obstacle=obstacle, start=start))
+    ref = lcp_by_enumeration(dense(S), rhs, obstacle)
+    assert ref is not None
+    assert np.abs(u - ref[0]).max() <= 1e-12 * (1 + np.abs(ref[0]).max())
+    assert np.abs(lam - ref[1]).max() <= 1e-12 * (1 + np.abs(ref[1]).max())
+
+
+def test_trajectory_sweep_contract(default_box):
+    # accepted inputs across meshes, horizons and step counts; T=0.25 and
+    # H=999 with L=100 hold degenerate free-boundary nodes, on which an
+    # update without the tie threshold cycles
+    params = sample_training_set(default_box, 3, train_stream(0))
+    for H in (99, 999):
+        ops = assemble_operators(build_mesh(H, 300.0))
+        for T, L, theta in itertools.product((0.25, 1.0), (20, 100), (0.5, 1.0)):
+            scheme = SchemeConfig(T=T, L=L, theta=theta)
+            for mu in params:
+                obstacle = obstacle_data(ops.mesh, mu.K)
+                traj = solve_trajectory(mu, ops, obstacle, scheme)
+                res = trajectory_residuals(traj, ops, obstacle)
+                case = (H, T, L, theta, mu)
+                assert res["min_state_gap"] >= -1e-9, case
+                assert res["min_multiplier"] >= -1e-12, case
+                assert res["max_complementarity"] <= 1e-9, case
+                assert res["max_linear_residual"] <= 1e-10, case
 
 
 def test_trajectory_determinism(default_ops, default_scheme, mu0):
