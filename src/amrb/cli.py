@@ -21,6 +21,7 @@ with an empty result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,9 +53,8 @@ from .online import (
     error_metrics,
     reconstruct_states,
     reduced_trajectory,
-    write_comparison_csv,
     write_error_report_csv,
-    write_reduced_trajectory_csv,
+    write_online_csvs,
 )
 from .truth import (
     SchemeConfig,
@@ -88,9 +88,7 @@ class ConfigError(ValueError):
 class RunConfig:
     h: int
     s_f: float
-    t_final: float
-    steps: int
-    theta: float
+    scheme: SchemeConfig
     box: ParameterBox
     seed: int
     n_train: int
@@ -100,9 +98,6 @@ class RunConfig:
     output_dir: str
     model_path: str
     budgets: tuple[tuple[int, int], ...]
-
-    def scheme(self) -> SchemeConfig:
-        return SchemeConfig(T=self.t_final, L=self.steps, theta=self.theta)
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
@@ -143,9 +138,7 @@ def load_config(path: str | None, seed_override: int | None = None,
         io_cfg = data["io"]
         h = int(mesh["H"])
         s_f = float(mesh["s_f"])
-        t_final = float(time["T"])
-        steps = int(time["L"])
-        theta = float(time["theta"])
+        time_grid = {"T": float(time["T"]), "L": int(time["L"]), "theta": float(time["theta"])}
         box_obj = ParameterBox(K0=float(box["K0"]), r0=float(box["r0"]),
                                q0=float(box["q0"]), sigma0=float(box["sigma0"]),
                                eps=float(box["eps"]))
@@ -161,8 +154,10 @@ def load_config(path: str | None, seed_override: int | None = None,
         raise ConfigError(f"malformed config value: {err}") from err
     if h < 2 or s_f <= 0:
         raise ConfigError(f"mesh out of range: H={h}, s_f={s_f}")
-    if t_final <= 0 or steps < 1 or not 0.0 <= theta <= 1.0:
-        raise ConfigError(f"time grid out of range: T={t_final}, L={steps}, theta={theta}")
+    try:
+        scheme = SchemeConfig(**time_grid)
+    except ValueError as err:
+        raise ConfigError(f"time grid out of range: {err}") from err
     if box_obj.K0 <= 0 or box_obj.sigma0 <= 0 or box_obj.eps < 0:
         raise ConfigError("parameter box must have positive K0 and sigma0 and eps >= 0")
     if n_train < 1 or n_test < 1 or nv_tilde < 1 or nw < 1:
@@ -171,10 +166,9 @@ def load_config(path: str | None, seed_override: int | None = None,
         raise ConfigError("study budgets must be pairs of positive integers")
     if model_path is None:
         model_path = os.path.join(output_dir, "model.json")
-    return RunConfig(h=h, s_f=s_f, t_final=t_final, steps=steps, theta=theta,
-                     box=box_obj, seed=seed, n_train=n_train, n_test=n_test,
-                     nv_tilde=nv_tilde, nw=nw, output_dir=output_dir,
-                     model_path=str(model_path), budgets=budgets)
+    return RunConfig(h=h, s_f=s_f, scheme=scheme, box=box_obj, seed=seed,
+                     n_train=n_train, n_test=n_test, nv_tilde=nv_tilde, nw=nw,
+                     output_dir=output_dir, model_path=str(model_path), budgets=budgets)
 
 
 def train_stream(seed: int) -> np.random.SeedSequence:
@@ -229,7 +223,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     mesh = build_mesh(cfg.h, cfg.s_f)
     ops = assemble_operators(mesh)
     obstacle = obstacle_data(mesh, mu.K)
-    scheme = cfg.scheme()
+    scheme = cfg.scheme
     traj = solve_trajectory(mu, ops, obstacle, scheme)
 
     out = cfg.output_dir
@@ -241,7 +235,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
         "schema_version": 1,
         "mu": {"K": mu.K, "r": mu.r, "q": mu.q, "sigma": mu.sigma},
         "mesh": {"H": cfg.h, "s_f": cfg.s_f},
-        "time": {"T": cfg.t_final, "L": cfg.steps, "theta": cfg.theta},
+        "time": {"T": scheme.T, "L": scheme.L, "theta": scheme.theta},
         "final_price_curve": [[float(s), float(p)]
                               for s, p in zip(mesh.interior_nodes, final_price)],
         "pdas_iteration_stats": _iteration_stats(traj.pdas_iterations),
@@ -253,7 +247,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
             "set datafile separator ','",
             "set xlabel 's'",
             "set ylabel 'price'",
-            f"plot 'truth_trajectory.csv' every ::1 using 3:($1=={cfg.steps}?$6:1/0) "
+            f"plot 'truth_trajectory.csv' every ::1 using 3:($1=={scheme.L}?$6:1/0) "
             "with lines title 'price at final step'",
         ])
     print(f"truth trajectory written to {csv_path}")
@@ -263,7 +257,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
 def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
     mesh = build_mesh(cfg.h, cfg.s_f)
     ops = assemble_operators(mesh)
-    scheme = cfg.scheme()
+    scheme = cfg.scheme
     params = sample_training_set(cfg.box, cfg.n_train, train_stream(cfg.seed))
     store = generate_snapshots(params, ops, scheme)
     model, warnings = build_reduced_model_from_store(store, cfg.nv_tilde, cfg.nw, ops)
@@ -308,8 +302,6 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
     scheme = model.config
     rt = reduced_trajectory(model, mu, scheme)
     out = cfg.output_dir
-    write_reduced_trajectory_csv(os.path.join(out, "reduced_trajectory.csv"),
-                                 model, rt, mesh)
     in_box = cfg.box.contains(mu)
     if not in_box:
         sys.stderr.write(f"warning: mu={mu} lies outside the configured parameter box; "
@@ -321,11 +313,10 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
         "in_box": in_box,
         "cone_iteration_stats": _iteration_stats(rt.lcp_solves),
     }
+    truth = None
     if compare:
         ops = assemble_operators(mesh)
-        obstacle = obstacle_data(mesh, mu.K)
-        truth = solve_trajectory(mu, ops, obstacle, scheme)
-        write_comparison_csv(os.path.join(out, "comparison.csv"), model, truth, rt, mesh)
+        truth = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
         err = error_metrics(truth, reconstruct_states(model, rt), ops, scheme)
         summary["err_N"] = err
         print(f"err_N(mu) = {err:.6e}")
@@ -339,6 +330,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
                 f"     'comparison.csv' every ::1 using 3:($1=={scheme.L} && "
                 "strcol(7) eq 'reduced' ? $4:1/0) with points title 'reduced'",
             ])
+    write_online_csvs(out, model, rt, mesh, truth)
     textio.write_json(os.path.join(out, "online_summary.json"), summary)
     print(f"reduced trajectory written to {os.path.join(out, 'reduced_trajectory.csv')}")
     return EXIT_OK
@@ -347,7 +339,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
 def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
     mesh = build_mesh(cfg.h, cfg.s_f)
     ops = assemble_operators(mesh)
-    scheme = cfg.scheme()
+    scheme = cfg.scheme
     train_params = sample_training_set(cfg.box, cfg.n_train, train_stream(cfg.seed))
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
     store = generate_snapshots(train_params, ops, scheme)
@@ -405,6 +397,7 @@ def cmd_validate(model_path: str) -> int:
 # argument parsing
 
 
+@functools.cache  # built on the first call; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amrb",

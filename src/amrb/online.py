@@ -26,6 +26,8 @@ of the lifted obstacle.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,26 +278,21 @@ def write_error_report_csv(report: ErrorReport, path) -> None:
     textio.write_csv(path, ["K", "r", "q", "sigma", "err_N"], rows())
 
 
-def write_reduced_trajectory_csv(path, model: ReducedModel, rt: ReducedTrajectory,
-                                 mesh: Mesh1D) -> None:
-    """Reconstructed trajectory export with a source column."""
-    states = reconstruct_states(model, rt)
-    multipliers = reconstruct_multipliers(model, rt)
-    textio.write_csv(path, ["step", "t", "s", "u", "lambda", "price", "source"],
-                     state_rows(states, multipliers, mesh, rt.mu.K,
-                                model.config.delta_t, "reduced"))
+def write_online_csvs(out, model: ReducedModel, rt: ReducedTrajectory, mesh: Mesh1D,
+                      truth: Trajectory | None = None) -> None:
+    """Write the reconstructed trajectory to ``out/reduced_trajectory.csv``
+    and, given the truth at the model's time grid, both trajectories to
+    ``out/comparison.csv`` for overlay plots.
 
-
-def write_comparison_csv(path, model: ReducedModel, truth: Trajectory,
-                         rt: ReducedTrajectory, mesh: Mesh1D) -> None:
-    """Truth and reduced trajectories side by side for overlay plots."""
-    states = reconstruct_states(model, rt)
-    multipliers = reconstruct_multipliers(model, rt)
-    delta_t = truth.config.delta_t
-
-    def rows():
-        yield from state_rows(truth.states, truth.multipliers, mesh,
-                              truth.mu.K, delta_t, "truth")
-        yield from state_rows(states, multipliers, mesh, rt.mu.K, delta_t, "reduced")
-
-    textio.write_csv(path, ["step", "t", "s", "u", "lambda", "price", "source"], rows())
+    The reduced lines are rendered once: they are the body of the first
+    file and the second half of the other.
+    """
+    header = ["step", "t", "s", "u", "lambda", "price", "source"]
+    delta_t = model.config.delta_t
+    reduced = list(state_rows(reconstruct_states(model, rt), reconstruct_multipliers(model, rt),
+                              mesh, rt.mu.K, delta_t, "reduced"))
+    textio.write_csv(os.path.join(out, "reduced_trajectory.csv"), header, reduced)
+    if truth is not None:
+        textio.write_csv(os.path.join(out, "comparison.csv"), header, itertools.chain(
+            state_rows(truth.states, truth.multipliers, mesh, truth.mu.K, delta_t, "truth"),
+            reduced))

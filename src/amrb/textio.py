@@ -2,7 +2,12 @@
 
 Every CSV and JSON file the pipeline writes goes through these helpers so
 that reruns with identical inputs produce byte-identical output.  Floats
-are written with ``%.17g``, which round-trips IEEE doubles exactly.
+are written with ``%.17g``, which round-trips IEEE doubles exactly, after
+adding 0.0 so that -0.0 is written as 0 (nan and +-inf as ``format`` spells
+them).  ``amrb.truth.state_rows`` renders a trajectory one time step per
+``%`` call on the block template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``,
+adding the 0.0 to its arrays once and escaping ``%`` in the literal tail;
+``write_csv`` writes such blocks as they come.
 """
 
 from __future__ import annotations

@@ -25,10 +25,9 @@ The put is exercised on one interval [0, k) of low asset prices; the
 projected forward sweep of Brennan and Schwartz (1977) predicts k with one
 bidiagonal solve, and the iteration starts from [0, k).  A correct guess
 is reproduced by the first update, so one solve certifies it (Hintermueller,
-Ito and Kunisch, 2003).  A wrong guess (as at theta = 0, where the positive
-off-diagonals of mass/dt break the sweep's monotonicity) costs further
-iterations but still ends at the exact solution; so does the empty guess
-made where the elimination would need row interchanges.
+Ito and Kunisch, 2003).  A wrong guess costs further iterations but still
+ends at the exact solution; so does the empty guess made where the
+elimination would need row interchanges.
 
 On tridiagonal matrices each iteration costs O(H): the subsystem goes
 straight to LAPACK ``gtsv``, and the predictor's bidiagonal solve to BLAS
@@ -59,7 +58,8 @@ TIE_TOL = 16.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time grid: horizon T split into L steps, weight theta in [0, 1]."""
+    """Time grid: horizon T split into L steps, weight theta in [1/2, 1]
+    (below 1/2 the scheme is stable only under a step-size bound)."""
 
     T: float
     L: int
@@ -70,8 +70,8 @@ class SchemeConfig:
             raise ValueError(f"horizon must be positive, got T={self.T}")
         if self.L < 1:
             raise ValueError(f"need at least one time step, got L={self.L}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        if not 0.5 <= self.theta <= 1.0:
+            raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
 
     @property
     def delta_t(self) -> float:
@@ -425,20 +425,29 @@ def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,
     text block per time step.
 
     The multiplier column for step 0 is written as nan: the scheme defines
-    no multiplier there.
+    no multiplier there.  Each block is one ``%`` call on the template
+    ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``, whose cells are the s
+    column (rendered once by ``fmt_floats``) interleaved with the step's
+    u, lambda and price.  The head holds numbers only; the tail's ``%`` is
+    escaped.  Adding 0.0 to the float arrays once makes -0.0 render as 0,
+    as ``fmt`` renders it; nan and +-inf render as ``format`` renders them.
     """
     s = mesh.interior_nodes
-    lift = K * (1.0 - s / mesh.s_f)
-    s_cells = textio.fmt_floats(s)
+    prices = states + K * (1.0 - s / mesh.s_f) + 0.0
+    states = states + 0.0
+    lam = np.full(states.shape, np.nan)
+    if multipliers is not None:
+        lam[1:] = multipliers + 0.0
     tail = "\n" if source is None else f",{source}\n"
-    no_lam = ["nan"] * s.size
+    line = "%s,%.17g,%.17g,%.17g" + tail.replace("%", "%%")
+    cells = [None] * (4 * s.size)
+    cells[0::4] = textio.fmt_floats(s)
     for n in range(states.shape[0]):
         head = f"{n},{textio.fmt(n * delta_t)},"
-        lam_cells = (textio.fmt_floats(multipliers[n - 1])
-                     if multipliers is not None and n >= 1 else no_lam)
-        yield "".join(f"{head}{x},{u},{lam},{price}{tail}" for x, u, lam, price in zip(
-            s_cells, textio.fmt_floats(states[n]), lam_cells,
-            textio.fmt_floats(states[n] + lift)))
+        cells[1::4] = states[n].tolist()
+        cells[2::4] = lam[n].tolist()
+        cells[3::4] = prices[n].tolist()
+        yield (head + line) * s.size % tuple(cells)
 
 
 def write_trajectory_csv(path, traj: Trajectory, mesh: Mesh1D,

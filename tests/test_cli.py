@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from amrb.cli import main
 from amrb.errors import SolverDivergenceError
 import amrb.cli as cli_mod
+import amrb.truth as truth_mod
 
 SMALL_CONFIG = {
     "mesh": {"H": 40, "s_f": 300.0},
@@ -44,6 +46,34 @@ def test_cli_import_leaves_scipy_sparse_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_parser_reuse_leaks_no_flag(tmp_path):
+    # main builds its parser once per process; a flag of one call must not
+    # carry into the next, and the outputs equal those of one process per call
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+
+    def commands(out):
+        model = str(out / "model.json")
+        return (["offline", "--config", cfg, "--out", str(out), "--gnuplot"],
+                ["online", "--config", cfg, "--model", model, "--mu", "101,0.05,0.0015,0.5",
+                 "--compare", "--out", str(out)],
+                ["validate", "--model", model])
+
+    same = tmp_path / "same"
+    assert [main(argv) for argv in commands(same)] == [0, 0, 0]
+    fresh = tmp_path / "fresh"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in commands(fresh):
+        subprocess.run([sys.executable, "-m", "amrb", *argv], env=env, capture_output=True,
+                       check=True)
+    names = sorted(p.name for p in same.iterdir())
+    assert "greedy_decay.gp" in names and "comparison.gp" not in names
+    assert names == sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        assert (same / name).read_bytes() == (fresh / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +119,20 @@ def test_unknown_config_key_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_out_of_range_config_exits_2(tmp_path):
+def test_out_of_range_config_exits_2(tmp_path, capsys):
     cfg = dict(SMALL_CONFIG)
     cfg["time"] = {"T": 1.0, "L": 8, "theta": 2.0}
     assert main(["offline", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    # below theta = 1/2 the scheme is stable only under a step-size bound;
+    # the explicit end used to exit 0 with prices of order 1e26 K
+    for theta in (0.0, 0.25):
+        path = write_config(tmp_path, {"time": {"theta": theta}})
+        assert main(["truth", "--config", path, "--mu", "100,0.05,0.0015,0.5",
+                     "--out", str(tmp_path / "o")]) == 2
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "config" and "theta" in error["message"]
 
 
 def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -106,16 +145,25 @@ def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "SolverDivergenceError" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_blown_up_truth_exits_4(tmp_path, capsys):
-    # the explicit scheme is unstable here: the state overflows mid-trajectory,
-    # which is a typed breakdown, not an untyped ValueError
-    cfg = write_config(tmp_path, {"mesh": {"H": 999}, "time": {"L": 100, "theta": 0.0}})
-    code = main(["truth", "--config", cfg, "--mu", "100,0.05,0.0015,0.5",
-                 "--out", str(tmp_path / "o")])
+def test_blown_up_truth_exits_4(tmp_path, monkeypatch, capsys):
+    # a state that goes non-finite mid-trajectory is a typed breakdown, not
+    # an untyped ValueError
+    rhs = truth_mod.StepOperators.rhs
+    calls = []
+
+    def blown_up(self, u_prev):
+        calls.append(1)
+        out = rhs(self, u_prev)
+        if len(calls) == 3:
+            out[-1] = np.inf
+        return out
+
+    monkeypatch.setattr(truth_mod.StepOperators, "rhs", blown_up)
+    code = main(["truth", "--mu", "100,0.05,0.0015,0.5", "--out", str(tmp_path / "o")])
     assert code == 4
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "NumericalBreakdownError"
+    assert "time step 3 failed" in error["message"]
     assert "must be finite" in error["message"]
 
 

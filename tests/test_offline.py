@@ -441,7 +441,8 @@ def test_load_rejects_malformed(tmp_path, small_model):
     with pytest.raises(ModelLoadError):
         load_model(path)
     for key, value in (("B_N", []), ("diagnostics", [1]),
-                       ("diagnostics", {"eps_u": [[1.0, 0.5]]})):
+                       ("diagnostics", {"eps_u": [[1.0, 0.5]]}),
+                       ("time", {"T": 1.0, "L": 8, "theta": 0.25})):
         save_model(small_model, path)
         doc = json.loads(path.read_text())
         doc[key] = value

@@ -15,13 +15,13 @@ from amrb import (
     reduced_step,
     reduced_trajectory,
     solve_trajectory,
+    write_trajectory_csv,
 )
 from amrb.online import (
     lifted_obstacle,
     reduced_residuals,
-    write_comparison_csv,
     write_error_report_csv,
-    write_reduced_trajectory_csv,
+    write_online_csvs,
 )
 
 EXTRAPOLATED_MU = ParameterVector(K=106.882366, r=0.048470, q=0.007679, sigma=0.418561)
@@ -361,17 +361,22 @@ def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
     mesh, ops, scheme, _ = small_setup
     mu = small_store.params[0]
     rt = reduced_trajectory(small_model, mu)
-    reduced_path = tmp_path / "reduced.csv"
-    write_reduced_trajectory_csv(reduced_path, small_model, rt, mesh)
-    lines = reduced_path.read_text().splitlines()
+    write_online_csvs(tmp_path / "alone", small_model, rt, mesh)
+    assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == ["reduced_trajectory.csv"]
+    reduced = (tmp_path / "alone" / "reduced_trajectory.csv").read_text()
+    lines = reduced.splitlines()
     assert lines[0] == "step,t,s,u,lambda,price,source"
     assert len(lines) - 1 == (scheme.L + 1) * mesh.H
-    assert lines[1].endswith(",reduced")
+    assert all(line.endswith(",reduced") for line in lines[1:])
 
+    # the comparison is the truth export with a source column, then the
+    # body of reduced_trajectory.csv byte for byte
     truth = small_store.trajectories[0]
-    cmp_path = tmp_path / "cmp.csv"
-    write_comparison_csv(cmp_path, small_model, truth, rt, mesh)
-    lines = cmp_path.read_text().splitlines()
-    assert len(lines) - 1 == 2 * (scheme.L + 1) * mesh.H
-    sources = {line.rsplit(",", 1)[-1] for line in lines[1:]}
-    assert sources == {"truth", "reduced"}
+    write_online_csvs(tmp_path, small_model, rt, mesh, truth)
+    assert (tmp_path / "reduced_trajectory.csv").read_text() == reduced
+    write_trajectory_csv(tmp_path / "truth.csv", truth, mesh, source="truth")
+    truth_text = (tmp_path / "truth.csv").read_text()
+    body = reduced.split("\n", 1)[1]
+    assert (tmp_path / "comparison.csv").read_text() == truth_text + body
+    comparison = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert [line for line in comparison[1:] if not line.endswith(",truth")] == lines[1:]
