@@ -293,12 +293,12 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
         _error_json("missing-model", f"model file not found: {model_path}")
         return EXIT_MISSING
     try:
-        model = load_model(model_path)
+        model, ops = load_model(model_path, return_operators=True)
     except ModelLoadError as err:
         _error_json("model-load", str(err))
         return EXIT_MISSING
 
-    mesh = build_mesh(model.mesh_h, model.mesh_s_f)
+    mesh = ops.mesh
     scheme = model.config
     rt = reduced_trajectory(model, mu, scheme)
     out = cfg.output_dir
@@ -315,7 +315,6 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
     }
     truth = None
     if compare:
-        ops = assemble_operators(mesh)
         truth = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
         err = error_metrics(truth, reconstruct_states(model, rt), ops, scheme)
         summary["err_N"] = err
@@ -383,8 +382,8 @@ def cmd_validate(model_path: str) -> int:
         _error_json("missing-model", f"model file not found: {model_path}")
         return EXIT_MISSING
     try:
-        model = load_model(model_path)
-        verify_model(model)
+        model, ops = load_model(model_path, return_operators=True)
+        verify_model(model, ops)
     except AmrbError as err:
         _error_json("model-invalid", str(err))
         return EXIT_MISSING

@@ -546,11 +546,14 @@ def _array(data, key: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def load_model(path) -> ReducedModel:
+def load_model(path, return_operators: bool = False):
     """Parse and validate a model file; rejects corrupted coupling blocks.
 
     The operators of the stored mesh are reassembled to recompute
-    gram @ psi and to check that the basis is energy-orthonormal.
+    gram @ psi and to check that the basis is energy-orthonormal.  Returns
+    the ``ReducedModel``, or (model, operators) with ``return_operators``,
+    so that a caller that verifies the model or solves the truth on its
+    mesh need not assemble them again.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -589,7 +592,8 @@ def load_model(path) -> ReducedModel:
     f2_n = _array(data, "f2_N", (nv,))
     b_n = _array(data, "B_N", (nv, nw))
 
-    gram_psi = assemble_operators(build_mesh(h, s_f)).gram @ psi
+    ops = assemble_operators(build_mesh(h, s_f))
+    gram_psi = ops.gram @ psi
     _check_unit_gram(psi, gram_psi, ModelLoadError)
     _check_coupling_rank(b_n, ModelLoadError,
                          "model coupling block fails the full-rank check; file is corrupt")
@@ -613,7 +617,7 @@ def load_model(path) -> ReducedModel:
     except (TypeError, ValueError) as err:
         raise ModelLoadError(f"model diagnostics are malformed: {err}") from err
 
-    return ReducedModel(
+    model = ReducedModel(
         mesh_h=h, mesh_s_f=s_f, config=config,
         nv_tilde=nv_tilde, nw=nw, nv=nv,
         psi_matrix=psi, xi_matrix=xi,
@@ -621,6 +625,7 @@ def load_model(path) -> ReducedModel:
         f1_n=f1_n, f2_n=f2_n, b_n=b_n,
         gram_psi=gram_psi, diagnostics=diagnostics,
     )
+    return (model, ops) if return_operators else model
 
 
 def verify_model(model: ReducedModel, ops: AffineOperatorSet | None = None) -> None:

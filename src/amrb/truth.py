@@ -19,7 +19,7 @@ Truth steps predict the contact set, then let the iteration certify it.
 The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
 previous state changes between the steps of a trajectory, so the bands of
 S, mass/dt and a(mu) (``ops.a_matrix``), the load, and the
-Brennan-Schwartz pivots of S (a UL elimination from the last node down,
+Brennan-Schwartz pivots of S (a UL elimination from the last node up,
 LAPACK ``gttrf`` on the reversed bands) are built once per trajectory.
 The put is exercised on one interval [0, k) of low asset prices; the
 projected forward sweep of Brennan and Schwartz (1977) predicts k with one
@@ -29,14 +29,21 @@ Ito and Kunisch, 2003).  A wrong guess costs further iterations but still
 ends at the exact solution; so does the empty guess made where the
 elimination would need row interchanges.
 
-On tridiagonal matrices each iteration costs O(H): the subsystem goes
-straight to LAPACK ``gtsv``, and the predictor's bidiagonal solve to BLAS
-``tbsv``.  Dense inputs (the reduced-order Schur complements and small
-test problems) take a dense path through LAPACK ``gesv``, from the empty
-set unless the caller passes a start.  A trajectory checks its step
-matrix once (``check_lcp_matrix``) and poses every step as an ``LcpStep``,
-which checks only that step's vectors; a non-finite one there means the
-state blew up and raises ``NumericalBreakdownError``.
+On tridiagonal matrices each iteration costs O(H).  Every prefix active
+set is solved on the trajectory's UL factors: the elimination runs from
+the last node up, so the trailing blocks of U and L factor S[k:, k:].  The
+step's one sweep U^-1 rhs (BLAS ``tbsv``), which the predictor also reads,
+holds the trailing part of every such solve; pinning [0, k) changes row k
+only, and one lower-bidiagonal ``tbsv`` over [k, H) is left.  LAPACK
+``gtsv`` still solves every other active set, and every set of a matrix
+without UL pivots.  An iterate depends on the right-hand side and the
+active set only, whichever path solves it.  Dense inputs (the
+reduced-order Schur complements and small test problems) take a dense path
+through LAPACK ``gesv``, from the empty set unless the caller passes a
+start.  A trajectory checks its step matrix once (``check_lcp_matrix``)
+and poses every step as an ``LcpStep``, which checks only that step's
+vectors; a non-finite one there means the state blew up and raises
+``NumericalBreakdownError``.
 """
 
 from __future__ import annotations
@@ -105,13 +112,17 @@ class LcpProblem:
     ``start`` is the active set the iteration starts from (empty if None).
     The matrix goes through ``check_lcp_matrix``; rhs and obstacle must be
     finite vectors of its size (``ValueError`` otherwise).  ``rhs_scale``
-    is ||rhs||_inf, found by the finiteness check.
+    is ||rhs||_inf, found by the finiteness check.  ``ul`` optionally
+    passes (U^-1 rhs, L) for a tridiagonal S = U L factored without row
+    interchanges, as ``StepOperators.sweep`` and ``lower_factor`` give them;
+    prefix active sets are then solved on those factors.
     """
 
     S: object  # dense (n, n) array or Tridiagonal
     rhs: np.ndarray
     obstacle: np.ndarray
     start: np.ndarray | None = None
+    ul: tuple[np.ndarray, np.ndarray] | None = None
     rhs_scale: float = field(init=False, repr=False, compare=False)
 
     non_finite = ValueError  # raised for a non-finite rhs or obstacle
@@ -124,7 +135,8 @@ class LcpProblem:
         S, rhs, obstacle = self.S, self.rhs, self.obstacle
         n = S.diag.size if isinstance(S, Tridiagonal) else S.shape[0]
         if (rhs.shape != (n,) or obstacle.shape != (n,)
-                or (self.start is not None and np.shape(self.start) != (n,))):
+                or (self.start is not None and np.shape(self.start) != (n,))
+                or (self.ul is not None and self.ul[0].shape != (n,))):
             raise ValueError("inconsistent LCP dimensions")
         if n == 0:
             raise ValueError("empty LCP")
@@ -158,24 +170,56 @@ def _solve_subsystem(S, ix: np.ndarray, b: np.ndarray):
         return None if info > 0 else x
     if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
         return b / S.diag[ix]
-    lo, hi = ix[0], ix[-1] + 1
-    if hi - lo == ix.size:  # one run of nodes, as a predicted contact prefix leaves
-        dl, d, du = S.lower[lo:hi - 1].copy(), S.diag[lo:hi].copy(), S.upper[lo:hi - 1].copy()
-    else:  # a sorted index subset of a tridiagonal matrix is tridiagonal
-        adjacent = np.diff(ix) == 1
-        dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
-        d = S.diag[ix]
-        du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
+    # a sorted index subset of a tridiagonal matrix is tridiagonal
+    adjacent = np.diff(ix) == 1
+    dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
+    d = S.diag[ix]
+    du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
     _, _, _, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
     return None if info > 0 else x
 
 
-def _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle):
+def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor):
+    """Solve with the state pinned to the obstacle on the prefix [0, k).
+
+    S = U L, eliminated from the last node up, so the trailing blocks of U
+    and L factor S[k:, k:].  ``swept`` = U^-1 rhs already holds the trailing
+    sweep; pinning nodes below k changes only row k, by the coupling
+    lower[k-1] * obstacle[k-1].  With L = D M (``StepOperators``), a
+    division by the pivots and one unit lower-bidiagonal solve are left.
+    Only the pinned rows carry a multiplier; each is summed as ``S @ u``
+    sums its row.
+    """
+    u = obstacle.copy()
+    if k < u.size:
+        pivots = lower_factor[0, k:]
+        free = u[k:]
+        np.divide(swept[k:], pivots, out=free)
+        if k:
+            free[0] = (swept[k] - S.lower[k - 1] * obstacle[k - 1]) / pivots[0]
+        dtbsv(1, lower_factor[:, k:], free, lower=1, diag=1, overwrite_x=1)
+    lam = np.zeros(u.size)
+    if k:
+        head = lam[:k]
+        np.multiply(S.diag[:k], u[:k], out=head)
+        head[1:] += S.lower[:k - 1] * u[:k - 1]
+        upper = S.upper[:k]
+        head[:upper.size] += upper * u[1:k + 1]
+        head -= rhs[:k]
+    return u, lam
+
+
+def _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, ul=None):
     """Solve with the state pinned to the obstacle on the active set.
 
     ``pinned_obstacle`` False says the obstacle is zero, so pinning shifts
-    nothing.
+    nothing.  ``ul`` is ``LcpProblem.ul``: with it, a prefix active set is
+    solved on the UL factors, and any other set by ``_solve_subsystem``.
     """
+    if ul is not None:
+        k = np.count_nonzero(active)
+        if not active[k:].any():  # the prefix [0, k)
+            return _solve_prefix(S, rhs, obstacle, k, *ul)
     inactive = ~active
     ix = inactive.nonzero()[0]
     if pinned_obstacle and ix.size < active.size:
@@ -229,7 +273,7 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
         active = np.zeros(rhs.size, dtype=bool)
     else:
         active = np.asarray(problem.start, dtype=bool)
-    u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle)
+    u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, problem.ul)
     solves = 1
     key = active.tobytes()
     seen = {key}
@@ -260,18 +304,22 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle)
+        u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, problem.ul)
         solves += 1
 
 
 @dataclass(frozen=True)
 class StepOperators:
-    """What every step of one trajectory shares: operators, load, pivots.
+    """What every step of one trajectory shares: operators, load, factors.
 
     ``pivots`` are those of the UL elimination S = U L, with U unit upper
     bidiagonal; ``upper_factor`` holds U in LAPACK band storage (row 0 the
-    superdiagonal, row 1 the diagonal), in Fortran order.  Both are None
-    where ``ul_factor`` finds no UL pivots.
+    superdiagonal, row 1 the diagonal), in Fortran order.  L = D M, with D
+    the pivots and M unit lower bidiagonal, M[i+1, i] = lower[i] /
+    pivots[i + 1]; ``lower_factor`` holds the pivots in row 0 and that
+    subdiagonal in row 1, in Fortran order, so that BLAS reads it as M
+    with a unit diagonal.  All three are None where ``ul_factor`` finds no
+    UL pivots.
     ``S`` has passed ``check_lcp_matrix``.
     """
 
@@ -282,24 +330,32 @@ class StepOperators:
     theta: float
     pivots: np.ndarray | None
     upper_factor: np.ndarray | None
+    lower_factor: np.ndarray | None
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``."""
         return self.m_dt @ u_prev - (1.0 - self.theta) * (self.a_mu @ u_prev) + self.f_mu
 
-    def predict_contact(self, rhs: np.ndarray, obstacle: np.ndarray) -> np.ndarray:
+    def sweep(self, rhs: np.ndarray) -> np.ndarray | None:
+        """U^-1 rhs, the upward elimination of rhs; None without pivots."""
+        if self.pivots is None:
+            return None
+        return dtbsv(1, self.upper_factor, rhs, diag=1)  # what a (0, 1) gbsv reduces to
+
+    def predict_contact(self, swept: np.ndarray | None, obstacle: np.ndarray) -> np.ndarray:
         """Brennan-Schwartz guess of the active set: the prefix [0, k).
 
-        After the upward elimination, node i would leave the obstacle when
-        its forward-sweep value, with node i-1 pinned, exceeds the obstacle;
-        k is the first such node.  Without pivots the guess is the empty
-        prefix, which the iteration corrects as it does any wrong guess.
+        ``swept`` is ``sweep(rhs)``.  After the upward elimination, node i
+        would leave the obstacle when its forward-sweep value, with node i-1
+        pinned, exceeds the obstacle; k is the first such node.  Without
+        pivots the guess is the empty prefix, which the iteration corrects
+        as it does any wrong guess.
         """
         if self.pivots is None:
-            return np.zeros(rhs.size, dtype=bool)
-        swept = dtbsv(1, self.upper_factor, rhs)  # what a (0, 1) gbsv reduces to
-        swept[1:] -= self.S.lower * obstacle[:-1]
-        above = swept / self.pivots > obstacle
+            return np.zeros(obstacle.size, dtype=bool)
+        pinned = swept.copy()
+        pinned[1:] -= self.S.lower * obstacle[:-1]
+        above = pinned / self.pivots > obstacle
         k = int(np.argmax(above)) if above.any() else above.size
         return np.arange(above.size) < k
 
@@ -331,8 +387,14 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOper
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
     pivots, upper_factor = ul_factor(S)
+    lower_factor = None
+    if pivots is not None:
+        lower_factor = np.zeros((2, pivots.size), order="F")
+        lower_factor[0] = pivots
+        lower_factor[1, :-1] = S.lower / pivots[1:]
     return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu),
-                         theta=config.theta, pivots=pivots, upper_factor=upper_factor)
+                         theta=config.theta, pivots=pivots, upper_factor=upper_factor,
+                         lower_factor=lower_factor)
 
 
 def theta_step(u_prev: np.ndarray, mu, ops: AffineOperatorSet,
@@ -347,8 +409,10 @@ def theta_step(u_prev: np.ndarray, mu, ops: AffineOperatorSet,
         step = step_operators(mu, ops, config)
     rhs = step.rhs(u_prev)
     psi = obstacle.psi_tilde
+    swept = step.sweep(rhs)
     return solve_lcp(LcpStep(S=step.S, rhs=rhs, obstacle=psi,
-                             start=step.predict_contact(rhs, psi)))
+                             start=step.predict_contact(swept, psi),
+                             ul=None if swept is None else (swept, step.lower_factor)))
 
 
 @dataclass(frozen=True)

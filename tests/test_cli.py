@@ -321,6 +321,27 @@ def test_study_seed_override_changes_output(tmp_path):
 # validate
 
 
+def test_validate_and_compare_assemble_once(tmp_path, monkeypatch):
+    # load_model assembles the stored mesh's operators and hands them on to
+    # verify_model and to the truth solve of online --compare
+    import amrb.offline as offline_mod
+
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+    meshes = []
+    for module in (cli_mod, offline_mod):
+        assemble = module.assemble_operators
+        monkeypatch.setattr(module, "assemble_operators",
+                            lambda mesh, assemble=assemble: meshes.append(mesh.H) or assemble(mesh))
+    model = str(out / "model.json")
+    assert main(["validate", "--model", model]) == 0
+    assert meshes == [40]
+    assert main(["online", "--config", cfg, "--out", str(out), "--model", model,
+                 "--mu", "101,0.05,0.0015,0.5", "--compare"]) == 0
+    assert meshes == [40, 40]
+
+
 def test_validate_roundtrip(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "run"

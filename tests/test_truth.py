@@ -449,6 +449,107 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
     assert np.abs(lam - ref[1]).max() <= 1e-12 * (1 + np.abs(ref[1]).max())
 
 
+def predicted_prefixes(mu, ops, scheme):
+    """Per step of the trajectory at ``mu``: its step operators, the step's
+    rhs and sweep, the predicted prefix, and the trajectory itself."""
+    obstacle = obstacle_data(ops.mesh, mu.K)
+    traj = solve_trajectory(mu, ops, obstacle, scheme)
+    step = truth_mod.step_operators(mu, ops, scheme)
+    for n in range(scheme.L):
+        rhs = step.rhs(traj.states[n])
+        swept = step.sweep(rhs)
+        yield step, rhs, swept, step.predict_contact(swept, obstacle.psi_tilde), traj, n
+
+
+@pytest.mark.parametrize("H", [99, 999, 3999])
+def test_ul_prefix_solve_is_backward_stable(default_box, H):
+    # the UL solve on the trajectory's factors and gtsv on a fresh copy of
+    # the same subsystem S[k:, k:] u = rhs[k:] - lower[k-1] * obstacle[k-1] e_k
+    # both leave residuals of a few eps * |S| |u| + |b|; their solutions
+    # differ by rounding that grows with H, so they are not compared entry
+    # by entry
+    eps = np.finfo(float).eps
+    ops = assemble_operators(build_mesh(H, 300.0))
+    params = sample_training_set(default_box, 3, np.random.SeedSequence([14, H]))
+    worst = 0.0
+    for theta, mu in itertools.product((0.5, 1.0), params):
+        psi = obstacle_data(ops.mesh, mu.K).psi_tilde
+        for step, rhs, swept, predicted, _, _ in predicted_prefixes(
+                mu, ops, SchemeConfig(T=1.0, L=20, theta=theta)):
+            S, k = step.S, int(predicted.sum())
+            assert 0 < k < H
+            sub = Tridiagonal(*(band.astype(np.longdouble)
+                                for band in (S.lower[k:], S.diag[k:], S.upper[k:])))
+            b = rhs[k:].astype(np.longdouble)
+            b[0] -= np.longdouble(S.lower[k - 1]) * np.longdouble(psi[k - 1])
+            ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor)
+            gtsv_u, _ = truth_mod._solve_for_active_set(S, rhs, psi, predicted, True)
+            for u in (ul_u, gtsv_u):
+                assert np.array_equal(u[:k], psi[:k])
+                x = u[k:].astype(np.longdouble)
+                residual = np.abs(sub @ x - b).max()
+                scale = (Tridiagonal(*(np.abs(band) for band in sub)) @ np.abs(x) + np.abs(b)).max()
+                worst = max(worst, float(residual / (eps * scale)))
+    assert worst <= 4.0, worst
+
+
+@pytest.mark.parametrize("H,theta", itertools.product((99, 999), (0.5, 1.0)))
+def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
+    # an iterate depends on (rhs, active set) only, so every start that the
+    # iteration corrects ends on the bytes of the predicted start.  From the
+    # all-active start at H=999 one step per theta releases its spurious
+    # contact nodes about one per update and overruns max_iter, as it does
+    # with gtsv solves alone: a known defect of the full-set update on fine
+    # meshes, not of the UL path
+    ops = assemble_operators(build_mesh(H, 300.0))
+    scheme = SchemeConfig(T=1.0, L=20, theta=theta)
+    nodes = np.arange(H)
+    corrected = diverged = 0
+    for mu in sample_training_set(default_box, 2, np.random.SeedSequence([15, 1])):
+        psi = obstacle_data(ops.mesh, mu.K).psi_tilde
+        for step, rhs, swept, predicted, traj, n in predicted_prefixes(mu, ops, scheme):
+            k = int(predicted.sum())
+            starts = [None] + [nodes < min(max(j, 0), H) for j in (k - 5, k - 1, k + 1, k + 5, 0, H)]
+            for start in starts:
+                problem = LcpStep(S=step.S, rhs=rhs, obstacle=psi, start=start,
+                                  ul=(swept, step.lower_factor))
+                try:
+                    u, lam, solves = solve_lcp(problem)
+                except SolverDivergenceError:
+                    assert H > 99 and start is not None and start.all()
+                    diverged += 1
+                    continue
+                assert np.array_equal(u, traj.states[n + 1])
+                assert np.array_equal(lam, traj.multipliers[n])
+                corrected += solves > 1
+    assert corrected >= 2 * scheme.L * 5 - diverged
+    assert diverged <= 1
+
+
+def test_row_interchanges_take_gtsv(default_ops, default_scheme, mu0, monkeypatch):
+    # prefix sets go to the UL factors and never to gtsv; where the UL
+    # elimination needs row interchanges there are no factors, and every
+    # iterate goes to gtsv and still meets the contract
+    calls = []
+    gtsv = truth_mod.dgtsv
+    monkeypatch.setattr(truth_mod, "dgtsv", lambda *args: calls.append(1) or gtsv(*args))
+    obstacle = obstacle_data(default_ops.mesh, mu0.K)
+    solve_trajectory(mu0, default_ops, obstacle, default_scheme)
+    assert calls == []
+
+    mu = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)  # convection-dominated a(mu)
+    step = truth_mod.step_operators(mu, default_ops, default_scheme)
+    assert step.pivots is None and step.lower_factor is None
+    assert step.sweep(np.ones(default_ops.dim)) is None
+    traj = solve_trajectory(mu, default_ops, obstacle, default_scheme)
+    assert len(calls) >= traj.pdas_iterations.sum() > default_scheme.L
+    res = trajectory_residuals(traj, default_ops, obstacle)
+    assert res["min_state_gap"] >= -1e-9
+    assert res["min_multiplier"] >= -1e-12
+    assert res["max_complementarity"] <= 1e-9
+    assert res["max_linear_residual"] <= 1e-10
+
+
 def test_trajectory_sweep_contract(default_box):
     # accepted inputs across meshes, horizons and step counts; T=0.25 and
     # H=999 with L=100 hold degenerate free-boundary nodes, on which an
