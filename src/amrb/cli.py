@@ -139,9 +139,7 @@ def load_config(path: str | None, seed_override: int | None = None,
         h = int(mesh["H"])
         s_f = float(mesh["s_f"])
         time_grid = {"T": float(time["T"]), "L": int(time["L"]), "theta": float(time["theta"])}
-        box_obj = ParameterBox(K0=float(box["K0"]), r0=float(box["r0"]),
-                               q0=float(box["q0"]), sigma0=float(box["sigma0"]),
-                               eps=float(box["eps"]))
+        box_values = {key: float(box[key]) for key in ("K0", "r0", "q0", "sigma0", "eps")}
         seed = int(sampling["seed"]) if seed_override is None else int(seed_override)
         n_train = int(sampling["N_train"])
         n_test = int(sampling["N_test"])
@@ -152,23 +150,29 @@ def load_config(path: str | None, seed_override: int | None = None,
         budgets = tuple((int(a), int(b)) for a, b in data["study"]["budgets"])
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"malformed config value: {err}") from err
-    if h < 2 or s_f <= 0:
+    if h < 2 or not 0 < s_f < np.inf:
         raise ConfigError(f"mesh out of range: H={h}, s_f={s_f}")
     try:
         scheme = SchemeConfig(**time_grid)
     except ValueError as err:
         raise ConfigError(f"time grid out of range: {err}") from err
-    if box_obj.K0 <= 0 or box_obj.sigma0 <= 0 or box_obj.eps < 0:
-        raise ConfigError("parameter box must have positive K0 and sigma0 and eps >= 0")
+    try:
+        box_obj = ParameterBox(**box_values)
+    except ValueError as err:
+        raise ConfigError(f"parameter box out of range: {err}") from err
     if n_train < 1 or n_test < 1 or nv_tilde < 1 or nw < 1:
         raise ConfigError("sampling and basis budgets must be positive")
-    if not budgets or any(a < 1 or b < 1 for a, b in budgets):
-        raise ConfigError("study budgets must be pairs of positive integers")
+    _check_budgets(budgets)
     if model_path is None:
         model_path = os.path.join(output_dir, "model.json")
     return RunConfig(h=h, s_f=s_f, scheme=scheme, box=box_obj, seed=seed,
                      n_train=n_train, n_test=n_test, nv_tilde=nv_tilde, nw=nw,
                      output_dir=output_dir, model_path=str(model_path), budgets=budgets)
+
+
+def _check_budgets(budgets) -> None:
+    if not budgets or any(a < 1 or b < 1 for a, b in budgets):
+        raise ConfigError("study budgets must be pairs of positive integers")
 
 
 def train_stream(seed: int) -> np.random.SeedSequence:
@@ -300,7 +304,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
 
     mesh = ops.mesh
     scheme = model.config
-    rt = reduced_trajectory(model, mu, scheme)
+    rt = reduced_trajectory(model, mu)
     out = cfg.output_dir
     in_box = cfg.box.contains(mu)
     if not in_box:
@@ -316,7 +320,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
     truth = None
     if compare:
         truth = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
-        err = error_metrics(truth, reconstruct_states(model, rt), ops, scheme)
+        err = error_metrics(truth, reconstruct_states(model, rt), ops)
         summary["err_N"] = err
         print(f"err_N(mu) = {err:.6e}")
         if gnuplot:
@@ -351,7 +355,7 @@ def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
             model, warnings = build_reduced_model_from_store(store, nv_tilde, nw, ops)
             for note in warnings:
                 sys.stderr.write(f"warning: budget ({nv_tilde},{nw}): {note}\n")
-            report = err_linf(model, test_params, ops, scheme, box=cfg.box)
+            report = err_linf(model, test_params, ops)
             write_error_report_csv(
                 report, os.path.join(out, f"errors_{nv_tilde}x{nw}.csv"))
             rows.append([nv_tilde, nw, model.nv, report.err_linf, "ok"])
@@ -441,8 +445,7 @@ def _parse_budgets(text: str) -> tuple[tuple[int, int], ...]:
             budgets.append((int(parts[0]), int(parts[1])))
         except ValueError as err:
             raise ConfigError(f"budget {chunk!r} is not numeric: {err}") from err
-    if not budgets or any(a < 1 or b < 1 for a, b in budgets):
-        raise ConfigError("budgets must be pairs of positive integers")
+    _check_budgets(budgets)
     return tuple(budgets)
 
 

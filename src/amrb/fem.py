@@ -24,6 +24,7 @@ both products: they are dot products of U u and of U^{-T} eta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ from .errors import AssemblyError, IllConditionedBasisError
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 COND_LIMIT = 1e12  # v_project refuses a basis whose Gram condition number reaches this
+BOX_RTOL = 1e-12  # ParameterBox.contains pads each bound by this times 1 + |bound|
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class ParameterVector:
     sigma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.K, self.r, self.q, self.sigma))):
+            raise ValueError(f"market parameters must be finite, got {self}")
         if self.K <= 0:
             raise ValueError(f"strike must be positive, got K={self.K}")
         if self.sigma <= 0:
@@ -84,7 +88,10 @@ class ParameterVector:
 
 @dataclass(frozen=True)
 class ParameterBox:
-    """Product of per-coordinate intervals [(1 -/+ eps/2) * center]."""
+    """Product of per-coordinate intervals [(1 -/+ eps/2) * center].
+
+    eps < 2 keeps the strike and volatility intervals positive.
+    """
 
     K0: float
     r0: float
@@ -93,8 +100,12 @@ class ParameterBox:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"relative half-width must be nonnegative, got eps={self.eps}")
+        if not all(map(math.isfinite, (self.K0, self.r0, self.q0, self.sigma0, self.eps))):
+            raise ValueError(f"parameter box must be finite, got {self}")
+        if self.K0 <= 0 or self.sigma0 <= 0:
+            raise ValueError(f"need K0 > 0 and sigma0 > 0, got K0={self.K0}, sigma0={self.sigma0}")
+        if not 0 <= self.eps < 2:
+            raise ValueError(f"relative width must lie in [0, 2), got eps={self.eps}")
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         center = np.array([self.K0, self.r0, self.q0, self.sigma0], dtype=float)
@@ -106,10 +117,10 @@ class ParameterBox:
     def center(self) -> ParameterVector:
         return ParameterVector(K=self.K0, r=self.r0, q=self.q0, sigma=self.sigma0)
 
-    def contains(self, mu, rtol: float = 1e-12) -> bool:
+    def contains(self, mu) -> bool:
         lo, hi = self.bounds()
         x = np.array([mu.K, mu.r, mu.q, mu.sigma], dtype=float)
-        pad = rtol * (1.0 + np.abs(hi))
+        pad = BOX_RTOL * (1.0 + np.abs(hi))
         return bool(np.all(x >= lo - pad) and np.all(x <= hi + pad))
 
 

@@ -81,7 +81,6 @@ class SnapshotStore:
 
     params: tuple[ParameterVector, ...]
     trajectories: tuple[Trajectory, ...]
-    obstacles: tuple
     mesh: Mesh1D
     config: SchemeConfig
 
@@ -118,16 +117,13 @@ def generate_snapshots(params, ops: AffineOperatorSet,
                        config: SchemeConfig) -> SnapshotStore:
     """Solve one truth trajectory per parameter (obstacle derived per strike)."""
     trajectories = []
-    obstacles = []
     for mu in params:
-        obst = obstacle_data(ops.mesh, mu.K)
         try:
-            trajectories.append(solve_trajectory(mu, ops, obst, config))
+            trajectories.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), config))
         except AmrbError as err:
             raise type(err)(f"snapshot run failed at mu={mu}: {err}", **err.info) from err
-        obstacles.append(obst)
     return SnapshotStore(params=tuple(params), trajectories=tuple(trajectories),
-                         obstacles=tuple(obstacles), mesh=ops.mesh, config=config)
+                         mesh=ops.mesh, config=config)
 
 
 def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
@@ -378,7 +374,7 @@ class ReducedModel:
     f2_n: np.ndarray
     b_n: np.ndarray               # (NV, NW) primal-dual coupling
     gram_psi: np.ndarray          # (H, NV) gram @ psi; recomputed on load, not stored
-    diagnostics: GreedyDiagnostics | None = None
+    diagnostics: GreedyDiagnostics
 
 
 def _check_coupling_rank(b_n: np.ndarray, error: type[AmrbError], message: str) -> None:
@@ -401,7 +397,7 @@ def _check_unit_gram(psi: np.ndarray, gram_psi: np.ndarray,
 
 def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
                      config: SchemeConfig, *, nv_tilde: int,
-                     diagnostics: GreedyDiagnostics | None = None) -> ReducedModel:
+                     diagnostics: GreedyDiagnostics) -> ReducedModel:
     """Project all operator blocks onto the energy-orthonormal basis psi.
 
     ``nv_tilde`` counts the POD columns in front of the supremizers.  Fails
@@ -485,12 +481,12 @@ def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
 def model_document(model: ReducedModel) -> dict:
     diag = model.diagnostics
     diagnostics = {
-        "eps_u": diag.eps_u if diag else np.zeros(0),
-        "eps_lambda": diag.eps_lambda if diag else np.zeros(0),
+        "eps_u": diag.eps_u,
+        "eps_lambda": diag.eps_lambda,
         "selections": {
-            "pod_train_indices": list(diag.selected_params_u) if diag else [],
-            "angle_pairs": [list(p) for p in diag.selected_pairs_lambda] if diag else [],
-            "training_params": diag.training_params if diag else np.zeros((0, 4)),
+            "pod_train_indices": list(diag.selected_params_u),
+            "angle_pairs": [list(p) for p in diag.selected_pairs_lambda],
+            "training_params": diag.training_params,
         },
     }
     return {
@@ -628,15 +624,12 @@ def load_model(path, return_operators: bool = False):
     return (model, ops) if return_operators else model
 
 
-def verify_model(model: ReducedModel, ops: AffineOperatorSet | None = None) -> None:
-    """Recompute every reduced block from the stored bases and compare.
+def verify_model(model: ReducedModel, ops: AffineOperatorSet) -> None:
+    """Recompute every reduced block from the stored bases and the
+    operators ``ops`` of the model's mesh, and compare.
 
-    Raises ModelCorruptionError on the first violated invariant.  When no
-    operator set is passed, the full-order operators are reassembled from
-    the stored mesh descriptor.
+    Raises ModelCorruptionError on the first violated invariant.
     """
-    if ops is None:
-        ops = assemble_operators(build_mesh(model.mesh_h, model.mesh_s_f))
     if ops.mesh.H != model.mesh_h:
         raise ModelCorruptionError("operator set does not match the model mesh")
     psi = model.psi_matrix
@@ -662,10 +655,9 @@ def verify_model(model: ReducedModel, ops: AffineOperatorSet | None = None) -> N
     except np.linalg.LinAlgError as err:
         raise ModelCorruptionError(f"reduced mass matrix is not SPD: {err}") from err
     diag = model.diagnostics
-    if diag is not None:
-        for name, seq in (("eps_u", diag.eps_u), ("eps_lambda", diag.eps_lambda)):
-            if seq.size and np.any(np.diff(seq) > 1e-12 * (1.0 + seq[:-1])):
-                raise ModelCorruptionError(f"diagnostic sequence {name} is not non-increasing")
+    for name, seq in (("eps_u", diag.eps_u), ("eps_lambda", diag.eps_lambda)):
+        if seq.size and np.any(np.diff(seq) > 1e-12 * (1.0 + seq[:-1])):
+            raise ModelCorruptionError(f"diagnostic sequence {name} is not non-increasing")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Online phase: parameter-fast reduced simulations and error metrics.
 
-Per parameter, the reduced operator and load are combined from the stored
-affine blocks, the step matrix is factorized once (LAPACK ``getrf``), the
-Schur complement is checked once (``check_lcp_matrix``), and the obstacle
-data (cone loads and the initial projection) is formed in a single O(H)
-pass.  The same set-up forms the step maps of ``OnlineData``: with
-P = s_n^-1 rhs_n and c = s_n^-1 f_n, the state with the cone inactive is
-P u + c, and the cone right-hand side is d - Q u, with Q = b_n' P and
-d = g_n - b_n' c.  Each time step is then three matrix-vector products and
-the primal-dual active-set iteration of ``amrb.truth`` on the cone
-coefficients alpha, and the next state is P u + c + s_n^-1 b_n alpha; the
-per-step cost depends only on the reduced dimensions.
+Per parameter, ``online_setup`` combines the reduced operator a_n and
+load f_n from the stored affine blocks, factorizes the step matrix
+s_n = mass_n/dt + theta a_n once (LAPACK ``getrf``), and forms the
+obstacle data (cone loads g_n and the initial projection) in a single O(H)
+pass.  It keeps only what a step reads, as ``OnlineData``: with
+rhs_n = mass_n/dt - (1 - theta) a_n, P = s_n^-1 rhs_n and c = s_n^-1 f_n,
+the state with the cone inactive is P u + c, and the cone right-hand side
+is d - Q u, with Q = b_n' P and d = g_n - b_n' c; the Schur complement
+b_n' s_n^-1 b_n is checked once (``check_lcp_matrix``).  Each time step is
+then three matrix-vector products and the primal-dual active-set iteration
+of ``amrb.truth`` on the cone coefficients alpha, and the next state is
+P u + c + s_n^-1 b_n alpha; the per-step cost depends only on the reduced
+dimensions.  Every function works on the model's own time grid.
 
 Within a trajectory, v = lam - alpha is positive exactly on a step's cone
 active set.  Step 2 starts its iteration from {v_1 > 0}, and step n+1 from
@@ -28,18 +30,17 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import textio
 from .errors import AmrbError, ModelCorruptionError
-from .fem import AffineOperatorSet, Mesh1D, ParameterBox, ParameterVector, obstacle_data
+from .fem import AffineOperatorSet, Mesh1D, ParameterVector, build_mesh, obstacle_data
 from .offline import ReducedModel
 from .truth import (
     LcpStep,
-    SchemeConfig,
     Trajectory,
     check_lcp_matrix,
     solve_lcp,
@@ -50,51 +51,28 @@ from .truth import (
 
 @dataclass(frozen=True)
 class OnlineData:
-    """Per-parameter reduced operators, factorizations, and obstacle data.
+    """Per-parameter step maps, Schur complement and obstacle data.
 
     A step maps u to ``step_map @ u + step_load + sinv_b @ alpha``, where
     alpha solves the cone problem on ``schur`` with the right-hand side
     ``cone_load - cone_map @ u``.
     """
 
-    mu: ParameterVector
-    config: SchemeConfig
-    a_n: np.ndarray            # (NV, NV) combined operator
-    f_n: np.ndarray            # (NV,) combined load
-    s_n: np.ndarray            # (NV, NV) step matrix mass/dt + theta * a_n
-    rhs_n: np.ndarray          # (NV, NV) explicit part mass/dt - (1-theta) * a_n
-    s_lu: tuple                # LU factorization of s_n
-    b_n: np.ndarray            # (NV, NW) primal-dual coupling
-    sinv_b: np.ndarray         # (NV, NW) s_n^{-1} b_n
-    schur: np.ndarray          # (NW, NW) b_n' s_n^{-1} b_n, checked by check_lcp_matrix
-    g_n: np.ndarray            # (NW,) cone loads xi_j . obstacle
-    u0: np.ndarray             # (NV,) projected initial state
-    step_map: np.ndarray = field(init=False)   # (NV, NV) s_n^{-1} rhs_n
-    step_load: np.ndarray = field(init=False)  # (NV,) s_n^{-1} f_n
-    cone_map: np.ndarray = field(init=False)   # (NW, NV) b_n' step_map
-    cone_load: np.ndarray = field(init=False)  # (NW,) g_n - b_n' step_load
-
-    def __post_init__(self):
-        # derived here, so that dataclasses.replace keeps the maps consistent
-        step_map = dgetrs(*self.s_lu, self.rhs_n)[0]
-        step_load = dgetrs(*self.s_lu, self.f_n)[0]
-        for name, value in (("step_map", step_map), ("step_load", step_load),
-                            ("cone_map", self.b_n.T @ step_map),
-                            ("cone_load", self.g_n - self.b_n.T @ step_load)):
-            object.__setattr__(self, name, value)
+    step_map: np.ndarray   # (NV, NV) s_n^-1 rhs_n
+    step_load: np.ndarray  # (NV,) s_n^-1 f_n
+    cone_map: np.ndarray   # (NW, NV) b_n' step_map
+    cone_load: np.ndarray  # (NW,) g_n - b_n' step_load
+    sinv_b: np.ndarray     # (NV, NW) s_n^-1 b_n
+    schur: np.ndarray      # (NW, NW) b_n' s_n^-1 b_n, checked by check_lcp_matrix
+    g_n: np.ndarray        # (NW,) cone loads xi_j . obstacle
+    u0: np.ndarray         # (NV,) projected initial state
 
 
-def lifted_obstacle(model: ReducedModel, K: float) -> np.ndarray:
-    """Nodal lifted obstacle on the model's mesh, one O(H) pass."""
-    s = np.arange(1, model.mesh_h + 1) * (model.mesh_s_f / (model.mesh_h + 1))
-    return np.maximum(K - s, 0.0) - K * (1.0 - s / model.mesh_s_f)
-
-
-def online_setup(model: ReducedModel, mu, config: SchemeConfig | None = None) -> OnlineData:
+def online_setup(model: ReducedModel, mu) -> OnlineData:
     """Assemble and factorize everything a reduced trajectory needs for mu."""
     if mu.K <= 0 or mu.sigma <= 0:
         raise ValueError(f"need K > 0 and sigma > 0, got K={mu.K}, sigma={mu.sigma}")
-    cfg = config if config is not None else model.config
+    cfg = model.config
     a_n = (mu.sigma ** 2) * model.a1_n + (mu.r - mu.q) * model.a2_n + mu.r * model.mass_n
     f_n = mu.K * mu.q * model.f1_n - mu.K * mu.r * model.f2_n
     mass_dt = model.mass_n / cfg.delta_t
@@ -106,13 +84,15 @@ def online_setup(model: ReducedModel, mu, config: SchemeConfig | None = None) ->
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise ModelCorruptionError("reduced step matrix is numerically singular")
 
-    psi_tilde = lifted_obstacle(model, mu.K)
-    sinv_b = dgetrs(lu, piv, model.b_n)[0]
-    return OnlineData(mu=mu, config=cfg, a_n=a_n, f_n=f_n, s_n=s_n,
-                      rhs_n=mass_dt - (1.0 - cfg.theta) * a_n, s_lu=(lu, piv),
-                      b_n=model.b_n, sinv_b=sinv_b,
-                      schur=check_lcp_matrix(model.b_n.T @ sinv_b),
-                      g_n=model.xi_matrix.T @ psi_tilde,
+    psi_tilde = obstacle_data(build_mesh(model.mesh_h, model.mesh_s_f), mu.K).psi_tilde
+    b_n = model.b_n
+    sinv_b = dgetrs(lu, piv, b_n)[0]
+    step_map = dgetrs(lu, piv, mass_dt - (1.0 - cfg.theta) * a_n)[0]
+    step_load = dgetrs(lu, piv, f_n)[0]
+    g_n = model.xi_matrix.T @ psi_tilde
+    return OnlineData(step_map=step_map, step_load=step_load, cone_map=b_n.T @ step_map,
+                      cone_load=g_n - b_n.T @ step_load, sinv_b=sinv_b,
+                      schur=check_lcp_matrix(b_n.T @ sinv_b), g_n=g_n,
                       u0=model.gram_psi.T @ psi_tilde)
 
 
@@ -129,12 +109,6 @@ def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
     return u + data.sinv_b @ alpha, alpha, lam, solves
 
 
-def _cold_step(u_prev: np.ndarray, data: OnlineData):
-    """One reduced step from the empty cone active set; returns (u, alpha)."""
-    u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(data.schur.shape[0]))
-    return u, alpha
-
-
 def reduced_step(u_prev: np.ndarray, data: OnlineData):
     """One reduced step; returns (next coefficients, cone coefficients).
 
@@ -144,7 +118,8 @@ def reduced_step(u_prev: np.ndarray, data: OnlineData):
     """
     if not np.isfinite(u_prev).all():  # the step's products skip this check
         raise ValueError("reduced coefficients must be finite")
-    return _cold_step(u_prev, data)
+    u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(data.schur.shape[0]))
+    return u, alpha
 
 
 @dataclass(frozen=True)
@@ -154,13 +129,12 @@ class ReducedTrajectory:
     mu: ParameterVector
     states: np.ndarray       # (L+1, NV)
     cone_coeffs: np.ndarray  # (L, NW)
-    lcp_solves: np.ndarray | None = None  # (L,) cone active-set solves per step
+    lcp_solves: np.ndarray   # (L,) cone active-set solves per step
 
 
-def reduced_trajectory(model: ReducedModel, mu,
-                       config: SchemeConfig | None = None) -> ReducedTrajectory:
-    cfg = config if config is not None else model.config
-    data = online_setup(model, mu, cfg)
+def reduced_trajectory(model: ReducedModel, mu) -> ReducedTrajectory:
+    cfg = model.config
+    data = online_setup(model, mu)
     states = np.empty((cfg.L + 1, model.nv))
     alphas = np.empty((cfg.L, model.nw))
     solves = np.empty(cfg.L, dtype=int)
@@ -222,9 +196,9 @@ def reconstruct(model: ReducedModel, rt: ReducedTrajectory, K: float,
 
 
 def error_metrics(truth: Trajectory, reduced_states: np.ndarray,
-                  ops: AffineOperatorSet, config: SchemeConfig | None = None) -> float:
-    """Space-time error sqrt(dt * sum_n ||u^n - u_N^n||_V^2)."""
-    cfg = config if config is not None else truth.config
+                  ops: AffineOperatorSet) -> float:
+    """Space-time error sqrt(dt * sum_n ||u^n - u_N^n||_V^2) on the truth's grid."""
+    cfg = truth.config
     reduced_states = np.asarray(reduced_states, dtype=float)
     if truth.states.shape != reduced_states.shape:
         raise ValueError(
@@ -243,29 +217,19 @@ class ErrorReport:
     params: tuple[ParameterVector, ...]
     err_values: np.ndarray
     err_linf: float
-    nv_tilde: int
-    nw: int
-    nv: int
-    in_box: tuple[bool, ...] | None = None
 
 
-def err_linf(model: ReducedModel, test_params, ops: AffineOperatorSet,
-             config: SchemeConfig | None = None,
-             box: ParameterBox | None = None) -> ErrorReport:
-    """Truth-vs-reduced space-time error for every test parameter."""
-    cfg = config if config is not None else model.config
+def err_linf(model: ReducedModel, test_params, ops: AffineOperatorSet) -> ErrorReport:
+    """Truth-vs-reduced space-time error for every test parameter, on the
+    model's time grid."""
     values = []
-    flags = []
     for mu in test_params:
-        truth = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), cfg)
-        rt = reduced_trajectory(model, mu, cfg)
-        values.append(error_metrics(truth, reconstruct_states(model, rt), ops, cfg))
-        flags.append(box.contains(mu) if box is not None else True)
+        truth = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), model.config)
+        rt = reduced_trajectory(model, mu)
+        values.append(error_metrics(truth, reconstruct_states(model, rt), ops))
     values = np.array(values)
     return ErrorReport(params=tuple(test_params), err_values=values,
-                       err_linf=float(values.max()) if values.size else 0.0,
-                       nv_tilde=model.nv_tilde, nw=model.nw, nv=model.nv,
-                       in_box=tuple(flags) if box is not None else None)
+                       err_linf=float(values.max()) if values.size else 0.0)
 
 
 def write_error_report_csv(report: ErrorReport, path) -> None:

@@ -9,7 +9,7 @@ applied to the previous state plus the load.  Steps are solved with a
 primal-dual active-set iteration: freeze a guess of the contact set, solve
 the linear system with the state pinned to the obstacle there, read the
 multiplier off the residual, update the set from the sign of
-lam + c*(obstacle - u) against a tie threshold of 16 machine epsilons
+lam + (obstacle - u) against a tie threshold of 16 machine epsilons
 times ||rhs||_inf, and stop once the set repeats.  At a fixed point
 complementarity holds exactly by construction.  The threshold sets a node
 whose gap and multiplier both vanish up to rounding (a failure of strict
@@ -17,10 +17,12 @@ complementarity) inactive, whatever the start; see ``solve_lcp``.
 
 Truth steps predict the contact set, then let the iteration certify it.
 The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
-previous state changes between the steps of a trajectory, so the bands of
-S, mass/dt and a(mu) (``ops.a_matrix``), the load, and the
-Brennan-Schwartz pivots of S (a UL elimination from the last node up,
-LAPACK ``gttrf`` on the reversed bands) are built once per trajectory.
+previous state changes between the steps of a trajectory, so
+``step_operators`` builds once per trajectory a ``StepOperators``: the
+bands of S, mass/dt and a(mu) (``ops.a_matrix``), the load, and the UL
+factors of S (a Brennan-Schwartz elimination from the last node up, LAPACK
+``gttrf`` on the reversed bands).  ``theta_step(u_prev, step, psi)`` is
+then one step against the lifted obstacle psi.
 The put is exercised on one interval [0, k) of low asset prices; the
 projected forward sweep of Brennan and Schwartz (1977) predicts k with one
 bidiagonal solve, and the iteration starts from [0, k).  A correct guess
@@ -73,8 +75,8 @@ class SchemeConfig:
     theta: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
         if self.L < 1:
             raise ValueError(f"need at least one time step, got L={self.L}")
         if not 0.5 <= self.theta <= 1.0:
@@ -185,7 +187,7 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor):
     S = U L, eliminated from the last node up, so the trailing blocks of U
     and L factor S[k:, k:].  ``swept`` = U^-1 rhs already holds the trailing
     sweep; pinning nodes below k changes only row k, by the coupling
-    lower[k-1] * obstacle[k-1].  With L = D M (``StepOperators``), a
+    lower[k-1] * obstacle[k-1].  With L = D M (``ul_factor``), a
     division by the pivots and one unit lower-bidiagonal solve are left.
     Only the pinned rows carry a multiplier; each is summed as ``S @ u``
     sums its row.
@@ -238,14 +240,13 @@ def _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, ul=None):
     return u, lam
 
 
-def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
-              max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
+def solve_lcp(problem: LcpProblem, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve.
 
     Returns (u, lam, number of linear solves).  The iteration starts from
     ``problem.start`` (the unconstrained solve when that is None) and stops
     as soon as the updated active set
-    {i : lam_i + penalty*(obstacle_i - u_i) > tol} reproduces the current
+    {i : lam_i + (obstacle_i - u_i) > tol} reproduces the current
     one, which makes the final iterate feasible and exactly complementary.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
@@ -255,8 +256,8 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
     within tol is set inactive whatever the start.  Such a node is where
     strict complementarity fails; with a zero threshold its rounding can
     make it flip on every update.  At the fixed point active nodes carry
-    multipliers above tol and inactive nodes lie at most tol/penalty below
-    the obstacle.
+    multipliers above tol and inactive nodes lie at most tol below the
+    obstacle.
 
     The full-set update can still cycle on strongly coupled non-M matrices
     (the reduced Schur complements are the prime source), and on a tie
@@ -286,7 +287,7 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
             new_active = active.copy()
             new_active[violated[0]] = not new_active[violated[0]]
         else:
-            new_active = (lam + penalty * (obstacle - u)) > tol
+            new_active = (lam + (obstacle - u)) > tol
             new_key = new_active.tobytes()
             if new_key == key:
                 return u, lam, solves
@@ -312,15 +313,9 @@ def solve_lcp(problem: LcpProblem, penalty: float = 1.0,
 class StepOperators:
     """What every step of one trajectory shares: operators, load, factors.
 
-    ``pivots`` are those of the UL elimination S = U L, with U unit upper
-    bidiagonal; ``upper_factor`` holds U in LAPACK band storage (row 0 the
-    superdiagonal, row 1 the diagonal), in Fortran order.  L = D M, with D
-    the pivots and M unit lower bidiagonal, M[i+1, i] = lower[i] /
-    pivots[i + 1]; ``lower_factor`` holds the pivots in row 0 and that
-    subdiagonal in row 1, in Fortran order, so that BLAS reads it as M
-    with a unit diagonal.  All three are None where ``ul_factor`` finds no
-    UL pivots.
-    ``S`` has passed ``check_lcp_matrix``.
+    ``upper_factor`` and ``lower_factor`` are those of ``ul_factor(S)``, or
+    both None where it finds no UL pivots.  ``S`` has passed
+    ``check_lcp_matrix``.
     """
 
     S: Tridiagonal
@@ -328,7 +323,6 @@ class StepOperators:
     a_mu: Tridiagonal
     f_mu: np.ndarray
     theta: float
-    pivots: np.ndarray | None
     upper_factor: np.ndarray | None
     lower_factor: np.ndarray | None
 
@@ -338,7 +332,7 @@ class StepOperators:
 
     def sweep(self, rhs: np.ndarray) -> np.ndarray | None:
         """U^-1 rhs, the upward elimination of rhs; None without pivots."""
-        if self.pivots is None:
+        if self.upper_factor is None:
             return None
         return dtbsv(1, self.upper_factor, rhs, diag=1)  # what a (0, 1) gbsv reduces to
 
@@ -351,21 +345,26 @@ class StepOperators:
         pivots the guess is the empty prefix, which the iteration corrects
         as it does any wrong guess.
         """
-        if self.pivots is None:
+        if self.lower_factor is None:
             return np.zeros(obstacle.size, dtype=bool)
         pinned = swept.copy()
         pinned[1:] -= self.S.lower * obstacle[:-1]
-        above = pinned / self.pivots > obstacle
+        above = pinned / self.lower_factor[0] > obstacle
         k = int(np.argmax(above)) if above.any() else above.size
         return np.arange(above.size) < k
 
 
 def ul_factor(S: Tridiagonal):
-    """Pivots and unit upper factor of the UL elimination S = U L.
+    """Factors of the UL elimination S = U L, in BLAS band storage.
 
     Eliminating from the last node up is LU on the reversed bands, which is
-    LAPACK ``gttrf``.  Returns (pivots, upper_factor) as ``StepOperators``
-    stores them, or (None, None) when ``gttrf`` finds S singular or swaps
+    LAPACK ``gttrf``.  U is unit upper bidiagonal: ``upper_factor`` holds
+    it with row 0 the superdiagonal, upper[i] / pivots[i + 1], and row 1
+    the diagonal.  L = D M, with D the pivots and M unit lower bidiagonal,
+    M[i+1, i] = lower[i] / pivots[i + 1]: ``lower_factor`` holds the pivots
+    in row 0 and that subdiagonal in row 1, so that BLAS reads it as M with
+    a unit diagonal.  Both are in Fortran order.  Returns (upper_factor,
+    lower_factor), or (None, None) when ``gttrf`` finds S singular or swaps
     rows, so that it computed no UL pivots, and below three nodes, which
     scipy's ``gttrf`` wrapper rejects.
     """
@@ -377,8 +376,11 @@ def ul_factor(S: Tridiagonal):
     if info > 0 or np.count_nonzero(ipiv != np.arange(1, n + 1)):
         return None, None
     upper_factor = np.ones((2, n), order="F")
-    upper_factor[0, 1:] = multipliers[::-1]  # upper[i] / pivots[i + 1]
-    return pivots[::-1].copy(), upper_factor
+    upper_factor[0, 1:] = multipliers[::-1]
+    lower_factor = np.zeros((2, n), order="F")
+    lower_factor[0] = pivots[::-1]
+    lower_factor[1, :-1] = S.lower / lower_factor[0, 1:]
+    return upper_factor, lower_factor
 
 
 def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOperators:
@@ -386,29 +388,15 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOper
     a_mu = ops.a_matrix(mu)
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
-    pivots, upper_factor = ul_factor(S)
-    lower_factor = None
-    if pivots is not None:
-        lower_factor = np.zeros((2, pivots.size), order="F")
-        lower_factor[0] = pivots
-        lower_factor[1, :-1] = S.lower / pivots[1:]
-    return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu),
-                         theta=config.theta, pivots=pivots, upper_factor=upper_factor,
-                         lower_factor=lower_factor)
+    upper_factor, lower_factor = ul_factor(S)
+    return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu), theta=config.theta,
+                         upper_factor=upper_factor, lower_factor=lower_factor)
 
 
-def theta_step(u_prev: np.ndarray, mu, ops: AffineOperatorSet,
-               obstacle: ObstacleData, config: SchemeConfig,
-               step: StepOperators | None = None):
-    """One backward-time step; returns (u_next, lam_next, solver iterations).
-
-    ``step`` passes the trajectory's ``step_operators(mu, ops, config)``;
-    they are built here when it is None.
-    """
-    if step is None:
-        step = step_operators(mu, ops, config)
+def theta_step(u_prev: np.ndarray, step: StepOperators, psi: np.ndarray):
+    """One backward-time step against the lifted obstacle ``psi``; returns
+    (u_next, lam_next, solver iterations)."""
     rhs = step.rhs(u_prev)
-    psi = obstacle.psi_tilde
     swept = step.sweep(rhs)
     return solve_lcp(LcpStep(S=step.S, rhs=rhs, obstacle=psi,
                              start=step.predict_contact(swept, psi),
@@ -441,7 +429,7 @@ def solve_trajectory(mu, ops: AffineOperatorSet, obstacle: ObstacleData,
     step = step_operators(mu, ops, config)
     for n in range(config.L):
         try:
-            u, lam, its = theta_step(states[n], mu, ops, obstacle, config, step)
+            u, lam, its = theta_step(states[n], step, obstacle.psi_tilde)
         except AmrbError as err:
             raise type(err)(f"time step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err

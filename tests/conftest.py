@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,26 @@ def identity_operator_set(n: int):
     return AffineOperatorSet(mesh=_bm(n, float(n + 1)), gram=eye, mass=eye,
                              a1=eye, a2=eye,
                              f1=np.zeros(n), f2=np.zeros(n), gram_chol=chol)
+
+
+def reduced_blocks(model, mu):
+    """What ``online_setup`` combines before it keeps only the step maps,
+    rebuilt from the model's affine blocks: the load f_n, the step matrix
+    s_n with its LU factors, and the explicit part rhs_n."""
+    from scipy.linalg import lu_factor
+
+    cfg = model.config
+    a_n = (mu.sigma ** 2) * model.a1_n + (mu.r - mu.q) * model.a2_n + mu.r * model.mass_n
+    mass_dt = model.mass_n / cfg.delta_t
+    s_n = mass_dt + cfg.theta * a_n
+    return SimpleNamespace(f_n=mu.K * mu.q * model.f1_n - mu.K * mu.r * model.f2_n,
+                           s_n=s_n, s_lu=lu_factor(s_n),
+                           rhs_n=mass_dt - (1.0 - cfg.theta) * a_n)
+
+
+def empty_diagnostics():
+    """Greedy diagnostics of a model assembled without the greedy loops."""
+    from amrb import GreedyDiagnostics
+
+    return GreedyDiagnostics(eps_u=np.zeros(0), eps_lambda=np.zeros(0), selected_params_u=(),
+                             selected_pairs_lambda=(), training_params=np.zeros((0, 4)))

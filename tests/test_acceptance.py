@@ -32,7 +32,7 @@ from amrb import (
     w_norm,
 )
 from amrb.cli import main as cli_main, train_stream
-from amrb.online import _cold_step, err_linf, online_setup
+from amrb.online import err_linf, online_setup, reduced_step
 
 from conftest import dense
 from test_truth import lcp_by_enumeration
@@ -159,8 +159,8 @@ def test_criterion_05_reproduction(mu0):
     assert not warnings
     assert model.diagnostics.eps_u[-1] < 1e-8
     truth = store.trajectories[0]
-    rt = reduced_trajectory(model, mu0, scheme)
-    err = error_metrics(truth, reconstruct_states(model, rt), ops, scheme)
+    rt = reduced_trajectory(model, mu0)
+    err = error_metrics(truth, reconstruct_states(model, rt), ops)
     scale = max(ops.v_norm(truth.states[n]) for n in range(scheme.L + 1))
     assert err <= 1e-6 * scale, f"err {err:.3e} vs tol {1e-6 * scale:.3e}"
 
@@ -183,10 +183,10 @@ def test_criterion_06_basis_sizes(model_8_8, model_16_16):
 
 @criterion(7, "max test error decays over budgets (4,4) -> (8,8) -> (16,16)")
 def test_criterion_07_generalization(model_4_4, model_8_8, model_16_16,
-                                     default_ops, default_scheme, default_box, test_params10):
+                                     default_ops, test_params10):
     errors = []
     for model in (model_4_4, model_8_8, model_16_16):
-        report = err_linf(model, test_params10, default_ops, default_scheme, box=default_box)
+        report = err_linf(model, test_params10, default_ops)
         errors.append(report.err_linf)
     assert errors[0] >= errors[1] >= errors[2], f"not monotone: {errors}"
 
@@ -241,14 +241,14 @@ def _per_step_seconds(H, params, mu, scheme):
     store = generate_snapshots(params, ops, scheme)
     model, _ = build_reduced_model_from_store(store, 16, 16, ops)
     assert model.nv == 32
-    data = online_setup(model, mu, scheme)
+    data = online_setup(model, mu)
     y0 = data.u0
     best = np.inf
     for _ in range(5):
         y = y0.copy()
         start = time.perf_counter()
         for k in range(400):
-            y, _ = _cold_step(y, data)
+            y, _ = reduced_step(y, data)
             if (k + 1) % scheme.L == 0:
                 y = y0.copy()
         best = min(best, (time.perf_counter() - start) / 400)

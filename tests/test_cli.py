@@ -135,6 +135,23 @@ def test_out_of_range_config_exits_2(tmp_path, capsys):
         assert error["error"] == "config" and "theta" in error["message"]
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["truth", "--mu", "100,nan,0.0015,0.5"], None),
+    (["truth", "--mu", "nan,0.05,0.0015,0.5"], None),
+    (["truth", "--mu", "100,0.05,0.0015,inf"], None),
+    (["truth", "--mu", "100,0.05,0.0015,0.5"], {"time": {"T": float("nan")}}),
+    (["offline"], {"box": {"eps": float("nan")}}),
+    (["offline"], {"mesh": {"s_f": float("inf")}}),
+    (["offline"], {"box": {"eps": 3.0}}),
+], ids=["r-nan", "K-nan", "sigma-inf", "T-nan", "eps-nan", "s_f-inf", "eps-3"])
+def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, config):
+    # each of these used to fail with exit 1 or 4 once the solvers met it
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, config)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverDivergenceError("forced")
@@ -232,6 +249,23 @@ def test_online_corrupt_model_exits_3(tmp_path, capsys):
     code = main(["online", "--model", str(bad), "--mu", "100,0.05,0.0015,0.5",
                  "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_nan_horizon_model_exits_3(tmp_path, capsys):
+    # json reads NaN; a model with it used to pass validate and crash online
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["time"]["T"] = float("nan")
+    bad = out / "nan_horizon.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--model", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "model-invalid"
+    assert main(["online", "--config", cfg, "--model", str(bad), "--mu", "101,0.05,0.0015,0.5",
+                 "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "model-load"
 
 
 def test_online_compare_reproduces_training_mu(tmp_path, capsys):

@@ -55,8 +55,25 @@ def test_parameter_vector_validation():
         ParameterVector(K=0.0, r=0.05, q=0.0, sigma=0.5)
     with pytest.raises(ValueError):
         ParameterVector(K=100.0, r=0.05, q=0.0, sigma=0.0)
+    for field in ("K", "r", "q", "sigma"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ParameterVector(**{"K": 100.0, "r": 0.05, "q": 0.0015, "sigma": 0.5, field: value})
     mu = ParameterVector(K=100.0, r=-0.01, q=-0.02, sigma=0.5)  # negative rates allowed
     assert mu.r == -0.01
+
+
+@pytest.mark.parametrize("change", [
+    {"K0": np.nan}, {"r0": np.inf}, {"q0": np.nan}, {"sigma0": -np.inf}, {"eps": np.nan},
+    {"K0": 0.0}, {"K0": -100.0}, {"sigma0": 0.0}, {"sigma0": -0.5},
+    {"eps": -0.1}, {"eps": 2.0}, {"eps": 3.0},
+], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+def test_parameter_box_rejects_out_of_range(change):
+    # eps >= 2 would let a draw reach K = 0 or sigma = 0
+    values = dict(K0=100.0, r0=0.05, q0=0.0015, sigma0=0.5, eps=0.1)
+    values.update(change)
+    with pytest.raises(ValueError):
+        ParameterBox(**values)
 
 
 def test_parameter_box_bounds():

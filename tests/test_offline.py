@@ -23,6 +23,7 @@ from amrb import (
     enrich_with_supremizers,
     generate_snapshots,
     load_model,
+    obstacle_data,
     pod1,
     pod_greedy,
     sample_training_set,
@@ -33,7 +34,7 @@ from amrb import (
 )
 from amrb.offline import write_greedy_csvs
 
-from conftest import dense, identity_operator_set
+from conftest import dense, empty_diagnostics, identity_operator_set
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +89,8 @@ def test_snapshot_counts(small_setup):
 
 
 def test_snapshot_initial_states_exact(small_store):
-    for traj, obstacle in zip(small_store.trajectories, small_store.obstacles):
-        assert np.array_equal(traj.states[0], obstacle.psi_tilde)
+    for mu, traj in zip(small_store.params, small_store.trajectories):
+        assert np.array_equal(traj.states[0], obstacle_data(small_store.mesh, mu.K).psi_tilde)
 
 
 def test_snapshot_counts_stock_configuration(store16):
@@ -104,7 +105,6 @@ def test_snapshot_store_rejects_duplicates(small_store):
     with pytest.raises(ValueError):
         SnapshotStore(params=params,
                       trajectories=small_store.trajectories[:2],
-                      obstacles=small_store.obstacles[:2],
                       mesh=small_store.mesh, config=small_store.config)
 
 
@@ -165,10 +165,7 @@ def _constant_store(ops, scheme, value=2.0):
     traj = Trajectory(mu=mu, states=states,
                       multipliers=np.zeros((scheme.L, H)), config=scheme,
                       pdas_iterations=np.ones(scheme.L, dtype=int))
-    from amrb import obstacle_data
-    return SnapshotStore(params=(mu,), trajectories=(traj,),
-                         obstacles=(obstacle_data(ops.mesh, mu.K),),
-                         mesh=ops.mesh, config=scheme)
+    return SnapshotStore(params=(mu,), trajectories=(traj,), mesh=ops.mesh, config=scheme)
 
 
 def test_pod_greedy_saturates_on_constant_trajectory(default_ops, default_scheme):
@@ -249,10 +246,7 @@ def _parallel_multiplier_store(ops, scheme):
     traj = Trajectory(mu=mu, states=np.zeros((scheme.L + 1, H)) + 1.0,
                       multipliers=multipliers, config=scheme,
                       pdas_iterations=np.ones(scheme.L, dtype=int))
-    from amrb import obstacle_data
-    return SnapshotStore(params=(mu,), trajectories=(traj,),
-                         obstacles=(obstacle_data(ops.mesh, mu.K),),
-                         mesh=ops.mesh, config=scheme)
+    return SnapshotStore(params=(mu,), trajectories=(traj,), mesh=ops.mesh, config=scheme)
 
 
 def test_angle_greedy_parallel_snapshots(default_ops, default_scheme):
@@ -331,7 +325,7 @@ def test_assemble_reduced_identity_basis():
     inv = chol.T  # psi^{-1}
     xi = np.eye(6)[:, :2]
     cfg = SchemeConfig(T=1.0, L=4, theta=0.5)
-    model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=6)
+    model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=6, diagnostics=empty_diagnostics())
     # mapped back to nodal coordinates, the reduced blocks are the full ones
     assert np.allclose(inv.T @ model.mass_n @ inv, dense(ops.mass))
     assert np.allclose(inv.T @ model.a1_n @ inv, dense(ops.a1))
@@ -347,7 +341,7 @@ def test_assemble_reduced_coupling_two_ways(small_store, small_setup):
     xi, _, _ = angle_greedy(small_store, 3, ops)
     psi, _ = enrich_with_supremizers(vectors, xi, ops)
     cfg = small_store.config
-    model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=4)
+    model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=4, diagnostics=empty_diagnostics())
     for i in range(model.nv):
         for j in range(model.nw):
             direct = float(xi[:, j] @ psi[:, i])
@@ -363,7 +357,8 @@ def test_assemble_reduced_rank_failure(small_store, small_setup):
     gen = np.abs(np.random.default_rng(6).normal(size=ops.dim))
     xi = np.column_stack([gen, gen])
     with pytest.raises(InfSupFailureError):
-        assemble_reduced(vectors, xi, ops, small_store.config, nv_tilde=3)
+        assemble_reduced(vectors, xi, ops, small_store.config, nv_tilde=3,
+                         diagnostics=empty_diagnostics())
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +502,7 @@ def test_rank_floor_trims_cone(default_ops, default_scheme):
     traj = Trajectory(mu=mu, states=np.ones((default_scheme.L + 1, H)),
                       multipliers=lam, config=default_scheme,
                       pdas_iterations=np.ones(default_scheme.L, dtype=int))
-    from amrb import obstacle_data
     store = SnapshotStore(params=(mu,), trajectories=(traj,),
-                          obstacles=(obstacle_data(default_ops.mesh, mu.K),),
                           mesh=default_ops.mesh, config=default_scheme)
     _, eps, _ = angle_greedy(store, 3, default_ops)
     assert 1e-10 < eps[1] < 3e-10

@@ -18,11 +18,12 @@ from amrb import (
     write_trajectory_csv,
 )
 from amrb.online import (
-    lifted_obstacle,
     reduced_residuals,
     write_error_report_csv,
     write_online_csvs,
 )
+
+from conftest import empty_diagnostics, reduced_blocks
 
 EXTRAPOLATED_MU = ParameterVector(K=106.882366, r=0.048470, q=0.007679, sigma=0.418561)
 
@@ -54,44 +55,48 @@ def alpha_by_enumeration(schur, q, g_n, tol=1e-10):
 
 
 def test_online_setup_affine_arithmetic(small_model):
+    # sigma = r = q = 1 leaves a_n = a1_n + mass_n and f_n = K (f1_n - f2_n)
     mu = ParameterVector(K=50.0, r=1.0, q=1.0, sigma=1.0)
     data = online_setup(small_model, mu)
-    assert np.allclose(data.a_n, small_model.a1_n + small_model.mass_n, rtol=0, atol=1e-14)
-    expected_f = 50.0 * small_model.f1_n - 50.0 * small_model.f2_n
-    assert np.allclose(data.f_n, expected_f)
+    a_n = small_model.a1_n + small_model.mass_n
+    mass_dt = small_model.mass_n / small_model.config.delta_t
+    s_n = mass_dt + 0.5 * a_n
+    step_load = np.linalg.solve(s_n, 50.0 * small_model.f1_n - 50.0 * small_model.f2_n)
+    step_map = np.linalg.solve(s_n, mass_dt - 0.5 * a_n)
+    assert np.allclose(data.step_load, step_load, rtol=1e-12, atol=1e-12)
+    assert np.allclose(data.step_map, step_map, rtol=1e-12, atol=1e-12)
 
 
 def test_online_setup_cone_loads_match_store(small_model, small_store):
     mu = small_store.params[0]
     data = online_setup(small_model, mu)
-    obstacle = small_store.obstacles[0]
-    expected = small_model.xi_matrix.T @ obstacle.psi_tilde
+    expected = small_model.xi_matrix.T @ obstacle_data(small_store.mesh, mu.K).psi_tilde
     assert np.allclose(data.g_n, expected, rtol=0, atol=1e-12)
-    assert np.allclose(lifted_obstacle(small_model, mu.K), obstacle.psi_tilde)
 
 
 def test_online_setup_step_maps(small_model, small_store):
     # a step is u -> step_map u + step_load + sinv_b alpha, with the cone
-    # right-hand side cone_load - cone_map u; replace() rederives the maps
-    data = online_setup(small_model, small_store.params[0])
-    step_map = np.linalg.solve(data.s_n, data.rhs_n)
-    step_load = np.linalg.solve(data.s_n, data.f_n)
+    # right-hand side cone_load - cone_map u
+    mu = small_store.params[0]
+    data = online_setup(small_model, mu)
+    blocks = reduced_blocks(small_model, mu)
+    b_n = small_model.b_n
+    step_map = np.linalg.solve(blocks.s_n, blocks.rhs_n)
+    step_load = np.linalg.solve(blocks.s_n, blocks.f_n)
     expected = {"step_map": step_map, "step_load": step_load,
-                "cone_map": data.b_n.T @ step_map,
-                "cone_load": data.g_n - data.b_n.T @ step_load}
+                "cone_map": b_n.T @ step_map,
+                "cone_load": data.g_n - b_n.T @ step_load,
+                "sinv_b": np.linalg.solve(blocks.s_n, b_n)}
     for name, value in expected.items():
         got = getattr(data, name)
         assert got.shape == value.shape
         assert np.abs(got - value).max() <= 1e-12 * (1 + np.abs(value).max()), name
-    moved = dataclasses.replace(data, g_n=data.g_n + 1.0)
-    assert np.abs(moved.cone_load - (data.cone_load + 1.0)).max() <= 1e-12 * (
-        1 + np.abs(data.cone_load).max())
 
 
 def projection_residual(model, ops, mu, u0):
     """Normal-equation residual of the energy projection, through the raw Gram."""
     psi = model.psi_matrix
-    rhs = psi.T @ (ops.gram @ lifted_obstacle(model, mu.K))
+    rhs = psi.T @ (ops.gram @ obstacle_data(ops.mesh, mu.K).psi_tilde)
     return (psi.T @ (ops.gram @ psi)) @ u0 - rhs, rhs
 
 
@@ -120,7 +125,7 @@ def test_online_setup_initial_projection_is_optimal(small_model, small_setup, sm
     cases += [(model_16_16, default_ops, mu) for mu in test_params10[:3]]
     for model, ops, mu in cases:
         data = online_setup(model, mu)
-        psi_tilde = lifted_obstacle(model, mu.K)
+        psi_tilde = obstacle_data(ops.mesh, mu.K).psi_tilde
         best = ops.v_norm(psi_tilde - model.psi_matrix @ data.u0)
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -143,15 +148,14 @@ def test_online_setup_rejects_bad_mu(small_model):
 def test_reduced_step_unconstrained(small_model, small_store):
     mu = small_store.params[0]
     data = online_setup(small_model, mu)
-    free = dataclasses.replace(data, g_n=np.full(small_model.nw, -1e6))
+    free = dataclasses.replace(data, cone_load=np.full(small_model.nw, -1e6))
     rng = np.random.default_rng(1)
     u_prev = rng.normal(size=small_model.nv)
     u, alpha = reduced_step(u_prev, free)
     assert np.all(alpha == 0.0)
     # independent check through the raw matrices
-    mass_dt = small_model.mass_n / small_model.config.delta_t
-    rhs = (mass_dt - 0.5 * data.a_n) @ u_prev + data.f_n
-    expected = np.linalg.solve(data.s_n, rhs)
+    blocks = reduced_blocks(small_model, mu)
+    expected = np.linalg.solve(blocks.s_n, blocks.rhs_n @ u_prev + blocks.f_n)
     assert np.abs(u - expected).max() <= 1e-9 * (1 + np.abs(expected).max())
     with pytest.raises(ValueError):
         reduced_step(np.full(small_model.nv, np.nan), free)
@@ -162,15 +166,14 @@ def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
     model, _ = build_reduced_model_from_store(small_store, 3, 1, ops)
     mu = small_store.params[0]
     data = online_setup(model, mu)
+    blocks = reduced_blocks(model, mu)
     rng = np.random.default_rng(2)
     for _ in range(10):
         u_prev = rng.normal(size=model.nv) * 10
         u, alpha = reduced_step(u_prev, data)
-        mass_dt = model.mass_n / model.config.delta_t
-        rhs = (mass_dt - 0.5 * data.a_n) @ u_prev + data.f_n
-        base = np.linalg.solve(data.s_n, rhs)
+        base = np.linalg.solve(blocks.s_n, blocks.rhs_n @ u_prev + blocks.f_n)
         q = float((model.b_n.T @ base).item())
-        m = float((model.b_n.T @ np.linalg.solve(data.s_n, model.b_n)).item())
+        m = float((model.b_n.T @ np.linalg.solve(blocks.s_n, model.b_n)).item())
         closed = max(0.0, (float(data.g_n[0]) - q) / m)
         assert alpha[0] == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
@@ -180,14 +183,15 @@ def test_reduced_step_matches_enumeration(model_8_8, store16):
 
     mu = store16.params[3]
     data = online_setup(model_8_8, mu)
+    blocks = reduced_blocks(model_8_8, mu)
     rng = np.random.default_rng(3)
     rt = reduced_trajectory(model_8_8, mu)
     for k in range(20):
         # random states near the trajectory keep the problem realistic
         u_prev = rt.states[k % rt.states.shape[0]] + rng.normal(size=model_8_8.nv)
         u, alpha = reduced_step(u_prev, data)
-        base = lu_solve(data.s_lu, data.rhs_n @ u_prev + data.f_n)
-        q = data.b_n.T @ base
+        base = lu_solve(blocks.s_lu, blocks.rhs_n @ u_prev + blocks.f_n)
+        q = model_8_8.b_n.T @ base
         alpha_ref = alpha_by_enumeration(data.schur, q, data.g_n)
         assert alpha_ref is not None
         assert np.abs(alpha - alpha_ref).max() <= 1e-11 * (1 + np.abs(alpha_ref).max())
@@ -235,8 +239,6 @@ def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10)
 def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
     # each step of reduced_trajectory starts from the previous cone active
     # set; a march that starts every step from the empty set must agree
-    from amrb.online import _cold_step
-
     for model in (model_8_8, model_16_16):
         solves = []
         for mu in test_params10:
@@ -245,7 +247,7 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
             states = [data.u0]
             alphas = []
             for _ in range(model.config.L):
-                u, alpha = _cold_step(states[-1], data)
+                u, alpha = reduced_step(states[-1], data)
                 states.append(u)
                 alphas.append(alpha)
             assert np.array_equal(rt.states, np.array(states))
@@ -267,12 +269,14 @@ def test_reconstruct_identity_basis(small_store, small_setup):
     from conftest import identity_operator_set
     # the identity basis is energy-orthonormal when the energy Gram is the identity
     model = off.assemble_reduced(np.eye(ops.dim), np.zeros((ops.dim, 0)),
-                                 identity_operator_set(ops.dim), scheme, nv_tilde=ops.dim)
+                                 identity_operator_set(ops.dim), scheme, nv_tilde=ops.dim,
+                                 diagnostics=empty_diagnostics())
     truth = small_store.trajectories[0]
     rt_like = dataclasses.replace  # direct container
     from amrb.online import ReducedTrajectory
     rt = ReducedTrajectory(mu=truth.mu, states=truth.states,
-                           cone_coeffs=np.zeros((scheme.L, 0)))
+                           cone_coeffs=np.zeros((scheme.L, 0)),
+                           lcp_solves=np.zeros(scheme.L, dtype=int))
     assert np.array_equal(reconstruct_states(model, rt), truth.states)
     price = reconstruct(model, rt, truth.mu.K, mesh)
     lift = truth.mu.K * (1 - mesh.interior_nodes / mesh.s_f)
@@ -334,20 +338,19 @@ def test_error_metrics_shape_mismatch(default_ops, default_scheme, mu0):
 
 
 def test_err_linf_is_max(small_model, small_setup):
-    _, ops, scheme, box = small_setup
+    _, ops, _, box = small_setup
     from amrb import sample_training_set
     test_set = sample_training_set(box, 3, 99)
-    report = err_linf(small_model, test_set, ops, scheme, box=box)
+    report = err_linf(small_model, test_set, ops)
     assert report.err_linf == pytest.approx(report.err_values.max())
-    assert report.in_box == (True, True, True)
-    assert report.nv == small_model.nv
+    assert report.err_values.shape == (3,)
 
 
 def test_error_report_csv(tmp_path, small_model, small_setup):
-    _, ops, scheme, box = small_setup
+    _, ops, _, box = small_setup
     from amrb import sample_training_set
     test_set = sample_training_set(box, 3, 99)
-    report = err_linf(small_model, test_set, ops, scheme, box=box)
+    report = err_linf(small_model, test_set, ops)
     path = tmp_path / "errors.csv"
     write_error_report_csv(report, path)
     lines = path.read_text().splitlines()

@@ -24,7 +24,6 @@ from amrb import (
 )
 from amrb.truth import state_rows
 from amrb.cli import train_stream
-from amrb.fem import ObstacleData
 from amrb.textio import fmt
 from amrb.truth import LcpStep
 import amrb.truth as truth_mod
@@ -69,7 +68,8 @@ def test_scheme_config():
     assert abs(cfg.delta_t * cfg.L - cfg.T) <= 1e-14
     for bad in [dict(T=0.0, L=20, theta=0.5), dict(T=1.0, L=0, theta=0.5),
                 dict(T=1.0, L=20, theta=1.5), dict(T=1.0, L=20, theta=-0.1),
-                dict(T=1.0, L=20, theta=0.0), dict(T=1.0, L=20, theta=0.49)]:
+                dict(T=1.0, L=20, theta=0.0), dict(T=1.0, L=20, theta=0.49),
+                dict(T=np.nan, L=20, theta=0.5), dict(T=np.inf, L=20, theta=0.5)]:
         with pytest.raises(ValueError):
             SchemeConfig(**bad)
 
@@ -278,7 +278,8 @@ def test_theta_step_stationary_limit(default_ops, mu0):
     # enormous time step: the scheme degenerates to the stationary problem
     cfg = SchemeConfig(T=1e12, L=1, theta=1.0)
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
-    u, lam, _ = theta_step(obstacle.psi_tilde, mu0, default_ops, obstacle, cfg)
+    step = truth_mod.step_operators(mu0, default_ops, cfg)
+    u, lam, _ = theta_step(obstacle.psi_tilde, step, obstacle.psi_tilde)
     a_mu = default_ops.a_matrix(mu0)
     f_mu = default_ops.f_vector(mu0)
     resid = a_mu @ u - lam - f_mu
@@ -290,18 +291,18 @@ def test_theta_step_degenerate_identity(default_ops):
     mu = SimpleNamespace(K=0.0, r=0.0, q=0.0, sigma=0.0)
     cfg = SchemeConfig(T=1.0, L=10, theta=0.5)
     H = default_ops.dim
-    low = np.full(H, -1e3)
-    obstacle = ObstacleData(psi=np.zeros(H), p0=np.zeros(H), psi_tilde=low)
     rng = np.random.default_rng(6)
     u_prev = rng.normal(size=H)
-    u, lam, _ = theta_step(u_prev, mu, default_ops, obstacle, cfg)
+    u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu, default_ops, cfg),
+                           np.full(H, -1e3))
     assert np.abs(u - u_prev).max() <= 1e-12 * (1 + np.abs(u_prev).max())
     assert np.all(lam == 0.0)
 
 
 def test_theta_step_invariants_at_mu0(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
-    u, lam, iters = theta_step(obstacle.psi_tilde, mu0, default_ops, obstacle, default_scheme)
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme)
+    u, lam, iters = theta_step(obstacle.psi_tilde, step, obstacle.psi_tilde)
     assert (u - obstacle.psi_tilde).min() >= -1e-9
     assert lam.min() >= -1e-12
     scale = 1.0 + np.abs(u).max() * np.abs(lam).max()
@@ -311,10 +312,10 @@ def test_theta_step_invariants_at_mu0(default_ops, default_scheme, mu0):
 
 def test_theta_step_empty_active_set_is_linear(default_ops, default_scheme, mu0):
     H = default_ops.dim
-    obstacle = ObstacleData(psi=np.zeros(H), p0=np.zeros(H), psi_tilde=np.full(H, -1e9))
     rng = np.random.default_rng(7)
     u_prev = rng.normal(size=H) * 10
-    u, lam, _ = theta_step(u_prev, mu0, default_ops, obstacle, default_scheme)
+    u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu0, default_ops, default_scheme),
+                           np.full(H, -1e9))
     # independent dense unconstrained step
     a_mu = dense(default_ops.a_matrix(mu0))
     m_dt = dense(default_ops.mass) / default_scheme.delta_t
@@ -418,12 +419,15 @@ def test_ul_factor_matches_elimination_loop(default_ops, default_scheme, mu0):
     n = 50
     cases = [step.S, Tridiagonal(-rng.random(n - 1), 2.0 + rng.random(n), -rng.random(n - 1))]
     for S in cases:
-        pivots, upper_factor = truth_mod.ul_factor(S)
+        upper_factor, lower_factor = truth_mod.ul_factor(S)
+        pivots = lower_factor[0]
         reference = ul_pivots_by_loop(S)
         assert np.abs(pivots / reference - 1.0).max() <= 64 * np.finfo(float).eps
         assert np.array_equal(upper_factor[0, 1:], S.upper / pivots[1:])
         assert np.all(upper_factor[1] == 1.0) and upper_factor.flags.f_contiguous
-    assert np.array_equal(step.pivots, truth_mod.ul_factor(step.S)[0])
+        assert np.array_equal(lower_factor[1, :-1], S.lower / pivots[1:])
+        assert lower_factor.flags.f_contiguous
+    assert np.array_equal(step.lower_factor, truth_mod.ul_factor(step.S)[1])
 
 
 def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_scheme, mu0):
@@ -437,7 +441,7 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
     assert truth_mod.ul_factor(two_nodes) == (None, None)
 
     step = dataclasses.replace(truth_mod.step_operators(mu0, default_ops, default_scheme),
-                               S=S, pivots=None, upper_factor=None)
+                               S=S, upper_factor=None, lower_factor=None)
     rng = np.random.default_rng(12)
     rhs, obstacle = rng.normal(size=5), rng.normal(size=5)
     start = step.predict_contact(rhs, obstacle)
@@ -539,7 +543,7 @@ def test_row_interchanges_take_gtsv(default_ops, default_scheme, mu0, monkeypatc
 
     mu = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)  # convection-dominated a(mu)
     step = truth_mod.step_operators(mu, default_ops, default_scheme)
-    assert step.pivots is None and step.lower_factor is None
+    assert step.upper_factor is None and step.lower_factor is None
     assert step.sweep(np.ones(default_ops.dim)) is None
     traj = solve_trajectory(mu, default_ops, obstacle, default_scheme)
     assert len(calls) >= traj.pdas_iterations.sum() > default_scheme.L
@@ -581,7 +585,7 @@ def test_trajectory_determinism(default_ops, default_scheme, mu0):
 def test_trajectory_error_annotation(default_ops, default_scheme, mu0, monkeypatch):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
 
-    def boom(problem, penalty=1.0, max_iter=100):
+    def boom(problem, max_iter=100):
         raise SolverDivergenceError("forced failure", min_gap=0.0)
 
     monkeypatch.setattr(truth_mod, "solve_lcp", boom)
