@@ -3,8 +3,6 @@
 from .errors import (
     AmrbError,
     AssemblyError,
-    BasisSaturationError,
-    ConeSaturationError,
     DegenerateInputError,
     IllConditionedBasisError,
     InfSupFailureError,
@@ -12,7 +10,6 @@ from .errors import (
     ModelLoadError,
     ModelVersionError,
     NumericalBreakdownError,
-    SaturationError,
     SolverDivergenceError,
 )
 from .fem import (

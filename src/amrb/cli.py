@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .errors import AmrbError, ModelLoadError, SaturationError
+from .errors import AmrbError, ModelLoadError
 from .fem import (
     ParameterBox,
     ParameterVector,
@@ -267,7 +267,7 @@ def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
     model, warnings = build_reduced_model_from_store(store, cfg.nv_tilde, cfg.nw, ops)
     for note in warnings:
         sys.stderr.write(f"warning: {note}\n")
-    if model.nv == 0 or model.nw == 0:
+    if model.nw == 0:
         _error_json("saturation", "greedy construction produced an empty basis or cone",
                     achieved_nv=model.nv, achieved_nw=model.nw)
         return EXIT_SATURATED
@@ -472,9 +472,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         _error_json("config", str(err))
         return EXIT_CONFIG
-    except SaturationError as err:
-        _error_json("saturation", str(err), achieved=err.achieved)
-        return EXIT_SATURATED if err.achieved == 0 else EXIT_SOLVER
     except AmrbError as err:
         _error_json(type(err).__name__, str(err))
         return EXIT_SOLVER

@@ -7,8 +7,8 @@ class AmrbError(Exception):
     """Base class for library failures.
 
     Keyword arguments are kept in ``info`` so callers can attach context
-    (residuals, step indices, achieved basis sizes, partial results)
-    without changing the exception signature.
+    (residuals, step indices, singular values) without changing the
+    exception signature.
     """
 
     def __init__(self, message: str, **info):
@@ -34,26 +34,6 @@ class IllConditionedBasisError(AmrbError):
 
 class DegenerateInputError(AmrbError):
     """Input vectors vanish in the relevant norm; the operation is undefined."""
-
-
-class SaturationError(AmrbError):
-    """A greedy loop ran out of usable snapshot directions.
-
-    ``info['achieved']`` holds the basis size reached; the partial result
-    is carried alongside so pipelines can keep going with what was built.
-    """
-
-    @property
-    def achieved(self) -> int:
-        return int(self.info.get("achieved", 0))
-
-
-class BasisSaturationError(SaturationError):
-    """Primal snapshot set exhausted before the requested basis size."""
-
-
-class ConeSaturationError(SaturationError):
-    """Multiplier snapshot set exhausted before the requested cone size."""
 
 
 class InfSupFailureError(AmrbError):

@@ -114,9 +114,6 @@ class ParameterBox:
         # a negative center flips the interval endpoints
         return np.minimum(a, b), np.maximum(a, b)
 
-    def center(self) -> ParameterVector:
-        return ParameterVector(K=self.K0, r=self.r0, q=self.q0, sigma=self.sigma0)
-
     def contains(self, mu) -> bool:
         lo, hi = self.bounds()
         x = np.array([mu.K, mu.r, mu.q, mu.sigma], dtype=float)
@@ -250,9 +247,8 @@ def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
 
 @dataclass(frozen=True)
 class ObstacleData:
-    """Nodal payoff, boundary lift, and lifted obstacle at interior nodes."""
+    """Boundary lift and lifted obstacle (payoff minus lift) at interior nodes."""
 
-    psi: np.ndarray
     p0: np.ndarray
     psi_tilde: np.ndarray
 
@@ -263,7 +259,7 @@ def obstacle_data(mesh: Mesh1D, K: float) -> ObstacleData:
     s = mesh.interior_nodes
     psi = np.maximum(K - s, 0.0)
     p0 = K * (1.0 - s / mesh.s_f)
-    return ObstacleData(psi=psi, p0=p0, psi_tilde=psi - p0)
+    return ObstacleData(p0=p0, psi_tilde=psi - p0)
 
 
 def w_inner(eta, zeta, ops: AffineOperatorSet) -> float:

@@ -32,8 +32,6 @@ import numpy as np
 from . import textio
 from .errors import (
     AmrbError,
-    BasisSaturationError,
-    ConeSaturationError,
     DegenerateInputError,
     IllConditionedBasisError,
     InfSupFailureError,
@@ -188,9 +186,10 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     orthonormalized against the basis (ties break to the smallest index).
     The loop runs on the whitened snapshots.
 
-    Returns (orthonormal basis columns, error decay, selected indices).
-    Raises BasisSaturationError (carrying the partial result in ``info``)
-    once the snapshots cannot supply a further independent direction.
+    Returns (orthonormal basis columns, error decay, selected indices), one
+    decay entry and one selection per column.  The loop stops early, with
+    fewer than ``n_v_tilde`` columns, once the snapshots cannot supply a
+    further independent direction.
     """
     if n_v_tilde < 1:
         raise ValueError(f"need a positive basis budget, got {n_v_tilde}")
@@ -204,29 +203,22 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
         raise DegenerateInputError("initial snapshot vanishes in the energy norm")
     selected = [0]
     eps_u: list[float] = []
-
-    def saturation(message: str) -> BasisSaturationError:
-        return BasisSaturationError(
-            message, achieved=basis.shape[1], vectors=ops.unwhiten(basis),
-            eps_u=np.array(eps_u), selected=list(selected))
-
     while True:
-        k = basis.shape[1]
         # explicit residuals: the norm-subtraction form floors at
         # sqrt(eps_machine) * snapshot scale, far above the greedy's tail
         resid = snaps - basis @ (basis.T @ snaps)
         per_mu = np.einsum("ij,ij->j", resid, resid).reshape(store.n_params, width).sum(axis=1)
         best = int(np.argmax(per_mu))
         eps_u.append(float(np.sqrt(per_mu[best])))
-        if k == n_v_tilde:
+        if basis.shape[1] == n_v_tilde:
             break
         try:
             mode, _ = _dominant_mode(resid[:, best * width:(best + 1) * width], ops)
-        except DegenerateInputError as err:
-            raise saturation(f"snapshots exhausted at basis size {k}: {err}") from err
+        except DegenerateInputError:
+            break
         grown = _append_orthonormal(basis, mode)
         if grown is None:
-            raise saturation(f"snapshots exhausted at basis size {k}")
+            break
         basis = grown
         selected.append(best)
     return ops.unwhiten(basis), np.array(eps_u), selected
@@ -269,9 +261,10 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     runs on the whitened snapshots.
 
     Returns (generator columns, angle decay, selected (time step,
-    parameter index) pairs).  Raises ConeSaturationError (carrying the
-    partial result in ``info``) when no snapshot keeps an angle above the
-    floor.
+    parameter index) pairs), one decay entry and one selection per
+    column.  The loop stops early, with fewer than ``n_w`` columns, when
+    no snapshot keeps an angle above the floor; without a snapshot of
+    positive dual norm the cone is empty.
     """
     if n_w < 1:
         raise ValueError(f"need a positive cone budget, got {n_w}")
@@ -280,9 +273,7 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     w_norm = np.sqrt(np.einsum("ij,ij->j", lifts, lifts))
     valid = w_norm > NORM_FLOOR
     if not valid.any():
-        raise ConeSaturationError(
-            "no multiplier snapshot has positive dual norm", achieved=0,
-            xi=np.zeros((ops.dim, 0)), eps_lambda=np.zeros(0), selected=[])
+        return np.zeros((ops.dim, 0)), np.zeros(0), []
 
     first = int(np.flatnonzero(valid)[0])
     xi = lam_matrix[:, [first]] / w_norm[first]
@@ -293,7 +284,6 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     ortho = lifts[:, [first]] / w_norm[first]
 
     while True:
-        k = xi.shape[1]
         coef = ortho.T @ lifts
         resid = lifts - ortho @ coef
         sin_part = np.sqrt(np.einsum("ij,ij->j", resid, resid))
@@ -301,14 +291,11 @@ def angle_greedy(store: SnapshotStore, n_w: int,
         angles = np.where(valid, np.arctan2(sin_part, cos_part), -1.0)
         best = int(np.argmax(angles))
         eps_lambda.append(float(angles[best]))
-        if k == n_w:
+        if xi.shape[1] == n_w or angles[best] <= MIN_GREEDY_ANGLE:
             break
-        grown = (_append_orthonormal(ortho, lifts[:, best] / w_norm[best])
-                 if angles[best] > MIN_GREEDY_ANGLE else None)
+        grown = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
         if grown is None:
-            raise ConeSaturationError(
-                f"multiplier snapshots exhausted at cone size {k}",
-                achieved=k, xi=xi, eps_lambda=np.array(eps_lambda), selected=selected)
+            break
         ortho = grown
         xi = np.hstack([xi, lam_matrix[:, [best]] / w_norm[best]])
         selected.append(labels[best])
@@ -357,14 +344,12 @@ class ReducedModel:
 
     ``psi_matrix`` is energy-orthonormal, so the energy projection of a
     nodal vector v onto the reduced space has coefficients gram_psi' v.
+    The sizes ``mesh_h``, ``nv`` and ``nw`` are read off the bases.
     """
 
-    mesh_h: int
     mesh_s_f: float
     config: SchemeConfig
     nv_tilde: int
-    nw: int
-    nv: int
     psi_matrix: np.ndarray        # (H, NV) energy-orthonormal primal basis
     xi_matrix: np.ndarray         # (H, NW) cone generator coefficients
     mass_n: np.ndarray            # (NV, NV)
@@ -375,6 +360,18 @@ class ReducedModel:
     b_n: np.ndarray               # (NV, NW) primal-dual coupling
     gram_psi: np.ndarray          # (H, NV) gram @ psi; recomputed on load, not stored
     diagnostics: GreedyDiagnostics
+
+    @property
+    def mesh_h(self) -> int:
+        return self.psi_matrix.shape[0]
+
+    @property
+    def nv(self) -> int:
+        return self.psi_matrix.shape[1]
+
+    @property
+    def nw(self) -> int:
+        return self.xi_matrix.shape[1]
 
 
 def _check_coupling_rank(b_n: np.ndarray, error: type[AmrbError], message: str) -> None:
@@ -411,8 +408,7 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
                          "reduced coupling lost full column rank; "
                          "supremizer enrichment is broken")
     model = ReducedModel(
-        mesh_h=ops.mesh.H, mesh_s_f=ops.mesh.s_f, config=config,
-        nv_tilde=nv_tilde, nw=xi.shape[1], nv=psi.shape[1],
+        mesh_s_f=ops.mesh.s_f, config=config, nv_tilde=nv_tilde,
         psi_matrix=psi.copy(), xi_matrix=xi.copy(),
         mass_n=mass_n, a1_n=psi.T @ (ops.a1 @ psi), a2_n=psi.T @ (ops.a2 @ psi),
         f1_n=psi.T @ ops.f1, f2_n=psi.T @ ops.f2, b_n=b_n,
@@ -431,26 +427,18 @@ def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
     event.
     """
     warnings: list[str] = []
-    try:
-        vectors, eps_u, selected_u = pod_greedy(store, nv_tilde, ops)
-    except BasisSaturationError as err:
-        vectors = err.info["vectors"]
-        eps_u = err.info["eps_u"]
-        selected_u = err.info["selected"]
+    vectors, eps_u, selected_u = pod_greedy(store, nv_tilde, ops)
+    if vectors.shape[1] < nv_tilde:
         warnings.append(f"primal basis saturated at {vectors.shape[1]} of {nv_tilde} vectors")
-    try:
-        xi, eps_lambda, selected_lambda = angle_greedy(store, nw, ops)
-    except ConeSaturationError as err:
-        xi = err.info["xi"]
-        eps_lambda = err.info["eps_lambda"]
-        selected_lambda = err.info["selected"]
+    xi, eps_lambda, selected_lambda = angle_greedy(store, nw, ops)
+    if xi.shape[1] < nw:
         warnings.append(f"dual cone saturated at {xi.shape[1]} of {nw} generators")
 
     while True:
         psi, dropped = enrich_with_supremizers(vectors, xi, ops)
         diagnostics = GreedyDiagnostics(
-            eps_u=np.asarray(eps_u, dtype=float),
-            eps_lambda=np.asarray(eps_lambda, dtype=float)[:xi.shape[1]],
+            eps_u=eps_u,
+            eps_lambda=eps_lambda[:xi.shape[1]],
             selected_params_u=tuple(int(i) for i in selected_u),
             selected_pairs_lambda=tuple(selected_lambda),
             training_params=np.array([p.as_array() for p in store.params]),
@@ -463,8 +451,6 @@ def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
             # a generator selected at a tiny (but legal) angle can push the
             # coupling below the rank floor; trim from the least independent
             # end, exactly as if the greedy had saturated one step earlier
-            if xi.shape[1] == 0:
-                raise
             warnings.append(
                 f"dropped cone generator {xi.shape[1] - 1}: coupling rank floor")
             xi = xi[:, :-1]
@@ -614,8 +600,7 @@ def load_model(path, return_operators: bool = False):
         raise ModelLoadError(f"model diagnostics are malformed: {err}") from err
 
     model = ReducedModel(
-        mesh_h=h, mesh_s_f=s_f, config=config,
-        nv_tilde=nv_tilde, nw=nw, nv=nv,
+        mesh_s_f=s_f, config=config, nv_tilde=nv_tilde,
         psi_matrix=psi, xi_matrix=xi,
         mass_n=mass_n, a1_n=a1_n, a2_n=a2_n,
         f1_n=f1_n, f2_n=f2_n, b_n=b_n,
@@ -665,27 +650,19 @@ def verify_model(model: ReducedModel, ops: AffineOperatorSet) -> None:
 
 
 def write_greedy_csvs(diagnostics: GreedyDiagnostics, pod_path, angle_path) -> None:
-    """Per-iteration decay CSVs with the selected snapshot coordinates."""
+    """Per-iteration decay CSVs with the selected snapshot coordinates.
+
+    The greedy loops record one selection per decay entry.
+    """
     train = diagnostics.training_params
+    pod_rows = ([k + 1, eps, *train[idx]] for k, (eps, idx) in enumerate(
+        zip(diagnostics.eps_u, diagnostics.selected_params_u, strict=True)))
+    angle_rows = ([k + 1, eps, n, *train[idx]] for k, (eps, (n, idx)) in enumerate(
+        zip(diagnostics.eps_lambda, diagnostics.selected_pairs_lambda, strict=True)))
 
-    def pod_rows():
-        for k, eps in enumerate(diagnostics.eps_u):
-            idx = diagnostics.selected_params_u[k] if k < len(diagnostics.selected_params_u) else -1
-            coords = train[idx] if 0 <= idx < len(train) else [float("nan")] * 4
-            yield [k + 1, eps, *coords]
-
-    def angle_rows():
-        for k, eps in enumerate(diagnostics.eps_lambda):
-            if k < len(diagnostics.selected_pairs_lambda):
-                n, idx = diagnostics.selected_pairs_lambda[k]
-            else:
-                n, idx = -1, -1
-            coords = train[idx] if 0 <= idx < len(train) else [float("nan")] * 4
-            yield [k + 1, eps, n, *coords]
-
-    textio.write_csv(pod_path, ["iteration", "eps_u", "K", "r", "q", "sigma"], pod_rows())
+    textio.write_csv(pod_path, ["iteration", "eps_u", "K", "r", "q", "sigma"], pod_rows)
     textio.write_csv(angle_path, ["iteration", "eps_lambda", "n", "K", "r", "q", "sigma"],
-                     angle_rows())
+                     angle_rows)
 
 
 def write_params_csv(params, path) -> None:

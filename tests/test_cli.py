@@ -232,6 +232,20 @@ def test_offline_gnuplot_flag(tmp_path):
     assert (out / "greedy_decay.gp").exists()
 
 
+def test_offline_empty_cone_exits_5(tmp_path, capsys):
+    # with r = 0 no training run exercises early, so every multiplier
+    # snapshot vanishes and the cone stays empty
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, "box": {"r0": 0.0}})
+    out = tmp_path / "run"
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 5
+    warning, line = capsys.readouterr().err.splitlines()
+    assert warning == "warning: dual cone saturated at 0 of 5 generators"
+    error = json.loads(line)
+    assert error["error"] == "saturation"
+    assert error["achieved_nw"] == 0
+    assert not (out / "model.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # online
 

@@ -191,14 +191,15 @@ def test_assembly_spd_across_sizes(H):
 def test_obstacle_stock_values(default_mesh):
     data = obstacle_data(default_mesh, 100.0)
     s = default_mesh.interior_nodes
+    payoff = data.psi_tilde + data.p0
     i150 = int(np.flatnonzero(s == 150.0)[0])
-    assert data.psi[i150] == 0.0
+    assert payoff[i150] == 0.0
     assert data.p0[i150] == 50.0
     assert data.psi_tilde[i150] == -50.0
     i90 = int(np.flatnonzero(s == 90.0)[0])
-    assert data.psi[i90] == 10.0
+    assert payoff[i90] == pytest.approx(10.0)
     assert data.psi_tilde[i90] == pytest.approx(10.0 - 70.0)
-    assert np.all(data.psi >= 0.0)
+    assert np.all(payoff >= 0.0)
 
 
 def test_obstacle_strike_at_boundary_vanishes(default_mesh):

@@ -342,7 +342,7 @@ def test_trajectory_price_dominates_payoff(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
     price = traj.states + obstacle.p0
-    assert (price - obstacle.psi).min() >= -1e-9
+    assert (price - (obstacle.psi_tilde + obstacle.p0)).min() >= -1e-9
 
 
 def test_trajectory_residual_contract(default_ops, default_scheme, mu0):
