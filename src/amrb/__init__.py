@@ -4,7 +4,6 @@ from .errors import (
     AmrbError,
     AssemblyError,
     DegenerateInputError,
-    IllConditionedBasisError,
     InfSupFailureError,
     ModelCorruptionError,
     ModelLoadError,
@@ -23,7 +22,6 @@ from .fem import (
     build_mesh,
     obstacle_data,
     riesz_supremizer,
-    v_project,
     w_inner,
     w_norm,
 )
@@ -42,7 +40,6 @@ from .offline import (
     ReducedModel,
     SnapshotStore,
     angle_greedy,
-    angle_to_subspace,
     assemble_reduced,
     build_reduced_model_from_store,
     enrich_with_supremizers,
@@ -55,7 +52,6 @@ from .offline import (
     verify_model,
 )
 from .online import (
-    ErrorReport,
     OnlineData,
     ReducedTrajectory,
     err_linf,

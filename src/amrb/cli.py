@@ -8,14 +8,13 @@ Subcommands:
   online    run a reduced trajectory from a saved model; with --compare,
             also solve the truth and emit an overlay CSV and the
             space-time error
-  study     build one model per basis-size budget and tabulate the maximal
-            test-set error per budget
+  study     build one model per basis-size budget from one greedy run per
+            axis and tabulate the maximal test-set error per budget
   validate  re-run all invariant checks on a saved model file
 
 All commands are deterministic given (config, seed): reruns produce
 byte-identical numeric artifacts.  Exit codes: 0 ok, 2 config error,
-3 missing or unusable artifact, 4 solver failure, 5 greedy saturation
-with an empty result.
+3 missing or unusable artifact, 4 solver or assembly failure.
 """
 
 from __future__ import annotations
@@ -39,11 +38,14 @@ from .fem import (
     obstacle_data,
 )
 from .offline import (
+    angle_greedy,
     build_reduced_model_from_store,
     generate_snapshots,
     load_model,
+    pod_greedy,
     sample_training_set,
     save_model,
+    truncated_model,
     verify_model,
     write_greedy_csvs,
     write_params_csv,
@@ -67,7 +69,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_SOLVER = 4
-EXIT_SATURATED = 5
 
 DEFAULT_CONFIG = {
     "mesh": {"H": 99, "s_f": 300.0},
@@ -184,6 +185,15 @@ def test_stream(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), 1])
 
 
+def training_set(cfg: RunConfig) -> list[ParameterVector]:
+    """The training draws of ``cfg``, which a snapshot store needs pairwise distinct."""
+    params = sample_training_set(cfg.box, cfg.n_train, train_stream(cfg.seed))
+    if len(set(params)) < len(params):
+        raise ConfigError(f"the parameter box is too narrow for {cfg.n_train} "
+                          "distinct training draws")
+    return params
+
+
 def parse_mu(text: str) -> ParameterVector:
     parts = text.split(",")
     if len(parts) != 4:
@@ -262,15 +272,11 @@ def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
     mesh = build_mesh(cfg.h, cfg.s_f)
     ops = assemble_operators(mesh)
     scheme = cfg.scheme
-    params = sample_training_set(cfg.box, cfg.n_train, train_stream(cfg.seed))
+    params = training_set(cfg)
     store = generate_snapshots(params, ops, scheme)
     model, warnings = build_reduced_model_from_store(store, cfg.nv_tilde, cfg.nw, ops)
     for note in warnings:
         sys.stderr.write(f"warning: {note}\n")
-    if model.nw == 0:
-        _error_json("saturation", "greedy construction produced an empty basis or cone",
-                    achieved_nv=model.nv, achieved_nw=model.nw)
-        return EXIT_SATURATED
 
     out = cfg.output_dir
     save_model(model, cfg.model_path)
@@ -343,23 +349,23 @@ def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
     mesh = build_mesh(cfg.h, cfg.s_f)
     ops = assemble_operators(mesh)
     scheme = cfg.scheme
-    train_params = sample_training_set(cfg.box, cfg.n_train, train_stream(cfg.seed))
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
-    store = generate_snapshots(train_params, ops, scheme)
+    store = generate_snapshots(training_set(cfg), ops, scheme)
+    pod = pod_greedy(store, max(a for a, _ in budgets), ops)
+    cone = angle_greedy(store, max(b for _, b in budgets), ops)
+    truths = [solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme) for mu in test_params]
 
     rows = []
-    ok_rows = 0
     out = cfg.output_dir
     for nv_tilde, nw in budgets:
         try:
-            model, warnings = build_reduced_model_from_store(store, nv_tilde, nw, ops)
+            model, warnings = truncated_model(store, pod, cone, nv_tilde, nw, ops)
             for note in warnings:
                 sys.stderr.write(f"warning: budget ({nv_tilde},{nw}): {note}\n")
-            report = err_linf(model, test_params, ops)
-            write_error_report_csv(
-                report, os.path.join(out, f"errors_{nv_tilde}x{nw}.csv"))
-            rows.append([nv_tilde, nw, model.nv, report.err_linf, "ok"])
-            ok_rows += 1
+            errors = err_linf(model, truths, ops)
+            write_error_report_csv(test_params, errors,
+                                   os.path.join(out, f"errors_{nv_tilde}x{nw}.csv"))
+            rows.append([nv_tilde, nw, model.nv, float(errors.max()), "ok"])
         except AmrbError as err:
             sys.stderr.write(f"warning: budget ({nv_tilde},{nw}) failed: {err}\n")
             rows.append([nv_tilde, nw, -1, float("nan"), f"error:{type(err).__name__}"])
@@ -375,7 +381,7 @@ def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
             "plot 'study.csv' every ::1 using 3:4 with linespoints title 'error decay'",
         ])
     print(f"study written to {study_path}")
-    if ok_rows == 0:
+    if all(row[4] != "ok" for row in rows):
         _error_json("study-failed", "every budget in the study failed")
         return EXIT_SOLVER
     return EXIT_OK

@@ -28,10 +28,6 @@ class NumericalBreakdownError(AmrbError):
     """A linear subsystem inside an iteration turned out singular."""
 
 
-class IllConditionedBasisError(AmrbError):
-    """A projection basis is too close to linearly dependent to use."""
-
-
 class DegenerateInputError(AmrbError):
     """Input vectors vanish in the relevant norm; the operation is undefined."""
 

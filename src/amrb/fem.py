@@ -32,10 +32,9 @@ import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import AssemblyError, IllConditionedBasisError
+from .errors import AssemblyError
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
-COND_LIMIT = 1e12  # v_project refuses a basis whose Gram condition number reaches this
 BOX_RTOL = 1e-12  # ParameterBox.contains pads each bound by this times 1 + |bound|
 
 
@@ -286,29 +285,3 @@ def riesz_supremizer(xi, ops: AffineOperatorSet) -> np.ndarray:
         raise ValueError(f"dual vector must have shape ({ops.dim},), got {c.shape}")
     return ops.x_solve(c)
 
-
-def v_project(v: np.ndarray, basis, ops: AffineOperatorSet) -> tuple[np.ndarray, float]:
-    """Energy-orthogonal projection of v onto the span of the basis.
-
-    Returns the coefficients of the best approximation and the energy norm
-    of the projection error, via the normal equations with the basis Gram
-    matrix.
-    """
-    v = np.asarray(v, dtype=float)
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        cols = basis
-    elif len(basis):
-        cols = np.column_stack([np.asarray(b, dtype=float) for b in basis])
-    else:
-        cols = np.zeros((v.size, 0))
-    if cols.shape[1] == 0:
-        return np.zeros(0), ops.v_norm(v)
-    xcols = ops.gram @ cols
-    gmat = cols.T @ xcols
-    gmat = 0.5 * (gmat + gmat.T)
-    cond = np.linalg.cond(gmat)
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise IllConditionedBasisError(
-            f"projection basis has Gram condition number {cond:.3e}", cond=float(cond))
-    coeffs = np.linalg.solve(gmat, xcols.T @ v)
-    return coeffs, ops.v_norm(v - cols @ coeffs)

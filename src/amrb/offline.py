@@ -33,7 +33,6 @@ from . import textio
 from .errors import (
     AmrbError,
     DegenerateInputError,
-    IllConditionedBasisError,
     InfSupFailureError,
     ModelCorruptionError,
     ModelLoadError,
@@ -224,31 +223,6 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     return ops.unwhiten(basis), np.array(eps_u), selected
 
 
-def angle_to_subspace(lam, basis, ops: AffineOperatorSet) -> float:
-    """Principal angle between a multiplier and the span of dual vectors.
-
-    The projection is computed in the dual inner product via the basis
-    Gram normal equations; the angle comes from atan2 of the residual and
-    projection norms, which keeps tiny angles accurate where
-    arccos(1 - eps) loses half the digits.  An empty basis gives pi/2.
-    """
-    c = ops.whiten_dual(np.asarray(lam, dtype=float))
-    if float(c @ c) <= NORM_FLOOR ** 2:
-        raise DegenerateInputError("multiplier vanishes in the dual norm")
-    cols = [np.asarray(b, dtype=float) for b in basis]
-    if not cols:
-        return float(np.pi / 2)
-    xi = ops.whiten_dual(np.column_stack(cols))
-    rhs = xi.T @ c
-    try:
-        coef = np.linalg.solve(xi.T @ xi, rhs)
-    except np.linalg.LinAlgError as err:
-        raise IllConditionedBasisError(f"dual basis Gram is singular: {err}") from err
-    sin_part = np.linalg.norm(c - xi @ coef)
-    cos_part = np.sqrt(max(float(coef @ rhs), 0.0))
-    return float(np.arctan2(sin_part, cos_part))
-
-
 def angle_greedy(store: SnapshotStore, n_w: int,
                  ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Greedy dual cone construction.
@@ -418,19 +392,19 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
     return model
 
 
-def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
-                                   ops: AffineOperatorSet):
-    """Run both greedy loops plus enrichment; saturation degrades gracefully.
-
-    Returns (model, warnings).  A greedy loop that saturates early
-    contributes whatever it built; the warning list records each such
-    event.
-    """
+def truncated_model(store: SnapshotStore, pod, cone, nv_tilde: int, nw: int,
+                    ops: AffineOperatorSet):
+    """Model and warnings at budget (nv_tilde, nw) from ``pod_greedy`` and
+    ``angle_greedy`` results ``pod`` and ``cone`` at budgets at least as
+    large: the loops only append, so a run's leading entries are the run at
+    a smaller budget.  A loop that saturated early contributes what it
+    built, and the warning list records each such event."""
     warnings: list[str] = []
-    vectors, eps_u, selected_u = pod_greedy(store, nv_tilde, ops)
+    vectors, eps_u, selected_u = pod[0][:, :nv_tilde], pod[1][:nv_tilde], pod[2][:nv_tilde]
     if vectors.shape[1] < nv_tilde:
         warnings.append(f"primal basis saturated at {vectors.shape[1]} of {nv_tilde} vectors")
-    xi, eps_lambda, selected_lambda = angle_greedy(store, nw, ops)
+    xi, eps_lambda, selected_lambda = cone[0][:, :nw], cone[1][:nw], cone[2][:nw]
+    xi = np.ascontiguousarray(xi)  # C order, as angle_greedy builds it: products round by layout
     if xi.shape[1] < nw:
         warnings.append(f"dual cone saturated at {xi.shape[1]} of {nw} generators")
 
@@ -458,6 +432,13 @@ def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
     for j in dropped:
         warnings.append(f"dropped supremizer {j}: direction dependent on the basis")
     return model, warnings
+
+
+def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
+                                   ops: AffineOperatorSet):
+    """``truncated_model`` of both greedy loops run at the budget itself."""
+    return truncated_model(store, pod_greedy(store, nv_tilde, ops),
+                           angle_greedy(store, nw, ops), nv_tilde, nw, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgesv, dgtsv, dgttrf
 
-from .errors import AmrbError, NumericalBreakdownError, SolverDivergenceError
+from .errors import AmrbError, AssemblyError, NumericalBreakdownError, SolverDivergenceError
 from .fem import AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal
 from . import textio
 
@@ -384,10 +384,17 @@ def ul_factor(S: Tridiagonal):
 
 
 def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOperators:
-    """Build the loop invariants of a trajectory at parameter ``mu``."""
-    a_mu = ops.a_matrix(mu)
+    """Build the loop invariants of a trajectory at parameter ``mu``.
+
+    Market parameters whose operator overflows, or whose step matrix is not
+    usable, raise ``AssemblyError``.
+    """
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
-    S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
+    try:
+        a_mu = ops.a_matrix(mu)
+        S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
+    except (OverflowError, ValueError) as err:
+        raise AssemblyError(f"step matrix at mu={mu} is unusable: {err}") from err
     upper_factor, lower_factor = ul_factor(S)
     return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu), theta=config.theta,
                          upper_factor=upper_factor, lower_factor=lower_factor)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from amrb.cli import main
-from amrb.errors import SolverDivergenceError
+from amrb.errors import InfSupFailureError, SolverDivergenceError
 import amrb.cli as cli_mod
 import amrb.truth as truth_mod
 
@@ -232,18 +232,55 @@ def test_offline_gnuplot_flag(tmp_path):
     assert (out / "greedy_decay.gp").exists()
 
 
-def test_offline_empty_cone_exits_5(tmp_path, capsys):
+def test_offline_empty_cone_saves_model(tmp_path, capsys):
     # with r = 0 no training run exercises early, so every multiplier
-    # snapshot vanishes and the cone stays empty
+    # snapshot vanishes and the cone stays empty; the unconstrained reduced
+    # model is then the answer, and it validates and runs online
     cfg = write_config(tmp_path, {**SMALL_CONFIG, "box": {"r0": 0.0}})
     out = tmp_path / "run"
-    assert main(["offline", "--config", cfg, "--out", str(out)]) == 5
-    warning, line = capsys.readouterr().err.splitlines()
-    assert warning == "warning: dual cone saturated at 0 of 5 generators"
-    error = json.loads(line)
-    assert error["error"] == "saturation"
-    assert error["achieved_nw"] == 0
-    assert not (out / "model.json").exists()
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: dual cone saturated at 0 of 5 generators"]
+    model = str(out / "model.json")
+    assert json.loads((out / "model.json").read_text())["NW"] == 0
+    assert main(["validate", "--model", model]) == 0
+    assert main(["online", "--config", cfg, "--model", model, "--mu", "101,0.0,0.0015,0.5",
+                 "--compare", "--out", str(out)]) == 0
+    assert json.loads((out / "online_summary.json").read_text())["err_N"] >= 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["truth", "--mu", "100,1e308,0.0015,0.5"],
+    ["truth", "--mu", "100,-1e308,0.0015,0.5"],
+    ["truth", "--mu", "100,0.05,1e308,0.5"],
+    ["truth", "--mu", "100,0.05,0.0015,1e200"],
+    ["online", "--mu", "100,0.05,0.0015,1e200"],
+], ids=["r-1e308", "r-minus-1e308", "q-1e308", "sigma-1e200", "online-sigma-1e200"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_market_parameters_exit_4(tmp_path, capsys, argv):
+    # finite parameters whose operators overflow used to exit 1 with a traceback
+    out = tmp_path / "run"
+    if argv[0] == "online":
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+        argv = [*argv, "--config", cfg]
+        capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 4
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "AssemblyError"
+
+
+def test_narrow_box_is_a_config_error(tmp_path, capsys):
+    # a zero-width box draws one parameter over and over; a snapshot store
+    # needs distinct ones
+    narrow = {**SMALL_CONFIG, "box": {"eps": 0.0}}
+    cfg = write_config(tmp_path, narrow)
+    for command in ("offline", "study"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "config" and "too narrow" in error["message"]
+    cfg = write_config(tmp_path, {**narrow, "sampling": {"N_train": 1}}, name="one.json")
+    assert main(["offline", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +391,37 @@ def test_study_deterministic(tmp_path):
     assert main(["study", "--config", cfg, "--out", str(a), "--budgets", "3x3"]) == 0
     assert main(["study", "--config", cfg, "--out", str(b), "--budgets", "3x3"]) == 0
     assert (a / "study.csv").read_bytes() == (b / "study.csv").read_bytes()
+
+
+def test_study_shared_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # the test truths serve every budget, so their failure ends the study
+    def boom(*args, **kwargs):
+        raise SolverDivergenceError("forced")
+
+    monkeypatch.setattr(cli_mod, "solve_trajectory", boom)
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "SolverDivergenceError"
+    assert not (out / "study.csv").exists()
+
+
+def test_study_budget_failure_is_a_row(tmp_path, monkeypatch, capsys):
+    truncated_model = cli_mod.truncated_model
+
+    def fail_at_4(store, pod, cone, nv_tilde, nw, ops):
+        if nw == 4:
+            raise InfSupFailureError("forced")
+        return truncated_model(store, pod, cone, nv_tilde, nw, ops)
+
+    monkeypatch.setattr(cli_mod, "truncated_model", fail_at_4)
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "study.csv")
+    assert [r[4] for r in rows] == ["ok", "error:InfSupFailureError", "ok"]
+    assert capsys.readouterr().err == "warning: budget (4,4) failed: forced\n"
+    assert not (out / "errors_4x4.csv").exists()
 
 
 def test_study_seed_override_changes_output(tmp_path):

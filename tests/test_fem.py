@@ -3,7 +3,6 @@ import pytest
 import sympy as sym
 
 from amrb import (
-    IllConditionedBasisError,
     ParameterBox,
     ParameterVector,
     Tridiagonal,
@@ -11,7 +10,6 @@ from amrb import (
     build_mesh,
     obstacle_data,
     riesz_supremizer,
-    v_project,
     w_inner,
     w_norm,
 )
@@ -331,40 +329,3 @@ def test_riesz_isometry(default_ops):
         lift = riesz_supremizer(xi, default_ops)
         assert default_ops.v_norm(lift) == pytest.approx(w_norm(xi, default_ops), rel=1e-10)
 
-
-# ---------------------------------------------------------------------------
-# projection
-
-
-def test_v_project_member(default_ops):
-    rng = np.random.default_rng(6)
-    basis = [rng.normal(size=default_ops.dim) for _ in range(4)]
-    coeffs, err = v_project(basis[2], basis, default_ops)
-    assert err <= 1e-12 * default_ops.v_norm(basis[2])
-    assert coeffs == pytest.approx([0, 0, 1, 0], abs=1e-9)
-
-
-def test_v_project_empty_basis(default_ops):
-    v = np.ones(default_ops.dim)
-    coeffs, err = v_project(v, [], default_ops)
-    assert coeffs.size == 0
-    assert err == pytest.approx(default_ops.v_norm(v))
-
-
-def test_v_project_orthogonal_residual(default_ops):
-    rng = np.random.default_rng(7)
-    basis = [rng.normal(size=default_ops.dim) for _ in range(6)]
-    v = rng.normal(size=default_ops.dim)
-    coeffs, _ = v_project(v, basis, default_ops)
-    resid = v - np.column_stack(basis) @ coeffs
-    scale = default_ops.v_norm(v)
-    for b in basis:
-        assert abs(default_ops.v_inner(resid, b)) <= 1e-10 * scale * default_ops.v_norm(b)
-
-
-def test_v_project_ill_conditioned(default_ops):
-    rng = np.random.default_rng(8)
-    b = rng.normal(size=default_ops.dim)
-    with pytest.raises(IllConditionedBasisError):
-        v_project(rng.normal(size=default_ops.dim), [b, b + 1e-15 * rng.normal(size=b.size)],
-                  default_ops)

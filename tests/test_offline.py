@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +16,6 @@ from amrb import (
     SnapshotStore,
     Trajectory,
     angle_greedy,
-    angle_to_subspace,
     assemble_reduced,
     build_reduced_model_from_store,
     enrich_with_supremizers,
@@ -30,7 +30,7 @@ from amrb import (
     w_inner,
     w_norm,
 )
-from amrb.offline import write_greedy_csvs
+from amrb.offline import NORM_FLOOR, truncated_model, write_greedy_csvs
 
 from conftest import dense, empty_diagnostics, identity_operator_set
 
@@ -193,44 +193,66 @@ def test_pod_greedy_small_run(small_store, small_setup):
 # angles
 
 
+def _multiplier_store(ops, lams):
+    """One-parameter store whose multiplier snapshots are the rows of lams."""
+    lams = np.asarray(lams, dtype=float)
+    scheme = SchemeConfig(T=1.0, L=lams.shape[0], theta=0.5)
+    mu = ParameterVector(K=100.0, r=0.05, q=0.0015, sigma=0.5)
+    traj = Trajectory(mu=mu, states=np.ones((scheme.L + 1, ops.dim)), multipliers=lams,
+                      config=scheme, pdas_iterations=np.ones(scheme.L, dtype=int))
+    return SnapshotStore(params=(mu,), trajectories=(traj,), mesh=ops.mesh, config=scheme)
+
+
 def test_angle_identity_ops_basics():
+    # with identity operators the greedy's angles are Euclidean ones
     ops = identity_operator_set(6)
-    e1 = np.eye(6)[0]
-    e2 = np.eye(6)[1]
-    assert angle_to_subspace(e2, [], ops) == pytest.approx(np.pi / 2)
-    assert angle_to_subspace(e2, [e1], ops) == pytest.approx(np.pi / 2, abs=1e-10)
-    assert angle_to_subspace(e1, [e1], ops) <= 1e-7
-    mixed = (e1 + e2) / np.sqrt(2)
-    assert angle_to_subspace(mixed, [e1], ops) == pytest.approx(np.pi / 4, rel=1e-10)
+    e1, e2 = np.eye(6)[:2]
+    _, eps, _ = angle_greedy(_multiplier_store(ops, [e1, e2]), 2, ops)
+    assert eps[0] == pytest.approx(np.pi / 2)
+    _, eps, _ = angle_greedy(_multiplier_store(ops, [e1, (e1 + e2) / np.sqrt(2)]), 2, ops)
+    assert eps[0] == pytest.approx(np.pi / 4, rel=1e-10)
+    xi, eps, _ = angle_greedy(_multiplier_store(ops, [e1, 3.0 * e1]), 2, ops)
+    assert xi.shape[1] == 1 and eps[0] <= 1e-7
 
 
 def test_angle_member_of_span(default_ops):
+    # a snapshot in the span of the others adds no generator
     rng = np.random.default_rng(3)
-    basis = [rng.normal(size=default_ops.dim) for _ in range(4)]
+    basis = rng.normal(size=(4, default_ops.dim))
     member = 0.3 * basis[0] - 1.7 * basis[2]
-    assert angle_to_subspace(member, basis, default_ops) <= 1e-7
+    xi, eps, _ = angle_greedy(_multiplier_store(default_ops, [*basis, member]), 5, default_ops)
+    assert xi.shape[1] == 4
+    assert eps[-1] <= 1e-7
 
 
 def test_angle_zero_input(default_ops):
-    with pytest.raises(DegenerateInputError):
-        angle_to_subspace(np.zeros(default_ops.dim), [], default_ops)
+    # snapshots of zero dual norm neither start the cone nor join it
+    rng = np.random.default_rng(5)
+    zero = np.zeros(default_ops.dim)
+    lams = [zero, zero, rng.normal(size=default_ops.dim), zero, rng.normal(size=default_ops.dim)]
+    xi, eps, selected = angle_greedy(_multiplier_store(default_ops, lams), 4, default_ops)
+    assert selected == [(3, 0), (5, 0)]
+    assert xi.shape[1] == 2 and np.isfinite(eps).all()
 
 
-def test_angle_against_gram_schmidt_oracle(default_ops):
-    # orthonormalize the basis in the dual inner product, project, compare
-    rng = np.random.default_rng(4)
-    basis = [rng.normal(size=default_ops.dim) for _ in range(5)]
-    lam = rng.normal(size=default_ops.dim)
+def test_angle_against_gram_schmidt_oracle(small_store, small_setup):
+    # orthonormalize the generators in the dual inner product: the recorded
+    # eps_lambda[k] is the largest angle between a snapshot of positive dual
+    # norm and the span of the first k + 1 generators
+    _, ops, _, _ = small_setup
+    xi, eps, _ = angle_greedy(small_store, 5, ops)
+    assert xi.shape[1] == 5
+    lams = [lam for lam in small_store.multiplier_matrix()[0].T if w_norm(lam, ops) > NORM_FLOOR]
     ortho = []
-    for b in basis:
-        v = b.copy()
-        for q in ortho:
-            v = v - q * w_inner(q, v, default_ops)
-        ortho.append(v / w_norm(v, default_ops))
-    proj_sq = sum(w_inner(q, lam, default_ops) ** 2 for q in ortho)
-    cos_oracle = np.sqrt(proj_sq) / w_norm(lam, default_ops)
-    angle = angle_to_subspace(lam, basis, default_ops)
-    assert np.cos(angle) == pytest.approx(cos_oracle, rel=1e-10)
+    for k in range(xi.shape[1]):
+        v = xi[:, k].copy()
+        for _ in range(2):
+            for q in ortho:
+                v = v - q * w_inner(q, v, ops)
+        ortho.append(v / w_norm(v, ops))
+        cos_oracle = min(np.sqrt(sum(w_inner(q, lam, ops) ** 2 for q in ortho)) / w_norm(lam, ops)
+                         for lam in lams)
+        assert np.cos(eps[k]) == pytest.approx(cos_oracle, rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +513,11 @@ def test_saturation_degrades_gracefully(default_ops, default_scheme):
                         "dual cone saturated at 0 of 3 generators"]
 
 
-def test_rank_floor_trims_cone(default_ops, default_scheme):
+def _rank_floor_store(default_ops, default_scheme):
     # the third multiplier snapshot sits at an angle of about 1.5e-10 to the
     # span of the first two: above the greedy's angle floor, so it is
     # selected, but its coupling column puts smin/smax(B_N) near 7e-11,
-    # below the rank floor; the pipeline must trim it and proceed
+    # below the rank floor
     H = default_ops.dim
     s = default_ops.mesh.interior_nodes
     a = np.exp(-s / 50.0)
@@ -508,8 +530,13 @@ def test_rank_floor_trims_cone(default_ops, default_scheme):
     traj = Trajectory(mu=mu, states=np.ones((default_scheme.L + 1, H)),
                       multipliers=lam, config=default_scheme,
                       pdas_iterations=np.ones(default_scheme.L, dtype=int))
-    store = SnapshotStore(params=(mu,), trajectories=(traj,),
-                          mesh=default_ops.mesh, config=default_scheme)
+    return SnapshotStore(params=(mu,), trajectories=(traj,),
+                         mesh=default_ops.mesh, config=default_scheme)
+
+
+def test_rank_floor_trims_cone(default_ops, default_scheme):
+    # the pipeline must trim the generator below the rank floor and proceed
+    store = _rank_floor_store(default_ops, default_scheme)
     _, eps, _ = angle_greedy(store, 3, default_ops)
     assert 1e-10 < eps[1] < 3e-10
     model, warnings = build_reduced_model_from_store(store, 1, 3, default_ops)
@@ -518,6 +545,43 @@ def test_rank_floor_trims_cone(default_ops, default_scheme):
     assert len(model.diagnostics.eps_lambda) == model.nw
     assert model.diagnostics.selected_pairs_lambda == ((1, 0), (2, 0))
     verify_model(model, default_ops)
+
+
+def _same(a, b) -> bool:
+    """Bitwise equality of models, field by field."""
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("case", ["small", "saturated", "rank-floor"])
+def test_truncated_models_match_separate_builds(case, small_store, small_setup,
+                                                default_ops, default_scheme):
+    # one greedy run at the largest budget, truncated, gives every smaller
+    # budget's model and warnings bit for bit
+    store, ops, budgets = {
+        "small": (small_store, small_setup[1], [(1, 1), (3, 2), (2, 6), (5, 5), (6, 6)]),
+        "saturated": (_parallel_multiplier_store(default_ops, default_scheme), default_ops,
+                      [(1, 1), (1, 4), (2, 2)]),
+        "rank-floor": (_rank_floor_store(default_ops, default_scheme), default_ops,
+                       [(1, 1), (1, 2), (1, 3)]),
+    }[case]
+    pod = pod_greedy(store, max(a for a, _ in budgets), ops)
+    cone = angle_greedy(store, max(b for _, b in budgets), ops)
+    for nv_tilde, nw in budgets:
+        model, warnings = truncated_model(store, pod, cone, nv_tilde, nw, ops)
+        alone, alone_warnings = build_reduced_model_from_store(store, nv_tilde, nw, ops)
+        assert _same(model, alone) and warnings == alone_warnings
+
+
+def test_truncated_stock_models(store16, default_ops, model_4_4, model_8_8, model_16_16):
+    pod = pod_greedy(store16, 16, default_ops)
+    cone = angle_greedy(store16, 16, default_ops)
+    for model in (model_4_4, model_8_8, model_16_16):
+        truncated, _ = truncated_model(store16, pod, cone, model.nv_tilde, model.nw, default_ops)
+        assert _same(truncated, model)
 
 
 def test_seed13_keeps_full_cone(default_ops, default_scheme, default_box):

@@ -337,27 +337,46 @@ def test_error_metrics_shape_mismatch(default_ops, default_scheme, mu0):
         error_metrics(truth, truth.states[:, :-1], default_ops)
 
 
-def test_err_linf_is_max(small_model, small_setup):
-    _, ops, _, box = small_setup
+def _test_truths(small_setup):
+    mesh, ops, scheme, box = small_setup
     from amrb import sample_training_set
-    test_set = sample_training_set(box, 3, 99)
-    report = err_linf(small_model, test_set, ops)
-    assert report.err_linf == pytest.approx(report.err_values.max())
-    assert report.err_values.shape == (3,)
+    return [solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
+            for mu in sample_training_set(box, 3, 99)]
+
+
+def test_err_linf_is_max(small_model, small_setup):
+    ops = small_setup[1]
+    truths = _test_truths(small_setup)
+    errors = err_linf(small_model, truths, ops)
+    assert errors.shape == (3,)
+    each = []
+    for truth in truths:
+        rt = reduced_trajectory(small_model, truth.mu)
+        each.append(error_metrics(truth, reconstruct_states(small_model, rt), ops))
+    assert errors.tolist() == each
+    assert errors.max() == max(each)
+
+
+def test_err_linf_rejects_other_time_grid(small_model, small_setup):
+    mesh, ops, scheme, _ = small_setup
+    mu = ParameterVector(K=100.0, r=0.05, q=0.0015, sigma=0.5)
+    other = dataclasses.replace(scheme, T=0.5)
+    truth = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), other)
+    with pytest.raises(ValueError, match="time grid"):
+        err_linf(small_model, [truth], ops)
 
 
 def test_error_report_csv(tmp_path, small_model, small_setup):
-    _, ops, _, box = small_setup
-    from amrb import sample_training_set
-    test_set = sample_training_set(box, 3, 99)
-    report = err_linf(small_model, test_set, ops)
+    ops = small_setup[1]
+    truths = _test_truths(small_setup)
+    errors = err_linf(small_model, truths, ops)
     path = tmp_path / "errors.csv"
-    write_error_report_csv(report, path)
+    write_error_report_csv([t.mu for t in truths], errors, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "K,r,q,sigma,err_N"
     assert len(lines) == 1 + 3 + 1
     assert lines[-1].startswith("ERR_LINF,,,,")
-    assert float(lines[-1].split(",")[-1]) == report.err_linf
+    assert float(lines[-1].split(",")[-1]) == errors.max()
 
 
 def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
