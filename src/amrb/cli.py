@@ -458,29 +458,32 @@ def _parse_budgets(text: str) -> tuple[tuple[int, int], ...]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "validate":
-            return cmd_validate(args.model)
-        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        if args.command == "truth":
-            return cmd_truth(cfg, parse_mu(args.mu), args.gnuplot)
-        if args.command == "offline":
-            return cmd_offline(cfg, args.gnuplot)
-        if args.command == "online":
-            model_path = args.model if args.model else cfg.model_path
-            return cmd_online(cfg, model_path, parse_mu(args.mu), args.compare,
-                              args.gnuplot)
-        if args.command == "study":
-            budgets = _parse_budgets(args.budgets) if args.budgets else cfg.budgets
-            return cmd_study(cfg, budgets, args.gnuplot)
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as err:
-        _error_json("config", str(err))
-        return EXIT_CONFIG
-    except AmrbError as err:
-        _error_json(type(err).__name__, str(err))
-        return EXIT_SOLVER
+    # overflowing inputs fail the finiteness checks and are reported as one
+    # JSON line; numpy's warnings about the same overflow would come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.command == "validate":
+                return cmd_validate(args.model)
+            cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            if args.command == "truth":
+                return cmd_truth(cfg, parse_mu(args.mu), args.gnuplot)
+            if args.command == "offline":
+                return cmd_offline(cfg, args.gnuplot)
+            if args.command == "online":
+                model_path = args.model if args.model else cfg.model_path
+                return cmd_online(cfg, model_path, parse_mu(args.mu), args.compare,
+                                  args.gnuplot)
+            if args.command == "study":
+                budgets = _parse_budgets(args.budgets) if args.budgets else cfg.budgets
+                return cmd_study(cfg, budgets, args.gnuplot)
+            parser.error(f"unknown command {args.command!r}")
+        except ConfigError as err:
+            _error_json("config", str(err))
+            return EXIT_CONFIG
+        except AmrbError as err:
+            _error_json(type(err).__name__, str(err))
+            return EXIT_SOLVER
     return EXIT_OK
 
 

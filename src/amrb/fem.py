@@ -43,9 +43,15 @@ class Mesh1D:
     """Uniform grid on (0, s_f) with H interior degrees of freedom."""
 
     s_f: float
-    H: int
-    delta_s: float
     nodes: np.ndarray
+
+    @property
+    def H(self) -> int:
+        return self.nodes.size - 2
+
+    @property
+    def delta_s(self) -> float:
+        return self.s_f / (self.H + 1)
 
     @property
     def interior_nodes(self) -> np.ndarray:
@@ -58,10 +64,8 @@ def build_mesh(H: int, s_f: float) -> Mesh1D:
         raise ValueError(f"need at least 2 interior nodes, got H={H}")
     if s_f <= 0:
         raise ValueError(f"upper asset bound must be positive, got s_f={s_f}")
-    H = int(H)
     s_f = float(s_f)
-    nodes = np.linspace(0.0, s_f, H + 2)
-    return Mesh1D(s_f=s_f, H=H, delta_s=s_f / (H + 1), nodes=nodes)
+    return Mesh1D(s_f=s_f, nodes=np.linspace(0.0, s_f, int(H) + 2))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ of multipliers (gram = U'U, see ``amrb.fem``), where both inner products
 are dot products; they share one Euclidean Gram-Schmidt step.
 
 Bases and cones are plain column arrays.  A ``ReducedModel`` collects
-them, all reduced operator blocks and the greedy diagnostics; it
-serializes to a single JSON document.
+them, the reduced operator blocks and the greedy diagnostics.  Its JSON
+document holds the bases and the diagnostics only: ``assemble_reduced``
+derives the blocks from the bases, for the offline build and on load alike.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from .fem import (
 )
 from .truth import SchemeConfig, Trajectory, solve_trajectory
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 NORM_FLOOR = 1e-12       # below this a vector counts as zero in its norm
 MIN_GREEDY_ANGLE = 1e-10  # smaller angles mean the snapshot cone is exhausted
 RANK_FLOOR = 1e-10       # smin/smax of B_N below this means lost column rank
-BLOCK_RTOL = 1e-12       # stored reduced blocks must match their recomputation
 ORTHO_TOL = 1e-9         # max |psi' gram psi - I|; stock bases reach 5.6e-12 at H=9999
 
 
@@ -318,7 +318,9 @@ class ReducedModel:
 
     ``psi_matrix`` is energy-orthonormal, so the energy projection of a
     nodal vector v onto the reduced space has coefficients gram_psi' v.
-    The sizes ``mesh_h``, ``nv`` and ``nw`` are read off the bases.
+    The sizes ``mesh_h``, ``nv`` and ``nw`` are read off the bases, and
+    every array after ``xi_matrix`` is derived from them by
+    ``assemble_reduced``.
     """
 
     mesh_s_f: float
@@ -332,7 +334,7 @@ class ReducedModel:
     f1_n: np.ndarray              # (NV,)
     f2_n: np.ndarray
     b_n: np.ndarray               # (NV, NW) primal-dual coupling
-    gram_psi: np.ndarray          # (H, NV) gram @ psi; recomputed on load, not stored
+    gram_psi: np.ndarray          # (H, NV) gram @ psi
     diagnostics: GreedyDiagnostics
 
     @property
@@ -358,35 +360,31 @@ def _check_coupling_rank(b_n: np.ndarray, error: type[AmrbError], message: str) 
                     smin=float(svals[-1]), smax=float(svals[0]))
 
 
-def _check_unit_gram(psi: np.ndarray, gram_psi: np.ndarray,
-                     error: type[AmrbError]) -> None:
-    """Raise ``error`` unless psi' gram psi is the identity to ``ORTHO_TOL``."""
-    dev = float(np.abs(psi.T @ gram_psi - np.eye(psi.shape[1])).max(initial=0.0))
-    if not dev <= ORTHO_TOL:
-        raise error(f"primal basis is not energy-orthonormal (max deviation {dev:.3e})")
-
-
 def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
                      config: SchemeConfig, *, nv_tilde: int,
                      diagnostics: GreedyDiagnostics) -> ReducedModel:
     """Project all operator blocks onto the energy-orthonormal basis psi.
 
-    ``nv_tilde`` counts the POD columns in front of the supremizers.  Fails
-    with InfSupFailureError if the reduced coupling b_n loses full column
-    rank, which would make the reduced saddle-point steps ill posed.
+    The one place where a model's derived arrays are formed: the offline
+    build and ``load_model`` both come here.  ``nv_tilde`` counts the POD
+    columns in front of the supremizers.  Fails with InfSupFailureError if
+    the reduced coupling b_n loses full column rank, which would make the
+    reduced saddle-point steps ill posed, and with ModelCorruptionError if
+    ``verify_model`` rejects the result.
     """
-    mass_n = psi.T @ (ops.mass @ psi)
+    # products round by layout: project from the Fortran order that
+    # enrich_with_supremizers builds, whatever order psi arrives in
+    psi_f = np.asfortranarray(psi)
+    mass_n = psi_f.T @ (ops.mass @ psi_f)
     mass_n = 0.5 * (mass_n + mass_n.T)
-    b_n = psi.T @ xi
-    _check_coupling_rank(b_n, InfSupFailureError,
-                         "reduced coupling lost full column rank; "
-                         "supremizer enrichment is broken")
+    b_n = psi_f.T @ xi
+    _check_coupling_rank(b_n, InfSupFailureError, "reduced coupling lost full column rank")
     model = ReducedModel(
         mesh_s_f=ops.mesh.s_f, config=config, nv_tilde=nv_tilde,
         psi_matrix=psi.copy(), xi_matrix=xi.copy(),
-        mass_n=mass_n, a1_n=psi.T @ (ops.a1 @ psi), a2_n=psi.T @ (ops.a2 @ psi),
-        f1_n=psi.T @ ops.f1, f2_n=psi.T @ ops.f2, b_n=b_n,
-        gram_psi=ops.gram @ psi, diagnostics=diagnostics,
+        mass_n=mass_n, a1_n=psi_f.T @ (ops.a1 @ psi_f), a2_n=psi_f.T @ (ops.a2 @ psi_f),
+        f1_n=psi_f.T @ ops.f1, f2_n=psi_f.T @ ops.f2, b_n=b_n,
+        gram_psi=ops.gram @ psi_f, diagnostics=diagnostics,
     )
     verify_model(model, ops)
     return model
@@ -446,6 +444,7 @@ def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
 
 
 def model_document(model: ReducedModel) -> dict:
+    """The file form of a model: its bases and diagnostics, no derived arrays."""
     diag = model.diagnostics
     diagnostics = {
         "eps_u": diag.eps_u,
@@ -461,16 +460,8 @@ def model_document(model: ReducedModel) -> dict:
         "mesh": {"H": model.mesh_h, "s_f": model.mesh_s_f},
         "time": {"T": model.config.T, "L": model.config.L, "theta": model.config.theta},
         "NV_tilde": model.nv_tilde,
-        "NW": model.nw,
-        "NV": model.nv,
         "psi_matrix": model.psi_matrix,
         "xi_matrix": model.xi_matrix,
-        "Mass_N": model.mass_n,
-        "A1_N": model.a1_n,
-        "A2_N": model.a2_n,
-        "f1_N": model.f1_n,
-        "f2_N": model.f2_n,
-        "B_N": model.b_n,
         "diagnostics": diagnostics,
     }
 
@@ -495,28 +486,29 @@ def _object(data: dict, key: str) -> dict:
     return value
 
 
-def _array(data, key: str, shape: tuple) -> np.ndarray:
+def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
+    """Finite float matrix field with ``rows`` rows; rows of [] give 0 columns."""
     try:
-        arr = np.array(_need(data, key) if isinstance(data, dict) else data, dtype=float)
+        arr = np.array(_need(data, key), dtype=float)
     except (TypeError, ValueError) as err:
         raise ModelLoadError(f"field {key!r} is not a numeric array: {err}") from err
-    if arr.size == 0 and 0 in shape:
-        arr = arr.reshape(shape)
-    if arr.shape != shape:
-        raise ModelLoadError(f"field {key!r} has shape {arr.shape}, expected {shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.ndim != 2 or arr.shape[0] != rows:
+        raise ModelLoadError(f"field {key!r} has shape {arr.shape}, expected {rows} rows")
+    if not np.all(np.isfinite(arr)):
         raise ModelLoadError(f"field {key!r} contains non-finite values")
     return arr
 
 
 def load_model(path, return_operators: bool = False):
-    """Parse and validate a model file; rejects corrupted coupling blocks.
+    """Parse a model file and derive its blocks through ``assemble_reduced``.
 
-    The operators of the stored mesh are reassembled to recompute
-    gram @ psi and to check that the basis is energy-orthonormal.  Returns
-    the ``ReducedModel``, or (model, operators) with ``return_operators``,
-    so that a caller that verifies the model or solves the truth on its
-    mesh need not assemble them again.
+    The operators of the stored mesh are assembled to project them onto the
+    stored bases.  Every failure, in the file or in the checks the
+    derivation runs (coupling rank, energy orthonormality, SPD mass,
+    monotone decays), raises ModelLoadError.  Returns the ``ReducedModel``,
+    or (model, operators) with ``return_operators``, so that a caller that
+    verifies the model or solves the truth on its mesh need not assemble
+    them again.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -538,28 +530,15 @@ def load_model(path, return_operators: bool = False):
         time = _need(data, "time")
         config = SchemeConfig(T=float(time["T"]), L=int(time["L"]), theta=float(time["theta"]))
         nv_tilde = int(_need(data, "NV_tilde"))
-        nw = int(_need(data, "NW"))
-        nv = int(_need(data, "NV"))
     except (KeyError, TypeError, ValueError) as err:
         raise ModelLoadError(f"model header is malformed: {err}") from err
-    if h < 2 or not 0 < s_f < np.inf or nv < 1 or nw < 0 or nv_tilde < 1:
+    if h < 2 or not 0 < s_f < np.inf:
+        raise ModelLoadError(f"model mesh is out of range: H={h}, s_f={s_f}")
+    psi = _matrix(data, "psi_matrix", h)
+    xi = _matrix(data, "xi_matrix", h)
+    if not 1 <= nv_tilde <= psi.shape[1]:
         raise ModelLoadError(
-            f"model sizes are out of range: H={h}, s_f={s_f}, NV={nv}, NW={nw}")
-
-    psi = _array(data, "psi_matrix", (h, nv))
-    xi = _array(data, "xi_matrix", (h, nw))
-    mass_n = _array(data, "Mass_N", (nv, nv))
-    a1_n = _array(data, "A1_N", (nv, nv))
-    a2_n = _array(data, "A2_N", (nv, nv))
-    f1_n = _array(data, "f1_N", (nv,))
-    f2_n = _array(data, "f2_N", (nv,))
-    b_n = _array(data, "B_N", (nv, nw))
-
-    ops = assemble_operators(build_mesh(h, s_f))
-    gram_psi = ops.gram @ psi
-    _check_unit_gram(psi, gram_psi, ModelLoadError)
-    _check_coupling_rank(b_n, ModelLoadError,
-                         "model coupling block fails the full-rank check; file is corrupt")
+            f"model sizes are out of range: NV_tilde={nv_tilde}, NV={psi.shape[1]}")
 
     diag_data = _object(data, "diagnostics")
     selections = _object(diag_data, "selections")
@@ -580,40 +559,28 @@ def load_model(path, return_operators: bool = False):
     except (TypeError, ValueError) as err:
         raise ModelLoadError(f"model diagnostics are malformed: {err}") from err
 
-    model = ReducedModel(
-        mesh_s_f=s_f, config=config, nv_tilde=nv_tilde,
-        psi_matrix=psi, xi_matrix=xi,
-        mass_n=mass_n, a1_n=a1_n, a2_n=a2_n,
-        f1_n=f1_n, f2_n=f2_n, b_n=b_n,
-        gram_psi=gram_psi, diagnostics=diagnostics,
-    )
+    try:
+        ops = assemble_operators(build_mesh(h, s_f))
+        model = assemble_reduced(psi, xi, ops, config, nv_tilde=nv_tilde,
+                                 diagnostics=diagnostics)
+    except AmrbError as err:
+        raise ModelLoadError(f"model file {path} is unusable: {err}", **err.info) from err
     return (model, ops) if return_operators else model
 
 
 def verify_model(model: ReducedModel, ops: AffineOperatorSet) -> None:
-    """Recompute every reduced block from the stored bases and the
-    operators ``ops`` of the model's mesh, and compare.
+    """Check the structural invariants of a model on the operators ``ops``
+    of its mesh: energy-orthonormal basis, full-rank coupling, SPD mass and
+    non-increasing greedy decays.
 
     Raises ModelCorruptionError on the first violated invariant.
     """
     if ops.mesh.H != model.mesh_h:
         raise ModelCorruptionError("operator set does not match the model mesh")
-    psi = model.psi_matrix
-    xi = model.xi_matrix
-
-    def close(name: str, stored: np.ndarray, recomputed: np.ndarray) -> None:
-        scale = 1.0 + float(np.linalg.norm(recomputed))
-        if float(np.linalg.norm(stored - recomputed)) > BLOCK_RTOL * scale:
-            raise ModelCorruptionError(f"reduced block {name} does not match its recomputation")
-
-    close("Mass_N", model.mass_n, psi.T @ (ops.mass @ psi))
-    close("A1_N", model.a1_n, psi.T @ (ops.a1 @ psi))
-    close("A2_N", model.a2_n, psi.T @ (ops.a2 @ psi))
-    close("f1_N", model.f1_n, psi.T @ ops.f1)
-    close("f2_N", model.f2_n, psi.T @ ops.f2)
-    close("B_N", model.b_n, psi.T @ xi)
-    close("gram_psi", model.gram_psi, ops.gram @ psi)
-    _check_unit_gram(psi, model.gram_psi, ModelCorruptionError)
+    dev = float(np.abs(model.psi_matrix.T @ model.gram_psi - np.eye(model.nv)).max(initial=0.0))
+    if not dev <= ORTHO_TOL:
+        raise ModelCorruptionError(
+            f"primal basis is not energy-orthonormal (max deviation {dev:.3e})")
     _check_coupling_rank(model.b_n, ModelCorruptionError,
                          "reduced coupling block lost full column rank")
     try:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -193,8 +194,9 @@ def test_offline_artifacts(tmp_path):
     out = tmp_path / "run"
     assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
     model = json.loads((out / "model.json").read_text())
-    assert model["schema_version"] == 2
-    assert model["NV"] == model["NV_tilde"] + model["NW"]
+    assert model["schema_version"] == 3
+    nv, nw = len(model["psi_matrix"][0]), len(model["xi_matrix"][0])
+    assert (model["NV_tilde"], nw, nv) == (5, 5, 10)
     header, rows = read_csv(out / "pod_greedy.csv")
     assert header == ["iteration", "eps_u", "K", "r", "q", "sigma"]
     eps = [float(r[1]) for r in rows]
@@ -211,7 +213,8 @@ def test_offline_stock_defaults(tmp_path):
     model = json.loads((out / "model.json").read_text())
     assert model["mesh"] == {"H": 99, "s_f": 300}
     assert model["time"]["L"] == 20 and model["time"]["theta"] == 0.5
-    assert model["NV_tilde"] == 8 and model["NW"] == 8 and model["NV"] == 16
+    assert model["NV_tilde"] == 8
+    assert len(model["xi_matrix"][0]) == 8 and len(model["psi_matrix"][0]) == 16
     _, rows = read_csv(out / "training_params.csv")
     assert len(rows) == 16
 
@@ -242,32 +245,37 @@ def test_offline_empty_cone_saves_model(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "warning: dual cone saturated at 0 of 5 generators"]
     model = str(out / "model.json")
-    assert json.loads((out / "model.json").read_text())["NW"] == 0
+    assert all(row == [] for row in json.loads((out / "model.json").read_text())["xi_matrix"])
     assert main(["validate", "--model", model]) == 0
     assert main(["online", "--config", cfg, "--model", model, "--mu", "101,0.0,0.0015,0.5",
                  "--compare", "--out", str(out)]) == 0
     assert json.loads((out / "online_summary.json").read_text())["err_N"] >= 0.0
 
 
-@pytest.mark.parametrize("argv", [
-    ["truth", "--mu", "100,1e308,0.0015,0.5"],
-    ["truth", "--mu", "100,-1e308,0.0015,0.5"],
-    ["truth", "--mu", "100,0.05,1e308,0.5"],
-    ["truth", "--mu", "100,0.05,0.0015,1e200"],
-    ["online", "--mu", "100,0.05,0.0015,1e200"],
-], ids=["r-1e308", "r-minus-1e308", "q-1e308", "sigma-1e200", "online-sigma-1e200"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_overflowing_market_parameters_exit_4(tmp_path, capsys, argv):
-    # finite parameters whose operators overflow used to exit 1 with a traceback
+@pytest.mark.parametrize("argv, error", [
+    (["truth", "--mu=100,1e308,0.0015,0.5"], "AssemblyError"),
+    (["truth", "--mu=100,-1e308,0.0015,0.5"], "AssemblyError"),
+    (["truth", "--mu=100,0.05,1e308,0.5"], "AssemblyError"),
+    (["truth", "--mu=100,0.05,0.0015,1e200"], "AssemblyError"),
+    (["truth", "--mu=1e308,0.05,0.0015,0.5"], "NumericalBreakdownError"),
+    (["online", "--mu=100,0.05,0.0015,1e200"], "AssemblyError"),
+], ids=["r-1e308", "r-minus-1e308", "q-1e308", "sigma-1e200", "K-1e308",
+        "online-sigma-1e200"])
+def test_overflowing_market_parameters_exit_4(tmp_path, capsys, argv, error):
+    # finite parameters whose operators overflow used to exit 1 with a
+    # traceback, then with numpy's overflow warnings ahead of the JSON line
     out = tmp_path / "run"
     if argv[0] == "online":
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
         argv = [*argv, "--config", cfg]
         capsys.readouterr()
-    assert main([*argv, "--out", str(out)]) == 4
-    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert error["error"] == "AssemblyError"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
 
 
 def test_narrow_box_is_a_config_error(tmp_path, capsys):
@@ -317,6 +325,42 @@ def test_nan_horizon_model_exits_3(tmp_path, capsys):
     assert main(["online", "--config", cfg, "--model", str(bad), "--mu", "101,0.05,0.0015,0.5",
                  "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err.strip())["error"] == "model-load"
+
+
+def test_model_defects_exit_3_from_online_and_validate(tmp_path, capsys):
+    # the blocks are derived on load, so every check they run rejects the
+    # file in online and validate alike, with one JSON line on stderr
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+
+    def zero_generator(doc):
+        for row in doc["xi_matrix"]:
+            row[0] = 0.0
+
+    def scale_column(doc):
+        for row in doc["psi_matrix"]:
+            row[1] *= 1.0 + 1e-6
+
+    def raise_decay(doc):
+        doc["diagnostics"]["eps_u"][-1] = 2.0 * doc["diagnostics"]["eps_u"][0]
+
+    def old_schema(doc):
+        doc["schema_version"] = 2
+
+    def drop_row(doc):
+        doc["psi_matrix"].pop()
+
+    for corrupt in (zero_generator, scale_column, raise_decay, old_schema, drop_row):
+        doc = json.loads((out / "model.json").read_text())
+        corrupt(doc)
+        bad = out / f"{corrupt.__name__}.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["validate"], ["online", "--config", cfg, "--out", str(out),
+                                    "--mu", "101,0.05,0.0015,0.5"]):
+            assert main([*argv, "--model", str(bad)]) == 3, (corrupt.__name__, argv[0])
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_online_compare_reproduces_training_mu(tmp_path, capsys):
@@ -465,9 +509,10 @@ def test_validate_roundtrip(tmp_path, capsys):
     assert main(["validate", "--model", str(out / "model.json")]) == 0
     assert main(["validate", "--model", str(out / "missing.json")]) == 3
     doc = json.loads((out / "model.json").read_text())
-    for key, value in (("B_N", []), ("diagnostics", [1])):
+    for key, value in (("xi_matrix", []), ("diagnostics", [1])):
         (out / "bad.json").write_text(json.dumps(dict(doc, **{key: value})))
         assert main(["validate", "--model", str(out / "bad.json")]) == 3
-    doc["Mass_N"][0][0] += 1.0
+    for row in doc["psi_matrix"]:
+        row[0] *= 1.0 + 1e-6
     (out / "model.json").write_text(json.dumps(doc))
     assert main(["validate", "--model", str(out / "model.json")]) == 3

@@ -399,23 +399,50 @@ def test_build_reduced_model_invariants(small_model, small_setup):
     assert len(diag.selected_pairs_lambda) == small_model.nw
 
 
-def test_save_load_roundtrip(tmp_path, small_model):
-    p1 = tmp_path / "model.json"
-    p2 = tmp_path / "model2.json"
-    save_model(small_model, p1)
-    loaded = load_model(p1)
-    save_model(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert np.array_equal(loaded.psi_matrix, small_model.psi_matrix)
-    assert np.array_equal(loaded.b_n, small_model.b_n)
-    assert loaded.config == small_model.config
+DERIVED = ("mass_n", "a1_n", "a2_n", "f1_n", "f2_n", "b_n", "gram_psi")
+
+
+def test_save_load_roundtrip(tmp_path, small_model, model_8_8, default_scheme, default_box):
+    # the file holds only the bases; load derives every block through
+    # assemble_reduced, bit for bit as the build did: the stock (8,8) model
+    # at H=99 and a seed-3 (16,16) model at H=999, whose f1_n, f2_n and b_n
+    # round differently when projected from a C-ordered psi
+    from amrb import assemble_operators, build_mesh
+    from amrb.cli import train_stream
+
+    ops = assemble_operators(build_mesh(999, 300.0))
+    store = generate_snapshots(sample_training_set(default_box, 16, train_stream(3)),
+                               ops, default_scheme)
+    wide, _ = build_reduced_model_from_store(store, 16, 16, ops)
+    for name, model in (("small", small_model), ("stock", model_8_8), ("wide", wide)):
+        p1 = tmp_path / f"{name}.json"
+        p2 = tmp_path / f"{name}2.json"
+        save_model(model, p1)
+        loaded = load_model(p1)
+        save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert np.array_equal(loaded.psi_matrix, model.psi_matrix)
+        assert np.array_equal(loaded.xi_matrix, model.xi_matrix)
+        for field in DERIVED:
+            assert np.array_equal(getattr(loaded, field), getattr(model, field)), (name, field)
+        assert loaded.config == model.config
+        assert loaded.nv_tilde == model.nv_tilde
+
+
+def test_model_file_holds_only_bases(tmp_path, small_model):
+    path = tmp_path / "model.json"
+    save_model(small_model, path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["schema_version", "mesh", "time", "NV_tilde", "psi_matrix",
+                         "xi_matrix", "diagnostics"]
+    assert doc["schema_version"] == 3
 
 
 def test_load_rejects_wrong_version(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    for version in (99, 1):
+    for version in (99, 2, 1):
         doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelVersionError):
@@ -423,13 +450,14 @@ def test_load_rejects_wrong_version(tmp_path, small_model):
 
 
 def test_load_rejects_corrupted_coupling(tmp_path, small_model):
+    # zeroed cone generators leave the derived coupling psi' xi rank deficient
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    nv, nw = small_model.nv, small_model.nw
-    doc["B_N"] = [[0.0] * nw for _ in range(nv)]
+    for row in doc["xi_matrix"]:
+        row[-1] = 0.0
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelLoadError):
+    with pytest.raises(ModelLoadError, match="full column rank"):
         load_model(path)
     # a rescaled basis column breaks energy orthonormality
     save_model(small_model, path)
@@ -446,20 +474,25 @@ def test_load_rejects_malformed(tmp_path, small_model):
     path.write_text("{not json")
     with pytest.raises(ModelLoadError):
         load_model(path)
-    save_model(small_model, path)
-    doc = json.loads(path.read_text())
-    del doc["Mass_N"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelLoadError):
-        load_model(path)
-    save_model(small_model, path)
-    doc = json.loads(path.read_text())
-    doc["f1_N"] = doc["f1_N"][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelLoadError):
-        load_model(path)
-    for key, value in (("B_N", []), ("diagnostics", [1]),
+    for key in ("psi_matrix", "xi_matrix"):
+        save_model(small_model, path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=key):
+            load_model(path)
+        # one row short of the mesh, and one entry short in a row
+        for truncate in (lambda m: m[:-1], lambda m: [m[0][:-1], *m[1:]]):
+            save_model(small_model, path)
+            doc = json.loads(path.read_text())
+            doc[key] = truncate(doc[key])
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelLoadError, match=key):
+                load_model(path)
+    for key, value in (("xi_matrix", []), ("psi_matrix", [[]] * small_model.mesh_h),
+                       ("NV_tilde", small_model.nv + 1), ("diagnostics", [1]),
                        ("diagnostics", {"eps_u": [[1.0, 0.5]]}),
+                       ("diagnostics", {"eps_u": [0.5, 1.0]}),
                        ("time", {"T": 1.0, "L": 8, "theta": 0.25})):
         save_model(small_model, path)
         doc = json.loads(path.read_text())
@@ -472,9 +505,6 @@ def test_load_rejects_malformed(tmp_path, small_model):
 def test_verify_model_detects_tampering(small_model, small_setup):
     _, ops, _, _ = small_setup
     import dataclasses
-    bad = dataclasses.replace(small_model, mass_n=small_model.mass_n + 1e-6)
-    with pytest.raises(ModelCorruptionError):
-        verify_model(bad, ops)
     # a rescaled basis with every block recomputed from it: only the
     # energy orthonormality of psi is violated
     psi = small_model.psi_matrix * (1.0 + 1e-6)
