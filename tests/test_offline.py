@@ -30,7 +30,7 @@ from amrb import (
     w_inner,
     w_norm,
 )
-from amrb.offline import NORM_FLOOR, truncated_model, write_greedy_csvs
+from amrb.offline import NORM_FLOOR, RANK_FLOOR, truncated_model, write_greedy_csvs
 
 from conftest import dense, empty_diagnostics, identity_operator_set
 
@@ -391,7 +391,7 @@ def test_assemble_reduced_rank_failure(small_store, small_setup):
 def test_build_reduced_model_invariants(small_model, small_setup):
     _, ops, _, _ = small_setup
     assert small_model.nv == small_model.nv_tilde + small_model.nw
-    verify_model(small_model, ops)
+    verify_model(small_model)
     diag = small_model.diagnostics
     assert len(diag.eps_u) == small_model.nv_tilde
     assert len(diag.eps_lambda) == small_model.nw
@@ -469,6 +469,20 @@ def test_load_rejects_corrupted_coupling(tmp_path, small_model):
         load_model(path)
 
 
+def test_load_rejects_wide_coupling(tmp_path, small_model):
+    # fewer basis columns than cone generators: b_n is wide, its singular
+    # values are all nonzero, and it still lacks full column rank
+    path = tmp_path / "model.json"
+    save_model(small_model, path)
+    doc = json.loads(path.read_text())
+    keep = small_model.nw - 1
+    doc["psi_matrix"] = [row[:keep] for row in doc["psi_matrix"]]
+    doc["NV_tilde"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelLoadError, match="full column rank"):
+        load_model(path)
+
+
 def test_load_rejects_malformed(tmp_path, small_model):
     path = tmp_path / "model.json"
     path.write_text("{not json")
@@ -514,7 +528,7 @@ def test_verify_model_detects_tampering(small_model, small_setup):
         a2_n=psi.T @ (ops.a2 @ psi), f1_n=psi.T @ ops.f1, f2_n=psi.T @ ops.f2,
         b_n=psi.T @ small_model.xi_matrix)
     with pytest.raises(ModelCorruptionError, match="energy-orthonormal"):
-        verify_model(bad, ops)
+        verify_model(bad)
 
 
 def test_greedy_csvs(tmp_path, small_model):
@@ -545,9 +559,9 @@ def test_saturation_degrades_gracefully(default_ops, default_scheme):
 
 def _rank_floor_store(default_ops, default_scheme):
     # the third multiplier snapshot sits at an angle of about 1.5e-10 to the
-    # span of the first two: above the greedy's angle floor, so it is
-    # selected, but its coupling column puts smin/smax(B_N) near 7e-11,
-    # below the rank floor
+    # span of the first two, above the rank floor as an angle; but with it
+    # smin/smax of the unit lifts (and of B_N) is near 7e-11, below the
+    # floor, so the greedy stops before it
     H = default_ops.dim
     s = default_ops.mesh.interior_nodes
     a = np.exp(-s / 50.0)
@@ -565,16 +579,37 @@ def _rank_floor_store(default_ops, default_scheme):
 
 
 def test_rank_floor_trims_cone(default_ops, default_scheme):
-    # the pipeline must trim the generator below the rank floor and proceed
+    # the greedy stops before the generator below the rank floor, and the
+    # pipeline reports a short cone and proceeds
     store = _rank_floor_store(default_ops, default_scheme)
     _, eps, _ = angle_greedy(store, 3, default_ops)
     assert 1e-10 < eps[1] < 3e-10
     model, warnings = build_reduced_model_from_store(store, 1, 3, default_ops)
     assert model.nw == 2
-    assert warnings == ["dropped cone generator 2: coupling rank floor"]
+    assert warnings == ["dual cone saturated at 2 of 3 generators"]
     assert len(model.diagnostics.eps_lambda) == model.nw
     assert model.diagnostics.selected_pairs_lambda == ((1, 0), (2, 0))
-    verify_model(model, default_ops)
+    verify_model(model)
+
+
+@pytest.mark.parametrize("case", ["rank-floor", "seed-3"])
+def test_angle_greedy_keeps_cone_rank(case, default_ops, default_scheme, default_box):
+    # every prefix of the cone keeps smin/smax of its whitened unit lifts,
+    # which are the singular values of B_N, above the rank floor
+    from amrb.cli import train_stream
+
+    if case == "rank-floor":
+        store, n_gen = _rank_floor_store(default_ops, default_scheme), 2
+    else:
+        store, n_gen = generate_snapshots(sample_training_set(default_box, 16, train_stream(3)),
+                                          default_ops, default_scheme), 15
+    xi, _, _ = angle_greedy(store, 16, default_ops)
+    assert xi.shape[1] == n_gen
+    lifts = default_ops.whiten_dual(xi)
+    assert np.allclose(np.linalg.norm(lifts, axis=0), 1.0, rtol=1e-12)
+    for k in range(1, n_gen + 1):
+        svals = np.linalg.svd(lifts[:, :k], compute_uv=False)
+        assert svals[-1] > RANK_FLOOR * svals[0], k
 
 
 def _same(a, b) -> bool:
@@ -627,7 +662,7 @@ def test_seed13_keeps_full_cone(default_ops, default_scheme, default_box):
     model, warnings = build_reduced_model_from_store(store, 16, 16, default_ops)
     assert model.nw == 16 and model.nv == 32
     assert not any("rank floor" in w for w in warnings)
-    verify_model(model, default_ops)
+    verify_model(model)
     for mu in sample_training_set(default_box, 10, test_stream(13)):
         rt = reduced_trajectory(model, mu)
         res = reduced_residuals(rt, online_setup(model, mu), model)
