@@ -239,8 +239,8 @@ def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
     try:
         gram_chol, _ = (cholesky_banded(np.array([np.r_[0.0, m.upper], m.diag]), lower=False)
                         for m in (gram, mass))  # LAPACK upper band storage
-    except np.linalg.LinAlgError as err:
-        raise AssemblyError(f"inner-product matrices are not SPD: {err}") from err
+    except (np.linalg.LinAlgError, ValueError) as err:  # ValueError: inf or nan entries
+        raise AssemblyError(f"inner-product matrices are not finite and SPD: {err}") from err
 
     return AffineOperatorSet(
         mesh=mesh, gram=gram, mass=mass, a1=a1, a2=a2,

@@ -46,6 +46,7 @@ from .errors import (
     ModelCorruptionError,
     ModelLoadError,
     ModelVersionError,
+    NumericalBreakdownError,
 )
 from .fem import (
     AffineOperatorSet,
@@ -160,10 +161,14 @@ def _dominant_mode(white: np.ndarray, ops: AffineOperatorSet) -> tuple[np.ndarra
     Method of snapshots: eigen-decompose the small family Gram matrix,
     lift the dominant eigenvector back, and normalize.  The sign is fixed
     so the largest-magnitude component of the nodal mode is positive.
+    Columns whose energies overflow raise ``NumericalBreakdownError``.
     """
     if float(np.max(np.einsum("ij,ij->j", white, white), initial=0.0)) <= NORM_FLOOR ** 2:
         raise DegenerateInputError("all input vectors vanish in the energy norm")
-    _, eigvecs = np.linalg.eigh(white.T @ white)
+    gram = white.T @ white
+    if not np.isfinite(gram).all():
+        raise NumericalBreakdownError("snapshot energies overflow")
+    _, eigvecs = np.linalg.eigh(gram)
     mode = white @ eigvecs[:, -1]
     nrm = np.linalg.norm(mode)
     if nrm <= NORM_FLOOR:
@@ -256,6 +261,7 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     the maximizer would leave the generators' unit lifts without full
     column rank (``_full_rank``, which any angle at or below ``RANK_FLOOR``
     fails); without a snapshot of positive dual norm the cone is empty.
+    Lifts that overflow raise ``NumericalBreakdownError``.
     """
     if n_w < 1:
         raise ValueError(f"need a positive cone budget, got {n_w}")
@@ -289,6 +295,8 @@ def angle_greedy(store: SnapshotStore, n_w: int,
         tri[:k, :k] = coef[:, cols] / w_norm[cols]
         tri[:k, k] = coef[:, best] / w_norm[best]
         tri[k, k] = sin_part[best] / w_norm[best]
+        if not np.isfinite(tri).all():
+            raise NumericalBreakdownError("multiplier lifts overflow")
         if not _full_rank(tri):
             break
         ortho = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])

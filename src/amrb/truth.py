@@ -18,11 +18,12 @@ complementarity) inactive, whatever the start; see ``solve_lcp``.
 Truth steps predict the contact set, then let the iteration certify it.
 The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
 previous state changes between the steps of a trajectory, so
-``step_operators`` builds once per trajectory a ``StepOperators``: the
-bands of S, mass/dt and a(mu) (``ops.a_matrix``), the load, and the UL
-factors of S (a Brennan-Schwartz elimination from the last node up, LAPACK
-``gttrf`` on the reversed bands).  ``theta_step(u_prev, step, psi)`` is
-then one step against the lifted obstacle psi.
+``step_operators(mu, ops, config, psi)`` builds once per trajectory a
+``StepOperators``: the bands of S and of mass/dt - (1-theta) a(mu), the
+load, the lifted obstacle psi and its products with S, and the UL factors
+of S (a Brennan-Schwartz elimination from the last node up, LAPACK
+``gttrf`` on the reversed bands).  ``theta_step(u_prev, step)`` is then
+one step, whose right-hand side is one band product plus the load.
 The put is exercised on one interval [0, k) of low asset prices; the
 projected forward sweep of Brennan and Schwartz (1977) predicts k with one
 bidiagonal solve, and the iteration starts from [0, k).  A correct guess
@@ -36,16 +37,18 @@ set is solved on the trajectory's UL factors: the elimination runs from
 the last node up, so the trailing blocks of U and L factor S[k:, k:].  The
 step's one sweep U^-1 rhs (BLAS ``tbsv``), which the predictor also reads,
 holds the trailing part of every such solve; pinning [0, k) changes row k
-only, and one lower-bidiagonal ``tbsv`` over [k, H) is left.  LAPACK
-``gtsv`` still solves every other active set, and every set of a matrix
-without UL pivots.  An iterate depends on the right-hand side and the
-active set only, whichever path solves it.  Dense inputs (the
+only, and one lower-bidiagonal ``tbsv`` over [k, H) is left.  The
+multipliers on [0, k) are read off S psi - rhs, with row k-1, which holds
+the free u[k], summed again.  LAPACK ``gtsv`` still solves every other
+active set, and every set of a matrix without UL pivots.  An iterate
+depends on the right-hand side and the active set only, whichever path
+solves it.  Dense inputs (the
 reduced-order Schur complements and small test problems) take a dense path
 through LAPACK ``gesv``, from the empty set unless the caller passes a
-start.  A trajectory checks its step matrix once (``check_lcp_matrix``)
-and poses every step as an ``LcpStep``, which checks only that step's
-vectors; a non-finite one there means the state blew up and raises
-``NumericalBreakdownError``.
+start.  A trajectory checks its step matrix (``check_lcp_matrix``) and
+obstacle once and poses every step as an ``LcpStep``, which checks only
+that step's right-hand side; a non-finite one means the state blew up.
+Either non-finite vector raises ``NumericalBreakdownError``.
 """
 
 from __future__ import annotations
@@ -123,48 +126,51 @@ class LcpProblem:
     The matrix goes through ``check_lcp_matrix``; rhs and obstacle must be
     finite vectors of its size (``ValueError`` otherwise).  ``rhs_scale``
     is ||rhs||_inf, found by the finiteness check.  ``ul`` optionally
-    passes (U^-1 rhs, L) for a tridiagonal S = U L factored without row
-    interchanges, as ``StepOperators.sweep`` and ``lower_factor`` give them;
-    prefix active sets are then solved on those factors.
+    passes (U^-1 rhs, L, S obstacle) for a tridiagonal S = U L factored
+    without row interchanges, as ``StepOperators`` gives them; prefix
+    active sets are then solved on those factors.
     """
 
     S: object  # dense (n, n) array or Tridiagonal
     rhs: np.ndarray
     obstacle: np.ndarray
     start: np.ndarray | None = None
-    ul: tuple[np.ndarray, np.ndarray] | None = None
+    ul: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     rhs_scale: float = field(init=False, repr=False, compare=False)
 
-    non_finite = ValueError  # raised for a non-finite rhs or obstacle
+    non_finite = ValueError  # raised for a non-finite rhs
 
     def __post_init__(self):
         object.__setattr__(self, "S", check_lcp_matrix(self.S))
         self._check_vectors()
+        if np.count_nonzero(np.isfinite(self.obstacle)) < self.obstacle.size:
+            raise ValueError("LCP obstacle must be finite")
 
     def _check_vectors(self):
-        S, rhs, obstacle = self.S, self.rhs, self.obstacle
+        S, rhs = self.S, self.rhs
         n = S.diag.size if isinstance(S, Tridiagonal) else S.shape[0]
-        if (rhs.shape != (n,) or obstacle.shape != (n,)
+        if (rhs.shape != (n,) or self.obstacle.shape != (n,)
                 or (self.start is not None and np.shape(self.start) != (n,))
                 or (self.ul is not None and self.ul[0].shape != (n,))):
             raise ValueError("inconsistent LCP dimensions")
         if n == 0:
             raise ValueError("empty LCP")
         # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
-        # Python wrapper, and count_nonzero is a direct loop where .all() is not
+        # Python wrapper
         scale = float(np.maximum.reduce(np.abs(rhs)))
-        if not math.isfinite(scale) or np.count_nonzero(np.isfinite(obstacle)) < n:
-            raise self.non_finite("LCP right-hand side and obstacle must be finite")
+        if not math.isfinite(scale):
+            raise self.non_finite("LCP right-hand side must be finite")
         object.__setattr__(self, "rhs_scale", scale)
 
 
 class LcpStep(LcpProblem):
-    """A problem on a matrix that ``check_lcp_matrix`` has already passed.
+    """A problem whose matrix and obstacle have already been checked.
 
-    A trajectory poses one problem per step on the same matrix, so it checks
-    the matrix once and each step only its own vectors.  Those vectors come
-    from the trajectory's own arithmetic, so a non-finite one means the state
-    blew up: it raises ``NumericalBreakdownError``, not ``ValueError``.
+    A trajectory poses one problem per step on the same matrix and obstacle,
+    so it checks them once (``step_operators``) and each step only its
+    right-hand side and shapes.  The right-hand side comes from the
+    trajectory's own arithmetic, so a non-finite one means the state blew
+    up: it raises ``NumericalBreakdownError``, not ``ValueError``.
     """
 
     non_finite = NumericalBreakdownError
@@ -189,7 +195,7 @@ def _solve_subsystem(S, ix: np.ndarray, b: np.ndarray):
     return None if info > 0 else x
 
 
-def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor):
+def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle):
     """Solve with the state pinned to the obstacle on the prefix [0, k).
 
     S = U L, eliminated from the last node up, so the trailing blocks of U
@@ -197,10 +203,14 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor):
     sweep; pinning nodes below k changes only row k, by the coupling
     lower[k-1] * obstacle[k-1].  With L = D M (``ul_factor``), a
     division by the pivots and one unit lower-bidiagonal solve are left.
-    Only the pinned rows carry a multiplier; each is summed as ``S @ u``
-    sums its row.
+    Only the pinned rows carry a multiplier: (S obstacle - rhs) on [0, k)
+    from ``s_obstacle`` = S obstacle, except row k-1, which reads the free
+    u[k] and is summed as ``S @ u`` sums a row.
     """
     u = obstacle.copy()
+    lam = np.zeros(u.size)
+    if k:
+        np.subtract(s_obstacle[:k], rhs[:k], out=lam[:k])
     if k < u.size:
         pivots = lower_factor[0, k:]
         free = u[k:]
@@ -208,23 +218,21 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor):
         if k:
             free[0] = (swept[k] - S.lower[k - 1] * obstacle[k - 1]) / pivots[0]
         dtbsv(1, lower_factor[:, k:], free, lower=1, diag=1, overwrite_x=1)
-    lam = np.zeros(u.size)
-    if k:
-        head = lam[:k]
-        np.multiply(S.diag[:k], u[:k], out=head)
-        head[1:] += S.lower[:k - 1] * u[:k - 1]
-        upper = S.upper[:k]
-        head[:upper.size] += upper * u[1:k + 1]
-        head -= rhs[:k]
+        if k:
+            i = k - 1
+            row = S.diag[i] * u[i]
+            if i:
+                row += S.lower[i - 1] * u[i - 1]
+            lam[i] = row + S.upper[i] * u[k] - rhs[i]
     return u, lam
 
 
-def _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, ul=None):
+def _solve_for_active_set(S, rhs, obstacle, active, ul=None):
     """Solve with the state pinned to the obstacle on the active set.
 
-    ``pinned_obstacle`` False says the obstacle is zero, so pinning shifts
-    nothing.  ``ul`` is ``LcpProblem.ul``: with it, a prefix active set is
-    solved on the UL factors, and any other set by ``_solve_subsystem``.
+    ``ul`` is ``LcpProblem.ul``: with it, a prefix active set is solved on
+    the UL factors, and any other set by ``_solve_subsystem``.  Pinning
+    shifts the right-hand side only where the obstacle is nonzero.
     """
     if ul is not None:
         k = np.count_nonzero(active)
@@ -232,7 +240,7 @@ def _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, ul=None):
             return _solve_prefix(S, rhs, obstacle, k, *ul)
     inactive = ~active
     ix = inactive.nonzero()[0]
-    if pinned_obstacle and ix.size < active.size:
+    if ix.size < active.size and np.count_nonzero(obstacle):
         u = np.where(active, obstacle, 0.0)
         shifted = rhs - S @ u
     else:
@@ -277,12 +285,11 @@ def solve_lcp(problem: LcpProblem, max_iter: int = 100) -> tuple[np.ndarray, np.
     """
     S, rhs, obstacle = problem.S, np.asarray(problem.rhs, float), np.asarray(problem.obstacle, float)
     tol = TIE_TOL * problem.rhs_scale
-    pinned_obstacle = np.count_nonzero(obstacle) > 0
     if problem.start is None:
         active = np.zeros(rhs.size, dtype=bool)
     else:
         active = np.asarray(problem.start, dtype=bool)
-    u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, problem.ul)
+    u, lam = _solve_for_active_set(S, rhs, obstacle, active, problem.ul)
     solves = 1
     key = active.tobytes()
     seen = {key}
@@ -313,30 +320,37 @@ def solve_lcp(problem: LcpProblem, max_iter: int = 100) -> tuple[np.ndarray, np.
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        u, lam = _solve_for_active_set(S, rhs, obstacle, active, pinned_obstacle, problem.ul)
+        u, lam = _solve_for_active_set(S, rhs, obstacle, active, problem.ul)
         solves += 1
 
 
 @dataclass(frozen=True)
 class StepOperators:
-    """What every step of one trajectory shares: operators, load, factors.
+    """What every step of one trajectory shares: operators, load, obstacle
+    and factors.
 
-    ``upper_factor`` and ``lower_factor`` are those of ``ul_factor(S)``, or
-    both None where it finds no UL pivots.  ``S`` has passed
-    ``check_lcp_matrix``.
+    ``explicit`` is mass/dt - (1 - theta) a(mu), the bands that act on the
+    previous state.  ``psi`` is the lifted obstacle, checked finite;
+    ``coupling`` = lower * psi[:-1] is what pinning node i-1 takes off row
+    i, and ``s_psi`` = S psi.  ``upper_factor`` and ``lower_factor`` are
+    those of ``ul_factor(S)``, or both None where it finds no UL pivots.
+    ``S`` has passed ``check_lcp_matrix``.
     """
 
     S: Tridiagonal
-    m_dt: Tridiagonal
-    a_mu: Tridiagonal
+    explicit: Tridiagonal
     f_mu: np.ndarray
-    theta: float
+    psi: np.ndarray
+    coupling: np.ndarray
+    s_psi: np.ndarray
     upper_factor: np.ndarray | None
     lower_factor: np.ndarray | None
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``."""
-        return self.m_dt @ u_prev - (1.0 - self.theta) * (self.a_mu @ u_prev) + self.f_mu
+        rhs = self.explicit @ u_prev
+        rhs += self.f_mu
+        return rhs
 
     def sweep(self, rhs: np.ndarray) -> np.ndarray | None:
         """U^-1 rhs, the upward elimination of rhs; None without pivots."""
@@ -344,7 +358,7 @@ class StepOperators:
             return None
         return dtbsv(1, self.upper_factor, rhs, diag=1)  # what a (0, 1) gbsv reduces to
 
-    def predict_contact(self, swept: np.ndarray | None, obstacle: np.ndarray) -> np.ndarray:
+    def predict_contact(self, swept: np.ndarray | None) -> np.ndarray:
         """Brennan-Schwartz guess of the active set: the prefix [0, k).
 
         ``swept`` is ``sweep(rhs)``.  After the upward elimination, node i
@@ -354,12 +368,17 @@ class StepOperators:
         as it does any wrong guess.
         """
         if self.lower_factor is None:
-            return np.zeros(obstacle.size, dtype=bool)
+            return np.zeros(self.psi.size, dtype=bool)
         pinned = swept.copy()
-        pinned[1:] -= self.S.lower * obstacle[:-1]
-        above = pinned / self.lower_factor[0] > obstacle
-        k = int(np.argmax(above)) if above.any() else above.size
-        return np.arange(above.size) < k
+        pinned[1:] -= self.coupling
+        pinned /= self.lower_factor[0]
+        above = pinned > self.psi
+        k = int(np.argmax(above))
+        if not above[k]:  # no node leaves the obstacle
+            k = above.size
+        above[:k] = True
+        above[k:] = False
+        return above
 
 
 def ul_factor(S: Tridiagonal):
@@ -391,31 +410,38 @@ def ul_factor(S: Tridiagonal):
     return upper_factor, lower_factor
 
 
-def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig) -> StepOperators:
-    """Build the loop invariants of a trajectory at parameter ``mu``.
+def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
+                   psi: np.ndarray) -> StepOperators:
+    """Build the loop invariants of a trajectory at parameter ``mu`` against
+    the lifted obstacle ``psi``.
 
     Market parameters whose operator overflows, or whose step matrix is not
-    usable, raise ``AssemblyError``.
+    usable, raise ``AssemblyError``; a non-finite ``psi`` raises
+    ``NumericalBreakdownError``, as a non-finite step right-hand side does.
     """
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     try:
         a_mu = ops.a_matrix(mu)
         S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
+        explicit = Tridiagonal(*(bm - (1.0 - config.theta) * ba for bm, ba in zip(m_dt, a_mu)))
     except (OverflowError, ValueError) as err:
         raise AssemblyError(f"step matrix at mu={mu} is unusable: {err}") from err
+    if np.count_nonzero(np.isfinite(psi)) < psi.size:
+        raise NumericalBreakdownError("LCP obstacle must be finite")
     upper_factor, lower_factor = ul_factor(S)
-    return StepOperators(S=S, m_dt=m_dt, a_mu=a_mu, f_mu=ops.f_vector(mu), theta=config.theta,
+    return StepOperators(S=S, explicit=explicit, f_mu=ops.f_vector(mu), psi=psi,
+                         coupling=S.lower * psi[:-1], s_psi=S @ psi,
                          upper_factor=upper_factor, lower_factor=lower_factor)
 
 
-def theta_step(u_prev: np.ndarray, step: StepOperators, psi: np.ndarray):
-    """One backward-time step against the lifted obstacle ``psi``; returns
-    (u_next, lam_next, solver iterations)."""
+def theta_step(u_prev: np.ndarray, step: StepOperators):
+    """One backward-time step against ``step.psi``; returns (u_next,
+    lam_next, solver iterations)."""
     rhs = step.rhs(u_prev)
     swept = step.sweep(rhs)
-    return solve_lcp(LcpStep(S=step.S, rhs=rhs, obstacle=psi,
-                             start=step.predict_contact(swept, psi),
-                             ul=None if swept is None else (swept, step.lower_factor)))
+    return solve_lcp(LcpStep(S=step.S, rhs=rhs, obstacle=step.psi,
+                             start=step.predict_contact(swept),
+                             ul=None if swept is None else (swept, step.lower_factor, step.s_psi)))
 
 
 @dataclass(frozen=True)
@@ -441,10 +467,10 @@ def solve_trajectory(mu, ops: AffineOperatorSet, obstacle: ObstacleData,
     multipliers = np.empty((config.L, H))
     iterations = np.empty(config.L, dtype=int)
     states[0] = obstacle.psi_tilde
-    step = step_operators(mu, ops, config)
+    step = step_operators(mu, ops, config, obstacle.psi_tilde)
     for n in range(config.L):
         try:
-            u, lam, its = theta_step(states[n], step, obstacle.psi_tilde)
+            u, lam, its = theta_step(states[n], step)
         except AmrbError as err:
             raise type(err)(f"time step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
@@ -459,7 +485,7 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
                          obstacle: ObstacleData) -> dict:
     """Worst-case feasibility, complementarity, and linear residuals."""
     cfg = traj.config
-    step = step_operators(traj.mu, ops, cfg)
+    step = step_operators(traj.mu, ops, cfg, obstacle.psi_tilde)
     psi_tilde = obstacle.psi_tilde
 
     min_gap = np.inf

@@ -326,6 +326,33 @@ def test_overflowing_market_parameters_exit_4(tmp_path, capsys, argv, error):
     assert json.loads(lines[0])["error"] == error
 
 
+OVERFLOWING_CONFIGS = {  # id: (config override, commands, error)
+    "s_f-1e120": ({"mesh": {"H": 40, "s_f": 1e120}}, ("truth", "offline", "study"), "AssemblyError"),
+    "K0-1e200": ({"box": {"K0": 1e200}}, ("offline", "study"), "NumericalBreakdownError"),
+    "sigma0-1e100": ({"box": {"sigma0": 1e100}}, ("offline", "study"), "NumericalBreakdownError"),
+}
+
+
+@pytest.mark.parametrize("command, override, error", [
+    pytest.param(command, override, error, id=f"{command}-{name}")
+    for name, (override, commands, error) in OVERFLOWING_CONFIGS.items()
+    for command in commands])
+def test_overflowing_configs_exit_4(tmp_path, capsys, command, override, error):
+    # a huge mesh overflows the inner-product bands, a huge strike the
+    # snapshot energies and a huge volatility the multiplier lifts; each
+    # used to exit 1 with a scipy or LAPACK traceback
+    argv = [command, "--config", write_config(tmp_path, {**SMALL_CONFIG, **override}),
+            "--out", str(tmp_path / "run")]
+    if command == "truth":
+        argv += ["--mu", "102,0.05,0.0015,0.49"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
 def test_narrow_box_is_a_config_error(tmp_path, capsys):
     # a zero-width box draws one parameter over and over; a snapshot store
     # needs distinct ones

@@ -278,8 +278,8 @@ def test_theta_step_stationary_limit(default_ops, mu0):
     # enormous time step: the scheme degenerates to the stationary problem
     cfg = SchemeConfig(T=1e12, L=1, theta=1.0)
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
-    step = truth_mod.step_operators(mu0, default_ops, cfg)
-    u, lam, _ = theta_step(obstacle.psi_tilde, step, obstacle.psi_tilde)
+    step = truth_mod.step_operators(mu0, default_ops, cfg, obstacle.psi_tilde)
+    u, lam, _ = theta_step(obstacle.psi_tilde, step)
     a_mu = default_ops.a_matrix(mu0)
     f_mu = default_ops.f_vector(mu0)
     resid = a_mu @ u - lam - f_mu
@@ -293,16 +293,16 @@ def test_theta_step_degenerate_identity(default_ops):
     H = default_ops.dim
     rng = np.random.default_rng(6)
     u_prev = rng.normal(size=H)
-    u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu, default_ops, cfg),
-                           np.full(H, -1e3))
+    u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu, default_ops, cfg,
+                                                            np.full(H, -1e3)))
     assert np.abs(u - u_prev).max() <= 1e-12 * (1 + np.abs(u_prev).max())
     assert np.all(lam == 0.0)
 
 
 def test_theta_step_invariants_at_mu0(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
-    step = truth_mod.step_operators(mu0, default_ops, default_scheme)
-    u, lam, iters = theta_step(obstacle.psi_tilde, step, obstacle.psi_tilde)
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme, obstacle.psi_tilde)
+    u, lam, iters = theta_step(obstacle.psi_tilde, step)
     assert (u - obstacle.psi_tilde).min() >= -1e-9
     assert lam.min() >= -1e-12
     scale = 1.0 + np.abs(u).max() * np.abs(lam).max()
@@ -314,8 +314,8 @@ def test_theta_step_empty_active_set_is_linear(default_ops, default_scheme, mu0)
     H = default_ops.dim
     rng = np.random.default_rng(7)
     u_prev = rng.normal(size=H) * 10
-    u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu0, default_ops, default_scheme),
-                           np.full(H, -1e9))
+    u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu0, default_ops, default_scheme,
+                                                            np.full(H, -1e9)))
     # independent dense unconstrained step
     a_mu = dense(default_ops.a_matrix(mu0))
     m_dt = dense(default_ops.mass) / default_scheme.delta_t
@@ -393,7 +393,7 @@ def test_predicted_start_is_exact(default_box, theta, monkeypatch):
     for mu in params:
         predicted.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme))
     monkeypatch.setattr(truth_mod.StepOperators, "predict_contact",
-                        lambda self, rhs, obstacle: None)
+                        lambda self, swept: None)
     for mu, fast in zip(params, predicted):
         slow = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
         assert np.array_equal(fast.states, slow.states)
@@ -414,7 +414,8 @@ def ul_pivots_by_loop(S):
 def test_ul_factor_matches_elimination_loop(default_ops, default_scheme, mu0):
     # gttrf on the reversed bands eliminates in the loop's order but rounds
     # d - (l / p) * u where the loop rounds d - (u * l) / p
-    step = truth_mod.step_operators(mu0, default_ops, default_scheme)
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme,
+                                    obstacle_data(default_ops.mesh, mu0.K).psi_tilde)
     rng = np.random.default_rng(11)
     n = 50
     cases = [step.S, Tridiagonal(-rng.random(n - 1), 2.0 + rng.random(n), -rng.random(n - 1))]
@@ -440,11 +441,12 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
     two_nodes = Tridiagonal(-np.ones(1), np.full(2, 4.0), -np.ones(1))
     assert truth_mod.ul_factor(two_nodes) == (None, None)
 
-    step = dataclasses.replace(truth_mod.step_operators(mu0, default_ops, default_scheme),
-                               S=S, upper_factor=None, lower_factor=None)
     rng = np.random.default_rng(12)
     rhs, obstacle = rng.normal(size=5), rng.normal(size=5)
-    start = step.predict_contact(rhs, obstacle)
+    step = dataclasses.replace(truth_mod.step_operators(mu0, default_ops, default_scheme,
+                                                        np.zeros(default_ops.dim)),
+                               S=S, psi=obstacle, upper_factor=None, lower_factor=None)
+    start = step.predict_contact(rhs)
     assert start.dtype == bool and not start.any()
     u, lam, _ = solve_lcp(LcpStep(S=S, rhs=rhs, obstacle=obstacle, start=start))
     ref = lcp_by_enumeration(dense(S), rhs, obstacle)
@@ -458,11 +460,11 @@ def predicted_prefixes(mu, ops, scheme):
     rhs and sweep, the predicted prefix, and the trajectory itself."""
     obstacle = obstacle_data(ops.mesh, mu.K)
     traj = solve_trajectory(mu, ops, obstacle, scheme)
-    step = truth_mod.step_operators(mu, ops, scheme)
+    step = truth_mod.step_operators(mu, ops, scheme, obstacle.psi_tilde)
     for n in range(scheme.L):
         rhs = step.rhs(traj.states[n])
         swept = step.sweep(rhs)
-        yield step, rhs, swept, step.predict_contact(swept, obstacle.psi_tilde), traj, n
+        yield step, rhs, swept, step.predict_contact(swept), traj, n
 
 
 @pytest.mark.parametrize("H", [99, 999, 3999])
@@ -486,8 +488,9 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
                                 for band in (S.lower[k:], S.diag[k:], S.upper[k:])))
             b = rhs[k:].astype(np.longdouble)
             b[0] -= np.longdouble(S.lower[k - 1]) * np.longdouble(psi[k - 1])
-            ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor)
-            gtsv_u, _ = truth_mod._solve_for_active_set(S, rhs, psi, predicted, True)
+            ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
+                                              step.s_psi)
+            gtsv_u, _ = truth_mod._solve_for_active_set(S, rhs, psi, predicted)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
                 x = u[k:].astype(np.longdouble)
@@ -516,7 +519,7 @@ def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
             starts = [None] + [nodes < min(max(j, 0), H) for j in (k - 5, k - 1, k + 1, k + 5, 0, H)]
             for start in starts:
                 problem = LcpStep(S=step.S, rhs=rhs, obstacle=psi, start=start,
-                                  ul=(swept, step.lower_factor))
+                                  ul=(swept, step.lower_factor, step.s_psi))
                 try:
                     u, lam, solves = solve_lcp(problem)
                 except SolverDivergenceError:
@@ -528,6 +531,70 @@ def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
                 corrected += solves > 1
     assert corrected >= 2 * scheme.L * 5 - diverged
     assert diverged <= 1
+
+
+def nine_pass_prefix(step, swept):
+    """The predictor as first written, in nine passes over the nodes: the
+    prefix [0, k) before the first node whose forward-sweep value, with the
+    node before it pinned, exceeds the obstacle."""
+    pinned = swept.copy()
+    pinned[1:] -= step.S.lower * step.psi[:-1]
+    above = pinned / step.lower_factor[0] > step.psi
+    k = int(np.argmax(above)) if above.any() else above.size
+    return np.arange(above.size) < k
+
+
+def stock_box_steps(default_box, H):
+    """``predicted_prefixes`` over three stock-box draws at both theta."""
+    ops = assemble_operators(build_mesh(H, 300.0))
+    for theta, mu in itertools.product(
+            (0.5, 1.0), sample_training_set(default_box, 3, np.random.SeedSequence([16, H]))):
+        yield from predicted_prefixes(mu, ops, SchemeConfig(T=1.0, L=20, theta=theta))
+
+
+@pytest.mark.parametrize("H", [99, 999, 3999])
+def test_prefix_solve_and_predictor_match_their_references(default_box, H):
+    # the prefix multipliers come from S psi, formed once per trajectory, and
+    # one re-summed row; the short predictor finds the nine-pass one's prefix
+    for step, rhs, swept, predicted, _, _ in stock_box_steps(default_box, H):
+        assert np.array_equal(predicted, nine_pass_prefix(step, swept))
+        k = int(predicted.sum())
+        for j in sorted({0, 1, k, H - 1, H}):
+            u, lam = truth_mod._solve_prefix(step.S, rhs, step.psi, j, swept, step.lower_factor,
+                                             step.s_psi)
+            assert (step.S @ u - rhs)[:j].tobytes() == lam[:j].tobytes()
+            assert not lam[j:].any()
+
+
+@pytest.mark.parametrize("H", [99, 999, 3999])
+def test_step_rhs_is_one_band_product(default_box, H):
+    # mass/dt - (1 - theta) a(mu) is formed once; at theta = 1 the product
+    # 0 * a(mu) is exact, so the rhs keeps the bytes of mass/dt u + f
+    eps = np.finfo(float).eps
+    ops = assemble_operators(build_mesh(H, 300.0))
+    for _, rhs, _, _, traj, n in stock_box_steps(default_box, H):
+        cfg, u = traj.config, traj.states[n]
+        m_dt = Tridiagonal(*(b * (1.0 / cfg.delta_t) for b in ops.mass))
+        a_mu, f_mu = ops.a_matrix(traj.mu), ops.f_vector(traj.mu)
+        if cfg.theta == 1.0:
+            assert rhs.tobytes() == (m_dt @ u + f_mu).tobytes()
+            continue
+        wide = [Tridiagonal(*(band.astype(np.longdouble) for band in m)) for m in (m_dt, a_mu)]
+        exact = wide[0] @ u.astype(np.longdouble) - (wide[1] @ u.astype(np.longdouble)) / 2
+        exact += f_mu.astype(np.longdouble)
+        scale = (Tridiagonal(*map(np.abs, m_dt)) @ np.abs(u)
+                 + Tridiagonal(*map(np.abs, a_mu)) @ np.abs(u) / 2 + np.abs(f_mu))
+        assert (np.abs(rhs - exact) <= 2 * eps * scale).all()
+
+
+def test_non_finite_obstacle_is_a_breakdown(default_ops, default_scheme, mu0):
+    # the trajectory checks its obstacle once, as each step checks its rhs
+    obstacle = obstacle_data(default_ops.mesh, mu0.K)
+    psi = obstacle.psi_tilde.copy()
+    psi[3] = np.nan
+    with pytest.raises(NumericalBreakdownError, match="obstacle must be finite"):
+        solve_trajectory(mu0, default_ops, dataclasses.replace(obstacle, psi_tilde=psi),
+                         default_scheme)
 
 
 def test_row_interchanges_take_gtsv(default_ops, default_scheme, mu0, monkeypatch):
@@ -542,7 +609,7 @@ def test_row_interchanges_take_gtsv(default_ops, default_scheme, mu0, monkeypatc
     assert calls == []
 
     mu = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)  # convection-dominated a(mu)
-    step = truth_mod.step_operators(mu, default_ops, default_scheme)
+    step = truth_mod.step_operators(mu, default_ops, default_scheme, obstacle.psi_tilde)
     assert step.upper_factor is None and step.lower_factor is None
     assert step.sweep(np.ones(default_ops.dim)) is None
     traj = solve_trajectory(mu, default_ops, obstacle, default_scheme)
