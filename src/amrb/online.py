@@ -10,9 +10,11 @@ the state with the cone inactive is P u + c, and the cone right-hand side
 is d - Q u, with Q = b_n' P and d = g_n - b_n' c; the Schur complement
 b_n' s_n^-1 b_n is checked once (``check_lcp_matrix``).  Each time step is
 then three matrix-vector products and the primal-dual active-set iteration
-of ``amrb.truth`` on the cone coefficients alpha, and the next state is
-P u + c + s_n^-1 b_n alpha; the per-step cost depends only on the reduced
-dimensions.  Every function works on the model's own time grid.
+of ``amrb.truth`` on the cone coefficients alpha, to which the step passes
+the Schur complement, its cone right-hand side and the zero obstacle
+directly, and the next state is P u + c + s_n^-1 b_n alpha; the per-step
+cost depends only on the reduced dimensions.  Every function works on the
+model's own time grid.
 
 Within a trajectory, v = lam - alpha is positive exactly on a step's cone
 active set.  Step 2 starts its iteration from {v_1 > 0}, and step n+1 from
@@ -40,7 +42,6 @@ from .errors import AmrbError, AssemblyError, ModelCorruptionError
 from .fem import AffineOperatorSet, Mesh1D, ParameterVector, build_mesh, obstacle_data
 from .offline import ReducedModel
 from .truth import (
-    LcpStep,
     Trajectory,
     check_lcp_matrix,
     solve_lcp,
@@ -108,7 +109,7 @@ def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
     if zero.size == 0:
         return u, zero, zero, 0
     rhs = data.cone_load - data.cone_map @ u_prev
-    alpha, lam, solves = solve_lcp(LcpStep(S=data.schur, rhs=rhs, obstacle=zero, start=start))
+    alpha, lam, solves = solve_lcp(data.schur, rhs, zero, start)
     return u + data.sinv_b @ alpha, alpha, lam, solves
 
 

@@ -19,7 +19,8 @@ Truth steps predict the contact set, then let the iteration certify it.
 The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
 previous state changes between the steps of a trajectory, so
 ``step_operators(mu, ops, config, psi)`` builds once per trajectory a
-``StepOperators``: the bands of S and of mass/dt - (1-theta) a(mu), the
+``StepOperators``: the bands of S and of mass/dt - (1-theta) a(mu) (from
+``step_bands``, all that the residual check needs besides the load), the
 load, the lifted obstacle psi and its products with S, and the UL factors
 of S (a Brennan-Schwartz elimination from the last node up, LAPACK
 ``gttrf`` on the reversed bands).  ``theta_step(u_prev, step)`` is then
@@ -42,19 +43,25 @@ multipliers on [0, k) are read off S psi - rhs, with row k-1, which holds
 the free u[k], summed again.  LAPACK ``gtsv`` still solves every other
 active set, and every set of a matrix without UL pivots.  An iterate
 depends on the right-hand side and the active set only, whichever path
-solves it.  Dense inputs (the
-reduced-order Schur complements and small test problems) take a dense path
-through LAPACK ``gesv``, from the empty set unless the caller passes a
-start.  A trajectory checks its step matrix (``check_lcp_matrix``) and
-obstacle once and poses every step as an ``LcpStep``, which checks only
-that step's right-hand side; a non-finite one means the state blew up.
-Either non-finite vector raises ``NumericalBreakdownError``.
+solves it.  Dense inputs (the reduced-order Schur complements and small
+test problems) take a dense path through LAPACK ``gesv``, from the empty
+set unless the caller passes a start; whether pinning shifts their
+right-hand side is decided once per call.
+
+``solve_lcp`` takes one problem's arrays and checks only the right-hand
+side.  A trajectory checks its step matrix (``check_lcp_matrix``) and
+obstacle once and passes each step's arrays straight in, building no
+problem object per step.  A non-finite right-hand side means the state
+blew up; it and a non-finite obstacle raise ``NumericalBreakdownError``.
+``LcpProblem`` checks a single problem whole for callers that pose one,
+and raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -120,15 +127,16 @@ def check_lcp_matrix(S):
 
 @dataclass(frozen=True)
 class LcpProblem:
-    """One complementarity problem S u - lam = rhs against a lower obstacle.
+    """One complementarity problem S u - lam = rhs against a lower obstacle,
+    checked whole, for callers that pose a single problem.
 
     ``start`` is the active set the iteration starts from (empty if None).
     The matrix goes through ``check_lcp_matrix``; rhs and obstacle must be
-    finite vectors of its size (``ValueError`` otherwise).  ``rhs_scale``
-    is ||rhs||_inf, found by the finiteness check.  ``ul`` optionally
-    passes (U^-1 rhs, L, S obstacle) for a tridiagonal S = U L factored
-    without row interchanges, as ``StepOperators`` gives them; prefix
-    active sets are then solved on those factors.
+    finite vectors of its size, and start and ``ul`` must fit it
+    (``ValueError`` otherwise).  ``ul`` optionally passes (U^-1 rhs, L,
+    S obstacle) for a tridiagonal S = U L factored without row
+    interchanges, as ``StepOperators`` gives them; prefix active sets are
+    then solved on those factors.  ``solve`` runs ``solve_lcp`` on it.
     """
 
     S: object  # dense (n, n) array or Tridiagonal
@@ -136,63 +144,33 @@ class LcpProblem:
     obstacle: np.ndarray
     start: np.ndarray | None = None
     ul: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    rhs_scale: float = field(init=False, repr=False, compare=False)
-
-    non_finite = ValueError  # raised for a non-finite rhs
 
     def __post_init__(self):
-        object.__setattr__(self, "S", check_lcp_matrix(self.S))
-        self._check_vectors()
-        if np.count_nonzero(np.isfinite(self.obstacle)) < self.obstacle.size:
-            raise ValueError("LCP obstacle must be finite")
-
-    def _check_vectors(self):
-        S, rhs = self.S, self.rhs
+        S = check_lcp_matrix(self.S)
         n = S.diag.size if isinstance(S, Tridiagonal) else S.shape[0]
-        if (rhs.shape != (n,) or self.obstacle.shape != (n,)
-                or (self.start is not None and np.shape(self.start) != (n,))
+        rhs, obstacle = np.asarray(self.rhs, dtype=float), np.asarray(self.obstacle, dtype=float)
+        start = None if self.start is None else np.asarray(self.start, dtype=bool)
+        if (rhs.shape != (n,) or obstacle.shape != (n,)
+                or (start is not None and start.shape != (n,))
                 or (self.ul is not None and self.ul[0].shape != (n,))):
             raise ValueError("inconsistent LCP dimensions")
         if n == 0:
             raise ValueError("empty LCP")
-        # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
-        # Python wrapper
-        scale = float(np.maximum.reduce(np.abs(rhs)))
-        if not math.isfinite(scale):
-            raise self.non_finite("LCP right-hand side must be finite")
-        object.__setattr__(self, "rhs_scale", scale)
+        if not np.isfinite(rhs).all():
+            raise ValueError("LCP right-hand side must be finite")
+        if not np.isfinite(obstacle).all():
+            raise ValueError("LCP obstacle must be finite")
+        for name, value in (("S", S), ("rhs", rhs), ("obstacle", obstacle), ("start", start)):
+            object.__setattr__(self, name, value)
+
+    def solve(self, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
+        """``solve_lcp`` on this problem: (u, lam, number of linear solves)."""
+        return solve_lcp(self.S, self.rhs, self.obstacle, self.start, self.ul, max_iter)
 
 
-class LcpStep(LcpProblem):
-    """A problem whose matrix and obstacle have already been checked.
-
-    A trajectory poses one problem per step on the same matrix and obstacle,
-    so it checks them once (``step_operators``) and each step only its
-    right-hand side and shapes.  The right-hand side comes from the
-    trajectory's own arithmetic, so a non-finite one means the state blew
-    up: it raises ``NumericalBreakdownError``, not ``ValueError``.
-    """
-
-    non_finite = NumericalBreakdownError
-
-    def __post_init__(self):
-        self._check_vectors()
-
-
-def _solve_subsystem(S, ix: np.ndarray, b: np.ndarray):
-    """Solve the rows and columns ``ix`` of S against b; None if singular."""
-    if not isinstance(S, Tridiagonal):  # both operands are fresh copies
-        _, _, x, info = dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)
-        return None if info > 0 else x
-    if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
-        return b / S.diag[ix]
-    # a sorted index subset of a tridiagonal matrix is tridiagonal
-    adjacent = np.diff(ix) == 1
-    dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
-    d = S.diag[ix]
-    du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
-    _, _, _, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
-    return None if info > 0 else x
+def _singular(active: np.ndarray) -> NumericalBreakdownError:
+    return NumericalBreakdownError("singular linear system on an active-set iterate",
+                                   active_size=int(active.sum()))
 
 
 def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle):
@@ -227,12 +205,16 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
     return u, lam
 
 
-def _solve_for_active_set(S, rhs, obstacle, active, ul=None):
-    """Solve with the state pinned to the obstacle on the active set.
+def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, active):
+    """Solve a tridiagonal problem with the state pinned to the obstacle on
+    the active set.
 
-    ``ul`` is ``LcpProblem.ul``: with it, a prefix active set is solved on
-    the UL factors, and any other set by ``_solve_subsystem``.  Pinning
-    shifts the right-hand side only where the obstacle is nonzero.
+    With ``ul`` (see ``solve_lcp``), a prefix active set is solved on the
+    UL factors; any other set by LAPACK ``gtsv`` on the inactive rows and
+    columns, a sorted index subset of a tridiagonal matrix being
+    tridiagonal.  Pinning shifts the right-hand side only where the
+    obstacle is nonzero; that is tested per solve, since most truth solves
+    take the prefix path and never need it.
     """
     if ul is not None:
         k = np.count_nonzero(active)
@@ -242,28 +224,67 @@ def _solve_for_active_set(S, rhs, obstacle, active, ul=None):
     ix = inactive.nonzero()[0]
     if ix.size < active.size and np.count_nonzero(obstacle):
         u = np.where(active, obstacle, 0.0)
-        shifted = rhs - S @ u
+        b = (rhs - S @ u)[ix]
     else:
-        u, shifted = obstacle.copy(), rhs
-    if ix.size:
-        sol = _solve_subsystem(S, ix, shifted[ix])
-        if sol is None:
-            raise NumericalBreakdownError("singular linear system on an active-set iterate",
-                                          active_size=int(active.sum()))
-        u[ix] = sol
+        u, b = obstacle.copy(), rhs[ix]
+    if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
+        u[ix] = b / S.diag[ix]
+    elif ix.size:
+        adjacent = np.diff(ix) == 1
+        dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
+        du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
+        _, _, _, x, info = dgtsv(dl, S.diag[ix], du, b, 1, 1, 1, 1)
+        if info > 0:
+            raise _singular(active)
+        u[ix] = x
     lam = S @ u - rhs
     lam[inactive] = 0.0
     return u, lam
 
 
-def solve_lcp(problem: LcpProblem, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
-    """Primal-dual active-set solve.
+def _solve_dense(S: np.ndarray, rhs, obstacle, pinned: bool, active):
+    """Solve a dense problem with the state pinned to the obstacle on the
+    active set, by LAPACK ``gesv`` on the inactive rows and columns.
 
-    Returns (u, lam, number of linear solves).  The iteration starts from
-    ``problem.start`` (the unconstrained solve when that is None) and stops
-    as soon as the updated active set
-    {i : lam_i + (obstacle_i - u_i) > tol} reproduces the current
-    one, which makes the final iterate feasible and exactly complementary.
+    ``pinned`` says whether the obstacle has a nonzero entry, where pinning
+    shifts the right-hand side; ``solve_lcp`` finds it once per call.
+    """
+    inactive = ~active
+    ix = inactive.nonzero()[0]
+    if pinned and ix.size < active.size:
+        u = np.where(active, obstacle, 0.0)
+        b = (rhs - S @ u)[ix]
+    else:
+        u, b = obstacle.copy(), rhs[ix]
+    if ix.size:
+        _, _, x, info = dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)  # both fresh copies
+        if info > 0:
+            raise _singular(active)
+        u[ix] = x
+    lam = S @ u - rhs
+    lam[inactive] = 0.0
+    return u, lam
+
+
+def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None = None,
+              ul=None, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
+    """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
+    lam >= 0, lam . (u - obstacle) = 0.
+
+    Returns (u, lam, number of linear solves).  S (a ``Tridiagonal`` or a
+    square dense array) and the obstacle are taken as checked: S by
+    ``check_lcp_matrix``, the obstacle finite and of S's size, as a
+    trajectory checks them once and ``LcpProblem`` checks a single
+    problem.  Only the float vector rhs is checked here, for its shape
+    (``ValueError``) and finiteness: a non-finite rhs raises
+    ``NumericalBreakdownError``, since a trajectory computes it from its
+    own states.  ``start`` is a boolean active set (empty if None);
+    ``ul`` is as in ``LcpProblem``.
+
+    The iteration starts from ``start`` and stops as soon as the updated
+    active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
+    current one, which makes the final iterate feasible and exactly
+    complementary.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
     breaks ties; it is a property of the iteration, not a relaxed check.
@@ -283,13 +304,21 @@ def solve_lcp(problem: LcpProblem, max_iter: int = 100) -> tuple[np.ndarray, np.
     with a negative multiplier (active) or a negative gap (inactive), which
     keep the run deterministic and stop only at exact signs.
     """
-    S, rhs, obstacle = problem.S, np.asarray(problem.rhs, float), np.asarray(problem.obstacle, float)
-    tol = TIE_TOL * problem.rhs_scale
-    if problem.start is None:
-        active = np.zeros(rhs.size, dtype=bool)
+    if rhs.shape != obstacle.shape:
+        raise ValueError("inconsistent LCP dimensions")
+    # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
+    # Python wrapper
+    scale = float(np.maximum.reduce(np.abs(rhs)))
+    if not math.isfinite(scale):
+        raise NumericalBreakdownError("LCP right-hand side must be finite")
+    tol = TIE_TOL * scale
+    if isinstance(S, Tridiagonal):
+        solve = functools.partial(_solve_banded, S, rhs, obstacle, ul)
     else:
-        active = np.asarray(problem.start, dtype=bool)
-    u, lam = _solve_for_active_set(S, rhs, obstacle, active, problem.ul)
+        pinned = bool(np.count_nonzero(obstacle))
+        solve = functools.partial(_solve_dense, S, rhs, obstacle, pinned)
+    active = np.zeros(rhs.size, dtype=bool) if start is None else start
+    u, lam = solve(active)
     solves = 1
     key = active.tobytes()
     seen = {key}
@@ -320,7 +349,7 @@ def solve_lcp(problem: LcpProblem, max_iter: int = 100) -> tuple[np.ndarray, np.
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        u, lam = _solve_for_active_set(S, rhs, obstacle, active, problem.ul)
+        u, lam = solve(active)
         solves += 1
 
 
@@ -410,14 +439,14 @@ def ul_factor(S: Tridiagonal):
     return upper_factor, lower_factor
 
 
-def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
-                   psi: np.ndarray) -> StepOperators:
-    """Build the loop invariants of a trajectory at parameter ``mu`` against
-    the lifted obstacle ``psi``.
+def step_bands(mu, ops: AffineOperatorSet,
+               config: SchemeConfig) -> tuple[Tridiagonal, Tridiagonal]:
+    """The bands of a trajectory's step at parameter ``mu``: the step matrix
+    S = mass/dt + theta a(mu), checked by ``check_lcp_matrix``, and the
+    explicit part mass/dt - (1 - theta) a(mu).
 
     Market parameters whose operator overflows, or whose step matrix is not
-    usable, raise ``AssemblyError``; a non-finite ``psi`` raises
-    ``NumericalBreakdownError``, as a non-finite step right-hand side does.
+    usable, raise ``AssemblyError``.
     """
     m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     try:
@@ -426,6 +455,18 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
         explicit = Tridiagonal(*(bm - (1.0 - config.theta) * ba for bm, ba in zip(m_dt, a_mu)))
     except (OverflowError, ValueError) as err:
         raise AssemblyError(f"step matrix at mu={mu} is unusable: {err}") from err
+    return S, explicit
+
+
+def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
+                   psi: np.ndarray) -> StepOperators:
+    """Build the loop invariants of a trajectory at parameter ``mu`` against
+    the lifted obstacle ``psi``.
+
+    Fails as ``step_bands`` does; a non-finite ``psi`` raises
+    ``NumericalBreakdownError``, as a non-finite step right-hand side does.
+    """
+    S, explicit = step_bands(mu, ops, config)
     if np.count_nonzero(np.isfinite(psi)) < psi.size:
         raise NumericalBreakdownError("LCP obstacle must be finite")
     upper_factor, lower_factor = ul_factor(S)
@@ -439,9 +480,8 @@ def theta_step(u_prev: np.ndarray, step: StepOperators):
     lam_next, solver iterations)."""
     rhs = step.rhs(u_prev)
     swept = step.sweep(rhs)
-    return solve_lcp(LcpStep(S=step.S, rhs=rhs, obstacle=step.psi,
-                             start=step.predict_contact(swept),
-                             ul=None if swept is None else (swept, step.lower_factor, step.s_psi)))
+    return solve_lcp(step.S, rhs, step.psi, step.predict_contact(swept),
+                     None if swept is None else (swept, step.lower_factor, step.s_psi))
 
 
 @dataclass(frozen=True)
@@ -485,7 +525,8 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
                          obstacle: ObstacleData) -> dict:
     """Worst-case feasibility, complementarity, and linear residuals."""
     cfg = traj.config
-    step = step_operators(traj.mu, ops, cfg, obstacle.psi_tilde)
+    S, explicit = step_bands(traj.mu, ops, cfg)
+    f_mu = ops.f_vector(traj.mu)
     psi_tilde = obstacle.psi_tilde
 
     min_gap = np.inf
@@ -495,8 +536,9 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
     for n in range(cfg.L):
         u = traj.states[n + 1]
         lam = traj.multipliers[n]
-        rhs = step.rhs(traj.states[n])
-        residual = step.S @ u - lam - rhs
+        rhs = explicit @ traj.states[n]  # as StepOperators.rhs forms it
+        rhs += f_mu
+        residual = S @ u - lam - rhs
         scale = max(1.0, float(np.abs(rhs).max()))
         max_lin = max(max_lin, float(np.abs(residual).max()) / scale)
         gap = u - psi_tilde

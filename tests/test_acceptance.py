@@ -26,7 +26,6 @@ from amrb import (
     reduced_trajectory,
     riesz_supremizer,
     sample_training_set,
-    solve_lcp,
     solve_trajectory,
     trajectory_residuals,
     w_norm,
@@ -85,7 +84,7 @@ def test_criterion_02_lcp_oracle():
         S = A.T @ A + n * np.eye(n)
         rhs = rng.normal(size=n) * n
         obstacle = rng.normal(size=n)
-        u, lam, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle))
+        u, lam, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle).solve()
         ref = lcp_by_enumeration(S, rhs, obstacle)
         assert ref is not None
         u_ref, lam_ref = ref

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amrb import (
+    NumericalBreakdownError,
     ParameterVector,
     build_reduced_model_from_store,
     err_linf,
@@ -214,7 +215,10 @@ def test_reduced_trajectory_contract(small_model, small_store):
     assert res["max_complementarity"] <= 1e-9
 
 
-def test_reduced_trajectory_checks_schur_once(model_8_8, test_params10, monkeypatch):
+def test_reduced_trajectory_checks_schur_once(model_8_8, test_params10, monkeypatch,
+                                              lcp_problems_built):
+    # each step passes its arrays straight to solve_lcp: no checked problem
+    # is built per step
     import amrb.online as online_mod
 
     calls = []
@@ -223,6 +227,21 @@ def test_reduced_trajectory_checks_schur_once(model_8_8, test_params10, monkeypa
     rt = reduced_trajectory(model_8_8, test_params10[0])
     assert len(calls) == 1
     assert rt.lcp_solves.sum() > 0
+    assert lcp_problems_built == []
+
+
+def test_blown_up_reduced_state_is_a_breakdown(model_8_8, test_params10, monkeypatch):
+    # an infinite step load blows up the state after step 1; solve_lcp then
+    # finds step 2's cone right-hand side non-finite, a breakdown (exit 4)
+    import amrb.online as online_mod
+
+    setup = online_mod.online_setup
+    monkeypatch.setattr(online_mod, "online_setup", lambda model, mu: dataclasses.replace(
+        setup(model, mu), step_load=np.full(model.nv, np.inf)))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalBreakdownError, match="must be finite") as err:
+        reduced_trajectory(model_8_8, test_params10[0])
+    assert err.value.info["step"] == 2
 
 
 def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10):

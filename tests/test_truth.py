@@ -8,6 +8,7 @@ import pytest
 from amrb import (
     LcpProblem,
     NumericalBreakdownError,
+    ParameterVector,
     SchemeConfig,
     SolverDivergenceError,
     Trajectory,
@@ -25,7 +26,6 @@ from amrb import (
 from amrb.truth import state_rows
 from amrb.cli import train_stream
 from amrb.textio import fmt
-from amrb.truth import LcpStep
 import amrb.truth as truth_mod
 
 from conftest import dense
@@ -100,17 +100,20 @@ def test_lcp_problem_rejects_non_finite_inputs():
 
 
 def test_lcp_step_checks_vectors_only():
-    # the trajectory checks the matrix once; each step still checks its vectors,
+    # the trajectory checks the matrix once; each step still checks its rhs,
     # and a non-finite one is a blown-up state, not bad input
     S = np.array([[1.0, 0.0], [0.0, -1.0]])
-    LcpStep(S=S, rhs=np.zeros(2), obstacle=np.zeros(2))
+    solve_lcp(S, np.zeros(2), np.zeros(2))
     with pytest.raises(NumericalBreakdownError, match="must be finite"):
-        LcpStep(S=np.eye(2), rhs=np.array([np.inf, 0.0]), obstacle=np.zeros(2))
+        solve_lcp(np.eye(2), np.array([np.inf, 0.0]), np.zeros(2))
     with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
-        LcpStep(S=np.eye(2), rhs=np.zeros(3), obstacle=np.zeros(2))
+        solve_lcp(np.eye(2), np.zeros(3), np.zeros(2))
 
 
-def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch):
+def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch,
+                                           lcp_problems_built):
+    # each step passes its arrays straight to solve_lcp: no checked problem
+    # is built per step
     calls = []
     check = truth_mod.check_lcp_matrix
     monkeypatch.setattr(truth_mod, "check_lcp_matrix", lambda S: calls.append(1) or check(S))
@@ -118,6 +121,7 @@ def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, mon
                             default_scheme)
     assert len(calls) == 1
     assert traj.pdas_iterations.size == default_scheme.L
+    assert lcp_problems_built == []
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +132,14 @@ def test_solve_lcp_singular_subsystem_breaks_down():
     # both paths hit the singular 2x2 block [[1, 1], [1, 1]] from the empty set
     for S in (np.ones((2, 2)), Tridiagonal(np.ones(1), np.ones(2), np.ones(1))):
         with pytest.raises(NumericalBreakdownError):
-            solve_lcp(LcpProblem(S=S, rhs=np.array([1.0, 2.0]), obstacle=np.full(2, -10.0)))
+            LcpProblem(S=S, rhs=np.array([1.0, 2.0]), obstacle=np.full(2, -10.0)).solve()
 
 
 def test_solve_lcp_unconstrained():
     rng = np.random.default_rng(0)
     problem = random_spd_lcp(rng, 8)
     free = LcpProblem(S=problem.S, rhs=problem.rhs, obstacle=np.full(8, -1e6))
-    u, lam, _ = solve_lcp(free)
+    u, lam, _ = free.solve()
     assert np.allclose(u, np.linalg.solve(problem.S, problem.rhs))
     assert np.all(lam == 0.0)
 
@@ -147,7 +151,7 @@ def test_solve_lcp_fully_active():
     S = A.T @ A + n * np.eye(n)
     obstacle = rng.normal(size=n)
     rhs = S @ obstacle - 1.0
-    u, lam, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle))
+    u, lam, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle).solve()
     assert np.allclose(u, obstacle)
     assert np.allclose(lam, 1.0)
 
@@ -156,7 +160,7 @@ def test_solve_lcp_matches_enumeration():
     rng = np.random.default_rng(2)
     for _ in range(20):
         problem = random_spd_lcp(rng, 10)
-        u, lam, _ = solve_lcp(problem)
+        u, lam, _ = problem.solve()
         ref = lcp_by_enumeration(problem.S, problem.rhs, problem.obstacle)
         assert ref is not None
         u_ref, lam_ref = ref
@@ -181,11 +185,11 @@ def test_solve_lcp_banded_equals_dense():
     u_star = obstacle + np.where(contact, 0.0, rng.random(n) + 0.1)
     lam_star = np.where(contact, rng.random(n) + 0.1, 0.0)
     for rhs in (rng.normal(size=n) * 5, S @ u_star - lam_star):
-        u1, lam1, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle))
-        u2, lam2, _ = solve_lcp(LcpProblem(S=dense, rhs=rhs, obstacle=obstacle))
+        u1, lam1, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle).solve()
+        u2, lam2, _ = LcpProblem(S=dense, rhs=rhs, obstacle=obstacle).solve()
         # a wrong prefix guess is corrected by the iteration
-        u3, lam3, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle,
-                                           start=np.arange(n) < n // 2))
+        u3, lam3, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle,
+                                 start=np.arange(n) < n // 2).solve()
         for u, lam in ((u1, lam1), (u3, lam3)):
             assert np.abs(u - u2).max() <= 1e-11 * (1 + np.abs(u2).max())
             assert np.abs(lam - lam2).max() <= 1e-11 * (1 + np.abs(lam2).max())
@@ -204,10 +208,10 @@ def test_solve_lcp_dense_from_any_start():
         if k % 2:
             B = rng.normal(size=(n, n))
             problem = dataclasses.replace(problem, S=problem.S + B - B.T)
-        u_ref, lam_ref, _ = solve_lcp(problem)
+        u_ref, lam_ref, _ = problem.solve()
         for _ in range(5):
             start = rng.random(n) < rng.random()
-            u, lam, _ = solve_lcp(dataclasses.replace(problem, start=start))
+            u, lam, _ = dataclasses.replace(problem, start=start).solve()
             assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
             assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
 
@@ -228,7 +232,7 @@ def test_solve_lcp_degenerate_node_from_any_start():
             rhs = S @ u_star - lam_star
             results = set()
             for start in starts:
-                u, lam, _ = solve_lcp(LcpProblem(S=S, rhs=rhs, obstacle=obstacle, start=start))
+                u, lam, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle, start=start).solve()
                 assert lam[5] == 0.0
                 results.add((u.tobytes(), lam.tobytes()))
             assert len(results) == 1
@@ -255,7 +259,7 @@ def test_solve_lcp_iteration_budget():
     rng = np.random.default_rng(4)
     problem = random_spd_lcp(rng, 12)
     with pytest.raises(SolverDivergenceError) as err:
-        solve_lcp(problem, max_iter=1)
+        problem.solve(max_iter=1)
     assert "min_gap" in err.value.info
 
 
@@ -263,7 +267,7 @@ def test_solve_lcp_complementarity_exact():
     rng = np.random.default_rng(5)
     for _ in range(10):
         problem = random_spd_lcp(rng, 9)
-        u, lam, _ = solve_lcp(problem)
+        u, lam, _ = problem.solve()
         gap = u - problem.obstacle
         assert np.all((lam == 0.0) | (gap == 0.0))
         assert gap.min() >= 0.0
@@ -448,7 +452,7 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
                                S=S, psi=obstacle, upper_factor=None, lower_factor=None)
     start = step.predict_contact(rhs)
     assert start.dtype == bool and not start.any()
-    u, lam, _ = solve_lcp(LcpStep(S=S, rhs=rhs, obstacle=obstacle, start=start))
+    u, lam, _ = solve_lcp(S, rhs, obstacle, start)
     ref = lcp_by_enumeration(dense(S), rhs, obstacle)
     assert ref is not None
     assert np.abs(u - ref[0]).max() <= 1e-12 * (1 + np.abs(ref[0]).max())
@@ -490,7 +494,7 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
             b[0] -= np.longdouble(S.lower[k - 1]) * np.longdouble(psi[k - 1])
             ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
                                               step.s_psi)
-            gtsv_u, _ = truth_mod._solve_for_active_set(S, rhs, psi, predicted)
+            gtsv_u, _ = truth_mod._solve_banded(S, rhs, psi, None, predicted)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
                 x = u[k:].astype(np.longdouble)
@@ -518,10 +522,9 @@ def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
             k = int(predicted.sum())
             starts = [None] + [nodes < min(max(j, 0), H) for j in (k - 5, k - 1, k + 1, k + 5, 0, H)]
             for start in starts:
-                problem = LcpStep(S=step.S, rhs=rhs, obstacle=psi, start=start,
-                                  ul=(swept, step.lower_factor, step.s_psi))
                 try:
-                    u, lam, solves = solve_lcp(problem)
+                    u, lam, solves = solve_lcp(step.S, rhs, psi, start,
+                                               (swept, step.lower_factor, step.s_psi))
                 except SolverDivergenceError:
                     assert H > 99 and start is not None and start.all()
                     diverged += 1
@@ -597,6 +600,34 @@ def test_non_finite_obstacle_is_a_breakdown(default_ops, default_scheme, mu0):
                          default_scheme)
 
 
+def test_blown_up_state_is_a_breakdown(default_ops, default_scheme, mu0, monkeypatch):
+    # solve_lcp checks each step's rhs: an infinite load blows up the first
+    # step's right-hand side, which is a breakdown (exit 4), not bad input
+    step_operators = truth_mod.step_operators
+    monkeypatch.setattr(truth_mod, "step_operators", lambda *args: dataclasses.replace(
+        step_operators(*args), f_mu=np.full(default_ops.dim, np.inf)))
+    with pytest.raises(NumericalBreakdownError, match="must be finite") as err:
+        solve_trajectory(mu0, default_ops, obstacle_data(default_ops.mesh, mu0.K),
+                         default_scheme)
+    assert err.value.info["step"] == 1
+
+
+def test_fine_mesh_probe_returns_or_diverges(default_box, default_scheme):
+    # the stock-box draws of the benchmark's H=9999 probe, drawn as it draws
+    # them; the probe catches SolverDivergenceError only, so any other
+    # exception from these trajectories would end a benchmark run
+    ops = assemble_operators(build_mesh(9999, 300.0))
+    lo, hi = default_box.bounds()
+    for seed in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        for _ in range(6):
+            mu = ParameterVector(*(float(x) for x in lo + (hi - lo) * rng.random(4)))
+            try:
+                solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), default_scheme)
+            except SolverDivergenceError:
+                pass
+
+
 def test_row_interchanges_take_gtsv(default_ops, default_scheme, mu0, monkeypatch):
     # prefix sets go to the UL factors and never to gtsv; where the UL
     # elimination needs row interchanges there are no factors, and every
@@ -652,7 +683,7 @@ def test_trajectory_determinism(default_ops, default_scheme, mu0):
 def test_trajectory_error_annotation(default_ops, default_scheme, mu0, monkeypatch):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
 
-    def boom(problem, max_iter=100):
+    def boom(S, rhs, obstacle, start=None, ul=None, max_iter=100):
         raise SolverDivergenceError("forced failure", min_gap=0.0)
 
     monkeypatch.setattr(truth_mod, "solve_lcp", boom)
