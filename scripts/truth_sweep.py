@@ -3,7 +3,9 @@
 Solves every trajectory of the grid on the first draws of the CLI's seed-0
 training stream and checks the criterion-1 contract (feasibility,
 complementarity, linear residual).  Prints one line per configuration and a
-summary; exits 1 if any trajectory raised or broke the contract.
+summary, with the minor page faults per trajectory that this process took
+inside ``solve_trajectory`` (``resource.getrusage``); exits 1 if any
+trajectory raised or broke the contract.
 
     PYTHONPATH=src python scripts/truth_sweep.py
     PYTHONPATH=src python scripts/truth_sweep.py --H 99,999 --theta 0.5,1 --draws 3
@@ -13,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-from collections import Counter
+import resource
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -40,7 +43,7 @@ def main(argv=None) -> int:
 
     cfg = load_config(None)
     params = sample_training_set(cfg.box, args.draws, train_stream(cfg.seed))
-    total = failed = 0
+    total = failed = faults = 0
     solves, errors = [], Counter()
     for H in (int(h) for h in floats(args.H)):
         ops = assemble_operators(build_mesh(H, cfg.s_f))
@@ -50,12 +53,15 @@ def main(argv=None) -> int:
             for k, mu in enumerate(params):
                 total += 1
                 obstacle = obstacle_data(ops.mesh, mu.K)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 try:
                     traj = solve_trajectory(mu, ops, obstacle, scheme)
                 except AmrbError as err:
                     errors[type(err).__name__] += 1
                     bad.append(f"draw {k}: {type(err).__name__} at step {err.info.get('step')}")
                     continue
+                finally:
+                    faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
                 solves.append(traj.pdas_iterations)
                 res = trajectory_residuals(traj, ops, obstacle)
                 broken = contract_breaches(res)
@@ -69,7 +75,8 @@ def main(argv=None) -> int:
     per_step = np.concatenate(solves) if solves else np.zeros(0)
     print(f"summary: {failed}/{total} trajectories failed {dict(errors)}; "
           f"solves per step mean {per_step.mean() if per_step.size else float('nan'):.3f}, "
-          f"max {per_step.max(initial=0)}")
+          f"max {per_step.max(initial=0)}; minor page faults per trajectory "
+          f"{faults / total if total else float('nan'):.1f}")
     return 1 if failed else 0
 
 

@@ -346,12 +346,13 @@ class ReducedModel:
 
     ``psi_matrix`` is energy-orthonormal, so the energy projection of a
     nodal vector v onto the reduced space has coefficients gram_psi' v.
+    ``mesh`` is the mesh of the operators the model was assembled from.
     The sizes ``mesh_h``, ``nv`` and ``nw`` are read off the bases, and
     every array after ``xi_matrix`` is derived from them by
     ``assemble_reduced``.
     """
 
-    mesh_s_f: float
+    mesh: Mesh1D
     config: SchemeConfig
     nv_tilde: int
     psi_matrix: np.ndarray        # (H, NV) energy-orthonormal primal basis
@@ -395,7 +396,7 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
     mass_n = 0.5 * (mass_n + mass_n.T)
     b_n = psi_f.T @ xi
     model = ReducedModel(
-        mesh_s_f=ops.mesh.s_f, config=config, nv_tilde=nv_tilde,
+        mesh=ops.mesh, config=config, nv_tilde=nv_tilde,
         psi_matrix=psi.copy(), xi_matrix=xi.copy(),
         mass_n=mass_n, a1_n=psi_f.T @ (ops.a1 @ psi_f), a2_n=psi_f.T @ (ops.a2 @ psi_f),
         f1_n=psi_f.T @ ops.f1, f2_n=psi_f.T @ ops.f2, b_n=b_n,
@@ -461,7 +462,7 @@ def model_document(model: ReducedModel) -> dict:
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "mesh": {"H": model.mesh_h, "s_f": model.mesh_s_f},
+        "mesh": {"H": model.mesh_h, "s_f": model.mesh.s_f},
         "time": {"T": model.config.T, "L": model.config.L, "theta": model.config.theta},
         "NV_tilde": model.nv_tilde,
         "psi_matrix": model.psi_matrix,

@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import textio
 from .errors import AmrbError, AssemblyError, ModelCorruptionError
-from .fem import AffineOperatorSet, Mesh1D, ParameterVector, build_mesh, obstacle_data
+from .fem import AffineOperatorSet, Mesh1D, ParameterVector, obstacle_data
 from .offline import ReducedModel
 from .truth import (
     Trajectory,
@@ -88,7 +88,7 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise ModelCorruptionError("reduced step matrix is numerically singular")
 
-    psi_tilde = obstacle_data(build_mesh(model.mesh_h, model.mesh_s_f), mu.K).psi_tilde
+    psi_tilde = obstacle_data(model.mesh, mu.K).psi_tilde
     b_n = model.b_n
     sinv_b = dgetrs(lu, piv, b_n)[0]
     step_map = dgetrs(lu, piv, mass_dt - (1.0 - cfg.theta) * a_n)[0]

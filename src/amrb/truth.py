@@ -48,6 +48,14 @@ test problems) take a dense path through LAPACK ``gesv``, from the empty
 set unless the caller passes a start; whether pinning shifts their
 right-hand side is decided once per call.
 
+A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
+one (2L + 1, H) block, whose leading L + 1 rows are the returned states
+and trailing L rows the multipliers (both views of it), and each step's
+iterates are solved straight into its two rows.  The step's right-hand
+side, sweep and predicted contact set fill a workspace that
+``step_operators`` makes once per trajectory; the arrays the step
+methods return are that workspace, overwritten by the next step.
+
 ``solve_lcp`` takes one problem's arrays and checks only the right-hand
 side.  A trajectory checks its step matrix (``check_lcp_matrix``) and
 obstacle once and passes each step's arrays straight in, building no
@@ -61,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -73,6 +81,9 @@ from . import textio
 
 # ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero
 TIE_TOL = 16.0 * np.finfo(float).eps
+
+# floats per block of steps that ``trajectory_residuals`` checks at once
+RESIDUAL_FLOATS = 2 ** 14
 
 # the truth contract: the range of each ``trajectory_residuals`` entry
 CONTRACT = {
@@ -173,8 +184,10 @@ def _singular(active: np.ndarray) -> NumericalBreakdownError:
                                    active_size=int(active.sum()))
 
 
-def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle):
-    """Solve with the state pinned to the obstacle on the prefix [0, k).
+def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle,
+                  u, lam):
+    """Solve with the state pinned to the obstacle on the prefix [0, k),
+    into ``u`` and ``lam``.
 
     S = U L, eliminated from the last node up, so the trailing blocks of U
     and L factor S[k:, k:].  ``swept`` = U^-1 rhs already holds the trailing
@@ -185,8 +198,8 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
     from ``s_obstacle`` = S obstacle, except row k-1, which reads the free
     u[k] and is summed as ``S @ u`` sums a row.
     """
-    u = obstacle.copy()
-    lam = np.zeros(u.size)
+    u[:k] = obstacle[:k]
+    lam[k:] = 0.0
     if k:
         np.subtract(s_obstacle[:k], rhs[:k], out=lam[:k])
     if k < u.size:
@@ -205,9 +218,9 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
     return u, lam
 
 
-def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, active):
+def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, u, lam, active):
     """Solve a tridiagonal problem with the state pinned to the obstacle on
-    the active set.
+    the active set, into ``u`` and ``lam``.
 
     With ``ul`` (see ``solve_lcp``), a prefix active set is solved on the
     UL factors; any other set by LAPACK ``gtsv`` on the inactive rows and
@@ -219,14 +232,15 @@ def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, active):
     if ul is not None:
         k = np.count_nonzero(active)
         if not active[k:].any():  # the prefix [0, k)
-            return _solve_prefix(S, rhs, obstacle, k, *ul)
+            return _solve_prefix(S, rhs, obstacle, k, *ul, u, lam)
     inactive = ~active
     ix = inactive.nonzero()[0]
+    np.copyto(u, obstacle)
     if ix.size < active.size and np.count_nonzero(obstacle):
-        u = np.where(active, obstacle, 0.0)
+        u[ix] = 0.0
         b = (rhs - S @ u)[ix]
     else:
-        u, b = obstacle.copy(), rhs[ix]
+        b = rhs[ix]
     if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
         u[ix] = b / S.diag[ix]
     elif ix.size:
@@ -237,7 +251,7 @@ def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, active):
         if info > 0:
             raise _singular(active)
         u[ix] = x
-    lam = S @ u - rhs
+    np.subtract(S @ u, rhs, out=lam)
     lam[inactive] = 0.0
     return u, lam
 
@@ -267,7 +281,7 @@ def _solve_dense(S: np.ndarray, rhs, obstacle, pinned: bool, active):
 
 
 def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None = None,
-              ul=None, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
+              ul=None, max_iter: int = 100, out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
     lam >= 0, lam . (u - obstacle) = 0.
 
@@ -279,7 +293,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
     (``ValueError``) and finiteness: a non-finite rhs raises
     ``NumericalBreakdownError``, since a trajectory computes it from its
     own states.  ``start`` is a boolean active set (empty if None);
-    ``ul`` is as in ``LcpProblem``.
+    ``ul`` is as in ``LcpProblem``.  For a tridiagonal S, ``out`` may pass
+    two float vectors (u, lam) of its size, such as a trajectory's rows:
+    every iterate is solved into them, and they are returned.  Without
+    it, and always on the dense path, u and lam are fresh arrays.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
@@ -313,7 +330,8 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
         raise NumericalBreakdownError("LCP right-hand side must be finite")
     tol = TIE_TOL * scale
     if isinstance(S, Tridiagonal):
-        solve = functools.partial(_solve_banded, S, rhs, obstacle, ul)
+        u, lam = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
+        solve = functools.partial(_solve_banded, S, rhs, obstacle, ul, u, lam)
     else:
         pinned = bool(np.count_nonzero(obstacle))
         solve = functools.partial(_solve_dense, S, rhs, obstacle, pinned)
@@ -353,10 +371,22 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
         solves += 1
 
 
+def _band_product(T: Tridiagonal, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """T @ x along the last axis of x (one vector, or the rows of a block)
+    into ``out``, each row summed lower, diagonal, upper as ``Tridiagonal @``
+    sums it; ``scratch`` is a buffer of out's shape."""
+    np.multiply(T.diag, x, out=out)
+    np.multiply(T.lower, x[..., :-1], out=scratch[..., 1:])
+    out[..., 1:] += scratch[..., 1:]
+    np.multiply(T.upper, x[..., 1:], out=scratch[..., :-1])
+    out[..., :-1] += scratch[..., :-1]
+    return out
+
+
 @dataclass(frozen=True)
 class StepOperators:
-    """What every step of one trajectory shares: operators, load, obstacle
-    and factors.
+    """What every step of one trajectory shares: operators, load, obstacle,
+    factors and a workspace.
 
     ``explicit`` is mass/dt - (1 - theta) a(mu), the bands that act on the
     previous state.  ``psi`` is the lifted obstacle, checked finite;
@@ -364,6 +394,11 @@ class StepOperators:
     i, and ``s_psi`` = S psi.  ``upper_factor`` and ``lower_factor`` are
     those of ``ul_factor(S)``, or both None where it finds no UL pivots.
     ``S`` has passed ``check_lcp_matrix``.
+
+    The workspace is made with the object, sized by ``psi`` (so
+    ``dataclasses.replace`` gives a copy its own): three float vectors and
+    a boolean mask.  ``rhs``, ``sweep`` and ``predict_contact`` fill it in
+    place and return its arrays, which the next step overwrites.
     """
 
     S: Tridiagonal
@@ -374,21 +409,33 @@ class StepOperators:
     s_psi: np.ndarray
     upper_factor: np.ndarray | None
     lower_factor: np.ndarray | None
+    work: np.ndarray = field(init=False, repr=False)     # (3, H): rhs, sweep, scratch
+    contact: np.ndarray = field(init=False, repr=False)  # (H,) predicted active set
+
+    def __post_init__(self):
+        object.__setattr__(self, "work", np.empty((3, self.psi.size)))
+        object.__setattr__(self, "contact", np.zeros(self.psi.size, dtype=bool))
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
-        """Right-hand side of the step that starts from ``u_prev``."""
-        rhs = self.explicit @ u_prev
+        """Right-hand side of the step that starts from ``u_prev``: one band
+        product plus the load, in the workspace."""
+        rhs = _band_product(self.explicit, u_prev, self.work[0], self.work[2])
         rhs += self.f_mu
         return rhs
 
     def sweep(self, rhs: np.ndarray) -> np.ndarray | None:
-        """U^-1 rhs, the upward elimination of rhs; None without pivots."""
+        """U^-1 rhs, the upward elimination of rhs, in the workspace; None
+        without pivots."""
         if self.upper_factor is None:
             return None
-        return dtbsv(1, self.upper_factor, rhs, diag=1)  # what a (0, 1) gbsv reduces to
+        swept = self.work[1]
+        swept[...] = rhs
+        dtbsv(1, self.upper_factor, swept, diag=1, overwrite_x=1)  # a (0, 1) gbsv, in place
+        return swept
 
     def predict_contact(self, swept: np.ndarray | None) -> np.ndarray:
-        """Brennan-Schwartz guess of the active set: the prefix [0, k).
+        """Brennan-Schwartz guess of the active set: the prefix [0, k), as
+        the workspace's mask.
 
         ``swept`` is ``sweep(rhs)``.  After the upward elimination, node i
         would leave the obstacle when its forward-sweep value, with node i-1
@@ -396,13 +443,15 @@ class StepOperators:
         pivots the guess is the empty prefix, which the iteration corrects
         as it does any wrong guess.
         """
+        above = self.contact
         if self.lower_factor is None:
-            return np.zeros(self.psi.size, dtype=bool)
-        pinned = swept.copy()
-        pinned[1:] -= self.coupling
+            return above  # never written: the empty prefix
+        pinned = self.work[2]
+        pinned[0] = swept[0]
+        np.subtract(swept[1:], self.coupling, out=pinned[1:])
         pinned /= self.lower_factor[0]
-        above = pinned > self.psi
-        k = int(np.argmax(above))
+        np.greater(pinned, self.psi, out=above)
+        k = int(above.argmax())
         if not above[k]:  # no node leaves the obstacle
             k = above.size
         above[:k] = True
@@ -475,13 +524,15 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
                          upper_factor=upper_factor, lower_factor=lower_factor)
 
 
-def theta_step(u_prev: np.ndarray, step: StepOperators):
-    """One backward-time step against ``step.psi``; returns (u_next,
-    lam_next, solver iterations)."""
+def theta_step(u_prev: np.ndarray, step: StepOperators, out):
+    """One backward-time step against ``step.psi``, solved into ``out`` =
+    (u, lam) as ``solve_lcp`` does; returns (u_next, lam_next, solver
+    iterations)."""
     rhs = step.rhs(u_prev)
     swept = step.sweep(rhs)
     return solve_lcp(step.S, rhs, step.psi, step.predict_contact(swept),
-                     None if swept is None else (swept, step.lower_factor, step.s_psi))
+                     None if swept is None else (swept, step.lower_factor, step.s_psi),
+                     out=out)
 
 
 @dataclass(frozen=True)
@@ -490,6 +541,9 @@ class Trajectory:
 
     Row 0 of ``states`` is the lifted payoff; the scheme defines no
     multiplier for the initial time, so ``multipliers`` starts at step 1.
+    ``solve_trajectory`` allocates the two as the leading L + 1 and the
+    trailing L rows of one C-ordered (2L + 1, H) block, so both are views
+    of it.
     """
 
     mu: ParameterVector
@@ -501,56 +555,73 @@ class Trajectory:
 
 def solve_trajectory(mu, ops: AffineOperatorSet, obstacle: ObstacleData,
                      config: SchemeConfig) -> Trajectory:
-    """March the theta-scheme from the lifted payoff over all L steps."""
-    H = ops.dim
-    states = np.empty((config.L + 1, H))
-    multipliers = np.empty((config.L, H))
-    iterations = np.empty(config.L, dtype=int)
+    """March the theta-scheme from the lifted payoff over all L steps.
+
+    One block holds the result, and every iterate of step n is solved
+    straight into its rows ``states[n + 1]`` and ``multipliers[n]``; the
+    steps' other vectors live in the ``StepOperators`` workspace.
+    """
+    L = config.L
+    block = np.empty((2 * L + 1, ops.dim))
+    states, multipliers = block[:L + 1], block[L + 1:]
+    iterations = np.empty(L, dtype=int)
     states[0] = obstacle.psi_tilde
     step = step_operators(mu, ops, config, obstacle.psi_tilde)
-    for n in range(config.L):
+    for n in range(L):
         try:
-            u, lam, its = theta_step(states[n], step)
+            iterations[n] = theta_step(states[n], step, (states[n + 1], multipliers[n]))[2]
         except AmrbError as err:
             raise type(err)(f"time step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
-        states[n + 1] = u
-        multipliers[n] = lam
-        iterations[n] = its
     return Trajectory(mu=mu, states=states, multipliers=multipliers,
                       config=config, pdas_iterations=iterations)
 
 
+def _residual_rows(S: Tridiagonal, explicit: Tridiagonal, f_mu, psi, states, lam, work):
+    """Residual figures of the steps from ``states[:-1]`` to ``states[1:]``
+    with multipliers ``lam``, one entry per step: (min gap, min multiplier,
+    complementarity, linear residual).
+
+    The band products run along the rows, as each step formed its
+    right-hand side; ``work`` is a (3, rows, H) block with a row per step,
+    and the complementarity is one dot product per step.
+    """
+    rhs, residual, gap = work[:, :lam.shape[0]]
+    after = states[1:]
+    _band_product(explicit, states[:-1], rhs, gap)
+    rhs += f_mu
+    _band_product(S, after, residual, gap)
+    residual -= lam
+    residual -= rhs
+    scale = np.maximum(np.abs(rhs, out=rhs).max(axis=1), 1.0)
+    linear = np.abs(residual, out=residual).max(axis=1) / scale
+    np.subtract(after, psi, out=gap)
+    comp_scale = 1.0 + np.abs(after, out=residual).max(axis=1) * np.abs(lam, out=rhs).max(axis=1)
+    comp = np.array([abs(float(lam_n @ gap_n)) for lam_n, gap_n in zip(lam, gap)]) / comp_scale
+    return gap.min(axis=1), lam.min(axis=1), comp, linear
+
+
 def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
                          obstacle: ObstacleData) -> dict:
-    """Worst-case feasibility, complementarity, and linear residuals."""
-    cfg = traj.config
-    S, explicit = step_bands(traj.mu, ops, cfg)
-    f_mu = ops.f_vector(traj.mu)
-    psi_tilde = obstacle.psi_tilde
+    """Worst-case feasibility, complementarity, and linear residuals.
 
-    min_gap = np.inf
-    min_multiplier = np.inf
-    max_comp = 0.0
-    max_lin = 0.0
-    for n in range(cfg.L):
-        u = traj.states[n + 1]
-        lam = traj.multipliers[n]
-        rhs = explicit @ traj.states[n]  # as StepOperators.rhs forms it
-        rhs += f_mu
-        residual = S @ u - lam - rhs
-        scale = max(1.0, float(np.abs(rhs).max()))
-        max_lin = max(max_lin, float(np.abs(residual).max()) / scale)
-        gap = u - psi_tilde
-        min_gap = min(min_gap, float(gap.min()))
-        min_multiplier = min(min_multiplier, float(lam.min()))
-        comp_scale = 1.0 + float(np.abs(u).max()) * float(np.abs(lam).max())
-        max_comp = max(max_comp, abs(float(lam @ gap)) / comp_scale)
+    The steps are checked in runs of up to ``RESIDUAL_FLOATS // H`` at
+    once (``_residual_rows``), whose work block stays small enough to be
+    reused from the heap and the cache.
+    """
+    S, explicit = step_bands(traj.mu, ops, traj.config)
+    f_mu = ops.f_vector(traj.mu)
+    L, H = traj.multipliers.shape
+    rows = min(L, max(1, RESIDUAL_FLOATS // H))
+    work = np.empty((3, rows, H))
+    figures = [_residual_rows(S, explicit, f_mu, obstacle.psi_tilde, traj.states[i:i + rows + 1],
+                              traj.multipliers[i:i + rows], work) for i in range(0, L, rows)]
+    gap, lam, comp, linear = (np.concatenate(column) for column in zip(*figures))
     return {
-        "min_state_gap": min_gap,
-        "min_multiplier": min_multiplier,
-        "max_complementarity": max_comp,
-        "max_linear_residual": max_lin,
+        "min_state_gap": float(gap.min()),
+        "min_multiplier": float(lam.min()),
+        "max_complementarity": float(comp.max()),
+        "max_linear_residual": float(linear.max()),
     }
 
 

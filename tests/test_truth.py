@@ -283,7 +283,7 @@ def test_theta_step_stationary_limit(default_ops, mu0):
     cfg = SchemeConfig(T=1e12, L=1, theta=1.0)
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     step = truth_mod.step_operators(mu0, default_ops, cfg, obstacle.psi_tilde)
-    u, lam, _ = theta_step(obstacle.psi_tilde, step)
+    u, lam, _ = theta_step(obstacle.psi_tilde, step, np.empty((2, default_ops.dim)))
     a_mu = default_ops.a_matrix(mu0)
     f_mu = default_ops.f_vector(mu0)
     resid = a_mu @ u - lam - f_mu
@@ -298,7 +298,8 @@ def test_theta_step_degenerate_identity(default_ops):
     rng = np.random.default_rng(6)
     u_prev = rng.normal(size=H)
     u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu, default_ops, cfg,
-                                                            np.full(H, -1e3)))
+                                                            np.full(H, -1e3)),
+                           np.empty((2, H)))
     assert np.abs(u - u_prev).max() <= 1e-12 * (1 + np.abs(u_prev).max())
     assert np.all(lam == 0.0)
 
@@ -306,7 +307,7 @@ def test_theta_step_degenerate_identity(default_ops):
 def test_theta_step_invariants_at_mu0(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     step = truth_mod.step_operators(mu0, default_ops, default_scheme, obstacle.psi_tilde)
-    u, lam, iters = theta_step(obstacle.psi_tilde, step)
+    u, lam, iters = theta_step(obstacle.psi_tilde, step, np.empty((2, default_ops.dim)))
     assert (u - obstacle.psi_tilde).min() >= -1e-9
     assert lam.min() >= -1e-12
     scale = 1.0 + np.abs(u).max() * np.abs(lam).max()
@@ -319,7 +320,8 @@ def test_theta_step_empty_active_set_is_linear(default_ops, default_scheme, mu0)
     rng = np.random.default_rng(7)
     u_prev = rng.normal(size=H) * 10
     u, lam, _ = theta_step(u_prev, truth_mod.step_operators(mu0, default_ops, default_scheme,
-                                                            np.full(H, -1e9)))
+                                                            np.full(H, -1e9)),
+                           np.empty((2, H)))
     # independent dense unconstrained step
     a_mu = dense(default_ops.a_matrix(mu0))
     m_dt = dense(default_ops.mass) / default_scheme.delta_t
@@ -493,8 +495,9 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
             b = rhs[k:].astype(np.longdouble)
             b[0] -= np.longdouble(S.lower[k - 1]) * np.longdouble(psi[k - 1])
             ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
-                                              step.s_psi)
-            gtsv_u, _ = truth_mod._solve_banded(S, rhs, psi, None, predicted)
+                                              step.s_psi, np.empty(H), np.empty(H))
+            gtsv_u, _ = truth_mod._solve_banded(S, rhs, psi, None, np.empty(H), np.empty(H),
+                                                predicted)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
                 x = u[k:].astype(np.longdouble)
@@ -564,7 +567,7 @@ def test_prefix_solve_and_predictor_match_their_references(default_box, H):
         k = int(predicted.sum())
         for j in sorted({0, 1, k, H - 1, H}):
             u, lam = truth_mod._solve_prefix(step.S, rhs, step.psi, j, swept, step.lower_factor,
-                                             step.s_psi)
+                                             step.s_psi, np.empty(H), np.empty(H))
             assert (step.S @ u - rhs)[:j].tobytes() == lam[:j].tobytes()
             assert not lam[j:].any()
 
@@ -683,7 +686,7 @@ def test_trajectory_determinism(default_ops, default_scheme, mu0):
 def test_trajectory_error_annotation(default_ops, default_scheme, mu0, monkeypatch):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
 
-    def boom(S, rhs, obstacle, start=None, ul=None, max_iter=100):
+    def boom(S, rhs, obstacle, start=None, ul=None, max_iter=100, out=None):
         raise SolverDivergenceError("forced failure", min_gap=0.0)
 
     monkeypatch.setattr(truth_mod, "solve_lcp", boom)
@@ -691,6 +694,193 @@ def test_trajectory_error_annotation(default_ops, default_scheme, mu0, monkeypat
         solve_trajectory(mu0, default_ops, obstacle, default_scheme)
     assert "time step 1" in str(err.value)
     assert err.value.info["step"] == 1
+
+
+def test_trajectory_is_one_block(default_ops, default_scheme, mu0):
+    # states and multipliers are the two row ranges of one C-ordered block
+    traj = solve_trajectory(mu0, default_ops, obstacle_data(default_ops.mesh, mu0.K),
+                            default_scheme)
+    L, H = default_scheme.L, default_ops.dim
+    block = traj.states.base
+    assert block is not None and traj.multipliers.base is block
+    assert block.shape == (2 * L + 1, H) and block.flags.c_contiguous
+    assert traj.states.flags.c_contiguous and traj.multipliers.flags.c_contiguous
+    assert np.shares_memory(block[L + 1:], traj.multipliers)
+
+
+def test_step_loop_allocates_only_a_few_vectors(default_box, monkeypatch):
+    # the step loop writes into the trajectory's block and the workspace of
+    # its step operators; what it allocates on top is the active-set
+    # update's temporaries, a few H-vectors at most
+    import tracemalloc
+
+    H = 3999
+    ops = assemble_operators(build_mesh(H, 300.0))
+    scheme = SchemeConfig(T=1.0, L=20, theta=0.5)
+    mu = sample_training_set(default_box, 1, np.random.SeedSequence([17, H]))[0]
+    obstacle = obstacle_data(ops.mesh, mu.K)
+    at_loop = []
+    step_operators = truth_mod.step_operators
+
+    def then_mark(*args):
+        step = step_operators(*args)
+        tracemalloc.reset_peak()
+        at_loop.append(tracemalloc.get_traced_memory()[0])
+        return step
+
+    monkeypatch.setattr(truth_mod, "step_operators", then_mark)
+    tracemalloc.start()
+    try:
+        solve_trajectory(mu, ops, obstacle, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - at_loop[-1] <= 3 * H * 8, (peak - at_loop[-1]) / (H * 8)
+
+
+def test_workspace_carries_no_state(default_box):
+    # trajectories A, B, A back to back give the bytes of each solved first
+    ops = assemble_operators(build_mesh(999, 300.0))
+    scheme = SchemeConfig(T=0.25, L=20, theta=0.5)
+    a, b = sample_training_set(default_box, 2, np.random.SeedSequence([18, 1]))
+
+    def solve(mu):
+        return solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+
+    runs = [solve(mu) for mu in (a, b, a)]
+    fresh = {a: runs[0], b: solve(b)}
+    for mu, traj in zip((a, b, a), runs):
+        assert traj.states.tobytes() == fresh[mu].states.tobytes()
+        assert traj.multipliers.tobytes() == fresh[mu].multipliers.tobytes()
+        assert np.array_equal(traj.pdas_iterations, fresh[mu].pdas_iterations)
+
+
+def assert_rows_are_fresh_solves(traj, step):
+    """Each step's rows and solve count equal a checked problem's solve from
+    the step's own start; returns the solve counts."""
+    counts = []
+    for n in range(traj.config.L):
+        rhs = step.rhs(traj.states[n]).copy()
+        swept = step.sweep(rhs)
+        start = step.predict_contact(swept).copy()
+        ul = None if swept is None else (swept.copy(), step.lower_factor, step.s_psi)
+        u, lam, solves = LcpProblem(S=step.S, rhs=rhs, obstacle=step.psi, start=start,
+                                    ul=ul).solve()
+        assert u.tobytes() == traj.states[n + 1].tobytes(), n
+        assert lam.tobytes() == traj.multipliers[n].tobytes(), n
+        assert solves == traj.pdas_iterations[n], n
+        counts.append(solves)
+    return counts
+
+
+@pytest.mark.parametrize("H", [99, 999, 3999])
+def test_step_rows_equal_fresh_solves(default_box, H):
+    ops = assemble_operators(build_mesh(H, 300.0))
+    params = sample_training_set(default_box, 2, np.random.SeedSequence([19, H]))
+    counts = []
+    for T, theta, mu in itertools.product((0.25, 1.0), (0.5, 1.0), params):
+        scheme = SchemeConfig(T=T, L=20, theta=theta)
+        psi = obstacle_data(ops.mesh, mu.K).psi_tilde
+        traj = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+        counts += assert_rows_are_fresh_solves(traj, truth_mod.step_operators(mu, ops, scheme, psi))
+    # the prediction is exact on these draws below H=3999; at H=3999 the
+    # T=0.25 steps take up to 40 solves
+    assert max(counts) > 1 or H < 3999
+
+
+def test_step_rows_equal_fresh_solves_without_ul_pivots(default_ops, default_scheme):
+    mu = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)  # convection-dominated a(mu)
+    psi = obstacle_data(default_ops.mesh, mu.K).psi_tilde
+    step = truth_mod.step_operators(mu, default_ops, default_scheme, psi)
+    assert step.lower_factor is None
+    traj = solve_trajectory(mu, default_ops, obstacle_data(default_ops.mesh, mu.K),
+                            default_scheme)
+    assert max(assert_rows_are_fresh_solves(traj, step)) > 1
+
+
+def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
+    # a tridiagonal non-P matrix on which the full-set update revisits a set,
+    # so the iteration finishes with least-index toggles
+    rng = np.random.default_rng(1092)
+    n = int(rng.integers(3, 7))
+    S = Tridiagonal(rng.uniform(-2, 2, n - 1), 1.0 + rng.random(n), rng.uniform(-2, 2, n - 1))
+    rhs, obstacle = rng.normal(size=n), rng.normal(size=n)
+    start = rng.random(n) < 0.5
+    solved, revisited = [], []
+    solve_banded = truth_mod._solve_banded
+
+    def spy(S, rhs, obstacle, ul, u, lam, active):
+        u, lam = solve_banded(S, rhs, obstacle, ul, u, lam, active)
+        solved.append(active.tobytes())
+        update = ((lam + (obstacle - u)) > truth_mod.TIE_TOL * np.abs(rhs).max()).tobytes()
+        revisited.append(update != solved[-1] and update in solved)
+        return u, lam
+
+    monkeypatch.setattr(truth_mod, "_solve_banded", spy)
+    rows = np.full((3, n), np.nan)
+    u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=(rows[1], rows[2]))
+    assert any(revisited)
+    ref_u, ref_lam, ref_solves = LcpProblem(S=S, rhs=rhs, obstacle=obstacle, start=start).solve()
+    assert np.shares_memory(u, rows[1]) and np.shares_memory(lam, rows[2])
+    assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
+        ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
+    assert np.isnan(rows[0]).all()
+
+
+def test_tracer_bindings_fire_once_per_step(default_ops, default_scheme, mu0, monkeypatch):
+    # a tracer patches theta_step and solve_lcp in amrb.truth and reads the
+    # solve count off result[2]
+    calls = {"theta_step": [], "solve_lcp": []}
+    for name in calls:
+        original = getattr(truth_mod, name)
+
+        def wrapped(*args, _original=original, _name=name, **kwargs):
+            result = _original(*args, **kwargs)
+            calls[_name].append(result)
+            return result
+
+        monkeypatch.setattr(truth_mod, name, wrapped)
+    traj = solve_trajectory(mu0, default_ops, obstacle_data(default_ops.mesh, mu0.K),
+                            default_scheme)
+    for results in calls.values():
+        assert len(results) == default_scheme.L
+        assert all(type(r) is tuple and len(r) == 3 for r in results)
+        assert [r[2] for r in results] == traj.pdas_iterations.tolist()
+    for n, (u, lam, _) in enumerate(calls["theta_step"]):
+        assert np.shares_memory(u, traj.states[n + 1])
+        assert np.shares_memory(lam, traj.multipliers[n])
+
+
+def residuals_by_step(traj, ops, obstacle):
+    """``trajectory_residuals`` as first written, one step at a time."""
+    S, explicit = truth_mod.step_bands(traj.mu, ops, traj.config)
+    f_mu = ops.f_vector(traj.mu)
+    min_gap, min_multiplier, max_comp, max_lin = np.inf, np.inf, 0.0, 0.0
+    for n in range(traj.config.L):
+        u, lam = traj.states[n + 1], traj.multipliers[n]
+        rhs = explicit @ traj.states[n]
+        rhs += f_mu
+        residual = S @ u - lam - rhs
+        max_lin = max(max_lin, float(np.abs(residual).max()) / max(1.0, float(np.abs(rhs).max())))
+        gap = u - obstacle.psi_tilde
+        min_gap = min(min_gap, float(gap.min()))
+        min_multiplier = min(min_multiplier, float(lam.min()))
+        comp_scale = 1.0 + float(np.abs(u).max()) * float(np.abs(lam).max())
+        max_comp = max(max_comp, abs(float(lam @ gap)) / comp_scale)
+    return {"min_state_gap": min_gap, "min_multiplier": min_multiplier,
+            "max_complementarity": max_comp, "max_linear_residual": max_lin}
+
+
+@pytest.mark.parametrize("H", [99, 999])
+def test_residuals_in_whole_trajectory_passes(default_box, H):
+    ops = assemble_operators(build_mesh(H, 300.0))
+    params = sample_training_set(default_box, 2, np.random.SeedSequence([20, H]))
+    for T, L, theta, mu in itertools.product((0.25, 1.0), (20, 100), (0.5, 1.0), params):
+        obstacle = obstacle_data(ops.mesh, mu.K)
+        traj = solve_trajectory(mu, ops, obstacle, SchemeConfig(T=T, L=L, theta=theta))
+        fast = trajectory_residuals(traj, ops, obstacle)
+        slow = residuals_by_step(traj, ops, obstacle)
+        assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in slow.items()}
 
 
 # ---------------------------------------------------------------------------
