@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .errors import AmrbError, ModelLoadError, NumericalBreakdownError
+from .errors import AmrbError, ModelLoadError
 from .fem import (
     ParameterBox,
     ParameterVector,
@@ -60,9 +60,8 @@ from .online import (
 )
 from .truth import (
     SchemeConfig,
-    contract_breaches,
+    check_contract,
     solve_trajectory,
-    trajectory_residuals,
     write_trajectory_csv,
 )
 
@@ -243,12 +242,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     obstacle = obstacle_data(mesh, mu.K)
     scheme = cfg.scheme
     traj = solve_trajectory(mu, ops, obstacle, scheme)
-    residuals = trajectory_residuals(traj, ops, obstacle)
-    broken = contract_breaches(residuals)
-    if broken:
-        raise NumericalBreakdownError(
-            f"trajectory at mu={mu} breaks the truth contract on {', '.join(broken)}",
-            feasibility_residuals=residuals)
+    residuals = check_contract(traj, ops, obstacle)
 
     out = cfg.output_dir
     csv_path = os.path.join(out, "truth_trajectory.csv")
@@ -312,14 +306,18 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
         _error_json("missing-model", f"model file not found: {model_path}")
         return EXIT_MISSING
     try:
-        model, ops = load_model(model_path, return_operators=True)
+        model = load_model(model_path)
     except ModelLoadError as err:
         _error_json("model-load", str(err))
         return EXIT_MISSING
 
-    mesh = ops.mesh
-    scheme = model.config
+    ops, scheme = model.ops, model.config
     rt = reduced_trajectory(model, mu)
+    truth = None
+    if compare:  # a truth outside its contract fails before any output
+        obstacle = obstacle_data(ops.mesh, mu.K)
+        truth = solve_trajectory(mu, ops, obstacle, scheme)
+        check_contract(truth, ops, obstacle)
     out = cfg.output_dir
     in_box = cfg.box.contains(mu)
     if not in_box:
@@ -332,9 +330,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
         "in_box": in_box,
         "cone_iteration_stats": _iteration_stats(rt.lcp_solves),
     }
-    truth = None
-    if compare:
-        truth = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
+    if truth is not None:
         err = error_metrics(truth, reconstruct_states(model, rt), ops)
         summary["err_N"] = err
         print(f"err_N(mu) = {err:.6e}")
@@ -348,7 +344,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
                 f"     'comparison.csv' every ::1 using 3:($1=={scheme.L} && "
                 "strcol(7) eq 'reduced' ? $4:1/0) with points title 'reduced'",
             ])
-    write_online_csvs(out, model, rt, mesh, truth)
+    write_online_csvs(out, model, rt, truth)
     textio.write_json(os.path.join(out, "online_summary.json"), summary)
     print(f"reduced trajectory written to {os.path.join(out, 'reduced_trajectory.csv')}")
     return EXIT_OK
@@ -363,6 +359,8 @@ def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
     pod = pod_greedy(store, max(a for a, _ in budgets), ops)
     cone = angle_greedy(store, max(b for _, b in budgets), ops)
     truths = [solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme) for mu in test_params]
+    for truth in truths:
+        check_contract(truth, ops, obstacle_data(mesh, truth.mu.K))
 
     rows = []
     out = cfg.output_dir
@@ -371,7 +369,7 @@ def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
             model, warnings = truncated_model(store, pod, cone, nv_tilde, nw, ops)
             for note in warnings:
                 sys.stderr.write(f"warning: budget ({nv_tilde},{nw}): {note}\n")
-            errors = err_linf(model, truths, ops)
+            errors = err_linf(model, truths)
             write_error_report_csv(test_params, errors,
                                    os.path.join(out, f"errors_{nv_tilde}x{nw}.csv"))
             rows.append([nv_tilde, nw, model.nv, float(errors.max()), "ok"])

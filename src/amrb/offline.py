@@ -24,15 +24,17 @@ rank is therefore decided once, by ``angle_greedy`` as it picks the
 generators, and ``verify_model`` checks B_N once per built or loaded
 model; both test with ``_full_rank``.
 
-Bases and cones are plain column arrays.  A ``ReducedModel`` collects
-them, the reduced operator blocks and the greedy diagnostics.  Its JSON
-document holds the bases and the diagnostics only: ``assemble_reduced``
-derives the blocks from the bases, for the offline build and on load alike.
+Bases and cones are plain column arrays.  A ``ReducedModel`` is an
+operator set, the bases on it and the greedy diagnostics; it derives its
+reduced blocks (the projections of the operators onto the bases) and
+checks them itself.  Its JSON document holds the bases and the
+diagnostics only, and the offline build and ``load_model`` alike make
+the model through ``assemble_reduced``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import json
 
@@ -50,7 +52,6 @@ from .errors import (
 )
 from .fem import (
     AffineOperatorSet,
-    Mesh1D,
     ParameterBox,
     ParameterVector,
     assemble_operators,
@@ -82,40 +83,42 @@ def sample_training_set(box: ParameterBox, n: int, seed) -> list[ParameterVector
 
 @dataclass(frozen=True)
 class SnapshotStore:
-    """Truth trajectories for a set of pairwise distinct parameters."""
+    """Truth trajectories at pairwise distinct parameters, on one time grid
+    and mesh; ``params`` and ``config`` are read off them."""
 
-    params: tuple[ParameterVector, ...]
     trajectories: tuple[Trajectory, ...]
-    mesh: Mesh1D
-    config: SchemeConfig
 
     def __post_init__(self):
-        if len(self.params) != len(self.trajectories):
-            raise ValueError("one trajectory per parameter required")
-        if len(set(self.params)) != len(self.params):
+        if not self.trajectories:
+            raise ValueError("empty snapshot store")
+        if len(set(self.params)) != self.n_params:
             raise ValueError("training parameters must be pairwise distinct")
         if any(traj.config != self.config for traj in self.trajectories):
             raise ValueError("all trajectories must share one time grid")
-        if any(traj.states.shape[1] != self.mesh.H for traj in self.trajectories):
+        if len({traj.states.shape[1] for traj in self.trajectories}) != 1:
             raise ValueError("all trajectories must share one mesh")
 
     @property
+    def params(self) -> tuple[ParameterVector, ...]:
+        return tuple(traj.mu for traj in self.trajectories)
+
+    @property
+    def config(self) -> SchemeConfig:
+        return self.trajectories[0].config
+
+    @property
     def n_params(self) -> int:
-        return len(self.params)
+        return len(self.trajectories)
 
     def primal_matrix(self) -> np.ndarray:
         """All state snapshots as columns, parameter-major, time-minor."""
         return np.column_stack([traj.states.T for traj in self.trajectories])
 
     def multiplier_matrix(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """All multiplier snapshots as columns with their (n, mu_index) labels."""
-        cols = []
-        labels = []
-        for i, traj in enumerate(self.trajectories):
-            for n in range(1, self.config.L + 1):
-                cols.append(traj.multipliers[n - 1])
-                labels.append((n, i))
-        return np.column_stack(cols), labels
+        """All multiplier snapshots as columns, parameter-major, time-minor,
+        with their (n, mu_index) labels."""
+        labels = [(n, i) for i in range(self.n_params) for n in range(1, self.config.L + 1)]
+        return np.column_stack([traj.multipliers.T for traj in self.trajectories]), labels
 
 
 def generate_snapshots(params, ops: AffineOperatorSet,
@@ -127,8 +130,7 @@ def generate_snapshots(params, ops: AffineOperatorSet,
             trajectories.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), config))
         except AmrbError as err:
             raise type(err)(f"snapshot run failed at mu={mu}: {err}", **err.info) from err
-    return SnapshotStore(params=tuple(params), trajectories=tuple(trajectories),
-                         mesh=ops.mesh, config=config)
+    return SnapshotStore(tuple(trajectories))
 
 
 def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
@@ -213,8 +215,6 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     """
     if n_v_tilde < 1:
         raise ValueError(f"need a positive basis budget, got {n_v_tilde}")
-    if store.n_params == 0:
-        raise ValueError("empty snapshot store")
     snaps = ops.whiten(store.primal_matrix())
     width = store.config.L + 1
 
@@ -342,33 +342,45 @@ class GreedyDiagnostics:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Offline output: bases, reduced operators, and greedy diagnostics.
+    """Offline output: the operators, the bases and the greedy diagnostics.
 
-    ``psi_matrix`` is energy-orthonormal, so the energy projection of a
-    nodal vector v onto the reduced space has coefficients gram_psi' v.
-    ``mesh`` is the mesh of the operators the model was assembled from.
-    The sizes ``mesh_h``, ``nv`` and ``nw`` are read off the bases, and
-    every array after ``xi_matrix`` is derived from them by
-    ``assemble_reduced``.
+    ``ops`` is the operator set the bases live on.  Every block after
+    ``diagnostics`` is the projection of ``ops`` onto the bases, formed and
+    checked (``verify_model``) on construction, so the constructor takes
+    none of them.  ``psi_matrix`` is energy-orthonormal, so the energy
+    projection of a nodal vector v onto the reduced space has coefficients
+    gram_psi' v.  The sizes ``nv`` and ``nw`` are read off the bases.
     """
 
-    mesh: Mesh1D
+    ops: AffineOperatorSet
     config: SchemeConfig
     nv_tilde: int
     psi_matrix: np.ndarray        # (H, NV) energy-orthonormal primal basis
     xi_matrix: np.ndarray         # (H, NW) cone generator coefficients
-    mass_n: np.ndarray            # (NV, NV)
-    a1_n: np.ndarray
-    a2_n: np.ndarray
-    f1_n: np.ndarray              # (NV,)
-    f2_n: np.ndarray
-    b_n: np.ndarray               # (NV, NW) primal-dual coupling
-    gram_psi: np.ndarray          # (H, NV) gram @ psi
     diagnostics: GreedyDiagnostics
+    mass_n: np.ndarray = field(init=False)   # (NV, NV)
+    a1_n: np.ndarray = field(init=False)
+    a2_n: np.ndarray = field(init=False)
+    f1_n: np.ndarray = field(init=False)     # (NV,)
+    f2_n: np.ndarray = field(init=False)
+    b_n: np.ndarray = field(init=False)      # (NV, NW) primal-dual coupling
+    gram_psi: np.ndarray = field(init=False)  # (H, NV) gram @ psi
 
-    @property
-    def mesh_h(self) -> int:
-        return self.psi_matrix.shape[0]
+    def __post_init__(self):
+        ops, psi, xi = self.ops, self.psi_matrix, self.xi_matrix
+        # products round by layout: project from the Fortran order that
+        # enrich_with_supremizers builds, whatever order psi arrives in
+        psi_f = np.asfortranarray(psi)
+        mass_n = psi_f.T @ (ops.mass @ psi_f)
+        blocks = {
+            "mass_n": 0.5 * (mass_n + mass_n.T),
+            "a1_n": psi_f.T @ (ops.a1 @ psi_f), "a2_n": psi_f.T @ (ops.a2 @ psi_f),
+            "f1_n": psi_f.T @ ops.f1, "f2_n": psi_f.T @ ops.f2, "b_n": psi_f.T @ xi,
+            "gram_psi": ops.gram @ psi_f, "psi_matrix": psi.copy(), "xi_matrix": xi.copy(),
+        }
+        for name, value in blocks.items():
+            object.__setattr__(self, name, value)
+        verify_model(self)
 
     @property
     def nv(self) -> int:
@@ -382,28 +394,15 @@ class ReducedModel:
 def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
                      config: SchemeConfig, *, nv_tilde: int,
                      diagnostics: GreedyDiagnostics) -> ReducedModel:
-    """Project all operator blocks onto the energy-orthonormal basis psi.
+    """The model of bases psi (energy-orthonormal) and xi on ``ops``.
 
-    The one place where a model's derived arrays are formed: the offline
-    build and ``load_model`` both come here.  ``nv_tilde`` counts the POD
-    columns in front of the supremizers.  Fails as ``verify_model`` does,
-    the one check of a built or loaded model.
+    The one call that makes a model: the offline build and ``load_model``
+    both come here.  ``nv_tilde`` counts the POD columns in front of the
+    supremizers.  Fails as ``verify_model`` does, the one check of a built
+    or loaded model.
     """
-    # products round by layout: project from the Fortran order that
-    # enrich_with_supremizers builds, whatever order psi arrives in
-    psi_f = np.asfortranarray(psi)
-    mass_n = psi_f.T @ (ops.mass @ psi_f)
-    mass_n = 0.5 * (mass_n + mass_n.T)
-    b_n = psi_f.T @ xi
-    model = ReducedModel(
-        mesh=ops.mesh, config=config, nv_tilde=nv_tilde,
-        psi_matrix=psi.copy(), xi_matrix=xi.copy(),
-        mass_n=mass_n, a1_n=psi_f.T @ (ops.a1 @ psi_f), a2_n=psi_f.T @ (ops.a2 @ psi_f),
-        f1_n=psi_f.T @ ops.f1, f2_n=psi_f.T @ ops.f2, b_n=b_n,
-        gram_psi=ops.gram @ psi_f, diagnostics=diagnostics,
-    )
-    verify_model(model)
-    return model
+    return ReducedModel(ops=ops, config=config, nv_tilde=nv_tilde, psi_matrix=psi,
+                        xi_matrix=xi, diagnostics=diagnostics)
 
 
 def truncated_model(store: SnapshotStore, pod, cone, nv_tilde: int, nw: int,
@@ -462,7 +461,7 @@ def model_document(model: ReducedModel) -> dict:
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "mesh": {"H": model.mesh_h, "s_f": model.mesh.s_f},
+        "mesh": {"H": model.ops.dim, "s_f": model.ops.mesh.s_f},
         "time": {"T": model.config.T, "L": model.config.L, "theta": model.config.theta},
         "NV_tilde": model.nv_tilde,
         "psi_matrix": model.psi_matrix,
@@ -504,15 +503,13 @@ def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
     return arr
 
 
-def load_model(path, return_operators: bool = False):
+def load_model(path) -> ReducedModel:
     """Parse a model file and derive its blocks through ``assemble_reduced``.
 
     The operators of the stored mesh are assembled to project them onto the
-    stored bases.  Every failure, in the file or in the checks the
-    derivation runs (coupling rank, energy orthonormality, SPD mass,
-    monotone decays), raises ModelLoadError.  Returns the ``ReducedModel``,
-    or (model, operators) with ``return_operators``, so that a caller that
-    solves the truth on its mesh need not assemble them again.
+    stored bases, and the model keeps them (``ops``).  Every failure, in the
+    file or in the checks the derivation runs (coupling rank, energy
+    orthonormality, SPD mass, monotone decays), raises ModelLoadError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -564,12 +561,10 @@ def load_model(path, return_operators: bool = False):
         raise ModelLoadError(f"model diagnostics are malformed: {err}") from err
 
     try:
-        ops = assemble_operators(build_mesh(h, s_f))
-        model = assemble_reduced(psi, xi, ops, config, nv_tilde=nv_tilde,
-                                 diagnostics=diagnostics)
+        return assemble_reduced(psi, xi, assemble_operators(build_mesh(h, s_f)), config,
+                                nv_tilde=nv_tilde, diagnostics=diagnostics)
     except AmrbError as err:
         raise ModelLoadError(f"model file {path} is unusable: {err}", **err.info) from err
-    return (model, ops) if return_operators else model
 
 
 def verify_model(model: ReducedModel) -> None:

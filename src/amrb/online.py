@@ -88,7 +88,7 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise ModelCorruptionError("reduced step matrix is numerically singular")
 
-    psi_tilde = obstacle_data(model.mesh, mu.K).psi_tilde
+    psi_tilde = obstacle_data(model.ops.mesh, mu.K).psi_tilde
     b_n = model.b_n
     sinv_b = dgetrs(lu, piv, b_n)[0]
     step_map = dgetrs(lu, piv, mass_dt - (1.0 - cfg.theta) * a_n)[0]
@@ -214,15 +214,15 @@ def error_metrics(truth: Trajectory, reduced_states: np.ndarray,
     return float(np.sqrt(cfg.delta_t * float(np.sum(np.maximum(sq, 0.0)))))
 
 
-def err_linf(model: ReducedModel, truths, ops: AffineOperatorSet) -> np.ndarray:
+def err_linf(model: ReducedModel, truths) -> np.ndarray:
     """Space-time error of the reduced trajectory against each truth
-    trajectory, which must lie on the model's time grid."""
+    trajectory, which must lie on the model's time grid and mesh."""
     values = []
     for truth in truths:
         if truth.config != model.config:
             raise ValueError(f"truth time grid {truth.config} is not the model's {model.config}")
         rt = reduced_trajectory(model, truth.mu)
-        values.append(error_metrics(truth, reconstruct_states(model, rt), ops))
+        values.append(error_metrics(truth, reconstruct_states(model, rt), model.ops))
     return np.array(values)
 
 
@@ -233,7 +233,7 @@ def write_error_report_csv(params, errors: np.ndarray, path) -> None:
     textio.write_csv(path, ["K", "r", "q", "sigma", "err_N"], rows)
 
 
-def write_online_csvs(out, model: ReducedModel, rt: ReducedTrajectory, mesh: Mesh1D,
+def write_online_csvs(out, model: ReducedModel, rt: ReducedTrajectory,
                       truth: Trajectory | None = None) -> None:
     """Write the reconstructed trajectory to ``out/reduced_trajectory.csv``
     and, given the truth at the model's time grid, both trajectories to
@@ -243,7 +243,7 @@ def write_online_csvs(out, model: ReducedModel, rt: ReducedTrajectory, mesh: Mes
     file and the second half of the other.
     """
     header = ["step", "t", "s", "u", "lambda", "price", "source"]
-    delta_t = model.config.delta_t
+    mesh, delta_t = model.ops.mesh, model.config.delta_t
     reduced = list(state_rows(reconstruct_states(model, rt), reconstruct_multipliers(model, rt),
                               mesh, rt.mu.K, delta_t, "reduced"))
     textio.write_csv(os.path.join(out, "reduced_trajectory.csv"), header, reduced)

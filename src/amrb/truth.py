@@ -82,6 +82,9 @@ from . import textio
 # ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero
 TIE_TOL = 16.0 * np.finfo(float).eps
 
+# active-set updates after which ``solve_lcp`` gives up
+MAX_ITER = 100
+
 # floats per block of steps that ``trajectory_residuals`` checks at once
 RESIDUAL_FLOATS = 2 ** 14
 
@@ -174,9 +177,9 @@ class LcpProblem:
         for name, value in (("S", S), ("rhs", rhs), ("obstacle", obstacle), ("start", start)):
             object.__setattr__(self, name, value)
 
-    def solve(self, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
+    def solve(self) -> tuple[np.ndarray, np.ndarray, int]:
         """``solve_lcp`` on this problem: (u, lam, number of linear solves)."""
-        return solve_lcp(self.S, self.rhs, self.obstacle, self.start, self.ul, max_iter)
+        return solve_lcp(self.S, self.rhs, self.obstacle, self.start, self.ul)
 
 
 def _singular(active: np.ndarray) -> NumericalBreakdownError:
@@ -281,7 +284,7 @@ def _solve_dense(S: np.ndarray, rhs, obstacle, pinned: bool, active):
 
 
 def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None = None,
-              ul=None, max_iter: int = 100, out=None) -> tuple[np.ndarray, np.ndarray, int]:
+              ul=None, out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
     lam >= 0, lam . (u - obstacle) = 0.
 
@@ -358,10 +361,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
                 continue
             seen.add(new_key)
             key = new_key
-        if solves >= max_iter:
+        if solves >= MAX_ITER:
             gap = u - obstacle
             raise SolverDivergenceError(
-                f"active set did not settle after {max_iter} updates",
+                f"active set did not settle after {MAX_ITER} updates",
                 min_gap=float(gap.min()),
                 min_multiplier=float(lam.min()),
                 complementarity=abs(float(lam @ gap)),
@@ -629,6 +632,18 @@ def contract_breaches(residuals: dict) -> list[str]:
     """The ``trajectory_residuals`` entries outside the ``CONTRACT`` range
     (a NaN is outside every range)."""
     return [name for name, (lo, hi) in CONTRACT.items() if not lo <= residuals[name] <= hi]
+
+
+def check_contract(traj: Trajectory, ops: AffineOperatorSet, obstacle: ObstacleData) -> dict:
+    """``trajectory_residuals`` of a trajectory that meets the truth contract;
+    a breach raises ``NumericalBreakdownError`` carrying the residuals."""
+    residuals = trajectory_residuals(traj, ops, obstacle)
+    broken = contract_breaches(residuals)
+    if broken:
+        raise NumericalBreakdownError(
+            f"trajectory at mu={traj.mu} breaks the truth contract on {', '.join(broken)}",
+            feasibility_residuals=residuals)
+    return residuals
 
 
 def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,

@@ -187,7 +187,7 @@ def test_criterion_07_generalization(model_4_4, model_8_8, model_16_16,
                                default_scheme) for mu in test_params10]
     errors = []
     for model in (model_4_4, model_8_8, model_16_16):
-        errors.append(float(err_linf(model, truths, default_ops).max()))
+        errors.append(float(err_linf(model, truths).max()))
     assert errors[0] >= errors[1] >= errors[2], f"not monotone: {errors}"
 
 

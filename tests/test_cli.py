@@ -471,6 +471,28 @@ def test_online_out_of_box_warns(tmp_path, capsys):
     assert summary["in_box"] is False
 
 
+@pytest.mark.parametrize("mu", ["100,1e13,0.0015,0.5", "100,1e14,0.0015,0.5",
+                                "100,0.05,-1e14,0.5"])
+def test_online_compare_refuses_contract_breach(tmp_path, capsys, mu):
+    # the truth behind err_N must meet the contract the truth command
+    # enforces; the command fails before it writes anything
+    out = tmp_path / "run"
+    assert main(["offline", "--out", str(out)]) == 0
+    written = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main(["online", "--model", str(out / "model.json"), "--mu", mu, "--compare",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "err_N" not in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "NumericalBreakdownError"
+    assert "breaks the truth contract" in error["message"]
+    assert error["feasibility_residuals"]["min_state_gap"] < -1.0
+    assert sorted(os.listdir(out)) == written
+
+
 # ---------------------------------------------------------------------------
 # study
 
@@ -522,6 +544,20 @@ def test_study_shared_failure_exits_4(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     assert main(["study", "--config", cfg, "--out", str(out)]) == 4
     assert json.loads(capsys.readouterr().err.strip())["error"] == "SolverDivergenceError"
+    assert not (out / "study.csv").exists()
+
+
+def test_study_refuses_contract_breach(tmp_path, monkeypatch, capsys):
+    # a test truth outside its contract ends the study, as a failed solve does
+    residuals = truth_mod.trajectory_residuals
+    monkeypatch.setattr(truth_mod, "trajectory_residuals",
+                        lambda *args: {**residuals(*args), "min_state_gap": -1.0})
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 4
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error["error"] == "NumericalBreakdownError"
+    assert error["feasibility_residuals"]["min_state_gap"] == -1.0
     assert not (out / "study.csv").exists()
 
 

@@ -12,11 +12,14 @@ from amrb import (
     ModelVersionError,
     ParameterBox,
     ParameterVector,
+    ReducedModel,
     SchemeConfig,
     SnapshotStore,
     Trajectory,
     angle_greedy,
+    assemble_operators,
     assemble_reduced,
+    build_mesh,
     build_reduced_model_from_store,
     enrich_with_supremizers,
     generate_snapshots,
@@ -26,6 +29,7 @@ from amrb import (
     pod_greedy,
     sample_training_set,
     save_model,
+    solve_trajectory,
     verify_model,
     w_inner,
     w_norm,
@@ -86,9 +90,9 @@ def test_snapshot_counts(small_setup):
     assert labels[-1] == (scheme.L, 0)
 
 
-def test_snapshot_initial_states_exact(small_store):
+def test_snapshot_initial_states_exact(small_store, small_setup):
     for mu, traj in zip(small_store.params, small_store.trajectories):
-        assert np.array_equal(traj.states[0], obstacle_data(small_store.mesh, mu.K).psi_tilde)
+        assert np.array_equal(traj.states[0], obstacle_data(small_setup[0], mu.K).psi_tilde)
 
 
 def test_snapshot_counts_stock_configuration(store16):
@@ -98,12 +102,21 @@ def test_snapshot_counts_stock_configuration(store16):
     assert len(labels) == 320
 
 
-def test_snapshot_store_rejects_duplicates(small_store):
-    params = (small_store.params[0], small_store.params[0])
-    with pytest.raises(ValueError):
-        SnapshotStore(params=params,
-                      trajectories=small_store.trajectories[:2],
-                      mesh=small_store.mesh, config=small_store.config)
+def test_snapshot_store_rejects_duplicates(small_store, small_setup):
+    # the parameters and the time grid are the trajectories' own
+    trajs = small_store.trajectories
+    assert small_store.params == tuple(traj.mu for traj in trajs)
+    assert small_store.config == trajs[0].config
+    mesh, ops, scheme, _ = small_setup
+    mu = ParameterVector(K=101.0, r=0.05, q=0.0015, sigma=0.5)
+    other_grid = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K),
+                                  dataclasses.replace(scheme, T=0.5))
+    wide_ops = assemble_operators(build_mesh(ops.dim + 1, mesh.s_f))
+    other_width = solve_trajectory(mu, wide_ops, obstacle_data(wide_ops.mesh, mu.K), scheme)
+    for bad, reason in (((trajs[0], trajs[0]), "distinct"), ((trajs[0], other_grid), "grid"),
+                        ((trajs[0], other_width), "mesh"), ((), "empty")):
+        with pytest.raises(ValueError, match=reason):
+            SnapshotStore(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +176,7 @@ def _constant_store(ops, scheme, value=2.0):
     traj = Trajectory(mu=mu, states=states,
                       multipliers=np.zeros((scheme.L, H)), config=scheme,
                       pdas_iterations=np.ones(scheme.L, dtype=int))
-    return SnapshotStore(params=(mu,), trajectories=(traj,), mesh=ops.mesh, config=scheme)
+    return SnapshotStore((traj,))
 
 
 def test_pod_greedy_saturates_on_constant_trajectory(default_ops, default_scheme):
@@ -200,7 +213,7 @@ def _multiplier_store(ops, lams):
     mu = ParameterVector(K=100.0, r=0.05, q=0.0015, sigma=0.5)
     traj = Trajectory(mu=mu, states=np.ones((scheme.L + 1, ops.dim)), multipliers=lams,
                       config=scheme, pdas_iterations=np.ones(scheme.L, dtype=int))
-    return SnapshotStore(params=(mu,), trajectories=(traj,), mesh=ops.mesh, config=scheme)
+    return SnapshotStore((traj,))
 
 
 def test_angle_identity_ops_basics():
@@ -267,7 +280,7 @@ def _parallel_multiplier_store(ops, scheme):
     traj = Trajectory(mu=mu, states=np.zeros((scheme.L + 1, H)) + 1.0,
                       multipliers=multipliers, config=scheme,
                       pdas_iterations=np.ones(scheme.L, dtype=int))
-    return SnapshotStore(params=(mu,), trajectories=(traj,), mesh=ops.mesh, config=scheme)
+    return SnapshotStore((traj,))
 
 
 def test_angle_greedy_parallel_snapshots(default_ops, default_scheme):
@@ -429,6 +442,21 @@ def test_save_load_roundtrip(tmp_path, small_model, model_8_8, default_scheme, d
         assert loaded.nv_tilde == model.nv_tilde
 
 
+def test_loaded_operators_give_the_truth(tmp_path, small_model, small_store, small_setup):
+    # the operators a loaded model keeps solve the truth bit for bit as
+    # freshly assembled ones do
+    mesh, ops, scheme, _ = small_setup
+    path = tmp_path / "model.json"
+    save_model(small_model, path)
+    loaded = load_model(path).ops
+    assert loaded is not ops
+    mu = small_store.params[1]
+    fresh = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
+    again = solve_trajectory(mu, loaded, obstacle_data(loaded.mesh, mu.K), scheme)
+    assert fresh.states.tobytes() == again.states.tobytes()
+    assert fresh.multipliers.tobytes() == again.multipliers.tobytes()
+
+
 def test_model_file_holds_only_bases(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(small_model, path)
@@ -503,7 +531,7 @@ def test_load_rejects_malformed(tmp_path, small_model):
             path.write_text(json.dumps(doc))
             with pytest.raises(ModelLoadError, match=key):
                 load_model(path)
-    for key, value in (("xi_matrix", []), ("psi_matrix", [[]] * small_model.mesh_h),
+    for key, value in (("xi_matrix", []), ("psi_matrix", [[]] * small_model.ops.dim),
                        ("NV_tilde", small_model.nv + 1), ("diagnostics", [1]),
                        ("diagnostics", {"eps_u": [[1.0, 0.5]]}),
                        ("diagnostics", {"eps_u": [0.5, 1.0]}),
@@ -516,19 +544,21 @@ def test_load_rejects_malformed(tmp_path, small_model):
             load_model(path)
 
 
-def test_verify_model_detects_tampering(small_model, small_setup):
-    _, ops, _, _ = small_setup
-    import dataclasses
-    # a rescaled basis with every block recomputed from it: only the
-    # energy orthonormality of psi is violated
-    psi = small_model.psi_matrix * (1.0 + 1e-6)
-    bad = dataclasses.replace(
-        small_model, psi_matrix=psi, gram_psi=ops.gram @ psi,
-        mass_n=psi.T @ (ops.mass @ psi), a1_n=psi.T @ (ops.a1 @ psi),
-        a2_n=psi.T @ (ops.a2 @ psi), f1_n=psi.T @ ops.f1, f2_n=psi.T @ ops.f2,
-        b_n=psi.T @ small_model.xi_matrix)
+def test_verify_model_detects_tampering(small_model):
+    # a rescaled basis with every block derived from it: only the energy
+    # orthonormality of psi is violated
     with pytest.raises(ModelCorruptionError, match="energy-orthonormal"):
-        verify_model(bad)
+        dataclasses.replace(small_model, psi_matrix=small_model.psi_matrix * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("block", DERIVED)
+def test_model_takes_no_block(block, small_model):
+    # every block is derived from the operators and the bases
+    given = {f.name: getattr(small_model, f.name)
+             for f in dataclasses.fields(ReducedModel) if f.init}
+    ReducedModel(**given)
+    with pytest.raises(TypeError):
+        ReducedModel(**given, **{block: getattr(small_model, block)})
 
 
 def test_greedy_csvs(tmp_path, small_model):
@@ -574,8 +604,7 @@ def _rank_floor_store(default_ops, default_scheme):
     traj = Trajectory(mu=mu, states=np.ones((default_scheme.L + 1, H)),
                       multipliers=lam, config=default_scheme,
                       pdas_iterations=np.ones(default_scheme.L, dtype=int))
-    return SnapshotStore(params=(mu,), trajectories=(traj,),
-                         mesh=default_ops.mesh, config=default_scheme)
+    return SnapshotStore((traj,))
 
 
 def test_rank_floor_trims_cone(default_ops, default_scheme):

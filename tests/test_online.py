@@ -71,7 +71,7 @@ def test_online_setup_affine_arithmetic(small_model):
 def test_online_setup_cone_loads_match_store(small_model, small_store):
     mu = small_store.params[0]
     data = online_setup(small_model, mu)
-    expected = small_model.xi_matrix.T @ obstacle_data(small_store.mesh, mu.K).psi_tilde
+    expected = small_model.xi_matrix.T @ obstacle_data(small_model.ops.mesh, mu.K).psi_tilde
     assert np.allclose(data.g_n, expected, rtol=0, atol=1e-12)
 
 
@@ -366,7 +366,7 @@ def _test_truths(small_setup):
 def test_err_linf_is_max(small_model, small_setup):
     ops = small_setup[1]
     truths = _test_truths(small_setup)
-    errors = err_linf(small_model, truths, ops)
+    errors = err_linf(small_model, truths)
     assert errors.shape == (3,)
     each = []
     for truth in truths:
@@ -382,13 +382,13 @@ def test_err_linf_rejects_other_time_grid(small_model, small_setup):
     other = dataclasses.replace(scheme, T=0.5)
     truth = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), other)
     with pytest.raises(ValueError, match="time grid"):
-        err_linf(small_model, [truth], ops)
+        err_linf(small_model, [truth])
 
 
 def test_error_report_csv(tmp_path, small_model, small_setup):
     ops = small_setup[1]
     truths = _test_truths(small_setup)
-    errors = err_linf(small_model, truths, ops)
+    errors = err_linf(small_model, truths)
     path = tmp_path / "errors.csv"
     write_error_report_csv([t.mu for t in truths], errors, path)
     lines = path.read_text().splitlines()
@@ -402,7 +402,7 @@ def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
     mesh, ops, scheme, _ = small_setup
     mu = small_store.params[0]
     rt = reduced_trajectory(small_model, mu)
-    write_online_csvs(tmp_path / "alone", small_model, rt, mesh)
+    write_online_csvs(tmp_path / "alone", small_model, rt)
     assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == ["reduced_trajectory.csv"]
     reduced = (tmp_path / "alone" / "reduced_trajectory.csv").read_text()
     lines = reduced.splitlines()
@@ -413,7 +413,7 @@ def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
     # the comparison is the truth export with a source column, then the
     # body of reduced_trajectory.csv byte for byte
     truth = small_store.trajectories[0]
-    write_online_csvs(tmp_path, small_model, rt, mesh, truth)
+    write_online_csvs(tmp_path, small_model, rt, truth)
     assert (tmp_path / "reduced_trajectory.csv").read_text() == reduced
     write_trajectory_csv(tmp_path / "truth.csv", truth, mesh, source="truth")
     truth_text = (tmp_path / "truth.csv").read_text()

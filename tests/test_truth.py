@@ -255,11 +255,12 @@ def test_tridiagonal_matches_sparse_product(default_ops):
             assert np.array_equal(y, csr @ x)
 
 
-def test_solve_lcp_iteration_budget():
+def test_solve_lcp_iteration_budget(monkeypatch):
     rng = np.random.default_rng(4)
     problem = random_spd_lcp(rng, 12)
+    monkeypatch.setattr(truth_mod, "MAX_ITER", 1)
     with pytest.raises(SolverDivergenceError) as err:
-        problem.solve(max_iter=1)
+        problem.solve()
     assert "min_gap" in err.value.info
 
 
@@ -686,7 +687,7 @@ def test_trajectory_determinism(default_ops, default_scheme, mu0):
 def test_trajectory_error_annotation(default_ops, default_scheme, mu0, monkeypatch):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
 
-    def boom(S, rhs, obstacle, start=None, ul=None, max_iter=100, out=None):
+    def boom(S, rhs, obstacle, start=None, ul=None, out=None):
         raise SolverDivergenceError("forced failure", min_gap=0.0)
 
     monkeypatch.setattr(truth_mod, "solve_lcp", boom)
