@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     total = failed = faults = 0
     solves, errors = [], Counter()
     for H in (int(h) for h in floats(args.H)):
-        ops = assemble_operators(build_mesh(H, cfg.s_f))
+        ops = assemble_operators(build_mesh(H, cfg.mesh.s_f))
         for L, T, theta in itertools.product(floats(args.L), floats(args.T), floats(args.theta)):
             scheme = SchemeConfig(T=T, L=int(L), theta=theta)
             bad, start = [], time.perf_counter()

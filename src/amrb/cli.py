@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -31,10 +30,10 @@ import numpy as np
 from . import textio
 from .errors import AmrbError, ModelLoadError
 from .fem import (
+    Mesh1D,
     ParameterBox,
     ParameterVector,
     assemble_operators,
-    build_mesh,
     obstacle_data,
 )
 from .offline import (
@@ -43,6 +42,7 @@ from .offline import (
     generate_snapshots,
     load_model,
     pod_greedy,
+    read_grid,
     sample_training_set,
     save_model,
     truncated_model,
@@ -87,8 +87,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    h: int
-    s_f: float
+    mesh: Mesh1D
     scheme: SchemeConfig
     box: ParameterBox
     seed: int
@@ -117,56 +116,36 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
 
 def load_config(path: str | None, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
-    """Parse the JSON run configuration, merged over the built-in defaults."""
-    raw = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read config {path}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
+    """Parse the JSON run configuration, merged over the built-in defaults.
+
+    Each section is checked by the type it becomes (``Mesh1D``,
+    ``SchemeConfig``, ``ParameterBox``); any failure is a ConfigError.
+    """
+    raw = {} if path is None else textio.read_json_object(path, ConfigError, "config")
     data = _merge(DEFAULT_CONFIG, raw)
+    box, sampling, rb, io_cfg = data["box"], data["sampling"], data["rb"], data["io"]
     try:
-        mesh = data["mesh"]
-        time = data["time"]
-        box = data["box"]
-        sampling = data["sampling"]
-        rb = data["rb"]
-        io_cfg = data["io"]
-        h = int(mesh["H"])
-        s_f = float(mesh["s_f"])
-        time_grid = {"T": float(time["T"]), "L": int(time["L"]), "theta": float(time["theta"])}
-        box_values = {key: float(box[key]) for key in ("K0", "r0", "q0", "sigma0", "eps")}
-        seed = int(sampling["seed"]) if seed_override is None else int(seed_override)
+        mesh, scheme = read_grid(data)
+        box_obj = ParameterBox(**{key: float(box[key])
+                                  for key in ("K0", "r0", "q0", "sigma0", "eps")})
+        seed = int(sampling["seed"] if seed_override is None else seed_override)
         n_train = int(sampling["N_train"])
         n_test = int(sampling["N_test"])
         nv_tilde = int(rb["NV_tilde"])
         nw = int(rb["NW"])
-        output_dir = str(io_cfg["output_dir"]) if out_override is None else str(out_override)
-        model_path = io_cfg["model_path"]
         budgets = tuple((int(a), int(b)) for a, b in data["study"]["budgets"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"malformed config value: {err}") from err
-    if h < 2 or not 0 < s_f < np.inf:
-        raise ConfigError(f"mesh out of range: H={h}, s_f={s_f}")
-    try:
-        scheme = SchemeConfig(**time_grid)
-    except ValueError as err:
-        raise ConfigError(f"time grid out of range: {err}") from err
-    try:
-        box_obj = ParameterBox(**box_values)
-    except ValueError as err:
-        raise ConfigError(f"parameter box out of range: {err}") from err
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"malformed or out-of-range config value: {err}") from err
+    if seed < 0:
+        raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
     if n_train < 1 or n_test < 1 or nv_tilde < 1 or nw < 1:
         raise ConfigError("sampling and basis budgets must be positive")
     _check_budgets(budgets)
+    output_dir = str(io_cfg["output_dir"] if out_override is None else out_override)
+    model_path = io_cfg["model_path"]
     if model_path is None:
         model_path = os.path.join(output_dir, "model.json")
-    return RunConfig(h=h, s_f=s_f, scheme=scheme, box=box_obj, seed=seed,
+    return RunConfig(mesh=mesh, scheme=scheme, box=box_obj, seed=seed,
                      n_train=n_train, n_test=n_test, nv_tilde=nv_tilde, nw=nw,
                      output_dir=output_dir, model_path=str(model_path), budgets=budgets)
 
@@ -217,6 +196,19 @@ def _error_json(kind: str, message: str, **extra) -> None:
     sys.stderr.write(text + "\n")
 
 
+def _open_model(path: str, kind: str):
+    """The model file at ``path`` loaded, or None after the JSON error line:
+    ``missing-model`` for a missing file, ``kind`` for an unusable one."""
+    if not os.path.exists(path):
+        _error_json("missing-model", f"model file not found: {path}")
+        return None
+    try:
+        return load_model(path)
+    except ModelLoadError as err:
+        _error_json(kind, str(err))
+        return None
+
+
 def _gnuplot(path, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -237,7 +229,7 @@ def _iteration_stats(counts) -> dict:
 
 
 def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
-    mesh = build_mesh(cfg.h, cfg.s_f)
+    mesh = cfg.mesh
     ops = assemble_operators(mesh)
     obstacle = obstacle_data(mesh, mu.K)
     scheme = cfg.scheme
@@ -251,7 +243,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     summary = {
         "schema_version": 1,
         "mu": {"K": mu.K, "r": mu.r, "q": mu.q, "sigma": mu.sigma},
-        "mesh": {"H": cfg.h, "s_f": cfg.s_f},
+        "mesh": {"H": mesh.H, "s_f": mesh.s_f},
         "time": {"T": scheme.T, "L": scheme.L, "theta": scheme.theta},
         "final_price_curve": [[float(s), float(p)]
                               for s, p in zip(mesh.interior_nodes, final_price)],
@@ -272,8 +264,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
 
 
 def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
-    mesh = build_mesh(cfg.h, cfg.s_f)
-    ops = assemble_operators(mesh)
+    ops = assemble_operators(cfg.mesh)
     scheme = cfg.scheme
     params = training_set(cfg)
     store = generate_snapshots(params, ops, scheme)
@@ -302,15 +293,9 @@ def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
 
 def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
                compare: bool, gnuplot: bool) -> int:
-    if not os.path.exists(model_path):
-        _error_json("missing-model", f"model file not found: {model_path}")
+    model = _open_model(model_path, "model-load")
+    if model is None:
         return EXIT_MISSING
-    try:
-        model = load_model(model_path)
-    except ModelLoadError as err:
-        _error_json("model-load", str(err))
-        return EXIT_MISSING
-
     ops, scheme = model.ops, model.config
     rt = reduced_trajectory(model, mu)
     truth = None
@@ -351,7 +336,7 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
 
 
 def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
-    mesh = build_mesh(cfg.h, cfg.s_f)
+    mesh = cfg.mesh
     ops = assemble_operators(mesh)
     scheme = cfg.scheme
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
@@ -395,13 +380,8 @@ def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
 
 
 def cmd_validate(model_path: str) -> int:
-    if not os.path.exists(model_path):
-        _error_json("missing-model", f"model file not found: {model_path}")
-        return EXIT_MISSING
-    try:
-        model = load_model(model_path)
-    except AmrbError as err:
-        _error_json("model-invalid", str(err))
+    model = _open_model(model_path, "model-invalid")
+    if model is None:
         return EXIT_MISSING
     print(f"model {model_path} passes all invariant checks "
           f"(NV_tilde={model.nv_tilde}, NW={model.nw}, NV={model.nv})")

@@ -59,11 +59,14 @@ class Mesh1D:
 
 
 def build_mesh(H: int, s_f: float) -> Mesh1D:
-    """Uniform mesh with H interior nodes and spacing s_f / (H + 1)."""
+    """Uniform mesh with H interior nodes and spacing s_f / (H + 1).
+
+    The one check of a mesh, for the run config and the model file alike.
+    """
     if H < 2:
         raise ValueError(f"need at least 2 interior nodes, got H={H}")
-    if s_f <= 0:
-        raise ValueError(f"upper asset bound must be positive, got s_f={s_f}")
+    if not 0 < s_f < math.inf:
+        raise ValueError(f"upper asset bound must be positive and finite, got s_f={s_f}")
     s_f = float(s_f)
     return Mesh1D(s_f=s_f, nodes=np.linspace(0.0, s_f, int(H) + 2))
 
@@ -109,6 +112,10 @@ class ParameterBox:
             raise ValueError(f"need K0 > 0 and sigma0 > 0, got K0={self.K0}, sigma0={self.sigma0}")
         if not 0 <= self.eps < 2:
             raise ValueError(f"relative width must lie in [0, 2), got eps={self.eps}")
+        with np.errstate(over="ignore"):
+            bounds = self.bounds()
+        if not np.isfinite(bounds).all():  # else a draw is an infinite K, r, q or sigma
+            raise ValueError(f"parameter box bounds overflow, got {self}")
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         center = np.array([self.K0, self.r0, self.q0, self.sigma0], dtype=float)

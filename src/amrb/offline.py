@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import json
-
 import numpy as np
 
 from . import textio
@@ -52,6 +50,7 @@ from .errors import (
 )
 from .fem import (
     AffineOperatorSet,
+    Mesh1D,
     ParameterBox,
     ParameterVector,
     assemble_operators,
@@ -503,6 +502,17 @@ def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
     return arr
 
 
+def read_grid(data: dict) -> tuple[Mesh1D, SchemeConfig]:
+    """The ``mesh`` and ``time`` objects that a run config and a model file share.
+
+    Lets the KeyError, TypeError, ValueError or OverflowError (an infinite
+    ``H`` or ``L``) of a missing, malformed or out-of-range value through.
+    """
+    mesh, time = data["mesh"], data["time"]
+    return (build_mesh(int(mesh["H"]), float(mesh["s_f"])),
+            SchemeConfig(T=float(time["T"]), L=int(time["L"]), theta=float(time["theta"])))
+
+
 def load_model(path) -> ReducedModel:
     """Parse a model file and derive its blocks through ``assemble_reduced``.
 
@@ -511,32 +521,18 @@ def load_model(path) -> ReducedModel:
     file or in the checks the derivation runs (coupling rank, energy
     orthonormality, SPD mass, monotone decays), raises ModelLoadError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise ModelLoadError(f"cannot read model file {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ModelLoadError(f"model file {path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ModelLoadError("model file must hold a JSON object")
+    data = textio.read_json_object(path, ModelLoadError, "model file")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ModelVersionError(
             f"unsupported model schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
-        mesh = _need(data, "mesh")
-        h = int(mesh["H"])
-        s_f = float(mesh["s_f"])
-        time = _need(data, "time")
-        config = SchemeConfig(T=float(time["T"]), L=int(time["L"]), theta=float(time["theta"]))
-        nv_tilde = int(_need(data, "NV_tilde"))
-    except (KeyError, TypeError, ValueError) as err:
+        mesh, config = read_grid(data)
+        nv_tilde = int(data["NV_tilde"])
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelLoadError(f"model header is malformed: {err}") from err
-    if h < 2 or not 0 < s_f < np.inf:
-        raise ModelLoadError(f"model mesh is out of range: H={h}, s_f={s_f}")
-    psi = _matrix(data, "psi_matrix", h)
-    xi = _matrix(data, "xi_matrix", h)
+    psi = _matrix(data, "psi_matrix", mesh.H)
+    xi = _matrix(data, "xi_matrix", mesh.H)
     if not 1 <= nv_tilde <= psi.shape[1]:
         raise ModelLoadError(
             f"model sizes are out of range: NV_tilde={nv_tilde}, NV={psi.shape[1]}")
@@ -557,11 +553,11 @@ def load_model(path) -> ReducedModel:
                                         for a, b in selections.get("angle_pairs", [])),
             training_params=train,
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ModelLoadError(f"model diagnostics are malformed: {err}") from err
 
     try:
-        return assemble_reduced(psi, xi, assemble_operators(build_mesh(h, s_f)), config,
+        return assemble_reduced(psi, xi, assemble_operators(mesh), config,
                                 nv_tilde=nv_tilde, diagnostics=diagnostics)
     except AmrbError as err:
         raise ModelLoadError(f"model file {path} is unusable: {err}", **err.info) from err

@@ -7,7 +7,8 @@ adding 0.0 so that -0.0 is written as 0 (nan and +-inf as ``format`` spells
 them).  ``amrb.truth.state_rows`` renders a trajectory one time step per
 ``%`` call on the block template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``,
 adding the 0.0 to its arrays once and escaping ``%`` in the literal tail;
-``write_csv`` writes such blocks as they come.
+``write_csv`` writes such blocks as they come.  ``read_json_object`` is the
+one reader of the JSON input files, the run config and the model file.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence | str]) -> No
                 fh.write(row)
             else:
                 fh.write(",".join(fmt(cell) for cell in row) + "\n")
+
+
+def read_json_object(path, error: type[Exception], what: str) -> dict:
+    """The JSON object in the file at ``path``, the one reader of input files.
+
+    Raises ``error``, its message naming ``what`` and ``path``, when the
+    file cannot be read, is not valid UTF-8 JSON or holds another value.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as err:
+        raise error(f"cannot read {what} {path}: {err}") from err
+    except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, or too deep
+        raise error(f"{what} {path} is not valid JSON: {err}") from err
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def json_text(obj) -> str:

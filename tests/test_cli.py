@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 from amrb.cli import main
 from amrb.errors import InfSupFailureError, SolverDivergenceError
+from amrb.offline import save_model
 import amrb.cli as cli_mod
 import amrb.truth as truth_mod
 
@@ -47,6 +50,23 @@ def test_cli_import_leaves_scipy_sparse_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_bindings_exist():
+    # the benchmark's tracer patches each span under the name its caller
+    # looks up; a binding that goes missing (such as the tracer-only imports
+    # amrb.online.solve_trajectory and amrb.cli.verify_model) breaks only
+    # traced benchmark runs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for span, _, modules in tracing.PATCHES:
+        attr = span.split(".", 1)[1]
+        for module in modules:
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 def test_parser_reuse_leaks_no_flag(tmp_path):
@@ -108,11 +128,15 @@ def test_malformed_mu_exits_2(tmp_path, capsys):
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
+    # not JSON, not UTF-8 (used to exit 1), nested too deeply for the
+    # decoder (used to exit 1), not an object
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    assert main(["truth", "--config", str(bad), "--mu", "100,0.05,0.0015,0.5",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "config" in capsys.readouterr().err
+    for content in (b"{broken", b"\xff\xfe{", b"[" * 100_000, b"[1]"):
+        bad.write_bytes(content)
+        assert main(["truth", "--config", str(bad), "--mu", "100,0.05,0.0015,0.5",
+                     "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "config"
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -144,13 +168,41 @@ def test_out_of_range_config_exits_2(tmp_path, capsys):
     (["offline"], {"box": {"eps": float("nan")}}),
     (["offline"], {"mesh": {"s_f": float("inf")}}),
     (["offline"], {"box": {"eps": 3.0}}),
-], ids=["r-nan", "K-nan", "sigma-inf", "T-nan", "eps-nan", "s_f-inf", "eps-3"])
+    (["truth", "--mu", "100,0.05,0.0015,0.5"], {"mesh": {"s_f": float("nan")}}),
+    (["offline", "--seed", "-1"], None),
+    (["study", "--seed", "-1"], None),
+    (["truth", "--seed", "-1", "--mu", "100,0.05,0.0015,0.5"], None),
+    (["offline"], {"sampling": {"seed": -3}}),
+    (["offline"], {"box": {"K0": 1e308, "eps": 1.9}}),
+    (["offline"], {"box": {"r0": 1e308, "eps": 1.9}}),
+], ids=["r-nan", "K-nan", "sigma-inf", "T-nan", "eps-nan", "s_f-inf", "eps-3", "s_f-nan",
+        "offline-seed-flag", "study-seed-flag", "truth-seed-flag", "seed-config",
+        "K0-bound-overflow", "r0-bound-overflow"])
 def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, config):
-    # each of these used to fail with exit 1 or 4 once the solvers met it
+    # each of these used to fail with exit 1 or 4 once the solvers met it: a
+    # negative seed in numpy's SeedSequence, a box bound of 1.95e308 as an
+    # infinite strike or rate in the first training draw
     if config is not None:
         argv = [*argv, "--config", write_config(tmp_path, config)]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("mesh", "H"), ("time", "L"), ("sampling", "seed"), ("sampling", "N_train"),
+    ("sampling", "N_test"), ("rb", "NV_tilde"), ("rb", "NW"), ("study", "budgets")])
+def test_infinite_integer_config_exits_2(tmp_path, capsys, section, key):
+    # json reads 1e400 as inf, and int(inf) raises OverflowError, which used
+    # to escape every command as exit 1
+    value = "[[1e400, 2]]" if key == "budgets" else "1e400"
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+    out = tmp_path / "o"
+    assert main(["truth", "--config", str(path), "--mu", "100,0.05,0.0015,0.5",
+                 "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "config"
+    assert not out.exists()
 
 
 def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -219,6 +271,64 @@ def test_truth_mu_fuzz(tmp_path, capsys):
         assert res["min_multiplier"] >= -1e-12, mu
         assert res["max_complementarity"] <= 1e-9, mu
         assert res["max_linear_residual"] <= 1e-10, mu
+
+
+# each config key's pool: wrong types, non-finite values (json reads 1e400
+# as inf), out-of-range and small valid values; H and L draw no large finite
+# value, which would allocate before it fails
+_BAD = ["x", [], None, math.nan, math.inf, -math.inf]
+CONFIG_POOLS = {
+    "mesh": {"H": _BAD + [-1, 0, 1, 2, 7.5, 40],
+             "s_f": _BAD + [-300.0, 0.0, 1.0, 300.0, 1e120]},
+    "time": {"T": _BAD + [-1.0, 0.0, 0.25, 1.0], "L": _BAD + [-1, 0, 1, 3, 20],
+             "theta": _BAD + [0.0, 0.25, 0.5, 1.0, 1.5]},
+    "box": {"K0": _BAD + [-100.0, 0.0, 100.0, 1e308], "r0": _BAD + [-0.05, 0.0, 0.05, 1e308],
+            "q0": _BAD + [-0.0015, 0.0, 0.0015, 1e308],
+            "sigma0": _BAD + [-0.5, 0.0, 0.5, 1e308], "eps": _BAD + [-0.1, 0.0, 0.1, 1.9, 2.0]},
+    "sampling": {"seed": _BAD + [-3, 0, 1, 2.5, 1e30], "N_train": _BAD + [-1, 0, 1, 3],
+                 "N_test": _BAD + [-1, 0, 1, 3]},
+    "rb": {"NV_tilde": _BAD + [-1, 0, 1, 3], "NW": _BAD + [-1, 0, 1, 3]},
+    "study": {"budgets": _BAD + [5, [[0, 1]], [[math.inf, 2]], [[math.nan, 1]], [[1, 2, 3]],
+                                 [["a", 1]], [[-1, 2]], [[1, 1]], [[2, 2], [3, 3]]]},
+}
+FUZZ_COMMANDS = {"truth": ("mesh", "time", "box"), "offline": ("sampling", "rb"),
+                 "study": ("study",)}
+
+
+def test_config_fuzz(tmp_path, capsys):
+    # each draw runs one command on a small config with one or two of the
+    # command's keys drawn from their pools: the exit code is a documented
+    # one, a failure is one JSON line on stderr, a config error writes no
+    # output directory, and a truth that exits 0 meets the contract
+    base = {"mesh": {"H": 20}, "time": {"L": 5}, "sampling": {"N_train": 3, "N_test": 2},
+            "rb": {"NV_tilde": 3, "NW": 3}, "study": {"budgets": [[2, 2]]}}
+    rng = np.random.default_rng(0)
+    commands = list(FUZZ_COMMANDS)
+    for i in range(200):
+        command = commands[rng.integers(len(commands))]
+        keys = [(section, key) for section in FUZZ_COMMANDS[command]
+                for key in CONFIG_POOLS[section]]
+        config = json.loads(json.dumps(base))
+        for k in rng.choice(len(keys), size=min(len(keys), rng.integers(1, 3)), replace=False):
+            section, key = keys[k]
+            pool = CONFIG_POOLS[section][key]
+            config.setdefault(section, {})[key] = pool[rng.integers(len(pool))]
+        out = tmp_path / str(i)
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+        if command == "truth":
+            argv += ["--mu", "100,0.05,0.0015,0.5"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (config, code)
+        if code:
+            assert len(err.splitlines()) == 1 and json.loads(err)["error"], (config, err)
+            assert code != 2 or not out.exists(), config
+        elif command == "truth":
+            res = json.loads((out / "truth_summary.json").read_text())["feasibility_residuals"]
+            assert res["min_state_gap"] >= -1e-9, config
+            assert res["min_multiplier"] >= -1e-12, config
+            assert res["max_complementarity"] <= 1e-9, config
+            assert res["max_linear_residual"] <= 1e-10, config
 
 
 def test_truth_contract_breach_exits_4(tmp_path, capsys):
@@ -400,6 +510,36 @@ def test_nan_horizon_model_exits_3(tmp_path, capsys):
     assert main(["online", "--config", cfg, "--model", str(bad), "--mu", "101,0.05,0.0015,0.5",
                  "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err.strip())["error"] == "model-load"
+
+
+INFINITE_MODEL_FIELDS = {
+    "H": lambda doc: doc["mesh"].update(H=math.inf),
+    "L": lambda doc: doc["time"].update(L=math.inf),
+    "NV_tilde": lambda doc: doc.update(NV_tilde=math.inf),
+    "pod_train_indices":
+        lambda doc: doc["diagnostics"]["selections"]["pod_train_indices"].append(math.inf),
+    "angle_pairs":
+        lambda doc: doc["diagnostics"]["selections"]["angle_pairs"].append([math.inf, 0]),
+}
+
+
+@pytest.mark.parametrize("field", INFINITE_MODEL_FIELDS)
+def test_infinite_integer_model_field_exits_3(tmp_path, capsys, small_model, field):
+    # an integer field written as Infinity (or 1e400) used to raise
+    # OverflowError out of load_model, and validate exited 1
+    path = tmp_path / "model.json"
+    save_model(small_model, path)
+    doc = json.loads(path.read_text())
+    INFINITE_MODEL_FIELDS[field](doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    for argv, kind in ((["validate"], "model-invalid"),
+                       (["online", "--mu", "101,0.05,0.0015,0.5", "--out", str(out)],
+                        "model-load")):
+        assert main([*argv, "--model", str(path)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == kind
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_model_defects_exit_3_from_online_and_validate(tmp_path, capsys):

@@ -42,8 +42,10 @@ def test_mesh_invariants(H, s_f):
     assert abs(mesh.delta_s * (H + 1) - s_f) <= 1e-12 * s_f
 
 
-@pytest.mark.parametrize("H,s_f", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0)])
+@pytest.mark.parametrize("H,s_f", [(1, 10.0), (0, 10.0), (5, 0.0), (5, -1.0),
+                                   (99, np.nan), (99, np.inf)])
 def test_build_mesh_invalid(H, s_f):
+    # a non-finite s_f used to give a mesh of NaN nodes
     with pytest.raises(ValueError):
         build_mesh(H, s_f)
 
@@ -65,9 +67,11 @@ def test_parameter_vector_validation():
     {"K0": np.nan}, {"r0": np.inf}, {"q0": np.nan}, {"sigma0": -np.inf}, {"eps": np.nan},
     {"K0": 0.0}, {"K0": -100.0}, {"sigma0": 0.0}, {"sigma0": -0.5},
     {"eps": -0.1}, {"eps": 2.0}, {"eps": 3.0},
+    {"K0": 1e308, "eps": 1.9}, {"r0": -1e308, "eps": 1.9},
 ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
 def test_parameter_box_rejects_out_of_range(change):
-    # eps >= 2 would let a draw reach K = 0 or sigma = 0
+    # eps >= 2 would let a draw reach K = 0 or sigma = 0; finite centres
+    # whose bounds overflow would draw an infinite parameter
     values = dict(K0=100.0, r0=0.05, q0=0.0015, sigma0=0.5, eps=0.1)
     values.update(change)
     with pytest.raises(ValueError):

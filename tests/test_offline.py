@@ -513,9 +513,10 @@ def test_load_rejects_wide_coupling(tmp_path, small_model):
 
 def test_load_rejects_malformed(tmp_path, small_model):
     path = tmp_path / "model.json"
-    path.write_text("{not json")
-    with pytest.raises(ModelLoadError):
-        load_model(path)
+    for content in (b"{not json", b"\xff\xfe{", b"[" * 100_000, b"[1]"):
+        path.write_bytes(content)
+        with pytest.raises(ModelLoadError):
+            load_model(path)
     for key in ("psi_matrix", "xi_matrix"):
         save_model(small_model, path)
         doc = json.loads(path.read_text())
