@@ -527,12 +527,15 @@ def load_model(path) -> ReducedModel:
         raise ModelVersionError(
             f"unsupported model schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
+        # the bases must have H rows before the mesh's H + 2 nodes are built:
+        # a huge finite H then fails on the rows, not on allocating the nodes
+        h = int(data["mesh"]["H"])
+        psi = _matrix(data, "psi_matrix", h)
+        xi = _matrix(data, "xi_matrix", h)
         mesh, config = read_grid(data)
         nv_tilde = int(data["NV_tilde"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelLoadError(f"model header is malformed: {err}") from err
-    psi = _matrix(data, "psi_matrix", mesh.H)
-    xi = _matrix(data, "xi_matrix", mesh.H)
     if not 1 <= nv_tilde <= psi.shape[1]:
         raise ModelLoadError(
             f"model sizes are out of range: NV_tilde={nv_tilde}, NV={psi.shape[1]}")

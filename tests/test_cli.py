@@ -523,14 +523,11 @@ INFINITE_MODEL_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("field", INFINITE_MODEL_FIELDS)
-def test_infinite_integer_model_field_exits_3(tmp_path, capsys, small_model, field):
-    # an integer field written as Infinity (or 1e400) used to raise
-    # OverflowError out of load_model, and validate exited 1
+def assert_edited_model_exits_3(tmp_path, capsys, small_model, edit):
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    INFINITE_MODEL_FIELDS[field](doc)
+    edit(doc)
     path.write_text(json.dumps(doc))
     out = tmp_path / "o"
     for argv, kind in ((["validate"], "model-invalid"),
@@ -540,6 +537,20 @@ def test_infinite_integer_model_field_exits_3(tmp_path, capsys, small_model, fie
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == kind
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("field", INFINITE_MODEL_FIELDS)
+def test_infinite_integer_model_field_exits_3(tmp_path, capsys, small_model, field):
+    # an integer field written as Infinity (or 1e400) used to raise
+    # OverflowError out of load_model, and validate exited 1
+    assert_edited_model_exits_3(tmp_path, capsys, small_model, INFINITE_MODEL_FIELDS[field])
+
+
+def test_huge_model_mesh_exits_3_before_building_it(tmp_path, capsys, small_model):
+    # H + 2 nodes at H = 10**12 would ask for 8 TB: the bases' row count
+    # must reject the file before the mesh is built, or MemoryError exits 1
+    assert_edited_model_exits_3(tmp_path, capsys, small_model,
+                                lambda doc: doc["mesh"].update(H=10**12))
 
 
 def test_model_defects_exit_3_from_online_and_validate(tmp_path, capsys):
