@@ -21,12 +21,8 @@ from .fem import (
     assemble_operators,
     build_mesh,
     obstacle_data,
-    riesz_supremizer,
-    w_inner,
-    w_norm,
 )
 from .truth import (
-    LcpProblem,
     SchemeConfig,
     Trajectory,
     solve_lcp,
@@ -45,7 +41,6 @@ from .offline import (
     enrich_with_supremizers,
     generate_snapshots,
     load_model,
-    pod1,
     pod_greedy,
     sample_training_set,
     save_model,
@@ -60,7 +55,6 @@ from .online import (
     reconstruct,
     reconstruct_multipliers,
     reconstruct_states,
-    reduced_step,
     reduced_trajectory,
 )
 

@@ -37,11 +37,13 @@ from .fem import (
     obstacle_data,
 )
 from .offline import (
+    ReducedModel,
     angle_greedy,
     build_reduced_model_from_store,
     generate_snapshots,
     load_model,
     pod_greedy,
+    read_field,
     read_grid,
     sample_training_set,
     save_model,
@@ -123,18 +125,19 @@ def load_config(path: str | None, seed_override: int | None = None,
     """
     raw = {} if path is None else textio.read_json_object(path, ConfigError, "config")
     data = _merge(DEFAULT_CONFIG, raw)
-    box, sampling, rb, io_cfg = data["box"], data["sampling"], data["rb"], data["io"]
+    io_cfg = data["io"]
     try:
         mesh, scheme = read_grid(data)
-        box_obj = ParameterBox(**{key: float(box[key])
-                                  for key in ("K0", "r0", "q0", "sigma0", "eps")})
-        seed = int(sampling["seed"] if seed_override is None else seed_override)
-        n_train = int(sampling["N_train"])
-        n_test = int(sampling["N_test"])
-        nv_tilde = int(rb["NV_tilde"])
-        nw = int(rb["NW"])
-        budgets = tuple((int(a), int(b)) for a, b in data["study"]["budgets"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        box = ParameterBox(**{key: read_field(data, f"box.{key}")
+                              for key in ("K0", "r0", "q0", "sigma0", "eps")})
+        seed = read_field(data, "sampling.seed", int) if seed_override is None else seed_override
+        n_train = read_field(data, "sampling.N_train", int)
+        n_test = read_field(data, "sampling.N_test", int)
+        nv_tilde = read_field(data, "rb.NV_tilde", int)
+        nw = read_field(data, "rb.NW", int)
+        budgets = read_field(data, "study.budgets",
+                             lambda pairs: tuple((int(a), int(b)) for a, b in pairs))
+    except ValueError as err:
         raise ConfigError(f"malformed or out-of-range config value: {err}") from err
     if seed < 0:
         raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
@@ -145,7 +148,7 @@ def load_config(path: str | None, seed_override: int | None = None,
     model_path = io_cfg["model_path"]
     if model_path is None:
         model_path = os.path.join(output_dir, "model.json")
-    return RunConfig(mesh=mesh, scheme=scheme, box=box_obj, seed=seed,
+    return RunConfig(mesh=mesh, scheme=scheme, box=box, seed=seed,
                      n_train=n_train, n_test=n_test, nv_tilde=nv_tilde, nw=nw,
                      output_dir=output_dir, model_path=str(model_path), budgets=budgets)
 
@@ -263,10 +266,9 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     return EXIT_OK
 
 
-def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
+def cmd_offline(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) -> int:
     ops = assemble_operators(cfg.mesh)
     scheme = cfg.scheme
-    params = training_set(cfg)
     store = generate_snapshots(params, ops, scheme)
     model, warnings = build_reduced_model_from_store(store, cfg.nv_tilde, cfg.nw, ops)
     for note in warnings:
@@ -291,11 +293,8 @@ def cmd_offline(cfg: RunConfig, gnuplot: bool) -> int:
     return EXIT_OK
 
 
-def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
+def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
                compare: bool, gnuplot: bool) -> int:
-    model = _open_model(model_path, "model-load")
-    if model is None:
-        return EXIT_MISSING
     ops, scheme = model.ops, model.config
     rt = reduced_trajectory(model, mu)
     truth = None
@@ -335,12 +334,12 @@ def cmd_online(cfg: RunConfig, model_path: str, mu: ParameterVector,
     return EXIT_OK
 
 
-def cmd_study(cfg: RunConfig, budgets, gnuplot: bool) -> int:
+def cmd_study(cfg: RunConfig, params: list[ParameterVector], budgets, gnuplot: bool) -> int:
     mesh = cfg.mesh
     ops = assemble_operators(mesh)
     scheme = cfg.scheme
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
-    store = generate_snapshots(training_set(cfg), ops, scheme)
+    store = generate_snapshots(params, ops, scheme)
     pod = pod_greedy(store, max(a for a, _ in budgets), ops)
     cone = angle_greedy(store, max(b for _, b in budgets), ops)
     truths = [solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme) for mu in test_params]
@@ -442,8 +441,7 @@ def _parse_budgets(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # overflowing inputs fail the finiteness checks and are reported as one
     # JSON line; numpy's warnings about the same overflow would come first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,26 +449,28 @@ def main(argv=None) -> int:
             if args.command == "validate":
                 return cmd_validate(args.model)
             cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-            os.makedirs(cfg.output_dir, exist_ok=True)
+            # every input is parsed and opened before the output directory is made
             if args.command == "truth":
-                return cmd_truth(cfg, parse_mu(args.mu), args.gnuplot)
-            if args.command == "offline":
-                return cmd_offline(cfg, args.gnuplot)
-            if args.command == "online":
-                model_path = args.model if args.model else cfg.model_path
-                return cmd_online(cfg, model_path, parse_mu(args.mu), args.compare,
-                                  args.gnuplot)
-            if args.command == "study":
+                run = functools.partial(cmd_truth, cfg, parse_mu(args.mu), args.gnuplot)
+            elif args.command == "offline":
+                run = functools.partial(cmd_offline, cfg, training_set(cfg), args.gnuplot)
+            elif args.command == "online":
+                mu = parse_mu(args.mu)
+                model = _open_model(args.model or cfg.model_path, "model-load")
+                if model is None:
+                    return EXIT_MISSING
+                run = functools.partial(cmd_online, cfg, model, mu, args.compare, args.gnuplot)
+            else:
                 budgets = _parse_budgets(args.budgets) if args.budgets else cfg.budgets
-                return cmd_study(cfg, budgets, args.gnuplot)
-            parser.error(f"unknown command {args.command!r}")
+                run = functools.partial(cmd_study, cfg, training_set(cfg), budgets, args.gnuplot)
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            return run()
         except ConfigError as err:
             _error_json("config", str(err))
             return EXIT_CONFIG
         except AmrbError as err:
             _error_json(type(err).__name__, str(err), **err.info)
             return EXIT_SOLVER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -50,10 +50,6 @@ class Mesh1D:
         return self.nodes.size - 2
 
     @property
-    def delta_s(self) -> float:
-        return self.s_f / (self.H + 1)
-
-    @property
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
 
@@ -191,10 +187,6 @@ class AffineOperatorSet:
         """U^{-T} eta = U gram^{-1} eta: dual products become dot products."""
         return _band_solve(self.gram_chol, eta, "T")
 
-    def x_solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply gram^{-1} = U^{-1} U^{-T} through the stored banded factor."""
-        return self.unwhiten(self.whiten_dual(b))
-
 
 def _band_solve(chol: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     """Solve U x = b (trans "N") or U' x = b (trans "T") with LAPACK ``tbtrs``."""
@@ -270,29 +262,4 @@ def obstacle_data(mesh: Mesh1D, K: float) -> ObstacleData:
     psi = np.maximum(K - s, 0.0)
     p0 = K * (1.0 - s / mesh.s_f)
     return ObstacleData(p0=p0, psi_tilde=psi - p0)
-
-
-def w_inner(eta, zeta, ops: AffineOperatorSet) -> float:
-    """Dual-space inner product eta' gram^{-1} zeta."""
-    e = np.asarray(eta, dtype=float)
-    z = np.asarray(zeta, dtype=float)
-    if e.shape != (ops.dim,) or z.shape != (ops.dim,):
-        raise ValueError(f"dual vectors must have shape ({ops.dim},), got {e.shape} and {z.shape}")
-    return float(e @ ops.x_solve(z))
-
-
-def w_norm(eta, ops: AffineOperatorSet) -> float:
-    return float(np.sqrt(max(w_inner(eta, eta, ops), 0.0)))
-
-
-def riesz_supremizer(xi, ops: AffineOperatorSet) -> np.ndarray:
-    """Primal representative of a dual vector: gram * (lift) = coefficients.
-
-    The lift realizes the duality pairing through the energy inner product,
-    so its energy norm equals the dual norm of the input.
-    """
-    c = np.asarray(xi, dtype=float)
-    if c.shape != (ops.dim,):
-        raise ValueError(f"dual vector must have shape ({ops.dim},), got {c.shape}")
-    return ops.x_solve(c)
 

@@ -181,20 +181,6 @@ def _dominant_mode(white: np.ndarray, ops: AffineOperatorSet) -> tuple[np.ndarra
     return mode, nodal
 
 
-def pod1(vectors, ops: AffineOperatorSet) -> np.ndarray:
-    """Dominant POD mode of a vector family in the energy inner product.
-
-    The result has unit energy norm and maximizes the captured energy (the
-    sum of squared inner products with the family); its sign is fixed so
-    the largest-magnitude component is positive.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        mat = vectors
-    else:
-        mat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    return _dominant_mode(ops.whiten(mat), ops)[1]
-
-
 def pod_greedy(store: SnapshotStore, n_v_tilde: int,
                ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Greedy primal basis construction.
@@ -502,15 +488,27 @@ def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
     return arr
 
 
+def read_field(data: dict, key: str, convert=float):
+    """``convert`` applied to the value at the dotted ``key`` ("section.name")
+    of ``data``.  A value it cannot convert (a TypeError, ValueError or
+    OverflowError, such as an infinite integer) raises ValueError naming the
+    key; a missing key raises KeyError."""
+    section, name = key.split(".")
+    try:
+        return convert(data[section][name])
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{key}: {err}") from err
+
+
 def read_grid(data: dict) -> tuple[Mesh1D, SchemeConfig]:
     """The ``mesh`` and ``time`` objects that a run config and a model file share.
 
-    Lets the KeyError, TypeError, ValueError or OverflowError (an infinite
-    ``H`` or ``L``) of a missing, malformed or out-of-range value through.
+    Lets the KeyError or ValueError of a missing, malformed or out-of-range
+    value through; ``read_field`` names the key of an unconvertible one.
     """
-    mesh, time = data["mesh"], data["time"]
-    return (build_mesh(int(mesh["H"]), float(mesh["s_f"])),
-            SchemeConfig(T=float(time["T"]), L=int(time["L"]), theta=float(time["theta"])))
+    return (build_mesh(read_field(data, "mesh.H", int), read_field(data, "mesh.s_f")),
+            SchemeConfig(T=read_field(data, "time.T"), L=read_field(data, "time.L", int),
+                         theta=read_field(data, "time.theta")))
 
 
 def load_model(path) -> ReducedModel:
@@ -529,7 +527,7 @@ def load_model(path) -> ReducedModel:
     try:
         # the bases must have H rows before the mesh's H + 2 nodes are built:
         # a huge finite H then fails on the rows, not on allocating the nodes
-        h = int(data["mesh"]["H"])
+        h = read_field(data, "mesh.H", int)
         psi = _matrix(data, "psi_matrix", h)
         xi = _matrix(data, "xi_matrix", h)
         mesh, config = read_grid(data)

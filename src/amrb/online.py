@@ -113,19 +113,6 @@ def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
     return u + data.sinv_b @ alpha, alpha, lam, solves
 
 
-def reduced_step(u_prev: np.ndarray, data: OnlineData):
-    """One reduced step; returns (next coefficients, cone coefficients).
-
-    The state is eliminated through the Schur complement, leaving a small
-    complementarity problem in the nonnegative cone coefficients that the
-    active-set solver handles on its dense path from the empty set.
-    """
-    if not np.isfinite(u_prev).all():  # the step's products skip this check
-        raise ValueError("reduced coefficients must be finite")
-    u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(data.schur.shape[0]))
-    return u, alpha
-
-
 @dataclass(frozen=True)
 class ReducedTrajectory:
     """Reduced states and nonnegative cone coefficients over the time grid."""

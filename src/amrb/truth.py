@@ -61,8 +61,6 @@ side.  A trajectory checks its step matrix (``check_lcp_matrix``) and
 obstacle once and passes each step's arrays straight in, building no
 problem object per step.  A non-finite right-hand side means the state
 blew up; it and a non-finite obstacle raise ``NumericalBreakdownError``.
-``LcpProblem`` checks a single problem whole for callers that pose one,
-and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -137,49 +135,6 @@ def check_lcp_matrix(S):
     if not (diag > 0.0).all():
         raise ValueError("LCP matrix must have a positive diagonal")
     return S
-
-
-@dataclass(frozen=True)
-class LcpProblem:
-    """One complementarity problem S u - lam = rhs against a lower obstacle,
-    checked whole, for callers that pose a single problem.
-
-    ``start`` is the active set the iteration starts from (empty if None).
-    The matrix goes through ``check_lcp_matrix``; rhs and obstacle must be
-    finite vectors of its size, and start and ``ul`` must fit it
-    (``ValueError`` otherwise).  ``ul`` optionally passes (U^-1 rhs, L,
-    S obstacle) for a tridiagonal S = U L factored without row
-    interchanges, as ``StepOperators`` gives them; prefix active sets are
-    then solved on those factors.  ``solve`` runs ``solve_lcp`` on it.
-    """
-
-    S: object  # dense (n, n) array or Tridiagonal
-    rhs: np.ndarray
-    obstacle: np.ndarray
-    start: np.ndarray | None = None
-    ul: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self):
-        S = check_lcp_matrix(self.S)
-        n = S.diag.size if isinstance(S, Tridiagonal) else S.shape[0]
-        rhs, obstacle = np.asarray(self.rhs, dtype=float), np.asarray(self.obstacle, dtype=float)
-        start = None if self.start is None else np.asarray(self.start, dtype=bool)
-        if (rhs.shape != (n,) or obstacle.shape != (n,)
-                or (start is not None and start.shape != (n,))
-                or (self.ul is not None and self.ul[0].shape != (n,))):
-            raise ValueError("inconsistent LCP dimensions")
-        if n == 0:
-            raise ValueError("empty LCP")
-        if not np.isfinite(rhs).all():
-            raise ValueError("LCP right-hand side must be finite")
-        if not np.isfinite(obstacle).all():
-            raise ValueError("LCP obstacle must be finite")
-        for name, value in (("S", S), ("rhs", rhs), ("obstacle", obstacle), ("start", start)):
-            object.__setattr__(self, name, value)
-
-    def solve(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``solve_lcp`` on this problem: (u, lam, number of linear solves)."""
-        return solve_lcp(self.S, self.rhs, self.obstacle, self.start, self.ul)
 
 
 def _singular(active: np.ndarray) -> NumericalBreakdownError:
@@ -291,15 +246,17 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
     Returns (u, lam, number of linear solves).  S (a ``Tridiagonal`` or a
     square dense array) and the obstacle are taken as checked: S by
     ``check_lcp_matrix``, the obstacle finite and of S's size, as a
-    trajectory checks them once and ``LcpProblem`` checks a single
-    problem.  Only the float vector rhs is checked here, for its shape
-    (``ValueError``) and finiteness: a non-finite rhs raises
-    ``NumericalBreakdownError``, since a trajectory computes it from its
-    own states.  ``start`` is a boolean active set (empty if None);
-    ``ul`` is as in ``LcpProblem``.  For a tridiagonal S, ``out`` may pass
-    two float vectors (u, lam) of its size, such as a trajectory's rows:
-    every iterate is solved into them, and they are returned.  Without
-    it, and always on the dense path, u and lam are fresh arrays.
+    trajectory checks them once.  Only the float vector rhs is checked
+    here, for its shape (``ValueError``) and finiteness: a non-finite rhs
+    raises ``NumericalBreakdownError``, since a trajectory computes it from
+    its own states.  ``start`` is a boolean active set (empty if None).
+    ``ul`` optionally passes (U^-1 rhs, L, S obstacle) for a tridiagonal
+    S = U L factored without row interchanges, as ``StepOperators`` gives
+    them; prefix active sets are then solved on those factors.  For a
+    tridiagonal S, ``out`` may pass two float vectors (u, lam) of its
+    size, such as a trajectory's rows: every iterate is solved into them,
+    and they are returned.  Without it, and always on the dense path, u
+    and lam are fresh arrays.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the

@@ -94,18 +94,6 @@ def small_model(small_store, small_setup):
     return model
 
 
-@pytest.fixture
-def lcp_problems_built(monkeypatch):
-    """A list that grows by one per ``LcpProblem`` constructed."""
-    from amrb.truth import LcpProblem
-
-    built = []
-    init = LcpProblem.__init__
-    monkeypatch.setattr(LcpProblem, "__init__", lambda self, *args, **kwargs: (
-        built.append(1) or init(self, *args, **kwargs)))
-    return built
-
-
 def dense(op) -> np.ndarray:
     """Dense copy of a Tridiagonal operator."""
     return np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)

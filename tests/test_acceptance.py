@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from amrb import (
-    LcpProblem,
     SchemeConfig,
     assemble_operators,
     build_mesh,
@@ -21,17 +20,17 @@ from amrb import (
     error_metrics,
     generate_snapshots,
     obstacle_data,
-    pod1,
     reconstruct_states,
     reduced_trajectory,
-    riesz_supremizer,
     sample_training_set,
+    solve_lcp,
     solve_trajectory,
     trajectory_residuals,
-    w_norm,
 )
 from amrb.cli import main as cli_main, train_stream
-from amrb.online import err_linf, online_setup, reduced_step
+from amrb.offline import _dominant_mode
+from amrb.online import _cone_step, err_linf, online_setup
+from amrb.truth import check_lcp_matrix
 
 from conftest import dense
 from test_truth import lcp_by_enumeration
@@ -84,7 +83,7 @@ def test_criterion_02_lcp_oracle():
         S = A.T @ A + n * np.eye(n)
         rhs = rng.normal(size=n) * n
         obstacle = rng.normal(size=n)
-        u, lam, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle).solve()
+        u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
         ref = lcp_by_enumeration(S, rhs, obstacle)
         assert ref is not None
         u_ref, lam_ref = ref
@@ -202,7 +201,7 @@ def test_criterion_08_pod_oracle():
     for _ in range(50):
         m = int(rng.integers(2, 51))
         vectors = [rng.normal(size=ops.dim) * rng.lognormal() for _ in range(m)]
-        mode = pod1(vectors, ops)
+        mode = _dominant_mode(ops.whiten(np.column_stack(vectors)), ops)[1]
         energy = sum(ops.v_inner(v, mode) ** 2 for v in vectors)
         gram = np.array([[ops.v_inner(v, w) for w in vectors] for v in vectors])
         top = float(np.linalg.eigvalsh(gram)[-1])
@@ -219,17 +218,18 @@ def test_criterion_09_dual_norm(default_ops):
     H = default_ops.dim
     for _ in range(5):
         eta = rng.normal(size=H)
-        wn = w_norm(eta, default_ops)
+        wn = np.linalg.norm(default_ops.whiten_dual(eta))
         V = rng.normal(size=(H, 10_000))
         ratios = (eta @ V) / np.sqrt(np.einsum("ij,ij->j", V, default_ops.gram @ V))
         assert ratios.max() <= wn * (1 + 1e-12)
-        vstar = default_ops.x_solve(eta)
+        vstar = default_ops.unwhiten(default_ops.whiten_dual(eta))
         attained = float(eta @ vstar) / default_ops.v_norm(vstar)
         assert attained == pytest.approx(wn, rel=1e-10)
     for _ in range(100):
         xi = rng.normal(size=H)
-        lift = riesz_supremizer(xi, default_ops)
-        assert default_ops.v_norm(lift) == pytest.approx(w_norm(xi, default_ops), rel=1e-10)
+        white = default_ops.whiten_dual(xi)  # the lift as enrich_with_supremizers forms it
+        lift = default_ops.unwhiten(white)
+        assert default_ops.v_norm(lift) == pytest.approx(np.linalg.norm(white), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +243,13 @@ def _per_step_seconds(H, params, mu, scheme):
     assert model.nv == 32
     data = online_setup(model, mu)
     y0 = data.u0
+    zero = np.zeros(model.nw)  # the cone's obstacle, made once as reduced_trajectory makes it
     best = np.inf
     for _ in range(5):
         y = y0.copy()
         start = time.perf_counter()
         for k in range(400):
-            y, _ = reduced_step(y, data)
+            y = _cone_step(y, data, None, zero)[0]
             if (k + 1) % scheme.L == 0:
                 y = y0.copy()
         best = min(best, (time.perf_counter() - start) / 400)

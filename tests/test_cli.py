@@ -205,6 +205,17 @@ def test_infinite_integer_config_exits_2(tmp_path, capsys, section, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("mesh", "H", "Infinity"), ("sampling", "N_test", "Infinity"), ("box", "K0", '"a"')])
+def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
+    # one except wraps every field, so an unconvertible value reported only
+    # the conversion's own words, the same for an infinite mesh.H and N_test
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+    assert main(["offline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}: " in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_solver_failure_exits_4(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverDivergenceError("forced")
@@ -476,6 +487,20 @@ def test_narrow_box_is_a_config_error(tmp_path, capsys):
     assert main(["offline", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["truth", "--mu", "100,0.05,x,0.5"], ["online", "--mu", "100,0.05"],
+    ["study", "--budgets", "4x"], ["offline", "--config", "narrow.json"]])
+def test_config_error_makes_no_output_directory(tmp_path, monkeypatch, capsys, argv):
+    # --mu, --budgets and the training draws are read before the output
+    # directory is made, as the config is
+    write_config(tmp_path, {"box": {"eps": 0.0}}, name="narrow.json")
+    out = tmp_path / "o"
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # online
 
@@ -493,6 +518,17 @@ def test_online_corrupt_model_exits_3(tmp_path, capsys):
     code = main(["online", "--model", str(bad), "--mu", "100,0.05,0.0015,0.5",
                  "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@pytest.mark.parametrize("model", ["nope.json", "empty.json"])
+def test_unusable_model_makes_no_output_directory(tmp_path, capsys, model):
+    # the model file is opened before the output directory is made
+    (tmp_path / "empty.json").write_text("{}")
+    out = tmp_path / "o"
+    assert main(["online", "--model", str(tmp_path / model), "--mu", "100,0.05,0.0015,0.5",
+                 "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] in ("missing-model", "model-load")
+    assert not out.exists()
 
 
 def test_nan_horizon_model_exits_3(tmp_path, capsys):
@@ -536,7 +572,7 @@ def assert_edited_model_exits_3(tmp_path, capsys, small_model, edit):
         assert main([*argv, "--model", str(path)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == kind
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", INFINITE_MODEL_FIELDS)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from amrb import (
-    LcpProblem,
     NumericalBreakdownError,
     ParameterVector,
     SchemeConfig,
@@ -23,7 +22,7 @@ from amrb import (
     trajectory_residuals,
     write_trajectory_csv,
 )
-from amrb.truth import state_rows
+from amrb.truth import check_lcp_matrix, state_rows
 from amrb.cli import train_stream
 from amrb.textio import fmt
 import amrb.truth as truth_mod
@@ -54,9 +53,9 @@ def lcp_by_enumeration(S, rhs, obstacle, tol=1e-11):
 
 
 def random_spd_lcp(rng, n):
+    """(S, rhs, obstacle) of a random problem with S = A'A + nI."""
     A = rng.normal(size=(n, n))
-    S = A.T @ A + n * np.eye(n)
-    return LcpProblem(S=S, rhs=rng.normal(size=n) * n, obstacle=rng.normal(size=n))
+    return A.T @ A + n * np.eye(n), rng.normal(size=n) * n, rng.normal(size=n)
 
 
 # ---------------------------------------------------------------------------
@@ -75,28 +74,26 @@ def test_scheme_config():
 
 
 def test_lcp_problem_validation():
+    # the matrix is checked once by check_lcp_matrix, the right-hand side by
+    # every solve_lcp call
     with pytest.raises(ValueError):
-        LcpProblem(S=np.array([[1.0, 0.0], [0.0, -1.0]]), rhs=np.zeros(2),
-                   obstacle=np.zeros(2))
+        check_lcp_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
-        LcpProblem(S=np.eye(3), rhs=np.zeros(2), obstacle=np.zeros(3))
+        solve_lcp(check_lcp_matrix(np.eye(3)), np.zeros(2), np.zeros(3))
     for shape in ((3, 4), (4, 3)):
         with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
-            LcpProblem(S=np.eye(*shape), rhs=np.zeros(3), obstacle=np.zeros(3))
+            check_lcp_matrix(np.eye(*shape))
 
 
 def test_lcp_problem_rejects_non_finite_inputs():
     banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
     for S in (np.eye(3) * 4.0, banded):
-        with pytest.raises(ValueError, match="must be finite"):
-            LcpProblem(S=S, rhs=np.array([1.0, np.nan, 0.0]), obstacle=np.zeros(3))
-        with pytest.raises(ValueError, match="must be finite"):
-            LcpProblem(S=S, rhs=np.zeros(3), obstacle=np.array([0.0, -np.inf, 0.0]))
+        with pytest.raises(NumericalBreakdownError, match="must be finite"):
+            solve_lcp(check_lcp_matrix(S), np.array([1.0, np.nan, 0.0]), np.zeros(3))
     with pytest.raises(ValueError, match="must be finite"):
-        LcpProblem(S=np.array([[1.0, np.inf], [0.0, 1.0]]), rhs=np.zeros(2), obstacle=np.zeros(2))
+        check_lcp_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="must be finite"):
-        LcpProblem(S=Tridiagonal(np.array([np.nan]), np.ones(2), np.zeros(1)),
-                   rhs=np.zeros(2), obstacle=np.zeros(2))
+        check_lcp_matrix(Tridiagonal(np.array([np.nan]), np.ones(2), np.zeros(1)))
 
 
 def test_lcp_step_checks_vectors_only():
@@ -110,10 +107,9 @@ def test_lcp_step_checks_vectors_only():
         solve_lcp(np.eye(2), np.zeros(3), np.zeros(2))
 
 
-def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch,
-                                           lcp_problems_built):
-    # each step passes its arrays straight to solve_lcp: no checked problem
-    # is built per step
+def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch):
+    # each step passes its arrays straight to solve_lcp; the matrix is
+    # checked once per trajectory, not once per step
     calls = []
     check = truth_mod.check_lcp_matrix
     monkeypatch.setattr(truth_mod, "check_lcp_matrix", lambda S: calls.append(1) or check(S))
@@ -121,7 +117,6 @@ def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, mon
                             default_scheme)
     assert len(calls) == 1
     assert traj.pdas_iterations.size == default_scheme.L
-    assert lcp_problems_built == []
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +127,14 @@ def test_solve_lcp_singular_subsystem_breaks_down():
     # both paths hit the singular 2x2 block [[1, 1], [1, 1]] from the empty set
     for S in (np.ones((2, 2)), Tridiagonal(np.ones(1), np.ones(2), np.ones(1))):
         with pytest.raises(NumericalBreakdownError):
-            LcpProblem(S=S, rhs=np.array([1.0, 2.0]), obstacle=np.full(2, -10.0)).solve()
+            solve_lcp(check_lcp_matrix(S), np.array([1.0, 2.0]), np.full(2, -10.0))
 
 
 def test_solve_lcp_unconstrained():
     rng = np.random.default_rng(0)
-    problem = random_spd_lcp(rng, 8)
-    free = LcpProblem(S=problem.S, rhs=problem.rhs, obstacle=np.full(8, -1e6))
-    u, lam, _ = free.solve()
-    assert np.allclose(u, np.linalg.solve(problem.S, problem.rhs))
+    S, rhs, _ = random_spd_lcp(rng, 8)
+    u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, np.full(8, -1e6))
+    assert np.allclose(u, np.linalg.solve(S, rhs))
     assert np.all(lam == 0.0)
 
 
@@ -151,7 +145,7 @@ def test_solve_lcp_fully_active():
     S = A.T @ A + n * np.eye(n)
     obstacle = rng.normal(size=n)
     rhs = S @ obstacle - 1.0
-    u, lam, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle).solve()
+    u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
     assert np.allclose(u, obstacle)
     assert np.allclose(lam, 1.0)
 
@@ -159,9 +153,9 @@ def test_solve_lcp_fully_active():
 def test_solve_lcp_matches_enumeration():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        problem = random_spd_lcp(rng, 10)
-        u, lam, _ = problem.solve()
-        ref = lcp_by_enumeration(problem.S, problem.rhs, problem.obstacle)
+        S, rhs, obstacle = random_spd_lcp(rng, 10)
+        u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+        ref = lcp_by_enumeration(S, rhs, obstacle)
         assert ref is not None
         u_ref, lam_ref = ref
         assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
@@ -185,11 +179,10 @@ def test_solve_lcp_banded_equals_dense():
     u_star = obstacle + np.where(contact, 0.0, rng.random(n) + 0.1)
     lam_star = np.where(contact, rng.random(n) + 0.1, 0.0)
     for rhs in (rng.normal(size=n) * 5, S @ u_star - lam_star):
-        u1, lam1, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle).solve()
-        u2, lam2, _ = LcpProblem(S=dense, rhs=rhs, obstacle=obstacle).solve()
+        u1, lam1, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+        u2, lam2, _ = solve_lcp(check_lcp_matrix(dense), rhs, obstacle)
         # a wrong prefix guess is corrected by the iteration
-        u3, lam3, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle,
-                                 start=np.arange(n) < n // 2).solve()
+        u3, lam3, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle, np.arange(n) < n // 2)
         for u, lam in ((u1, lam1), (u3, lam3)):
             assert np.abs(u - u2).max() <= 1e-11 * (1 + np.abs(u2).max())
             assert np.abs(lam - lam2).max() <= 1e-11 * (1 + np.abs(lam2).max())
@@ -204,14 +197,15 @@ def test_solve_lcp_dense_from_any_start():
     rng = np.random.default_rng(9)
     for k in range(40):
         n = int(rng.integers(4, 13))
-        problem = random_spd_lcp(rng, n)
+        S, rhs, obstacle = random_spd_lcp(rng, n)
         if k % 2:
             B = rng.normal(size=(n, n))
-            problem = dataclasses.replace(problem, S=problem.S + B - B.T)
-        u_ref, lam_ref, _ = problem.solve()
+            S = S + B - B.T
+        S = check_lcp_matrix(S)
+        u_ref, lam_ref, _ = solve_lcp(S, rhs, obstacle)
         for _ in range(5):
             start = rng.random(n) < rng.random()
-            u, lam, _ = dataclasses.replace(problem, start=start).solve()
+            u, lam, _ = solve_lcp(S, rhs, obstacle, start)
             assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
             assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
 
@@ -232,7 +226,7 @@ def test_solve_lcp_degenerate_node_from_any_start():
             rhs = S @ u_star - lam_star
             results = set()
             for start in starts:
-                u, lam, _ = LcpProblem(S=S, rhs=rhs, obstacle=obstacle, start=start).solve()
+                u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle, start)
                 assert lam[5] == 0.0
                 results.add((u.tobytes(), lam.tobytes()))
             assert len(results) == 1
@@ -257,19 +251,19 @@ def test_tridiagonal_matches_sparse_product(default_ops):
 
 def test_solve_lcp_iteration_budget(monkeypatch):
     rng = np.random.default_rng(4)
-    problem = random_spd_lcp(rng, 12)
+    S, rhs, obstacle = random_spd_lcp(rng, 12)
     monkeypatch.setattr(truth_mod, "MAX_ITER", 1)
     with pytest.raises(SolverDivergenceError) as err:
-        problem.solve()
+        solve_lcp(check_lcp_matrix(S), rhs, obstacle)
     assert "min_gap" in err.value.info
 
 
 def test_solve_lcp_complementarity_exact():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        problem = random_spd_lcp(rng, 9)
-        u, lam, _ = problem.solve()
-        gap = u - problem.obstacle
+        S, rhs, obstacle = random_spd_lcp(rng, 9)
+        u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+        gap = u - obstacle
         assert np.all((lam == 0.0) | (gap == 0.0))
         assert gap.min() >= 0.0
         assert lam.min() >= 0.0
@@ -757,16 +751,15 @@ def test_workspace_carries_no_state(default_box):
 
 
 def assert_rows_are_fresh_solves(traj, step):
-    """Each step's rows and solve count equal a checked problem's solve from
-    the step's own start; returns the solve counts."""
+    """Each step's rows and solve count equal a fresh solve from the step's
+    own start on the checked matrix; returns the solve counts."""
     counts = []
     for n in range(traj.config.L):
         rhs = step.rhs(traj.states[n]).copy()
         swept = step.sweep(rhs)
         start = step.predict_contact(swept).copy()
         ul = None if swept is None else (swept.copy(), step.lower_factor, step.s_psi)
-        u, lam, solves = LcpProblem(S=step.S, rhs=rhs, obstacle=step.psi, start=start,
-                                    ul=ul).solve()
+        u, lam, solves = solve_lcp(check_lcp_matrix(step.S), rhs, step.psi, start, ul)
         assert u.tobytes() == traj.states[n + 1].tobytes(), n
         assert lam.tobytes() == traj.multipliers[n].tobytes(), n
         assert solves == traj.pdas_iterations[n], n
@@ -821,7 +814,7 @@ def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
     rows = np.full((3, n), np.nan)
     u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=(rows[1], rows[2]))
     assert any(revisited)
-    ref_u, ref_lam, ref_solves = LcpProblem(S=S, rhs=rhs, obstacle=obstacle, start=start).solve()
+    ref_u, ref_lam, ref_solves = solve_lcp(check_lcp_matrix(S), rhs, obstacle, start)
     assert np.shares_memory(u, rows[1]) and np.shares_memory(lam, rows[2])
     assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
         ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
