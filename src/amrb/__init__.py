@@ -53,7 +53,6 @@ from .online import (
     error_metrics,
     online_setup,
     reconstruct,
-    reconstruct_multipliers,
     reconstruct_states,
     reduced_trajectory,
 )

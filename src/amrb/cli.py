@@ -20,10 +20,10 @@ byte-identical numeric artifacts.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .offline import (
     angle_greedy,
     build_reduced_model_from_store,
     generate_snapshots,
+    grid_document,
+    integer,
     load_model,
     pod_greedy,
     read_field,
@@ -87,7 +89,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     mesh: Mesh1D
     scheme: SchemeConfig
@@ -125,18 +127,22 @@ def load_config(path: str | None, seed_override: int | None = None,
     """
     raw = {} if path is None else textio.read_json_object(path, ConfigError, "config")
     data = _merge(DEFAULT_CONFIG, raw)
-    io_cfg = data["io"]
     try:
         mesh, scheme = read_grid(data)
         box = ParameterBox(**{key: read_field(data, f"box.{key}")
                               for key in ("K0", "r0", "q0", "sigma0", "eps")})
-        seed = read_field(data, "sampling.seed", int) if seed_override is None else seed_override
-        n_train = read_field(data, "sampling.N_train", int)
-        n_test = read_field(data, "sampling.N_test", int)
-        nv_tilde = read_field(data, "rb.NV_tilde", int)
-        nw = read_field(data, "rb.NW", int)
+        seed = (read_field(data, "sampling.seed", integer) if seed_override is None
+                else seed_override)
+        n_train = read_field(data, "sampling.N_train", integer)
+        n_test = read_field(data, "sampling.N_test", integer)
+        nv_tilde = read_field(data, "rb.NV_tilde", integer)
+        nw = read_field(data, "rb.NW", integer)
         budgets = read_field(data, "study.budgets",
-                             lambda pairs: tuple((int(a), int(b)) for a, b in pairs))
+                             lambda pairs: tuple((integer(a), integer(b)) for a, b in pairs))
+        output_dir = (read_field(data, "io.output_dir", _path) if out_override is None
+                      else out_override)
+        model_path = (os.path.join(output_dir, "model.json") if data["io"]["model_path"] is None
+                      else read_field(data, "io.model_path", _path))
     except ValueError as err:
         raise ConfigError(f"malformed or out-of-range config value: {err}") from err
     if seed < 0:
@@ -144,13 +150,16 @@ def load_config(path: str | None, seed_override: int | None = None,
     if n_train < 1 or n_test < 1 or nv_tilde < 1 or nw < 1:
         raise ConfigError("sampling and basis budgets must be positive")
     _check_budgets(budgets)
-    output_dir = str(io_cfg["output_dir"] if out_override is None else out_override)
-    model_path = io_cfg["model_path"]
-    if model_path is None:
-        model_path = os.path.join(output_dir, "model.json")
     return RunConfig(mesh=mesh, scheme=scheme, box=box, seed=seed,
                      n_train=n_train, n_test=n_test, nv_tilde=nv_tilde, nw=nw,
-                     output_dir=output_dir, model_path=str(model_path), budgets=budgets)
+                     output_dir=output_dir, model_path=model_path, budgets=budgets)
+
+
+def _path(value) -> str:
+    """An ``io`` path of the config, which must be a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {value!r}")
+    return value
 
 
 def _check_budgets(budgets) -> None:
@@ -185,7 +194,7 @@ def parse_mu(text: str) -> ParameterVector:
     except ValueError as err:
         raise ConfigError(f"--mu has a non-numeric entry: {err}") from err
     try:
-        return ParameterVector(K=values[0], r=values[1], q=values[2], sigma=values[3])
+        return ParameterVector(*values)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -212,11 +221,6 @@ def _open_model(path: str, kind: str):
         return None
 
 
-def _gnuplot(path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -237,7 +241,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     obstacle = obstacle_data(mesh, mu.K)
     scheme = cfg.scheme
     traj = solve_trajectory(mu, ops, obstacle, scheme)
-    residuals = check_contract(traj, ops, obstacle)
+    residuals = check_contract(traj, ops)
 
     out = cfg.output_dir
     csv_path = os.path.join(out, "truth_trajectory.csv")
@@ -245,9 +249,8 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     final_price = traj.states[-1] + obstacle.p0
     summary = {
         "schema_version": 1,
-        "mu": {"K": mu.K, "r": mu.r, "q": mu.q, "sigma": mu.sigma},
-        "mesh": {"H": mesh.H, "s_f": mesh.s_f},
-        "time": {"T": scheme.T, "L": scheme.L, "theta": scheme.theta},
+        "mu": dataclasses.asdict(mu),
+        **grid_document(mesh, scheme),
         "final_price_curve": [[float(s), float(p)]
                               for s, p in zip(mesh.interior_nodes, final_price)],
         "pdas_iteration_stats": _iteration_stats(traj.pdas_iterations),
@@ -255,7 +258,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
     }
     textio.write_json(os.path.join(out, "truth_summary.json"), summary)
     if gnuplot:
-        _gnuplot(os.path.join(out, "truth_trajectory.gp"), [
+        textio.write_lines(os.path.join(out, "truth_trajectory.gp"), [
             "set datafile separator ','",
             "set xlabel 's'",
             "set ylabel 'price'",
@@ -281,7 +284,7 @@ def cmd_offline(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) ->
                       os.path.join(out, "pod_greedy.csv"),
                       os.path.join(out, "angle_greedy.csv"))
     if gnuplot:
-        _gnuplot(os.path.join(out, "greedy_decay.gp"), [
+        textio.write_lines(os.path.join(out, "greedy_decay.gp"), [
             "set datafile separator ','",
             "set logscale y",
             "set xlabel 'iteration'",
@@ -299,9 +302,8 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
     rt = reduced_trajectory(model, mu)
     truth = None
     if compare:  # a truth outside its contract fails before any output
-        obstacle = obstacle_data(ops.mesh, mu.K)
-        truth = solve_trajectory(mu, ops, obstacle, scheme)
-        check_contract(truth, ops, obstacle)
+        truth = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+        check_contract(truth, ops)
     out = cfg.output_dir
     in_box = cfg.box.contains(mu)
     if not in_box:
@@ -309,7 +311,7 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
                          "extrapolating\n")
     summary = {
         "schema_version": 1,
-        "mu": {"K": mu.K, "r": mu.r, "q": mu.q, "sigma": mu.sigma},
+        "mu": dataclasses.asdict(mu),
         "model": {"NV_tilde": model.nv_tilde, "NW": model.nw, "NV": model.nv},
         "in_box": in_box,
         "cone_iteration_stats": _iteration_stats(rt.lcp_solves),
@@ -319,7 +321,7 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
         summary["err_N"] = err
         print(f"err_N(mu) = {err:.6e}")
         if gnuplot:
-            _gnuplot(os.path.join(out, "comparison.gp"), [
+            textio.write_lines(os.path.join(out, "comparison.gp"), [
                 "set datafile separator ','",
                 "set xlabel 's'",
                 "set ylabel 'u'",
@@ -344,7 +346,7 @@ def cmd_study(cfg: RunConfig, params: list[ParameterVector], budgets, gnuplot: b
     cone = angle_greedy(store, max(b for _, b in budgets), ops)
     truths = [solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme) for mu in test_params]
     for truth in truths:
-        check_contract(truth, ops, obstacle_data(mesh, truth.mu.K))
+        check_contract(truth, ops)
 
     rows = []
     out = cfg.output_dir
@@ -364,7 +366,7 @@ def cmd_study(cfg: RunConfig, params: list[ParameterVector], budgets, gnuplot: b
     textio.write_csv(study_path, ["NV_tilde", "NW", "NV", "ErrLinf", "status"], rows)
     write_params_csv(test_params, os.path.join(out, "test_params.csv"))
     if gnuplot:
-        _gnuplot(os.path.join(out, "study.gp"), [
+        textio.write_lines(os.path.join(out, "study.gp"), [
             "set datafile separator ','",
             "set logscale y",
             "set xlabel 'NV'",
@@ -449,22 +451,20 @@ def main(argv=None) -> int:
             if args.command == "validate":
                 return cmd_validate(args.model)
             cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-            # every input is parsed and opened before the output directory is made
+            # the first artifact a command writes makes the output directory
+            # (amrb.textio), after every input is parsed and opened
             if args.command == "truth":
-                run = functools.partial(cmd_truth, cfg, parse_mu(args.mu), args.gnuplot)
-            elif args.command == "offline":
-                run = functools.partial(cmd_offline, cfg, training_set(cfg), args.gnuplot)
-            elif args.command == "online":
+                return cmd_truth(cfg, parse_mu(args.mu), args.gnuplot)
+            if args.command == "offline":
+                return cmd_offline(cfg, training_set(cfg), args.gnuplot)
+            if args.command == "online":
                 mu = parse_mu(args.mu)
                 model = _open_model(args.model or cfg.model_path, "model-load")
                 if model is None:
                     return EXIT_MISSING
-                run = functools.partial(cmd_online, cfg, model, mu, args.compare, args.gnuplot)
-            else:
-                budgets = _parse_budgets(args.budgets) if args.budgets else cfg.budgets
-                run = functools.partial(cmd_study, cfg, training_set(cfg), budgets, args.gnuplot)
-            os.makedirs(cfg.output_dir, exist_ok=True)
-            return run()
+                return cmd_online(cfg, model, mu, args.compare, args.gnuplot)
+            budgets = _parse_budgets(args.budgets) if args.budgets else cfg.budgets
+            return cmd_study(cfg, training_set(cfg), budgets, args.gnuplot)
         except ConfigError as err:
             _error_json("config", str(err))
             return EXIT_CONFIG

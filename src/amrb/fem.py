@@ -135,13 +135,24 @@ class Tridiagonal(NamedTuple):
     upper: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Product with x of shape (H,) or (H, k), as a CSR product computes it:
-        each row summed lower, diagonal, upper, and a C-ordered result."""
-        lower, diag, upper = self if x.ndim == 1 else (band[:, None] for band in self)
-        y = np.multiply(diag, x, order="C")  # whatever x's layout: GEMMs round by layout
-        y[1:] += lower * x[:-1]
-        y[:-1] += upper * x[1:]
-        return y
+        """Product with x of shape (H,) or (H, k) into a fresh C-ordered array,
+        whatever x's layout: GEMMs on the result round by layout."""
+        return band_product(self, x, np.empty(x.shape), np.empty(x.shape))
+
+
+def band_product(T: Tridiagonal, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """T @ x along the first axis of x (one vector, or the columns of a block)
+    into ``out``, each row summed lower, diagonal, upper as a CSR product
+    sums it; ``scratch`` is a buffer of out's shape.  The one tridiagonal
+    product: ``Tridiagonal @``, a truth step's right-hand side and the
+    residual check all come here."""
+    lower, diag, upper = T if x.ndim == 1 else (band[:, None] for band in T)
+    np.multiply(diag, x, out=out)
+    np.multiply(lower, x[:-1], out=scratch[1:])
+    out[1:] += scratch[1:]
+    np.multiply(upper, x[1:], out=scratch[:-1])
+    out[:-1] += scratch[:-1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def sample_training_set(box: ParameterBox, n: int, seed) -> list[ParameterVector
     rng = np.random.default_rng(seed)
     lo, hi = box.bounds()
     draws = lo + (hi - lo) * rng.random((n, 4))
-    return [ParameterVector(K=row[0], r=row[1], q=row[2], sigma=row[3]) for row in draws]
+    return [ParameterVector(*row) for row in draws]
 
 
 @dataclass(frozen=True)
@@ -446,8 +446,7 @@ def model_document(model: ReducedModel) -> dict:
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "mesh": {"H": model.ops.dim, "s_f": model.ops.mesh.s_f},
-        "time": {"T": model.config.T, "L": model.config.L, "theta": model.config.theta},
+        **grid_document(model.ops.mesh, model.config),
         "NV_tilde": model.nv_tilde,
         "psi_matrix": model.psi_matrix,
         "xi_matrix": model.xi_matrix,
@@ -457,12 +456,6 @@ def model_document(model: ReducedModel) -> dict:
 
 def save_model(model: ReducedModel, path) -> None:
     textio.write_json(path, model_document(model))
-
-
-def _need(data: dict, key: str):
-    if key not in data:
-        raise ModelLoadError(f"model file is missing field {key!r}")
-    return data[key]
 
 
 def _object(data: dict, key: str) -> dict:
@@ -477,8 +470,10 @@ def _object(data: dict, key: str) -> dict:
 
 def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
     """Finite float matrix field with ``rows`` rows; rows of [] give 0 columns."""
+    if key not in data:
+        raise ModelLoadError(f"model file is missing field {key!r}")
     try:
-        arr = np.array(_need(data, key), dtype=float)
+        arr = np.array(data[key], dtype=float)
     except (TypeError, ValueError) as err:
         raise ModelLoadError(f"field {key!r} is not a numeric array: {err}") from err
     if arr.ndim != 2 or arr.shape[0] != rows:
@@ -486,6 +481,17 @@ def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ModelLoadError(f"field {key!r} contains non-finite values")
     return arr
+
+
+def integer(value) -> int:
+    """``value`` as an int, the one converter of every integer field of the
+    run config and the model file.  A bool or a float with a fractional
+    part, which ``int`` would read as 0 or 1 or truncate, raises ValueError;
+    an infinite float raises OverflowError."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
 
 
 def read_field(data: dict, key: str, convert=float):
@@ -500,14 +506,21 @@ def read_field(data: dict, key: str, convert=float):
         raise ValueError(f"{key}: {err}") from err
 
 
+def grid_document(mesh: Mesh1D, config: SchemeConfig) -> dict:
+    """The ``mesh`` and ``time`` objects of a model file and a truth summary,
+    which ``read_grid`` parses."""
+    return {"mesh": {"H": mesh.H, "s_f": mesh.s_f},
+            "time": {"T": config.T, "L": config.L, "theta": config.theta}}
+
+
 def read_grid(data: dict) -> tuple[Mesh1D, SchemeConfig]:
     """The ``mesh`` and ``time`` objects that a run config and a model file share.
 
     Lets the KeyError or ValueError of a missing, malformed or out-of-range
     value through; ``read_field`` names the key of an unconvertible one.
     """
-    return (build_mesh(read_field(data, "mesh.H", int), read_field(data, "mesh.s_f")),
-            SchemeConfig(T=read_field(data, "time.T"), L=read_field(data, "time.L", int),
+    return (build_mesh(read_field(data, "mesh.H", integer), read_field(data, "mesh.s_f")),
+            SchemeConfig(T=read_field(data, "time.T"), L=read_field(data, "time.L", integer),
                          theta=read_field(data, "time.theta")))
 
 
@@ -527,11 +540,11 @@ def load_model(path) -> ReducedModel:
     try:
         # the bases must have H rows before the mesh's H + 2 nodes are built:
         # a huge finite H then fails on the rows, not on allocating the nodes
-        h = read_field(data, "mesh.H", int)
+        h = read_field(data, "mesh.H", integer)
         psi = _matrix(data, "psi_matrix", h)
         xi = _matrix(data, "xi_matrix", h)
         mesh, config = read_grid(data)
-        nv_tilde = int(data["NV_tilde"])
+        nv_tilde = integer(data["NV_tilde"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelLoadError(f"model header is malformed: {err}") from err
     if not 1 <= nv_tilde <= psi.shape[1]:
@@ -549,8 +562,8 @@ def load_model(path) -> ReducedModel:
         diagnostics = GreedyDiagnostics(
             eps_u=eps_u,
             eps_lambda=eps_lambda,
-            selected_params_u=tuple(int(i) for i in selections.get("pod_train_indices", [])),
-            selected_pairs_lambda=tuple((int(a), int(b))
+            selected_params_u=tuple(map(integer, selections.get("pod_train_indices", []))),
+            selected_pairs_lambda=tuple((integer(a), integer(b))
                                         for a, b in selections.get("angle_pairs", [])),
             training_params=train,
         )
@@ -610,4 +623,4 @@ def write_greedy_csvs(diagnostics: GreedyDiagnostics, pod_path, angle_path) -> N
 
 def write_params_csv(params, path) -> None:
     textio.write_csv(path, ["K", "r", "q", "sigma"],
-                     ([p.K, p.r, p.q, p.sigma] for p in params))
+                     (p.as_array() for p in params))

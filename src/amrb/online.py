@@ -42,6 +42,7 @@ from .errors import AmrbError, AssemblyError, ModelCorruptionError
 from .fem import AffineOperatorSet, Mesh1D, ParameterVector, obstacle_data
 from .offline import ReducedModel
 from .truth import (
+    TRAJECTORY_HEADER,
     Trajectory,
     check_lcp_matrix,
     solve_lcp,
@@ -71,8 +72,6 @@ class OnlineData:
 
 def online_setup(model: ReducedModel, mu) -> OnlineData:
     """Assemble and factorize everything a reduced trajectory needs for mu."""
-    if mu.K <= 0 or mu.sigma <= 0:
-        raise ValueError(f"need K > 0 and sigma > 0, got K={mu.K}, sigma={mu.sigma}")
     cfg = model.config
     try:
         a_n = (mu.sigma ** 2) * model.a1_n + (mu.r - mu.q) * model.a2_n + mu.r * model.mass_n
@@ -150,30 +149,20 @@ def reduced_trajectory(model: ReducedModel, mu) -> ReducedTrajectory:
 
 def reduced_residuals(rt: ReducedTrajectory, data: OnlineData,
                       model: ReducedModel) -> dict:
-    """Worst-case reduced feasibility and complementarity over the steps."""
-    min_alpha = np.inf
-    min_gap = np.inf
-    max_comp = 0.0
-    for n in range(rt.cone_coeffs.shape[0]):
-        alpha = rt.cone_coeffs[n]
-        slack = model.b_n.T @ rt.states[n + 1] - data.g_n
-        if alpha.size:
-            min_alpha = min(min_alpha, float(alpha.min()))
-            min_gap = min(min_gap, float(slack.min()))
-            scale = 1.0 + float(np.abs(slack).max()) * float(np.abs(alpha).max())
-            max_comp = max(max_comp, abs(float(alpha @ slack)) / scale)
-    return {"min_cone_coeff": min_alpha, "min_cone_gap": min_gap,
-            "max_complementarity": max_comp}
+    """Worst-case reduced feasibility and complementarity over the steps
+    (an empty cone has no coefficient or gap: inf, inf and 0)."""
+    alpha = rt.cone_coeffs                       # (L, NW)
+    slack = rt.states[1:] @ model.b_n - data.g_n  # (L, NW)
+    scale = 1.0 + np.abs(slack).max(axis=1, initial=0.0) * np.abs(alpha).max(axis=1, initial=0.0)
+    comp = np.abs(np.einsum("ij,ij->i", alpha, slack)) / scale
+    return {"min_cone_coeff": float(alpha.min(initial=np.inf)),
+            "min_cone_gap": float(slack.min(initial=np.inf)),
+            "max_complementarity": float(comp.max())}
 
 
 def reconstruct_states(model: ReducedModel, rt: ReducedTrajectory) -> np.ndarray:
     """Nodal states of the reduced trajectory, shape (L+1, H)."""
     return rt.states @ model.psi_matrix.T
-
-
-def reconstruct_multipliers(model: ReducedModel, rt: ReducedTrajectory) -> np.ndarray:
-    """Nodal multiplier reconstruction xi @ alpha per step, shape (L, H)."""
-    return rt.cone_coeffs @ model.xi_matrix.T
 
 
 def reconstruct(model: ReducedModel, rt: ReducedTrajectory, K: float,
@@ -182,7 +171,7 @@ def reconstruct(model: ReducedModel, rt: ReducedTrajectory, K: float,
     states = reconstruct_states(model, rt)
     if states.shape[1] != mesh.H:
         raise ValueError(f"model has {states.shape[1]} nodes, mesh has {mesh.H}")
-    states += K * (1.0 - mesh.interior_nodes / mesh.s_f)
+    states += obstacle_data(mesh, K).p0
     return states
 
 
@@ -215,7 +204,7 @@ def err_linf(model: ReducedModel, truths) -> np.ndarray:
 
 def write_error_report_csv(params, errors: np.ndarray, path) -> None:
     """Columns K, r, q, sigma, err_N with a final ERR_LINF row."""
-    rows = [[mu.K, mu.r, mu.q, mu.sigma, err] for mu, err in zip(params, errors)]
+    rows = [[*mu.as_array(), err] for mu, err in zip(params, errors)]
     rows.append(["ERR_LINF", "", "", "", float(errors.max(initial=0.0))])
     textio.write_csv(path, ["K", "r", "q", "sigma", "err_N"], rows)
 
@@ -226,12 +215,13 @@ def write_online_csvs(out, model: ReducedModel, rt: ReducedTrajectory,
     and, given the truth at the model's time grid, both trajectories to
     ``out/comparison.csv`` for overlay plots.
 
-    The reduced lines are rendered once: they are the body of the first
-    file and the second half of the other.
+    The reduced lines, with the nodal multipliers xi @ alpha, are rendered
+    once: they are the body of the first file and the second half of the
+    other.
     """
-    header = ["step", "t", "s", "u", "lambda", "price", "source"]
+    header = [*TRAJECTORY_HEADER, "source"]
     mesh, delta_t = model.ops.mesh, model.config.delta_t
-    reduced = list(state_rows(reconstruct_states(model, rt), reconstruct_multipliers(model, rt),
+    reduced = list(state_rows(reconstruct_states(model, rt), rt.cone_coeffs @ model.xi_matrix.T,
                               mesh, rt.mu.K, delta_t, "reduced"))
     textio.write_csv(os.path.join(out, "reduced_trajectory.csv"), header, reduced)
     if truth is not None:

@@ -9,6 +9,10 @@ them).  ``amrb.truth.state_rows`` renders a trajectory one time step per
 adding the 0.0 to its arrays once and escaping ``%`` in the literal tail;
 ``write_csv`` writes such blocks as they come.  ``read_json_object`` is the
 one reader of the JSON input files, the run config and the model file.
+
+Every writer opens its file through ``_create``, which makes the file's
+directory first: a command's first artifact makes its output directory,
+so a command that fails before it writes anything leaves none.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence | str]) -> No
     A row is a sequence of cells, each rendered by ``fmt``, or a str of
     whole lines already rendered (by ``fmt_floats``), written as it is.
     """
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             if isinstance(row, str):
@@ -87,10 +90,13 @@ def json_text(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json_text(obj))
-        fh.write("\n")
+    write_lines(path, [json_text(obj)])
+
+
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write each line followed by a newline (gnuplot scripts, JSON)."""
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _emit(obj, parts: list[str]) -> None:
@@ -133,7 +139,9 @@ def _emit(obj, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _ensure_parent(path) -> None:
+def _create(path):
+    """``path`` opened for writing text, its directory made if missing."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")

@@ -74,7 +74,8 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgesv, dgtsv, dgttrf
 
 from .errors import AmrbError, AssemblyError, NumericalBreakdownError, SolverDivergenceError
-from .fem import AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal
+from .fem import (AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal,
+                  band_product, obstacle_data)
 from . import textio
 
 # ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero
@@ -82,6 +83,10 @@ TIE_TOL = 16.0 * np.finfo(float).eps
 
 # active-set updates after which ``solve_lcp`` gives up
 MAX_ITER = 100
+
+# the columns of a trajectory CSV, which ``state_rows`` renders; a
+# ``source`` column may follow
+TRAJECTORY_HEADER = ("step", "t", "s", "u", "lambda", "price")
 
 # floats per block of steps that ``trajectory_residuals`` checks at once
 RESIDUAL_FLOATS = 2 ** 14
@@ -331,18 +336,6 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
         solves += 1
 
 
-def _band_product(T: Tridiagonal, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """T @ x along the last axis of x (one vector, or the rows of a block)
-    into ``out``, each row summed lower, diagonal, upper as ``Tridiagonal @``
-    sums it; ``scratch`` is a buffer of out's shape."""
-    np.multiply(T.diag, x, out=out)
-    np.multiply(T.lower, x[..., :-1], out=scratch[..., 1:])
-    out[..., 1:] += scratch[..., 1:]
-    np.multiply(T.upper, x[..., 1:], out=scratch[..., :-1])
-    out[..., :-1] += scratch[..., :-1]
-    return out
-
-
 @dataclass(frozen=True)
 class StepOperators:
     """What every step of one trajectory shares: operators, load, obstacle,
@@ -379,7 +372,7 @@ class StepOperators:
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``: one band
         product plus the load, in the workspace."""
-        rhs = _band_product(self.explicit, u_prev, self.work[0], self.work[2])
+        rhs = band_product(self.explicit, u_prev, self.work[0], self.work[2])
         rhs += self.f_mu
         return rhs
 
@@ -542,15 +535,16 @@ def _residual_rows(S: Tridiagonal, explicit: Tridiagonal, f_mu, psi, states, lam
     with multipliers ``lam``, one entry per step: (min gap, min multiplier,
     complementarity, linear residual).
 
-    The band products run along the rows, as each step formed its
-    right-hand side; ``work`` is a (3, rows, H) block with a row per step,
-    and the complementarity is one dot product per step.
+    ``band_product`` runs along the first axis, so it takes the blocks
+    transposed: each row is summed as its step summed its right-hand side.
+    ``work`` is a (3, rows, H) block with a row per step, and the
+    complementarity is one dot product per step.
     """
     rhs, residual, gap = work[:, :lam.shape[0]]
     after = states[1:]
-    _band_product(explicit, states[:-1], rhs, gap)
+    band_product(explicit, states[:-1].T, rhs.T, gap.T)
     rhs += f_mu
-    _band_product(S, after, residual, gap)
+    band_product(S, after.T, residual.T, gap.T)
     residual -= lam
     residual -= rhs
     scale = np.maximum(np.abs(rhs, out=rhs).max(axis=1), 1.0)
@@ -591,10 +585,11 @@ def contract_breaches(residuals: dict) -> list[str]:
     return [name for name, (lo, hi) in CONTRACT.items() if not lo <= residuals[name] <= hi]
 
 
-def check_contract(traj: Trajectory, ops: AffineOperatorSet, obstacle: ObstacleData) -> dict:
-    """``trajectory_residuals`` of a trajectory that meets the truth contract;
-    a breach raises ``NumericalBreakdownError`` carrying the residuals."""
-    residuals = trajectory_residuals(traj, ops, obstacle)
+def check_contract(traj: Trajectory, ops: AffineOperatorSet) -> dict:
+    """``trajectory_residuals`` of a trajectory that meets the truth contract,
+    against the obstacle of its strike; a breach raises
+    ``NumericalBreakdownError`` carrying the residuals."""
+    residuals = trajectory_residuals(traj, ops, obstacle_data(ops.mesh, traj.mu.K))
     broken = contract_breaches(residuals)
     if broken:
         raise NumericalBreakdownError(
@@ -617,7 +612,7 @@ def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,
     as ``fmt`` renders it; nan and +-inf render as ``format`` renders them.
     """
     s = mesh.interior_nodes
-    prices = states + K * (1.0 - s / mesh.s_f) + 0.0
+    prices = states + obstacle_data(mesh, K).p0 + 0.0
     states = states + 0.0
     lam = np.full(states.shape, np.nan)
     if multipliers is not None:
@@ -634,11 +629,7 @@ def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,
         yield (head + line) * s.size % tuple(cells)
 
 
-def write_trajectory_csv(path, traj: Trajectory, mesh: Mesh1D,
-                         source: str | None = None) -> None:
+def write_trajectory_csv(path, traj: Trajectory, mesh: Mesh1D) -> None:
     """Trajectory export: one row per (step, node), header mandatory."""
-    header = ["step", "t", "s", "u", "lambda", "price"]
-    if source is not None:
-        header.append("source")
-    textio.write_csv(path, header, state_rows(
-        traj.states, traj.multipliers, mesh, traj.mu.K, traj.config.delta_t, source))
+    textio.write_csv(path, TRAJECTORY_HEADER, state_rows(
+        traj.states, traj.multipliers, mesh, traj.mu.K, traj.config.delta_t))

@@ -236,31 +236,40 @@ def test_criterion_09_dual_norm(default_ops):
 # criterion 10: online cost independent of the full dimension
 
 
-def _per_step_seconds(H, params, mu, scheme):
+def _online_data(H, params, mu, scheme):
     ops = assemble_operators(build_mesh(H, 300.0))
     store = generate_snapshots(params, ops, scheme)
     model, _ = build_reduced_model_from_store(store, 16, 16, ops)
     assert model.nv == 32
-    data = online_setup(model, mu)
+    return online_setup(model, mu)
+
+
+def _per_step_seconds(data, scheme):
+    """Seconds per reduced step over 400 steps, restarting every L steps."""
     y0 = data.u0
-    zero = np.zeros(model.nw)  # the cone's obstacle, made once as reduced_trajectory makes it
-    best = np.inf
-    for _ in range(5):
-        y = y0.copy()
-        start = time.perf_counter()
-        for k in range(400):
-            y = _cone_step(y, data, None, zero)[0]
-            if (k + 1) % scheme.L == 0:
-                y = y0.copy()
-        best = min(best, (time.perf_counter() - start) / 400)
-    return best
+    # the cone's obstacle, made once as reduced_trajectory makes it
+    zero = np.zeros(data.schur.shape[0])
+    y = y0.copy()
+    start = time.perf_counter()
+    for k in range(400):
+        y = _cone_step(y, data, None, zero)[0]
+        if (k + 1) % scheme.L == 0:
+            y = y0.copy()
+    return (time.perf_counter() - start) / 400
 
 
 @criterion(10, "per-step reduced-solve time varies < 2x between H=99 and H=999")
 def test_criterion_10_online_h_independence(default_scheme, default_box, mu0):
+    # both models are built first, then the two meshes are timed in
+    # alternating rounds, so that a change in the machine's speed between
+    # rounds reaches both; each keeps its best of 5
     params = sample_training_set(default_box, 16, train_stream(0))
-    t_small = _per_step_seconds(99, params, mu0, default_scheme)
-    t_large = _per_step_seconds(999, params, mu0, default_scheme)
+    data = [_online_data(H, params, mu0, default_scheme) for H in (99, 999)]
+    best = [np.inf, np.inf]
+    for _ in range(5):
+        for i, d in enumerate(data):
+            best[i] = min(best[i], _per_step_seconds(d, default_scheme))
+    t_small, t_large = best
     ratio = max(t_small, t_large) / min(t_small, t_large)
     assert ratio < 2.0, f"per-step times {t_small:.2e}s vs {t_large:.2e}s (ratio {ratio:.2f})"
 

@@ -193,16 +193,20 @@ def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, config
     ("sampling", "N_test"), ("rb", "NV_tilde"), ("rb", "NW"), ("study", "budgets")])
 def test_infinite_integer_config_exits_2(tmp_path, capsys, section, key):
     # json reads 1e400 as inf, and int(inf) raises OverflowError, which used
-    # to escape every command as exit 1
-    value = "[[1e400, 2]]" if key == "budgets" else "1e400"
-    path = tmp_path / "config.json"
-    path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
-    out = tmp_path / "o"
-    assert main(["truth", "--config", str(path), "--mu", "100,0.05,0.0015,0.5",
-                 "--out", str(out)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == "config"
-    assert not out.exists()
+    # to escape every command as exit 1; int also read true as 1 and
+    # truncated 20.5 to 20
+    for number in ("1e400", "true", "20.5"):
+        value = f"[[{number}, 2]]" if key == "budgets" else number
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+        out = tmp_path / "o"
+        assert main(["truth", "--config", str(path), "--mu", "100,0.05,0.0015,0.5",
+                     "--out", str(out)]) == 2, number
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "config"
+        assert f"{section}.{key}: " in error["message"], number
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -253,12 +257,14 @@ def test_blown_up_truth_exits_4(tmp_path, monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(truth_mod.StepOperators, "rhs", blown_up)
-    code = main(["truth", "--mu", "100,0.05,0.0015,0.5", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["truth", "--mu", "100,0.05,0.0015,0.5", "--out", str(out)])
     assert code == 4
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "NumericalBreakdownError"
     assert "time step 3 failed" in error["message"]
     assert "must be finite" in error["message"]
+    assert not out.exists()
 
 
 def test_truth_mu_fuzz(tmp_path, capsys):
@@ -351,7 +357,7 @@ def test_truth_contract_breach_exits_4(tmp_path, capsys):
     assert error["error"] == "NumericalBreakdownError"
     assert "min_state_gap" in error["message"]
     assert error["feasibility_residuals"]["min_state_gap"] < -1.0
-    assert not os.listdir(out)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +507,20 @@ def test_config_error_makes_no_output_directory(tmp_path, monkeypatch, capsys, a
     assert not out.exists()
 
 
+def test_io_paths_must_be_strings(tmp_path, monkeypatch, capsys):
+    # str() made {"output_dir": null} the directory ./None, and the command
+    # exited 0; a model path may be null (the output directory's model.json)
+    monkeypatch.chdir(tmp_path)
+    for io, key in (({"output_dir": None}, "io.output_dir"), ({"output_dir": 7}, "io.output_dir"),
+                    ({"model_path": 3.5}, "io.model_path"), ({"model_path": []}, "io.model_path")):
+        cfg = write_config(tmp_path, {"io": io})
+        assert main(["truth", "--config", cfg, "--mu", "100,0.05,0.0015,0.5"]) == 2, io
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        assert f"{key}: expected a path string" in error["message"], io
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 # ---------------------------------------------------------------------------
 # online
 
@@ -548,14 +568,14 @@ def test_nan_horizon_model_exits_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "model-load"
 
 
-INFINITE_MODEL_FIELDS = {
-    "H": lambda doc: doc["mesh"].update(H=math.inf),
-    "L": lambda doc: doc["time"].update(L=math.inf),
-    "NV_tilde": lambda doc: doc.update(NV_tilde=math.inf),
+INTEGER_MODEL_FIELDS = {
+    "H": lambda doc, value: doc["mesh"].update(H=value),
+    "L": lambda doc, value: doc["time"].update(L=value),
+    "NV_tilde": lambda doc, value: doc.update(NV_tilde=value),
     "pod_train_indices":
-        lambda doc: doc["diagnostics"]["selections"]["pod_train_indices"].append(math.inf),
+        lambda doc, value: doc["diagnostics"]["selections"]["pod_train_indices"].append(value),
     "angle_pairs":
-        lambda doc: doc["diagnostics"]["selections"]["angle_pairs"].append([math.inf, 0]),
+        lambda doc, value: doc["diagnostics"]["selections"]["angle_pairs"].append([value, 0]),
 }
 
 
@@ -575,11 +595,14 @@ def assert_edited_model_exits_3(tmp_path, capsys, small_model, edit):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", INFINITE_MODEL_FIELDS)
+@pytest.mark.parametrize("field", INTEGER_MODEL_FIELDS)
 def test_infinite_integer_model_field_exits_3(tmp_path, capsys, small_model, field):
     # an integer field written as Infinity (or 1e400) used to raise
-    # OverflowError out of load_model, and validate exited 1
-    assert_edited_model_exits_3(tmp_path, capsys, small_model, INFINITE_MODEL_FIELDS[field])
+    # OverflowError out of load_model, and validate exited 1; int also read
+    # true as 1 (a model with "L": true loaded with L = 1) and truncated 20.5
+    for value in (math.inf, True, 20.5):
+        assert_edited_model_exits_3(tmp_path, capsys, small_model,
+                                    lambda doc: INTEGER_MODEL_FIELDS[field](doc, value))
 
 
 def test_huge_model_mesh_exits_3_before_building_it(tmp_path, capsys, small_model):
@@ -662,10 +685,16 @@ def test_online_out_of_box_warns(tmp_path, capsys):
                                 "100,0.05,-1e14,0.5"])
 def test_online_compare_refuses_contract_breach(tmp_path, capsys, mu):
     # the truth behind err_N must meet the contract the truth command
-    # enforces; the command fails before it writes anything
+    # enforces; the command fails before it writes anything, into a new
+    # output directory or one that holds files
     out = tmp_path / "run"
     assert main(["offline", "--out", str(out)]) == 0
     written = sorted(os.listdir(out))
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    assert main(["online", "--model", str(out / "model.json"), "--mu", mu, "--compare",
+                 "--out", str(fresh)]) == 4
+    assert not fresh.exists()
     capsys.readouterr()
     assert main(["online", "--model", str(out / "model.json"), "--mu", mu, "--compare",
                  "--out", str(out)]) == 4
@@ -746,6 +775,24 @@ def test_study_refuses_contract_breach(tmp_path, monkeypatch, capsys):
     assert error["error"] == "NumericalBreakdownError"
     assert error["feasibility_residuals"]["min_state_gap"] == -1.0
     assert not (out / "study.csv").exists()
+
+
+def test_study_of_failed_budgets_writes_its_table_and_exits_4(tmp_path, monkeypatch, capsys):
+    # every budget failing is a solver failure, reported after study.csv
+    # records each budget's error
+    def fail(*args):
+        raise InfSupFailureError("forced")
+
+    monkeypatch.setattr(cli_mod, "truncated_model", fail)
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["study", "--config", cfg, "--out", str(out), "--budgets", "2x2,3x3"]) == 4
+    _, rows = read_csv(out / "study.csv")
+    assert [r[4] for r in rows] == ["error:InfSupFailureError"] * 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [f"warning: budget ({b},{b}) failed: forced" for b in (2, 3)]
+    assert json.loads(err[2])["error"] == "study-failed"
+    assert not list(out.glob("errors_*.csv"))
 
 
 def test_study_budget_failure_is_a_row(tmp_path, monkeypatch, capsys):

@@ -15,8 +15,8 @@ from amrb import (
     reconstruct_states,
     reduced_trajectory,
     solve_trajectory,
-    write_trajectory_csv,
 )
+from amrb.truth import state_rows
 from amrb.online import (
     _cone_step,
     reduced_residuals,
@@ -251,6 +251,40 @@ def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10)
             assert res["max_complementarity"] <= 1e-9
 
 
+def test_reduced_residuals_match_per_step_loop(model_8_8, model_16_16, test_params10):
+    # reduced_residuals is array expressions over the steps; the per-step
+    # loop it replaced is the reference, up to the rounding of b_n' u, whose
+    # error is at most NV machine epsilons of |b_n|' |u| per entry
+    eps = np.finfo(float).eps
+    for model in (model_8_8, model_16_16):
+        for mu in test_params10[:3]:
+            rt = reduced_trajectory(model, mu)
+            data = online_setup(model, mu)
+            min_alpha = min_gap = np.inf
+            max_comp = 0.0
+            for alpha, u in zip(rt.cone_coeffs, rt.states[1:]):
+                slack = model.b_n.T @ u - data.g_n
+                min_alpha = min(min_alpha, float(alpha.min()))
+                min_gap = min(min_gap, float(slack.min()))
+                scale = 1.0 + float(np.abs(slack).max()) * float(np.abs(alpha).max())
+                max_comp = max(max_comp, abs(float(alpha @ slack)) / scale)
+            gap_tol = 4 * model.nv * eps * float(
+                (np.abs(rt.states[1:]) @ np.abs(model.b_n) + np.abs(data.g_n)).max())
+            comp_tol = 4 * model.nw * float(np.abs(rt.cone_coeffs).max()) * gap_tol
+            res = reduced_residuals(rt, data, model)
+            assert res["min_cone_coeff"] == min_alpha
+            assert abs(res["min_cone_gap"] - min_gap) <= gap_tol
+            assert abs(res["max_complementarity"] - max_comp) <= comp_tol + 4 * eps * max_comp
+    # an empty cone has no coefficient and no gap, as the loop left them
+    import amrb.offline as off
+    model = off.assemble_reduced(model_8_8.psi_matrix, np.zeros((model_8_8.ops.dim, 0)),
+                                 model_8_8.ops, model_8_8.config, nv_tilde=model_8_8.nv_tilde,
+                                 diagnostics=empty_diagnostics())
+    mu = test_params10[0]
+    res = reduced_residuals(reduced_trajectory(model, mu), online_setup(model, mu), model)
+    assert res == {"min_cone_coeff": np.inf, "min_cone_gap": np.inf, "max_complementarity": 0.0}
+
+
 def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
     # each step of reduced_trajectory starts from the previous cone active
     # set; a march that starts every step from the empty set must agree
@@ -411,8 +445,8 @@ def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
     truth = small_store.trajectories[0]
     write_online_csvs(tmp_path, small_model, rt, truth)
     assert (tmp_path / "reduced_trajectory.csv").read_text() == reduced
-    write_trajectory_csv(tmp_path / "truth.csv", truth, mesh, source="truth")
-    truth_text = (tmp_path / "truth.csv").read_text()
+    truth_text = "step,t,s,u,lambda,price,source\n" + "".join(state_rows(
+        truth.states, truth.multipliers, mesh, truth.mu.K, scheme.delta_t, "truth"))
     body = reduced.split("\n", 1)[1]
     assert (tmp_path / "comparison.csv").read_text() == truth_text + body
     comparison = (tmp_path / "comparison.csv").read_text().splitlines()

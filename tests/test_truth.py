@@ -22,9 +22,9 @@ from amrb import (
     trajectory_residuals,
     write_trajectory_csv,
 )
-from amrb.truth import check_lcp_matrix, state_rows
+from amrb.truth import TRAJECTORY_HEADER, check_lcp_matrix, state_rows
 from amrb.cli import train_stream
-from amrb.textio import fmt
+from amrb.textio import fmt, write_csv
 import amrb.truth as truth_mod
 
 from conftest import dense
@@ -904,7 +904,8 @@ def test_trajectory_csv_source_column(tmp_path, default_ops, default_scheme, mu0
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj, default_ops.mesh, source="truth")
+    write_csv(path, [*TRAJECTORY_HEADER, "source"], state_rows(
+        traj.states, traj.multipliers, default_ops.mesh, mu0.K, default_scheme.delta_t, "truth"))
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",source")
     assert lines[1].endswith(",truth")
@@ -937,6 +938,6 @@ def test_trajectory_csv_matches_cellwise_rendering(tmp_path, mu0):
     traj = Trajectory(mu=mu0, states=states, multipliers=multipliers, config=config,
                       pdas_iterations=np.ones(2, dtype=int))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj, mesh, source="truth")
-    assert path.read_text() == "step,t,s,u,lambda,price,source\n" + "".join(
-        state_rows(states, multipliers, mesh, mu0.K, config.delta_t, "truth"))
+    write_trajectory_csv(path, traj, mesh)
+    assert path.read_text() == "step,t,s,u,lambda,price\n" + "".join(
+        state_rows(states, multipliers, mesh, mu0.K, config.delta_t))
