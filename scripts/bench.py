@@ -1,0 +1,112 @@
+"""Timings of the truth march per mesh size, written as one JSON file.
+
+Rows, at each mesh size H of ``--H`` (stock time grid and box):
+
+  truth             one ``solve_trajectory`` at the first stock training draw
+  snapshots         ``offline.generate_snapshots`` of the 16 stock training
+                    draws (seed 0), as ``amrb offline`` calls it
+  snapshots_single  the same 16 trajectories, one ``solve_trajectory`` each
+  snapshots_group   the same 16 through ``truth.march_group`` at every H,
+                    where the checkout has it
+
+Repeats interleave the rows, after one untimed call of each.  Beside each
+timed call runs the reference kernel of ``perfbench/reference.py``, and a
+row reports the median and quartiles over the repeats of the call's time
+divided by the kernel's (``rel``), which stays steady while the host's
+speed drifts, and the median seconds.  The record names the machine, the
+BLAS threads, the numpy and scipy versions and the git commit.
+
+    python scripts/bench.py --out BENCH.json
+    python scripts/bench.py --H 99,999,1999,3999 --repeats 9 --out BENCH.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import bench_env  # noqa: E402  pins BLAS to one thread before numpy loads
+
+bench_env.prepare()
+
+import numpy as np  # noqa: E402
+import reference  # noqa: E402
+
+from amrb import offline, truth  # noqa: E402
+from amrb.cli import load_config, training_set  # noqa: E402
+from amrb.fem import assemble_operators, build_mesh, obstacle_data  # noqa: E402
+
+
+def rows_at(H: int) -> dict:
+    """The calls timed at mesh size H, by row name."""
+    cfg = load_config(None)
+    ops = assemble_operators(build_mesh(H, cfg.mesh.s_f))
+    scheme = cfg.scheme
+    params = training_set(cfg)
+
+    def single(mu):
+        return truth.solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+
+    rows = {
+        "truth": lambda: single(params[0]),
+        "snapshots": lambda: offline.generate_snapshots(params, ops, scheme),
+        "snapshots_single": lambda: [single(mu) for mu in params],
+    }
+    if hasattr(truth, "march_group"):
+        rows["snapshots_group"] = lambda: truth.march_group(params, ops, scheme)
+    return rows
+
+
+def quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--H", default="99,999,3999", help="interior node counts")
+    parser.add_argument("--repeats", type=int, default=7, help="timed calls per row")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
+    bench_env.check_sources(truth)
+
+    results = []
+    for H in (int(h) for h in args.H.split(",")):
+        rows = rows_at(H)
+        for call in rows.values():
+            call()
+        rel = {name: [] for name in rows}
+        seconds = {name: [] for name in rows}
+        for _ in range(args.repeats):
+            for name, call in rows.items():
+                start = time.perf_counter()
+                call()
+                elapsed = time.perf_counter() - start
+                kernel = float(np.median(reference.measure()))
+                seconds[name].append(elapsed)
+                rel[name].append(elapsed / kernel)
+        for name in rows:
+            row = {"row": name, "H": H, "repeats": args.repeats, "rel": quartiles(rel[name]),
+                   "seconds_median": float(np.median(seconds[name]))}
+            results.append(row)
+            print(f"H={H:<5d} {name:<17s} rel median {row['rel']['median']:9.2f} "
+                  f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
+                  f"{1e3 * row['seconds_median']:8.2f} ms")
+    record = {"machine": bench_env.machine(), "kernel": "perfbench/reference.py",
+              "rows": results}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,7 @@ from .truth import (
     SchemeConfig,
     Trajectory,
     solve_lcp,
+    solve_trajectories,
     solve_trajectory,
     theta_step,
     trajectory_residuals,

@@ -14,7 +14,8 @@ Subcommands:
 
 All commands are deterministic given (config, seed): reruns produce
 byte-identical numeric artifacts.  Exit codes: 0 ok, 2 config error,
-3 missing or unusable artifact, 4 solver or assembly failure.
+3 missing or unusable artifact (a model file, or an output path that
+cannot be written), 4 solver or assembly failure.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .online import (
 from .truth import (
     SchemeConfig,
     check_contract,
+    solve_trajectories,
     solve_trajectory,
     write_trajectory_csv,
 )
@@ -251,8 +253,7 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
         "schema_version": 1,
         "mu": dataclasses.asdict(mu),
         **grid_document(mesh, scheme),
-        "final_price_curve": [[float(s), float(p)]
-                              for s, p in zip(mesh.interior_nodes, final_price)],
+        "final_price_curve": np.column_stack([mesh.interior_nodes, final_price]),
         "pdas_iteration_stats": _iteration_stats(traj.pdas_iterations),
         "feasibility_residuals": residuals,
     }
@@ -337,14 +338,13 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
 
 
 def cmd_study(cfg: RunConfig, params: list[ParameterVector], budgets, gnuplot: bool) -> int:
-    mesh = cfg.mesh
-    ops = assemble_operators(mesh)
+    ops = assemble_operators(cfg.mesh)
     scheme = cfg.scheme
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
     store = generate_snapshots(params, ops, scheme)
     pod = pod_greedy(store, max(a for a, _ in budgets), ops)
     cone = angle_greedy(store, max(b for _, b in budgets), ops)
-    truths = [solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme) for mu in test_params]
+    truths = solve_trajectories(test_params, ops, scheme)
     for truth in truths:
         check_contract(truth, ops)
 
@@ -471,6 +471,9 @@ def main(argv=None) -> int:
         except AmrbError as err:
             _error_json(type(err).__name__, str(err), **err.info)
             return EXIT_SOLVER
+        except OSError as err:  # the inputs' read errors are raised as the two above
+            _error_json("output", f"cannot write output: {err}")
+            return EXIT_MISSING
 
 
 if __name__ == "__main__":

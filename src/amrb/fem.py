@@ -143,10 +143,11 @@ class Tridiagonal(NamedTuple):
 def band_product(T: Tridiagonal, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """T @ x along the first axis of x (one vector, or the columns of a block)
     into ``out``, each row summed lower, diagonal, upper as a CSR product
-    sums it; ``scratch`` is a buffer of out's shape.  The one tridiagonal
-    product: ``Tridiagonal @``, a truth step's right-hand side and the
-    residual check all come here."""
-    lower, diag, upper = T if x.ndim == 1 else (band[:, None] for band in T)
+    sums it; ``scratch`` is a buffer of out's shape.  Bands of x's dimension
+    give each column a matrix of its own.  The one tridiagonal product:
+    ``Tridiagonal @``, the truth steps' right-hand sides and the residual
+    check all come here."""
+    lower, diag, upper = T if T.diag.ndim == x.ndim else (band[:, None] for band in T)
     np.multiply(diag, x, out=out)
     np.multiply(lower, x[:-1], out=scratch[1:])
     out[1:] += scratch[1:]

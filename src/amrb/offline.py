@@ -55,9 +55,13 @@ from .fem import (
     ParameterVector,
     assemble_operators,
     build_mesh,
-    obstacle_data,
 )
-from .truth import SchemeConfig, Trajectory, solve_trajectory
+from .truth import (
+    SchemeConfig,
+    Trajectory,
+    solve_trajectories,
+    solve_trajectory,  # noqa: F401  unused here; perfbench's tracer patches this binding
+)
 
 SCHEMA_VERSION = 3
 
@@ -122,14 +126,9 @@ class SnapshotStore:
 
 def generate_snapshots(params, ops: AffineOperatorSet,
                        config: SchemeConfig) -> SnapshotStore:
-    """Solve one truth trajectory per parameter (obstacle derived per strike)."""
-    trajectories = []
-    for mu in params:
-        try:
-            trajectories.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), config))
-        except AmrbError as err:
-            raise type(err)(f"snapshot run failed at mu={mu}: {err}", **err.info) from err
-    return SnapshotStore(tuple(trajectories))
+    """Solve one truth trajectory per parameter (obstacle derived per strike),
+    by ``solve_trajectories``; a failure names the parameter that failed."""
+    return SnapshotStore(tuple(solve_trajectories(params, ops, config, label="snapshot run")))
 
 
 def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None:

@@ -4,15 +4,19 @@ Every CSV and JSON file the pipeline writes goes through these helpers so
 that reruns with identical inputs produce byte-identical output.  Floats
 are written with ``%.17g``, which round-trips IEEE doubles exactly, after
 adding 0.0 so that -0.0 is written as 0 (nan and +-inf as ``format`` spells
-them).  ``amrb.truth.state_rows`` renders a trajectory one time step per
-``%`` call on the block template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``,
+them).  JSON renders a 1-D or 2-D float array in one ``%`` call on the
+template ``"[%.17g,...]"``, after adding the 0.0 to the whole array.
+``amrb.truth.state_rows`` renders a trajectory one time step per ``%``
+call on the block template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``,
 adding the 0.0 to its arrays once and escaping ``%`` in the literal tail;
 ``write_csv`` writes such blocks as they come.  ``read_json_object`` is the
 one reader of the JSON input files, the run config and the model file.
 
 Every writer opens its file through ``_create``, which makes the file's
 directory first: a command's first artifact makes its output directory,
-so a command that fails before it writes anything leaves none.
+so a command that fails before it writes anything leaves none.  A write
+that fails, as under a directory path that names a file, raises
+``OSError``.
 """
 
 from __future__ import annotations
@@ -109,10 +113,10 @@ def _emit(obj, parts: list[str]) -> None:
             parts.append(":")
             _emit(val, parts)
         parts.append("}")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        if not np.isfinite(obj).all():  # a float row is checked and rendered whole
+    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind == "f":
+        if not np.isfinite(obj).all():  # a float array is checked and rendered whole
             raise ValueError("non-finite value cannot be written to JSON")
-        parts.append("[" + ",".join(fmt_floats(obj)) + "]")
+        parts.append(_float_array_text(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         # arrays of more dimensions go row by row, into the branch above
         seq = obj.tolist() if isinstance(obj, np.ndarray) and obj.ndim == 1 else obj
@@ -137,6 +141,15 @@ def _emit(obj, parts: list[str]) -> None:
         parts.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _float_array_text(arr: np.ndarray) -> str:
+    """A 1-D or 2-D float array as JSON, in one ``%`` call on the template
+    ``"[%.17g,...]"`` (of rows of it in 2-D), after adding 0.0 once: the
+    bytes ``_float_text`` gives element by element."""
+    row = "[" + ",".join(["%.17g"] * arr.shape[-1]) + "]"
+    template = row if arr.ndim == 1 else "[" + ",".join([row] * arr.shape[0]) + "]"
+    return template % tuple((arr + 0.0).ravel().tolist())
 
 
 def _create(path):

@@ -750,12 +750,28 @@ def test_study_deterministic(tmp_path):
     assert (a / "study.csv").read_bytes() == (b / "study.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", [["truth", "--mu", "100,0.05,0.0015,0.5"], ["offline"]])
+@pytest.mark.parametrize("below", [False, True])
+def test_output_path_through_a_file_exits_3(tmp_path, capsys, command, below):
+    # an --out that names a plain file, or lies under one, cannot be written
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "output" and str(out) in error["message"]
+    assert afile.read_text() == "kept\n"
+
+
 def test_study_shared_failure_exits_4(tmp_path, monkeypatch, capsys):
     # the test truths serve every budget, so their failure ends the study
     def boom(*args, **kwargs):
         raise SolverDivergenceError("forced")
 
-    monkeypatch.setattr(cli_mod, "solve_trajectory", boom)
+    monkeypatch.setattr(cli_mod, "solve_trajectories", boom)
     cfg = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "run"
     assert main(["study", "--config", cfg, "--out", str(out)]) == 4

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from amrb import (
+    AmrbError,
     NumericalBreakdownError,
+    ParameterBox,
     ParameterVector,
     SchemeConfig,
     SolverDivergenceError,
@@ -14,6 +16,7 @@ from amrb import (
     Tridiagonal,
     assemble_operators,
     build_mesh,
+    generate_snapshots,
     obstacle_data,
     sample_training_set,
     solve_lcp,
@@ -819,6 +822,131 @@ def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
     assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
         ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
     assert np.isnan(rows[0]).all()
+
+
+# ---------------------------------------------------------------------------
+# the group march
+
+
+def single_marches(params, ops, scheme):
+    return [solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme) for mu in params]
+
+
+def assert_same_bits(group, single):
+    assert len(group) == len(single)
+    for g, s in zip(group, single):
+        assert g.mu == s.mu and g.config == s.config
+        for name in ("states", "multipliers", "pdas_iterations"):
+            a, b = getattr(g, name), getattr(s, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("H", [99, 999])
+def test_stock_training_sets_march_to_the_single_bits(default_box, default_scheme, H):
+    ops = assemble_operators(build_mesh(H, 300.0))
+    for seed in (0, 1):
+        params = sample_training_set(default_box, 16, train_stream(seed))
+        group = truth_mod.march_group(params, ops, default_scheme)
+        assert_same_bits(group, single_marches(params, ops, default_scheme))
+        assert_same_bits(generate_snapshots(params, ops, default_scheme).trajectories, group)
+        for traj in group:  # views of the group's one block
+            assert traj.states.flags.c_contiguous and traj.multipliers.flags.c_contiguous
+            assert traj.states.base is traj.multipliers.base is group[0].states.base
+
+
+@pytest.mark.parametrize("H, L", [(3, 20), (999, 100)])
+def test_group_member_off_its_prediction_is_solved_again(default_box, H, L):
+    # on these grids the predicted prefix of some draws fails the first
+    # update at some steps, and ``solve_lcp`` iterates from it
+    ops = assemble_operators(build_mesh(H, 300.0))
+    scheme = SchemeConfig(T=1.0, L=L, theta=0.5)
+    params = sample_training_set(default_box, 4, train_stream(2))
+    single = single_marches(params, ops, scheme)
+    assert max(traj.pdas_iterations.max() for traj in single) > 1
+    assert_same_bits(truth_mod.march_group(params, ops, scheme), single)
+
+
+def test_group_of_one(default_ops, default_scheme, mu0):
+    single = single_marches([mu0], default_ops, default_scheme)
+    assert_same_bits(truth_mod.march_group([mu0], default_ops, default_scheme), single)
+    assert_same_bits(truth_mod.solve_trajectories([mu0], default_ops, default_scheme), single)
+    assert truth_mod.solve_trajectories([], default_ops, default_scheme) == []
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_group_across_a_wide_box(default_ops, theta):
+    # strikes from 25 to 175: the members' obstacles, predicted prefixes
+    # and contact nodes differ widely
+    box = ParameterBox(K0=100.0, r0=0.05, q0=0.0015, sigma0=0.5, eps=1.5)
+    params = sample_training_set(box, 12, train_stream(5))
+    strikes = [mu.K for mu in params]
+    assert max(strikes) - min(strikes) > 100.0
+    scheme = SchemeConfig(T=1.0, L=20, theta=theta)
+    assert_same_bits(truth_mod.march_group(params, default_ops, scheme),
+                     single_marches(params, default_ops, scheme))
+
+
+def snapshot_error_one_at_a_time(params, ops, scheme):
+    """The error of the first failing member, as a member-by-member
+    snapshot loop raises it."""
+    for mu in params:
+        try:
+            solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+        except AmrbError as err:
+            return type(err)(f"snapshot run failed at mu={mu}: {err}", **err.info)
+    raise AssertionError("no member failed")
+
+
+def assert_fails_as_one_at_a_time(params, ops, scheme):
+    expected = snapshot_error_one_at_a_time(params, ops, scheme)
+    assert truth_mod.march_group(params, ops, scheme) is None
+    with pytest.raises(type(expected)) as caught:
+        generate_snapshots(params, ops, scheme)
+    assert str(caught.value) == str(expected)
+    assert caught.value.info == expected.info
+    return caught.value
+
+
+def test_group_member_that_raises_at_set_up(default_ops, default_scheme, default_box):
+    params = sample_training_set(default_box, 4, train_stream(0))
+    params.insert(2, ParameterVector(K=100.0, r=1e308, q=0.0015, sigma=0.5))  # overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = assert_fails_as_one_at_a_time(params, default_ops, default_scheme)
+    assert type(err).__name__ == "AssemblyError"
+
+
+def test_group_member_that_raises_mid_march(default_box, monkeypatch):
+    # the draw that needs 7 solves at a step fails under a budget of 2,
+    # after the members before it have marched
+    ops = assemble_operators(build_mesh(999, 300.0))
+    scheme = SchemeConfig(T=1.0, L=100, theta=0.5)
+    first, second, *rest = sample_training_set(default_box, 4, train_stream(2))
+    monkeypatch.setattr(truth_mod, "MAX_ITER", 2)
+    err = assert_fails_as_one_at_a_time([second, *rest, first], ops, scheme)
+    assert isinstance(err, SolverDivergenceError) and err.info["step"] > 1
+
+
+def test_group_member_without_ul_pivots_marches_alone(default_ops, default_scheme, mu0):
+    convective = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)  # no UL pivots
+    params = [mu0, convective]
+    assert truth_mod.march_group(params, default_ops, default_scheme) is None
+    assert_same_bits(truth_mod.solve_trajectories(params, default_ops, default_scheme),
+                     single_marches(params, default_ops, default_scheme))
+
+
+def test_group_runs_up_to_its_mesh_size(default_box, default_scheme, monkeypatch):
+    sizes = []
+    march = truth_mod.march_group
+    monkeypatch.setattr(truth_mod, "march_group",
+                        lambda params, ops, config: sizes.append(ops.dim) or
+                        march(params, ops, config))
+    params = sample_training_set(default_box, 3, train_stream(0))
+    for H in (truth_mod.GROUP_MAX_NODES, truth_mod.GROUP_MAX_NODES + 1):
+        ops = assemble_operators(build_mesh(H, 300.0))
+        assert_same_bits(truth_mod.solve_trajectories(params, ops, default_scheme),
+                         single_marches(params, ops, default_scheme))
+    assert sizes == [truth_mod.GROUP_MAX_NODES]
 
 
 def test_tracer_bindings_fire_once_per_step(default_ops, default_scheme, mu0, monkeypatch):
