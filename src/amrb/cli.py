@@ -13,9 +13,12 @@ Subcommands:
   validate  re-run all invariant checks on a saved model file
 
 All commands are deterministic given (config, seed): reruns produce
-byte-identical numeric artifacts.  Exit codes: 0 ok, 2 config error,
-3 missing or unusable artifact (a model file, or an output path that
-cannot be written), 4 solver or assembly failure.
+byte-identical numeric artifacts.  The flags --seed, --out, --model
+(online) and --budgets override the config keys sampling.seed,
+io.output_dir, io.model_path and study.budgets.  Exit codes: 0 ok, 2
+config error, 3 missing or unusable artifact (a model file, or an output
+path that cannot be written), 4 solver or assembly failure, or a problem
+too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -120,38 +123,36 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return merged
 
 
-def load_config(path: str | None, seed_override: int | None = None,
-                out_override: str | None = None) -> RunConfig:
-    """Parse the JSON run configuration, merged over the built-in defaults.
+def load_config(path: str | None, flags: dict | None = None) -> RunConfig:
+    """Parse the JSON run configuration, merged over the built-in defaults,
+    with the command line's ``flags`` fragment merged over both.
 
     Each section is checked by the type it becomes (``Mesh1D``,
-    ``SchemeConfig``, ``ParameterBox``); any failure is a ConfigError.
+    ``SchemeConfig``, ``ParameterBox``); any failure is a ConfigError, and
+    a bad value's message names its dotted key, whether the file or a flag
+    set it.
     """
     raw = {} if path is None else textio.read_json_object(path, ConfigError, "config")
-    data = _merge(DEFAULT_CONFIG, raw)
+    data = _merge(_merge(DEFAULT_CONFIG, raw), flags or {})
     try:
         mesh, scheme = read_grid(data)
         box = ParameterBox(**{key: read_field(data, f"box.{key}")
                               for key in ("K0", "r0", "q0", "sigma0", "eps")})
-        seed = (read_field(data, "sampling.seed", integer) if seed_override is None
-                else seed_override)
+        seed = read_field(data, "sampling.seed", integer)
         n_train = read_field(data, "sampling.N_train", integer)
         n_test = read_field(data, "sampling.N_test", integer)
         nv_tilde = read_field(data, "rb.NV_tilde", integer)
         nw = read_field(data, "rb.NW", integer)
-        budgets = read_field(data, "study.budgets",
-                             lambda pairs: tuple((integer(a), integer(b)) for a, b in pairs))
-        output_dir = (read_field(data, "io.output_dir", _path) if out_override is None
-                      else out_override)
+        budgets = read_field(data, "study.budgets", _budgets)
+        output_dir = read_field(data, "io.output_dir", _path)
         model_path = (os.path.join(output_dir, "model.json") if data["io"]["model_path"] is None
                       else read_field(data, "io.model_path", _path))
     except ValueError as err:
         raise ConfigError(f"malformed or out-of-range config value: {err}") from err
     if seed < 0:
-        raise ConfigError(f"the sampling seed must be non-negative, got {seed}")
+        raise ConfigError(f"sampling.seed must be non-negative, got {seed}")
     if n_train < 1 or n_test < 1 or nv_tilde < 1 or nw < 1:
         raise ConfigError("sampling and basis budgets must be positive")
-    _check_budgets(budgets)
     return RunConfig(mesh=mesh, scheme=scheme, box=box, seed=seed,
                      n_train=n_train, n_test=n_test, nv_tilde=nv_tilde, nw=nw,
                      output_dir=output_dir, model_path=model_path, budgets=budgets)
@@ -164,9 +165,12 @@ def _path(value) -> str:
     return value
 
 
-def _check_budgets(budgets) -> None:
-    if not budgets or any(a < 1 or b < 1 for a, b in budgets):
-        raise ConfigError("study budgets must be pairs of positive integers")
+def _budgets(pairs) -> tuple[tuple[int, int], ...]:
+    """The study's basis budgets (NV_tilde, NW), at least one pair."""
+    budgets = tuple(tuple(map(integer, pair)) for pair in pairs)
+    if not budgets or any(len(pair) != 2 or min(pair) < 1 for pair in budgets):
+        raise ValueError("study budgets must be pairs of positive integers")
+    return budgets
 
 
 def train_stream(seed: int) -> np.random.SeedSequence:
@@ -337,14 +341,14 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
     return EXIT_OK
 
 
-def cmd_study(cfg: RunConfig, params: list[ParameterVector], budgets, gnuplot: bool) -> int:
+def cmd_study(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) -> int:
     ops = assemble_operators(cfg.mesh)
-    scheme = cfg.scheme
+    scheme, budgets = cfg.scheme, cfg.budgets
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
     store = generate_snapshots(params, ops, scheme)
     pod = pod_greedy(store, max(a for a, _ in budgets), ops)
     cone = angle_greedy(store, max(b for _, b in budgets), ops)
-    truths = solve_trajectories(test_params, ops, scheme)
+    truths = solve_trajectories(test_params, ops, scheme, label="test truth")
     for truth in truths:
         check_contract(truth, ops)
 
@@ -401,17 +405,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "obstacle problem.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag whose dest is a dotted config key overrides that key (``main``)
     def common(p, mu=False, model=False):
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--seed", type=int, help="override the sampling seed")
-        p.add_argument("--out", metavar="DIR", help="override the output directory")
+        p.add_argument("--seed", dest="sampling.seed", metavar="N",
+                       help="override sampling.seed")
+        p.add_argument("--out", dest="io.output_dir", metavar="DIR",
+                       help="override io.output_dir")
         p.add_argument("--gnuplot", action="store_true",
                        help="also emit gnuplot scripts next to the CSV artifacts")
         if mu:
             p.add_argument("--mu", metavar="K,R,Q,SIGMA", required=True,
                            help="market parameters")
         if model:
-            p.add_argument("--model", metavar="PATH", help="model file path")
+            p.add_argument("--model", dest="io.model_path", metavar="PATH",
+                           help="override io.model_path")
 
     common(sub.add_parser("truth", help="solve one full-order trajectory"), mu=True)
     common(sub.add_parser("offline", help="build and save a reduced model"))
@@ -421,25 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also solve the truth problem and emit the overlay CSV")
     study = sub.add_parser("study", help="error study over basis-size budgets")
     common(study)
-    study.add_argument("--budgets", metavar="A1xB1,A2xB2,...",
-                       help="basis budgets, e.g. 4x4,8x8,16x16 (default from config)")
+    study.add_argument("--budgets", dest="study.budgets", metavar="A1xB1,A2xB2,...",
+                       type=lambda text: [chunk.lower().split("x") for chunk in text.split(",")],
+                       help="override study.budgets, e.g. 4x4,8x8,16x16")
     validate = sub.add_parser("validate", help="re-check a saved model file")
     validate.add_argument("--model", metavar="PATH", required=True)
     return parser
-
-
-def _parse_budgets(text: str) -> tuple[tuple[int, int], ...]:
-    budgets = []
-    for chunk in text.split(","):
-        parts = chunk.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError(f"budget {chunk!r} is not of the form AxB")
-        try:
-            budgets.append((int(parts[0]), int(parts[1])))
-        except ValueError as err:
-            raise ConfigError(f"budget {chunk!r} is not numeric: {err}") from err
-    _check_budgets(budgets)
-    return tuple(budgets)
 
 
 def main(argv=None) -> int:
@@ -450,7 +445,12 @@ def main(argv=None) -> int:
         try:
             if args.command == "validate":
                 return cmd_validate(args.model)
-            cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
+            flags = {}
+            for name, value in vars(args).items():
+                if "." in name and value is not None:
+                    section, key = name.split(".")
+                    flags.setdefault(section, {})[key] = value
+            cfg = load_config(args.config, flags)
             # the first artifact a command writes makes the output directory
             # (amrb.textio), after every input is parsed and opened
             if args.command == "truth":
@@ -459,12 +459,11 @@ def main(argv=None) -> int:
                 return cmd_offline(cfg, training_set(cfg), args.gnuplot)
             if args.command == "online":
                 mu = parse_mu(args.mu)
-                model = _open_model(args.model or cfg.model_path, "model-load")
+                model = _open_model(cfg.model_path, "model-load")
                 if model is None:
                     return EXIT_MISSING
                 return cmd_online(cfg, model, mu, args.compare, args.gnuplot)
-            budgets = _parse_budgets(args.budgets) if args.budgets else cfg.budgets
-            return cmd_study(cfg, training_set(cfg), budgets, args.gnuplot)
+            return cmd_study(cfg, training_set(cfg), args.gnuplot)
         except ConfigError as err:
             _error_json("config", str(err))
             return EXIT_CONFIG
@@ -474,6 +473,9 @@ def main(argv=None) -> int:
         except OSError as err:  # the inputs' read errors are raised as the two above
             _error_json("output", f"cannot write output: {err}")
             return EXIT_MISSING
+        except MemoryError as err:  # a mesh or time grid too large for this machine
+            _error_json("memory", str(err))
+            return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -56,24 +56,30 @@ side, sweep and predicted contact set fill a workspace that
 ``step_operators`` makes once per trajectory; the arrays the step
 methods return are that workspace, overwritten by the next step.
 
-Several parameters on one mesh and time grid (a training set, a test
-set) march in lockstep through ``solve_trajectories``: at each time level
-one band product forms every right-hand side on an (M, H) block, one
-upper ``tbsv`` sweeps the members laid end to end, and the prediction,
-the prefix solve and the certification run once over all members, with
-each member's own tie threshold.  A member whose prediction the first
-update does not reproduce is solved again from it by ``solve_lcp``, the
-one active-set loop.  The results are the bits of one ``solve_trajectory``
-per member: every float is made by the same IEEE operation on the same
-operands, only for many members at a time, and the sweeps' couplings
-across members are zero couplings to pad nodes that hold 1.0, each of
-which adds -0.0 to a member's node, which changes no float (see
-``march_group``).  The group pays where per-call overhead dominates a
-step: up to ``GROUP_MAX_NODES`` mesh nodes, above which the arithmetic
-of its extra passes outweighs the calls it saves, the parameters march
-one at a time.  So do the members of a group that has one without UL
-pivots or one that fails, so that an error names the parameter and step
-that one-at-a-time marching names.
+Two or more parameters on one mesh and time grid (a training set, a
+test set) march in lockstep through ``solve_trajectories``: at each time
+level one band product forms every right-hand side on an (M, H) block,
+one upper ``tbsv`` sweeps the members laid end to end, and the
+prediction, the prefix solve and the certification run once over all
+members, with each member's own tie threshold.  The prediction is the
+single step's ``first_leaving_node`` over the blocks' last axis, and
+the prefix multipliers read each member's ``s_psi`` and row sums
+``s_psi_left``, as ``_solve_prefix`` does; the sweeps, the prefix solve
+and the certification stay the group's own, since every way tried of
+running both marches through one step was slower.  A member whose
+prediction the first update does not reproduce is solved again from it
+by ``solve_lcp``, the one active-set loop.  The results are the bits of
+one ``solve_trajectory`` per member: every float is made by the same
+IEEE operation on the same operands, only for many members at a time,
+and the sweeps' couplings across members are zero couplings to pad
+nodes that hold 1.0, each of which adds -0.0 to a member's node, which
+changes no float (see ``march_group``).  The group pays where per-call
+overhead dominates a step: up to ``GROUP_MAX_NODES`` mesh nodes, above
+which the arithmetic of its extra passes outweighs the calls it saves,
+the parameters march one at a time.  So do a single parameter, and the
+members of a group that has one without UL pivots or one that fails, so
+that an error names the parameter and step that one-at-a-time marching
+names.
 
 ``solve_lcp`` takes one problem's arrays and checks only the right-hand
 side.  A trajectory checks its step matrix (``check_lcp_matrix``) and
@@ -172,7 +178,7 @@ def _singular(active: np.ndarray) -> NumericalBreakdownError:
 
 
 def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle,
-                  u, lam):
+                  s_obstacle_left, u, lam):
     """Solve with the state pinned to the obstacle on the prefix [0, k),
     into ``u`` and ``lam``.
 
@@ -183,7 +189,8 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
     division by the pivots and one unit lower-bidiagonal solve are left.
     Only the pinned rows carry a multiplier: (S obstacle - rhs) on [0, k)
     from ``s_obstacle`` = S obstacle, except row k-1, which reads the free
-    u[k] and is summed as ``S @ u`` sums a row.
+    u[k]: ``s_obstacle_left``, row i of S obstacle without its upper term,
+    plus upper[k-1] * u[k], summed as ``S @ u`` sums the row.
     """
     u[:k] = obstacle[:k]
     lam[k:] = 0.0
@@ -197,11 +204,7 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
             free[0] = (swept[k] - S.lower[k - 1] * obstacle[k - 1]) / pivots[0]
         dtbsv(1, lower_factor[:, k:], free, lower=1, diag=1, overwrite_x=1)
         if k:
-            i = k - 1
-            row = S.diag[i] * u[i]
-            if i:
-                row += S.lower[i - 1] * u[i - 1]
-            lam[i] = row + S.upper[i] * u[k] - rhs[i]
+            lam[k - 1] = s_obstacle_left[k - 1] + S.upper[k - 1] * u[k] - rhs[k - 1]
     return u, lam
 
 
@@ -279,9 +282,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
     here, for its shape (``ValueError``) and finiteness: a non-finite rhs
     raises ``NumericalBreakdownError``, since a trajectory computes it from
     its own states.  ``start`` is a boolean active set (empty if None).
-    ``ul`` optionally passes (U^-1 rhs, L, S obstacle) for a tridiagonal
-    S = U L factored without row interchanges, as ``StepOperators`` gives
-    them; prefix active sets are then solved on those factors.  For a
+    ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle without
+    its upper terms) for a tridiagonal S = U L factored without row
+    interchanges, as ``StepOperators`` gives them; prefix active sets are
+    then solved on those factors (``_solve_prefix``).  For a
     tridiagonal S, ``out`` may pass two float vectors (u, lam) of its
     size, such as a trajectory's rows: every iterate is solved into them,
     and they are returned.  Without it, and always on the dense path, u
@@ -360,6 +364,24 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
         solves += 1
 
 
+def first_leaving_node(swept, coupling, pivots, psi, pinned, above):
+    """The Brennan-Schwartz prediction, along the last axis: k, the first
+    node that leaves the obstacle, so that the predicted active set is the
+    prefix [0, k).
+
+    ``swept`` is U^-1 rhs.  Node i would leave the obstacle when its
+    forward-sweep value with node i-1 pinned, (swept[i] - coupling[i]) /
+    pivots[i], exceeds psi[i]; ``coupling`` is lower[i-1] * psi[i-1], 0 at
+    node 0.  ``pinned`` (swept's shape) and ``above`` (one more node, whose
+    pad is True: no node leaves, k = H) are scratch; the pad is never
+    written.
+    """
+    np.subtract(swept, coupling, out=pinned)
+    pinned /= pivots
+    np.greater(pinned, psi, out=above[..., :-1])
+    return above.argmax(axis=-1)
+
+
 @dataclass(frozen=True)
 class StepOperators:
     """What every step of one trajectory shares: operators, load, obstacle,
@@ -367,15 +389,18 @@ class StepOperators:
 
     ``explicit`` is mass/dt - (1 - theta) a(mu), the bands that act on the
     previous state.  ``psi`` is the lifted obstacle, checked finite;
-    ``coupling`` = lower * psi[:-1] is what pinning node i-1 takes off row
-    i, and ``s_psi`` = S psi.  ``upper_factor`` and ``lower_factor`` are
-    those of ``ul_factor(S)``, or both None where it finds no UL pivots.
-    ``S`` has passed ``check_lcp_matrix``.
+    ``coupling[i]`` = lower[i-1] * psi[i-1] is what pinning node i-1 takes
+    off row i (0 at node 0), ``s_psi`` = S psi, and ``s_psi_left`` row i
+    of S psi without its upper term, diag[i] psi[i] + coupling[i] (no added
+    zero at node 0, so that a -0.0 stays -0.0).  ``upper_factor`` and
+    ``lower_factor`` are those of ``ul_factor(S)``, or both None where it
+    finds no UL pivots.  ``S`` has passed ``check_lcp_matrix``.
 
     The workspace is made with the object, sized by ``psi`` (so
     ``dataclasses.replace`` gives a copy its own): three float vectors and
-    a boolean mask.  ``rhs``, ``sweep`` and ``predict_contact`` fill it in
-    place and return its arrays, which the next step overwrites.
+    a boolean mask with a True pad, ``first_leaving_node``'s ``above``.
+    ``rhs``, ``sweep`` and ``predict_contact`` fill it in place and return
+    its arrays, which the next step overwrites.
     """
 
     S: Tridiagonal
@@ -384,14 +409,19 @@ class StepOperators:
     psi: np.ndarray
     coupling: np.ndarray
     s_psi: np.ndarray
+    s_psi_left: np.ndarray
     upper_factor: np.ndarray | None
     lower_factor: np.ndarray | None
     work: np.ndarray = field(init=False, repr=False)     # (3, H): rhs, sweep, scratch
-    contact: np.ndarray = field(init=False, repr=False)  # (H,) predicted active set
+    above: np.ndarray = field(init=False, repr=False)    # (H + 1,), True at H
+    contact: np.ndarray = field(init=False, repr=False)  # above[:H], the predicted active set
 
     def __post_init__(self):
+        above = np.zeros(self.psi.size + 1, dtype=bool)
+        above[-1] = True
         object.__setattr__(self, "work", np.empty((3, self.psi.size)))
-        object.__setattr__(self, "contact", np.zeros(self.psi.size, dtype=bool))
+        object.__setattr__(self, "above", above)
+        object.__setattr__(self, "contact", above[:-1])
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``: one band
@@ -411,29 +441,20 @@ class StepOperators:
         return swept
 
     def predict_contact(self, swept: np.ndarray | None) -> np.ndarray:
-        """Brennan-Schwartz guess of the active set: the prefix [0, k), as
-        the workspace's mask.
+        """Brennan-Schwartz guess of the active set: the prefix [0, k) of
+        ``first_leaving_node``, as the workspace's mask.
 
-        ``swept`` is ``sweep(rhs)``.  After the upward elimination, node i
-        would leave the obstacle when its forward-sweep value, with node i-1
-        pinned, exceeds the obstacle; k is the first such node.  Without
-        pivots the guess is the empty prefix, which the iteration corrects
-        as it does any wrong guess.
+        ``swept`` is ``sweep(rhs)``.  Without pivots the guess is the empty
+        prefix, which the iteration corrects as it does any wrong guess.
         """
-        above = self.contact
+        contact = self.contact
         if self.lower_factor is None:
-            return above  # never written: the empty prefix
-        pinned = self.work[2]
-        pinned[0] = swept[0]
-        np.subtract(swept[1:], self.coupling, out=pinned[1:])
-        pinned /= self.lower_factor[0]
-        np.greater(pinned, self.psi, out=above)
-        k = int(above.argmax())
-        if not above[k]:  # no node leaves the obstacle
-            k = above.size
-        above[:k] = True
-        above[k:] = False
-        return above
+            return contact  # never written: the empty prefix
+        k = first_leaving_node(swept, self.coupling, self.lower_factor[0], self.psi,
+                               self.work[2], self.above)
+        contact[:k] = True
+        contact[k:] = False
+        return contact
 
 
 def ul_factor(S: Tridiagonal):
@@ -496,8 +517,12 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
     if np.count_nonzero(np.isfinite(psi)) < psi.size:
         raise NumericalBreakdownError("LCP obstacle must be finite")
     upper_factor, lower_factor = ul_factor(S)
+    coupling = np.zeros(psi.size)
+    np.multiply(S.lower, psi[:-1], out=coupling[1:])
+    s_psi_left = S.diag * psi
+    s_psi_left[1:] += coupling[1:]
     return StepOperators(S=S, explicit=explicit, f_mu=ops.f_vector(mu), psi=psi,
-                         coupling=S.lower * psi[:-1], s_psi=S @ psi,
+                         coupling=coupling, s_psi=S @ psi, s_psi_left=s_psi_left,
                          upper_factor=upper_factor, lower_factor=lower_factor)
 
 
@@ -507,9 +532,8 @@ def theta_step(u_prev: np.ndarray, step: StepOperators, out):
     iterations)."""
     rhs = step.rhs(u_prev)
     swept = step.sweep(rhs)
-    return solve_lcp(step.S, rhs, step.psi, step.predict_contact(swept),
-                     None if swept is None else (swept, step.lower_factor, step.s_psi),
-                     out=out)
+    ul = None if swept is None else (swept, step.lower_factor, step.s_psi, step.s_psi_left)
+    return solve_lcp(step.S, rhs, step.psi, step.predict_contact(swept), ul, out=out)
 
 
 @dataclass(frozen=True)
@@ -555,18 +579,18 @@ def solve_trajectory(mu, ops: AffineOperatorSet, obstacle: ObstacleData,
 
 
 def solve_trajectories(params, ops: AffineOperatorSet, config: SchemeConfig,
-                       label: str | None = None) -> list[Trajectory]:
+                       label: str) -> list[Trajectory]:
     """One trajectory per parameter (obstacle derived per strike), each the
     bits ``solve_trajectory`` gives.
 
-    On meshes of up to ``GROUP_MAX_NODES`` nodes the parameters march as one
-    group (``march_group``).  Otherwise, and wherever the group cannot run,
-    they march one at a time, so that an error is raised by the first
-    member that fails, at the step where it fails.  With ``label``, that
-    error's message is prefixed f"{label} failed at mu={mu}: ".
+    Two or more parameters on a mesh of up to ``GROUP_MAX_NODES`` nodes
+    march as one group (``march_group``).  Otherwise, and wherever the
+    group cannot run, they march one at a time, so that an error is raised
+    by the first member that fails, at the step where it fails, its message
+    prefixed f"{label} failed at mu={mu}: ".
     """
     params = list(params)
-    if params and ops.dim <= GROUP_MAX_NODES:
+    if len(params) > 1 and ops.dim <= GROUP_MAX_NODES:
         group = march_group(params, ops, config)
         if group is not None:
             return group
@@ -575,8 +599,6 @@ def solve_trajectories(params, ops: AffineOperatorSet, config: SchemeConfig,
         try:
             trajectories.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), config))
         except AmrbError as err:
-            if label is None:
-                raise
             raise type(err)(f"{label} failed at mu={mu}: {err}", **err.info) from err
     return trajectories
 
@@ -589,7 +611,8 @@ def march_group(params, ops: AffineOperatorSet,
 
     Each member has its own ``StepOperators``.  The group stacks their
     arrays into (M, H) blocks, so that each elementwise operation of
-    ``theta_step`` runs once for all members, on the same operands.  Each of
+    ``theta_step`` runs once for all members, on the same operands, the
+    prediction by the same ``first_leaving_node``.  Each of
     the two bidiagonal sweeps runs once, on the members laid end to end with
     a pad node holding 1.0 after each and zero couplings across the pads:
     such a coupling adds -1.0 * 0.0 = -0.0 to a member's node, which
@@ -613,17 +636,13 @@ def march_group(params, ops: AffineOperatorSet,
     def stack(rows):
         return np.array(list(rows))
 
-    S, explicit = (Tridiagonal(*map(stack, zip(*(getattr(step, name) for step in steps))))
-                   for name in ("S", "explicit"))
-    explicit_columns = Tridiagonal(*(band.T for band in explicit))  # nodes along axis 0
-    f_mu, psi, s_psi = (stack(getattr(step, name) for step in steps)
-                        for name in ("f_mu", "psi", "s_psi"))
-    coupling = np.zeros((M, H))  # pinning node i-1 takes coupling[i] off row i
-    coupling[:, 1:] = stack(step.coupling for step in steps)
+    explicit_columns = Tridiagonal(*(stack(bands).T  # nodes along axis 0
+                                     for bands in zip(*(step.explicit for step in steps))))
+    f_mu, psi, coupling, s_psi, s_psi_left = (
+        stack(getattr(step, name) for step in steps)
+        for name in ("f_mu", "psi", "coupling", "s_psi", "s_psi_left"))
+    upper = stack(step.S.upper for step in steps)
     pivots = stack(step.lower_factor[0] for step in steps)
-    # row i of S psi without its upper term, summed as ``_solve_prefix`` sums it
-    s_psi_left = S.diag * psi
-    s_psi_left[:, 1:] += coupling[:, 1:]
     # both factors laid end to end with a pad after each member, in BLAS band
     # storage: Fortran (2, M (H + 1)) arrays, each the transpose of an
     # (M, H + 1, 2) block; the couplings are the upper factor's [..., 0] and
@@ -644,7 +663,7 @@ def march_group(params, ops: AffineOperatorSet,
     sweeps = np.ones((3, M, H + 1))
     swept, free, pinned = sweeps[0], sweeps[1], sweeps[2, :, :H]
     pads = sweeps[:2, :, H]
-    above = np.ones((M, H + 1), dtype=bool)  # True at H: no node leaves the obstacle
+    above = np.ones((M, H + 1), dtype=bool)  # ``first_leaving_node``'s, True at H
     members, nodes = np.arange(M), np.arange(H)
     for n in range(L):
         u, lam = block[:, n + 1], block[:, L + 1 + n]
@@ -655,11 +674,7 @@ def march_group(params, ops: AffineOperatorSet,
             return None
         swept[:, :H] = rhs
         dtbsv(1, upper_group, swept.reshape(-1), diag=1, overwrite_x=1)
-        # ``StepOperators.predict_contact``: k is the first node that leaves
-        np.subtract(swept[:, :H], coupling, out=pinned)
-        pinned /= pivots
-        np.greater(pinned, psi, out=above[:, :H])
-        k = above.argmax(axis=1)
+        k = first_leaving_node(swept[:, :H], coupling, pivots, psi, pinned, above)
         contact = nodes < k[:, None]
         # ``_solve_prefix`` from every prediction
         np.divide(swept[:, :H], pivots, out=free[:, :H])
@@ -673,9 +688,9 @@ def march_group(params, ops: AffineOperatorSet,
         np.copyto(u, free[:, :H])
         np.copyto(u, psi, where=contact)
         np.subtract(s_psi, rhs, out=lam, where=contact)  # zero elsewhere from the start
-        resum = np.flatnonzero((k > 0) & (k < H))
+        resum = np.flatnonzero((k > 0) & (k < H))  # row k-1 reads the free u[k]
         i = k[resum] - 1
-        lam[resum, i] = s_psi_left[resum, i] + S.upper[resum, i] * u[resum, i + 1] - rhs[resum, i]
+        lam[resum, i] = s_psi_left[resum, i] + upper[resum, i] * u[resum, i + 1] - rhs[resum, i]
         # the first update of ``solve_lcp``, which certifies the prediction
         np.subtract(psi, u, out=work)
         work += lam
@@ -686,9 +701,9 @@ def march_group(params, ops: AffineOperatorSet,
             continue
         for m in np.flatnonzero(~certified.all(axis=1)):
             step = steps[m]
+            ul = (swept[m, :H], step.lower_factor, step.s_psi, step.s_psi_left)
             try:
-                iterations[m, n] = solve_lcp(step.S, rhs[m], step.psi, contact[m],
-                                             (swept[m, :H], step.lower_factor, step.s_psi),
+                iterations[m, n] = solve_lcp(step.S, rhs[m], step.psi, contact[m], ul,
                                              out=(u[m], lam[m]))[2]
             except AmrbError:
                 return None

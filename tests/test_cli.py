@@ -521,6 +521,61 @@ def test_io_paths_must_be_strings(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "abc", "sampling.seed"), ("--seed", "1.5", "sampling.seed"),
+    ("--seed", "-1", "sampling.seed"), ("--budgets", "garbled", "study.budgets"),
+    ("--budgets", "0x2", "study.budgets"), ("--budgets", "2x2x2", "study.budgets")])
+def test_bad_flag_names_its_config_key(tmp_path, capsys, flag, value, key):
+    # a flag overrides its config key and is read as the key is, so its error
+    # names the key; a non-integer --seed was argparse's usage error
+    out = tmp_path / "o"
+    assert main(["study", flag, value, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "config" and key in error["message"]
+    assert not out.exists()
+
+
+def test_flags_equal_their_config_keys(tmp_path):
+    # --seed, --budgets and --out write what sampling.seed, study.budgets and
+    # io.output_dir write
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    by_flags, by_keys = tmp_path / "flags", tmp_path / "keys"
+    assert main(["study", "--config", cfg, "--seed", "7", "--budgets", "2X2,3x3",
+                 "--out", str(by_flags)]) == 0
+    keys = {**SMALL_CONFIG, "sampling": {**SMALL_CONFIG["sampling"], "seed": 7},
+            "study": {"budgets": [[2, 2], [3, 3]]}, "io": {"output_dir": str(by_keys)}}
+    assert main(["study", "--config", write_config(tmp_path, keys, name="keys.json")]) == 0
+    names = sorted(os.listdir(by_keys))
+    assert "errors_3x3.csv" in names and names == sorted(os.listdir(by_flags))
+    for name in names:
+        assert (by_flags / name).read_bytes() == (by_keys / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, grid", [
+    (["truth", "--mu", "100,0.05,0.0015,0.5"], {"mesh": {"H": 1e12}}),
+    (["truth", "--mu", "100,0.05,0.0015,0.5"], {"time": {"L": 1e12}}),
+    (["offline"], {"time": {"L": 1e12}})], ids=["truth-H", "truth-L", "offline-L"])
+def test_huge_grid_exits_4_with_a_memory_line(tmp_path, command, grid):
+    # the mesh (7.28 TiB at H = 1e12) or the trajectory block (1.41 PiB for
+    # a truth at L = 1e12, 22.5 PiB for the training group) cannot be
+    # allocated; under a 2 GB address-space limit the allocation fails at
+    # once, whatever the machine's memory
+    resource = pytest.importorskip("resource")
+    limit = 2 * 10 ** 9
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "amrb", *command, "--config", write_config(tmp_path, grid),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert done.returncode == 4, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "memory"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # online
 
@@ -777,6 +832,29 @@ def test_study_shared_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert main(["study", "--config", cfg, "--out", str(out)]) == 4
     assert json.loads(capsys.readouterr().err.strip())["error"] == "SolverDivergenceError"
     assert not (out / "study.csv").exists()
+
+
+def test_study_test_truth_failure_names_its_mu(tmp_path, monkeypatch, capsys):
+    # the test truths march one at a time here, and the second one fails
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    config = cli_mod.load_config(cfg)
+    bad = cli_mod.sample_training_set(config.box, config.n_test,
+                                      cli_mod.test_stream(config.seed))[1]
+    solve = truth_mod.solve_trajectory
+
+    def fail_at_bad(mu, *args):
+        if mu == bad:
+            raise SolverDivergenceError("time step 3 failed: forced", step=3)
+        return solve(mu, *args)
+
+    monkeypatch.setattr(truth_mod, "march_group", lambda *args: None)
+    monkeypatch.setattr(truth_mod, "solve_trajectory", fail_at_bad)
+    out = tmp_path / "run"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "SolverDivergenceError" and error["step"] == 3
+    assert error["message"] == f"test truth failed at mu={bad}: time step 3 failed: forced"
+    assert not out.exists()
 
 
 def test_study_refuses_contract_breach(tmp_path, monkeypatch, capsys):

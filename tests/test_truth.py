@@ -493,7 +493,8 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
             b = rhs[k:].astype(np.longdouble)
             b[0] -= np.longdouble(S.lower[k - 1]) * np.longdouble(psi[k - 1])
             ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
-                                              step.s_psi, np.empty(H), np.empty(H))
+                                              step.s_psi, step.s_psi_left, np.empty(H),
+                                              np.empty(H))
             gtsv_u, _ = truth_mod._solve_banded(S, rhs, psi, None, np.empty(H), np.empty(H),
                                                 predicted)
             for u in (ul_u, gtsv_u):
@@ -525,7 +526,8 @@ def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
             for start in starts:
                 try:
                     u, lam, solves = solve_lcp(step.S, rhs, psi, start,
-                                               (swept, step.lower_factor, step.s_psi))
+                                               (swept, step.lower_factor, step.s_psi,
+                                                step.s_psi_left))
                 except SolverDivergenceError:
                     assert H > 99 and start is not None and start.all()
                     diverged += 1
@@ -565,7 +567,8 @@ def test_prefix_solve_and_predictor_match_their_references(default_box, H):
         k = int(predicted.sum())
         for j in sorted({0, 1, k, H - 1, H}):
             u, lam = truth_mod._solve_prefix(step.S, rhs, step.psi, j, swept, step.lower_factor,
-                                             step.s_psi, np.empty(H), np.empty(H))
+                                             step.s_psi, step.s_psi_left, np.empty(H),
+                                             np.empty(H))
             assert (step.S @ u - rhs)[:j].tobytes() == lam[:j].tobytes()
             assert not lam[j:].any()
 
@@ -761,7 +764,8 @@ def assert_rows_are_fresh_solves(traj, step):
         rhs = step.rhs(traj.states[n]).copy()
         swept = step.sweep(rhs)
         start = step.predict_contact(swept).copy()
-        ul = None if swept is None else (swept.copy(), step.lower_factor, step.s_psi)
+        ul = None if swept is None else (swept.copy(), step.lower_factor, step.s_psi,
+                                         step.s_psi_left)
         u, lam, solves = solve_lcp(check_lcp_matrix(step.S), rhs, step.psi, start, ul)
         assert u.tobytes() == traj.states[n + 1].tobytes(), n
         assert lam.tobytes() == traj.multipliers[n].tobytes(), n
@@ -870,8 +874,9 @@ def test_group_member_off_its_prediction_is_solved_again(default_box, H, L):
 def test_group_of_one(default_ops, default_scheme, mu0):
     single = single_marches([mu0], default_ops, default_scheme)
     assert_same_bits(truth_mod.march_group([mu0], default_ops, default_scheme), single)
-    assert_same_bits(truth_mod.solve_trajectories([mu0], default_ops, default_scheme), single)
-    assert truth_mod.solve_trajectories([], default_ops, default_scheme) == []
+    assert_same_bits(truth_mod.solve_trajectories([mu0], default_ops, default_scheme, "run"),
+                     single)
+    assert truth_mod.solve_trajectories([], default_ops, default_scheme, "run") == []
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -931,7 +936,7 @@ def test_group_member_without_ul_pivots_marches_alone(default_ops, default_schem
     convective = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)  # no UL pivots
     params = [mu0, convective]
     assert truth_mod.march_group(params, default_ops, default_scheme) is None
-    assert_same_bits(truth_mod.solve_trajectories(params, default_ops, default_scheme),
+    assert_same_bits(truth_mod.solve_trajectories(params, default_ops, default_scheme, "run"),
                      single_marches(params, default_ops, default_scheme))
 
 
@@ -944,9 +949,42 @@ def test_group_runs_up_to_its_mesh_size(default_box, default_scheme, monkeypatch
     params = sample_training_set(default_box, 3, train_stream(0))
     for H in (truth_mod.GROUP_MAX_NODES, truth_mod.GROUP_MAX_NODES + 1):
         ops = assemble_operators(build_mesh(H, 300.0))
-        assert_same_bits(truth_mod.solve_trajectories(params, ops, default_scheme),
+        assert_same_bits(truth_mod.solve_trajectories(params, ops, default_scheme, "run"),
                          single_marches(params, ops, default_scheme))
     assert sizes == [truth_mod.GROUP_MAX_NODES]
+
+
+def test_one_member_set_takes_the_single_march(default_box, default_scheme, monkeypatch):
+    # a group of one marches slower than ``solve_trajectory`` on every mesh
+    # measured (H = 99, 999 and 3999)
+    groups = []
+    march = truth_mod.march_group
+    monkeypatch.setattr(truth_mod, "march_group",
+                        lambda params, ops, config: groups.append(len(params)) or
+                        march(params, ops, config))
+    params = sample_training_set(default_box, 1, train_stream(0))
+    for H in (99, truth_mod.GROUP_MAX_NODES):
+        ops = assemble_operators(build_mesh(H, 300.0))
+        assert_same_bits(truth_mod.solve_trajectories(params, ops, default_scheme, "run"),
+                         single_marches(params, ops, default_scheme))
+    assert groups == []
+
+
+def test_both_marches_share_one_prediction(default_box, default_ops, default_scheme,
+                                           monkeypatch):
+    # the Brennan-Schwartz prediction has one site: a single march calls it
+    # once per step, a group once per time level for all its members
+    shapes = []
+    predict = truth_mod.first_leaving_node
+    monkeypatch.setattr(truth_mod, "first_leaving_node",
+                        lambda swept, *args: shapes.append(swept.shape) or predict(swept, *args))
+    params = sample_training_set(default_box, 3, train_stream(0))
+    H, L = default_ops.dim, default_scheme.L
+    single = single_marches(params, default_ops, default_scheme)
+    assert shapes == [(H,)] * (3 * L)
+    shapes.clear()
+    assert_same_bits(truth_mod.march_group(params, default_ops, default_scheme), single)
+    assert shapes == [(3, H)] * L
 
 
 def test_tracer_bindings_fire_once_per_step(default_ops, default_scheme, mu0, monkeypatch):
