@@ -166,8 +166,10 @@ def _path(value) -> str:
 
 
 def _budgets(pairs) -> tuple[tuple[int, int], ...]:
-    """The study's basis budgets (NV_tilde, NW), at least one pair."""
-    budgets = tuple(tuple(map(integer, pair)) for pair in pairs)
+    """The study's basis budgets (NV_tilde, NW), at least one pair, each a
+    list (a string pair would split into its characters)."""
+    budgets = tuple(tuple(map(integer, pair)) if isinstance(pair, list) else ()
+                    for pair in pairs)
     if not budgets or any(len(pair) != 2 or min(pair) < 1 for pair in budgets):
         raise ValueError("study budgets must be pairs of positive integers")
     return budgets

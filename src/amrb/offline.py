@@ -493,7 +493,16 @@ def integer(value) -> int:
     return number
 
 
-def read_field(data: dict, key: str, convert=float):
+def real(value) -> float:
+    """``value`` as a float, the one converter of every float field of the
+    run config and the model file.  A bool, which ``float`` would read as
+    0.0 or 1.0, raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def read_field(data: dict, key: str, convert=real):
     """``convert`` applied to the value at the dotted ``key`` ("section.name")
     of ``data``.  A value it cannot convert (a TypeError, ValueError or
     OverflowError, such as an infinite integer) raises ValueError naming the

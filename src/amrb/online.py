@@ -13,8 +13,10 @@ then three matrix-vector products and the primal-dual active-set iteration
 of ``amrb.truth`` on the cone coefficients alpha, to which the step passes
 the Schur complement, its cone right-hand side and the zero obstacle
 directly, and the next state is P u + c + s_n^-1 b_n alpha; the per-step
-cost depends only on the reduced dimensions.  Every function works on the
-model's own time grid.
+cost depends only on the reduced dimensions.  As in a truth trajectory,
+each step's cone problem is solved into its own row of the trajectory's
+cone coefficients, with one multiplier vector per trajectory.  Every
+function works on the model's own time grid.
 
 Within a trajectory, v = lam - alpha is positive exactly on a step's cone
 active set.  Step 2 starts its iteration from {v_1 > 0}, and step n+1 from
@@ -99,16 +101,17 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
                       u0=model.gram_psi.T @ psi_tilde)
 
 
-def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray):
-    """One reduced step from the cone active set ``start``.
+def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray, out):
+    """One reduced step from the cone active set ``start``, whose cone
+    problem is solved into ``out`` = (alpha, lam) as ``solve_lcp`` does.
 
     Returns (u, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
     """
     u = data.step_map @ u_prev + data.step_load
     if zero.size == 0:
-        return u, zero, zero, 0
+        return u, *out, 0
     rhs = data.cone_load - data.cone_map @ u_prev
-    alpha, lam, solves = solve_lcp(data.schur, rhs, zero, start)
+    alpha, lam, solves = solve_lcp(data.schur, rhs, zero, start, out=out)
     return u + data.sinv_b @ alpha, alpha, lam, solves
 
 
@@ -129,16 +132,15 @@ def reduced_trajectory(model: ReducedModel, mu) -> ReducedTrajectory:
     alphas = np.empty((cfg.L, model.nw))
     solves = np.empty(cfg.L, dtype=int)
     states[0] = data.u0
-    zero = np.zeros(model.nw)
+    zero, lam = np.zeros(model.nw), np.empty(model.nw)
     start = v_prev = None
     for n in range(cfg.L):
         try:
-            u, alpha, lam, solves[n] = _cone_step(states[n], data, start, zero)
+            u, alpha, _, solves[n] = _cone_step(states[n], data, start, zero, (alphas[n], lam))
         except AmrbError as err:
             raise type(err)(f"reduced step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
         states[n + 1] = u
-        alphas[n] = alpha
         # v = lam - alpha is positive exactly on this step's active set;
         # the next step starts from its linear extrapolation
         v = lam - alpha

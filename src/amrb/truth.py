@@ -44,9 +44,9 @@ the free u[k], summed again.  LAPACK ``gtsv`` still solves every other
 active set, and every set of a matrix without UL pivots.  An iterate
 depends on the right-hand side and the active set only, whichever path
 solves it.  Dense inputs (the reduced-order Schur complements and small
-test problems) take a dense path through LAPACK ``gesv``, from the empty
-set unless the caller passes a start; whether pinning shifts their
-right-hand side is decided once per call.
+test problems) run the same loop and the same pinned-set solve, whose
+inactive block LAPACK ``gesv`` solves, from the empty set unless the
+caller passes a start.
 
 A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
@@ -90,7 +90,6 @@ blew up; it and a non-finite obstacle raise ``NumericalBreakdownError``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -172,11 +171,6 @@ def check_lcp_matrix(S):
     return S
 
 
-def _singular(active: np.ndarray) -> NumericalBreakdownError:
-    return NumericalBreakdownError("singular linear system on an active-set iterate",
-                                   active_size=int(active.sum()))
-
-
 def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle,
                   s_obstacle_left, u, lam):
     """Solve with the state pinned to the obstacle on the prefix [0, k),
@@ -208,16 +202,17 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
     return u, lam
 
 
-def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, u, lam, active):
-    """Solve a tridiagonal problem with the state pinned to the obstacle on
-    the active set, into ``u`` and ``lam``.
+def _solve_pinned(S, rhs, obstacle, ul, u, lam, active):
+    """Solve with the state pinned to the obstacle on the active set, into
+    ``u`` and ``lam``.
 
     With ``ul`` (see ``solve_lcp``), a prefix active set is solved on the
-    UL factors; any other set by LAPACK ``gtsv`` on the inactive rows and
-    columns, a sorted index subset of a tridiagonal matrix being
-    tridiagonal.  Pinning shifts the right-hand side only where the
-    obstacle is nonzero; that is tested per solve, since most truth solves
-    take the prefix path and never need it.
+    UL factors.  Any other set is solved on the inactive rows and columns:
+    by LAPACK ``gtsv`` for a ``Tridiagonal`` S, a sorted index subset of a
+    tridiagonal matrix being tridiagonal, and by ``gesv`` for a dense one.
+    Pinning shifts the right-hand side only where the obstacle is nonzero;
+    that is tested per solve, since most truth solves take the prefix path
+    and never need it.
     """
     if ul is not None:
         k = np.count_nonzero(active)
@@ -225,47 +220,28 @@ def _solve_banded(S: Tridiagonal, rhs, obstacle, ul, u, lam, active):
             return _solve_prefix(S, rhs, obstacle, k, *ul, u, lam)
     inactive = ~active
     ix = inactive.nonzero()[0]
-    np.copyto(u, obstacle)
+    u[...] = obstacle
     if ix.size < active.size and np.count_nonzero(obstacle):
         u[ix] = 0.0
         b = (rhs - S @ u)[ix]
     else:
         b = rhs[ix]
-    if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
+    banded = isinstance(S, Tridiagonal)
+    if banded and ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
         u[ix] = b / S.diag[ix]
     elif ix.size:
-        adjacent = np.diff(ix) == 1
-        dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
-        du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
-        _, _, _, x, info = dgtsv(dl, S.diag[ix], du, b, 1, 1, 1, 1)
+        if banded:
+            adjacent = np.diff(ix) == 1
+            dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
+            du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
+            _, _, _, x, info = dgtsv(dl, S.diag[ix], du, b, 1, 1, 1, 1)
+        else:
+            _, _, x, info = dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)  # both fresh copies
         if info > 0:
-            raise _singular(active)
+            raise NumericalBreakdownError("singular linear system on an active-set iterate",
+                                          active_size=int(active.sum()))
         u[ix] = x
     np.subtract(S @ u, rhs, out=lam)
-    lam[inactive] = 0.0
-    return u, lam
-
-
-def _solve_dense(S: np.ndarray, rhs, obstacle, pinned: bool, active):
-    """Solve a dense problem with the state pinned to the obstacle on the
-    active set, by LAPACK ``gesv`` on the inactive rows and columns.
-
-    ``pinned`` says whether the obstacle has a nonzero entry, where pinning
-    shifts the right-hand side; ``solve_lcp`` finds it once per call.
-    """
-    inactive = ~active
-    ix = inactive.nonzero()[0]
-    if pinned and ix.size < active.size:
-        u = np.where(active, obstacle, 0.0)
-        b = (rhs - S @ u)[ix]
-    else:
-        u, b = obstacle.copy(), rhs[ix]
-    if ix.size:
-        _, _, x, info = dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)  # both fresh copies
-        if info > 0:
-            raise _singular(active)
-        u[ix] = x
-    lam = S @ u - rhs
     lam[inactive] = 0.0
     return u, lam
 
@@ -285,11 +261,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
     ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle without
     its upper terms) for a tridiagonal S = U L factored without row
     interchanges, as ``StepOperators`` gives them; prefix active sets are
-    then solved on those factors (``_solve_prefix``).  For a
-    tridiagonal S, ``out`` may pass two float vectors (u, lam) of its
-    size, such as a trajectory's rows: every iterate is solved into them,
-    and they are returned.  Without it, and always on the dense path, u
-    and lam are fresh arrays.
+    then solved on those factors (``_solve_prefix``).  ``out`` may pass
+    two float vectors (u, lam) of S's size, such as a trajectory's rows:
+    every iterate is solved into them, and they are returned.  Without it,
+    u and lam are fresh arrays.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
@@ -322,14 +297,9 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
     if not math.isfinite(scale):
         raise NumericalBreakdownError("LCP right-hand side must be finite")
     tol = TIE_TOL * scale
-    if isinstance(S, Tridiagonal):
-        u, lam = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
-        solve = functools.partial(_solve_banded, S, rhs, obstacle, ul, u, lam)
-    else:
-        pinned = bool(np.count_nonzero(obstacle))
-        solve = functools.partial(_solve_dense, S, rhs, obstacle, pinned)
+    u, lam = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
     active = np.zeros(rhs.size, dtype=bool) if start is None else start
-    u, lam = solve(active)
+    _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
     solves = 1
     key = active.tobytes()
     seen = {key}
@@ -360,7 +330,7 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        u, lam = solve(active)
+        _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
         solves += 1
 
 

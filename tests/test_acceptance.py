@@ -247,12 +247,14 @@ def _online_data(H, params, mu, scheme):
 def _per_step_seconds(data, scheme):
     """Seconds per reduced step over 400 steps, restarting every L steps."""
     y0 = data.u0
-    # the cone's obstacle, made once as reduced_trajectory makes it
+    # the cone's obstacle and the rows its problem is solved into, made once
+    # as reduced_trajectory makes them
     zero = np.zeros(data.schur.shape[0])
+    out = np.empty((2, zero.size))
     y = y0.copy()
     start = time.perf_counter()
     for k in range(400):
-        y = _cone_step(y, data, None, zero)[0]
+        y = _cone_step(y, data, None, zero, out)[0]
         if (k + 1) % scheme.L == 0:
             y = y0.copy()
     return (time.perf_counter() - start) / 400

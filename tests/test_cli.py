@@ -210,10 +210,14 @@ def test_infinite_integer_config_exits_2(tmp_path, capsys, section, key):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("mesh", "H", "Infinity"), ("sampling", "N_test", "Infinity"), ("box", "K0", '"a"')])
+    ("mesh", "H", "Infinity"), ("sampling", "N_test", "Infinity"), ("box", "K0", '"a"'),
+    ("time", "theta", "true"), ("box", "K0", "true"), ("study", "budgets", '["23"]'),
+    ("study", "budgets", '[[2, 2], "33"]')])
 def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
     # one except wraps every field, so an unconvertible value reported only
-    # the conversion's own words, the same for an infinite mesh.H and N_test
+    # the conversion's own words, the same for an infinite mesh.H and N_test;
+    # float read true as 1.0 and a budget pair given as a string split into
+    # its characters, so those four ran and exited 0
     path = tmp_path / "config.json"
     path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
     assert main(["offline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -658,6 +662,13 @@ def test_infinite_integer_model_field_exits_3(tmp_path, capsys, small_model, fie
     for value in (math.inf, True, 20.5):
         assert_edited_model_exits_3(tmp_path, capsys, small_model,
                                     lambda doc: INTEGER_MODEL_FIELDS[field](doc, value))
+
+
+@pytest.mark.parametrize("section, key", [("time", "T"), ("time", "theta")])
+def test_boolean_float_model_field_exits_3(tmp_path, capsys, small_model, section, key):
+    # float read true as 1.0, so a model with "theta": true loaded at theta = 1
+    assert_edited_model_exits_3(tmp_path, capsys, small_model,
+                                lambda doc: doc[section].update({key: True}))
 
 
 def test_huge_model_mesh_exits_3_before_building_it(tmp_path, capsys, small_model):

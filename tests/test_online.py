@@ -152,7 +152,8 @@ def test_reduced_step_unconstrained(small_model, small_store):
     free = dataclasses.replace(data, cone_load=np.full(small_model.nw, -1e6))
     rng = np.random.default_rng(1)
     u_prev = rng.normal(size=small_model.nv)
-    u, alpha, _, _ = _cone_step(u_prev, free, None, np.zeros(small_model.nw))
+    u, alpha, _, _ = _cone_step(u_prev, free, None, np.zeros(small_model.nw),
+                                np.empty((2, small_model.nw)))
     assert np.all(alpha == 0.0)
     # independent check through the raw matrices
     blocks = reduced_blocks(small_model, mu)
@@ -169,7 +170,8 @@ def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
     rng = np.random.default_rng(2)
     for _ in range(10):
         u_prev = rng.normal(size=model.nv) * 10
-        u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(model.nw))
+        u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(model.nw),
+                                    np.empty((2, model.nw)))
         base = np.linalg.solve(blocks.s_n, blocks.rhs_n @ u_prev + blocks.f_n)
         q = float((model.b_n.T @ base).item())
         m = float((model.b_n.T @ np.linalg.solve(blocks.s_n, model.b_n)).item())
@@ -188,7 +190,8 @@ def test_reduced_step_matches_enumeration(model_8_8, store16):
     for k in range(20):
         # random states near the trajectory keep the problem realistic
         u_prev = rt.states[k % rt.states.shape[0]] + rng.normal(size=model_8_8.nv)
-        u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(model_8_8.nw))
+        u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(model_8_8.nw),
+                                    np.empty((2, model_8_8.nw)))
         base = lu_solve(blocks.s_lu, blocks.rhs_n @ u_prev + blocks.f_n)
         q = model_8_8.b_n.T @ base
         alpha_ref = alpha_by_enumeration(data.schur, q, data.g_n)
@@ -211,6 +214,28 @@ def test_reduced_trajectory_contract(small_model, small_store):
     res = reduced_residuals(rt, data, small_model)
     assert res["min_cone_gap"] >= -1e-9
     assert res["max_complementarity"] <= 1e-9
+
+
+def test_reduced_trajectory_solves_cones_into_its_rows(model_8_8, test_params10, monkeypatch):
+    # every step's cone problem is solved into its row of cone_coeffs, and
+    # its multipliers into one vector that the trajectory reuses
+    import amrb.online as online_mod
+
+    solved = []
+    solve = online_mod.solve_lcp
+
+    def spy(*args, **kwargs):
+        alpha, lam, solves = solve(*args, **kwargs)
+        solved.append((alpha, lam, alpha.copy()))
+        return alpha, lam, solves
+
+    monkeypatch.setattr(online_mod, "solve_lcp", spy)
+    rt = reduced_trajectory(model_8_8, test_params10[0])
+    assert len(solved) == model_8_8.config.L
+    for row, (alpha, lam, value) in zip(rt.cone_coeffs, solved):
+        assert alpha.ctypes.data == row.ctypes.data and alpha.shape == row.shape
+        assert lam.ctypes.data == solved[0][1].ctypes.data
+        assert np.array_equal(row, value)
 
 
 def test_reduced_trajectory_checks_schur_once(model_8_8, test_params10, monkeypatch):
@@ -296,7 +321,8 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
             states = [data.u0]
             alphas = []
             for _ in range(model.config.L):
-                u, alpha, _, _ = _cone_step(states[-1], data, None, np.zeros(model.nw))
+                u, alpha, _, _ = _cone_step(states[-1], data, None, np.zeros(model.nw),
+                                            np.empty((2, model.nw)))
                 states.append(u)
                 alphas.append(alpha)
             assert np.array_equal(rt.states, np.array(states))

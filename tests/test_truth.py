@@ -495,7 +495,7 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
             ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
                                               step.s_psi, step.s_psi_left, np.empty(H),
                                               np.empty(H))
-            gtsv_u, _ = truth_mod._solve_banded(S, rhs, psi, None, np.empty(H), np.empty(H),
+            gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, None, np.empty(H), np.empty(H),
                                                 predicted)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
@@ -801,31 +801,36 @@ def test_step_rows_equal_fresh_solves_without_ul_pivots(default_ops, default_sch
 
 def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
     # a tridiagonal non-P matrix on which the full-set update revisits a set,
-    # so the iteration finishes with least-index toggles
+    # so the iteration finishes with least-index toggles; as a dense matrix
+    # the same problem takes the gesv solves
     rng = np.random.default_rng(1092)
     n = int(rng.integers(3, 7))
-    S = Tridiagonal(rng.uniform(-2, 2, n - 1), 1.0 + rng.random(n), rng.uniform(-2, 2, n - 1))
+    banded = Tridiagonal(rng.uniform(-2, 2, n - 1), 1.0 + rng.random(n),
+                         rng.uniform(-2, 2, n - 1))
     rhs, obstacle = rng.normal(size=n), rng.normal(size=n)
     start = rng.random(n) < 0.5
     solved, revisited = [], []
-    solve_banded = truth_mod._solve_banded
+    solve_pinned = truth_mod._solve_pinned
 
     def spy(S, rhs, obstacle, ul, u, lam, active):
-        u, lam = solve_banded(S, rhs, obstacle, ul, u, lam, active)
+        u, lam = solve_pinned(S, rhs, obstacle, ul, u, lam, active)
         solved.append(active.tobytes())
         update = ((lam + (obstacle - u)) > truth_mod.TIE_TOL * np.abs(rhs).max()).tobytes()
         revisited.append(update != solved[-1] and update in solved)
         return u, lam
 
-    monkeypatch.setattr(truth_mod, "_solve_banded", spy)
-    rows = np.full((3, n), np.nan)
-    u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=(rows[1], rows[2]))
-    assert any(revisited)
-    ref_u, ref_lam, ref_solves = solve_lcp(check_lcp_matrix(S), rhs, obstacle, start)
-    assert np.shares_memory(u, rows[1]) and np.shares_memory(lam, rows[2])
-    assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
-        ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
-    assert np.isnan(rows[0]).all()
+    monkeypatch.setattr(truth_mod, "_solve_pinned", spy)
+    for S in (banded, dense(banded)):
+        solved.clear()
+        revisited.clear()
+        rows = np.full((3, n), np.nan)
+        u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=(rows[1], rows[2]))
+        assert any(revisited)
+        ref_u, ref_lam, ref_solves = solve_lcp(check_lcp_matrix(S), rhs, obstacle, start)
+        assert np.shares_memory(u, rows[1]) and np.shares_memory(lam, rows[2])
+        assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
+            ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
+        assert np.isnan(rows[0]).all()
 
 
 # ---------------------------------------------------------------------------
