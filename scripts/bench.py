@@ -1,6 +1,11 @@
 """Timings of the truth march per mesh size, written as one JSON file.
 
-Rows, at each mesh size H of ``--H`` (stock time grid and box):
+Rows, first one without a mesh:
+
+  cli_import        a fresh ``python -c "import amrb.cli"`` process, start
+                    to exit, with the benchmark's BLAS pinning
+
+then at each mesh size H of ``--H`` (stock time grid and box):
 
   truth             one ``solve_trajectory`` at the first stock training draw
   snapshots         ``offline.generate_snapshots`` of the 16 stock training
@@ -13,8 +18,9 @@ Repeats interleave the rows, after one untimed call of each.  Beside each
 timed call runs the reference kernel of ``perfbench/reference.py``, and a
 row reports the median and quartiles over the repeats of the call's time
 divided by the kernel's (``rel``), which stays steady while the host's
-speed drifts, and the median seconds.  The record names the machine, the
-BLAS threads, the numpy and scipy versions and the git commit.
+speed drifts, and the median seconds (``cli_import``: their quartiles).
+The record names the machine, the BLAS threads, the numpy and scipy
+versions and the git commit.
 
     python scripts/bench.py --out BENCH.json
     python scripts/bench.py --H 99,999,1999,3999 --repeats 9 --out BENCH.json
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -68,6 +75,21 @@ def quartiles(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def cli_import_row(repeats: int) -> dict:
+    """Fresh interpreters that import amrb.cli and exit, after one untimed."""
+    argv = [sys.executable, "-c", "import amrb.cli"]
+    env = dict(os.environ, PYTHONPATH=bench_env.SRC)
+    subprocess.run(argv, env=env, check=True)
+    seconds, rel = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        subprocess.run(argv, env=env, check=True)
+        seconds.append(time.perf_counter() - start)
+        rel.append(seconds[-1] / float(np.median(reference.measure())))
+    return {"row": "cli_import", "repeats": repeats, "rel": quartiles(rel),
+            "seconds": quartiles(seconds)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--H", default="99,999,3999", help="interior node counts")
@@ -78,7 +100,11 @@ def main(argv=None) -> int:
         parser.error("--repeats must be positive")
     bench_env.check_sources(truth)
 
-    results = []
+    row = cli_import_row(args.repeats)
+    results = [row]
+    print(f"{'cli_import':<25s} rel median {row['rel']['median']:9.2f} "
+          f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
+          f"{1e3 * row['seconds']['median']:8.2f} ms")
     for H in (int(h) for h in args.H.split(",")):
         rows = rows_at(H)
         for call in rows.values():

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import AssemblyError
+from .lapack import dpbtrf, dtbtrs
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 BOX_RTOL = 1e-12  # ParameterBox.contains pads each bound by this times 1 + |bound|
@@ -210,6 +209,19 @@ def _band_solve(chol: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     return x
 
 
+def _cholesky_banded(T: Tridiagonal) -> np.ndarray:
+    """Upper banded Cholesky factor of a symmetric T, by LAPACK ``pbtrf``."""
+    ab = np.array([np.r_[0.0, T.upper], T.diag])  # LAPACK upper band storage
+    if not np.isfinite(ab).all():
+        raise AssemblyError("inner-product matrices are not finite and SPD: "
+                            "array must not contain infs or NaNs")
+    chol, info = dpbtrf(ab)
+    if info > 0:
+        raise AssemblyError("inner-product matrices are not finite and SPD: "
+                            f"{info}-th leading minor not positive definite")
+    return chol
+
+
 def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
     """Assemble all operator blocks with 2-point Gauss quadrature.
 
@@ -247,11 +259,7 @@ def assemble_operators(mesh: Mesh1D) -> AffineOperatorSet:
     f1 = scatter_vec(np.einsum("ge,ge,age->ae", gw, gp / mesh.s_f, val))
     f2 = scatter_vec(np.einsum("ge,age->ae", gw, val))
 
-    try:
-        gram_chol, _ = (cholesky_banded(np.array([np.r_[0.0, m.upper], m.diag]), lower=False)
-                        for m in (gram, mass))  # LAPACK upper band storage
-    except (np.linalg.LinAlgError, ValueError) as err:  # ValueError: inf or nan entries
-        raise AssemblyError(f"inner-product matrices are not finite and SPD: {err}") from err
+    gram_chol, _ = (_cholesky_banded(m) for m in (gram, mass))  # mass: only checked
 
     return AffineOperatorSet(
         mesh=mesh, gram=gram, mass=mass, a1=a1, a2=a2,

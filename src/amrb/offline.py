@@ -34,6 +34,7 @@ the model through ``assemble_reduced``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,7 @@ def sample_training_set(box: ParameterBox, n: int, seed) -> list[ParameterVector
     rng = np.random.default_rng(seed)
     lo, hi = box.bounds()
     draws = lo + (hi - lo) * rng.random((n, 4))
-    return [ParameterVector(*row) for row in draws]
+    return [ParameterVector(*row) for row in draws.tolist()]
 
 
 @dataclass(frozen=True)
@@ -472,7 +473,7 @@ def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
     if key not in data:
         raise ModelLoadError(f"model file is missing field {key!r}")
     try:
-        arr = np.array(data[key], dtype=float)
+        arr = reals(data[key])
     except (TypeError, ValueError) as err:
         raise ModelLoadError(f"field {key!r} is not a numeric array: {err}") from err
     if arr.ndim != 2 or arr.shape[0] != rows:
@@ -500,6 +501,20 @@ def real(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def reals(value) -> np.ndarray:
+    """``value``, a JSON number or nested lists of them, as a float array, the
+    one converter of every array field of the model file.  ``real``'s rule
+    holds per entry: a bool, which the array would read as 0.0 or 1.0,
+    raises ValueError."""
+    arr = np.array(value, dtype=float)
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in map(type, entries):
+        raise ValueError("expected numbers, got a bool")
+    return arr
 
 
 def read_field(data: dict, key: str, convert=real):
@@ -562,9 +577,9 @@ def load_model(path) -> ReducedModel:
     diag_data = _object(data, "diagnostics")
     selections = _object(diag_data, "selections")
     try:
-        train = np.array(selections.get("training_params", []), dtype=float).reshape(-1, 4)
-        eps_u = np.array(diag_data.get("eps_u", []), dtype=float)
-        eps_lambda = np.array(diag_data.get("eps_lambda", []), dtype=float)
+        train = reals(selections.get("training_params", [])).reshape(-1, 4)
+        eps_u = reals(diag_data.get("eps_u", []))
+        eps_lambda = reals(diag_data.get("eps_lambda", []))
         if eps_u.ndim != 1 or eps_lambda.ndim != 1:
             raise ValueError("greedy decay sequences must be flat lists")
         diagnostics = GreedyDiagnostics(

@@ -37,11 +37,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import textio
 from .errors import AmrbError, AssemblyError, ModelCorruptionError
 from .fem import AffineOperatorSet, Mesh1D, ParameterVector, obstacle_data
+from .lapack import dgetrf, dgetrs
 from .offline import ReducedModel
 from .truth import (
     TRAJECTORY_HEADER,

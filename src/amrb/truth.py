@@ -94,12 +94,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgesv, dgtsv, dgttrf
 
 from .errors import AmrbError, AssemblyError, NumericalBreakdownError, SolverDivergenceError
 from .fem import (AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal,
                   band_product, obstacle_data)
+from .lapack import dgesv, dgtsv, dgttrf, dtbsv
 from . import textio
 
 # ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero

@@ -52,6 +52,27 @@ def test_cli_import_leaves_scipy_sparse_out():
     assert done.stdout.strip() == "False"
 
 
+def test_no_stock_command_imports_scipy_linalg(tmp_path):
+    # amrb.lapack loads scipy's compiled BLAS and LAPACK wrappers without
+    # scipy.linalg's package init, which pulls in numpy.testing and
+    # numpy.f2py and took half of every command's start-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out, mu = str(tmp_path), "102,0.05,0.0015,0.49"
+    model = os.path.join(out, "model.json")
+    commands = [["offline", "--out", out],
+                ["online", "--model", model, "--mu", mu, "--compare", "--out", out],
+                ["truth", "--mu", mu, "--out", os.path.join(out, "truth")],
+                ["validate", "--model", model],
+                ["study", "--out", os.path.join(out, "study")]]
+    code = ("import sys\nfrom amrb.cli import main\n"
+            f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n"
+            "print([m for m in ('scipy.linalg', 'numpy.testing', 'numpy.f2py') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_benchmark_tracer_bindings_exist():
     # the benchmark's tracer patches each span under the name its caller
     # looks up; a binding that goes missing (such as the tracer-only imports
@@ -669,6 +690,32 @@ def test_boolean_float_model_field_exits_3(tmp_path, capsys, small_model, sectio
     # float read true as 1.0, so a model with "theta": true loaded at theta = 1
     assert_edited_model_exits_3(tmp_path, capsys, small_model,
                                 lambda doc: doc[section].update({key: True}))
+
+
+# one entry of each float array field of a model file, by its path
+FLOAT_ARRAY_MODEL_ENTRIES = {
+    "psi_matrix": ("psi_matrix", 0, 0),
+    "xi_matrix": ("xi_matrix", -1, -1),
+    "eps_u": ("diagnostics", "eps_u", -1),
+    "eps_lambda": ("diagnostics", "eps_lambda", -1),
+    "training_params": ("diagnostics", "selections", "training_params", 0, 3),
+}
+
+
+def set_entry(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_ENTRIES)
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_in_float_array_model_field_exits_3(tmp_path, capsys, small_model, field, value):
+    # an array read with dtype=float takes true as 1.0 and false as 0.0, so a
+    # model with a bool as its last eps_lambda or as a training sigma validated
+    assert_edited_model_exits_3(tmp_path, capsys, small_model,
+                                lambda doc: set_entry(doc, FLOAT_ARRAY_MODEL_ENTRIES[field], value))
 
 
 def test_huge_model_mesh_exits_3_before_building_it(tmp_path, capsys, small_model):

@@ -72,6 +72,14 @@ def test_sample_deterministic(default_box):
     assert c == d
 
 
+def test_sampled_parameters_hold_plain_floats(default_box):
+    # a numpy row's entries are np.float64, whose repr reached error messages
+    # and the JSON error line as "K=np.float64(101.36...)"
+    for mu in sample_training_set(default_box, 3, 5):
+        assert all(type(v) is float for v in (mu.K, mu.r, mu.q, mu.sigma))
+        assert "np.float64" not in repr(mu)
+
+
 def test_sample_requires_positive_count(default_box):
     with pytest.raises(ValueError):
         sample_training_set(default_box, 0, 0)
