@@ -1,4 +1,5 @@
-"""Timings of the truth march per mesh size, written as one JSON file.
+"""Timings of the truth march and the online phase per mesh size, written
+as one JSON file.
 
 Rows, first one without a mesh:
 
@@ -13,12 +14,21 @@ then at each mesh size H of ``--H`` (stock time grid and box):
   snapshots_single  the same 16 trajectories, one ``solve_trajectory`` each
   snapshots_group   the same 16 through ``truth.march_group`` at every H,
                     where the checkout has it
+  online_setup_AxB  ``online.online_setup`` of the stock (A, B) = (8, 8) and
+                    (16, 16) models, built untimed from those snapshots, at
+                    the first stock test draw
+  reduced_trajectory_AxB
+                    ``online.reduced_trajectory`` of the same model and draw
 
 Repeats interleave the rows, after one untimed call of each.  Beside each
 timed call runs the reference kernel of ``perfbench/reference.py``, and a
 row reports the median and quartiles over the repeats of the call's time
 divided by the kernel's (``rel``), which stays steady while the host's
 speed drifts, and the median seconds (``cli_import``: their quartiles).
+An online row also records its median ``rel`` over the same run's
+``truth`` median (``over_truth``) and over the ``snapshots`` median per
+draw (``over_snapshot``), the truth cost it stands in for, alone or
+marched in a group.
 The record names the machine, the BLAS threads, the numpy and scipy
 versions and the git commit.
 
@@ -45,9 +55,13 @@ bench_env.prepare()
 import numpy as np  # noqa: E402
 import reference  # noqa: E402
 
-from amrb import offline, truth  # noqa: E402
-from amrb.cli import load_config, training_set  # noqa: E402
+from amrb import offline, online, truth  # noqa: E402
+from amrb.cli import load_config, test_stream, training_set  # noqa: E402
 from amrb.fem import assemble_operators, build_mesh, obstacle_data  # noqa: E402
+
+
+# the stock (NV_tilde, NW) budgets of the online rows
+ONLINE_BUDGETS = ((8, 8), (16, 16))
 
 
 def rows_at(H: int) -> dict:
@@ -67,6 +81,13 @@ def rows_at(H: int) -> dict:
     }
     if hasattr(truth, "march_group"):
         rows["snapshots_group"] = lambda: truth.march_group(params, ops, scheme)
+    store = offline.generate_snapshots(params, ops, scheme)
+    mu = offline.sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))[0]
+    for nv_tilde, nw in ONLINE_BUDGETS:
+        model, _ = offline.build_reduced_model_from_store(store, nv_tilde, nw, ops)
+        rows[f"online_setup_{nv_tilde}x{nw}"] = lambda model=model: online.online_setup(model, mu)
+        rows[f"reduced_trajectory_{nv_tilde}x{nw}"] = (
+            lambda model=model: online.reduced_trajectory(model, mu))
     return rows
 
 
@@ -102,7 +123,7 @@ def main(argv=None) -> int:
 
     row = cli_import_row(args.repeats)
     results = [row]
-    print(f"{'cli_import':<25s} rel median {row['rel']['median']:9.2f} "
+    print(f"{'cli_import':<32s} rel median {row['rel']['median']:9.2f} "
           f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
           f"{1e3 * row['seconds']['median']:8.2f} ms")
     for H in (int(h) for h in args.H.split(",")):
@@ -119,13 +140,20 @@ def main(argv=None) -> int:
                 kernel = float(np.median(reference.measure()))
                 seconds[name].append(elapsed)
                 rel[name].append(elapsed / kernel)
+        truth_rel = float(np.median(rel["truth"]))
+        member_rel = float(np.median(rel["snapshots"])) / load_config(None).n_train
         for name in rows:
             row = {"row": name, "H": H, "repeats": args.repeats, "rel": quartiles(rel[name]),
                    "seconds_median": float(np.median(seconds[name]))}
+            if name.startswith(("online_setup", "reduced_trajectory")):
+                row["over_truth"] = row["rel"]["median"] / truth_rel
+                row["over_snapshot"] = row["rel"]["median"] / member_rel
             results.append(row)
-            print(f"H={H:<5d} {name:<17s} rel median {row['rel']['median']:9.2f} "
+            ratios = (f"  {row['over_truth']:.2f} truth, {row['over_snapshot']:.2f} snapshot"
+                      if "over_truth" in row else "")
+            print(f"H={H:<5d} {name:<24s} rel median {row['rel']['median']:9.2f} "
                   f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
-                  f"{1e3 * row['seconds_median']:8.2f} ms")
+                  f"{1e3 * row['seconds_median']:8.2f} ms{ratios}")
     record = {"machine": bench_env.machine(), "kernel": "perfbench/reference.py",
               "rows": results}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -11,7 +11,9 @@ and load separate into parameter-independent blocks,
 where a1 is the s^2-diffusion block (the 1/2 factor folded in), a2 the
 convection block -<s u', v>, mass the reaction block <u, v>, f1 the ramp
 load <s/s_f, phi_i> and f2 the constant load <1, phi_i>.  Every block is
-stored as its three bands (``Tridiagonal``).
+stored as its three bands (``Tridiagonal``).  This module assembles the
+blocks only: ``amrb.truth.step_pair`` and ``load_vector`` apply the
+coefficients, to these bands and to their reduced projections alike.
 
 The energy inner product <u, v> = <s u', s v'> + <u, v> has Gram matrix
 ``gram``.  Multipliers are expanded in the basis biorthogonal to the nodal
@@ -171,14 +173,6 @@ class AffineOperatorSet:
     @property
     def dim(self) -> int:
         return self.mesh.H
-
-    def a_matrix(self, mu) -> Tridiagonal:
-        """Bands of the bilinear form sigma^2*a1 + (r - q)*a2 + r*mass."""
-        return Tridiagonal(*((mu.sigma ** 2) * b1 + (mu.r - mu.q) * b2 + mu.r * bm
-                             for b1, b2, bm in zip(self.a1, self.a2, self.mass)))
-
-    def f_vector(self, mu) -> np.ndarray:
-        return mu.K * mu.q * self.f1 - mu.K * mu.r * self.f2
 
     def v_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(u @ (self.gram @ v))

@@ -497,8 +497,8 @@ def integer(value) -> int:
 def real(value) -> float:
     """``value`` as a float, the one converter of every float field of the
     run config and the model file.  A bool, which ``float`` would read as
-    0.0 or 1.0, raises ValueError."""
-    if isinstance(value, bool):
+    0.0 or 1.0, and a string, which it would parse, raise ValueError."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -506,14 +506,14 @@ def real(value) -> float:
 def reals(value) -> np.ndarray:
     """``value``, a JSON number or nested lists of them, as a float array, the
     one converter of every array field of the model file.  ``real``'s rule
-    holds per entry: a bool, which the array would read as 0.0 or 1.0,
-    raises ValueError."""
+    holds per entry: a bool, which the array would read as 0.0 or 1.0, and
+    a string, which it would parse, raise ValueError."""
     arr = np.array(value, dtype=float)
     entries = [value]
     for _ in range(arr.ndim):
         entries = itertools.chain.from_iterable(entries)
-    if bool in map(type, entries):
-        raise ValueError("expected numbers, got a bool")
+    if not {bool, str}.isdisjoint(map(type, entries)):
+        raise ValueError("expected numbers, got a bool or a string")
     return arr
 
 

@@ -1,11 +1,14 @@
 """Online phase: parameter-fast reduced simulations and error metrics.
 
-Per parameter, ``online_setup`` combines the reduced operator a_n and
-load f_n from the stored affine blocks, factorizes the step matrix
-s_n = mass_n/dt + theta a_n once (LAPACK ``getrf``), and forms the
-obstacle data (cone loads g_n and the initial projection) in a single O(H)
-pass.  It keeps only what a step reads, as ``OnlineData``: with
-rhs_n = mass_n/dt - (1 - theta) a_n, P = s_n^-1 rhs_n and c = s_n^-1 f_n,
+Per parameter, ``online_setup`` forms the step matrix
+s_n = mass_n/dt + theta a_n, its explicit part
+rhs_n = mass_n/dt - (1 - theta) a_n and the load f_n from the stored affine
+blocks with ``amrb.truth.step_pair`` and ``load_vector``, the functions
+that form the truth's step bands: the reduced step is the Galerkin
+projection of the truth's, up to rounding.  It factorizes s_n once (LAPACK
+``getrf``), and forms the obstacle data (cone loads g_n and the initial
+projection) in a single O(H) pass.  It keeps only what a step reads, as
+``OnlineData``: with P = s_n^-1 rhs_n and c = s_n^-1 f_n,
 the state with the cone inactive is P u + c, and the cone right-hand side
 is d - Q u, with Q = b_n' P and d = g_n - b_n' c; the Schur complement
 b_n' s_n^-1 b_n is checked once (``check_lcp_matrix``).  Each time step is
@@ -47,9 +50,11 @@ from .truth import (
     TRAJECTORY_HEADER,
     Trajectory,
     check_lcp_matrix,
+    load_vector,
     solve_lcp,
     solve_trajectory,  # noqa: F401  unused here; perfbench's tracer patches this binding
     state_rows,
+    step_pair,
 )
 
 
@@ -74,14 +79,10 @@ class OnlineData:
 
 def online_setup(model: ReducedModel, mu) -> OnlineData:
     """Assemble and factorize everything a reduced trajectory needs for mu."""
-    cfg = model.config
     try:
-        a_n = (mu.sigma ** 2) * model.a1_n + (mu.r - mu.q) * model.a2_n + mu.r * model.mass_n
+        s_n, explicit_n = step_pair(mu, model.config, model.mass_n, model.a1_n, model.a2_n)
     except OverflowError as err:
         raise AssemblyError(f"reduced operator at mu={mu} overflows: {err}") from err
-    f_n = mu.K * mu.q * model.f1_n - mu.K * mu.r * model.f2_n
-    mass_dt = model.mass_n / cfg.delta_t
-    s_n = mass_dt + cfg.theta * a_n
     if not np.isfinite(s_n).all():
         raise AssemblyError(f"reduced step matrix at mu={mu} is not finite")
     lu, piv, _ = dgetrf(s_n)  # an exactly zero pivot fails the test below
@@ -92,8 +93,8 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
     psi_tilde = obstacle_data(model.ops.mesh, mu.K).psi_tilde
     b_n = model.b_n
     sinv_b = dgetrs(lu, piv, b_n)[0]
-    step_map = dgetrs(lu, piv, mass_dt - (1.0 - cfg.theta) * a_n)[0]
-    step_load = dgetrs(lu, piv, f_n)[0]
+    step_map = dgetrs(lu, piv, explicit_n)[0]
+    step_load = dgetrs(lu, piv, load_vector(mu, model.f1_n, model.f2_n))[0]
     g_n = model.xi_matrix.T @ psi_tilde
     return OnlineData(step_map=step_map, step_load=step_load, cone_map=b_n.T @ step_map,
                       cone_load=g_n - b_n.T @ step_load, sinv_b=sinv_b,

@@ -5,7 +5,11 @@ Each backward-time step is a linear complementarity problem
     S u - lam = rhs,   u >= obstacle,   lam >= 0,   lam . (u - obstacle) = 0,
 
 with S = mass/dt + theta * a(mu) and rhs = (mass/dt - (1-theta) * a(mu))
-applied to the previous state plus the load.  Steps are solved with a
+applied to the previous state plus the load.  ``step_pair`` forms that
+pair from the affine terms of a(mu), and ``load_vector`` the load; both
+work on any arrays, so the truth's bands (``step_bands``, one call per
+band) and the reduced blocks of ``amrb.online`` take the same theta-step
+from the same lines.  Steps are solved with a
 primal-dual active-set iteration: freeze a guess of the contact set, solve
 the linear system with the state pinned to the obstacle there, read the
 multiplier off the residual, update the set from the sign of
@@ -142,12 +146,34 @@ class SchemeConfig:
             raise ValueError(f"horizon must be positive and finite, got T={self.T}")
         if self.L < 1:
             raise ValueError(f"need at least one time step, got L={self.L}")
+        if not self.delta_t > 0.0:  # mass/dt would divide by zero
+            raise ValueError(f"time step T/L underflows to zero, got T={self.T}, L={self.L}")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
 
     @property
     def delta_t(self) -> float:
         return self.T / self.L
+
+
+def step_pair(mu, config: SchemeConfig, mass, a1, a2):
+    """The theta-step (S, explicit) = (mass/dt + theta a(mu),
+    mass/dt - (1 - theta) a(mu)), with a(mu) = sigma^2 a1 + (r - q) a2 + r mass.
+
+    The terms are arrays of one shape: a band of the truth operators
+    (``step_bands``) or the reduced blocks (``amrb.online.online_setup``).
+    A market parameter too large to square raises OverflowError; entries
+    that overflow are left infinite, for the caller's check.
+    """
+    a_mu = (mu.sigma ** 2) * a1 + (mu.r - mu.q) * a2 + mu.r * mass
+    m_dt = mass * (1.0 / config.delta_t)
+    return m_dt + config.theta * a_mu, m_dt - (1.0 - config.theta) * a_mu
+
+
+def load_vector(mu, f1, f2):
+    """The load f(mu) = K q f1 - K r f2, from the truth's load vectors or
+    the reduced ones."""
+    return mu.K * mu.q * f1 - mu.K * mu.r * f2
 
 
 def check_lcp_matrix(S):
@@ -457,21 +483,18 @@ def ul_factor(S: Tridiagonal):
 
 def step_bands(mu, ops: AffineOperatorSet,
                config: SchemeConfig) -> tuple[Tridiagonal, Tridiagonal]:
-    """The bands of a trajectory's step at parameter ``mu``: the step matrix
-    S = mass/dt + theta a(mu), checked by ``check_lcp_matrix``, and the
-    explicit part mass/dt - (1 - theta) a(mu).
+    """The bands of a trajectory's step at parameter ``mu``: ``step_pair``
+    of each band, the step matrix S checked by ``check_lcp_matrix``.
 
     Market parameters whose operator overflows, or whose step matrix is not
     usable, raise ``AssemblyError``.
     """
-    m_dt = Tridiagonal(*(b * (1.0 / config.delta_t) for b in ops.mass))
     try:
-        a_mu = ops.a_matrix(mu)
-        S = check_lcp_matrix(Tridiagonal(*(bm + config.theta * ba for bm, ba in zip(m_dt, a_mu))))
-        explicit = Tridiagonal(*(bm - (1.0 - config.theta) * ba for bm, ba in zip(m_dt, a_mu)))
+        pairs = [step_pair(mu, config, *terms) for terms in zip(ops.mass, ops.a1, ops.a2)]
+        S, explicit = (Tridiagonal(*bands) for bands in zip(*pairs))
+        return check_lcp_matrix(S), explicit
     except (OverflowError, ValueError) as err:
         raise AssemblyError(f"step matrix at mu={mu} is unusable: {err}") from err
-    return S, explicit
 
 
 def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
@@ -490,8 +513,8 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
     np.multiply(S.lower, psi[:-1], out=coupling[1:])
     s_psi_left = S.diag * psi
     s_psi_left[1:] += coupling[1:]
-    return StepOperators(S=S, explicit=explicit, f_mu=ops.f_vector(mu), psi=psi,
-                         coupling=coupling, s_psi=S @ psi, s_psi_left=s_psi_left,
+    return StepOperators(S=S, explicit=explicit, f_mu=load_vector(mu, ops.f1, ops.f2),
+                         psi=psi, coupling=coupling, s_psi=S @ psi, s_psi_left=s_psi_left,
                          upper_factor=upper_factor, lower_factor=lower_factor)
 
 
@@ -715,7 +738,7 @@ def trajectory_residuals(traj: Trajectory, ops: AffineOperatorSet,
     reused from the heap and the cache.
     """
     S, explicit = step_bands(traj.mu, ops, traj.config)
-    f_mu = ops.f_vector(traj.mu)
+    f_mu = load_vector(traj.mu, ops.f1, ops.f2)
     L, H = traj.multipliers.shape
     rows = min(L, max(1, RESIDUAL_FLOATS // H))
     work = np.empty((3, rows, H))
@@ -766,8 +789,7 @@ def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,
     prices = states + obstacle_data(mesh, K).p0 + 0.0
     states = states + 0.0
     lam = np.full(states.shape, np.nan)
-    if multipliers is not None:
-        lam[1:] = multipliers + 0.0
+    lam[1:] = multipliers + 0.0
     tail = "\n" if source is None else f",{source}\n"
     line = "%s,%.17g,%.17g,%.17g" + tail.replace("%", "%%")
     cells = [None] * (4 * s.size)

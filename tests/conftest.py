@@ -99,6 +99,13 @@ def dense(op) -> np.ndarray:
     return np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
 
 
+def dense_step_pair(mu, config, ops):
+    """``step_pair`` of the dense truth operators: (S, explicit) as arrays."""
+    from amrb.truth import step_pair
+
+    return step_pair(mu, config, *map(dense, (ops.mass, ops.a1, ops.a2)))
+
+
 def identity_operator_set(n: int):
     """Operator set with identity matrices; dual norms become Euclidean."""
     from scipy.linalg import cholesky_banded

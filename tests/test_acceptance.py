@@ -30,9 +30,9 @@ from amrb import (
 from amrb.cli import main as cli_main, train_stream
 from amrb.offline import _dominant_mode
 from amrb.online import _cone_step, err_linf, online_setup
-from amrb.truth import check_lcp_matrix
+from amrb.truth import check_lcp_matrix, load_vector
 
-from conftest import dense
+from conftest import dense_step_pair
 from test_truth import lcp_by_enumeration
 
 
@@ -100,11 +100,8 @@ def test_criterion_02_lcp_oracle():
 def test_criterion_03_american_dominates_european(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
-    a_mu = dense(default_ops.a_matrix(mu0))
-    m_dt = dense(default_ops.mass) / default_scheme.delta_t
-    smat = m_dt + default_scheme.theta * a_mu
-    rhsm = m_dt - (1 - default_scheme.theta) * a_mu
-    f_mu = default_ops.f_vector(mu0)
+    smat, rhsm = dense_step_pair(mu0, default_scheme, default_ops)
+    f_mu = load_vector(mu0, default_ops.f1, default_ops.f2)
     u = obstacle.psi_tilde.copy()
     for n in range(default_scheme.L):
         u = np.linalg.solve(smat, rhsm @ u + f_mu)

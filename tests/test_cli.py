@@ -1,6 +1,8 @@
+import functools
 import importlib.util
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -233,12 +235,14 @@ def test_infinite_integer_config_exits_2(tmp_path, capsys, section, key):
 @pytest.mark.parametrize("section, key, value", [
     ("mesh", "H", "Infinity"), ("sampling", "N_test", "Infinity"), ("box", "K0", '"a"'),
     ("time", "theta", "true"), ("box", "K0", "true"), ("study", "budgets", '["23"]'),
-    ("study", "budgets", '[[2, 2], "33"]')])
+    ("study", "budgets", '[[2, 2], "33"]'), ("time", "T", '"1"'), ("mesh", "s_f", '"300"'),
+    ("box", "eps", '"0.1"')])
 def test_config_error_names_its_key(tmp_path, capsys, section, key, value):
     # one except wraps every field, so an unconvertible value reported only
     # the conversion's own words, the same for an infinite mesh.H and N_test;
-    # float read true as 1.0 and a budget pair given as a string split into
-    # its characters, so those four ran and exited 0
+    # float read true as 1.0 and parsed a numeric string, and a budget pair
+    # given as a string split into its characters, so those seven ran and
+    # exited 0
     path = tmp_path / "config.json"
     path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
     assert main(["offline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -692,6 +696,25 @@ def test_boolean_float_model_field_exits_3(tmp_path, capsys, small_model, sectio
                                 lambda doc: doc[section].update({key: True}))
 
 
+@pytest.mark.parametrize("section, key", [("mesh", "s_f"), ("time", "T"), ("time", "theta")])
+def test_string_float_model_field_exits_3(tmp_path, capsys, small_model, section, key):
+    # float parsed a numeric string, so a model with "T": "1.0" loaded at T = 1
+    assert_edited_model_exits_3(tmp_path, capsys, small_model,
+                                lambda doc: doc[section].update({key: repr(doc[section][key])}))
+
+
+def test_time_step_underflow_exits_2_and_3(tmp_path, capsys, small_model):
+    # T / L rounds to 0.0 here, and mass/dt divided by it: the truth exited
+    # 1 with a ZeroDivisionError traceback
+    path = tmp_path / "config.json"
+    path.write_text('{"time": {"T": 5e-324, "L": 2}}')
+    assert main(["truth", "--config", str(path), "--mu", "100,0.05,0.0015,0.5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert_edited_model_exits_3(tmp_path, capsys, small_model,
+                                lambda doc: doc["time"].update({"T": 5e-324, "L": 2}))
+
+
 # one entry of each float array field of a model file, by its path
 FLOAT_ARRAY_MODEL_ENTRIES = {
     "psi_matrix": ("psi_matrix", 0, 0),
@@ -716,6 +739,18 @@ def test_boolean_in_float_array_model_field_exits_3(tmp_path, capsys, small_mode
     # model with a bool as its last eps_lambda or as a training sigma validated
     assert_edited_model_exits_3(tmp_path, capsys, small_model,
                                 lambda doc: set_entry(doc, FLOAT_ARRAY_MODEL_ENTRIES[field], value))
+
+
+@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_ENTRIES)
+def test_string_in_float_array_model_field_exits_3(tmp_path, capsys, small_model, field):
+    # an array read with dtype=float parses a numeric string, so a model with
+    # an entry written as the string of its own value validated
+    path = FLOAT_ARRAY_MODEL_ENTRIES[field]
+
+    def stringify(doc):
+        set_entry(doc, path, repr(functools.reduce(operator.getitem, path, doc)))
+
+    assert_edited_model_exits_3(tmp_path, capsys, small_model, stringify)
 
 
 def test_huge_model_mesh_exits_3_before_building_it(tmp_path, capsys, small_model):

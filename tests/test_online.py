@@ -16,7 +16,7 @@ from amrb import (
     reduced_trajectory,
     solve_trajectory,
 )
-from amrb.truth import state_rows
+from amrb.truth import load_vector, state_rows, step_bands, step_pair
 from amrb.online import (
     _cone_step,
     reduced_residuals,
@@ -66,6 +66,23 @@ def test_online_setup_affine_arithmetic(small_model):
     step_map = np.linalg.solve(s_n, mass_dt - 0.5 * a_n)
     assert np.allclose(data.step_load, step_load, rtol=1e-12, atol=1e-12)
     assert np.allclose(data.step_map, step_map, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_reduced_step_pair_is_the_projected_truth_step(model_8_8, test_params10, theta):
+    # one theta-step for both layers: step_pair on the reduced blocks is the
+    # Galerkin projection of the truth's step bands, and load_vector on the
+    # reduced loads the projection of the truth load
+    model, mu = model_8_8, test_params10[0]
+    ops, psi = model.ops, model.psi_matrix
+    cfg = dataclasses.replace(model.config, theta=theta)
+    reduced = step_pair(mu, cfg, model.mass_n, model.a1_n, model.a2_n)
+    for truth_op, reduced_op in zip(step_bands(mu, ops, cfg), reduced, strict=True):
+        projected = psi.T @ (truth_op @ psi)
+        assert np.abs(reduced_op - projected).max() <= 1e-12 * np.abs(projected).max()
+    projected = psi.T @ load_vector(mu, ops.f1, ops.f2)
+    reduced_load = load_vector(mu, model.f1_n, model.f2_n)
+    assert np.abs(reduced_load - projected).max() <= 1e-12 * np.abs(projected).max()
 
 
 def test_online_setup_cone_loads_match_store(small_model, small_store):

@@ -25,12 +25,13 @@ from amrb import (
     trajectory_residuals,
     write_trajectory_csv,
 )
-from amrb.truth import TRAJECTORY_HEADER, check_lcp_matrix, state_rows
+from amrb.fem import band_product
+from amrb.truth import TRAJECTORY_HEADER, check_lcp_matrix, load_vector, state_rows, step_pair
 from amrb.cli import train_stream
 from amrb.textio import fmt, write_csv
 import amrb.truth as truth_mod
 
-from conftest import dense
+from conftest import dense, dense_step_pair
 
 
 def lcp_by_enumeration(S, rhs, obstacle, tol=1e-11):
@@ -71,7 +72,8 @@ def test_scheme_config():
     for bad in [dict(T=0.0, L=20, theta=0.5), dict(T=1.0, L=0, theta=0.5),
                 dict(T=1.0, L=20, theta=1.5), dict(T=1.0, L=20, theta=-0.1),
                 dict(T=1.0, L=20, theta=0.0), dict(T=1.0, L=20, theta=0.49),
-                dict(T=np.nan, L=20, theta=0.5), dict(T=np.inf, L=20, theta=0.5)]:
+                dict(T=np.nan, L=20, theta=0.5), dict(T=np.inf, L=20, theta=0.5),
+                dict(T=5e-324, L=2, theta=0.5)]:
         with pytest.raises(ValueError):
             SchemeConfig(**bad)
 
@@ -282,8 +284,9 @@ def test_theta_step_stationary_limit(default_ops, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     step = truth_mod.step_operators(mu0, default_ops, cfg, obstacle.psi_tilde)
     u, lam, _ = theta_step(obstacle.psi_tilde, step, np.empty((2, default_ops.dim)))
-    a_mu = default_ops.a_matrix(mu0)
-    f_mu = default_ops.f_vector(mu0)
+    S, explicit = dense_step_pair(mu0, cfg, default_ops)
+    a_mu = S - explicit  # at theta = 1, a(mu) up to the rounding of mass/dt = 1e-12 mass
+    f_mu = load_vector(mu0, default_ops.f1, default_ops.f2)
     resid = a_mu @ u - lam - f_mu
     assert np.abs(resid).max() <= 1e-8 * (1 + np.abs(f_mu).max())
 
@@ -321,11 +324,9 @@ def test_theta_step_empty_active_set_is_linear(default_ops, default_scheme, mu0)
                                                             np.full(H, -1e9)),
                            np.empty((2, H)))
     # independent dense unconstrained step
-    a_mu = dense(default_ops.a_matrix(mu0))
-    m_dt = dense(default_ops.mass) / default_scheme.delta_t
-    expected = np.linalg.solve(
-        m_dt + default_scheme.theta * a_mu,
-        (m_dt - (1 - default_scheme.theta) * a_mu) @ u_prev + default_ops.f_vector(mu0))
+    smat, rhsm = dense_step_pair(mu0, default_scheme, default_ops)
+    expected = np.linalg.solve(smat, rhsm @ u_prev + load_vector(mu0, default_ops.f1,
+                                                                  default_ops.f2))
     assert np.all(lam == 0.0)
     assert np.abs(u - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
@@ -363,11 +364,8 @@ def test_american_dominates_european(default_ops, default_scheme, mu0):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
     traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
     # independent dense unconstrained marching
-    a_mu = dense(default_ops.a_matrix(mu0))
-    m_dt = dense(default_ops.mass) / default_scheme.delta_t
-    smat = m_dt + default_scheme.theta * a_mu
-    rhsm = m_dt - (1 - default_scheme.theta) * a_mu
-    f_mu = default_ops.f_vector(mu0)
+    smat, rhsm = dense_step_pair(mu0, default_scheme, default_ops)
+    f_mu = load_vector(mu0, default_ops.f1, default_ops.f2)
     u = obstacle.psi_tilde.copy()
     for n in range(default_scheme.L):
         u = np.linalg.solve(smat, rhsm @ u + f_mu)
@@ -577,20 +575,26 @@ def test_prefix_solve_and_predictor_match_their_references(default_box, H):
 def test_step_rhs_is_one_band_product(default_box, H):
     # mass/dt - (1 - theta) a(mu) is formed once; at theta = 1 the product
     # 0 * a(mu) is exact, so the rhs keeps the bytes of mass/dt u + f
-    eps = np.finfo(float).eps
+    eps, wide = np.finfo(float).eps, np.longdouble
     ops = assemble_operators(build_mesh(H, 300.0))
     for _, rhs, _, _, traj, n in stock_box_steps(default_box, H):
-        cfg, u = traj.config, traj.states[n]
-        m_dt = Tridiagonal(*(b * (1.0 / cfg.delta_t) for b in ops.mass))
-        a_mu, f_mu = ops.a_matrix(traj.mu), ops.f_vector(traj.mu)
+        cfg, u, mu = traj.config, traj.states[n], traj.mu
+        f_mu = load_vector(mu, ops.f1, ops.f2)
         if cfg.theta == 1.0:
+            m_dt = Tridiagonal(*(b * (1.0 / cfg.delta_t) for b in ops.mass))
             assert rhs.tobytes() == (m_dt @ u + f_mu).tobytes()
             continue
-        wide = [Tridiagonal(*(band.astype(np.longdouble) for band in m)) for m in (m_dt, a_mu)]
-        exact = wide[0] @ u.astype(np.longdouble) - (wide[1] @ u.astype(np.longdouble)) / 2
-        exact += f_mu.astype(np.longdouble)
-        scale = (Tridiagonal(*map(np.abs, m_dt)) @ np.abs(u)
-                 + Tridiagonal(*map(np.abs, a_mu)) @ np.abs(u) / 2 + np.abs(f_mu))
+        # the step pair of the affine terms in long double, whose product
+        # sums into long double too; at theta = 1/2, S - E = a(mu) and
+        # (S + E) / 2 = mass/dt
+        S, E = (Tridiagonal(*bands) for bands in zip(*(
+            step_pair(mu, cfg, *(band.astype(wide) for band in terms))
+            for terms in zip(ops.mass, ops.a1, ops.a2))))
+        exact = band_product(E, u.astype(wide), *np.empty((2, H), wide))
+        exact += load_vector(mu, ops.f1.astype(wide), ops.f2.astype(wide))
+        m_dt = Tridiagonal(*(abs(s + e) / 2 for s, e in zip(S, E)))
+        a_mu = Tridiagonal(*(abs(s - e) for s, e in zip(S, E)))
+        scale = m_dt @ np.abs(u) + a_mu @ np.abs(u) / 2 + np.abs(f_mu)
         assert (np.abs(rhs - exact) <= 2 * eps * scale).all()
 
 
@@ -1019,7 +1023,7 @@ def test_tracer_bindings_fire_once_per_step(default_ops, default_scheme, mu0, mo
 def residuals_by_step(traj, ops, obstacle):
     """``trajectory_residuals`` as first written, one step at a time."""
     S, explicit = truth_mod.step_bands(traj.mu, ops, traj.config)
-    f_mu = ops.f_vector(traj.mu)
+    f_mu = load_vector(traj.mu, ops.f1, ops.f2)
     min_gap, min_multiplier, max_comp, max_lin = np.inf, np.inf, 0.0, 0.0
     for n in range(traj.config.L):
         u, lam = traj.states[n + 1], traj.multipliers[n]
@@ -1084,8 +1088,8 @@ def test_trajectory_csv_source_column(tmp_path, default_ops, default_scheme, mu0
 
 def test_trajectory_csv_matches_cellwise_rendering(tmp_path, mu0):
     # each per-step block is one % call; it renders as the cell-by-cell fmt
-    # loop does, -0.0, nan and the infinities included, with and without
-    # multipliers and a source column, whose % is literal text
+    # loop does, -0.0, nan and the infinities included, with and without a
+    # source column, whose % is literal text
     assert [fmt(x) for x in (-0.0, np.nan, np.inf, -np.inf, 0.1)] == [
         "0", "nan", "inf", "-inf", "0.10000000000000001"]
     mesh = build_mesh(3, 300.0)
@@ -1094,17 +1098,17 @@ def test_trajectory_csv_matches_cellwise_rendering(tmp_path, mu0):
     config = SchemeConfig(T=0.3, L=2, theta=0.5)
     s = mesh.interior_nodes
     lift = mu0.K * (1.0 - s / mesh.s_f)
-    for lams, source in ((multipliers, "truth"), (None, None), (multipliers, None),
-                         (None, "100%s %d%%")):
+    for source in ("truth", None, "100%s %d%%"):
         expected = []
         for n in range(3):
             for j in range(3):
-                lam = lams[n - 1, j] if lams is not None and n else float("nan")
+                lam = multipliers[n - 1, j] if n else float("nan")
                 row = [n, n * config.delta_t, s[j], states[n, j], lam, states[n, j] + lift[j]]
                 if source is not None:
                     row.append(source)
                 expected.append(",".join(fmt(cell) for cell in row))
-        rendered = "".join(state_rows(states, lams, mesh, mu0.K, config.delta_t, source))
+        rendered = "".join(state_rows(states, multipliers, mesh, mu0.K, config.delta_t,
+                                      source))
         assert rendered == "\n".join(expected) + "\n"
     traj = Trajectory(mu=mu0, states=states, multipliers=multipliers, config=config,
                       pdas_iterations=np.ones(2, dtype=int))
