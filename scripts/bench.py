@@ -14,9 +14,17 @@ then at each mesh size H of ``--H`` (stock time grid and box):
   snapshots_single  the same 16 trajectories, one ``solve_trajectory`` each
   snapshots_group   the same 16 through ``truth.march_group`` at every H,
                     where the checkout has it
-  online_setup_AxB  ``online.online_setup`` of the stock (A, B) = (8, 8) and
-                    (16, 16) models, built untimed from those snapshots, at
-                    the first stock test draw
+  pod_greedy_A      ``offline.pod_greedy`` of those snapshots at the stock
+                    budgets A = 8 and 16
+  angle_greedy_B    ``offline.angle_greedy`` of those snapshots at B = 8, 16
+  enrich_AxB        ``offline.enrich_with_supremizers`` of the (A, B) =
+                    (8, 8) and (16, 16) greedy results, as ``amrb offline``
+                    calls it
+  save_model_AxB    ``offline.save_model`` of the stock (A, B) model, built
+                    untimed from those snapshots
+  load_model_AxB    ``offline.load_model`` of that model's file
+  online_setup_AxB  ``online.online_setup`` of the same model at the first
+                    stock test draw
   reduced_trajectory_AxB
                     ``online.reduced_trajectory`` of the same model and draw
 
@@ -34,6 +42,8 @@ versions and the git commit.
 
     python scripts/bench.py --out BENCH.json
     python scripts/bench.py --H 99,999,1999,3999 --repeats 9 --out BENCH.json
+
+Model files go to a temporary directory that the run removes.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,12 +71,12 @@ from amrb.cli import load_config, test_stream, training_set  # noqa: E402
 from amrb.fem import assemble_operators, build_mesh, obstacle_data  # noqa: E402
 
 
-# the stock (NV_tilde, NW) budgets of the online rows
-ONLINE_BUDGETS = ((8, 8), (16, 16))
+# the stock (NV_tilde, NW) budgets of the offline and online rows
+BUDGETS = ((8, 8), (16, 16))
 
 
-def rows_at(H: int) -> dict:
-    """The calls timed at mesh size H, by row name."""
+def rows_at(H: int, workdir: str) -> dict:
+    """The calls timed at mesh size H, by row name; model files go to workdir."""
     cfg = load_config(None)
     ops = assemble_operators(build_mesh(H, cfg.mesh.s_f))
     scheme = cfg.scheme
@@ -83,8 +94,20 @@ def rows_at(H: int) -> dict:
         rows["snapshots_group"] = lambda: truth.march_group(params, ops, scheme)
     store = offline.generate_snapshots(params, ops, scheme)
     mu = offline.sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))[0]
-    for nv_tilde, nw in ONLINE_BUDGETS:
-        model, _ = offline.build_reduced_model_from_store(store, nv_tilde, nw, ops)
+    for nv_tilde, nw in BUDGETS:
+        pod = offline.pod_greedy(store, nv_tilde, ops)
+        cone = offline.angle_greedy(store, nw, ops)
+        model, _ = offline.truncated_model(store, pod, cone, nv_tilde, nw, ops)
+        path = os.path.join(workdir, f"model_{H}_{nv_tilde}x{nw}.json")
+        offline.save_model(model, path)
+        xi = np.ascontiguousarray(cone[0])  # as truncated_model passes it
+        rows[f"pod_greedy_{nv_tilde}"] = lambda n=nv_tilde: offline.pod_greedy(store, n, ops)
+        rows[f"angle_greedy_{nw}"] = lambda n=nw: offline.angle_greedy(store, n, ops)
+        rows[f"enrich_{nv_tilde}x{nw}"] = (
+            lambda pod=pod[0], xi=xi: offline.enrich_with_supremizers(pod, xi, ops))
+        rows[f"save_model_{nv_tilde}x{nw}"] = (
+            lambda model=model, path=path: offline.save_model(model, path))
+        rows[f"load_model_{nv_tilde}x{nw}"] = lambda path=path: offline.load_model(path)
         rows[f"online_setup_{nv_tilde}x{nw}"] = lambda model=model: online.online_setup(model, mu)
         rows[f"reduced_trajectory_{nv_tilde}x{nw}"] = (
             lambda model=model: online.reduced_trajectory(model, mu))
@@ -126,34 +149,35 @@ def main(argv=None) -> int:
     print(f"{'cli_import':<32s} rel median {row['rel']['median']:9.2f} "
           f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
           f"{1e3 * row['seconds']['median']:8.2f} ms")
-    for H in (int(h) for h in args.H.split(",")):
-        rows = rows_at(H)
-        for call in rows.values():
-            call()
-        rel = {name: [] for name in rows}
-        seconds = {name: [] for name in rows}
-        for _ in range(args.repeats):
-            for name, call in rows.items():
-                start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="amrb-bench-") as workdir:
+        for H in (int(h) for h in args.H.split(",")):
+            rows = rows_at(H, workdir)
+            for call in rows.values():
                 call()
-                elapsed = time.perf_counter() - start
-                kernel = float(np.median(reference.measure()))
-                seconds[name].append(elapsed)
-                rel[name].append(elapsed / kernel)
-        truth_rel = float(np.median(rel["truth"]))
-        member_rel = float(np.median(rel["snapshots"])) / load_config(None).n_train
-        for name in rows:
-            row = {"row": name, "H": H, "repeats": args.repeats, "rel": quartiles(rel[name]),
-                   "seconds_median": float(np.median(seconds[name]))}
-            if name.startswith(("online_setup", "reduced_trajectory")):
-                row["over_truth"] = row["rel"]["median"] / truth_rel
-                row["over_snapshot"] = row["rel"]["median"] / member_rel
-            results.append(row)
-            ratios = (f"  {row['over_truth']:.2f} truth, {row['over_snapshot']:.2f} snapshot"
-                      if "over_truth" in row else "")
-            print(f"H={H:<5d} {name:<24s} rel median {row['rel']['median']:9.2f} "
-                  f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
-                  f"{1e3 * row['seconds_median']:8.2f} ms{ratios}")
+            rel = {name: [] for name in rows}
+            seconds = {name: [] for name in rows}
+            for _ in range(args.repeats):
+                for name, call in rows.items():
+                    start = time.perf_counter()
+                    call()
+                    elapsed = time.perf_counter() - start
+                    kernel = float(np.median(reference.measure()))
+                    seconds[name].append(elapsed)
+                    rel[name].append(elapsed / kernel)
+            truth_rel = float(np.median(rel["truth"]))
+            member_rel = float(np.median(rel["snapshots"])) / load_config(None).n_train
+            for name in rows:
+                row = {"row": name, "H": H, "repeats": args.repeats, "rel": quartiles(rel[name]),
+                       "seconds_median": float(np.median(seconds[name]))}
+                if name.startswith(("online_setup", "reduced_trajectory")):
+                    row["over_truth"] = row["rel"]["median"] / truth_rel
+                    row["over_snapshot"] = row["rel"]["median"] / member_rel
+                results.append(row)
+                ratios = (f"  {row['over_truth']:.2f} truth, {row['over_snapshot']:.2f} snapshot"
+                          if "over_truth" in row else "")
+                print(f"H={H:<5d} {name:<24s} rel median {row['rel']['median']:9.2f} "
+                      f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
+                      f"{1e3 * row['seconds_median']:8.2f} ms{ratios}")
     record = {"machine": bench_env.machine(), "kernel": "perfbench/reference.py",
               "rows": results}
     with open(args.out, "w", encoding="utf-8") as fh:

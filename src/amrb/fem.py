@@ -137,8 +137,10 @@ class Tridiagonal(NamedTuple):
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """Product with x of shape (H,) or (H, k) into a fresh C-ordered array,
-        whatever x's layout: GEMMs on the result round by layout."""
-        return band_product(self, x, np.empty(x.shape), np.empty(x.shape))
+        whatever x's layout (GEMMs on the result round by layout), in the
+        precision of the bands and x together."""
+        dtype = np.result_type(*self, x)
+        return band_product(self, x, np.empty(x.shape, dtype), np.empty(x.shape, dtype))
 
 
 def band_product(T: Tridiagonal, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):

@@ -1,4 +1,4 @@
-"""The eight BLAS and LAPACK routines amrb calls, without ``scipy.linalg``.
+"""The nine BLAS and LAPACK routines amrb calls, without ``scipy.linalg``.
 
 Importing ``scipy.linalg`` runs its package init, which pulls in scipy's
 array-API layer and with it ``numpy.testing``, ``numpy.f2py``,
@@ -29,7 +29,7 @@ def _extension(name: str):
 
 
 _fblas, _flapack = _extension("_fblas"), _extension("_flapack")
-dtbsv = _fblas.dtbsv
+dger, dtbsv = _fblas.dger, _fblas.dtbsv
 dgesv, dgetrf, dgetrs, dgtsv, dgttrf, dpbtrf, dtbtrs = (
     _flapack.dgesv, _flapack.dgetrf, _flapack.dgetrs, _flapack.dgtsv, _flapack.dgttrf,
     _flapack.dpbtrf, _flapack.dtbtrs)

@@ -14,7 +14,10 @@ matrix is the identity, and the online phase works on the basis as it is.
 
 All three loops run in the whitened coordinates U u of states and U^{-T} eta
 of multipliers (gram = U'U, see ``amrb.fem``), where both inner products
-are dot products; they share one Euclidean Gram-Schmidt step.
+are dot products; they share one Euclidean Gram-Schmidt step.  The two
+greedy loops keep every snapshot's residual against the span explicit and
+deflate it in place by each appended column (``_deflate``), so an
+iteration costs O(H N) for N snapshots and allocates no (H, N) block.
 
 The reduced coupling is B_N = psi' xi = (U psi)'(U^{-T} xi).  The
 orthonormal columns U psi span every supremizer lift U^{-T} xi_j (a lift
@@ -57,6 +60,7 @@ from .fem import (
     assemble_operators,
     build_mesh,
 )
+from .lapack import dger
 from .truth import (
     SchemeConfig,
     Trajectory,
@@ -147,6 +151,20 @@ def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None
     return np.hstack([basis, (vec / nrm)[:, None]])
 
 
+def _deflate(resid: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Remove the unit vector q from every column of the C-ordered block
+    ``resid`` in place, resid -= q (q' resid), and return the row q' resid.
+
+    One matrix-vector product and one BLAS ``ger`` on the Fortran view
+    resid.T: O(size) work and no temporary block.  ``ger`` writes in place
+    only into a Fortran-contiguous array and would update a copy of any
+    other, hence the C order.
+    """
+    row = q @ resid
+    dger(-1.0, row, q, a=resid.T, overwrite_a=1)
+    return row
+
+
 def _full_rank(m: np.ndarray) -> bool:
     """Whether the columns of m are numerically independent: smin/smax of m
     above ``RANK_FLOOR``."""
@@ -191,7 +209,8 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     space, record the square root of the maximum, and grow the basis with
     the dominant POD mode of the worst trajectory's error history,
     orthonormalized against the basis (ties break to the smallest index).
-    The loop runs on the whitened snapshots.
+    The loop runs on the whitened snapshots, whose residuals it deflates in
+    place by each new column.
 
     Returns (orthonormal basis columns, error decay, selected indices), one
     decay entry and one selection per column.  The loop stops early, with
@@ -200,18 +219,19 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     """
     if n_v_tilde < 1:
         raise ValueError(f"need a positive basis budget, got {n_v_tilde}")
-    snaps = ops.whiten(store.primal_matrix())
+    # explicit residuals, deflated in place: the norm-subtraction form
+    # floors at sqrt(eps_machine) * snapshot scale, far above the greedy's
+    # tail.  whiten returns a fresh C-ordered block, as _deflate needs
+    resid = ops.whiten(store.primal_matrix())
     width = store.config.L + 1
 
-    basis = _append_orthonormal(np.zeros((ops.dim, 0)), snaps[:, 0])  # first initial state
+    basis = _append_orthonormal(np.zeros((ops.dim, 0)), resid[:, 0])  # first initial state
     if basis is None:
         raise DegenerateInputError("initial snapshot vanishes in the energy norm")
+    _deflate(resid, basis[:, 0])
     selected = [0]
     eps_u: list[float] = []
     while True:
-        # explicit residuals: the norm-subtraction form floors at
-        # sqrt(eps_machine) * snapshot scale, far above the greedy's tail
-        resid = snaps - basis @ (basis.T @ snaps)
         per_mu = np.einsum("ij,ij->j", resid, resid).reshape(store.n_params, width).sum(axis=1)
         best = int(np.argmax(per_mu))
         eps_u.append(float(np.sqrt(per_mu[best])))
@@ -225,6 +245,7 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
         if grown is None:
             break
         basis = grown
+        _deflate(resid, basis[:, -1])
         selected.append(best)
     return ops.unwhiten(basis), np.array(eps_u), selected
 
@@ -238,7 +259,8 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     angle of every usable snapshot to the span of the current generators,
     record the maximum, and append the normalized maximizer (ties break to
     the smallest parameter index, then the smallest time step).  The loop
-    runs on the whitened snapshots.
+    runs on the whitened snapshots, whose residuals it deflates in place by
+    each new column of an orthonormal basis of the generators' span.
 
     Returns (generator columns, angle decay, selected (time step,
     parameter index) pairs), one decay entry and one selection per
@@ -260,31 +282,35 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     cols = [int(np.flatnonzero(valid)[0])]
     eps_lambda: list[float] = []
     # the span is tracked through an orthonormal basis of the generators'
-    # lifts, so angle scans stay stable when generators become nearly dependent
+    # lifts, so angle scans stay stable when generators become nearly
+    # dependent; row k of coef holds the lifts' coefficients on its column k,
+    # and the generators are distinct snapshots, so there are at most N rows
     ortho = lifts[:, cols] / w_norm[cols]
+    resid = np.ascontiguousarray(lifts)  # a C-ordered copy; the tbtrs result is Fortran
+    coef = np.zeros((min(n_w, lifts.shape[1]), lifts.shape[1]))
+    coef[0] = _deflate(resid, ortho[:, 0])
 
     while True:
-        coef = ortho.T @ lifts
-        resid = lifts - ortho @ coef
+        k = len(cols)
         sin_part = np.sqrt(np.einsum("ij,ij->j", resid, resid))
-        cos_part = np.sqrt(np.einsum("ij,ij->j", coef, coef))
+        cos_part = np.sqrt(np.einsum("ij,ij->j", coef[:k], coef[:k]))
         angles = np.where(valid, np.arctan2(sin_part, cos_part), -1.0)
         best = int(np.argmax(angles))
         eps_lambda.append(float(angles[best]))
-        if len(cols) == n_w:
+        if k == n_w:
             break
         # the unit lifts of the generators and the maximizer in an
         # orthonormal basis of their span: an upper triangular matrix
-        k = len(cols)
         tri = np.zeros((k + 1, k + 1))
-        tri[:k, :k] = coef[:, cols] / w_norm[cols]
-        tri[:k, k] = coef[:, best] / w_norm[best]
+        tri[:k, :k] = coef[:k, cols] / w_norm[cols]
+        tri[:k, k] = coef[:k, best] / w_norm[best]
         tri[k, k] = sin_part[best] / w_norm[best]
         if not np.isfinite(tri).all():
             raise NumericalBreakdownError("multiplier lifts overflow")
         if not _full_rank(tri):
             break
         ortho = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
+        coef[k] = _deflate(resid, ortho[:, -1])
         cols.append(best)
     return lam_matrix[:, cols] / w_norm[cols], np.array(eps_lambda), [labels[j] for j in cols]
 

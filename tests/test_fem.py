@@ -183,6 +183,26 @@ def test_assembly_spd_across_sizes(H):
     assert ops.gram_chol.shape == (2, H)
 
 
+def test_tridiagonal_product_keeps_its_operands_precision(default_ops):
+    # the product is formed in the precision of the bands and x together:
+    # long-double operands sum each row (lower, diagonal, upper) in long
+    # double; float64 operands give float64, as the CSR check in test_truth
+    wide = np.longdouble
+    rng = np.random.default_rng(11)
+    H = default_ops.dim
+    x = rng.normal(size=H).astype(wide) / 3
+    for bands in (default_ops.a1, default_ops.a2, default_ops.gram):
+        lower, diag, upper = (band.astype(wide) / 7 for band in bands)
+        rows = [diag[i] * x[i] + (lower[i - 1] * x[i - 1] if i else wide(0))
+                + (upper[i] * x[i + 1] if i < H - 1 else wide(0)) for i in range(H)]
+        for T, v in ((Tridiagonal(lower, diag, upper), x),
+                     (Tridiagonal(*(band.astype(wide) for band in bands)), x.astype(float))):
+            assert (T @ v).dtype == wide
+        y = Tridiagonal(lower, diag, upper) @ x
+        assert np.array_equal(y, np.array(rows, dtype=wide))
+        assert (bands @ x.astype(float)).dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # obstacle data
 

@@ -22,6 +22,7 @@ def _calls():
     chol = scipy.linalg.lapack.dpbtrf(_spd_bands(n))[0]
     lu, piv, _ = scipy.linalg.lapack.dgetrf(a)
     return {
+        "dger": ((-1.0, b, rng.random(n + 1)), {"a": rng.random((n, n + 1))}),
         "dtbsv": ((1, chol, b), {"lower": 0, "trans": 1}),
         "dtbtrs": ((chol, b), {"trans": "T"}),
         "dpbtrf": ((_spd_bands(n),), {}),

@@ -321,6 +321,16 @@ def test_angle_greedy_small_run(small_store, small_setup):
         assert np.linalg.norm(ops.whiten_dual(gen)) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_angle_greedy_budget_beyond_the_snapshots(small_store, small_setup):
+    # a cone of distinct snapshots saturates by the rank check at most at
+    # their number, whatever the budget; the loop sizes its work by both
+    _, ops, _, _ = small_setup
+    n_snapshots = small_store.n_params * small_store.config.L
+    xi, eps, selected = angle_greedy(small_store, 10**15, ops)
+    assert 0 < xi.shape[1] == len(eps) == len(selected) <= n_snapshots
+    assert len(set(selected)) == len(selected)
+
+
 def test_angle_greedy_all_zero_multipliers(default_ops, default_scheme):
     store = _constant_store(default_ops, default_scheme)
     xi, eps, selected = angle_greedy(store, 1, default_ops)
@@ -713,3 +723,178 @@ def test_seed13_keeps_full_cone(default_ops, default_scheme, default_box):
         assert rt.cone_coeffs.min() >= -1e-12
         assert res["min_cone_gap"] >= -1e-9
         assert res["max_complementarity"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# residuals deflated in place
+
+
+@pytest.fixture(scope="module")
+def stock_store(default_box, default_scheme):
+    """The stock 16-draw snapshot store and its operators at (H, seed), built once."""
+    from amrb.cli import train_stream
+
+    built = {}
+
+    def get(H, seed):
+        if (H, seed) not in built:
+            ops = assemble_operators(build_mesh(H, 300.0))
+            params = sample_training_set(default_box, 16, train_stream(seed))
+            built[H, seed] = generate_snapshots(params, ops, default_scheme), ops
+        return built[H, seed]
+
+    return get
+
+
+def _deflation_errors(loop, store, ops, snaps, monkeypatch):
+    """Run ``loop`` at budget 16 and, after every appended column, compare the
+    residual it deflated in place with X - Q(Q'X), and the row it returned
+    with the last row of Q'X, formed from the whitened snapshots X and the
+    columns Q appended so far; the worst of each over the largest column
+    norm of X, and the number of columns."""
+    import amrb.offline as offline_mod
+
+    deflate, columns, worst = offline_mod._deflate, [], [0.0, 0.0]
+    scale = float(np.linalg.norm(snaps, axis=0).max())
+
+    def checked(resid, q):
+        row = deflate(resid, q)
+        columns.append(np.array(q))
+        basis = np.column_stack(columns)
+        coef = basis.T @ snaps
+        worst[0] = max(worst[0], float(np.abs(resid - (snaps - basis @ coef)).max()) / scale)
+        worst[1] = max(worst[1], float(np.abs(row - coef[-1]).max()) / scale)
+        return row
+
+    with monkeypatch.context() as patch:
+        patch.setattr(offline_mod, "_deflate", checked)
+        loop(store, 16, ops)
+    return worst, len(columns)
+
+
+@pytest.mark.parametrize("H", [99, 999])
+def test_residuals_deflated_in_place_are_the_projection_residuals(H, stock_store, monkeypatch):
+    # both loops deflate one residual block in place, one rank-1 update per
+    # appended column; it must stay X - Q(Q'X), which a deflation that wrote
+    # into a copy (ger on an array that is not Fortran-contiguous) breaks
+    store, ops = stock_store(H, 0)
+    for loop, snaps in ((pod_greedy, ops.whiten(store.primal_matrix())),
+                        (angle_greedy, ops.whiten_dual(store.multiplier_matrix()[0]))):
+        (resid_err, row_err), n_columns = _deflation_errors(loop, store, ops, snaps,
+                                                            monkeypatch)
+        assert n_columns == 16, loop.__name__
+        assert resid_err <= 1e-13, loop.__name__
+        assert row_err <= 1e-13, loop.__name__
+
+
+# Selections, sizes, warnings and decays of the stock store at budget (16, 16)
+# from the loops that recomputed X - Q(Q'X) in full at every iteration; the
+# in-place deflation rounds otherwise, but must select the same.
+FROZEN_SELECTIONS = {
+    (99, 0): dict(
+        pod=[0, 4, 12, 15, 12, 13, 13, 12, 13, 5, 13, 5, 5, 13, 5, 4],
+        pairs=[(1, 0), (20, 5), (7, 9), (16, 9), (3, 0), (5, 0), (10, 6), (18, 8), (2, 13),
+               (10, 7), (6, 7), (4, 4), (1, 13), (1, 5), (19, 5), (2, 5)],
+        nv=32, nw=16, warnings=[],
+        eps_u=[1114.9881062492052, 391.8842101457795, 271.7976500572628, 252.351447147815,
+               225.5179944229896, 132.08127596141824, 126.8173397014024, 86.05859641140418,
+               75.21766566732651, 45.81727039110396, 43.71466612994853, 26.39614652259638,
+               23.092299618663922, 15.272517723142272, 12.97302724927338, 9.503324821464192],
+        eps_lambda=[0.3768082233857166, 0.07608558193071747, 0.026442375276847407,
+                    0.02498237581875036, 0.010992943436258687, 0.009824887567450006,
+                    0.009349281698050327, 0.0070498567329686694, 0.006552498824601494,
+                    0.005231381188747425, 0.004507813365512716, 0.004189740350741325,
+                    0.003357122073829653, 0.0016525811614563444, 0.00023221082308208608,
+                    6.0790377588764734e-15]),
+    (99, 3): dict(
+        pod=[0, 6, 13, 5, 13, 3, 6, 0, 6, 5, 6, 5, 6, 5, 0, 12],
+        pairs=[(1, 0), (20, 0), (9, 12), (1, 12), (17, 11), (3, 0), (11, 4), (16, 3), (2, 3),
+               (10, 14), (4, 0), (3, 9), (1, 8), (1, 3), (2, 8)],
+        nv=31, nw=15, warnings=['dual cone saturated at 15 of 16 generators'],
+        eps_u=[1218.4905558792798, 358.8674860659515, 297.69071786029815, 232.52841676632733,
+               203.51008751555005, 173.57284618115284, 130.69291161819433, 95.49407875200032,
+               70.91460614545943, 52.243431327434934, 41.410751888196764, 26.905062947271947,
+               23.751079481193994, 15.032169530605197, 12.990370125754447, 9.924450417476068],
+        eps_lambda=[0.3342199274908704, 0.06284978448524105, 0.03322911971867088,
+                    0.024366823233552784, 0.014993369202603805, 0.00976969349122909,
+                    0.008936188987064447, 0.007132377410668395, 0.00629365920339986,
+                    0.005626898118559804, 0.004637836525509839, 0.00410784754061556,
+                    0.0027276757121235495, 0.00034686147288896503, 5.848060593141825e-15]),
+    (99, 13): dict(
+        pod=[0, 7, 1, 11, 7, 13, 9, 11, 7, 1, 7, 1, 7, 1, 1, 7],
+        pairs=[(1, 0), (20, 11), (9, 0), (2, 1), (20, 0), (4, 4), (10, 5), (1, 13), (18, 12),
+               (10, 2), (4, 11), (4, 7), (2, 10), (1, 10), (7, 3), (19, 11)],
+        nv=32, nw=16, warnings=[],
+        eps_u=[1118.7984303756407, 439.26864825232536, 272.7761129045623, 241.34797530278655,
+               220.75596438268587, 184.66159679940776, 146.7212279918026, 105.0351148330877,
+               75.94825639698944, 58.0273478131915, 44.46185279748256, 28.651510274886554,
+               24.906165360193587, 15.387381172501499, 14.344977966781908, 10.165907953217689],
+        eps_lambda=[0.3840181487114421, 0.07828268341058889, 0.029392264582136528,
+                    0.024265404109651487, 0.011780378254259928, 0.009822717438765304,
+                    0.009326126891385025, 0.008976204384217912, 0.006409737026302752,
+                    0.00556295439999585, 0.004762337083641903, 0.004268934783866278,
+                    0.0034239019857019138, 0.00032529569802648, 4.135954932107616e-05,
+                    6.549118382102758e-15]),
+    (999, 0): dict(
+        pod=[0, 1, 5, 13, 1, 15, 8, 9, 5, 6, 2, 7, 12, 3, 14, 0],
+        pairs=[(1, 0), (20, 5), (8, 4), (16, 1), (3, 1), (7, 5), (5, 0), (19, 11), (2, 4),
+               (1, 13), (15, 0), (6, 7), (20, 6), (9, 1), (3, 11), (2, 9)],
+        nv=32, nw=16, warnings=[],
+        eps_u=[1171.8798775806329, 421.8642617029592, 349.92628877264775, 319.5734987514705,
+               308.07652178031213, 303.74954905351643, 291.71505467838705, 290.8207529662591,
+               274.02436231031834, 237.97599249173422, 231.66473015585376, 222.5195225160119,
+               199.28509617135683, 189.9418142006078, 174.966979812081, 168.61853352454602],
+        eps_lambda=[0.3727968503557619, 0.07424288165694276, 0.025770600728660865,
+                    0.023005772497924366, 0.008987947744105993, 0.008163214385044786,
+                    0.007806484853718366, 0.007271196267101956, 0.0037760687167605355,
+                    0.0032996605506658843, 0.0032144902966357346, 0.002778144682154916,
+                    0.0027357608189801175, 0.0027269790443965034, 0.0024878161448887884,
+                    0.0023669922140463558]),
+    (999, 3): dict(
+        pod=[0, 6, 12, 5, 13, 3, 6, 14, 4, 10, 15, 2, 5, 8, 1, 12],
+        pairs=[(1, 0), (20, 0), (8, 8), (1, 12), (16, 8), (3, 5), (9, 3), (20, 4), (3, 10),
+               (6, 2), (1, 11), (9, 9), (10, 0), (2, 9), (15, 15), (5, 8)],
+        nv=32, nw=16, warnings=[],
+        eps_u=[1242.527996053201, 416.4578008957863, 359.4263809795346, 316.1176914981586,
+               312.4936140440111, 293.77738996148463, 269.9200669211462, 264.4576110874181,
+               246.75371933861575, 235.6658902624881, 231.67601712334766, 222.34707532836893,
+               216.4217884049061, 198.25572954729796, 179.37484048563527, 161.65229577782617],
+        eps_lambda=[0.32516167670563884, 0.06004127494492446, 0.03395747936793702,
+                    0.020357065178854702, 0.01508072364917358, 0.007223351935039717,
+                    0.006122815698604707, 0.006073040711217254, 0.00525945653825541,
+                    0.004121053336159143, 0.0026677617288622824, 0.0023485349269261827,
+                    0.0022169667598827543, 0.002130605557672517, 0.002119006600624208,
+                    0.001965236824028105]),
+    (999, 13): dict(
+        pod=[0, 7, 1, 7, 12, 13, 5, 11, 2, 9, 10, 14, 4, 1, 15, 0],
+        pairs=[(1, 0), (20, 11), (7, 6), (3, 2), (16, 6), (9, 9), (1, 5), (4, 9), (18, 9),
+               (13, 15), (10, 8), (4, 7), (1, 9), (4, 3), (2, 9), (14, 3)],
+        nv=32, nw=16, warnings=[],
+        eps_u=[1184.8987349171607, 471.9132085888498, 337.52534228960786, 330.74009163703414,
+               324.87932128507254, 317.1961441649457, 310.2388677266821, 307.73124688328625,
+               292.4806285090057, 271.1453741088435, 257.2368715272511, 251.8185232587263,
+               249.8238897125673, 237.04618816596368, 232.24490019559207, 175.1205601974114],
+        eps_lambda=[0.3759149247875302, 0.07537445108111071, 0.02579295208845289,
+                    0.023653166121008536, 0.009189920930620153, 0.00873457815212112,
+                    0.007667810415718134, 0.007214400209684091, 0.0033155910335701034,
+                    0.003043491067059894, 0.003030457359327998, 0.002929501837802181,
+                    0.002721519800579814, 0.0025390572937934518, 0.0024712394190041886,
+                    0.0023235719228002346]),
+}
+
+
+@pytest.mark.parametrize("H,seed", list(FROZEN_SELECTIONS))
+def test_selections_match_the_full_recomputation(H, seed, stock_store):
+    # the saturated angles at H=99 are about 6e-15 and move by rounding
+    # alone, hence the absolute floor of the tolerance
+    want = FROZEN_SELECTIONS[H, seed]
+    store, ops = stock_store(H, seed)
+    model, warnings = build_reduced_model_from_store(store, 16, 16, ops)
+    diag = model.diagnostics
+    assert list(diag.selected_params_u) == want["pod"]
+    assert list(diag.selected_pairs_lambda) == want["pairs"]
+    assert (model.nv, model.nw, warnings) == (want["nv"], want["nw"], want["warnings"])
+    for name in ("eps_u", "eps_lambda"):
+        got, ref = getattr(diag, name), np.array(want[name])
+        assert got.shape == ref.shape, name
+        assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all(), name
