@@ -12,8 +12,7 @@ then at each mesh size H of ``--H`` (stock time grid and box):
   snapshots         ``offline.generate_snapshots`` of the 16 stock training
                     draws (seed 0), as ``amrb offline`` calls it
   snapshots_single  the same 16 trajectories, one ``solve_trajectory`` each
-  snapshots_group   the same 16 through ``truth.march_group`` at every H,
-                    where the checkout has it
+  snapshots_group   the same 16 through ``truth.march_group`` at every H
   pod_greedy_A      ``offline.pod_greedy`` of those snapshots at the stock
                     budgets A = 8 and 16
   angle_greedy_B    ``offline.angle_greedy`` of those snapshots at B = 8, 16
@@ -89,9 +88,8 @@ def rows_at(H: int, workdir: str) -> dict:
         "truth": lambda: single(params[0]),
         "snapshots": lambda: offline.generate_snapshots(params, ops, scheme),
         "snapshots_single": lambda: [single(mu) for mu in params],
+        "snapshots_group": lambda: truth.march_group(params, ops, scheme),
     }
-    if hasattr(truth, "march_group"):
-        rows["snapshots_group"] = lambda: truth.march_group(params, ops, scheme)
     store = offline.generate_snapshots(params, ops, scheme)
     mu = offline.sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))[0]
     for nv_tilde, nw in BUDGETS:

@@ -30,7 +30,6 @@ from .truth import (
     solve_trajectory,
     theta_step,
     trajectory_residuals,
-    write_trajectory_csv,
 )
 from .offline import (
     GreedyDiagnostics,

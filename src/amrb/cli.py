@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import os
 import sys
 
@@ -55,29 +56,23 @@ from .offline import (
     save_model,
     truncated_model,
     verify_model,  # noqa: F401  unused here; perfbench's tracer patches this binding
-    write_greedy_csvs,
-    write_params_csv,
 )
 from .online import (
     err_linf,
     error_metrics,
     reconstruct_states,
     reduced_trajectory,
-    write_error_report_csv,
-    write_online_csvs,
 )
-from .truth import (
-    SchemeConfig,
-    check_contract,
-    solve_trajectories,
-    solve_trajectory,
-    write_trajectory_csv,
-)
+from .truth import SchemeConfig, check_contract, solve_trajectories, solve_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_SOLVER = 4
+
+# the columns of a trajectory CSV, which ``textio.state_rows`` renders; the
+# online CSVs add a ``source`` column
+TRAJECTORY_HEADER = ("step", "t", "s", "u", "lambda", "price")
 
 DEFAULT_CONFIG = {
     "mesh": {"H": 99, "s_f": 300.0},
@@ -233,6 +228,11 @@ def _open_model(path: str, kind: str):
 # commands
 
 
+def _write_params(path, params) -> None:
+    """The table of a training or test set: one row K, r, q, sigma per draw."""
+    textio.write_csv(path, ["K", "r", "q", "sigma"], (mu.as_array() for mu in params))
+
+
 def _iteration_stats(counts) -> dict:
     """Active-set solves per time step and their range and mean."""
     return {
@@ -253,7 +253,8 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
 
     out = cfg.output_dir
     csv_path = os.path.join(out, "truth_trajectory.csv")
-    write_trajectory_csv(csv_path, traj, mesh)
+    textio.write_csv(csv_path, TRAJECTORY_HEADER, textio.state_rows(
+        mesh.interior_nodes, obstacle.p0, traj.states, traj.multipliers, scheme.delta_t))
     final_price = traj.states[-1] + obstacle.p0
     summary = {
         "schema_version": 1,
@@ -286,10 +287,18 @@ def cmd_offline(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) ->
 
     out = cfg.output_dir
     save_model(model, cfg.model_path)
-    write_params_csv(params, os.path.join(out, "training_params.csv"))
-    write_greedy_csvs(model.diagnostics,
-                      os.path.join(out, "pod_greedy.csv"),
-                      os.path.join(out, "angle_greedy.csv"))
+    _write_params(os.path.join(out, "training_params.csv"), params)
+    # the greedy loops record one selection per decay entry
+    diag = model.diagnostics
+    train = diag.training_params
+    textio.write_csv(os.path.join(out, "pod_greedy.csv"),
+                     ["iteration", "eps_u", "K", "r", "q", "sigma"],
+                     ([k + 1, eps, *train[idx]] for k, (eps, idx) in enumerate(
+                         zip(diag.eps_u, diag.selected_params_u, strict=True))))
+    textio.write_csv(os.path.join(out, "angle_greedy.csv"),
+                     ["iteration", "eps_lambda", "n", "K", "r", "q", "sigma"],
+                     ([k + 1, eps, n, *train[idx]] for k, (eps, (n, idx)) in enumerate(
+                         zip(diag.eps_lambda, diag.selected_pairs_lambda, strict=True))))
     if gnuplot:
         textio.write_lines(os.path.join(out, "greedy_decay.gp"), [
             "set datafile separator ','",
@@ -307,9 +316,10 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
                compare: bool, gnuplot: bool) -> int:
     ops, scheme = model.ops, model.config
     rt = reduced_trajectory(model, mu)
+    obstacle = obstacle_data(ops.mesh, mu.K)
     truth = None
     if compare:  # a truth outside its contract fails before any output
-        truth = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+        truth = solve_trajectory(mu, ops, obstacle, scheme)
         check_contract(truth, ops)
     out = cfg.output_dir
     in_box = cfg.box.contains(mu)
@@ -323,8 +333,9 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
         "in_box": in_box,
         "cone_iteration_stats": _iteration_stats(rt.lcp_solves),
     }
+    states = reconstruct_states(model, rt)
     if truth is not None:
-        err = error_metrics(truth, reconstruct_states(model, rt), ops)
+        err = error_metrics(truth, states, ops)
         summary["err_N"] = err
         print(f"err_N(mu) = {err:.6e}")
         if gnuplot:
@@ -337,7 +348,17 @@ def cmd_online(cfg: RunConfig, model: ReducedModel, mu: ParameterVector,
                 f"     'comparison.csv' every ::1 using 3:($1=={scheme.L} && "
                 "strcol(7) eq 'reduced' ? $4:1/0) with points title 'reduced'",
             ])
-    write_online_csvs(out, model, rt, truth)
+    # the reduced lines, with the nodal multipliers xi @ alpha, are rendered
+    # once: the body of reduced_trajectory.csv and the second half of comparison.csv
+    header = (*TRAJECTORY_HEADER, "source")
+    nodes, p0, delta_t = ops.mesh.interior_nodes, obstacle.p0, scheme.delta_t
+    reduced = list(textio.state_rows(nodes, p0, states, rt.cone_coeffs @ model.xi_matrix.T,
+                                     delta_t, ",reduced"))
+    textio.write_csv(os.path.join(out, "reduced_trajectory.csv"), header, reduced)
+    if truth is not None:
+        textio.write_csv(os.path.join(out, "comparison.csv"), header, itertools.chain(
+            textio.state_rows(nodes, p0, truth.states, truth.multipliers, delta_t, ",truth"),
+            reduced))
     textio.write_json(os.path.join(out, "online_summary.json"), summary)
     print(f"reduced trajectory written to {os.path.join(out, 'reduced_trajectory.csv')}")
     return EXIT_OK
@@ -362,15 +383,18 @@ def cmd_study(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) -> i
             for note in warnings:
                 sys.stderr.write(f"warning: budget ({nv_tilde},{nw}): {note}\n")
             errors = err_linf(model, truths)
-            write_error_report_csv(test_params, errors,
-                                   os.path.join(out, f"errors_{nv_tilde}x{nw}.csv"))
-            rows.append([nv_tilde, nw, model.nv, float(errors.max()), "ok"])
+            worst = float(errors.max())
+            textio.write_csv(os.path.join(out, f"errors_{nv_tilde}x{nw}.csv"),
+                             ["K", "r", "q", "sigma", "err_N"],
+                             [*([*mu.as_array(), e] for mu, e in zip(test_params, errors)),
+                              ["ERR_LINF", "", "", "", worst]])
+            rows.append([nv_tilde, nw, model.nv, worst, "ok"])
         except AmrbError as err:
             sys.stderr.write(f"warning: budget ({nv_tilde},{nw}) failed: {err}\n")
             rows.append([nv_tilde, nw, -1, float("nan"), f"error:{type(err).__name__}"])
     study_path = os.path.join(out, "study.csv")
     textio.write_csv(study_path, ["NV_tilde", "NW", "NV", "ErrLinf", "status"], rows)
-    write_params_csv(test_params, os.path.join(out, "test_params.csv"))
+    _write_params(os.path.join(out, "test_params.csv"), test_params)
     if gnuplot:
         textio.write_lines(os.path.join(out, "study.gp"), [
             "set datafile separator ','",

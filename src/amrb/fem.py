@@ -176,15 +176,16 @@ class AffineOperatorSet:
     def dim(self) -> int:
         return self.mesh.H
 
-    def v_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ (self.gram @ v))
-
-    def v_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.v_inner(u, u), 0.0)))
-
     def whiten(self, u: np.ndarray) -> np.ndarray:
-        """U u for the factor gram = U'U: energy products become dot products."""
-        return Tridiagonal(np.zeros(self.dim - 1), self.gram_chol[1], self.gram_chol[0, 1:]) @ u
+        """U u for the factor gram = U'U: energy products become dot products.
+
+        The product of U's bidiagonal band storage with a vector or the
+        columns of a block, into a fresh C-ordered array (``pod_greedy``
+        deflates it in place)."""
+        chol = self.gram_chol if u.ndim == 1 else self.gram_chol[:, :, None]
+        out = np.multiply(chol[1], u, out=np.empty(u.shape))
+        out[:-1] += chol[0, 1:] * u[1:]
+        return out
 
     def unwhiten(self, w: np.ndarray) -> np.ndarray:
         """U^{-1} w, the nodal vector with whitened coordinates w."""

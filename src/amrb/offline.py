@@ -649,27 +649,3 @@ def verify_model(model: ReducedModel) -> None:
         if seq.size and np.any(np.diff(seq) > 1e-12 * (1.0 + seq[:-1])):
             raise ModelCorruptionError(f"diagnostic sequence {name} is not non-increasing")
 
-
-# ---------------------------------------------------------------------------
-# diagnostics artifacts
-
-
-def write_greedy_csvs(diagnostics: GreedyDiagnostics, pod_path, angle_path) -> None:
-    """Per-iteration decay CSVs with the selected snapshot coordinates.
-
-    The greedy loops record one selection per decay entry.
-    """
-    train = diagnostics.training_params
-    pod_rows = ([k + 1, eps, *train[idx]] for k, (eps, idx) in enumerate(
-        zip(diagnostics.eps_u, diagnostics.selected_params_u, strict=True)))
-    angle_rows = ([k + 1, eps, n, *train[idx]] for k, (eps, (n, idx)) in enumerate(
-        zip(diagnostics.eps_lambda, diagnostics.selected_pairs_lambda, strict=True)))
-
-    textio.write_csv(pod_path, ["iteration", "eps_u", "K", "r", "q", "sigma"], pod_rows)
-    textio.write_csv(angle_path, ["iteration", "eps_lambda", "n", "K", "r", "q", "sigma"],
-                     angle_rows)
-
-
-def write_params_csv(params, path) -> None:
-    textio.write_csv(path, ["K", "r", "q", "sigma"],
-                     (p.as_array() for p in params))

@@ -35,25 +35,20 @@ of the lifted obstacle.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
 from .errors import AmrbError, AssemblyError, ModelCorruptionError
 from .fem import AffineOperatorSet, Mesh1D, ParameterVector, obstacle_data
 from .lapack import dgetrf, dgetrs
 from .offline import ReducedModel
 from .truth import (
-    TRAJECTORY_HEADER,
     Trajectory,
     check_lcp_matrix,
     load_vector,
     solve_lcp,
     solve_trajectory,  # noqa: F401  unused here; perfbench's tracer patches this binding
-    state_rows,
     step_pair,
 )
 
@@ -204,30 +199,3 @@ def err_linf(model: ReducedModel, truths) -> np.ndarray:
         values.append(error_metrics(truth, reconstruct_states(model, rt), model.ops))
     return np.array(values)
 
-
-def write_error_report_csv(params, errors: np.ndarray, path) -> None:
-    """Columns K, r, q, sigma, err_N with a final ERR_LINF row."""
-    rows = [[*mu.as_array(), err] for mu, err in zip(params, errors)]
-    rows.append(["ERR_LINF", "", "", "", float(errors.max(initial=0.0))])
-    textio.write_csv(path, ["K", "r", "q", "sigma", "err_N"], rows)
-
-
-def write_online_csvs(out, model: ReducedModel, rt: ReducedTrajectory,
-                      truth: Trajectory | None = None) -> None:
-    """Write the reconstructed trajectory to ``out/reduced_trajectory.csv``
-    and, given the truth at the model's time grid, both trajectories to
-    ``out/comparison.csv`` for overlay plots.
-
-    The reduced lines, with the nodal multipliers xi @ alpha, are rendered
-    once: they are the body of the first file and the second half of the
-    other.
-    """
-    header = [*TRAJECTORY_HEADER, "source"]
-    mesh, delta_t = model.ops.mesh, model.config.delta_t
-    reduced = list(state_rows(reconstruct_states(model, rt), rt.cone_coeffs @ model.xi_matrix.T,
-                              mesh, rt.mu.K, delta_t, "reduced"))
-    textio.write_csv(os.path.join(out, "reduced_trajectory.csv"), header, reduced)
-    if truth is not None:
-        textio.write_csv(os.path.join(out, "comparison.csv"), header, itertools.chain(
-            state_rows(truth.states, truth.multipliers, mesh, truth.mu.K, delta_t, "truth"),
-            reduced))

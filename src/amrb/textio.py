@@ -1,16 +1,17 @@
 """Deterministic text artifacts: fixed layout, 17-significant-digit numbers.
 
 Every CSV and JSON file the pipeline writes goes through these helpers so
-that reruns with identical inputs produce byte-identical output.  Floats
-are written with ``%.17g``, which round-trips IEEE doubles exactly, after
-adding 0.0 so that -0.0 is written as 0 (nan and +-inf as ``format`` spells
-them).  JSON renders a 1-D or 2-D float array in one ``%`` call on the
-template ``"[%.17g,...]"``, after adding the 0.0 to the whole array.
-``amrb.truth.state_rows`` renders a trajectory one time step per ``%``
-call on the block template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``,
-adding the 0.0 to its arrays once and escaping ``%`` in the literal tail;
-``write_csv`` writes such blocks as they come.  ``read_json_object`` is the
-one reader of the JSON input files, the run config and the model file.
+that reruns with identical inputs produce byte-identical output; they are
+the one place numbers are spelled.  Floats are written with ``%.17g``,
+which round-trips IEEE doubles exactly, after adding 0.0 so that -0.0 is
+written as 0 (nan and +-inf as ``format`` spells them).  JSON renders a 1-D
+or 2-D float array in one ``%`` call on the template ``"[%.17g,...]"``,
+after adding the 0.0 to the whole array.  ``state_rows`` renders a
+trajectory one time step per ``%`` call on the block template
+``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``, adding the 0.0 to its arrays
+once and escaping ``%`` in the literal tail; ``write_csv`` writes such
+blocks as they come.  ``read_json_object`` is the one reader of the JSON
+input files, the run config and the model file.
 
 Every writer opens its file through ``_create``, which makes the file's
 directory first: a command's first artifact makes its output directory,
@@ -40,11 +41,6 @@ def fmt(value) -> str:
     return _float_text(float(value))
 
 
-def fmt_floats(values) -> list[str]:
-    """Render every entry of a float array as ``fmt`` renders one."""
-    return list(map(_float_text, np.asarray(values, dtype=float).tolist()))
-
-
 def _float_text(x: float) -> str:
     """``%.17g``, spelling nan, inf and -inf so.
 
@@ -57,7 +53,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence | str]) -> No
     """Write the header and the rows.
 
     A row is a sequence of cells, each rendered by ``fmt``, or a str of
-    whole lines already rendered (by ``fmt_floats``), written as it is.
+    whole lines already rendered (by ``state_rows``), written as it is.
     """
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
@@ -66,6 +62,38 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence | str]) -> No
                 fh.write(row)
             else:
                 fh.write(",".join(fmt(cell) for cell in row) + "\n")
+
+
+def state_rows(nodes: np.ndarray, p0: np.ndarray, states: np.ndarray, multipliers,
+               delta_t: float, tail: str = ""):
+    """Yield the CSV lines (step, t, s, u, lambda, price) of a trajectory,
+    each ending in the literal ``tail`` (such as a ``",truth"`` column), one
+    text block per time step.
+
+    ``nodes`` is the s column, ``states`` the (L+1, H) states and
+    ``multipliers`` the (L, H) multipliers of steps 1 to L; the price is
+    the state plus the lift ``p0``.  The multiplier column for step 0 is
+    written as nan: the scheme defines no multiplier there.  Each block is
+    one ``%`` call on the template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``,
+    whose cells are the s column (rendered once) interleaved with the
+    step's u, lambda and price.  The head holds numbers only; the tail's
+    ``%`` is escaped.  Adding 0.0 to the float arrays once makes -0.0
+    render as 0, as ``fmt`` renders it; nan and +-inf render as ``format``
+    renders them.
+    """
+    prices = states + p0 + 0.0
+    states = states + 0.0
+    lam = np.full(states.shape, np.nan)
+    lam[1:] = multipliers + 0.0
+    line = "%s,%.17g,%.17g,%.17g" + tail.replace("%", "%%") + "\n"
+    cells = [None] * (4 * nodes.size)
+    cells[0::4] = [_float_text(x) for x in nodes.tolist()]
+    for n in range(states.shape[0]):
+        head = f"{n},{_float_text(n * delta_t)},"
+        cells[1::4] = states[n].tolist()
+        cells[2::4] = lam[n].tolist()
+        cells[3::4] = prices[n].tolist()
+        yield (head + line) * nodes.size % tuple(cells)
 
 
 def read_json_object(path, error: type[Exception], what: str) -> dict:

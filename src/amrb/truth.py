@@ -100,20 +100,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AmrbError, AssemblyError, NumericalBreakdownError, SolverDivergenceError
-from .fem import (AffineOperatorSet, Mesh1D, ObstacleData, ParameterVector, Tridiagonal,
-                  band_product, obstacle_data)
+from .fem import (AffineOperatorSet, ObstacleData, ParameterVector, Tridiagonal, band_product,
+                  obstacle_data)
 from .lapack import dgesv, dgtsv, dgttrf, dtbsv
-from . import textio
 
 # ties in the active-set update are broken within TIE_TOL * ||rhs||_inf of zero
 TIE_TOL = 16.0 * np.finfo(float).eps
 
 # active-set updates after which ``solve_lcp`` gives up
 MAX_ITER = 100
-
-# the columns of a trajectory CSV, which ``state_rows`` renders; a
-# ``source`` column may follow
-TRAJECTORY_HEADER = ("step", "t", "s", "u", "lambda", "price")
 
 # floats per block of steps that ``trajectory_residuals`` checks at once
 RESIDUAL_FLOATS = 2 ** 14
@@ -771,38 +766,3 @@ def check_contract(traj: Trajectory, ops: AffineOperatorSet) -> dict:
             feasibility_residuals=residuals)
     return residuals
 
-
-def state_rows(states: np.ndarray, multipliers, mesh: Mesh1D, K: float,
-               delta_t: float, source: str | None = None):
-    """Yield the CSV lines (step, t, s, u, lambda, price[, source]), one
-    text block per time step.
-
-    The multiplier column for step 0 is written as nan: the scheme defines
-    no multiplier there.  Each block is one ``%`` call on the template
-    ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``, whose cells are the s
-    column (rendered once by ``fmt_floats``) interleaved with the step's
-    u, lambda and price.  The head holds numbers only; the tail's ``%`` is
-    escaped.  Adding 0.0 to the float arrays once makes -0.0 render as 0,
-    as ``fmt`` renders it; nan and +-inf render as ``format`` renders them.
-    """
-    s = mesh.interior_nodes
-    prices = states + obstacle_data(mesh, K).p0 + 0.0
-    states = states + 0.0
-    lam = np.full(states.shape, np.nan)
-    lam[1:] = multipliers + 0.0
-    tail = "\n" if source is None else f",{source}\n"
-    line = "%s,%.17g,%.17g,%.17g" + tail.replace("%", "%%")
-    cells = [None] * (4 * s.size)
-    cells[0::4] = textio.fmt_floats(s)
-    for n in range(states.shape[0]):
-        head = f"{n},{textio.fmt(n * delta_t)},"
-        cells[1::4] = states[n].tolist()
-        cells[2::4] = lam[n].tolist()
-        cells[3::4] = prices[n].tolist()
-        yield (head + line) * s.size % tuple(cells)
-
-
-def write_trajectory_csv(path, traj: Trajectory, mesh: Mesh1D) -> None:
-    """Trajectory export: one row per (step, node), header mandatory."""
-    textio.write_csv(path, TRAJECTORY_HEADER, state_rows(
-        traj.states, traj.multipliers, mesh, traj.mu.K, traj.config.delta_t))

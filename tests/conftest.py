@@ -142,3 +142,11 @@ def empty_diagnostics():
 
     return GreedyDiagnostics(eps_u=np.zeros(0), eps_lambda=np.zeros(0), selected_params_u=(),
                              selected_pairs_lambda=(), training_params=np.zeros((0, 4)))
+
+
+def energy_product(ops, u, v=None) -> float:
+    """The energy product u' gram v through ``ops.gram @``, as
+    ``error_metrics`` takes it; with v omitted, the energy norm of u."""
+    if v is None:
+        return float(np.sqrt(max(float(u @ (ops.gram @ u)), 0.0)))
+    return float(u @ (ops.gram @ v))

@@ -32,7 +32,7 @@ from amrb.offline import _dominant_mode
 from amrb.online import _cone_step, err_linf, online_setup
 from amrb.truth import check_lcp_matrix, load_vector
 
-from conftest import dense_step_pair
+from conftest import dense_step_pair, energy_product
 from test_truth import lcp_by_enumeration
 
 
@@ -156,7 +156,7 @@ def test_criterion_05_reproduction(mu0):
     truth = store.trajectories[0]
     rt = reduced_trajectory(model, mu0)
     err = error_metrics(truth, reconstruct_states(model, rt), ops)
-    scale = max(ops.v_norm(truth.states[n]) for n in range(scheme.L + 1))
+    scale = max(energy_product(ops, truth.states[n]) for n in range(scheme.L + 1))
     assert err <= 1e-6 * scale, f"err {err:.3e} vs tol {1e-6 * scale:.3e}"
 
 
@@ -199,8 +199,8 @@ def test_criterion_08_pod_oracle():
         m = int(rng.integers(2, 51))
         vectors = [rng.normal(size=ops.dim) * rng.lognormal() for _ in range(m)]
         mode = _dominant_mode(ops.whiten(np.column_stack(vectors)), ops)[1]
-        energy = sum(ops.v_inner(v, mode) ** 2 for v in vectors)
-        gram = np.array([[ops.v_inner(v, w) for w in vectors] for v in vectors])
+        energy = sum(energy_product(ops, v, mode) ** 2 for v in vectors)
+        gram = np.array([[energy_product(ops, v, w) for w in vectors] for v in vectors])
         top = float(np.linalg.eigvalsh(gram)[-1])
         assert energy == pytest.approx(top, rel=1e-10)
 
@@ -220,13 +220,13 @@ def test_criterion_09_dual_norm(default_ops):
         ratios = (eta @ V) / np.sqrt(np.einsum("ij,ij->j", V, default_ops.gram @ V))
         assert ratios.max() <= wn * (1 + 1e-12)
         vstar = default_ops.unwhiten(default_ops.whiten_dual(eta))
-        attained = float(eta @ vstar) / default_ops.v_norm(vstar)
+        attained = float(eta @ vstar) / energy_product(default_ops, vstar)
         assert attained == pytest.approx(wn, rel=1e-10)
     for _ in range(100):
         xi = rng.normal(size=H)
         white = default_ops.whiten_dual(xi)  # the lift as enrich_with_supremizers forms it
         lift = default_ops.unwhiten(white)
-        assert default_ops.v_norm(lift) == pytest.approx(np.linalg.norm(white), rel=1e-10)
+        assert energy_product(default_ops, lift) == pytest.approx(np.linalg.norm(white), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
+from amrb import obstacle_data, solve_trajectory
 from amrb.cli import main
 from amrb.errors import InfSupFailureError, SolverDivergenceError
 from amrb.offline import save_model
+from amrb.textio import state_rows
 import amrb.cli as cli_mod
 import amrb.truth as truth_mod
 
@@ -42,6 +44,11 @@ def write_config(tmp_path, data, name="config.json"):
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def mu_flag(mu) -> str:
+    """The --mu value that parses back to exactly ``mu``."""
+    return ",".join(map(repr, mu.as_array().tolist()))
 
 
 def test_cli_import_leaves_scipy_sparse_out():
@@ -137,6 +144,26 @@ def test_truth_default_config(tmp_path, monkeypatch):
     assert summary["feasibility_residuals"]["max_linear_residual"] <= 1e-10
     assert len(summary["final_price_curve"]) == 99
     assert summary["pdas_iteration_stats"]["max"] >= 1
+
+
+def test_trajectory_csv(tmp_path, default_ops, default_scheme, mu0):
+    # the truth command at the stock grid
+    obstacle = obstacle_data(default_ops.mesh, mu0.K)
+    traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
+    assert main(["truth", "--mu", mu_flag(mu0), "--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "truth_trajectory.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,t,s,u,lambda,price"
+    assert len(lines) - 1 == (default_scheme.L + 1) * default_ops.dim
+    first = lines[1].split(",")
+    assert first[4] == "nan"  # no multiplier at the initial time
+    # 17-significant-digit cells round-trip exactly
+    u_cell = float(lines[1].split(",")[3])
+    assert u_cell == traj.states[0, 0]
+    # rerun is byte-identical
+    assert main(["truth", "--mu", mu_flag(mu0), "--out", str(tmp_path / "b")]) == 0
+    path2 = tmp_path / "b" / "truth_trajectory.csv"
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_truth_requires_mu(tmp_path):
@@ -437,6 +464,22 @@ def test_offline_gnuplot_flag(tmp_path):
     out = tmp_path / "run"
     assert main(["offline", "--config", cfg, "--out", str(out), "--gnuplot"]) == 0
     assert (out / "greedy_decay.gp").exists()
+
+
+def test_greedy_csvs(tmp_path, small_model):
+    # SMALL_CONFIG's offline builds small_model
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    assert main(["offline", "--config", cfg, "--out", str(tmp_path)]) == 0
+    pod_path = tmp_path / "pod_greedy.csv"
+    angle_path = tmp_path / "angle_greedy.csv"
+    pod_lines = pod_path.read_text().splitlines()
+    assert pod_lines[0] == "iteration,eps_u,K,r,q,sigma"
+    assert len(pod_lines) - 1 == small_model.nv_tilde
+    eps = [float(line.split(",")[1]) for line in pod_lines[1:]]
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(eps, eps[1:]))
+    angle_lines = angle_path.read_text().splitlines()
+    assert angle_lines[0] == "iteration,eps_lambda,n,K,r,q,sigma"
+    assert len(angle_lines) - 1 == small_model.nw
 
 
 def test_offline_empty_cone_saves_model(tmp_path, capsys):
@@ -829,6 +872,52 @@ def test_online_out_of_box_warns(tmp_path, capsys):
     assert summary["in_box"] is False
 
 
+def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
+    mesh, ops, scheme, _ = small_setup
+    mu = small_store.params[0]
+    model = str(tmp_path / "model.json")
+    save_model(small_model, model)
+    assert main(["online", "--model", model, "--mu", mu_flag(mu),
+                 "--out", str(tmp_path / "alone")]) == 0
+    assert sorted(p.name for p in (tmp_path / "alone").glob("*.csv")) == ["reduced_trajectory.csv"]
+    reduced = (tmp_path / "alone" / "reduced_trajectory.csv").read_text()
+    lines = reduced.splitlines()
+    assert lines[0] == "step,t,s,u,lambda,price,source"
+    assert len(lines) - 1 == (scheme.L + 1) * mesh.H
+    assert all(line.endswith(",reduced") for line in lines[1:])
+
+    # the comparison is the truth export with a source column, then the
+    # body of reduced_trajectory.csv byte for byte
+    truth = small_store.trajectories[0]
+    assert main(["online", "--model", model, "--mu", mu_flag(mu), "--compare",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "reduced_trajectory.csv").read_text() == reduced
+    truth_text = "step,t,s,u,lambda,price,source\n" + "".join(state_rows(
+        mesh.interior_nodes, obstacle_data(mesh, truth.mu.K).p0, truth.states,
+        truth.multipliers, scheme.delta_t, ",truth"))
+    body = reduced.split("\n", 1)[1]
+    assert (tmp_path / "comparison.csv").read_text() == truth_text + body
+    comparison = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert [line for line in comparison[1:] if not line.endswith(",truth")] == lines[1:]
+
+
+def test_online_compare_reconstructs_once(tmp_path, monkeypatch):
+    # the error and both CSVs share one reconstruction of the reduced states
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
+    import amrb.online as online_mod
+
+    calls = []
+    reconstruct = online_mod.reconstruct_states
+    for module in (cli_mod, online_mod):
+        monkeypatch.setattr(module, "reconstruct_states",
+                            lambda *args: calls.append(args) or reconstruct(*args))
+    assert main(["online", "--config", cfg, "--out", str(out), "--model", str(out / "model.json"),
+                 "--mu", "101,0.05,0.0015,0.5", "--compare"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("mu", ["100,1e13,0.0015,0.5", "100,1e14,0.0015,0.5",
                                 "100,0.05,-1e14,0.5"])
 def test_online_compare_refuses_contract_breach(tmp_path, capsys, mu):
@@ -896,6 +985,26 @@ def test_study_deterministic(tmp_path):
     assert main(["study", "--config", cfg, "--out", str(a), "--budgets", "3x3"]) == 0
     assert main(["study", "--config", cfg, "--out", str(b), "--budgets", "3x3"]) == 0
     assert (a / "study.csv").read_bytes() == (b / "study.csv").read_bytes()
+
+
+def test_error_report_csv(tmp_path, monkeypatch):
+    # one budget's report over three test draws, against the errors the
+    # study computed
+    found = []
+    err_linf = cli_mod.err_linf
+    monkeypatch.setattr(cli_mod, "err_linf",
+                        lambda *args: found.append(err_linf(*args)) or found[-1])
+    config = dict(SMALL_CONFIG, sampling={**SMALL_CONFIG["sampling"], "N_test": 3},
+                  study={"budgets": [[5, 5]]})
+    cfg = write_config(tmp_path, config)
+    assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (errors,) = found
+    path = tmp_path / "errors_5x5.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "K,r,q,sigma,err_N"
+    assert len(lines) == 1 + 3 + 1
+    assert lines[-1].startswith("ERR_LINF,,,,")
+    assert float(lines[-1].split(",")[-1]) == errors.max()
 
 
 @pytest.mark.parametrize("command", [["truth", "--mu", "100,0.05,0.0015,0.5"], ["offline"]])

@@ -16,15 +16,10 @@ from amrb import (
     reduced_trajectory,
     solve_trajectory,
 )
-from amrb.truth import load_vector, state_rows, step_bands, step_pair
-from amrb.online import (
-    _cone_step,
-    reduced_residuals,
-    write_error_report_csv,
-    write_online_csvs,
-)
+from amrb.truth import load_vector, step_bands, step_pair
+from amrb.online import _cone_step, reduced_residuals
 
-from conftest import empty_diagnostics, reduced_blocks
+from conftest import empty_diagnostics, energy_product, reduced_blocks
 
 EXTRAPOLATED_MU = ParameterVector(K=106.882366, r=0.048470, q=0.007679, sigma=0.418561)
 
@@ -144,11 +139,11 @@ def test_online_setup_initial_projection_is_optimal(small_model, small_setup, sm
     for model, ops, mu in cases:
         data = online_setup(model, mu)
         psi_tilde = obstacle_data(ops.mesh, mu.K).psi_tilde
-        best = ops.v_norm(psi_tilde - model.psi_matrix @ data.u0)
+        best = energy_product(ops, psi_tilde - model.psi_matrix @ data.u0)
         rng = np.random.default_rng(0)
         for _ in range(100):
             candidate = data.u0 + rng.normal(size=model.nv) * rng.random()
-            other = ops.v_norm(psi_tilde - model.psi_matrix @ candidate)
+            other = energy_product(ops, psi_tilde - model.psi_matrix @ candidate)
             assert best <= other * (1 + 1e-12)
 
 
@@ -417,7 +412,7 @@ def test_error_metrics_constant_perturbation(default_ops, default_scheme, mu0):
     truth = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
     rng = np.random.default_rng(4)
     e = rng.normal(size=default_ops.dim)
-    e /= default_ops.v_norm(e)
+    e /= energy_product(default_ops, e)
     err = error_metrics(truth, truth.states + e, default_ops)
     assert err == pytest.approx(np.sqrt(21.0 / 20.0), rel=1e-12)
 
@@ -457,40 +452,3 @@ def test_err_linf_rejects_other_time_grid(small_model, small_setup):
     with pytest.raises(ValueError, match="time grid"):
         err_linf(small_model, [truth])
 
-
-def test_error_report_csv(tmp_path, small_model, small_setup):
-    ops = small_setup[1]
-    truths = _test_truths(small_setup)
-    errors = err_linf(small_model, truths)
-    path = tmp_path / "errors.csv"
-    write_error_report_csv([t.mu for t in truths], errors, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "K,r,q,sigma,err_N"
-    assert len(lines) == 1 + 3 + 1
-    assert lines[-1].startswith("ERR_LINF,,,,")
-    assert float(lines[-1].split(",")[-1]) == errors.max()
-
-
-def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
-    mesh, ops, scheme, _ = small_setup
-    mu = small_store.params[0]
-    rt = reduced_trajectory(small_model, mu)
-    write_online_csvs(tmp_path / "alone", small_model, rt)
-    assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == ["reduced_trajectory.csv"]
-    reduced = (tmp_path / "alone" / "reduced_trajectory.csv").read_text()
-    lines = reduced.splitlines()
-    assert lines[0] == "step,t,s,u,lambda,price,source"
-    assert len(lines) - 1 == (scheme.L + 1) * mesh.H
-    assert all(line.endswith(",reduced") for line in lines[1:])
-
-    # the comparison is the truth export with a source column, then the
-    # body of reduced_trajectory.csv byte for byte
-    truth = small_store.trajectories[0]
-    write_online_csvs(tmp_path, small_model, rt, truth)
-    assert (tmp_path / "reduced_trajectory.csv").read_text() == reduced
-    truth_text = "step,t,s,u,lambda,price,source\n" + "".join(state_rows(
-        truth.states, truth.multipliers, mesh, truth.mu.K, scheme.delta_t, "truth"))
-    body = reduced.split("\n", 1)[1]
-    assert (tmp_path / "comparison.csv").read_text() == truth_text + body
-    comparison = (tmp_path / "comparison.csv").read_text().splitlines()
-    assert [line for line in comparison[1:] if not line.endswith(",truth")] == lines[1:]

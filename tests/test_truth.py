@@ -12,7 +12,6 @@ from amrb import (
     ParameterVector,
     SchemeConfig,
     SolverDivergenceError,
-    Trajectory,
     Tridiagonal,
     assemble_operators,
     build_mesh,
@@ -23,12 +22,10 @@ from amrb import (
     solve_trajectory,
     theta_step,
     trajectory_residuals,
-    write_trajectory_csv,
 )
 from amrb.fem import band_product
-from amrb.truth import TRAJECTORY_HEADER, check_lcp_matrix, load_vector, state_rows, step_pair
+from amrb.truth import check_lcp_matrix, load_vector, step_pair
 from amrb.cli import train_stream
-from amrb.textio import fmt, write_csv
 import amrb.truth as truth_mod
 
 from conftest import dense, dense_step_pair
@@ -1051,68 +1048,3 @@ def test_residuals_in_whole_trajectory_passes(default_box, H):
         slow = residuals_by_step(traj, ops, obstacle)
         assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in slow.items()}
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def test_trajectory_csv(tmp_path, default_ops, default_scheme, mu0):
-    obstacle = obstacle_data(default_ops.mesh, mu0.K)
-    traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj, default_ops.mesh)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,t,s,u,lambda,price"
-    assert len(lines) - 1 == (default_scheme.L + 1) * default_ops.dim
-    first = lines[1].split(",")
-    assert first[4] == "nan"  # no multiplier at the initial time
-    # 17-significant-digit cells round-trip exactly
-    u_cell = float(lines[1].split(",")[3])
-    assert u_cell == traj.states[0, 0]
-    # rerun is byte-identical
-    path2 = tmp_path / "traj2.csv"
-    write_trajectory_csv(path2, traj, default_ops.mesh)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_trajectory_csv_source_column(tmp_path, default_ops, default_scheme, mu0):
-    obstacle = obstacle_data(default_ops.mesh, mu0.K)
-    traj = solve_trajectory(mu0, default_ops, obstacle, default_scheme)
-    path = tmp_path / "traj.csv"
-    write_csv(path, [*TRAJECTORY_HEADER, "source"], state_rows(
-        traj.states, traj.multipliers, default_ops.mesh, mu0.K, default_scheme.delta_t, "truth"))
-    lines = path.read_text().splitlines()
-    assert lines[0].endswith(",source")
-    assert lines[1].endswith(",truth")
-
-
-def test_trajectory_csv_matches_cellwise_rendering(tmp_path, mu0):
-    # each per-step block is one % call; it renders as the cell-by-cell fmt
-    # loop does, -0.0, nan and the infinities included, with and without a
-    # source column, whose % is literal text
-    assert [fmt(x) for x in (-0.0, np.nan, np.inf, -np.inf, 0.1)] == [
-        "0", "nan", "inf", "-inf", "0.10000000000000001"]
-    mesh = build_mesh(3, 300.0)
-    states = np.array([[0.5, -0.0, 1e-300], [np.inf, -np.inf, np.nan], [-0.0, 7.0, -1e300]])
-    multipliers = np.array([[-0.0, 2.5, 1.0 / 3.0], [np.nan, -np.inf, 0.0]])
-    config = SchemeConfig(T=0.3, L=2, theta=0.5)
-    s = mesh.interior_nodes
-    lift = mu0.K * (1.0 - s / mesh.s_f)
-    for source in ("truth", None, "100%s %d%%"):
-        expected = []
-        for n in range(3):
-            for j in range(3):
-                lam = multipliers[n - 1, j] if n else float("nan")
-                row = [n, n * config.delta_t, s[j], states[n, j], lam, states[n, j] + lift[j]]
-                if source is not None:
-                    row.append(source)
-                expected.append(",".join(fmt(cell) for cell in row))
-        rendered = "".join(state_rows(states, multipliers, mesh, mu0.K, config.delta_t,
-                                      source))
-        assert rendered == "\n".join(expected) + "\n"
-    traj = Trajectory(mu=mu0, states=states, multipliers=multipliers, config=config,
-                      pdas_iterations=np.ones(2, dtype=int))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj, mesh)
-    assert path.read_text() == "step,t,s,u,lambda,price\n" + "".join(
-        state_rows(states, multipliers, mesh, mu0.K, config.delta_t))
