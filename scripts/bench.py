@@ -90,17 +90,17 @@ def rows_at(H: int, workdir: str) -> dict:
         "snapshots_single": lambda: [single(mu) for mu in params],
         "snapshots_group": lambda: truth.march_group(params, ops, scheme),
     }
-    store = offline.generate_snapshots(params, ops, scheme)
+    snapshots = offline.generate_snapshots(params, ops, scheme)
     mu = offline.sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))[0]
     for nv_tilde, nw in BUDGETS:
-        pod = offline.pod_greedy(store, nv_tilde, ops)
-        cone = offline.angle_greedy(store, nw, ops)
-        model, _ = offline.truncated_model(store, pod, cone, nv_tilde, nw, ops)
+        pod = offline.pod_greedy(snapshots, nv_tilde, ops)
+        cone = offline.angle_greedy(snapshots, nw, ops)
+        model, _ = offline.truncated_model(snapshots, pod, cone, nv_tilde, nw, ops)
         path = os.path.join(workdir, f"model_{H}_{nv_tilde}x{nw}.json")
         offline.save_model(model, path)
         xi = np.ascontiguousarray(cone[0])  # as truncated_model passes it
-        rows[f"pod_greedy_{nv_tilde}"] = lambda n=nv_tilde: offline.pod_greedy(store, n, ops)
-        rows[f"angle_greedy_{nw}"] = lambda n=nw: offline.angle_greedy(store, n, ops)
+        rows[f"pod_greedy_{nv_tilde}"] = lambda n=nv_tilde: offline.pod_greedy(snapshots, n, ops)
+        rows[f"angle_greedy_{nw}"] = lambda n=nw: offline.angle_greedy(snapshots, n, ops)
         rows[f"enrich_{nv_tilde}x{nw}"] = (
             lambda pod=pod[0], xi=xi: offline.enrich_with_supremizers(pod, xi, ops))
         rows[f"save_model_{nv_tilde}x{nw}"] = (

@@ -34,7 +34,6 @@ from .truth import (
 from .offline import (
     GreedyDiagnostics,
     ReducedModel,
-    SnapshotStore,
     angle_greedy,
     assemble_reduced,
     build_reduced_model_from_store,

@@ -180,7 +180,8 @@ def test_stream(seed: int) -> np.random.SeedSequence:
 
 
 def training_set(cfg: RunConfig) -> list[ParameterVector]:
-    """The training draws of ``cfg``, which a snapshot store needs pairwise distinct."""
+    """The training draws of ``cfg``, pairwise distinct: a box too narrow
+    to give that many distinct draws is a config error."""
     params = sample_training_set(cfg.box, cfg.n_train, train_stream(cfg.seed))
     if len(set(params)) < len(params):
         raise ConfigError(f"the parameter box is too narrow for {cfg.n_train} "
@@ -280,8 +281,8 @@ def cmd_truth(cfg: RunConfig, mu: ParameterVector, gnuplot: bool) -> int:
 def cmd_offline(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) -> int:
     ops = assemble_operators(cfg.mesh)
     scheme = cfg.scheme
-    store = generate_snapshots(params, ops, scheme)
-    model, warnings = build_reduced_model_from_store(store, cfg.nv_tilde, cfg.nw, ops)
+    snapshots = generate_snapshots(params, ops, scheme)
+    model, warnings = build_reduced_model_from_store(snapshots, cfg.nv_tilde, cfg.nw, ops)
     for note in warnings:
         sys.stderr.write(f"warning: {note}\n")
 
@@ -368,9 +369,9 @@ def cmd_study(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) -> i
     ops = assemble_operators(cfg.mesh)
     scheme, budgets = cfg.scheme, cfg.budgets
     test_params = sample_training_set(cfg.box, cfg.n_test, test_stream(cfg.seed))
-    store = generate_snapshots(params, ops, scheme)
-    pod = pod_greedy(store, max(a for a, _ in budgets), ops)
-    cone = angle_greedy(store, max(b for _, b in budgets), ops)
+    snapshots = generate_snapshots(params, ops, scheme)
+    pod = pod_greedy(snapshots, max(a for a, _ in budgets), ops)
+    cone = angle_greedy(snapshots, max(b for _, b in budgets), ops)
     truths = solve_trajectories(test_params, ops, scheme, label="test truth")
     for truth in truths:
         check_contract(truth, ops)
@@ -379,7 +380,7 @@ def cmd_study(cfg: RunConfig, params: list[ParameterVector], gnuplot: bool) -> i
     out = cfg.output_dir
     for nv_tilde, nw in budgets:
         try:
-            model, warnings = truncated_model(store, pod, cone, nv_tilde, nw, ops)
+            model, warnings = truncated_model(snapshots, pod, cone, nv_tilde, nw, ops)
             for note in warnings:
                 sys.stderr.write(f"warning: budget ({nv_tilde},{nw}): {note}\n")
             errors = err_linf(model, truths)

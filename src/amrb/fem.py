@@ -124,8 +124,8 @@ class ParameterBox:
     def contains(self, mu) -> bool:
         lo, hi = self.bounds()
         x = np.array([mu.K, mu.r, mu.q, mu.sigma], dtype=float)
-        pad = BOX_RTOL * (1.0 + np.abs(hi))
-        return bool(np.all(x >= lo - pad) and np.all(x <= hi + pad))
+        return bool(np.all(x >= lo - BOX_RTOL * (1.0 + np.abs(lo)))
+                    and np.all(x <= hi + BOX_RTOL * (1.0 + np.abs(hi))))
 
 
 class Tridiagonal(NamedTuple):

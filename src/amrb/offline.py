@@ -89,51 +89,16 @@ def sample_training_set(box: ParameterBox, n: int, seed) -> list[ParameterVector
     return [ParameterVector(*row) for row in draws.tolist()]
 
 
-@dataclass(frozen=True)
-class SnapshotStore:
-    """Truth trajectories at pairwise distinct parameters, on one time grid
-    and mesh; ``params`` and ``config`` are read off them."""
-
-    trajectories: tuple[Trajectory, ...]
-
-    def __post_init__(self):
-        if not self.trajectories:
-            raise ValueError("empty snapshot store")
-        if len(set(self.params)) != self.n_params:
-            raise ValueError("training parameters must be pairwise distinct")
-        if any(traj.config != self.config for traj in self.trajectories):
-            raise ValueError("all trajectories must share one time grid")
-        if len({traj.states.shape[1] for traj in self.trajectories}) != 1:
-            raise ValueError("all trajectories must share one mesh")
-
-    @property
-    def params(self) -> tuple[ParameterVector, ...]:
-        return tuple(traj.mu for traj in self.trajectories)
-
-    @property
-    def config(self) -> SchemeConfig:
-        return self.trajectories[0].config
-
-    @property
-    def n_params(self) -> int:
-        return len(self.trajectories)
-
-    def primal_matrix(self) -> np.ndarray:
-        """All state snapshots as columns, parameter-major, time-minor."""
-        return np.column_stack([traj.states.T for traj in self.trajectories])
-
-    def multiplier_matrix(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """All multiplier snapshots as columns, parameter-major, time-minor,
-        with their (n, mu_index) labels."""
-        labels = [(n, i) for i in range(self.n_params) for n in range(1, self.config.L + 1)]
-        return np.column_stack([traj.multipliers.T for traj in self.trajectories]), labels
-
-
 def generate_snapshots(params, ops: AffineOperatorSet,
-                       config: SchemeConfig) -> SnapshotStore:
-    """Solve one truth trajectory per parameter (obstacle derived per strike),
-    by ``solve_trajectories``; a failure names the parameter that failed."""
-    return SnapshotStore(tuple(solve_trajectories(params, ops, config, label="snapshot run")))
+                       config: SchemeConfig) -> tuple[Trajectory, ...]:
+    """The snapshots: one truth trajectory per parameter (obstacle derived
+    per strike), on ``ops`` and ``config``, in the order of ``params``.
+
+    ``solve_trajectories`` marches them; a failure names the parameter that
+    failed.  The greedy loops read the parameters, the time grid and the
+    snapshot columns off the trajectories.
+    """
+    return tuple(solve_trajectories(params, ops, config, label="snapshot run"))
 
 
 def _append_orthonormal(basis: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
@@ -199,9 +164,10 @@ def _dominant_mode(white: np.ndarray, ops: AffineOperatorSet) -> tuple[np.ndarra
     return mode, nodal
 
 
-def pod_greedy(store: SnapshotStore, n_v_tilde: int,
+def pod_greedy(snapshots: tuple[Trajectory, ...], n_v_tilde: int,
                ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Greedy primal basis construction.
+    """Greedy primal basis construction over the states of the snapshot
+    trajectories, stacked as columns, trajectory-major, time-minor.
 
     Start from the normalized initial state of the first training
     parameter.  At basis size k, evaluate for every training parameter the
@@ -222,8 +188,8 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     # explicit residuals, deflated in place: the norm-subtraction form
     # floors at sqrt(eps_machine) * snapshot scale, far above the greedy's
     # tail.  whiten returns a fresh C-ordered block, as _deflate needs
-    resid = ops.whiten(store.primal_matrix())
-    width = store.config.L + 1
+    resid = ops.whiten(np.column_stack([traj.states.T for traj in snapshots]))
+    width = snapshots[0].config.L + 1
 
     basis = _append_orthonormal(np.zeros((ops.dim, 0)), resid[:, 0])  # first initial state
     if basis is None:
@@ -232,7 +198,7 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     selected = [0]
     eps_u: list[float] = []
     while True:
-        per_mu = np.einsum("ij,ij->j", resid, resid).reshape(store.n_params, width).sum(axis=1)
+        per_mu = np.einsum("ij,ij->j", resid, resid).reshape(len(snapshots), width).sum(axis=1)
         best = int(np.argmax(per_mu))
         eps_u.append(float(np.sqrt(per_mu[best])))
         if basis.shape[1] == n_v_tilde:
@@ -250,20 +216,22 @@ def pod_greedy(store: SnapshotStore, n_v_tilde: int,
     return ops.unwhiten(basis), np.array(eps_u), selected
 
 
-def angle_greedy(store: SnapshotStore, n_w: int,
+def angle_greedy(snapshots: tuple[Trajectory, ...], n_w: int,
                  ops: AffineOperatorSet) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """Greedy dual cone construction.
+    """Greedy dual cone construction over the multipliers of the snapshot
+    trajectories, stacked as columns, trajectory-major, time-minor: column
+    j is step j % L + 1 of trajectory j // L.
 
     Initialize with the first multiplier snapshot of positive dual norm
-    (parameter-major, time-minor scan order).  At cone size k, compute the
-    angle of every usable snapshot to the span of the current generators,
-    record the maximum, and append the normalized maximizer (ties break to
-    the smallest parameter index, then the smallest time step).  The loop
-    runs on the whitened snapshots, whose residuals it deflates in place by
-    each new column of an orthonormal basis of the generators' span.
+    (in that scan order).  At cone size k, compute the angle of every
+    usable snapshot to the span of the current generators, record the
+    maximum, and append the normalized maximizer (ties break to the
+    smallest parameter index, then the smallest time step).  The loop runs
+    on the whitened snapshots, whose residuals it deflates in place by each
+    new column of an orthonormal basis of the generators' span.
 
-    Returns (generator columns, angle decay, selected (time step,
-    parameter index) pairs), one decay entry and one selection per
+    Returns (generator columns, angle decay, selected (time step n,
+    parameter index i) pairs), one decay entry and one selection per
     column.  The loop stops early, with fewer than ``n_w`` columns, when
     the maximizer would leave the generators' unit lifts without full
     column rank (``_full_rank``, which any angle at or below ``RANK_FLOOR``
@@ -272,7 +240,7 @@ def angle_greedy(store: SnapshotStore, n_w: int,
     """
     if n_w < 1:
         raise ValueError(f"need a positive cone budget, got {n_w}")
-    lam_matrix, labels = store.multiplier_matrix()
+    lam_matrix = np.column_stack([traj.multipliers.T for traj in snapshots])
     lifts = ops.whiten_dual(lam_matrix)
     w_norm = np.sqrt(np.einsum("ij,ij->j", lifts, lifts))
     valid = w_norm > NORM_FLOOR
@@ -312,7 +280,9 @@ def angle_greedy(store: SnapshotStore, n_w: int,
         ortho = _append_orthonormal(ortho, lifts[:, best] / w_norm[best])
         coef[k] = _deflate(resid, ortho[:, -1])
         cols.append(best)
-    return lam_matrix[:, cols] / w_norm[cols], np.array(eps_lambda), [labels[j] for j in cols]
+    steps = snapshots[0].config.L
+    labels = [(j % steps + 1, j // steps) for j in cols]
+    return lam_matrix[:, cols] / w_norm[cols], np.array(eps_lambda), labels
 
 
 def enrich_with_supremizers(pod_vectors: np.ndarray, xi: np.ndarray,
@@ -416,12 +386,13 @@ def assemble_reduced(psi: np.ndarray, xi: np.ndarray, ops: AffineOperatorSet,
                         xi_matrix=xi, diagnostics=diagnostics)
 
 
-def truncated_model(store: SnapshotStore, pod, cone, nv_tilde: int, nw: int,
+def truncated_model(snapshots: tuple[Trajectory, ...], pod, cone, nv_tilde: int, nw: int,
                     ops: AffineOperatorSet):
     """Model and warnings at budget (nv_tilde, nw) from ``pod_greedy`` and
     ``angle_greedy`` results ``pod`` and ``cone`` at budgets at least as
     large: the loops only append, so a run's leading entries are the run at
-    a smaller budget.  A loop that saturated early contributes what it
+    a smaller budget.  The model's time grid and training parameters are
+    those of the ``snapshots`` the loops ran on.  A loop that saturated early contributes what it
     built, and the warning list records each such event."""
     warnings: list[str] = []
     vectors, eps_u, selected_u = pod[0][:, :nv_tilde], pod[1][:nv_tilde], pod[2][:nv_tilde]
@@ -438,20 +409,20 @@ def truncated_model(store: SnapshotStore, pod, cone, nv_tilde: int, nw: int,
         eps_lambda=eps_lambda,
         selected_params_u=tuple(int(i) for i in selected_u),
         selected_pairs_lambda=tuple(selected_lambda),
-        training_params=np.array([p.as_array() for p in store.params]),
+        training_params=np.array([traj.mu.as_array() for traj in snapshots]),
     )
-    model = assemble_reduced(psi, xi, ops, store.config,
+    model = assemble_reduced(psi, xi, ops, snapshots[0].config,
                              nv_tilde=vectors.shape[1], diagnostics=diagnostics)
     for j in dropped:
         warnings.append(f"dropped supremizer {j}: direction dependent on the basis")
     return model, warnings
 
 
-def build_reduced_model_from_store(store: SnapshotStore, nv_tilde: int, nw: int,
-                                   ops: AffineOperatorSet):
+def build_reduced_model_from_store(snapshots: tuple[Trajectory, ...], nv_tilde: int,
+                                   nw: int, ops: AffineOperatorSet):
     """``truncated_model`` of both greedy loops run at the budget itself."""
-    return truncated_model(store, pod_greedy(store, nv_tilde, ops),
-                           angle_greedy(store, nw, ops), nv_tilde, nw, ops)
+    return truncated_model(snapshots, pod_greedy(snapshots, nv_tilde, ops),
+                           angle_greedy(snapshots, nw, ops), nv_tilde, nw, ops)
 
 
 # ---------------------------------------------------------------------------

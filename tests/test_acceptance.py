@@ -153,7 +153,7 @@ def test_criterion_05_reproduction(mu0):
     model, warnings = build_reduced_model_from_store(store, scheme.L + 1, scheme.L, ops)
     assert not warnings
     assert model.diagnostics.eps_u[-1] < 1e-8
-    truth = store.trajectories[0]
+    truth = store[0]
     rt = reduced_trajectory(model, mu0)
     err = error_metrics(truth, reconstruct_states(model, rt), ops)
     scale = max(energy_product(ops, truth.states[n]) for n in range(scheme.L + 1))

@@ -553,8 +553,8 @@ def test_overflowing_configs_exit_4(tmp_path, capsys, command, override, error):
 
 
 def test_narrow_box_is_a_config_error(tmp_path, capsys):
-    # a zero-width box draws one parameter over and over; a snapshot store
-    # needs distinct ones
+    # a zero-width box draws one parameter over and over; the training set
+    # must hold distinct draws
     narrow = {**SMALL_CONFIG, "box": {"eps": 0.0}}
     cfg = write_config(tmp_path, narrow)
     for command in ("offline", "study"):
@@ -874,7 +874,7 @@ def test_online_out_of_box_warns(tmp_path, capsys):
 
 def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
     mesh, ops, scheme, _ = small_setup
-    mu = small_store.params[0]
+    mu = small_store[0].mu
     model = str(tmp_path / "model.json")
     save_model(small_model, model)
     assert main(["online", "--model", model, "--mu", mu_flag(mu),
@@ -888,7 +888,7 @@ def test_trajectory_csvs(tmp_path, small_model, small_store, small_setup):
 
     # the comparison is the truth export with a source column, then the
     # body of reduced_trajectory.csv byte for byte
-    truth = small_store.trajectories[0]
+    truth = small_store[0]
     assert main(["online", "--model", model, "--mu", mu_flag(mu), "--compare",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "reduced_trajectory.csv").read_text() == reduced
@@ -1094,10 +1094,10 @@ def test_study_of_failed_budgets_writes_its_table_and_exits_4(tmp_path, monkeypa
 def test_study_budget_failure_is_a_row(tmp_path, monkeypatch, capsys):
     truncated_model = cli_mod.truncated_model
 
-    def fail_at_4(store, pod, cone, nv_tilde, nw, ops):
+    def fail_at_4(snapshots, pod, cone, nv_tilde, nw, ops):
         if nw == 4:
             raise InfSupFailureError("forced")
-        return truncated_model(store, pod, cone, nv_tilde, nw, ops)
+        return truncated_model(snapshots, pod, cone, nv_tilde, nw, ops)
 
     monkeypatch.setattr(cli_mod, "truncated_model", fail_at_4)
     cfg = write_config(tmp_path, SMALL_CONFIG)

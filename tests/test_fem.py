@@ -91,6 +91,20 @@ def test_parameter_box_negative_center_flips_interval():
     assert hi[1] == pytest.approx(-0.0475)
 
 
+def test_parameter_box_pads_each_bound_by_its_own_magnitude():
+    # BOX_RTOL * (1 + |bound|) below the lower bound: 9.6e-11 under K = 95,
+    # and 1.0525e-12 under r = -0.0525, where the upper bound's magnitude
+    # would give 1.06e-10 and 1.0475e-12
+    stock = ParameterBox(K0=100.0, r0=0.05, q0=0.0015, sigma0=0.5, eps=0.1)
+    k_lo = stock.bounds()[0][0]
+    assert stock.contains(ParameterVector(K=k_lo - 0.9e-10, r=0.05, q=0.0015, sigma=0.5))
+    assert not stock.contains(ParameterVector(K=k_lo - 1.0e-10, r=0.05, q=0.0015, sigma=0.5))
+    negative = ParameterBox(K0=100.0, r0=-0.05, q0=0.0015, sigma0=0.5, eps=0.1)
+    r_lo = negative.bounds()[0][1]
+    assert negative.contains(ParameterVector(K=100.0, r=r_lo - 1.05e-12, q=0.0015, sigma=0.5))
+    assert not negative.contains(ParameterVector(K=100.0, r=r_lo - 1.1e-12, q=0.0015, sigma=0.5))
+
+
 # ---------------------------------------------------------------------------
 # assembly against closed forms and symbolic integration
 

@@ -14,7 +14,6 @@ from amrb import (
     ParameterVector,
     ReducedModel,
     SchemeConfig,
-    SnapshotStore,
     Trajectory,
     angle_greedy,
     assemble_operators,
@@ -91,42 +90,21 @@ def test_sample_requires_positive_count(default_box):
 def test_snapshot_counts(small_setup):
     mesh, ops, scheme, box = small_setup
     params = sample_training_set(box, 1, 5)
-    store = generate_snapshots(params, ops, scheme)
-    assert store.n_params == 1
-    assert store.primal_matrix().shape == (ops.dim, scheme.L + 1)
-    lam, labels = store.multiplier_matrix()
+    snapshots = generate_snapshots(params, ops, scheme)
+    assert len(snapshots) == 1
+    assert np.column_stack([t.states.T for t in snapshots]).shape == (ops.dim, scheme.L + 1)
+    lam = np.column_stack([t.multipliers.T for t in snapshots])
     assert lam.shape == (ops.dim, scheme.L)
-    assert labels[0] == (1, 0)
-    assert labels[-1] == (scheme.L, 0)
 
 
 def test_snapshot_initial_states_exact(small_store, small_setup):
-    for mu, traj in zip(small_store.params, small_store.trajectories):
-        assert np.array_equal(traj.states[0], obstacle_data(small_setup[0], mu.K).psi_tilde)
+    for traj in small_store:
+        assert np.array_equal(traj.states[0], obstacle_data(small_setup[0], traj.mu.K).psi_tilde)
 
 
 def test_snapshot_counts_stock_configuration(store16):
-    assert store16.primal_matrix().shape == (99, 16 * 21)
-    lam, labels = store16.multiplier_matrix()
-    assert lam.shape == (99, 16 * 20)
-    assert len(labels) == 320
-
-
-def test_snapshot_store_rejects_duplicates(small_store, small_setup):
-    # the parameters and the time grid are the trajectories' own
-    trajs = small_store.trajectories
-    assert small_store.params == tuple(traj.mu for traj in trajs)
-    assert small_store.config == trajs[0].config
-    mesh, ops, scheme, _ = small_setup
-    mu = ParameterVector(K=101.0, r=0.05, q=0.0015, sigma=0.5)
-    other_grid = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K),
-                                  dataclasses.replace(scheme, T=0.5))
-    wide_ops = assemble_operators(build_mesh(ops.dim + 1, mesh.s_f))
-    other_width = solve_trajectory(mu, wide_ops, obstacle_data(wide_ops.mesh, mu.K), scheme)
-    for bad, reason in (((trajs[0], trajs[0]), "distinct"), ((trajs[0], other_grid), "grid"),
-                        ((trajs[0], other_width), "mesh"), ((), "empty")):
-        with pytest.raises(ValueError, match=reason):
-            SnapshotStore(bad)
+    assert np.column_stack([t.states.T for t in store16]).shape == (99, 16 * 21)
+    assert np.column_stack([t.multipliers.T for t in store16]).shape == (99, 16 * 20)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +165,7 @@ def _constant_store(ops, scheme, value=2.0):
     traj = Trajectory(mu=mu, states=states,
                       multipliers=np.zeros((scheme.L, H)), config=scheme,
                       pdas_iterations=np.ones(scheme.L, dtype=int))
-    return SnapshotStore((traj,))
+    return (traj,)
 
 
 def test_pod_greedy_saturates_on_constant_trajectory(default_ops, default_scheme):
@@ -210,7 +188,7 @@ def test_pod_greedy_small_run(small_store, small_setup):
     assert np.abs(gram - np.eye(6)).max() <= 1e-10
     assert np.all(np.diff(eps) <= 1e-12 * (1 + eps[:-1]))
     assert selected[0] == 0
-    assert all(0 <= i < small_store.n_params for i in selected)
+    assert all(0 <= i < len(small_store) for i in selected)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +202,7 @@ def _multiplier_store(ops, lams):
     mu = ParameterVector(K=100.0, r=0.05, q=0.0015, sigma=0.5)
     traj = Trajectory(mu=mu, states=np.ones((scheme.L + 1, ops.dim)), multipliers=lams,
                       config=scheme, pdas_iterations=np.ones(scheme.L, dtype=int))
-    return SnapshotStore((traj,))
+    return (traj,)
 
 
 def test_angle_identity_ops_basics():
@@ -267,7 +245,7 @@ def test_angle_against_gram_schmidt_oracle(small_store, small_setup):
     xi, eps, _ = angle_greedy(small_store, 5, ops)
     assert xi.shape[1] == 5
     dual = np.linalg.inv(dense(ops.gram))  # eta' dual zeta is the dual inner product
-    lams = [lam for lam in small_store.multiplier_matrix()[0].T
+    lams = [lam for traj in small_store for lam in traj.multipliers
             if np.sqrt(lam @ dual @ lam) > NORM_FLOOR]
     ortho = []
     for k in range(xi.shape[1]):
@@ -293,7 +271,7 @@ def _parallel_multiplier_store(ops, scheme):
     traj = Trajectory(mu=mu, states=np.zeros((scheme.L + 1, H)) + 1.0,
                       multipliers=multipliers, config=scheme,
                       pdas_iterations=np.ones(scheme.L, dtype=int))
-    return SnapshotStore((traj,))
+    return (traj,)
 
 
 def test_angle_greedy_parallel_snapshots(default_ops, default_scheme):
@@ -324,7 +302,7 @@ def test_angle_greedy_budget_beyond_the_snapshots(small_store, small_setup):
     # a cone of distinct snapshots saturates by the rank check at most at
     # their number, whatever the budget; the loop sizes its work by both
     _, ops, _, _ = small_setup
-    n_snapshots = small_store.n_params * small_store.config.L
+    n_snapshots = len(small_store) * small_store[0].config.L
     xi, eps, selected = angle_greedy(small_store, 10**15, ops)
     assert 0 < xi.shape[1] == len(eps) == len(selected) <= n_snapshots
     assert len(set(selected)) == len(selected)
@@ -399,7 +377,7 @@ def test_assemble_reduced_coupling_two_ways(small_store, small_setup):
     vectors, _, _ = pod_greedy(small_store, 4, ops)
     xi, _, _ = angle_greedy(small_store, 3, ops)
     psi, _ = enrich_with_supremizers(vectors, xi, ops)
-    cfg = small_store.config
+    cfg = small_store[0].config
     model = assemble_reduced(psi, xi, ops, cfg, nv_tilde=4, diagnostics=empty_diagnostics())
     for i in range(model.nv):
         for j in range(model.nw):
@@ -416,7 +394,7 @@ def test_assemble_reduced_rank_failure(small_store, small_setup):
     gen = np.abs(np.random.default_rng(6).normal(size=ops.dim))
     xi = np.column_stack([gen, gen])
     with pytest.raises(InfSupFailureError):
-        assemble_reduced(vectors, xi, ops, small_store.config, nv_tilde=3,
+        assemble_reduced(vectors, xi, ops, small_store[0].config, nv_tilde=3,
                          diagnostics=empty_diagnostics())
 
 
@@ -473,7 +451,7 @@ def test_loaded_operators_give_the_truth(tmp_path, small_model, small_store, sma
     save_model(small_model, path)
     loaded = load_model(path).ops
     assert loaded is not ops
-    mu = small_store.params[1]
+    mu = small_store[1].mu
     fresh = solve_trajectory(mu, ops, obstacle_data(mesh, mu.K), scheme)
     again = solve_trajectory(mu, loaded, obstacle_data(loaded.mesh, mu.K), scheme)
     assert fresh.states.tobytes() == again.states.tobytes()
@@ -614,7 +592,7 @@ def _rank_floor_store(default_ops, default_scheme):
     traj = Trajectory(mu=mu, states=np.ones((default_scheme.L + 1, H)),
                       multipliers=lam, config=default_scheme,
                       pdas_iterations=np.ones(default_scheme.L, dtype=int))
-    return SnapshotStore((traj,))
+    return (traj,)
 
 
 def test_rank_floor_trims_cone(default_ops, default_scheme):
@@ -763,13 +741,28 @@ def test_residuals_deflated_in_place_are_the_projection_residuals(H, stock_store
     # appended column; it must stay X - Q(Q'X), which a deflation that wrote
     # into a copy (ger on an array that is not Fortran-contiguous) breaks
     store, ops = stock_store(H, 0)
-    for loop, snaps in ((pod_greedy, ops.whiten(store.primal_matrix())),
-                        (angle_greedy, ops.whiten_dual(store.multiplier_matrix()[0]))):
+    for loop, snaps in (
+            (pod_greedy, ops.whiten(np.column_stack([t.states.T for t in store]))),
+            (angle_greedy, ops.whiten_dual(np.column_stack([t.multipliers.T for t in store])))):
         (resid_err, row_err), n_columns = _deflation_errors(loop, store, ops, snaps,
                                                             monkeypatch)
         assert n_columns == 16, loop.__name__
         assert resid_err <= 1e-13, loop.__name__
         assert row_err <= 1e-13, loop.__name__
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cone_generators_are_the_snapshots_their_labels_name(seed, stock_store):
+    # the selection (n, i) of stacked column j is step j % L + 1 of
+    # trajectory j // L; each generator is that multiplier snapshot over its
+    # dual norm, also past the first trajectory
+    store, ops = stock_store(99, seed)
+    xi, _, pairs = angle_greedy(store, 16, ops)
+    assert any(i > 0 for _, i in pairs)
+    for gen, (n, i) in zip(xi.T, pairs, strict=True):
+        lam = store[i].multipliers[n - 1]
+        want = lam / np.linalg.norm(ops.whiten_dual(lam))
+        assert np.abs(gen - want).max() <= 1e-13 * np.abs(gen).max(), (n, i)
 
 
 # Selections, sizes, warnings and decays of the stock store at budget (16, 16)

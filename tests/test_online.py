@@ -81,7 +81,7 @@ def test_reduced_step_pair_is_the_projected_truth_step(model_8_8, test_params10,
 
 
 def test_online_setup_cone_loads_match_store(small_model, small_store):
-    mu = small_store.params[0]
+    mu = small_store[0].mu
     data = online_setup(small_model, mu)
     expected = small_model.xi_matrix.T @ obstacle_data(small_model.ops.mesh, mu.K).psi_tilde
     assert np.allclose(data.g_n, expected, rtol=0, atol=1e-12)
@@ -90,7 +90,7 @@ def test_online_setup_cone_loads_match_store(small_model, small_store):
 def test_online_setup_step_maps(small_model, small_store):
     # a step is u -> step_map u + step_load + sinv_b alpha, with the cone
     # right-hand side cone_load - cone_map u
-    mu = small_store.params[0]
+    mu = small_store[0].mu
     data = online_setup(small_model, mu)
     blocks = reduced_blocks(small_model, mu)
     b_n = small_model.b_n
@@ -115,7 +115,7 @@ def projection_residual(model, ops, mu, u0):
 
 def test_online_setup_initial_projection_residual(small_model, small_setup, small_store):
     _, ops, _, _ = small_setup
-    mu = small_store.params[1]
+    mu = small_store[1].mu
     data = online_setup(small_model, mu)
     resid, rhs = projection_residual(small_model, ops, mu, data.u0)
     assert np.abs(resid).max() <= 1e-10 * (1 + np.abs(rhs).max())
@@ -134,7 +134,7 @@ def test_online_setup_initial_projection_residual_large_basis(model_16_16, defau
 def test_online_setup_initial_projection_is_optimal(small_model, small_setup, small_store,
                                                     model_16_16, default_ops, test_params10):
     _, small_ops, _, _ = small_setup
-    cases = [(small_model, small_ops, small_store.params[2])]
+    cases = [(small_model, small_ops, small_store[2].mu)]
     cases += [(model_16_16, default_ops, mu) for mu in test_params10[:3]]
     for model, ops, mu in cases:
         data = online_setup(model, mu)
@@ -159,7 +159,7 @@ def test_online_setup_rejects_bad_mu(small_model):
 
 
 def test_reduced_step_unconstrained(small_model, small_store):
-    mu = small_store.params[0]
+    mu = small_store[0].mu
     data = online_setup(small_model, mu)
     free = dataclasses.replace(data, cone_load=np.full(small_model.nw, -1e6))
     rng = np.random.default_rng(1)
@@ -176,7 +176,7 @@ def test_reduced_step_unconstrained(small_model, small_store):
 def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
     _, ops, _, _ = small_setup
     model, _ = build_reduced_model_from_store(small_store, 3, 1, ops)
-    mu = small_store.params[0]
+    mu = small_store[0].mu
     data = online_setup(model, mu)
     blocks = reduced_blocks(model, mu)
     rng = np.random.default_rng(2)
@@ -194,7 +194,7 @@ def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
 def test_reduced_step_matches_enumeration(model_8_8, store16):
     from scipy.linalg import lu_solve
 
-    mu = store16.params[3]
+    mu = store16[3].mu
     data = online_setup(model_8_8, mu)
     blocks = reduced_blocks(model_8_8, mu)
     rng = np.random.default_rng(3)
@@ -218,7 +218,7 @@ def test_reduced_step_matches_enumeration(model_8_8, store16):
 
 
 def test_reduced_trajectory_contract(small_model, small_store):
-    mu = small_store.params[0]
+    mu = small_store[0].mu
     rt = reduced_trajectory(small_model, mu)
     data = online_setup(small_model, mu)
     assert np.array_equal(rt.states[0], data.u0)
@@ -358,7 +358,7 @@ def test_reconstruct_identity_basis(small_store, small_setup):
     model = off.assemble_reduced(np.eye(ops.dim), np.zeros((ops.dim, 0)),
                                  identity_operator_set(ops.dim), scheme, nv_tilde=ops.dim,
                                  diagnostics=empty_diagnostics())
-    truth = small_store.trajectories[0]
+    truth = small_store[0]
     rt_like = dataclasses.replace  # direct container
     from amrb.online import ReducedTrajectory
     rt = ReducedTrajectory(mu=truth.mu, states=truth.states,

@@ -859,7 +859,7 @@ def test_stock_training_sets_march_to_the_single_bits(default_box, default_schem
         params = sample_training_set(default_box, 16, train_stream(seed))
         group = truth_mod.march_group(params, ops, default_scheme)
         assert_same_bits(group, single_marches(params, ops, default_scheme))
-        assert_same_bits(generate_snapshots(params, ops, default_scheme).trajectories, group)
+        assert_same_bits(generate_snapshots(params, ops, default_scheme), group)
         for traj in group:  # views of the group's one block
             assert traj.states.flags.c_contiguous and traj.multipliers.flags.c_contiguous
             assert traj.states.base is traj.multipliers.base is group[0].states.base
