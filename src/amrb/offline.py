@@ -31,13 +31,16 @@ Bases and cones are plain column arrays.  A ``ReducedModel`` is an
 operator set, the bases on it and the greedy diagnostics; it derives its
 reduced blocks (the projections of the operators onto the bases) and
 checks them itself.  Its JSON document holds the bases and the
-diagnostics only, and the offline build and ``load_model`` alike make
-the model through ``assemble_reduced``.
+diagnostics only, every float array packed as the base64 of its
+little-endian float64 bytes in row-major order (``pack``, read back by
+``unpack``), and the offline build and ``load_model`` alike make the model
+through ``assemble_reduced``.
 """
 
 from __future__ import annotations
 
-import itertools
+import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +71,7 @@ from .truth import (
     solve_trajectory,  # noqa: F401  unused here; perfbench's tracer patches this binding
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 NORM_FLOOR = 1e-12       # below this a vector counts as zero in its norm
 RANK_FLOOR = 1e-10       # smin/smax at or below this means lost column rank
@@ -433,20 +436,20 @@ def model_document(model: ReducedModel) -> dict:
     """The file form of a model: its bases and diagnostics, no derived arrays."""
     diag = model.diagnostics
     diagnostics = {
-        "eps_u": diag.eps_u,
-        "eps_lambda": diag.eps_lambda,
+        "eps_u": pack(diag.eps_u),
+        "eps_lambda": pack(diag.eps_lambda),
         "selections": {
             "pod_train_indices": list(diag.selected_params_u),
             "angle_pairs": [list(p) for p in diag.selected_pairs_lambda],
-            "training_params": diag.training_params,
+            "training_params": pack(diag.training_params),
         },
     }
     return {
         "schema_version": SCHEMA_VERSION,
         **grid_document(model.ops.mesh, model.config),
         "NV_tilde": model.nv_tilde,
-        "psi_matrix": model.psi_matrix,
-        "xi_matrix": model.xi_matrix,
+        "psi_matrix": pack(model.psi_matrix),
+        "xi_matrix": pack(model.xi_matrix),
         "diagnostics": diagnostics,
     }
 
@@ -455,28 +458,30 @@ def save_model(model: ReducedModel, path) -> None:
     textio.write_json(path, model_document(model))
 
 
-def _object(data: dict, key: str) -> dict:
-    """Optional JSON object field; absent or null reads as empty."""
-    value = data.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ModelLoadError(f"model field {key!r} must be a JSON object")
-    return value
+def pack(arr: np.ndarray) -> str:
+    """A float array as the model file stores it: the base64 of its
+    little-endian float64 bytes in row-major order, every bit kept."""
+    return base64.b64encode(np.asarray(arr, "<f8").tobytes()).decode("ascii")
 
 
-def _matrix(data: dict, key: str, rows: int) -> np.ndarray:
-    """Finite float matrix field with ``rows`` rows; rows of [] give 0 columns."""
-    if key not in data:
-        raise ModelLoadError(f"model file is missing field {key!r}")
+def unpack(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The finite float array that ``pack`` stored as ``value``, of
+    ``shape``, whose one -1 the number of entries decides.
+
+    Anything else (not a base64 string, a byte count that is not a whole
+    number of float64 entries, entries that do not fill ``shape``, or a
+    non-finite entry) raises ModelLoadError naming the field ``name``.
+    """
     try:
-        arr = reals(data[key])
+        arr = np.frombuffer(base64.b64decode(value, validate=True), "<f8")
+        known = math.prod(n for n in shape if n != -1)
+        if known < 1 or arr.size % known:
+            raise ValueError(f"{arr.size} entries do not fill the shape {shape}")
+        arr = arr.reshape([arr.size // known if n == -1 else n for n in shape])
     except (TypeError, ValueError) as err:
-        raise ModelLoadError(f"field {key!r} is not a numeric array: {err}") from err
-    if arr.ndim != 2 or arr.shape[0] != rows:
-        raise ModelLoadError(f"field {key!r} has shape {arr.shape}, expected {rows} rows")
-    if not np.all(np.isfinite(arr)):
-        raise ModelLoadError(f"field {key!r} contains non-finite values")
+        raise ModelLoadError(f"model field {name!r} is not a packed float64 array: {err}") from err
+    if not np.isfinite(arr).all():
+        raise ModelLoadError(f"model field {name!r} contains non-finite values")
     return arr
 
 
@@ -493,25 +498,12 @@ def integer(value) -> int:
 
 def real(value) -> float:
     """``value`` as a float, the one converter of every float field of the
-    run config and the model file.  A bool, which ``float`` would read as
+    run config and of the model file's ``mesh`` and ``time`` objects (its
+    float arrays are ``unpack``'s).  A bool, which ``float`` would read as
     0.0 or 1.0, and a string, which it would parse, raise ValueError."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def reals(value) -> np.ndarray:
-    """``value``, a JSON number or nested lists of them, as a float array, the
-    one converter of every array field of the model file.  ``real``'s rule
-    holds per entry: a bool, which the array would read as 0.0 or 1.0, and
-    a string, which it would parse, raise ValueError."""
-    arr = np.array(value, dtype=float)
-    entries = [value]
-    for _ in range(arr.ndim):
-        entries = itertools.chain.from_iterable(entries)
-    if not {bool, str}.isdisjoint(map(type, entries)):
-        raise ValueError("expected numbers, got a bool or a string")
-    return arr
 
 
 def read_field(data: dict, key: str, convert=real):
@@ -558,36 +550,31 @@ def load_model(path) -> ReducedModel:
         raise ModelVersionError(
             f"unsupported model schema version {version!r}, expected {SCHEMA_VERSION}")
     try:
-        # the bases must have H rows before the mesh's H + 2 nodes are built:
-        # a huge finite H then fails on the rows, not on allocating the nodes
+        # the bases must have H rows and NV_tilde columns before the mesh's
+        # H + 2 nodes are built: a huge finite H then fails on the bases, not
+        # on allocating the nodes
         h = read_field(data, "mesh.H", integer)
-        psi = _matrix(data, "psi_matrix", h)
-        xi = _matrix(data, "xi_matrix", h)
-        mesh, config = read_grid(data)
+        psi = unpack(data["psi_matrix"], "psi_matrix", (h, -1))
+        xi = unpack(data["xi_matrix"], "xi_matrix", (h, -1))
         nv_tilde = integer(data["NV_tilde"])
+        if not 1 <= nv_tilde <= psi.shape[1]:
+            raise ValueError(f"NV_tilde={nv_tilde} is out of range for NV={psi.shape[1]}")
+        mesh, config = read_grid(data)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelLoadError(f"model header is malformed: {err}") from err
-    if not 1 <= nv_tilde <= psi.shape[1]:
-        raise ModelLoadError(
-            f"model sizes are out of range: NV_tilde={nv_tilde}, NV={psi.shape[1]}")
 
-    diag_data = _object(data, "diagnostics")
-    selections = _object(diag_data, "selections")
     try:
-        train = reals(selections.get("training_params", [])).reshape(-1, 4)
-        eps_u = reals(diag_data.get("eps_u", []))
-        eps_lambda = reals(diag_data.get("eps_lambda", []))
-        if eps_u.ndim != 1 or eps_lambda.ndim != 1:
-            raise ValueError("greedy decay sequences must be flat lists")
+        diag_data = data["diagnostics"]
+        selections = diag_data["selections"]
         diagnostics = GreedyDiagnostics(
-            eps_u=eps_u,
-            eps_lambda=eps_lambda,
-            selected_params_u=tuple(map(integer, selections.get("pod_train_indices", []))),
+            eps_u=unpack(diag_data["eps_u"], "eps_u", (-1,)),
+            eps_lambda=unpack(diag_data["eps_lambda"], "eps_lambda", (-1,)),
+            selected_params_u=tuple(map(integer, selections["pod_train_indices"])),
             selected_pairs_lambda=tuple((integer(a), integer(b))
-                                        for a, b in selections.get("angle_pairs", [])),
-            training_params=train,
+                                        for a, b in selections["angle_pairs"]),
+            training_params=unpack(selections["training_params"], "training_params", (-1, 4)),
         )
-    except (TypeError, ValueError, OverflowError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ModelLoadError(f"model diagnostics are malformed: {err}") from err
 
     try:

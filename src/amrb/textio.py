@@ -2,11 +2,13 @@
 
 Every CSV and JSON file the pipeline writes goes through these helpers so
 that reruns with identical inputs produce byte-identical output; they are
-the one place numbers are spelled.  Floats are written with ``%.17g``,
-which round-trips IEEE doubles exactly, after adding 0.0 so that -0.0 is
-written as 0 (nan and +-inf as ``format`` spells them).  JSON renders a 1-D
-or 2-D float array in one ``%`` call on the template ``"[%.17g,...]"``,
-after adding the 0.0 to the whole array.  ``state_rows`` renders a
+the one place numbers are spelled, but for the float arrays of the model
+file, which ``amrb.offline.pack`` stores as their IEEE bytes.  Floats are
+written with ``%.17g``, which round-trips IEEE doubles exactly, after
+adding 0.0 so that -0.0 is written as 0 (nan and +-inf as ``format``
+spells them).  JSON renders a 1-D or 2-D float array in one ``%`` call
+on the template ``"[%.17g,...]"``, after adding the 0.0 to the whole
+array.  ``state_rows`` renders a
 trajectory one time step per ``%`` call on the block template
 ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``, adding the 0.0 to its arrays
 once and escaping ``%`` in the literal tail; ``write_csv`` writes such

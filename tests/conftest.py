@@ -150,3 +150,11 @@ def energy_product(ops, u, v=None) -> float:
     if v is None:
         return float(np.sqrt(max(float(u @ (ops.gram @ u)), 0.0)))
     return float(u @ (ops.gram @ v))
+
+
+def model_basis(doc, key):
+    """A writable copy of the basis ``key`` ("psi_matrix" or "xi_matrix") of
+    the model document ``doc``, unpacked as ``load_model`` unpacks it."""
+    from amrb.offline import unpack
+
+    return unpack(doc[key], key, (doc["mesh"]["H"], -1)).copy()

@@ -1,8 +1,7 @@
-import functools
+import base64
 import importlib.util
 import json
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -14,10 +13,12 @@ import pytest
 from amrb import obstacle_data, solve_trajectory
 from amrb.cli import main
 from amrb.errors import InfSupFailureError, SolverDivergenceError
-from amrb.offline import save_model
+from amrb.offline import pack, save_model, unpack
 from amrb.textio import state_rows
 import amrb.cli as cli_mod
 import amrb.truth as truth_mod
+
+from conftest import model_basis
 
 SMALL_CONFIG = {
     "mesh": {"H": 40, "s_f": 300.0},
@@ -425,8 +426,8 @@ def test_offline_artifacts(tmp_path):
     out = tmp_path / "run"
     assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
     model = json.loads((out / "model.json").read_text())
-    assert model["schema_version"] == 3
-    nv, nw = len(model["psi_matrix"][0]), len(model["xi_matrix"][0])
+    assert model["schema_version"] == 4
+    nv, nw = (model_basis(model, key).shape[1] for key in ("psi_matrix", "xi_matrix"))
     assert (model["NV_tilde"], nw, nv) == (5, 5, 10)
     header, rows = read_csv(out / "pod_greedy.csv")
     assert header == ["iteration", "eps_u", "K", "r", "q", "sigma"]
@@ -445,7 +446,8 @@ def test_offline_stock_defaults(tmp_path):
     assert model["mesh"] == {"H": 99, "s_f": 300}
     assert model["time"]["L"] == 20 and model["time"]["theta"] == 0.5
     assert model["NV_tilde"] == 8
-    assert len(model["xi_matrix"][0]) == 8 and len(model["psi_matrix"][0]) == 16
+    assert model_basis(model, "xi_matrix").shape == (99, 8)
+    assert model_basis(model, "psi_matrix").shape == (99, 16)
     _, rows = read_csv(out / "training_params.csv")
     assert len(rows) == 16
 
@@ -492,7 +494,7 @@ def test_offline_empty_cone_saves_model(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "warning: dual cone saturated at 0 of 5 generators"]
     model = str(out / "model.json")
-    assert all(row == [] for row in json.loads((out / "model.json").read_text())["xi_matrix"])
+    assert json.loads((out / "model.json").read_text())["xi_matrix"] == ""  # no bytes
     assert main(["validate", "--model", model]) == 0
     assert main(["online", "--config", cfg, "--model", model, "--mu", "101,0.0,0.0015,0.5",
                  "--compare", "--out", str(out)]) == 0
@@ -706,7 +708,10 @@ INTEGER_MODEL_FIELDS = {
 }
 
 
-def assert_edited_model_exits_3(tmp_path, capsys, small_model, edit):
+def assert_edited_model_exits_3(tmp_path, capsys, small_model, edit, names=None):
+    """``edit`` applied to the saved ``small_model``'s document makes the file
+    unusable: validate and online exit 3 with one JSON line, whose message
+    holds ``names`` if given, and online writes nothing."""
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
@@ -719,6 +724,7 @@ def assert_edited_model_exits_3(tmp_path, capsys, small_model, edit):
         assert main([*argv, "--model", str(path)]) == 3
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == kind
+        assert names is None or names in json.loads(line)["message"]
     assert not out.exists()
 
 
@@ -758,42 +764,76 @@ def test_time_step_underflow_exits_2_and_3(tmp_path, capsys, small_model):
                                 lambda doc: doc["time"].update({"T": 5e-324, "L": 2}))
 
 
-# one entry of each float array field of a model file, by its path
-FLOAT_ARRAY_MODEL_ENTRIES = {
-    "psi_matrix": ("psi_matrix", 0, 0),
-    "xi_matrix": ("xi_matrix", -1, -1),
-    "eps_u": ("diagnostics", "eps_u", -1),
-    "eps_lambda": ("diagnostics", "eps_lambda", -1),
-    "training_params": ("diagnostics", "selections", "training_params", 0, 3),
+# each float array field of a model file: its path in the document, and
+# the array of the model it packs
+FLOAT_ARRAY_MODEL_FIELDS = {
+    "psi_matrix": (("psi_matrix",), lambda model: model.psi_matrix),
+    "xi_matrix": (("xi_matrix",), lambda model: model.xi_matrix),
+    "eps_u": (("diagnostics", "eps_u"), lambda model: model.diagnostics.eps_u),
+    "eps_lambda": (("diagnostics", "eps_lambda"), lambda model: model.diagnostics.eps_lambda),
+    "training_params": (("diagnostics", "selections", "training_params"),
+                        lambda model: model.diagnostics.training_params),
 }
 
 
-def set_entry(doc, path, value):
-    *parents, last = path
-    for key in parents:
-        doc = doc[key]
-    doc[last] = value
+def assert_float_array_exits_3(tmp_path, capsys, small_model, field, value):
+    """A model file whose float array ``field`` is ``value`` exits 3, and the
+    one error line names the field."""
+    *parents, last = FLOAT_ARRAY_MODEL_FIELDS[field][0]
+
+    def edit(doc):
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    assert_edited_model_exits_3(tmp_path, capsys, small_model, edit, names=repr(field))
 
 
-@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_ENTRIES)
+@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_FIELDS)
 @pytest.mark.parametrize("value", [True, False])
 def test_boolean_in_float_array_model_field_exits_3(tmp_path, capsys, small_model, field, value):
-    # an array read with dtype=float takes true as 1.0 and false as 0.0, so a
-    # model with a bool as its last eps_lambda or as a training sigma validated
-    assert_edited_model_exits_3(tmp_path, capsys, small_model,
-                                lambda doc: set_entry(doc, FLOAT_ARRAY_MODEL_ENTRIES[field], value))
+    # a float array is packed into a string; a bool in its place is no array
+    assert_float_array_exits_3(tmp_path, capsys, small_model, field, value)
 
 
-@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_ENTRIES)
+@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_FIELDS)
 def test_string_in_float_array_model_field_exits_3(tmp_path, capsys, small_model, field):
-    # an array read with dtype=float parses a numeric string, so a model with
-    # an entry written as the string of its own value validated
-    path = FLOAT_ARRAY_MODEL_ENTRIES[field]
+    # the decimal text of the array's first entry holds a "." (and maybe a
+    # "-"), which base64 does not
+    first = FLOAT_ARRAY_MODEL_FIELDS[field][1](small_model).flat[0]
+    assert_float_array_exits_3(tmp_path, capsys, small_model, field, repr(float(first)))
 
-    def stringify(doc):
-        set_entry(doc, path, repr(functools.reduce(operator.getitem, path, doc)))
 
-    assert_edited_model_exits_3(tmp_path, capsys, small_model, stringify)
+@pytest.mark.parametrize("field", FLOAT_ARRAY_MODEL_FIELDS)
+def test_malformed_float_array_model_field_exits_3(tmp_path, capsys, small_model, field):
+    # a float array is the base64 of its little-endian float64 bytes; each
+    # other form makes the file unusable
+    arr = FLOAT_ARRAY_MODEL_FIELDS[field][1](small_model)
+    packed = pack(arr)
+    values = [
+        arr.tolist(),                                  # a JSON list, the form of schema 3
+        1.0,                                           # a number
+        packed[:4] + "!" + packed[4:],                 # a character outside base64
+        packed[:-1],                                   # a cut-short text
+        base64.b64encode(base64.b64decode(packed) + bytes(4)).decode(),  # half an entry more
+        pack(np.append(arr.ravel()[:-1], np.nan)),     # a NaN entry
+        pack(np.append(np.inf, arr.ravel()[1:])),      # an infinite entry
+    ]
+    if field in ("psi_matrix", "xi_matrix"):
+        values.append(pack(arr[:-1]))                  # one row short of H
+    for value in values:
+        assert_float_array_exits_3(tmp_path, capsys, small_model, field, value)
+
+
+@pytest.mark.parametrize("key", ["diagnostics", "selections"])
+def test_missing_diagnostics_exit_3(tmp_path, capsys, small_model, key):
+    # offline always writes both objects; a file without one is unusable
+    def drop(doc):
+        if key == "selections":
+            doc = doc["diagnostics"]
+        del doc[key]
+
+    assert_edited_model_exits_3(tmp_path, capsys, small_model, drop, names=repr(key))
 
 
 def test_huge_model_mesh_exits_3_before_building_it(tmp_path, capsys, small_model):
@@ -811,21 +851,25 @@ def test_model_defects_exit_3_from_online_and_validate(tmp_path, capsys):
     assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
 
     def zero_generator(doc):
-        for row in doc["xi_matrix"]:
-            row[0] = 0.0
+        xi = model_basis(doc, "xi_matrix")
+        xi[:, 0] = 0.0
+        doc["xi_matrix"] = pack(xi)
 
     def scale_column(doc):
-        for row in doc["psi_matrix"]:
-            row[1] *= 1.0 + 1e-6
+        psi = model_basis(doc, "psi_matrix")
+        psi[:, 1] *= 1.0 + 1e-6
+        doc["psi_matrix"] = pack(psi)
 
     def raise_decay(doc):
-        doc["diagnostics"]["eps_u"][-1] = 2.0 * doc["diagnostics"]["eps_u"][0]
+        eps_u = unpack(doc["diagnostics"]["eps_u"], "eps_u", (-1,)).copy()
+        eps_u[-1] = 2.0 * eps_u[0]
+        doc["diagnostics"]["eps_u"] = pack(eps_u)
 
     def old_schema(doc):
-        doc["schema_version"] = 2
+        doc["schema_version"] = 3
 
     def drop_row(doc):
-        doc["psi_matrix"].pop()
+        doc["psi_matrix"] = pack(model_basis(doc, "psi_matrix")[:-1])
 
     for corrupt in (zero_generator, scale_column, raise_decay, old_schema, drop_row):
         doc = json.loads((out / "model.json").read_text())
@@ -1153,7 +1197,8 @@ def test_validate_roundtrip(tmp_path, capsys):
     for key, value in (("xi_matrix", []), ("diagnostics", [1])):
         (out / "bad.json").write_text(json.dumps(dict(doc, **{key: value})))
         assert main(["validate", "--model", str(out / "bad.json")]) == 3
-    for row in doc["psi_matrix"]:
-        row[0] *= 1.0 + 1e-6
+    psi = model_basis(doc, "psi_matrix")
+    psi[:, 0] *= 1.0 + 1e-6
+    doc["psi_matrix"] = pack(psi)
     (out / "model.json").write_text(json.dumps(doc))
     assert main(["validate", "--model", str(out / "model.json")]) == 3

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 
@@ -34,10 +35,11 @@ from amrb.offline import (
     NORM_FLOOR,
     RANK_FLOOR,
     _dominant_mode,
+    pack,
     truncated_model,
 )
 
-from conftest import dense, empty_diagnostics, energy_product, identity_operator_set
+from conftest import dense, empty_diagnostics, energy_product, identity_operator_set, model_basis
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +437,39 @@ def test_save_load_roundtrip(tmp_path, small_model, model_8_8, default_scheme, d
         loaded = load_model(p1)
         save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert np.array_equal(loaded.psi_matrix, model.psi_matrix)
-        assert np.array_equal(loaded.xi_matrix, model.xi_matrix)
+        # the packed arrays keep every bit
+        assert loaded.psi_matrix.tobytes() == model.psi_matrix.tobytes()
+        assert loaded.xi_matrix.tobytes() == model.xi_matrix.tobytes()
+        for field in ("eps_u", "eps_lambda", "training_params"):
+            assert (getattr(loaded.diagnostics, field).tobytes()
+                    == getattr(model.diagnostics, field).tobytes()), (name, field)
         for field in DERIVED:
             assert np.array_equal(getattr(loaded, field), getattr(model, field)), (name, field)
         assert loaded.config == model.config
         assert loaded.nv_tilde == model.nv_tilde
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_model_reproduces_its_own_snapshot(tmp_path, default_box, theta):
+    # with budgets (L + 1, L + 1) on one training draw, the states lie in the
+    # primal span and the multipliers in the cone, so the truth trajectory
+    # solves the reduced problem: the saved and loaded model reproduces its
+    # snapshot to rounding (3.3e-12 at both theta, NV 41 and NW 20; at H=99
+    # the cone stops at 11 generators and the error is 3e-4 and 6e-5)
+    from amrb.cli import train_stream
+    from amrb.online import error_metrics, reconstruct_states, reduced_trajectory
+
+    ops = assemble_operators(build_mesh(999, 300.0))
+    scheme = SchemeConfig(T=1.0, L=20, theta=theta)
+    (snapshot,) = generate_snapshots(sample_training_set(default_box, 1, train_stream(0)),
+                                     ops, scheme)
+    model, _ = build_reduced_model_from_store((snapshot,), scheme.L + 1, scheme.L + 1, ops)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    model = load_model(path)
+    states = reconstruct_states(model, reduced_trajectory(model, snapshot.mu))
+    err = error_metrics(snapshot, states, ops)
+    assert err <= 1e-10 * error_metrics(snapshot, np.zeros_like(states), ops)
 
 
 def test_loaded_operators_give_the_truth(tmp_path, small_model, small_store, small_setup):
@@ -459,19 +488,28 @@ def test_loaded_operators_give_the_truth(tmp_path, small_model, small_store, sma
 
 
 def test_model_file_holds_only_bases(tmp_path, small_model):
+    # every float array is the base64 of its little-endian float64 bytes in
+    # row-major order
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
     assert list(doc) == ["schema_version", "mesh", "time", "NV_tilde", "psi_matrix",
                          "xi_matrix", "diagnostics"]
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
+    diag, selections = doc["diagnostics"], doc["diagnostics"]["selections"]
+    for packed, arr in ((doc["psi_matrix"], small_model.psi_matrix),
+                        (doc["xi_matrix"], small_model.xi_matrix),
+                        (diag["eps_u"], small_model.diagnostics.eps_u),
+                        (diag["eps_lambda"], small_model.diagnostics.eps_lambda),
+                        (selections["training_params"], small_model.diagnostics.training_params)):
+        assert base64.b64decode(packed) == np.ascontiguousarray(arr, "<f8").tobytes()
 
 
 def test_load_rejects_wrong_version(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    for version in (99, 2, 1):
+    for version in (99, 3, 2, 1):
         doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelVersionError):
@@ -483,16 +521,18 @@ def test_load_rejects_corrupted_coupling(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    for row in doc["xi_matrix"]:
-        row[-1] = 0.0
+    xi = model_basis(doc, "xi_matrix")
+    xi[:, -1] = 0.0
+    doc["xi_matrix"] = pack(xi)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelLoadError, match="full column rank"):
         load_model(path)
     # a rescaled basis column breaks energy orthonormality
     save_model(small_model, path)
     doc = json.loads(path.read_text())
-    for row in doc["psi_matrix"]:
-        row[0] *= 1.0 + 1e-6
+    psi = model_basis(doc, "psi_matrix")
+    psi[:, 0] *= 1.0 + 1e-6
+    doc["psi_matrix"] = pack(psi)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelLoadError, match="energy-orthonormal"):
         load_model(path)
@@ -505,7 +545,7 @@ def test_load_rejects_wide_coupling(tmp_path, small_model):
     save_model(small_model, path)
     doc = json.loads(path.read_text())
     keep = small_model.nw - 1
-    doc["psi_matrix"] = [row[:keep] for row in doc["psi_matrix"]]
+    doc["psi_matrix"] = pack(model_basis(doc, "psi_matrix")[:, :keep])
     doc["NV_tilde"] = 1
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelLoadError, match="full column rank"):
@@ -518,30 +558,26 @@ def test_load_rejects_malformed(tmp_path, small_model):
         path.write_bytes(content)
         with pytest.raises(ModelLoadError):
             load_model(path)
+    save_model(small_model, path)
+    stock = json.loads(path.read_text())
     for key in ("psi_matrix", "xi_matrix"):
-        save_model(small_model, path)
-        doc = json.loads(path.read_text())
-        del doc[key]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelLoadError, match=key):
-            load_model(path)
-        # one row short of the mesh, and one entry short in a row
-        for truncate in (lambda m: m[:-1], lambda m: [m[0][:-1], *m[1:]]):
-            save_model(small_model, path)
-            doc = json.loads(path.read_text())
-            doc[key] = truncate(doc[key])
+        basis = model_basis(stock, key)
+        # missing; one row short of the mesh; one entry short; and a JSON
+        # list of rows, the form of schema 3
+        for value in (None, pack(basis[:-1]), pack(basis.ravel()[:-1]), basis.tolist()):
+            doc = {k: v for k, v in stock.items() if k != key}
+            if value is not None:
+                doc[key] = value
             path.write_text(json.dumps(doc))
             with pytest.raises(ModelLoadError, match=key):
                 load_model(path)
-    for key, value in (("xi_matrix", []), ("psi_matrix", [[]] * small_model.ops.dim),
+    diag = stock["diagnostics"]
+    for key, value in (("xi_matrix", []), ("psi_matrix", pack(np.zeros((small_model.ops.dim, 0)))),
                        ("NV_tilde", small_model.nv + 1), ("diagnostics", [1]),
-                       ("diagnostics", {"eps_u": [[1.0, 0.5]]}),
-                       ("diagnostics", {"eps_u": [0.5, 1.0]}),
+                       ("diagnostics", {k: v for k, v in diag.items() if k != "eps_u"}),
+                       ("diagnostics", {**diag, "eps_u": pack(np.array([0.5, 1.0]))}),
                        ("time", {"T": 1.0, "L": 8, "theta": 0.25})):
-        save_model(small_model, path)
-        doc = json.loads(path.read_text())
-        doc[key] = value
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**stock, key: value}))
         with pytest.raises(ModelLoadError):
             load_model(path)
 
