@@ -11,15 +11,17 @@ projection) in a single O(H) pass.  It keeps only what a step reads, as
 ``OnlineData``: with P = s_n^-1 rhs_n and c = s_n^-1 f_n,
 the state with the cone inactive is P u + c, and the cone right-hand side
 is d - Q u, with Q = b_n' P and d = g_n - b_n' c; the Schur complement
-b_n' s_n^-1 b_n is checked once (``check_lcp_matrix``).  Each time step is
-then three matrix-vector products and the primal-dual active-set iteration
-of ``amrb.truth`` on the cone coefficients alpha, to which the step passes
-the Schur complement, its cone right-hand side and the zero obstacle
-directly, and the next state is P u + c + s_n^-1 b_n alpha; the per-step
-cost depends only on the reduced dimensions.  As in a truth trajectory,
-each step's cone problem is solved into its own row of the trajectory's
-cone coefficients, with one multiplier vector per trajectory.  Every
-function works on the model's own time grid.
+b_n' s_n^-1 b_n is checked once (``check_lcp_matrix``; parameters that
+leave it unusable raise ``AssemblyError``, as the truth's step matrix
+does).  Each time step is then three matrix-vector products and the
+primal-dual active-set iteration of ``amrb.truth`` on the cone
+coefficients alpha, to which the step passes the Schur complement, its
+cone right-hand side and the zero obstacle directly, and the next state
+is P u + c + s_n^-1 b_n alpha; the per-step cost depends only on the
+reduced dimensions.  As in a truth trajectory, each step's cone problem
+is solved into its own row of the trajectory's cone coefficients, with
+one multiplier vector per trajectory.  Every function works on the
+model's own time grid.
 
 Within a trajectory, v = lam - alpha is positive exactly on a step's cone
 active set.  Step 2 starts its iteration from {v_1 > 0}, and step n+1 from
@@ -90,10 +92,13 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
     sinv_b = dgetrs(lu, piv, b_n)[0]
     step_map = dgetrs(lu, piv, explicit_n)[0]
     step_load = dgetrs(lu, piv, load_vector(mu, model.f1_n, model.f2_n))[0]
+    try:
+        schur = check_lcp_matrix(b_n.T @ sinv_b)
+    except ValueError as err:
+        raise AssemblyError(f"reduced Schur complement at mu={mu} is unusable: {err}") from err
     g_n = model.xi_matrix.T @ psi_tilde
     return OnlineData(step_map=step_map, step_load=step_load, cone_map=b_n.T @ step_map,
-                      cone_load=g_n - b_n.T @ step_load, sinv_b=sinv_b,
-                      schur=check_lcp_matrix(b_n.T @ sinv_b), g_n=g_n,
+                      cone_load=g_n - b_n.T @ step_load, sinv_b=sinv_b, schur=schur, g_n=g_n,
                       u0=model.gram_psi.T @ psi_tilde)
 
 

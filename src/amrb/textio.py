@@ -6,14 +6,14 @@ the one place numbers are spelled, but for the float arrays of the model
 file, which ``amrb.offline.pack`` stores as their IEEE bytes.  Floats are
 written with ``%.17g``, which round-trips IEEE doubles exactly, after
 adding 0.0 so that -0.0 is written as 0 (nan and +-inf as ``format``
-spells them).  JSON renders a 1-D or 2-D float array in one ``%`` call
-on the template ``"[%.17g,...]"``, after adding the 0.0 to the whole
-array.  ``state_rows`` renders a
-trajectory one time step per ``%`` call on the block template
-``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``, adding the 0.0 to its arrays
-once and escaping ``%`` in the literal tail; ``write_csv`` writes such
-blocks as they come.  ``read_json_object`` is the one reader of the JSON
-input files, the run config and the model file.
+spells them).  JSON numbers are ``fmt``'s: ``json_text`` spells each
+bool, int and float as a CSV cell is spelled, and refuses nan and +-inf.
+``state_rows`` renders a trajectory one time step per ``%`` call on the
+block template ``"{n},{t},%s,%.17g,%.17g,%.17g{tail}" * H``, adding the
+0.0 to its arrays once and escaping ``%`` in the literal tail;
+``write_csv`` writes such blocks as they come.  ``read_json_object`` is
+the one reader of the JSON input files, the run config and the model
+file.
 
 Every writer opens its file through ``_create``, which makes the file's
 directory first: a command's first artifact makes its output directory,
@@ -25,7 +25,6 @@ that fails, as under a directory path that names a file, raises
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Iterable, Sequence
 
@@ -117,10 +116,32 @@ def read_json_object(path, error: type[Exception], what: str) -> dict:
 
 
 def json_text(obj) -> str:
-    """Serialize to compact JSON with deterministic key order and .17g floats."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """Compact JSON in the given key order, each bool, int and float spelled
+    as ``fmt`` spells a CSV cell; an array renders as its ``tolist()``.
+
+    A non-finite float raises ``ValueError``, a value of no JSON type
+    ``TypeError``.
+    """
+    if isinstance(obj, float):  # first: most values of a curve or a summary are floats
+        text = _float_text(obj)
+    elif isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(key)) + ":" + json_text(val)
+                              for key, val in obj.items()) + "}"
+    elif isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(json_text, obj)) + "]"
+    elif isinstance(obj, np.ndarray):
+        return json_text(obj.tolist())
+    elif isinstance(obj, str):
+        return json.dumps(obj)
+    elif obj is None:
+        return "null"
+    elif isinstance(obj, (int, np.bool_, np.integer, np.floating)):
+        text = fmt(obj)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    if text in ("nan", "inf", "-inf"):
+        raise ValueError("non-finite value cannot be written to JSON")
+    return text
 
 
 def write_json(path, obj) -> None:
@@ -131,55 +152,6 @@ def write_lines(path, lines: Sequence[str]) -> None:
     """Write each line followed by a newline (gnuplot scripts, JSON)."""
     with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _emit(obj, parts: list[str]) -> None:
-    if isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
-            _emit(val, parts)
-        parts.append("}")
-    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind == "f":
-        if not np.isfinite(obj).all():  # a float array is checked and rendered whole
-            raise ValueError("non-finite value cannot be written to JSON")
-        parts.append(_float_array_text(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        # arrays of more dimensions go row by row, into the branch above
-        seq = obj.tolist() if isinstance(obj, np.ndarray) and obj.ndim == 1 else obj
-        parts.append("[")
-        for i, val in enumerate(seq):
-            if i:
-                parts.append(",")
-            _emit(val, parts)
-        parts.append("]")
-    elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("non-finite value cannot be written to JSON")
-        parts.append(_float_text(x))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _float_array_text(arr: np.ndarray) -> str:
-    """A 1-D or 2-D float array as JSON, in one ``%`` call on the template
-    ``"[%.17g,...]"`` (of rows of it in 2-D), after adding 0.0 once: the
-    bytes ``_float_text`` gives element by element."""
-    row = "[" + ",".join(["%.17g"] * arr.shape[-1]) + "]"
-    template = row if arr.ndim == 1 else "[" + ",".join([row] * arr.shape[0]) + "]"
-    return template % tuple((arr + 0.0).ravel().tolist())
 
 
 def _create(path):

@@ -1,5 +1,6 @@
 import base64
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -501,6 +502,20 @@ def test_offline_empty_cone_saves_model(tmp_path, capsys):
     assert json.loads((out / "online_summary.json").read_text())["err_N"] >= 0.0
 
 
+@pytest.fixture(scope="module")
+def small_model_path(tmp_path_factory, small_model):
+    """SMALL_CONFIG's offline model, saved outside any command's output directory."""
+    path = tmp_path_factory.mktemp("small-model") / "model.json"
+    save_model(small_model, path)
+    return str(path)
+
+
+# parameters whose reduced Schur complement is unusable: the online phase
+# used to let check_lcp_matrix's ValueError through, exit 1 with a traceback
+UNUSABLE_SCHUR_MU = {"r-minus-1e308": "100,-1e308,0.0015,0.5", "q-1e308": "100,0.05,1e308,0.5",
+                     "r-minus-50": "100,-50,0,0.01"}
+
+
 @pytest.mark.parametrize("argv, error", [
     (["truth", "--mu=100,1e308,0.0015,0.5"], "AssemblyError"),
     (["truth", "--mu=100,-1e308,0.0015,0.5"], "AssemblyError"),
@@ -508,23 +523,44 @@ def test_offline_empty_cone_saves_model(tmp_path, capsys):
     (["truth", "--mu=100,0.05,0.0015,1e200"], "AssemblyError"),
     (["truth", "--mu=1e308,0.05,0.0015,0.5"], "NumericalBreakdownError"),
     (["online", "--mu=100,0.05,0.0015,1e200"], "AssemblyError"),
+    *[(["online", f"--mu={mu}", *compare], "AssemblyError")
+      for mu in UNUSABLE_SCHUR_MU.values() for compare in ([], ["--compare"])],
 ], ids=["r-1e308", "r-minus-1e308", "q-1e308", "sigma-1e200", "K-1e308",
-        "online-sigma-1e200"])
-def test_overflowing_market_parameters_exit_4(tmp_path, capsys, argv, error):
+        "online-sigma-1e200",
+        *[f"online{compare}-{name}" for name in UNUSABLE_SCHUR_MU
+          for compare in ("", "-compare")]])
+def test_overflowing_market_parameters_exit_4(tmp_path, capsys, small_model_path, argv, error):
     # finite parameters whose operators overflow used to exit 1 with a
-    # traceback, then with numpy's overflow warnings ahead of the JSON line
+    # traceback, then with numpy's overflow warnings ahead of the JSON line;
+    # none makes the output directory
     out = tmp_path / "run"
     if argv[0] == "online":
-        cfg = write_config(tmp_path, SMALL_CONFIG)
-        assert main(["offline", "--config", cfg, "--out", str(out)]) == 0
-        argv = [*argv, "--config", cfg]
-        capsys.readouterr()
+        argv = [*argv, "--config", write_config(tmp_path, SMALL_CONFIG),
+                "--model", small_model_path]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([*argv, "--out", str(out)]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+    assert not out.exists()
+
+
+def test_online_extreme_market_parameters_exit_0_or_4(tmp_path, capsys, small_model_path):
+    # a grid of extreme rates, dividends and volatilities: each online run
+    # either succeeds or fails with exit 4 and one JSON line, never with a
+    # traceback (7 of the 27 used to raise ValueError)
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    codes = []
+    for r, q, sigma in itertools.product([-50, 0.05, 50], [-1, 0.0015, 50], [1e-3, 0.5, 100]):
+        code = main(["online", f"--mu=100,{r},{q},{sigma}", "--config", cfg,
+                     "--model", small_model_path, "--out", str(tmp_path / "run")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 4)
+        if code == 4:
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "AssemblyError"
+        codes.append(code)
+    assert 0 < codes.count(4) < len(codes)
 
 
 OVERFLOWING_CONFIGS = {  # id: (config override, commands, error)

@@ -13,9 +13,10 @@ import amrb.truth as truth_mod
 
 
 def test_json_float_arrays_match_elementwise_rendering():
-    # 1-D and 2-D float arrays render in one % call; a list goes element by element
+    # an array of any shape, a 0-d one included, renders as its tolist() does
     rng = np.random.default_rng(0)
     cases = [
+        np.array(0.1),
         np.array([-0.0, 0.0, 1e-300, -1e300, 3.0, -7.0, 0.1, 1 / 3]),
         rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-20, 20, size=(5, 3)),
         np.arange(12.0).reshape(2, 3, 2),
@@ -37,8 +38,8 @@ def test_json_float_array_rejects_non_finite(bad):
 
 
 def test_json_2d_float_array_is_the_elementwise_spelling():
-    # one % call on the row template writes what format(x + 0.0, ".17g")
-    # writes for each entry
+    # a 2-D array writes, row by row, what format(x + 0.0, ".17g") writes
+    # for each entry
     arr = np.array([[-0.0, 5e-324, 1e300], [-1e-300, 0.1, -2.5]])
 
     def spelled(row):
@@ -49,6 +50,22 @@ def test_json_2d_float_array_is_the_elementwise_spelling():
     assert json_text(arr.T.copy()) == "[" + ",".join(spelled(r) for r in arr.T.tolist()) + "]"
     assert json_text(arr[1]) == spelled(arr[1].tolist())
     assert json_text(arr[0]) == "[0,4.9406564584124654e-324,1.0000000000000001e+300]"
+
+
+def test_json_numbers_are_csv_cells():
+    # every bool, int and float is spelled as fmt spells a CSV cell, alone
+    # or nested; an int never passes through float, so 10**400 keeps its digits
+    scalars = [True, np.bool_(True), 3, np.int64(3), 10**400, 0.1, np.float64(1 / 3), -0.0,
+               5e-324]
+    for x in scalars:
+        assert json_text(x) == fmt(x)
+        assert json_text({"a": [x]}) == '{"a":[' + fmt(x) + "]}"
+    assert json_text(10**400) == "1" + "0" * 400
+    assert json_text([True, -0.0, 5e-324]) == "[true,0,4.9406564584124654e-324]"
+    with pytest.raises(ValueError, match="non-finite"):
+        json_text({"a": [1.0, float("nan")]})
+    with pytest.raises(TypeError, match="object"):
+        json_text({"a": object()})
 
 
 def _imports(module) -> set[str]:
