@@ -3,9 +3,11 @@
 Solves every trajectory of the grid on the first draws of the CLI's seed-0
 training stream and checks the criterion-1 contract (feasibility,
 complementarity, linear residual).  Prints one line per configuration and a
-summary, with the minor page faults per trajectory that this process took
-inside ``solve_trajectory`` (``resource.getrusage``); exits 1 if any
-trajectory raised or broke the contract.
+summary: the linear solves per step, the share of steps that their first
+solve settled (the predicted contact set was exact), and the minor page
+faults per trajectory that this process took inside ``solve_trajectory``
+(``resource.getrusage``); exits 1 if any trajectory raised or broke the
+contract.
 
     PYTHONPATH=src python scripts/truth_sweep.py
     PYTHONPATH=src python scripts/truth_sweep.py --H 99,999 --theta 0.5,1 --draws 3
@@ -75,7 +77,9 @@ def main(argv=None) -> int:
     per_step = np.concatenate(solves) if solves else np.zeros(0)
     print(f"summary: {failed}/{total} trajectories failed {dict(errors)}; "
           f"solves per step mean {per_step.mean() if per_step.size else float('nan'):.3f}, "
-          f"max {per_step.max(initial=0)}; minor page faults per trajectory "
+          f"max {per_step.max(initial=0)}, settled by the first solve "
+          f"{np.count_nonzero(per_step == 1) / per_step.size if per_step.size else float('nan'):.1%}"
+          f" of {per_step.size} steps; minor page faults per trajectory "
           f"{faults / total if total else float('nan'):.1f}")
     return 1 if failed else 0
 

@@ -31,11 +31,13 @@ of S (a Brennan-Schwartz elimination from the last node up, LAPACK
 one step, whose right-hand side is one band product plus the load.
 The put is exercised on one interval [0, k) of low asset prices; the
 projected forward sweep of Brennan and Schwartz (1977) predicts k with one
-bidiagonal solve, and the iteration starts from [0, k).  A correct guess
-is reproduced by the first update, so one solve certifies it (Hintermueller,
-Ito and Kunisch, 2003).  A wrong guess costs further iterations but still
-ends at the exact solution; so does the empty guess made where the
-elimination would need row interchanges.
+bidiagonal solve, and the iteration starts from [0, k), passed as the int
+k.  A correct guess is reproduced by the first update, so one solve
+certifies it (Hintermueller, Ito and Kunisch, 2003); on a prefix iterate
+that update reads only lam on [0, k) and the gap after it, two partial
+passes, and no mask of the set is made.  A wrong guess costs further
+iterations but still ends at the exact solution; so does the empty guess
+made where the elimination would need row interchanges.
 
 On tridiagonal matrices each iteration costs O(H).  Every prefix active
 set is solved on the trajectory's UL factors: the elimination runs from
@@ -56,7 +58,7 @@ A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
 and trailing L rows the multipliers (both views of it), and each step's
 iterates are solved straight into its two rows.  The step's right-hand
-side, sweep and predicted contact set fill a workspace that
+side, sweep and the predictor's scratch fill a workspace that
 ``step_operators`` makes once per trajectory; the arrays the step
 methods return are that workspace, overwritten by the next step.
 
@@ -266,7 +268,7 @@ def _solve_pinned(S, rhs, obstacle, ul, u, lam, active):
     return u, lam
 
 
-def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None = None,
+def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int | None = None,
               ul=None, out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
     lam >= 0, lam . (u - obstacle) = 0.
@@ -281,15 +283,20 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
     ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle without
     its upper terms) for a tridiagonal S = U L factored without row
     interchanges, as ``StepOperators`` gives them; prefix active sets are
-    then solved on those factors (``_solve_prefix``).  ``out`` may pass
-    two float vectors (u, lam) of S's size, such as a trajectory's rows:
-    every iterate is solved into them, and they are returned.  Without it,
-    u and lam are fresh arrays.
+    then solved on those factors (``_solve_prefix``), and ``start`` may
+    also be an int k, the prefix [0, k), as ``predict_contact`` gives it.
+    ``out`` may pass two float vectors (u, lam) of S's size, such as a
+    trajectory's rows: every iterate is solved into them, and they are
+    returned.  Without it, u and lam are fresh arrays.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
     current one, which makes the final iterate feasible and exactly
-    complementary.
+    complementary.  From an int start k the first update is made in two
+    partial passes, lam[:k] > tol everywhere and obstacle[k:] - u[k:] > tol
+    nowhere: a prefix iterate has u = obstacle on [0, k) and lam = 0 after
+    it, so that is the full update's decision.  Only if it fails is the
+    mask of [0, k) built, for the loop to go on from.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
     breaks ties; it is a property of the iteration, not a relaxed check.
@@ -318,8 +325,17 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | None
         raise NumericalBreakdownError("LCP right-hand side must be finite")
     tol = TIE_TOL * scale
     u, lam = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
-    active = np.zeros(rhs.size, dtype=bool) if start is None else start
-    _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
+    if isinstance(start, int):  # the prefix [0, start), certified in two partial passes
+        _solve_prefix(S, rhs, obstacle, start, *ul, u, lam)
+        # a nan fails the first test and, skipped by fmax, passes the second,
+        # as it does in the full update
+        if (np.minimum.reduce(lam[:start], initial=math.inf) > tol
+                and not np.fmax.reduce(obstacle[start:] - u[start:], initial=-math.inf) > tol):
+            return u, lam, 1
+        active = np.arange(rhs.size) < start
+    else:
+        active = np.zeros(rhs.size, dtype=bool) if start is None else start
+        _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
     solves = 1
     key = active.tobytes()
     seen = {key}
@@ -388,9 +404,10 @@ class StepOperators:
 
     The workspace is made with the object, sized by ``psi`` (so
     ``dataclasses.replace`` gives a copy its own): three float vectors and
-    a boolean mask with a True pad, ``first_leaving_node``'s ``above``.
-    ``rhs``, ``sweep`` and ``predict_contact`` fill it in place and return
-    its arrays, which the next step overwrites.
+    ``first_leaving_node``'s ``above``, a boolean vector with a True pad.
+    ``rhs`` and ``sweep`` fill it in place and return its arrays, which the
+    next step overwrites; ``predict_contact`` uses it as scratch and returns
+    an int.
     """
 
     S: Tridiagonal
@@ -402,16 +419,14 @@ class StepOperators:
     s_psi_left: np.ndarray
     upper_factor: np.ndarray | None
     lower_factor: np.ndarray | None
-    work: np.ndarray = field(init=False, repr=False)     # (3, H): rhs, sweep, scratch
-    above: np.ndarray = field(init=False, repr=False)    # (H + 1,), True at H
-    contact: np.ndarray = field(init=False, repr=False)  # above[:H], the predicted active set
+    work: np.ndarray = field(init=False, repr=False)   # (3, H): rhs, sweep, scratch
+    above: np.ndarray = field(init=False, repr=False)  # (H + 1,), True at H
 
     def __post_init__(self):
         above = np.zeros(self.psi.size + 1, dtype=bool)
         above[-1] = True
         object.__setattr__(self, "work", np.empty((3, self.psi.size)))
         object.__setattr__(self, "above", above)
-        object.__setattr__(self, "contact", above[:-1])
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``: one band
@@ -430,21 +445,18 @@ class StepOperators:
         dtbsv(1, self.upper_factor, swept, diag=1, overwrite_x=1)  # a (0, 1) gbsv, in place
         return swept
 
-    def predict_contact(self, swept: np.ndarray | None) -> np.ndarray:
-        """Brennan-Schwartz guess of the active set: the prefix [0, k) of
-        ``first_leaving_node``, as the workspace's mask.
+    def predict_contact(self, swept: np.ndarray | None) -> int | None:
+        """Brennan-Schwartz guess of the active set: the length k of the
+        prefix [0, k) of ``first_leaving_node``, a Python int, which
+        ``solve_lcp`` takes as its start.
 
-        ``swept`` is ``sweep(rhs)``.  Without pivots the guess is the empty
-        prefix, which the iteration corrects as it does any wrong guess.
+        ``swept`` is ``sweep(rhs)``.  Without pivots the guess is None, the
+        empty start, which the iteration corrects as it does any wrong guess.
         """
-        contact = self.contact
         if self.lower_factor is None:
-            return contact  # never written: the empty prefix
-        k = first_leaving_node(swept, self.coupling, self.lower_factor[0], self.psi,
-                               self.work[2], self.above)
-        contact[:k] = True
-        contact[k:] = False
-        return contact
+            return None
+        return int(first_leaving_node(swept, self.coupling, self.lower_factor[0], self.psi,
+                                      self.work[2], self.above))
 
 
 def ul_factor(S: Tridiagonal):

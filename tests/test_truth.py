@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -446,7 +447,7 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
                                                         np.zeros(default_ops.dim)),
                                S=S, psi=obstacle, upper_factor=None, lower_factor=None)
     start = step.predict_contact(rhs)
-    assert start.dtype == bool and not start.any()
+    assert start is None
     u, lam, _ = solve_lcp(S, rhs, obstacle, start)
     ref = lcp_by_enumeration(dense(S), rhs, obstacle)
     assert ref is not None
@@ -456,14 +457,16 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
 
 def predicted_prefixes(mu, ops, scheme):
     """Per step of the trajectory at ``mu``: its step operators, the step's
-    rhs and sweep, the predicted prefix, and the trajectory itself."""
+    rhs and sweep, the predicted prefix length, and the trajectory itself."""
     obstacle = obstacle_data(ops.mesh, mu.K)
     traj = solve_trajectory(mu, ops, obstacle, scheme)
     step = truth_mod.step_operators(mu, ops, scheme, obstacle.psi_tilde)
     for n in range(scheme.L):
         rhs = step.rhs(traj.states[n])
         swept = step.sweep(rhs)
-        yield step, rhs, swept, step.predict_contact(swept), traj, n
+        k = step.predict_contact(swept)
+        assert type(k) is int
+        yield step, rhs, swept, k, traj, n
 
 
 @pytest.mark.parametrize("H", [99, 999, 3999])
@@ -479,9 +482,9 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
     worst = 0.0
     for theta, mu in itertools.product((0.5, 1.0), params):
         psi = obstacle_data(ops.mesh, mu.K).psi_tilde
-        for step, rhs, swept, predicted, _, _ in predicted_prefixes(
+        for step, rhs, swept, k, _, _ in predicted_prefixes(
                 mu, ops, SchemeConfig(T=1.0, L=20, theta=theta)):
-            S, k = step.S, int(predicted.sum())
+            S = step.S
             assert 0 < k < H
             sub = Tridiagonal(*(band.astype(np.longdouble)
                                 for band in (S.lower[k:], S.diag[k:], S.upper[k:])))
@@ -491,7 +494,7 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
                                               step.s_psi, step.s_psi_left, np.empty(H),
                                               np.empty(H))
             gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, None, np.empty(H), np.empty(H),
-                                                predicted)
+                                                np.arange(H) < k)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
                 x = u[k:].astype(np.longdouble)
@@ -504,34 +507,35 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
 @pytest.mark.parametrize("H,theta", itertools.product((99, 999), (0.5, 1.0)))
 def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
     # an iterate depends on (rhs, active set) only, so every start that the
-    # iteration corrects ends on the bytes of the predicted start.  From the
-    # all-active start at H=999 one step per theta releases its spurious
-    # contact nodes about one per update and overruns max_iter, as it does
-    # with gtsv solves alone: a known defect of the full-set update on fine
-    # meshes, not of the UL path
+    # iteration corrects ends on the bytes of the predicted start, whether
+    # the start is a mask or a prefix length.  From the all-active start at
+    # H=999 one step per theta releases its spurious contact nodes about one
+    # per update and overruns max_iter, as it does with gtsv solves alone: a
+    # known defect of the full-set update on fine meshes, not of the UL path
     ops = assemble_operators(build_mesh(H, 300.0))
     scheme = SchemeConfig(T=1.0, L=20, theta=theta)
     nodes = np.arange(H)
-    corrected = diverged = 0
+    corrected, diverged = 0, Counter()  # divergences by the start's form
     for mu in sample_training_set(default_box, 2, np.random.SeedSequence([15, 1])):
         psi = obstacle_data(ops.mesh, mu.K).psi_tilde
-        for step, rhs, swept, predicted, traj, n in predicted_prefixes(mu, ops, scheme):
-            k = int(predicted.sum())
-            starts = [None] + [nodes < min(max(j, 0), H) for j in (k - 5, k - 1, k + 1, k + 5, 0, H)]
+        for step, rhs, swept, k, traj, n in predicted_prefixes(mu, ops, scheme):
+            wrong = [min(max(j, 0), H) for j in (k - 5, k - 1, k + 1, k + 5, 0, H)]
+            starts = [None] + [nodes < j for j in wrong] + wrong
             for start in starts:
                 try:
                     u, lam, solves = solve_lcp(step.S, rhs, psi, start,
                                                (swept, step.lower_factor, step.s_psi,
                                                 step.s_psi_left))
                 except SolverDivergenceError:
-                    assert H > 99 and start is not None and start.all()
-                    diverged += 1
+                    all_active = start.all() if isinstance(start, np.ndarray) else start == H
+                    assert H > 99 and all_active
+                    diverged[type(start)] += 1
                     continue
                 assert np.array_equal(u, traj.states[n + 1])
                 assert np.array_equal(lam, traj.multipliers[n])
                 corrected += solves > 1
-    assert corrected >= 2 * scheme.L * 5 - diverged
-    assert diverged <= 1
+    assert corrected >= 2 * 2 * scheme.L * 5 - sum(diverged.values())
+    assert diverged[np.ndarray] <= 1 and diverged[int] == diverged[np.ndarray]
 
 
 def nine_pass_prefix(step, swept):
@@ -557,9 +561,8 @@ def stock_box_steps(default_box, H):
 def test_prefix_solve_and_predictor_match_their_references(default_box, H):
     # the prefix multipliers come from S psi, formed once per trajectory, and
     # one re-summed row; the short predictor finds the nine-pass one's prefix
-    for step, rhs, swept, predicted, _, _ in stock_box_steps(default_box, H):
-        assert np.array_equal(predicted, nine_pass_prefix(step, swept))
-        k = int(predicted.sum())
+    for step, rhs, swept, k, _, _ in stock_box_steps(default_box, H):
+        assert np.array_equal(np.arange(H) < k, nine_pass_prefix(step, swept))
         for j in sorted({0, 1, k, H - 1, H}):
             u, lam = truth_mod._solve_prefix(step.S, rhs, step.psi, j, swept, step.lower_factor,
                                              step.s_psi, step.s_psi_left, np.empty(H),
@@ -759,18 +762,24 @@ def test_workspace_carries_no_state(default_box):
 
 def assert_rows_are_fresh_solves(traj, step):
     """Each step's rows and solve count equal a fresh solve from the step's
-    own start on the checked matrix; returns the solve counts."""
+    own start on the checked matrix, and, for a prefix length k, one from
+    the mask of [0, k) too; returns the solve counts."""
     counts = []
     for n in range(traj.config.L):
         rhs = step.rhs(traj.states[n]).copy()
         swept = step.sweep(rhs)
-        start = step.predict_contact(swept).copy()
+        start = step.predict_contact(swept)
         ul = None if swept is None else (swept.copy(), step.lower_factor, step.s_psi,
                                          step.s_psi_left)
-        u, lam, solves = solve_lcp(check_lcp_matrix(step.S), rhs, step.psi, start, ul)
-        assert u.tobytes() == traj.states[n + 1].tobytes(), n
-        assert lam.tobytes() == traj.multipliers[n].tobytes(), n
-        assert solves == traj.pdas_iterations[n], n
+        starts = [start]
+        if ul is not None:  # the int start certifies in two partial passes, the mask fully
+            assert type(start) is int
+            starts.append(np.arange(rhs.size) < start)
+        for start in starts:
+            u, lam, solves = solve_lcp(check_lcp_matrix(step.S), rhs, step.psi, start, ul)
+            assert u.tobytes() == traj.states[n + 1].tobytes(), n
+            assert lam.tobytes() == traj.multipliers[n].tobytes(), n
+            assert solves == traj.pdas_iterations[n], n
         counts.append(solves)
     return counts
 
@@ -786,8 +795,35 @@ def test_step_rows_equal_fresh_solves(default_box, H):
         traj = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
         counts += assert_rows_are_fresh_solves(traj, truth_mod.step_operators(mu, ops, scheme, psi))
     # the prediction is exact on these draws below H=3999; at H=3999 the
-    # T=0.25 steps take up to 40 solves
+    # T=0.25 steps take up to 40 solves, so failed certifications are covered
     assert max(counts) > 1 or H < 3999
+
+
+def test_prefix_length_start_decides_ties_as_its_mask(default_ops, default_scheme, mu0):
+    # right-hand sides whose prefix iterate puts the last pinned multiplier
+    # and the first free gap within a few tie thresholds of zero: the int
+    # start's two partial passes certify exactly where the mask's full update
+    # reproduces its set, and both end on the same bytes and solve count
+    psi = obstacle_data(default_ops.mesh, mu0.K).psi_tilde
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme, psi)
+    traj = solve_trajectory(mu0, default_ops, obstacle_data(default_ops.mesh, mu0.K),
+                            default_scheme)
+    counts = set()
+    for n in (0, 9, 19):
+        k = int(np.count_nonzero(traj.states[n + 1] == psi))
+        tol = truth_mod.TIE_TOL * np.abs(step.S @ traj.states[n + 1] - traj.multipliers[n]).max()
+        for lam_ties, gap_ties in itertools.product((0.0, 0.25, 1.5), (-0.25, 0.25, 1.5)):
+            u, lam = traj.states[n + 1].copy(), traj.multipliers[n].copy()
+            lam[k - 1], u[k] = lam_ties * tol, psi[k] - gap_ties * tol
+            rhs = step.S @ u - lam
+            ul = (step.sweep(rhs).copy(), step.lower_factor, step.s_psi, step.s_psi_left)
+            by_int = solve_lcp(step.S, rhs, psi, k, ul)
+            by_mask = solve_lcp(step.S, rhs, psi, np.arange(default_ops.dim) < k, ul)
+            assert by_int[0].tobytes() == by_mask[0].tobytes()
+            assert by_int[1].tobytes() == by_mask[1].tobytes()
+            assert by_int[2] == by_mask[2]
+            counts.add(by_int[2])
+    assert counts == {1, 2, 3}
 
 
 def test_step_rows_equal_fresh_solves_without_ul_pivots(default_ops, default_scheme):
