@@ -31,13 +31,18 @@ of S (a Brennan-Schwartz elimination from the last node up, LAPACK
 one step, whose right-hand side is one band product plus the load.
 The put is exercised on one interval [0, k) of low asset prices; the
 projected forward sweep of Brennan and Schwartz (1977) predicts k with one
-bidiagonal solve, and the iteration starts from [0, k), passed as the int
-k.  A correct guess is reproduced by the first update, so one solve
-certifies it (Hintermueller, Ito and Kunisch, 2003); on a prefix iterate
-that update reads only lam on [0, k) and the gap after it, two partial
-passes, and no mask of the set is made.  A wrong guess costs further
+bidiagonal solve and one comparison: node i leaves the obstacle when its
+swept value exceeds psi[i] pivots[i] + lower[i-1] psi[i-1], the sweep's
+test with the division by the (positive) pivot multiplied out.  Only
+the trajectory sets that threshold, so ``step_operators`` forms it once.
+The iteration starts from [0, k), passed as the int k.  A correct guess
+is reproduced by the first update, so one solve certifies it
+(Hintermueller, Ito and Kunisch, 2003); on a prefix iterate that update
+reads only lam on [0, k) and the gap after it, two partial passes, and
+no mask of the set is made.  A wrong guess costs further
 iterations but still ends at the exact solution; so does the empty guess
-made where the elimination would need row interchanges.
+made where the elimination would need row interchanges or meets a pivot
+that is not positive.
 
 On tridiagonal matrices each iteration costs O(H).  Every prefix active
 set is solved on the trajectory's UL factors: the elimination runs from
@@ -58,7 +63,7 @@ A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
 and trailing L rows the multipliers (both views of it), and each step's
 iterates are solved straight into its two rows.  The step's right-hand
-side, sweep and the predictor's scratch fill a workspace that
+side, sweep and the predictor's flags fill a workspace that
 ``step_operators`` makes once per trajectory; the arrays the step
 methods return are that workspace, overwritten by the next step.
 
@@ -68,11 +73,13 @@ level one band product forms every right-hand side on an (M, H) block,
 one upper ``tbsv`` sweeps the members laid end to end, and the
 prediction, the prefix solve and the certification run once over all
 members, with each member's own tie threshold.  The prediction is the
-single step's ``first_leaving_node`` over the blocks' last axis, and
-the prefix multipliers read each member's ``s_psi`` and row sums
-``s_psi_left``, as ``_solve_prefix`` does; the sweeps, the prefix solve
-and the certification stay the group's own, since every way tried of
-running both marches through one step was slower.  A member whose
+single step's ``first_leaving_node`` over the blocks' last axis, against
+the members' stacked thresholds; the lower sweep pins node k of each
+member from its ``coupling`` at that one node, and the prefix
+multipliers read each member's ``s_psi`` and row sums ``s_psi_left``, as
+``_solve_prefix`` does; the sweeps, the prefix solve and the
+certification stay the group's own, since every way tried of running
+both marches through one step was slower.  A member whose
 prediction the first update does not reproduce is solved again from it
 by ``solve_lcp``, the one active-set loop.  The results are the bits of
 one ``solve_trajectory`` per member: every float is made by the same
@@ -268,6 +275,18 @@ def _solve_pinned(S, rhs, obstacle, ul, u, lam, active):
     return u, lam
 
 
+def _prefix_length(start, size: int, ul) -> int:
+    """An integer ``solve_lcp`` start as the Python int k of the prefix
+    [0, k); a bool raises ``TypeError``, a k without ``ul`` or outside
+    [0, size] ``ValueError``, each naming the starts ``solve_lcp`` takes."""
+    accepted = f"None, a boolean mask, or with ul an integer prefix length 0 <= k <= {size}"
+    if isinstance(start, (bool, np.bool_)):
+        raise TypeError(f"LCP start must be {accepted}, got {start!r}")
+    if ul is None or not 0 <= start <= size:
+        raise ValueError(f"LCP start must be {accepted}, got {start!r}")
+    return int(start)
+
+
 def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int | None = None,
               ul=None, out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
@@ -284,7 +303,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
     its upper terms) for a tridiagonal S = U L factored without row
     interchanges, as ``StepOperators`` gives them; prefix active sets are
     then solved on those factors (``_solve_prefix``), and ``start`` may
-    also be an int k, the prefix [0, k), as ``predict_contact`` gives it.
+    also be an integer k (an int or a numpy integer, not a bool) with
+    0 <= k <= H, the prefix [0, k), as ``predict_contact`` gives it.  An
+    integer start without ``ul`` or out of that range raises
+    ``ValueError``, a bool scalar ``TypeError``.
     ``out`` may pass two float vectors (u, lam) of S's size, such as a
     trajectory's rows: every iterate is solved into them, and they are
     returned.  Without it, u and lam are fresh arrays.
@@ -325,7 +347,9 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
         raise NumericalBreakdownError("LCP right-hand side must be finite")
     tol = TIE_TOL * scale
     u, lam = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
-    if isinstance(start, int):  # the prefix [0, start), certified in two partial passes
+    if isinstance(start, (int, np.integer, np.bool_)):
+        # the prefix [0, start), certified in two partial passes
+        start = _prefix_length(start, rhs.size, ul)
         _solve_prefix(S, rhs, obstacle, start, *ul, u, lam)
         # a nan fails the first test and, skipped by fmax, passes the second,
         # as it does in the full update
@@ -370,21 +394,20 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
         solves += 1
 
 
-def first_leaving_node(swept, coupling, pivots, psi, pinned, above):
+def first_leaving_node(swept, threshold, above):
     """The Brennan-Schwartz prediction, along the last axis: k, the first
     node that leaves the obstacle, so that the predicted active set is the
     prefix [0, k).
 
     ``swept`` is U^-1 rhs.  Node i would leave the obstacle when its
     forward-sweep value with node i-1 pinned, (swept[i] - coupling[i]) /
-    pivots[i], exceeds psi[i]; ``coupling`` is lower[i-1] * psi[i-1], 0 at
-    node 0.  ``pinned`` (swept's shape) and ``above`` (one more node, whose
-    pad is True: no node leaves, k = H) are scratch; the pad is never
-    written.
+    pivots[i], exceeds psi[i]; with a positive pivot that is swept[i] >
+    ``threshold[i]`` = psi[i] pivots[i] + coupling[i], which a trajectory
+    forms once (``StepOperators.threshold``), so a step makes one
+    comparison.  ``above`` (one more node, whose pad is True: no node
+    leaves, k = H) is scratch; the pad is never written.
     """
-    np.subtract(swept, coupling, out=pinned)
-    pinned /= pivots
-    np.greater(pinned, psi, out=above[..., :-1])
+    np.greater(swept, threshold, out=above[..., :-1])
     return above.argmax(axis=-1)
 
 
@@ -398,16 +421,20 @@ class StepOperators:
     ``coupling[i]`` = lower[i-1] * psi[i-1] is what pinning node i-1 takes
     off row i (0 at node 0), ``s_psi`` = S psi, and ``s_psi_left`` row i
     of S psi without its upper term, diag[i] psi[i] + coupling[i] (no added
-    zero at node 0, so that a -0.0 stays -0.0).  ``upper_factor`` and
-    ``lower_factor`` are those of ``ul_factor(S)``, or both None where it
-    finds no UL pivots.  ``S`` has passed ``check_lcp_matrix``.
+    zero at node 0, so that a -0.0 stays -0.0).  ``coupling`` is read where
+    these are built and by ``march_group``, which pins its predicted nodes
+    with it; a single step reads ``threshold`` = psi * pivots + coupling,
+    ``first_leaving_node``'s per-trajectory threshold.  ``upper_factor``,
+    ``lower_factor`` and ``threshold`` are None where ``ul_factor(S)``
+    finds no (positive) UL pivots; else the factors are that function's.
+    ``S`` has passed ``check_lcp_matrix``.
 
     The workspace is made with the object, sized by ``psi`` (so
     ``dataclasses.replace`` gives a copy its own): three float vectors and
     ``first_leaving_node``'s ``above``, a boolean vector with a True pad.
     ``rhs`` and ``sweep`` fill it in place and return its arrays, which the
-    next step overwrites; ``predict_contact`` uses it as scratch and returns
-    an int.
+    next step overwrites; ``predict_contact`` uses ``above`` as scratch and
+    returns an int.
     """
 
     S: Tridiagonal
@@ -419,6 +446,7 @@ class StepOperators:
     s_psi_left: np.ndarray
     upper_factor: np.ndarray | None
     lower_factor: np.ndarray | None
+    threshold: np.ndarray | None
     work: np.ndarray = field(init=False, repr=False)   # (3, H): rhs, sweep, scratch
     above: np.ndarray = field(init=False, repr=False)  # (H + 1,), True at H
 
@@ -453,10 +481,9 @@ class StepOperators:
         ``swept`` is ``sweep(rhs)``.  Without pivots the guess is None, the
         empty start, which the iteration corrects as it does any wrong guess.
         """
-        if self.lower_factor is None:
+        if self.threshold is None:
             return None
-        return int(first_leaving_node(swept, self.coupling, self.lower_factor[0], self.psi,
-                                      self.work[2], self.above))
+        return int(first_leaving_node(swept, self.threshold, self.above))
 
 
 def ul_factor(S: Tridiagonal):
@@ -469,16 +496,19 @@ def ul_factor(S: Tridiagonal):
     M[i+1, i] = lower[i] / pivots[i + 1]: ``lower_factor`` holds the pivots
     in row 0 and that subdiagonal in row 1, so that BLAS reads it as M with
     a unit diagonal.  Both are in Fortran order.  Returns (upper_factor,
-    lower_factor), or (None, None) when ``gttrf`` finds S singular or swaps
-    rows, so that it computed no UL pivots, and below three nodes, which
-    scipy's ``gttrf`` wrapper rejects.
+    lower_factor), or (None, None), no UL pivots, when ``gttrf`` finds S
+    singular or swaps rows, when a pivot is not positive (NaN included),
+    since ``first_leaving_node``'s threshold multiplies out the division
+    by a positive pivot, and below three nodes, which scipy's ``gttrf``
+    wrapper rejects.
     """
     n = S.diag.size
     if n < 3:
         return None, None
     multipliers, pivots, _, _, ipiv, info = dgttrf(
         S.upper[::-1].copy(), S.diag[::-1].copy(), S.lower[::-1].copy(), 1, 1, 1)
-    if info > 0 or np.count_nonzero(ipiv != np.arange(1, n + 1)):
+    if (info > 0 or np.count_nonzero(ipiv != np.arange(1, n + 1))
+            or np.count_nonzero(pivots > 0.0) < n):
         return None, None
     upper_factor = np.ones((2, n), order="F")
     upper_factor[0, 1:] = multipliers[::-1]
@@ -520,9 +550,11 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
     np.multiply(S.lower, psi[:-1], out=coupling[1:])
     s_psi_left = S.diag * psi
     s_psi_left[1:] += coupling[1:]
+    threshold = None if lower_factor is None else psi * lower_factor[0] + coupling
     return StepOperators(S=S, explicit=explicit, f_mu=load_vector(mu, ops.f1, ops.f2),
                          psi=psi, coupling=coupling, s_psi=S @ psi, s_psi_left=s_psi_left,
-                         upper_factor=upper_factor, lower_factor=lower_factor)
+                         upper_factor=upper_factor, lower_factor=lower_factor,
+                         threshold=threshold)
 
 
 def theta_step(u_prev: np.ndarray, step: StepOperators, out):
@@ -637,11 +669,15 @@ def march_group(params, ops: AffineOperatorSet,
 
     explicit_columns = Tridiagonal(*(stack(bands).T  # nodes along axis 0
                                      for bands in zip(*(step.explicit for step in steps))))
-    f_mu, psi, coupling, s_psi, s_psi_left = (
+    f_mu, psi, threshold, s_psi, s_psi_left = (
         stack(getattr(step, name) for step in steps)
-        for name in ("f_mu", "psi", "coupling", "s_psi", "s_psi_left"))
+        for name in ("f_mu", "psi", "threshold", "s_psi", "s_psi_left"))
     upper = stack(step.S.upper for step in steps)
-    pivots = stack(step.lower_factor[0] for step in steps)
+    # coupling and pivots with a pad column, 0.0 and 1.0, so that a member
+    # predicted to leave no node (k = H) pins its pad to 1.0
+    coupling, pivots = np.zeros((M, H + 1)), np.ones((M, H + 1))
+    coupling[:, :H] = stack(step.coupling for step in steps)
+    pivots[:, :H] = stack(step.lower_factor[0] for step in steps)
     # both factors laid end to end with a pad after each member, in BLAS band
     # storage: Fortran (2, M (H + 1)) arrays, each the transpose of an
     # (M, H + 1, 2) block; the couplings are the upper factor's [..., 0] and
@@ -657,11 +693,11 @@ def march_group(params, ops: AffineOperatorSet,
     block[:, 0] = psi
     iterations = np.ones((M, L), dtype=int)
     rhs, work = np.empty((2, M, H))
-    # the upward sweep, the sweep down from the predicted prefixes, and the
-    # predictor's pinned values; column H holds their pads
-    sweeps = np.ones((3, M, H + 1))
-    swept, free, pinned = sweeps[0], sweeps[1], sweeps[2, :, :H]
-    pads = sweeps[:2, :, H]
+    # the upward sweep and the sweep down from the predicted prefixes;
+    # column H holds their pads
+    sweeps = np.ones((2, M, H + 1))
+    swept, free = sweeps
+    pads = sweeps[:, :, H]
     above = np.ones((M, H + 1), dtype=bool)  # ``first_leaving_node``'s, True at H
     members, nodes = np.arange(M), np.arange(H)
     for n in range(L):
@@ -673,11 +709,11 @@ def march_group(params, ops: AffineOperatorSet,
             return None
         swept[:, :H] = rhs
         dtbsv(1, upper_group, swept.reshape(-1), diag=1, overwrite_x=1)
-        k = first_leaving_node(swept[:, :H], coupling, pivots, psi, pinned, above)
+        k = first_leaving_node(swept[:, :H], threshold, above)
         contact = nodes < k[:, None]
-        # ``_solve_prefix`` from every prediction
-        np.divide(swept[:, :H], pivots, out=free[:, :H])
-        free[members, k] = sweeps[2, members, k]
+        # ``_solve_prefix`` from every prediction, node k pinned
+        np.divide(swept[:, :H], pivots[:, :H], out=free[:, :H])
+        free[members, k] = (swept[members, k] - coupling[members, k]) / pivots[members, k]
         np.copyto(free[:, :H], 1.0, where=contact)
         np.copyto(sub, sub_members)
         np.copyto(sub[:, :H], 0.0, where=contact)

@@ -110,6 +110,31 @@ def test_lcp_step_checks_vectors_only():
         solve_lcp(np.eye(2), np.zeros(3), np.zeros(2))
 
 
+def test_solve_lcp_integer_starts(default_ops, default_scheme, mu0):
+    # a numpy integer is a prefix length as an int is; an integer without
+    # the UL factors or outside [0, H], and a bool, are refused by name
+    psi = obstacle_data(default_ops.mesh, mu0.K).psi_tilde
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme, psi)
+    rhs = step.rhs(psi).copy()
+    swept = step.sweep(rhs).copy()
+    ul = (swept, step.lower_factor, step.s_psi, step.s_psi_left)
+    H = default_ops.dim
+    k = step.predict_contact(swept)
+    for j in (k, k + 3, 0, H):
+        by_int = solve_lcp(step.S, rhs, psi, j, ul)
+        by_numpy = solve_lcp(step.S, rhs, psi, np.int64(j), ul)
+        assert by_numpy[0].tobytes() == by_int[0].tobytes()
+        assert by_numpy[1].tobytes() == by_int[1].tobytes()
+        assert by_numpy[2] == by_int[2]
+    for start, given in ((k, None), (np.int32(k), None), (-1, ul), (H + 1, ul),
+                         (np.int64(H + 1), ul)):
+        with pytest.raises(ValueError, match="integer prefix length 0 <= k <= 99"):
+            solve_lcp(step.S, rhs, psi, start, given)
+    for start in (True, False, np.True_):
+        with pytest.raises(TypeError, match="integer prefix length 0 <= k <= 99"):
+            solve_lcp(step.S, rhs, psi, start, ul)
+
+
 def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch):
     # each step passes its arrays straight to solve_lcp; the matrix is
     # checked once per trajectory, not once per step
@@ -386,20 +411,23 @@ def test_trajectory_fine_mesh_contract(default_scheme, mu0):
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_predicted_start_is_exact(default_box, theta, monkeypatch):
-    ops = assemble_operators(build_mesh(999, 300.0))
+    # at H=999 and on truth_fine's mesh, H=3999, every step of these draws
+    # settles in the one solve that certifies its prediction
     scheme = SchemeConfig(T=1.0, L=20, theta=theta)
     params = sample_training_set(default_box, 3, np.random.SeedSequence([12, 1]))
-    predicted = []
-    for mu in params:
-        predicted.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme))
-    monkeypatch.setattr(truth_mod.StepOperators, "predict_contact",
-                        lambda self, swept: None)
-    for mu, fast in zip(params, predicted):
-        slow = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
-        assert np.array_equal(fast.states, slow.states)
-        assert np.array_equal(fast.multipliers, slow.multipliers)
-        assert fast.pdas_iterations.max() == 1
-        assert slow.pdas_iterations.max() > 1
+    for H in (999, 3999):
+        ops = assemble_operators(build_mesh(H, 300.0))
+        predicted = []
+        for mu in params:
+            predicted.append(solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme))
+        with monkeypatch.context() as patch:
+            patch.setattr(truth_mod.StepOperators, "predict_contact", lambda self, swept: None)
+            for mu, fast in zip(params, predicted):
+                slow = solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme)
+                assert np.array_equal(fast.states, slow.states)
+                assert np.array_equal(fast.multipliers, slow.multipliers)
+                assert fast.pdas_iterations.max() == 1, H
+                assert slow.pdas_iterations.max() > 1
 
 
 def ul_pivots_by_loop(S):
@@ -445,7 +473,8 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
     rhs, obstacle = rng.normal(size=5), rng.normal(size=5)
     step = dataclasses.replace(truth_mod.step_operators(mu0, default_ops, default_scheme,
                                                         np.zeros(default_ops.dim)),
-                               S=S, psi=obstacle, upper_factor=None, lower_factor=None)
+                               S=S, psi=obstacle, upper_factor=None, lower_factor=None,
+                               threshold=None)
     start = step.predict_contact(rhs)
     assert start is None
     u, lam, _ = solve_lcp(S, rhs, obstacle, start)
@@ -453,6 +482,22 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
     assert ref is not None
     assert np.abs(u - ref[0]).max() <= 1e-12 * (1 + np.abs(ref[0]).max())
     assert np.abs(lam - ref[1]).max() <= 1e-12 * (1 + np.abs(ref[1]).max())
+
+
+def test_ul_factor_non_positive_pivot_predicts_empty_prefix(default_ops, default_scheme, mu0,
+                                                            monkeypatch):
+    # gttrf eliminates this matrix without a row interchange, to the UL
+    # pivots [1.5, -1, 1]; a pivot that is not positive gives no UL pivots,
+    # so that every threshold of the predictor is formed with positive ones
+    S = Tridiagonal(np.array([1.0, 2.0]), np.ones(3), np.array([0.5, 1.0]))
+    assert ul_pivots_by_loop(S).tolist() == [1.5, -1.0, 1.0]
+    assert truth_mod.ul_factor(S) == (None, None)
+    monkeypatch.setattr(truth_mod, "step_bands", lambda mu, ops, config: (S, S))
+    obstacle = np.array([1.0, 0.5, 0.0])
+    step = truth_mod.step_operators(mu0, default_ops, default_scheme, obstacle)
+    assert step.lower_factor is None and step.threshold is None
+    rhs = np.array([2.0, -1.0, 0.5])
+    assert step.sweep(rhs) is None and step.predict_contact(None) is None
 
 
 def predicted_prefixes(mu, ops, scheme):
@@ -550,25 +595,35 @@ def nine_pass_prefix(step, swept):
 
 
 def stock_box_steps(default_box, H):
-    """``predicted_prefixes`` over three stock-box draws at both theta."""
+    """``predicted_prefixes`` over three stock-box draws at both theta and
+    the horizons T = 0.25 and 1."""
     ops = assemble_operators(build_mesh(H, 300.0))
-    for theta, mu in itertools.product(
-            (0.5, 1.0), sample_training_set(default_box, 3, np.random.SeedSequence([16, H]))):
-        yield from predicted_prefixes(mu, ops, SchemeConfig(T=1.0, L=20, theta=theta))
+    for T, theta, mu in itertools.product(
+            (0.25, 1.0), (0.5, 1.0),
+            sample_training_set(default_box, 3, np.random.SeedSequence([16, H]))):
+        yield from predicted_prefixes(mu, ops, SchemeConfig(T=T, L=20, theta=theta))
 
 
 @pytest.mark.parametrize("H", [99, 999, 3999])
 def test_prefix_solve_and_predictor_match_their_references(default_box, H):
     # the prefix multipliers come from S psi, formed once per trajectory, and
-    # one re-summed row; the short predictor finds the nine-pass one's prefix
-    for step, rhs, swept, k, _, _ in stock_box_steps(default_box, H):
+    # one re-summed row.  One comparison against the trajectory's threshold
+    # psi * pivots + coupling finds the prefix of the nine-pass predictor,
+    # which divides by the (positive) pivots, at every step; at T=0.25 and
+    # H=3999 some steps take up to about 40 solves, so steps whose
+    # prediction fails certification are covered too
+    most = 0
+    for step, rhs, swept, k, traj, n in stock_box_steps(default_box, H):
+        assert (step.lower_factor[0] > 0.0).all()
         assert np.array_equal(np.arange(H) < k, nine_pass_prefix(step, swept))
+        most = max(most, traj.pdas_iterations[n])
         for j in sorted({0, 1, k, H - 1, H}):
             u, lam = truth_mod._solve_prefix(step.S, rhs, step.psi, j, swept, step.lower_factor,
                                              step.s_psi, step.s_psi_left, np.empty(H),
                                              np.empty(H))
             assert (step.S @ u - rhs)[:j].tobytes() == lam[:j].tobytes()
             assert not lam[j:].any()
+    assert most > 1 or H < 3999
 
 
 @pytest.mark.parametrize("H", [99, 999, 3999])
@@ -1027,6 +1082,32 @@ def test_both_marches_share_one_prediction(default_box, default_ops, default_sch
     shapes.clear()
     assert_same_bits(truth_mod.march_group(params, default_ops, default_scheme), single)
     assert shapes == [(3, H)] * L
+
+
+@pytest.mark.parametrize("H, L", [(99, 20), (999, 100)])
+def test_group_predicts_each_members_single_prefix(default_box, H, L, monkeypatch):
+    # the group's prediction at each time level is, member by member, the
+    # prefix length that the member's own march predicts at that step; at
+    # H=999, L=100 some of those predictions fail their certification
+    predicted = []
+    predict = truth_mod.first_leaving_node
+    monkeypatch.setattr(truth_mod, "first_leaving_node",
+                        lambda *args: predicted.append(predict(*args)) or predicted[-1])
+    ops = assemble_operators(build_mesh(H, 300.0))
+    scheme = SchemeConfig(T=1.0, L=L, theta=0.5)
+    params = sample_training_set(default_box, 4, train_stream(2))
+    single = []
+    for mu in params:
+        predicted.clear()
+        single.append((solve_trajectory(mu, ops, obstacle_data(ops.mesh, mu.K), scheme),
+                       [int(k) for k in predicted]))
+    predicted.clear()
+    group = truth_mod.march_group(params, ops, scheme)
+    assert np.array(predicted).shape == (L, len(params))
+    for m, (traj, ks) in enumerate(single):
+        assert [int(k) for k in np.array(predicted)[:, m]] == ks
+        assert group[m].states.tobytes() == traj.states.tobytes()
+    assert max(traj.pdas_iterations.max() for traj, _ in single) > 1 or H < 999
 
 
 def test_tracer_bindings_fire_once_per_step(default_ops, default_scheme, mu0, monkeypatch):
