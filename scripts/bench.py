@@ -22,6 +22,10 @@ then at each mesh size H of ``--H`` (stock time grid and box):
   save_model_AxB    ``offline.save_model`` of the stock (A, B) model, built
                     untimed from those snapshots
   load_model_AxB    ``offline.load_model`` of that model's file
+  assemble_reduced_AxB
+                    ``offline.assemble_reduced`` of that model's bases, the
+                    reduced blocks and checks that every built or loaded
+                    model pays
   online_setup_AxB  ``online.online_setup`` of the same model at the first
                     stock test draw
   reduced_trajectory_AxB
@@ -35,7 +39,9 @@ speed drifts, and the median seconds (``cli_import``: their quartiles).
 An online row also records its median ``rel`` over the same run's
 ``truth`` median (``over_truth``) and over the ``snapshots`` median per
 draw (``over_snapshot``), the truth cost it stands in for, alone or
-marched in a group.
+marched in a group; a ``reduced_trajectory`` row records the cone
+active-set solves of its trajectory (``cone_solves``, the sum of
+``lcp_solves``, the same in every repeat).
 The record names the machine, the BLAS threads, the numpy and scipy
 versions and the git commit.
 
@@ -106,6 +112,9 @@ def rows_at(H: int, workdir: str) -> dict:
         rows[f"save_model_{nv_tilde}x{nw}"] = (
             lambda model=model, path=path: offline.save_model(model, path))
         rows[f"load_model_{nv_tilde}x{nw}"] = lambda path=path: offline.load_model(path)
+        rows[f"assemble_reduced_{nv_tilde}x{nw}"] = lambda model=model: offline.assemble_reduced(
+            model.psi_matrix, model.xi_matrix, ops, scheme, nv_tilde=model.nv_tilde,
+            diagnostics=model.diagnostics)
         rows[f"online_setup_{nv_tilde}x{nw}"] = lambda model=model: online.online_setup(model, mu)
         rows[f"reduced_trajectory_{nv_tilde}x{nw}"] = (
             lambda model=model: online.reduced_trajectory(model, mu))
@@ -154,11 +163,14 @@ def main(argv=None) -> int:
                 call()
             rel = {name: [] for name in rows}
             seconds = {name: [] for name in rows}
+            cone_solves = {}
             for _ in range(args.repeats):
                 for name, call in rows.items():
                     start = time.perf_counter()
-                    call()
+                    result = call()
                     elapsed = time.perf_counter() - start
+                    if name.startswith("reduced_trajectory"):
+                        cone_solves[name] = int(result.lcp_solves.sum())
                     kernel = float(np.median(reference.measure()))
                     seconds[name].append(elapsed)
                     rel[name].append(elapsed / kernel)
@@ -170,9 +182,13 @@ def main(argv=None) -> int:
                 if name.startswith(("online_setup", "reduced_trajectory")):
                     row["over_truth"] = row["rel"]["median"] / truth_rel
                     row["over_snapshot"] = row["rel"]["median"] / member_rel
+                if name in cone_solves:
+                    row["cone_solves"] = cone_solves[name]
                 results.append(row)
                 ratios = (f"  {row['over_truth']:.2f} truth, {row['over_snapshot']:.2f} snapshot"
                           if "over_truth" in row else "")
+                if "cone_solves" in row:
+                    ratios += f", {row['cone_solves']} cone solves"
                 print(f"H={H:<5d} {name:<24s} rel median {row['rel']['median']:9.2f} "
                       f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
                       f"{1e3 * row['seconds_median']:8.2f} ms{ratios}")

@@ -6,7 +6,8 @@ rhs_n = mass_n/dt - (1 - theta) a_n and the load f_n from the stored affine
 blocks with ``amrb.truth.step_pair`` and ``load_vector``, the functions
 that form the truth's step bands: the reduced step is the Galerkin
 projection of the truth's, up to rounding.  It factorizes s_n once (LAPACK
-``getrf``), and forms the obstacle data (cone loads g_n and the initial
+``getrf``; a numerically singular s_n raises ``AssemblyError`` naming
+mu), and forms the obstacle data (cone loads g_n and the initial
 projection) in a single O(H) pass.  It keeps only what a step reads, as
 ``OnlineData``: with P = s_n^-1 rhs_n and c = s_n^-1 f_n,
 the state with the cone inactive is P u + c, and the cone right-hand side
@@ -16,16 +17,20 @@ leave it unusable raise ``AssemblyError``, as the truth's step matrix
 does).  Each time step is then three matrix-vector products and the
 primal-dual active-set iteration of ``amrb.truth`` on the cone
 coefficients alpha, to which the step passes the Schur complement, its
-cone right-hand side and the zero obstacle directly, and the next state
-is P u + c + s_n^-1 b_n alpha; the per-step cost depends only on the
-reduced dimensions.  As in a truth trajectory, each step's cone problem
-is solved into its own row of the trajectory's cone coefficients, with
-one multiplier vector per trajectory.  Every function works on the
-model's own time grid.
+cone right-hand side and the obstacle None (the cone alpha >= 0 has
+none) directly, and the next state is P u + c + s_n^-1 b_n alpha, the
+last term added in place; the products are ``ndarray.dot`` calls, which
+cost half the overhead of ``@`` on these small blocks.  The per-step
+cost depends only on the reduced dimensions.  As in a truth trajectory,
+each step's cone problem is solved into its own row of the trajectory's
+cone coefficients, with one multiplier vector per trajectory.  Every
+function works on the model's own time grid.
 
 Within a trajectory, v = lam - alpha is positive exactly on a step's cone
-active set.  Step 2 starts its iteration from {v_1 > 0}, and step n+1 from
-the linear extrapolation {2 v_n - v_(n-1) > 0}.  The Schur complement is
+active set; ``solve_lcp`` leaves it in a third ``out`` vector, two of
+which the trajectory alternates.  Step 2 starts its iteration from
+{v_1 > 0}, and step n+1 from the linear extrapolation
+{2 v_n - v_(n-1) > 0}.  The Schur complement is
 positive definite, so the cone problem has one solution whatever the
 start; a start that is already right is certified by a single solve.
 
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmrbError, AssemblyError, ModelCorruptionError
+from .errors import AmrbError, AssemblyError
 from .fem import AffineOperatorSet, Mesh1D, ParameterVector, obstacle_data
 from .lapack import dgetrf, dgetrs
 from .offline import ReducedModel
@@ -83,9 +88,9 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
     if not np.isfinite(s_n).all():
         raise AssemblyError(f"reduced step matrix at mu={mu} is not finite")
     lu, piv, _ = dgetrf(s_n)  # an exactly zero pivot fails the test below
-    pivots = np.abs(np.diag(lu))
+    pivots = np.abs(lu.diagonal())
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
-        raise ModelCorruptionError("reduced step matrix is numerically singular")
+        raise AssemblyError(f"reduced step matrix at mu={mu} is numerically singular")
 
     psi_tilde = obstacle_data(model.ops.mesh, mu.K).psi_tilde
     b_n = model.b_n
@@ -104,16 +109,19 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
 
 def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray, out):
     """One reduced step from the cone active set ``start``, whose cone
-    problem is solved into ``out`` = (alpha, lam) as ``solve_lcp`` does.
+    problem is solved into ``out`` = (alpha, lam[, update]) as ``solve_lcp``
+    does, against the zero obstacle None.
 
-    Returns (u, alpha, lam, solves); ``zero`` is the cone's zero obstacle.
+    Returns (u, alpha, lam, solves); ``zero`` is the cone's zero vector, of
+    size 0 for a model without a cone.
     """
-    u = data.step_map @ u_prev + data.step_load
+    u = data.step_map.dot(u_prev) + data.step_load
     if zero.size == 0:
-        return u, *out, 0
-    rhs = data.cone_load - data.cone_map @ u_prev
-    alpha, lam, solves = solve_lcp(data.schur, rhs, zero, start, out=out)
-    return u + data.sinv_b @ alpha, alpha, lam, solves
+        return u, out[0], out[1], 0
+    rhs = data.cone_load - data.cone_map.dot(u_prev)
+    alpha, lam, solves = solve_lcp(data.schur, rhs, None, start, out=out)
+    u += data.sinv_b.dot(alpha)
+    return u, alpha, lam, solves
 
 
 @dataclass(frozen=True)
@@ -133,20 +141,21 @@ def reduced_trajectory(model: ReducedModel, mu) -> ReducedTrajectory:
     alphas = np.empty((cfg.L, model.nw))
     solves = np.empty(cfg.L, dtype=int)
     states[0] = data.u0
-    zero, lam = np.zeros(model.nw), np.empty(model.nw)
-    start = v_prev = None
+    zero = np.zeros(model.nw)
+    lam, v, v_prev = np.empty((3, model.nw))
+    start = None
     for n in range(cfg.L):
         try:
-            u, alpha, _, solves[n] = _cone_step(states[n], data, start, zero, (alphas[n], lam))
+            u, _, _, solves[n] = _cone_step(states[n], data, start, zero, (alphas[n], lam, v))
         except AmrbError as err:
             raise type(err)(f"reduced step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
         states[n + 1] = u
-        # v = lam - alpha is positive exactly on this step's active set;
-        # the next step starts from its linear extrapolation
-        v = lam - alpha
-        start = (v if v_prev is None else 2.0 * v - v_prev) > 0.0
-        v_prev = v
+        # v = lam - alpha, the update vector that solve_lcp leaves in v, is
+        # positive exactly on this step's active set; the next step starts
+        # from its linear extrapolation
+        start = (v if n == 0 else 2.0 * v - v_prev) > 0.0
+        v, v_prev = v_prev, v
     return ReducedTrajectory(mu=mu, states=states, cone_coeffs=alphas, lcp_solves=solves)
 
 

@@ -57,7 +57,11 @@ depends on the right-hand side and the active set only, whichever path
 solves it.  Dense inputs (the reduced-order Schur complements and small
 test problems) run the same loop and the same pinned-set solve, whose
 inactive block LAPACK ``gesv`` solves, from the empty set unless the
-caller passes a start.
+caller passes a start.  The loop picks the solve of the matrix's kind
+once per call.  The reduced cone problems have no obstacle and pass
+None: zeros are pinned, the right-hand side is never shifted, and the
+update's vector is lam - u, which a third ``out`` vector can take back
+for the caller's next start.
 
 A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
@@ -231,48 +235,62 @@ def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_
     return u, lam
 
 
-def _solve_pinned(S, rhs, obstacle, ul, u, lam, active):
-    """Solve with the state pinned to the obstacle on the active set, into
-    ``u`` and ``lam``.
+def _solve_banded(S: Tridiagonal, ix, b):
+    """(x, info) of S[ix, ix] x = b by LAPACK ``gtsv``: a sorted index
+    subset of a tridiagonal matrix is tridiagonal."""
+    if ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
+        return b / S.diag[ix], 0
+    adjacent = np.diff(ix) == 1
+    dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
+    du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
+    return dgtsv(dl, S.diag[ix], du, b, 1, 1, 1, 1)[3:]
+
+
+def _solve_dense(S, ix, b):
+    """(x, info) of S[ix, ix] x = b by LAPACK ``gesv``."""
+    return dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)[2:]  # both fresh copies
+
+
+def _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active):
+    """Solve with the state pinned to ``pinned`` (the obstacle, or 0.0 for
+    the zero obstacle) on the active set, into ``u`` and ``lam``.
 
     With ``ul`` (see ``solve_lcp``), a prefix active set is solved on the
-    UL factors.  Any other set is solved on the inactive rows and columns:
-    by LAPACK ``gtsv`` for a ``Tridiagonal`` S, a sorted index subset of a
-    tridiagonal matrix being tridiagonal, and by ``gesv`` for a dense one.
-    Pinning shifts the right-hand side only where the obstacle is nonzero;
-    that is tested per solve, since most truth solves take the prefix path
-    and never need it.
+    UL factors.  Any other set is solved on the inactive rows and columns
+    by ``solve_inactive``, ``_solve_banded`` for a ``Tridiagonal`` S and
+    ``_solve_dense`` for a dense one.  Pinning shifts the right-hand side
+    only if ``shift``, a nonzero obstacle.  ``solve_lcp`` decides both once
+    per call, after its prefix path, which never needs them.
     """
     if ul is not None:
         k = np.count_nonzero(active)
         if not active[k:].any():  # the prefix [0, k)
-            return _solve_prefix(S, rhs, obstacle, k, *ul, u, lam)
-    inactive = ~active
-    ix = inactive.nonzero()[0]
-    u[...] = obstacle
-    if ix.size < active.size and np.count_nonzero(obstacle):
+            return _solve_prefix(S, rhs, pinned, k, *ul, u, lam)
+    ix = (~active).nonzero()[0]
+    u[...] = pinned
+    if shift and ix.size < active.size:
         u[ix] = 0.0
         b = (rhs - S @ u)[ix]
     else:
         b = rhs[ix]
-    banded = isinstance(S, Tridiagonal)
-    if banded and ix.size == 1:  # the gtsv wrapper refuses empty off-diagonals
-        u[ix] = b / S.diag[ix]
-    elif ix.size:
-        if banded:
-            adjacent = np.diff(ix) == 1
-            dl = np.where(adjacent, S.lower[ix[:-1]], 0.0)
-            du = np.where(adjacent, S.upper[ix[:-1]], 0.0)
-            _, _, _, x, info = dgtsv(dl, S.diag[ix], du, b, 1, 1, 1, 1)
-        else:
-            _, _, x, info = dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)  # both fresh copies
+    if ix.size:
+        x, info = solve_inactive(S, ix, b)
         if info > 0:
             raise NumericalBreakdownError("singular linear system on an active-set iterate",
                                           active_size=int(active.sum()))
         u[ix] = x
-    np.subtract(S @ u, rhs, out=lam)
-    lam[inactive] = 0.0
+    np.subtract(S.dot(u), rhs, out=lam)
+    lam[ix] = 0.0
     return u, lam
+
+
+def _update_vector(u, lam, obstacle, out):
+    """The active-set update's vector lam + (obstacle - u) into ``out``;
+    lam - u, one pass, for the zero obstacle None."""
+    if obstacle is None:
+        return np.subtract(lam, u, out=out)
+    np.subtract(obstacle, u, out=out)
+    return np.add(lam, out, out=out)
 
 
 def _prefix_length(start, size: int, ul) -> int:
@@ -287,29 +305,36 @@ def _prefix_length(start, size: int, ul) -> int:
     return int(start)
 
 
-def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int | None = None,
-              ul=None, out=None) -> tuple[np.ndarray, np.ndarray, int]:
+def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
+              start: np.ndarray | int | None = None, ul=None,
+              out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
     lam >= 0, lam . (u - obstacle) = 0.
 
     Returns (u, lam, number of linear solves).  S (a ``Tridiagonal`` or a
     square dense array) and the obstacle are taken as checked: S by
     ``check_lcp_matrix``, the obstacle finite and of S's size, as a
-    trajectory checks them once.  Only the float vector rhs is checked
-    here, for its shape (``ValueError``) and finiteness: a non-finite rhs
-    raises ``NumericalBreakdownError``, since a trajectory computes it from
-    its own states.  ``start`` is a boolean active set (empty if None).
+    trajectory checks them once.  The obstacle None is the zero obstacle
+    of the reduced cone problems: the pinned values are zeros, pinning
+    never shifts rhs, and the update's vector is lam - u, one pass.  Only
+    the float vector rhs is checked here, for its shape against the
+    obstacle's (``ValueError``) and finiteness: a non-finite rhs raises
+    ``NumericalBreakdownError``, since a trajectory computes it from its
+    own states.  ``start`` is a boolean active set (empty if None).
     ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle without
     its upper terms) for a tridiagonal S = U L factored without row
     interchanges, as ``StepOperators`` gives them; prefix active sets are
     then solved on those factors (``_solve_prefix``), and ``start`` may
     also be an integer k (an int or a numpy integer, not a bool) with
     0 <= k <= H, the prefix [0, k), as ``predict_contact`` gives it.  An
-    integer start without ``ul`` or out of that range raises
-    ``ValueError``, a bool scalar ``TypeError``.
+    integer start without ``ul`` or out of that range, and ``ul`` with the
+    obstacle None, raise ``ValueError``, a bool scalar ``TypeError``.
     ``out`` may pass two float vectors (u, lam) of S's size, such as a
     trajectory's rows: every iterate is solved into them, and they are
-    returned.  Without it, u and lam are fresh arrays.
+    returned.  Without it, u and lam are fresh arrays.  A third vector in
+    ``out`` receives, whichever way the iteration stops, the returned
+    iterate's update vector lam + (obstacle - u) (lam - u for None), from
+    which a reduced trajectory starts its next step.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
@@ -318,7 +343,9 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
     partial passes, lam[:k] > tol everywhere and obstacle[k:] - u[k:] > tol
     nowhere: a prefix iterate has u = obstacle on [0, k) and lam = 0 after
     it, so that is the full update's decision.  Only if it fails is the
-    mask of [0, k) built, for the loop to go on from.
+    mask of [0, k) built, for the loop to go on from.  The loop picks the
+    pinned-set solve of S's kind, and tests the obstacle for zeros, once
+    per call.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
     breaks ties; it is a property of the iteration, not a relaxed check.
@@ -338,7 +365,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
     with a negative multiplier (active) or a negative gap (inactive), which
     keep the run deterministic and stop only at exact signs.
     """
-    if rhs.shape != obstacle.shape:
+    if obstacle is None:
+        if ul is not None:
+            raise ValueError("LCP factors need the obstacle they were formed with")
+    elif rhs.shape != obstacle.shape:
         raise ValueError("inconsistent LCP dimensions")
     # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
     # Python wrapper
@@ -346,7 +376,8 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
     if not math.isfinite(scale):
         raise NumericalBreakdownError("LCP right-hand side must be finite")
     tol = TIE_TOL * scale
-    u, lam = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
+    u, lam, *update = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
+    update = update[0] if update else None
     if isinstance(start, (int, np.integer, np.bool_)):
         # the prefix [0, start), certified in two partial passes
         start = _prefix_length(start, rhs.size, ul)
@@ -355,34 +386,45 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
         # as it does in the full update
         if (np.minimum.reduce(lam[:start], initial=math.inf) > tol
                 and not np.fmax.reduce(obstacle[start:] - u[start:], initial=-math.inf) > tol):
+            if update is not None:
+                _update_vector(u, lam, obstacle, update)
             return u, lam, 1
-        active = np.arange(rhs.size) < start
+        active, solves = np.arange(rhs.size) < start, 1
     else:
         active = np.zeros(rhs.size, dtype=bool) if start is None else start
-        _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
-    solves = 1
-    key = active.tobytes()
-    seen = {key}
+        solves = 0
+    pinned = 0.0 if obstacle is None else obstacle
+    shift = obstacle is not None and np.count_nonzero(obstacle) > 0
+    solve_inactive = _solve_banded if isinstance(S, Tridiagonal) else _solve_dense
+    if not solves:
+        _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active)
+        solves = 1
+    work = np.empty(rhs.size) if update is None else update
+    key, seen = active.tobytes(), None  # the revisit check's set from the second update on
     least_index_mode = False
     while True:
         if least_index_mode:
-            violated = np.flatnonzero(np.where(active, lam < 0.0, u < obstacle))
+            violated = np.flatnonzero(np.where(active, lam < 0.0, u < pinned))
             if violated.size == 0:
+                if update is not None:
+                    _update_vector(u, lam, obstacle, update)
                 return u, lam, solves
             new_active = active.copy()
             new_active[violated[0]] = not new_active[violated[0]]
         else:
-            new_active = (lam + (obstacle - u)) > tol
+            new_active = _update_vector(u, lam, obstacle, work) > tol
             new_key = new_active.tobytes()
             if new_key == key:
                 return u, lam, solves
-            if new_key in seen:
+            if seen is None:
+                seen = {key}
+            elif new_key in seen:
                 least_index_mode = True
                 continue
             seen.add(new_key)
             key = new_key
         if solves >= MAX_ITER:
-            gap = u - obstacle
+            gap = u - pinned
             raise SolverDivergenceError(
                 f"active set did not settle after {MAX_ITER} updates",
                 min_gap=float(gap.min()),
@@ -390,7 +432,7 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray, start: np.ndarray | int 
                 complementarity=abs(float(lam @ gap)),
             )
         active = new_active
-        _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
+        _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active)
         solves += 1
 
 

@@ -546,6 +546,25 @@ def test_overflowing_market_parameters_exit_4(tmp_path, capsys, small_model_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("compare", [[], ["--compare"]], ids=["alone", "compare"])
+def test_singular_reduced_step_matrix_names_mu(tmp_path, capsys, model_8_8, compare):
+    # on the stock model this mu leaves the reduced step matrix numerically
+    # singular: an unusable parameter, not a corrupt model, as the reduced
+    # Schur complement and the truth's step matrix report it
+    model = tmp_path / "model.json"
+    save_model(model_8_8, model)
+    out = tmp_path / "run"
+    assert main(["online", "--model", str(model), "--mu=100,-40,-40,1e-9", *compare,
+                 "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "AssemblyError"
+    assert "reduced step matrix at mu=" in error["message"]
+    assert "r=-40.0, q=-40.0, sigma=1e-09" in error["message"]
+    assert not out.exists()
+
+
 def test_online_extreme_market_parameters_exit_0_or_4(tmp_path, capsys, small_model_path):
     # a grid of extreme rates, dividends and volatilities: each online run
     # either succeeds or fails with exit 4 and one JSON line, never with a

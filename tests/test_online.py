@@ -341,6 +341,17 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
             assert np.array_equal(rt.cone_coeffs, np.array(alphas))
             assert rt.lcp_solves.shape == (model.config.L,)
             solves.append(rt.lcp_solves)
+            # the starts from solve_lcp's update vector are those of a march
+            # that forms v = lam - alpha itself
+            u, start, v_prev, warm = data.u0, None, None, []
+            for _ in range(model.config.L):
+                u, alpha, lam, count = _cone_step(u, data, start, np.zeros(model.nw),
+                                                  np.empty((2, model.nw)))
+                v = lam - alpha
+                start = (v if v_prev is None else 2.0 * v - v_prev) > 0.0
+                v_prev = v
+                warm.append(count)
+            assert np.array_equal(rt.lcp_solves, warm)
         if model is model_8_8:
             # a cold start needs about 5.7 solves per step here
             assert np.mean(solves) <= 2.5

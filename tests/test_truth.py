@@ -83,6 +83,15 @@ def test_lcp_problem_validation():
         check_lcp_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         solve_lcp(check_lcp_matrix(np.eye(3)), np.zeros(2), np.zeros(3))
+    # the zero obstacle None gives no shape to check rhs against; a
+    # misshaped rhs still fails, in the product with S, and UL factors
+    # need the obstacle they were formed with
+    banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
+    for S in (np.eye(3), banded):
+        with pytest.raises(ValueError):
+            solve_lcp(check_lcp_matrix(S), np.ones(2), None)
+    with pytest.raises(ValueError, match="need the obstacle"):
+        solve_lcp(banded, np.ones(3), None, ul=())
     for shape in ((3, 4), (4, 3)):
         with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
             check_lcp_matrix(np.eye(*shape))
@@ -231,11 +240,21 @@ def test_solve_lcp_dense_from_any_start():
             S = S + B - B.T
         S = check_lcp_matrix(S)
         u_ref, lam_ref, _ = solve_lcp(S, rhs, obstacle)
-        for _ in range(5):
-            start = rng.random(n) < rng.random()
+        starts = [rng.random(n) < rng.random() for _ in range(5)]
+        for start in starts:
             u, lam, _ = solve_lcp(S, rhs, obstacle, start)
             assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
             assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
+        # the obstacle None is the zero obstacle, bit for bit and solve for
+        # solve, on dense and tridiagonal matrices alike
+        banded = Tridiagonal(rng.uniform(-1, 1, n - 1), 2.0 + rng.random(n),
+                             rng.uniform(-1, 1, n - 1))
+        for matrix in (S, check_lcp_matrix(banded)):
+            for start in (None, *starts):
+                u0, lam0, solves0 = solve_lcp(matrix, rhs, np.zeros(n), start)
+                u, lam, solves = solve_lcp(matrix, rhs, None, start)
+                assert (u.tobytes(), lam.tobytes(), solves) == (u0.tobytes(), lam0.tobytes(),
+                                                                solves0)
 
 
 def test_solve_lcp_degenerate_node_from_any_start():
@@ -538,8 +557,8 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
             ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
                                               step.s_psi, step.s_psi_left, np.empty(H),
                                               np.empty(H))
-            gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, None, np.empty(H), np.empty(H),
-                                                np.arange(H) < k)
+            gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, True, truth_mod._solve_banded, None,
+                                                np.empty(H), np.empty(H), np.arange(H) < k)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
                 x = u[k:].astype(np.longdouble)
@@ -891,27 +910,41 @@ def test_step_rows_equal_fresh_solves_without_ul_pivots(default_ops, default_sch
     assert max(assert_rows_are_fresh_solves(traj, step)) > 1
 
 
-def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
-    # a tridiagonal non-P matrix on which the full-set update revisits a set,
-    # so the iteration finishes with least-index toggles; as a dense matrix
-    # the same problem takes the gesv solves
+def cycling_problem():
+    """A tridiagonal non-P matrix, (rhs, obstacle) and a start from which the
+    full-set update revisits a set, so that the iteration finishes with
+    least-index toggles."""
     rng = np.random.default_rng(1092)
     n = int(rng.integers(3, 7))
     banded = Tridiagonal(rng.uniform(-2, 2, n - 1), 1.0 + rng.random(n),
                          rng.uniform(-2, 2, n - 1))
     rhs, obstacle = rng.normal(size=n), rng.normal(size=n)
-    start = rng.random(n) < 0.5
+    return banded, rhs, obstacle, rng.random(n) < 0.5
+
+
+def spy_on_pinned_solves(monkeypatch):
+    """Record each pinned solve's active set, and whether the update from
+    its iterate revisits an earlier set, in two lists."""
     solved, revisited = [], []
     solve_pinned = truth_mod._solve_pinned
 
-    def spy(S, rhs, obstacle, ul, u, lam, active):
-        u, lam = solve_pinned(S, rhs, obstacle, ul, u, lam, active)
+    def spy(S, rhs, obstacle, shift, solve_inactive, ul, u, lam, active):
+        u, lam = solve_pinned(S, rhs, obstacle, shift, solve_inactive, ul, u, lam, active)
         solved.append(active.tobytes())
         update = ((lam + (obstacle - u)) > truth_mod.TIE_TOL * np.abs(rhs).max()).tobytes()
         revisited.append(update != solved[-1] and update in solved)
         return u, lam
 
     monkeypatch.setattr(truth_mod, "_solve_pinned", spy)
+    return solved, revisited
+
+
+def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
+    # the cycling problem finishes with least-index toggles; as a dense
+    # matrix the same problem takes the gesv solves
+    banded, rhs, obstacle, start = cycling_problem()
+    n = rhs.size
+    solved, revisited = spy_on_pinned_solves(monkeypatch)
     for S in (banded, dense(banded)):
         solved.clear()
         revisited.clear()
@@ -923,6 +956,49 @@ def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
         assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
             ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
         assert np.isnan(rows[0]).all()
+
+
+def test_update_vector_on_every_exit(monkeypatch):
+    # a third out vector receives the returned iterate's update vector, bit
+    # for bit, whichever way the iteration stops: on the first solve, after
+    # full-set updates, or after least-index toggles; above tol it is the
+    # returned active set, and with the obstacle None it is lam - u
+    banded, rhs, obstacle, cycling_start = cycling_problem()
+    n = rhs.size
+    tol = truth_mod.TIE_TOL * np.abs(rhs).max()
+    solved, revisited = spy_on_pinned_solves(monkeypatch)
+    for S in (banded, dense(banded)):
+        solve_lcp(S, rhs, obstacle, cycling_start)
+        solution_set = np.frombuffer(solved[-1], dtype=bool)
+        exits = set()
+        for start in (cycling_start, None, solution_set, np.ones(n, dtype=bool)):
+            solved.clear()
+            revisited.clear()
+            rows = np.full((3, n), np.nan)
+            u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=rows)
+            exits.add("least-index" if any(revisited) else "first" if solves == 1 else "iterated")
+            assert rows[2].tobytes() == (lam + (obstacle - u)).tobytes()
+            assert (rows[2] > tol).tobytes() == solved[-1]
+            u0, lam0, _ = solve_lcp(S, rhs - S @ obstacle, None, start, out=rows)
+            assert np.array_equal(rows[2], lam0 - u0)
+        assert exits == {"first", "iterated", "least-index"}
+
+
+def test_update_vector_after_a_certified_prefix(default_ops, default_scheme, mu0):
+    # a prefix start certified in two partial passes forms no update vector;
+    # a third out vector still receives it, and a mask start of the same
+    # prefix ends on the same bytes
+    H = default_ops.dim
+    certified = 0
+    for step, rhs, swept, k, traj, n in predicted_prefixes(mu0, default_ops, default_scheme):
+        ul = (swept, step.lower_factor, step.s_psi, step.s_psi_left)
+        by_int, by_mask = np.full((2, 3, H), np.nan)
+        solves = solve_lcp(step.S, rhs, step.psi, k, ul, out=by_int)[2]
+        solve_lcp(step.S, rhs, step.psi, np.arange(H) < k, ul, out=by_mask)
+        assert by_int[2].tobytes() == (by_int[1] + (step.psi - by_int[0])).tobytes()
+        assert by_int.tobytes() == by_mask.tobytes()
+        certified += solves == 1
+    assert certified > 0
 
 
 # ---------------------------------------------------------------------------
