@@ -41,7 +41,17 @@ An online row also records its median ``rel`` over the same run's
 draw (``over_snapshot``), the truth cost it stands in for, alone or
 marched in a group; a ``reduced_trajectory`` row records the cone
 active-set solves of its trajectory (``cone_solves``, the sum of
-``lcp_solves``, the same in every repeat).
+``lcp_solves``, the same in every repeat).  After the rows of each H come
+its break-even counts:
+
+  break_even_AxB    ``queries``: the offline time of the (A, B) model,
+                    ``snapshots + pod_greedy_A + angle_greedy_B + enrich_AxB
+                    + save_model_AxB``, over the time each query saves,
+                    ``truth - reduced_trajectory_AxB``, both from the rows'
+                    ``rel`` medians, so that the host's drift between rows
+                    cancels; null where the reduced trajectory is not
+                    cheaper than the truth
+
 The record names the machine, the BLAS threads, the numpy and scipy
 versions and the git commit.
 
@@ -192,6 +202,17 @@ def main(argv=None) -> int:
                 print(f"H={H:<5d} {name:<24s} rel median {row['rel']['median']:9.2f} "
                       f"[{row['rel']['q1']:.2f}, {row['rel']['q3']:.2f}]  "
                       f"{1e3 * row['seconds_median']:8.2f} ms{ratios}")
+            median = {name: float(np.median(rel[name])) for name in rows}
+            for nv_tilde, nw in BUDGETS:
+                budget = f"{nv_tilde}x{nw}"
+                offline_time = sum(median[name] for name in (
+                    "snapshots", f"pod_greedy_{nv_tilde}", f"angle_greedy_{nw}",
+                    f"enrich_{budget}", f"save_model_{budget}"))
+                saving = median["truth"] - median[f"reduced_trajectory_{budget}"]
+                queries = offline_time / saving if saving > 0.0 else None
+                results.append({"row": f"break_even_{budget}", "H": H, "queries": queries})
+                print(f"H={H:<5d} {'break_even_' + budget:<24s} "
+                      + ("never" if queries is None else f"{queries:.0f} queries"))
     record = {"machine": bench_env.machine(), "kernel": "perfbench/reference.py",
               "rows": results}
     with open(args.out, "w", encoding="utf-8") as fh:

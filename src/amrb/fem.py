@@ -276,11 +276,14 @@ class ObstacleData:
     psi_tilde: np.ndarray
 
 
-def obstacle_data(mesh: Mesh1D, K: float) -> ObstacleData:
+def boundary_lift(mesh: Mesh1D, K: float) -> np.ndarray:
+    """The price's affine boundary lift K (1 - s/s_f) at interior nodes."""
     if K <= 0:
         raise ValueError(f"strike must be positive, got K={K}")
-    s = mesh.interior_nodes
-    psi = np.maximum(K - s, 0.0)
-    p0 = K * (1.0 - s / mesh.s_f)
-    return ObstacleData(p0=p0, psi_tilde=psi - p0)
+    return K * (1.0 - mesh.interior_nodes / mesh.s_f)
+
+
+def obstacle_data(mesh: Mesh1D, K: float) -> ObstacleData:
+    p0 = boundary_lift(mesh, K)
+    return ObstacleData(p0=p0, psi_tilde=np.maximum(K - mesh.interior_nodes, 0.0) - p0)
 

@@ -22,22 +22,26 @@ none) directly, and the next state is P u + c + s_n^-1 b_n alpha, the
 last term added in place; the products are ``ndarray.dot`` calls, which
 cost half the overhead of ``@`` on these small blocks.  The per-step
 cost depends only on the reduced dimensions.  As in a truth trajectory,
-each step's cone problem is solved into its own row of the trajectory's
-cone coefficients, with one multiplier vector per trajectory.  Every
+each step is solved into its rows: the next state into its row of the
+states and the cone problem into its row of the cone coefficients, with
+one multiplier vector and one cone right-hand side per trajectory.  Every
 function works on the model's own time grid.
 
 Within a trajectory, v = lam - alpha is positive exactly on a step's cone
 active set; ``solve_lcp`` leaves it in a third ``out`` vector, two of
 which the trajectory alternates.  Step 2 starts its iteration from
 {v_1 > 0}, and step n+1 from the linear extrapolation
-{2 v_n - v_(n-1) > 0}.  The Schur complement is
+{2 v_n - v_(n-1) > 0}, tested as 2 v_n > v_(n-1): 2 v_n is exact or
+infinite, and with gradual underflow a difference of floats is positive
+exactly when a > b, so the two pick the same set.  The Schur complement is
 positive definite, so the cone problem has one solution whatever the
 start; a start that is already right is certified by a single solve.
 
 The primal basis is energy-orthonormal (see ``amrb.offline``), so the
 reduced blocks are well conditioned as stored: every solve works on them
 directly, and the initial state is the energy projection gram_psi' psi_tilde
-of the lifted obstacle.
+of the lifted obstacle.  ``reconstruct`` adds the boundary lift
+(``amrb.fem.boundary_lift``) to the reconstructed states.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmrbError, AssemblyError
-from .fem import AffineOperatorSet, Mesh1D, ParameterVector, obstacle_data
+from .fem import AffineOperatorSet, Mesh1D, ParameterVector, boundary_lift, obstacle_data
 from .lapack import dgetrf, dgetrs
 from .offline import ReducedModel
 from .truth import (
@@ -107,21 +111,25 @@ def online_setup(model: ReducedModel, mu) -> OnlineData:
                       u0=model.gram_psi.T @ psi_tilde)
 
 
-def _cone_step(u_prev: np.ndarray, data: OnlineData, start, zero: np.ndarray, out):
-    """One reduced step from the cone active set ``start``, whose cone
-    problem is solved into ``out`` = (alpha, lam[, update]) as ``solve_lcp``
-    does, against the zero obstacle None.
+def _cone_step(u_prev: np.ndarray, u: np.ndarray, data: OnlineData, start, cone_rhs: np.ndarray,
+               out) -> int:
+    """One reduced step from ``u_prev`` and the cone active set ``start``,
+    solved into ``u``; the cone right-hand side is formed in ``cone_rhs``,
+    and the cone problem is solved into ``out`` = (alpha, lam[, update])
+    as ``solve_lcp`` does, against the zero obstacle None.
 
-    Returns (u, alpha, lam, solves); ``zero`` is the cone's zero vector, of
-    size 0 for a model without a cone.
+    Returns the number of cone solves: 0 for a model without a cone, whose
+    ``cone_rhs`` has size 0.
     """
-    u = data.step_map.dot(u_prev) + data.step_load
-    if zero.size == 0:
-        return u, out[0], out[1], 0
-    rhs = data.cone_load - data.cone_map.dot(u_prev)
-    alpha, lam, solves = solve_lcp(data.schur, rhs, None, start, out=out)
+    data.step_map.dot(u_prev, out=u)
+    u += data.step_load
+    if cone_rhs.size == 0:
+        return 0
+    data.cone_map.dot(u_prev, out=cone_rhs)
+    np.subtract(data.cone_load, cone_rhs, out=cone_rhs)
+    alpha, _, solves = solve_lcp(data.schur, cone_rhs, None, start, out=out)
     u += data.sinv_b.dot(alpha)
-    return u, alpha, lam, solves
+    return solves
 
 
 @dataclass(frozen=True)
@@ -141,20 +149,20 @@ def reduced_trajectory(model: ReducedModel, mu) -> ReducedTrajectory:
     alphas = np.empty((cfg.L, model.nw))
     solves = np.empty(cfg.L, dtype=int)
     states[0] = data.u0
-    zero = np.zeros(model.nw)
-    lam, v, v_prev = np.empty((3, model.nw))
+    cone_rhs, lam, v, v_prev, twice = np.empty((5, model.nw))
     start = None
     for n in range(cfg.L):
         try:
-            u, _, _, solves[n] = _cone_step(states[n], data, start, zero, (alphas[n], lam, v))
+            solves[n] = _cone_step(states[n], states[n + 1], data, start, cone_rhs,
+                                   (alphas[n], lam, v))
         except AmrbError as err:
             raise type(err)(f"reduced step {n + 1} failed: {err}",
                             step=n + 1, **err.info) from err
-        states[n + 1] = u
         # v = lam - alpha, the update vector that solve_lcp leaves in v, is
         # positive exactly on this step's active set; the next step starts
-        # from its linear extrapolation
-        start = (v if n == 0 else 2.0 * v - v_prev) > 0.0
+        # from its linear extrapolation 2 v - v_prev > 0, tested as
+        # 2 v > v_prev (see the module docstring)
+        start = v > 0.0 if n == 0 else np.greater(np.add(v, v, out=twice), v_prev)
         v, v_prev = v_prev, v
     return ReducedTrajectory(mu=mu, states=states, cone_coeffs=alphas, lcp_solves=solves)
 
@@ -183,7 +191,7 @@ def reconstruct(model: ReducedModel, rt: ReducedTrajectory, K: float,
     states = reconstruct_states(model, rt)
     if states.shape[1] != mesh.H:
         raise ValueError(f"model has {states.shape[1]} nodes, mesh has {mesh.H}")
-    states += obstacle_data(mesh, K).p0
+    states += boundary_lift(mesh, K)
     return states
 
 

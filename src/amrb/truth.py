@@ -61,7 +61,10 @@ caller passes a start.  The loop picks the solve of the matrix's kind
 once per call.  The reduced cone problems have no obstacle and pass
 None: zeros are pinned, the right-hand side is never shifted, and the
 update's vector is lam - u, which a third ``out`` vector can take back
-for the caller's next start.
+for the caller's next start.  A dense matrix with the obstacle None,
+every reduced cone problem, takes that solve and that update flat in the
+loop, written out with no call layer and no per-call set-up, chosen by
+one test per call; its bits are those of the general path.
 
 A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
@@ -251,6 +254,12 @@ def _solve_dense(S, ix, b):
     return dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)[2:]  # both fresh copies
 
 
+def _singular_iterate(active):
+    """The error of an active set whose inactive block is singular."""
+    return NumericalBreakdownError("singular linear system on an active-set iterate",
+                                   active_size=int(active.sum()))
+
+
 def _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active):
     """Solve with the state pinned to ``pinned`` (the obstacle, or 0.0 for
     the zero obstacle) on the active set, into ``u`` and ``lam``.
@@ -276,8 +285,7 @@ def _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active):
     if ix.size:
         x, info = solve_inactive(S, ix, b)
         if info > 0:
-            raise NumericalBreakdownError("singular linear system on an active-set iterate",
-                                          active_size=int(active.sum()))
+            raise _singular_iterate(active)
         u[ix] = x
     np.subtract(S.dot(u), rhs, out=lam)
     lam[ix] = 0.0
@@ -345,7 +353,9 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
     it, so that is the full update's decision.  Only if it fails is the
     mask of [0, k) built, for the loop to go on from.  The loop picks the
     pinned-set solve of S's kind, and tests the obstacle for zeros, once
-    per call.
+    per call; a dense S with the obstacle None (the reduced cone problems)
+    is solved flat, ``_solve_pinned``'s dense zero-obstacle solve and the
+    update lam - u written out in the loop, with the same bits.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
     breaks ties; it is a property of the iteration, not a relaxed check.
@@ -376,9 +386,13 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
     if not math.isfinite(scale):
         raise NumericalBreakdownError("LCP right-hand side must be finite")
     tol = TIE_TOL * scale
-    u, lam, *update = (np.empty(rhs.size), np.empty(rhs.size)) if out is None else out
-    update = update[0] if update else None
-    if isinstance(start, (int, np.integer, np.bool_)):
+    if out is None:
+        u, lam, update = np.empty(rhs.size), np.empty(rhs.size), None
+    else:
+        u, lam, update = out[0], out[1], out[2] if len(out) > 2 else None
+    if isinstance(start, np.ndarray):
+        active, solves = start, 0
+    elif isinstance(start, (int, np.integer, np.bool_)):
         # the prefix [0, start), certified in two partial passes
         start = _prefix_length(start, rhs.size, ul)
         _solve_prefix(S, rhs, obstacle, start, *ul, u, lam)
@@ -394,15 +408,30 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
         active = np.zeros(rhs.size, dtype=bool) if start is None else start
         solves = 0
     pinned = 0.0 if obstacle is None else obstacle
-    shift = obstacle is not None and np.count_nonzero(obstacle) > 0
-    solve_inactive = _solve_banded if isinstance(S, Tridiagonal) else _solve_dense
-    if not solves:
-        _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active)
-        solves = 1
+    # a dense cone problem is solved flat, with no set-up and no call layer
+    flat = obstacle is None and not isinstance(S, Tridiagonal)
+    if not flat:
+        shift = obstacle is not None and np.count_nonzero(obstacle) > 0
+        solve_inactive = _solve_banded if isinstance(S, Tridiagonal) else _solve_dense
     work = np.empty(rhs.size) if update is None else update
     key, seen = active.tobytes(), None  # the revisit check's set from the second update on
-    least_index_mode = False
+    least_index_mode, solved = False, solves > 0
     while True:
+        if not solved:
+            if flat:  # _solve_pinned(S, rhs, 0.0, False, _solve_dense, None, ...)
+                ix = (~active).nonzero()[0]
+                u[...] = 0.0
+                if ix.size:
+                    x, info = dgesv(S.take(ix, 0).take(ix, 1), rhs[ix], 1, 1)[2:]
+                    if info > 0:
+                        raise _singular_iterate(active)
+                    u[ix] = x
+                np.subtract(S.dot(u), rhs, out=lam)
+                lam[ix] = 0.0
+            else:
+                _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active)
+            solves += 1
+            solved = True
         if least_index_mode:
             violated = np.flatnonzero(np.where(active, lam < 0.0, u < pinned))
             if violated.size == 0:
@@ -412,7 +441,8 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
             new_active = active.copy()
             new_active[violated[0]] = not new_active[violated[0]]
         else:
-            new_active = _update_vector(u, lam, obstacle, work) > tol
+            new_active = (np.subtract(lam, u, out=work) if flat
+                          else _update_vector(u, lam, obstacle, work)) > tol
             new_key = new_active.tobytes()
             if new_key == key:
                 return u, lam, solves
@@ -431,9 +461,7 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
                 min_multiplier=float(lam.min()),
                 complementarity=abs(float(lam @ gap)),
             )
-        active = new_active
-        _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active)
-        solves += 1
+        active, solved = new_active, False
 
 
 def first_leaving_node(swept, threshold, above):

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,3 +159,30 @@ def model_basis(doc, key):
     from amrb.offline import unpack
 
     return unpack(doc[key], key, (doc["mesh"]["H"], -1)).copy()
+
+
+def _bsm_terms(s: float, mu, T: float):
+    """(d1, d2) of the Black-Scholes-Merton formulas with dividend yield."""
+    spread = mu.sigma * math.sqrt(T)
+    d1 = (math.log(s / mu.K) + (mu.r - mu.q + 0.5 * mu.sigma ** 2) * T) / spread
+    return d1, d1 - spread
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def bsm_put(s: float, mu, T: float) -> float:
+    """The closed-form European put with dividend yield (Merton, 1973) at
+    asset price s > 0 and horizon T > 0: K e^(-rT) N(-d2) - s e^(-qT) N(-d1)."""
+    d1, d2 = _bsm_terms(s, mu, T)
+    return (mu.K * math.exp(-mu.r * T) * _normal_cdf(-d2)
+            - s * math.exp(-mu.q * T) * _normal_cdf(-d1))
+
+
+def bsm_call(s: float, mu, T: float) -> float:
+    """The closed-form European call beside ``bsm_put``:
+    s e^(-qT) N(d1) - K e^(-rT) N(d2)."""
+    d1, d2 = _bsm_terms(s, mu, T)
+    return (s * math.exp(-mu.q * T) * _normal_cdf(d1)
+            - mu.K * math.exp(-mu.r * T) * _normal_cdf(d2))

@@ -243,17 +243,18 @@ def _online_data(H, params, mu, scheme):
 
 def _per_step_seconds(data, scheme):
     """Seconds per reduced step over 400 steps, restarting every L steps."""
-    y0 = data.u0
-    # the cone's obstacle and the rows its problem is solved into, made once
-    # as reduced_trajectory makes them
-    zero = np.zeros(data.schur.shape[0])
-    out = np.empty((2, zero.size))
-    y = y0.copy()
+    # two states, the cone right-hand side and the rows its problem is
+    # solved into, made once as reduced_trajectory makes them
+    nw = data.schur.shape[0]
+    y, y_next = np.empty((2, data.u0.size))
+    cone_rhs, out = np.empty(nw), np.empty((2, nw))
+    y[...] = data.u0
     start = time.perf_counter()
     for k in range(400):
-        y = _cone_step(y, data, None, zero, out)[0]
+        _cone_step(y, y_next, data, None, cone_rhs, out)
+        y, y_next = y_next, y
         if (k + 1) % scheme.L == 0:
-            y = y0.copy()
+            y[...] = data.u0
     return (time.perf_counter() - start) / 400
 
 

@@ -14,6 +14,7 @@ from amrb import (
     reconstruct,
     reconstruct_states,
     reduced_trajectory,
+    solve_lcp,
     solve_trajectory,
 )
 from amrb.truth import load_vector, step_bands, step_pair
@@ -22,6 +23,14 @@ from amrb.online import _cone_step, reduced_residuals
 from conftest import empty_diagnostics, energy_product, reduced_blocks
 
 EXTRAPOLATED_MU = ParameterVector(K=106.882366, r=0.048470, q=0.007679, sigma=0.418561)
+
+
+def cone_step(u_prev, data, start=None):
+    """One ``_cone_step`` into fresh vectors: (u, alpha, lam, solves)."""
+    nw = data.schur.shape[0]
+    u, (alpha, lam) = np.empty(u_prev.size), np.empty((2, nw))
+    solves = _cone_step(u_prev, u, data, start, np.empty(nw), (alpha, lam))
+    return u, alpha, lam, solves
 
 
 def alpha_by_enumeration(schur, q, g_n, tol=1e-10):
@@ -164,8 +173,7 @@ def test_reduced_step_unconstrained(small_model, small_store):
     free = dataclasses.replace(data, cone_load=np.full(small_model.nw, -1e6))
     rng = np.random.default_rng(1)
     u_prev = rng.normal(size=small_model.nv)
-    u, alpha, _, _ = _cone_step(u_prev, free, None, np.zeros(small_model.nw),
-                                np.empty((2, small_model.nw)))
+    u, alpha, _, _ = cone_step(u_prev, free)
     assert np.all(alpha == 0.0)
     # independent check through the raw matrices
     blocks = reduced_blocks(small_model, mu)
@@ -182,8 +190,7 @@ def test_reduced_step_scalar_cone_closed_form(small_store, small_setup):
     rng = np.random.default_rng(2)
     for _ in range(10):
         u_prev = rng.normal(size=model.nv) * 10
-        u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(model.nw),
-                                    np.empty((2, model.nw)))
+        u, alpha, _, _ = cone_step(u_prev, data)
         base = np.linalg.solve(blocks.s_n, blocks.rhs_n @ u_prev + blocks.f_n)
         q = float((model.b_n.T @ base).item())
         m = float((model.b_n.T @ np.linalg.solve(blocks.s_n, model.b_n)).item())
@@ -202,8 +209,7 @@ def test_reduced_step_matches_enumeration(model_8_8, store16):
     for k in range(20):
         # random states near the trajectory keep the problem realistic
         u_prev = rt.states[k % rt.states.shape[0]] + rng.normal(size=model_8_8.nv)
-        u, alpha, _, _ = _cone_step(u_prev, data, None, np.zeros(model_8_8.nw),
-                                    np.empty((2, model_8_8.nw)))
+        u, alpha, _, _ = cone_step(u_prev, data)
         base = lu_solve(blocks.s_lu, blocks.rhs_n @ u_prev + blocks.f_n)
         q = model_8_8.b_n.T @ base
         alpha_ref = alpha_by_enumeration(data.schur, q, data.g_n)
@@ -277,6 +283,21 @@ def test_blown_up_reduced_state_is_a_breakdown(model_8_8, test_params10, monkeyp
     assert err.value.info["step"] == 2
 
 
+def test_singular_cone_block_names_its_step(model_8_8, test_params10, monkeypatch):
+    # a singular cone block fails the flat cone solve of step 1, which starts
+    # from the empty set; the trajectory re-raises it naming the step
+    import amrb.online as online_mod
+
+    setup = online_mod.online_setup
+    monkeypatch.setattr(online_mod, "online_setup", lambda model, mu: dataclasses.replace(
+        setup(model, mu), schur=np.ones((model.nw, model.nw))))
+    with pytest.raises(NumericalBreakdownError) as err:
+        reduced_trajectory(model_8_8, test_params10[0])
+    assert str(err.value) == ("reduced step 1 failed: "
+                              "singular linear system on an active-set iterate")
+    assert err.value.info == {"step": 1, "active_size": 0}
+
+
 def test_reduced_feasibility_stock_models(model_8_8, model_16_16, test_params10):
     for model in (model_8_8, model_16_16):
         for mu in test_params10[:3]:
@@ -333,8 +354,7 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
             states = [data.u0]
             alphas = []
             for _ in range(model.config.L):
-                u, alpha, _, _ = _cone_step(states[-1], data, None, np.zeros(model.nw),
-                                            np.empty((2, model.nw)))
+                u, alpha, _, _ = cone_step(states[-1], data)
                 states.append(u)
                 alphas.append(alpha)
             assert np.array_equal(rt.states, np.array(states))
@@ -345,8 +365,7 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
             # that forms v = lam - alpha itself
             u, start, v_prev, warm = data.u0, None, None, []
             for _ in range(model.config.L):
-                u, alpha, lam, count = _cone_step(u, data, start, np.zeros(model.nw),
-                                                  np.empty((2, model.nw)))
+                u, alpha, lam, count = cone_step(u, data, start)
                 v = lam - alpha
                 start = (v if v_prev is None else 2.0 * v - v_prev) > 0.0
                 v_prev = v
@@ -355,6 +374,61 @@ def test_warm_start_is_exact(model_8_8, model_16_16, test_params10):
         if model is model_8_8:
             # a cold start needs about 5.7 solves per step here
             assert np.mean(solves) <= 2.5
+
+
+def fresh_march(model, mu):
+    """The reduced march with fresh arrays at every step and the start rule
+    written as (2 v - v_prev) > 0: (states, cone_coeffs, lcp_solves)."""
+    data = online_setup(model, mu)
+    u, start, v_prev = data.u0, None, None
+    states, alphas, counts = [u], [], []
+    for _ in range(model.config.L):
+        rhs = data.cone_load - data.cone_map.dot(u)
+        alpha, lam, count = solve_lcp(data.schur, rhs, None, start)
+        u = data.step_map.dot(u) + data.step_load + data.sinv_b.dot(alpha)
+        v = lam - alpha
+        start = (v if v_prev is None else 2.0 * v - v_prev) > 0.0
+        states.append(u)
+        alphas.append(alpha)
+        counts.append(count)
+        v_prev = v
+    return np.array(states), np.array(alphas), np.array(counts)
+
+
+def test_in_place_march_equals_fresh_march(model_8_8, default_box, default_scheme):
+    # reduced_trajectory solves each state into its row, the cone right-hand
+    # side into one buffer and tests its start as 2 v > v_prev; the same
+    # bytes come from fresh arrays, 20 stock draws at H=99 and 5 at H=999
+    from amrb import assemble_operators, build_mesh, generate_snapshots, sample_training_set
+    from amrb.cli import test_stream, train_stream
+
+    ops = assemble_operators(build_mesh(999, 300.0))
+    store = generate_snapshots(sample_training_set(default_box, 16, train_stream(0)), ops,
+                               default_scheme)
+    fine, _ = build_reduced_model_from_store(store, 8, 8, ops)
+    draws = sample_training_set(default_box, 20, test_stream(0))
+    for model, params in ((model_8_8, draws), (fine, draws[:5])):
+        for mu in params:
+            rt = reduced_trajectory(model, mu)
+            states, alphas, counts = fresh_march(model, mu)
+            assert rt.states.tobytes() == states.tobytes()
+            assert rt.cone_coeffs.tobytes() == alphas.tobytes()
+            assert rt.lcp_solves.tolist() == counts.tolist()
+
+
+def test_start_rules_agree_on_special_values():
+    # 2 v is exact or infinite, and with gradual underflow fl(a - b) > 0
+    # exactly when a > b, so both start rules pick the same set
+    big = np.finfo(float).max
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1.0, -1.0, big / 2,
+                       -big / 2, np.nextafter(big / 2, 0.0), big, -big, np.inf, -np.inf,
+                       np.nan])
+    v, v_prev = (a.ravel() for a in np.meshgrid(values, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        written = (2.0 * v - v_prev) > 0.0
+        tested = np.greater(np.add(v, v, out=np.empty(v.size)), v_prev)
+    assert np.array_equal(written, tested)
+    assert written.any() and not written.all()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from amrb.truth import check_lcp_matrix, load_vector, step_pair
 from amrb.cli import train_stream
 import amrb.truth as truth_mod
 
-from conftest import dense, dense_step_pair
+from conftest import bsm_call, bsm_put, dense, dense_step_pair
 
 
 def lcp_by_enumeration(S, rhs, obstacle, tol=1e-11):
@@ -161,10 +161,21 @@ def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, mon
 
 
 def test_solve_lcp_singular_subsystem_breaks_down():
-    # both paths hit the singular 2x2 block [[1, 1], [1, 1]] from the empty set
+    # both paths hit the singular 2x2 block [[1, 1], [1, 1]] from the empty set;
+    # the zero obstacle None, whose dense problems take the flat solve, fails
+    # as np.zeros(2) does
     for S in (np.ones((2, 2)), Tridiagonal(np.ones(1), np.ones(2), np.ones(1))):
+        S, rhs = check_lcp_matrix(S), np.array([1.0, 2.0])
         with pytest.raises(NumericalBreakdownError):
-            solve_lcp(check_lcp_matrix(S), np.array([1.0, 2.0]), np.full(2, -10.0))
+            solve_lcp(S, rhs, np.full(2, -10.0))
+        errors = []
+        for obstacle in (np.zeros(2), None):
+            with pytest.raises(NumericalBreakdownError) as err:
+                solve_lcp(S, rhs, obstacle)
+            errors.append((str(err.value), err.value.info))
+        assert errors[0] == errors[1]
+        assert errors[1] == ("singular linear system on an active-set iterate",
+                             {"active_size": 0})
 
 
 def test_solve_lcp_unconstrained():
@@ -979,8 +990,13 @@ def test_update_vector_on_every_exit(monkeypatch):
             exits.add("least-index" if any(revisited) else "first" if solves == 1 else "iterated")
             assert rows[2].tobytes() == (lam + (obstacle - u)).tobytes()
             assert (rows[2] > tol).tobytes() == solved[-1]
-            u0, lam0, _ = solve_lcp(S, rhs - S @ obstacle, None, start, out=rows)
+            u0, lam0, solves0 = solve_lcp(S, rhs - S @ obstacle, None, start, out=rows)
             assert np.array_equal(rows[2], lam0 - u0)
+            # the shifted problem toggles by least index from the cycling start,
+            # on the flat dense solve too, as it does against np.zeros(n)
+            u1, lam1, solves1 = solve_lcp(S, rhs - S @ obstacle, np.zeros(n), start)
+            assert (u0.tobytes(), lam0.tobytes(), solves0) == (u1.tobytes(), lam1.tobytes(),
+                                                                solves1)
         assert exits == {"first", "iterated", "least-index"}
 
 
@@ -1241,3 +1257,51 @@ def test_residuals_in_whole_trajectory_passes(default_box, H):
         slow = residuals_by_step(traj, ops, obstacle)
         assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in slow.items()}
 
+
+
+# ---------------------------------------------------------------------------
+# independent price references
+
+
+def test_bsm_put_call_parity(default_box):
+    # C - P = s e^(-qT) - K e^(-rT) for every s and T, and the put is the
+    # discounted expectation of its payoff under the lognormal law, here by
+    # the trapezoid rule over the normal variable on the exercise side
+    for mu in sample_training_set(default_box, 5, np.random.SeedSequence([21, 0])):
+        for s, T in itertools.product((1.0, 50.0, mu.K, 150.0, 299.0), (0.1, 1.0, 5.0)):
+            parity = s * np.exp(-mu.q * T) - mu.K * np.exp(-mu.r * T)
+            gap = bsm_call(s, mu, T) - bsm_put(s, mu, T) - parity
+            assert abs(gap) <= 1e-12 * (s + mu.K)
+            drift = (mu.r - mu.q - 0.5 * mu.sigma ** 2) * T
+            z_strike = (np.log(mu.K / s) - drift) / (mu.sigma * np.sqrt(T))
+            z = np.linspace(-12.0, z_strike, 200001)
+            payoff = mu.K - s * np.exp(drift + mu.sigma * np.sqrt(T) * z)
+            density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+            values = payoff * density
+            area = 0.5 * float(np.sum((values[1:] + values[:-1]) * np.diff(z)))
+            put = np.exp(-mu.r * T) * area
+            assert abs(put - bsm_put(s, mu, T)) <= 1e-8 * mu.K
+
+
+def test_unconstrained_march_converges_to_bsm_put(mu0):
+    # criterion 3's march without the obstacle, at H=999, theta=1, T=1, on
+    # the step bands: at s=K, by linear interpolation, it is -1.26e-3 off
+    # the closed-form European put at L=2000 (its American boundary value
+    # P(0)=K and the far field included), and implicit Euler halves that
+    # from L=1000 (ratio 2.05)
+    from amrb.lapack import dgtsv
+
+    mesh = build_mesh(999, 300.0)
+    ops = assemble_operators(mesh)
+    lift = obstacle_data(mesh, mu0.K)
+    errors = {}
+    for L in (1000, 2000):
+        S, explicit = truth_mod.step_bands(mu0, ops, SchemeConfig(T=1.0, L=L, theta=1.0))
+        f_mu = load_vector(mu0, ops.f1, ops.f2)
+        u = lift.psi_tilde
+        for _ in range(L):
+            u = dgtsv(S.lower, S.diag, S.upper, explicit @ u + f_mu)[3]
+        price = np.interp(mu0.K, mesh.interior_nodes, u + lift.p0)
+        errors[L] = price - bsm_put(mu0.K, mu0, 1.0)
+    assert abs(errors[2000]) <= 2e-3
+    assert 1.8 <= errors[1000] / errors[2000] <= 2.2
