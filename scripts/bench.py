@@ -31,7 +31,9 @@ then at each mesh size H of ``--H`` (stock time grid and box):
   reduced_trajectory_AxB
                     ``online.reduced_trajectory`` of the same model and draw
 
-Repeats interleave the rows, after one untimed call of each.  Beside each
+Repeats interleave the rows, and each timed call runs right after an
+untimed call of its own row, so that it meets the caches and allocator as
+its own row leaves them, not as the row before it does.  Beside each
 timed call runs the reference kernel of ``perfbench/reference.py``, and a
 row reports the median and quartiles over the repeats of the call's time
 divided by the kernel's (``rel``), which stays steady while the host's
@@ -169,13 +171,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="amrb-bench-") as workdir:
         for H in (int(h) for h in args.H.split(",")):
             rows = rows_at(H, workdir)
-            for call in rows.values():
-                call()
             rel = {name: [] for name in rows}
             seconds = {name: [] for name in rows}
             cone_solves = {}
             for _ in range(args.repeats):
                 for name, call in rows.items():
+                    call()
                     start = time.perf_counter()
                     result = call()
                     elapsed = time.perf_counter() - start

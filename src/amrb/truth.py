@@ -44,27 +44,25 @@ iterations but still ends at the exact solution; so does the empty guess
 made where the elimination would need row interchanges or meets a pivot
 that is not positive.
 
-On tridiagonal matrices each iteration costs O(H).  Every prefix active
-set is solved on the trajectory's UL factors: the elimination runs from
-the last node up, so the trailing blocks of U and L factor S[k:, k:].  The
-step's one sweep U^-1 rhs (BLAS ``tbsv``), which the predictor also reads,
-holds the trailing part of every such solve; pinning [0, k) changes row k
-only, and one lower-bidiagonal ``tbsv`` over [k, H) is left.  The
-multipliers on [0, k) are read off S psi - rhs, with row k-1, which holds
-the free u[k], summed again.  LAPACK ``gtsv`` still solves every other
-active set, and every set of a matrix without UL pivots.  An iterate
-depends on the right-hand side and the active set only, whichever path
-solves it.  Dense inputs (the reduced-order Schur complements and small
-test problems) run the same loop and the same pinned-set solve, whose
-inactive block LAPACK ``gesv`` solves, from the empty set unless the
-caller passes a start.  The loop picks the solve of the matrix's kind
-once per call.  The reduced cone problems have no obstacle and pass
-None: zeros are pinned, the right-hand side is never shifted, and the
-update's vector is lam - u, which a third ``out`` vector can take back
-for the caller's next start.  A dense matrix with the obstacle None,
-every reduced cone problem, takes that solve and that update flat in the
-loop, written out with no call layer and no per-call set-up, chosen by
-one test per call; its bits are those of the general path.
+``solve_lcp`` takes the scheme's two problems and refuses any other
+pairing of matrix and obstacle.  The truth step has a ``Tridiagonal``
+S and the lifted payoff as obstacle, and each iteration costs O(H).
+Every prefix active set is solved on the trajectory's UL factors: the
+elimination runs from the last node up, so the trailing blocks of U and
+L factor S[k:, k:].  The step's one sweep U^-1 rhs (BLAS ``tbsv``),
+which the predictor also reads, holds the trailing part of every such
+solve; pinning [0, k) changes row k only, and one lower-bidiagonal
+``tbsv`` over [k, H) is left.  The multipliers on [0, k) are read off
+S psi - rhs, with row k-1, which holds the free u[k], summed again.
+LAPACK ``gtsv`` still solves every other active set, and every set of a
+matrix without UL pivots.  An iterate depends on the right-hand side
+and the active set only, whichever path solves it.  The cone step has a
+dense S (a reduced Schur complement) and the obstacle None, the zero
+obstacle of alpha >= 0: zeros are pinned, LAPACK ``gesv`` solves the
+inactive block, and the update's vector is lam - u, which a third
+``out`` vector can take back for the caller's next start.  Its solve and
+update are written out in the loop, with no call layer and no per-call
+set-up, told from the truth step's by the obstacle None.
 
 A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
@@ -249,56 +247,37 @@ def _solve_banded(S: Tridiagonal, ix, b):
     return dgtsv(dl, S.diag[ix], du, b, 1, 1, 1, 1)[3:]
 
 
-def _solve_dense(S, ix, b):
-    """(x, info) of S[ix, ix] x = b by LAPACK ``gesv``."""
-    return dgesv(S.take(ix, 0).take(ix, 1), b, 1, 1)[2:]  # both fresh copies
-
-
 def _singular_iterate(active):
     """The error of an active set whose inactive block is singular."""
     return NumericalBreakdownError("singular linear system on an active-set iterate",
                                    active_size=int(active.sum()))
 
 
-def _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active):
-    """Solve with the state pinned to ``pinned`` (the obstacle, or 0.0 for
-    the zero obstacle) on the active set, into ``u`` and ``lam``.
+def _solve_pinned(S: Tridiagonal, rhs, obstacle, ul, u, lam, active):
+    """Solve with the state pinned to the obstacle on the active set, into
+    ``u`` and ``lam``.
 
     With ``ul`` (see ``solve_lcp``), a prefix active set is solved on the
-    UL factors.  Any other set is solved on the inactive rows and columns
-    by ``solve_inactive``, ``_solve_banded`` for a ``Tridiagonal`` S and
-    ``_solve_dense`` for a dense one.  Pinning shifts the right-hand side
-    only if ``shift``, a nonzero obstacle.  ``solve_lcp`` decides both once
-    per call, after its prefix path, which never needs them.
+    UL factors (``_solve_prefix``).  Any other set is solved on the
+    inactive rows and columns by ``_solve_banded``, against the right-hand
+    side less the pinned columns.
     """
     if ul is not None:
         k = np.count_nonzero(active)
         if not active[k:].any():  # the prefix [0, k)
-            return _solve_prefix(S, rhs, pinned, k, *ul, u, lam)
+            return _solve_prefix(S, rhs, obstacle, k, *ul, u, lam)
     ix = (~active).nonzero()[0]
-    u[...] = pinned
-    if shift and ix.size < active.size:
-        u[ix] = 0.0
-        b = (rhs - S @ u)[ix]
-    else:
-        b = rhs[ix]
+    u[...] = obstacle
+    u[ix] = 0.0
+    b = (rhs - S @ u)[ix] if ix.size < active.size else rhs[ix]
     if ix.size:
-        x, info = solve_inactive(S, ix, b)
+        x, info = _solve_banded(S, ix, b)
         if info > 0:
             raise _singular_iterate(active)
         u[ix] = x
     np.subtract(S.dot(u), rhs, out=lam)
     lam[ix] = 0.0
     return u, lam
-
-
-def _update_vector(u, lam, obstacle, out):
-    """The active-set update's vector lam + (obstacle - u) into ``out``;
-    lam - u, one pass, for the zero obstacle None."""
-    if obstacle is None:
-        return np.subtract(lam, u, out=out)
-    np.subtract(obstacle, u, out=out)
-    return np.add(lam, out, out=out)
 
 
 def _prefix_length(start, size: int, ul) -> int:
@@ -313,36 +292,48 @@ def _prefix_length(start, size: int, ul) -> int:
     return int(start)
 
 
+# what ``solve_lcp`` raises for any other pairing of its arguments
+LCP_FORMS = ("solve_lcp takes a Tridiagonal S with an obstacle array and out=(u, lam), or "
+             "a dense S with the obstacle None, no ul and out=(u, lam[, update])")
+
+
 def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
               start: np.ndarray | int | None = None, ul=None,
               out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
-    lam >= 0, lam . (u - obstacle) = 0.
+    lam >= 0, lam . (u - obstacle) = 0, in one of the scheme's two forms.
 
-    Returns (u, lam, number of linear solves).  S (a ``Tridiagonal`` or a
-    square dense array) and the obstacle are taken as checked: S by
-    ``check_lcp_matrix``, the obstacle finite and of S's size, as a
-    trajectory checks them once.  The obstacle None is the zero obstacle
-    of the reduced cone problems: the pinned values are zeros, pinning
-    never shifts rhs, and the update's vector is lam - u, one pass.  Only
-    the float vector rhs is checked here, for its shape against the
-    obstacle's (``ValueError``) and finiteness: a non-finite rhs raises
-    ``NumericalBreakdownError``, since a trajectory computes it from its
-    own states.  ``start`` is a boolean active set (empty if None).
-    ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle without
-    its upper terms) for a tridiagonal S = U L factored without row
+    The truth step: S a ``Tridiagonal`` and the obstacle an array of its
+    size.  ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle
+    without its upper terms) for S = U L factored without row
     interchanges, as ``StepOperators`` gives them; prefix active sets are
     then solved on those factors (``_solve_prefix``), and ``start`` may
     also be an integer k (an int or a numpy integer, not a bool) with
     0 <= k <= H, the prefix [0, k), as ``predict_contact`` gives it.  An
-    integer start without ``ul`` or out of that range, and ``ul`` with the
-    obstacle None, raise ``ValueError``, a bool scalar ``TypeError``.
-    ``out`` may pass two float vectors (u, lam) of S's size, such as a
-    trajectory's rows: every iterate is solved into them, and they are
-    returned.  Without it, u and lam are fresh arrays.  A third vector in
-    ``out`` receives, whichever way the iteration stops, the returned
-    iterate's update vector lam + (obstacle - u) (lam - u for None), from
-    which a reduced trajectory starts its next step.
+    integer start without ``ul`` or out of that range raises
+    ``ValueError``, a bool scalar ``TypeError``.  Every other active set
+    is solved by LAPACK ``gtsv`` (``_solve_pinned``).
+
+    The cone step: S a square dense array and the obstacle None, the zero
+    obstacle of the reduced cone problems alpha >= 0.  Zeros are pinned,
+    the inactive block is solved by LAPACK ``gesv``, and the update's
+    vector is lam - u, one pass; all of it is written out in the loop.  A
+    third vector in ``out`` receives, whichever way the iteration stops,
+    the returned iterate's lam - u, from which a reduced trajectory starts
+    its next step.  Any other pairing, ``ul`` on a cone step or a third
+    ``out`` vector on a truth step included, raises ``ValueError``
+    (``LCP_FORMS``).
+
+    Returns (u, lam, number of linear solves).  S and the obstacle are
+    taken as checked: S by ``check_lcp_matrix``, the obstacle finite, as a
+    trajectory checks them once.  Only the float vector rhs is checked
+    here, for its shape against the obstacle's (``ValueError``) and
+    finiteness: a non-finite rhs raises ``NumericalBreakdownError``, since
+    a trajectory computes it from its own states.  ``start`` is a boolean
+    active set (empty if None).  ``out`` may pass two float vectors
+    (u, lam) of S's size, such as a trajectory's rows: every iterate is
+    solved into them, and they are returned.  Without it, u and lam are
+    fresh arrays.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
@@ -351,11 +342,7 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
     partial passes, lam[:k] > tol everywhere and obstacle[k:] - u[k:] > tol
     nowhere: a prefix iterate has u = obstacle on [0, k) and lam = 0 after
     it, so that is the full update's decision.  Only if it fails is the
-    mask of [0, k) built, for the loop to go on from.  The loop picks the
-    pinned-set solve of S's kind, and tests the obstacle for zeros, once
-    per call; a dense S with the obstacle None (the reduced cone problems)
-    is solved flat, ``_solve_pinned``'s dense zero-obstacle solve and the
-    update lam - u written out in the loop, with the same bits.
+    mask of [0, k) built, for the loop to go on from.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
     breaks ties; it is a property of the iteration, not a relaxed check.
@@ -376,8 +363,10 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
     keep the run deterministic and stop only at exact signs.
     """
     if obstacle is None:
-        if ul is not None:
-            raise ValueError("LCP factors need the obstacle they were formed with")
+        if ul is not None or isinstance(S, Tridiagonal):
+            raise ValueError(LCP_FORMS)
+    elif not isinstance(S, Tridiagonal) or out is not None and len(out) > 2:
+        raise ValueError(LCP_FORMS)
     elif rhs.shape != obstacle.shape:
         raise ValueError("inconsistent LCP dimensions")
     # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
@@ -400,25 +389,18 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
         # as it does in the full update
         if (np.minimum.reduce(lam[:start], initial=math.inf) > tol
                 and not np.fmax.reduce(obstacle[start:] - u[start:], initial=-math.inf) > tol):
-            if update is not None:
-                _update_vector(u, lam, obstacle, update)
             return u, lam, 1
         active, solves = np.arange(rhs.size) < start, 1
     else:
         active = np.zeros(rhs.size, dtype=bool) if start is None else start
         solves = 0
     pinned = 0.0 if obstacle is None else obstacle
-    # a dense cone problem is solved flat, with no set-up and no call layer
-    flat = obstacle is None and not isinstance(S, Tridiagonal)
-    if not flat:
-        shift = obstacle is not None and np.count_nonzero(obstacle) > 0
-        solve_inactive = _solve_banded if isinstance(S, Tridiagonal) else _solve_dense
     work = np.empty(rhs.size) if update is None else update
     key, seen = active.tobytes(), None  # the revisit check's set from the second update on
     least_index_mode, solved = False, solves > 0
     while True:
         if not solved:
-            if flat:  # _solve_pinned(S, rhs, 0.0, False, _solve_dense, None, ...)
+            if obstacle is None:  # the cone step's pinned solve, zeros pinned
                 ix = (~active).nonzero()[0]
                 u[...] = 0.0
                 if ix.size:
@@ -429,20 +411,20 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
                 np.subtract(S.dot(u), rhs, out=lam)
                 lam[ix] = 0.0
             else:
-                _solve_pinned(S, rhs, pinned, shift, solve_inactive, ul, u, lam, active)
+                _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
             solves += 1
             solved = True
         if least_index_mode:
             violated = np.flatnonzero(np.where(active, lam < 0.0, u < pinned))
             if violated.size == 0:
                 if update is not None:
-                    _update_vector(u, lam, obstacle, update)
+                    np.subtract(lam, u, out=update)
                 return u, lam, solves
             new_active = active.copy()
             new_active[violated[0]] = not new_active[violated[0]]
         else:
-            new_active = (np.subtract(lam, u, out=work) if flat
-                          else _update_vector(u, lam, obstacle, work)) > tol
+            new_active = (np.subtract(lam, u, out=work) if obstacle is None
+                          else np.add(lam, np.subtract(obstacle, u, out=work), out=work)) > tol
             new_key = new_active.tobytes()
             if new_key == key:
                 return u, lam, solves

@@ -83,7 +83,9 @@ def test_criterion_02_lcp_oracle():
         S = A.T @ A + n * np.eye(n)
         rhs = rng.normal(size=n) * n
         obstacle = rng.normal(size=n)
-        u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+        # the dense problem in its cone form: the excess u - obstacle >= 0
+        w, lam, _ = solve_lcp(check_lcp_matrix(S), rhs - S @ obstacle, None)
+        u = obstacle + w
         ref = lcp_by_enumeration(S, rhs, obstacle)
         assert ref is not None
         u_ref, lam_ref = ref

@@ -60,6 +60,14 @@ def random_spd_lcp(rng, n):
     return A.T @ A + n * np.eye(n), rng.normal(size=n) * n, rng.normal(size=n)
 
 
+def solve_excess(S, rhs, obstacle, start=None):
+    """``solve_lcp`` of a dense obstacle problem in its cone form: the excess
+    w = u - obstacle >= 0 solves S w - lam = rhs - S obstacle; returns
+    (obstacle + w, lam, solves)."""
+    w, lam, solves = solve_lcp(S, rhs - S @ obstacle, None, start)
+    return obstacle + w, lam, solves
+
+
 # ---------------------------------------------------------------------------
 # configuration and problem types
 
@@ -81,27 +89,41 @@ def test_lcp_problem_validation():
     # every solve_lcp call
     with pytest.raises(ValueError):
         check_lcp_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError):
-        solve_lcp(check_lcp_matrix(np.eye(3)), np.zeros(2), np.zeros(3))
-    # the zero obstacle None gives no shape to check rhs against; a
-    # misshaped rhs still fails, in the product with S, and UL factors
-    # need the obstacle they were formed with
     banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
-    for S in (np.eye(3), banded):
-        with pytest.raises(ValueError):
-            solve_lcp(check_lcp_matrix(S), np.ones(2), None)
-    with pytest.raises(ValueError, match="need the obstacle"):
-        solve_lcp(banded, np.ones(3), None, ul=())
+    with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
+        solve_lcp(check_lcp_matrix(banded), np.zeros(2), np.zeros(3))
+    # the zero obstacle None gives no shape to check rhs against; a
+    # misshaped rhs still fails, in the product with S
+    with pytest.raises(ValueError):
+        solve_lcp(check_lcp_matrix(np.eye(3)), np.ones(2), None)
     for shape in ((3, 4), (4, 3)):
         with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
             check_lcp_matrix(np.eye(*shape))
 
 
+def test_solve_lcp_takes_the_truth_and_cone_forms_only():
+    # a Tridiagonal S with an obstacle array, or a dense S with the obstacle
+    # None; every other pairing is refused by one error naming both
+    banded = check_lcp_matrix(Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0)))
+    matrix = check_lcp_matrix(dense(banded))
+    rhs, obstacle, rows = np.ones(3), np.zeros(3), np.empty((3, 3))
+    refused = [lambda: solve_lcp(matrix, rhs, obstacle),
+               lambda: solve_lcp(banded, rhs, None),
+               lambda: solve_lcp(banded, rhs, obstacle, out=rows),
+               lambda: solve_lcp(matrix, rhs, None, ul=())]
+    for call in refused:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == truth_mod.LCP_FORMS
+    assert "Tridiagonal S with an obstacle array" in truth_mod.LCP_FORMS
+    assert "dense S with the obstacle None" in truth_mod.LCP_FORMS
+
+
 def test_lcp_problem_rejects_non_finite_inputs():
     banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
-    for S in (np.eye(3) * 4.0, banded):
+    for S, obstacle in ((np.eye(3) * 4.0, None), (banded, np.zeros(3))):
         with pytest.raises(NumericalBreakdownError, match="must be finite"):
-            solve_lcp(check_lcp_matrix(S), np.array([1.0, np.nan, 0.0]), np.zeros(3))
+            solve_lcp(check_lcp_matrix(S), np.array([1.0, np.nan, 0.0]), obstacle)
     with pytest.raises(ValueError, match="must be finite"):
         check_lcp_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="must be finite"):
@@ -112,11 +134,13 @@ def test_lcp_step_checks_vectors_only():
     # the trajectory checks the matrix once; each step still checks its rhs,
     # and a non-finite one is a blown-up state, not bad input
     S = np.array([[1.0, 0.0], [0.0, -1.0]])
-    solve_lcp(S, np.zeros(2), np.zeros(2))
+    solve_lcp(S, np.zeros(2), None)
+    solve_lcp(Tridiagonal(np.zeros(1), S.diagonal().copy(), np.zeros(1)), np.zeros(2),
+              np.zeros(2))
     with pytest.raises(NumericalBreakdownError, match="must be finite"):
-        solve_lcp(np.eye(2), np.array([np.inf, 0.0]), np.zeros(2))
+        solve_lcp(np.eye(2), np.array([np.inf, 0.0]), None)
     with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
-        solve_lcp(np.eye(2), np.zeros(3), np.zeros(2))
+        solve_lcp(Tridiagonal(np.zeros(1), np.ones(2), np.zeros(1)), np.zeros(3), np.zeros(2))
 
 
 def test_solve_lcp_integer_starts(default_ops, default_scheme, mu0):
@@ -161,27 +185,25 @@ def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, mon
 
 
 def test_solve_lcp_singular_subsystem_breaks_down():
-    # both paths hit the singular 2x2 block [[1, 1], [1, 1]] from the empty set;
-    # the zero obstacle None, whose dense problems take the flat solve, fails
-    # as np.zeros(2) does
-    for S in (np.ones((2, 2)), Tridiagonal(np.ones(1), np.ones(2), np.ones(1))):
-        S, rhs = check_lcp_matrix(S), np.array([1.0, 2.0])
-        with pytest.raises(NumericalBreakdownError):
-            solve_lcp(S, rhs, np.full(2, -10.0))
-        errors = []
-        for obstacle in (np.zeros(2), None):
+    # both forms hit the singular 2x2 block [[1, 1], [1, 1]] from the empty
+    # set: the dense one, a cone problem, in its flat solve, and the banded
+    # one in gtsv; each names the empty active set
+    rhs = np.array([1.0, 2.0])
+    dense_matrix = check_lcp_matrix(np.ones((2, 2)))
+    banded = check_lcp_matrix(Tridiagonal(np.ones(1), np.ones(2), np.ones(1)))
+    for obstacle in (np.full(2, -10.0), np.zeros(2)):
+        for solve in (lambda: solve_excess(dense_matrix, rhs, obstacle),
+                      lambda: solve_lcp(banded, rhs, obstacle)):
             with pytest.raises(NumericalBreakdownError) as err:
-                solve_lcp(S, rhs, obstacle)
-            errors.append((str(err.value), err.value.info))
-        assert errors[0] == errors[1]
-        assert errors[1] == ("singular linear system on an active-set iterate",
-                             {"active_size": 0})
+                solve()
+            assert (str(err.value), err.value.info) == (
+                "singular linear system on an active-set iterate", {"active_size": 0})
 
 
 def test_solve_lcp_unconstrained():
     rng = np.random.default_rng(0)
     S, rhs, _ = random_spd_lcp(rng, 8)
-    u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, np.full(8, -1e6))
+    u, lam, _ = solve_excess(check_lcp_matrix(S), rhs, np.full(8, -1e6))
     assert np.allclose(u, np.linalg.solve(S, rhs))
     assert np.all(lam == 0.0)
 
@@ -193,7 +215,7 @@ def test_solve_lcp_fully_active():
     S = A.T @ A + n * np.eye(n)
     obstacle = rng.normal(size=n)
     rhs = S @ obstacle - 1.0
-    u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+    u, lam, _ = solve_excess(check_lcp_matrix(S), rhs, obstacle)
     assert np.allclose(u, obstacle)
     assert np.allclose(lam, 1.0)
 
@@ -202,7 +224,7 @@ def test_solve_lcp_matches_enumeration():
     rng = np.random.default_rng(2)
     for _ in range(20):
         S, rhs, obstacle = random_spd_lcp(rng, 10)
-        u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+        u, lam, _ = solve_excess(check_lcp_matrix(S), rhs, obstacle)
         ref = lcp_by_enumeration(S, rhs, obstacle)
         assert ref is not None
         u_ref, lam_ref = ref
@@ -228,7 +250,7 @@ def test_solve_lcp_banded_equals_dense():
     lam_star = np.where(contact, rng.random(n) + 0.1, 0.0)
     for rhs in (rng.normal(size=n) * 5, S @ u_star - lam_star):
         u1, lam1, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
-        u2, lam2, _ = solve_lcp(check_lcp_matrix(dense), rhs, obstacle)
+        u2, lam2, _ = solve_excess(check_lcp_matrix(dense), rhs, obstacle)
         # a wrong prefix guess is corrected by the iteration
         u3, lam3, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle, np.arange(n) < n // 2)
         for u, lam in ((u1, lam1), (u3, lam3)):
@@ -250,28 +272,27 @@ def test_solve_lcp_dense_from_any_start():
             B = rng.normal(size=(n, n))
             S = S + B - B.T
         S = check_lcp_matrix(S)
-        u_ref, lam_ref, _ = solve_lcp(S, rhs, obstacle)
+        u_ref, lam_ref, _ = solve_excess(S, rhs, obstacle)
         starts = [rng.random(n) < rng.random() for _ in range(5)]
         for start in starts:
-            u, lam, _ = solve_lcp(S, rhs, obstacle, start)
+            u, lam, _ = solve_excess(S, rhs, obstacle, start)
             assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
             assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
-        # the obstacle None is the zero obstacle, bit for bit and solve for
-        # solve, on dense and tridiagonal matrices alike
-        banded = Tridiagonal(rng.uniform(-1, 1, n - 1), 2.0 + rng.random(n),
-                             rng.uniform(-1, 1, n - 1))
-        for matrix in (S, check_lcp_matrix(banded)):
-            for start in (None, *starts):
-                u0, lam0, solves0 = solve_lcp(matrix, rhs, np.zeros(n), start)
-                u, lam, solves = solve_lcp(matrix, rhs, None, start)
-                assert (u.tobytes(), lam.tobytes(), solves) == (u0.tobytes(), lam0.tobytes(),
-                                                                solves0)
+        # on a tridiagonal matrix every start ends on the bytes of the empty
+        # start: an iterate depends on rhs and its active set only
+        banded = check_lcp_matrix(Tridiagonal(rng.uniform(-1, 1, n - 1), 2.0 + rng.random(n),
+                                              rng.uniform(-1, 1, n - 1)))
+        results = {(u.tobytes(), lam.tobytes())
+                   for u, lam, _ in (solve_lcp(banded, rhs, obstacle, start)
+                                     for start in (None, *starts))}
+        assert len(results) == 1
 
 
 def test_solve_lcp_degenerate_node_from_any_start():
     # node 5 sits on the obstacle with a zero multiplier, so its computed gap
     # and multiplier are both rounding noise; the tie threshold sets it
-    # inactive, and every start ends at the same bytes
+    # inactive, and every start ends at the same bytes, on the tridiagonal
+    # matrix and on its dense copy, posed in the cone form
     rng = np.random.default_rng(10)
     n = 12
     starts = (None, np.arange(n) < 5, np.arange(n) < 6, np.ones(n, dtype=bool))
@@ -281,10 +302,13 @@ def test_solve_lcp_degenerate_node_from_any_start():
             obstacle = rng.normal(size=n) * 10
             u_star = obstacle + np.where(np.arange(n) < 6, 0.0, rng.random(n) + 0.1)
             lam_star = np.where(np.arange(n) < 5, rng.random(n) + 0.1, 0.0)
-            rhs = S @ u_star - lam_star
+            if isinstance(S, Tridiagonal):
+                rhs, pinned = S @ u_star - lam_star, obstacle
+            else:  # the cone form, whose solution is the excess u_star - obstacle
+                rhs, pinned = S @ (u_star - obstacle) - lam_star, None
             results = set()
             for start in starts:
-                u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle, start)
+                u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, pinned, start)
                 assert lam[5] == 0.0
                 results.add((u.tobytes(), lam.tobytes()))
             assert len(results) == 1
@@ -312,7 +336,7 @@ def test_solve_lcp_iteration_budget(monkeypatch):
     S, rhs, obstacle = random_spd_lcp(rng, 12)
     monkeypatch.setattr(truth_mod, "MAX_ITER", 1)
     with pytest.raises(SolverDivergenceError) as err:
-        solve_lcp(check_lcp_matrix(S), rhs, obstacle)
+        solve_excess(check_lcp_matrix(S), rhs, obstacle)
     assert "min_gap" in err.value.info
 
 
@@ -320,8 +344,8 @@ def test_solve_lcp_complementarity_exact():
     rng = np.random.default_rng(5)
     for _ in range(10):
         S, rhs, obstacle = random_spd_lcp(rng, 9)
-        u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
-        gap = u - obstacle
+        # in the cone form the gap u - obstacle is the solution w itself
+        gap, lam, _ = solve_lcp(check_lcp_matrix(S), rhs - S @ obstacle, None)
         assert np.all((lam == 0.0) | (gap == 0.0))
         assert gap.min() >= 0.0
         assert lam.min() >= 0.0
@@ -568,8 +592,8 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
             ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
                                               step.s_psi, step.s_psi_left, np.empty(H),
                                               np.empty(H))
-            gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, True, truth_mod._solve_banded, None,
-                                                np.empty(H), np.empty(H), np.arange(H) < k)
+            gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, None, np.empty(H), np.empty(H),
+                                                np.arange(H) < k)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
                 x = u[k:].astype(np.longdouble)
@@ -933,36 +957,59 @@ def cycling_problem():
     return banded, rhs, obstacle, rng.random(n) < 0.5
 
 
-def spy_on_pinned_solves(monkeypatch):
+def spy_on_solves(monkeypatch, cone):
     """Record each pinned solve's active set, and whether the update from
-    its iterate revisits an earlier set, in two lists."""
-    solved, revisited = [], []
-    solve_pinned = truth_mod._solve_pinned
+    its iterate revisits an earlier set, in two lists.
 
-    def spy(S, rhs, obstacle, shift, solve_inactive, ul, u, lam, active):
-        u, lam = solve_pinned(S, rhs, obstacle, shift, solve_inactive, ul, u, lam, active)
+    The banded obstacle solves are ``_solve_pinned`` calls.  The cone
+    problem ``cone`` = (S, rhs) is solved in ``solve_lcp``'s loop, seen at
+    its gesv calls: the inactive set is read off the block's diagonal, which
+    must hold each entry of S's diagonal once, and the iterate is formed
+    again from the solution.  A cone set with no inactive node calls no
+    gesv and is not recorded.
+    """
+    solved, revisited = [], []
+    solve_pinned, gesv = truth_mod._solve_pinned, truth_mod.dgesv
+
+    def record(active, update, rhs):
         solved.append(active.tobytes())
-        update = ((lam + (obstacle - u)) > truth_mod.TIE_TOL * np.abs(rhs).max()).tobytes()
+        update = (update > truth_mod.TIE_TOL * np.abs(rhs).max()).tobytes()
         revisited.append(update != solved[-1] and update in solved)
+
+    def pinned_spy(S, rhs, obstacle, ul, u, lam, active):
+        u, lam = solve_pinned(S, rhs, obstacle, ul, u, lam, active)
+        record(active, lam + (obstacle - u), rhs)
         return u, lam
 
-    monkeypatch.setattr(truth_mod, "_solve_pinned", spy)
+    def cone_spy(block, b, *flags):
+        result = gesv(block, b, *flags)
+        S, rhs = cone
+        inactive = np.isin(S.diagonal(), block.diagonal())
+        u = np.zeros(rhs.size)
+        u[inactive] = result[2]
+        record(~inactive, np.where(inactive, 0.0, S @ u - rhs) - u, rhs)
+        return result
+
+    monkeypatch.setattr(truth_mod, "_solve_pinned", pinned_spy)
+    monkeypatch.setattr(truth_mod, "dgesv", cone_spy)
     return solved, revisited
 
 
 def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
-    # the cycling problem finishes with least-index toggles; as a dense
-    # matrix the same problem takes the gesv solves
+    # the cycling problem finishes with least-index toggles, and so does its
+    # excess form on the dense matrix, a cone problem, in the gesv solves
     banded, rhs, obstacle, start = cycling_problem()
     n = rhs.size
-    solved, revisited = spy_on_pinned_solves(monkeypatch)
-    for S in (banded, dense(banded)):
+    matrix = dense(banded)
+    excess = rhs - matrix @ obstacle
+    solved, revisited = spy_on_solves(monkeypatch, (matrix, excess))
+    for S, b, pinned in ((banded, rhs, obstacle), (matrix, excess, None)):
         solved.clear()
         revisited.clear()
         rows = np.full((3, n), np.nan)
-        u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=(rows[1], rows[2]))
-        assert any(revisited)
-        ref_u, ref_lam, ref_solves = solve_lcp(check_lcp_matrix(S), rhs, obstacle, start)
+        u, lam, solves = solve_lcp(S, b, pinned, start, out=(rows[1], rows[2]))
+        assert any(revisited) and len(solved) == solves
+        ref_u, ref_lam, ref_solves = solve_lcp(check_lcp_matrix(S), b, pinned, start)
         assert np.shares_memory(u, rows[1]) and np.shares_memory(lam, rows[2])
         assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
             ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
@@ -970,51 +1017,29 @@ def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
 
 
 def test_update_vector_on_every_exit(monkeypatch):
-    # a third out vector receives the returned iterate's update vector, bit
-    # for bit, whichever way the iteration stops: on the first solve, after
-    # full-set updates, or after least-index toggles; above tol it is the
-    # returned active set, and with the obstacle None it is lam - u
+    # on a cone problem, a third out vector receives the returned iterate's
+    # update vector lam - u, bit for bit, whichever way the iteration stops:
+    # on the first solve, after full-set updates, or after least-index
+    # toggles; above tol it is the returned active set.  The problem is the
+    # cycling problem's excess form on the dense matrix
     banded, rhs, obstacle, cycling_start = cycling_problem()
     n = rhs.size
-    tol = truth_mod.TIE_TOL * np.abs(rhs).max()
-    solved, revisited = spy_on_pinned_solves(monkeypatch)
-    for S in (banded, dense(banded)):
-        solve_lcp(S, rhs, obstacle, cycling_start)
-        solution_set = np.frombuffer(solved[-1], dtype=bool)
-        exits = set()
-        for start in (cycling_start, None, solution_set, np.ones(n, dtype=bool)):
-            solved.clear()
-            revisited.clear()
-            rows = np.full((3, n), np.nan)
-            u, lam, solves = solve_lcp(S, rhs, obstacle, start, out=rows)
-            exits.add("least-index" if any(revisited) else "first" if solves == 1 else "iterated")
-            assert rows[2].tobytes() == (lam + (obstacle - u)).tobytes()
-            assert (rows[2] > tol).tobytes() == solved[-1]
-            u0, lam0, solves0 = solve_lcp(S, rhs - S @ obstacle, None, start, out=rows)
-            assert np.array_equal(rows[2], lam0 - u0)
-            # the shifted problem toggles by least index from the cycling start,
-            # on the flat dense solve too, as it does against np.zeros(n)
-            u1, lam1, solves1 = solve_lcp(S, rhs - S @ obstacle, np.zeros(n), start)
-            assert (u0.tobytes(), lam0.tobytes(), solves0) == (u1.tobytes(), lam1.tobytes(),
-                                                                solves1)
-        assert exits == {"first", "iterated", "least-index"}
-
-
-def test_update_vector_after_a_certified_prefix(default_ops, default_scheme, mu0):
-    # a prefix start certified in two partial passes forms no update vector;
-    # a third out vector still receives it, and a mask start of the same
-    # prefix ends on the same bytes
-    H = default_ops.dim
-    certified = 0
-    for step, rhs, swept, k, traj, n in predicted_prefixes(mu0, default_ops, default_scheme):
-        ul = (swept, step.lower_factor, step.s_psi, step.s_psi_left)
-        by_int, by_mask = np.full((2, 3, H), np.nan)
-        solves = solve_lcp(step.S, rhs, step.psi, k, ul, out=by_int)[2]
-        solve_lcp(step.S, rhs, step.psi, np.arange(H) < k, ul, out=by_mask)
-        assert by_int[2].tobytes() == (by_int[1] + (step.psi - by_int[0])).tobytes()
-        assert by_int.tobytes() == by_mask.tobytes()
-        certified += solves == 1
-    assert certified > 0
+    S = dense(banded)
+    excess = rhs - S @ obstacle
+    tol = truth_mod.TIE_TOL * np.abs(excess).max()
+    solved, revisited = spy_on_solves(monkeypatch, (S, excess))
+    solve_lcp(S, excess, None, cycling_start)
+    solution_set = np.frombuffer(solved[-1], dtype=bool)
+    exits = set()
+    for start in (cycling_start, None, solution_set, np.ones(n, dtype=bool)):
+        solved.clear()
+        revisited.clear()
+        rows = np.full((3, n), np.nan)
+        w, lam, solves = solve_lcp(S, excess, None, start, out=rows)
+        exits.add("least-index" if any(revisited) else "first" if solves == 1 else "iterated")
+        assert rows[2].tobytes() == (lam - w).tobytes()
+        assert (rows[2] > tol).tobytes() == solved[-1]
+    assert exits == {"first", "iterated", "least-index"}
 
 
 # ---------------------------------------------------------------------------
