@@ -142,10 +142,6 @@ class Tridiagonal(NamedTuple):
         dtype = np.result_type(*self, x)
         return band_product(self, x, np.empty(x.shape, dtype), np.empty(x.shape, dtype))
 
-    # so that S.dot(x) serves both matrix kinds: on a small dense matrix,
-    # ndarray.dot costs half the call overhead of @, for the same bits
-    dot = __matmul__
-
 
 def band_product(T: Tridiagonal, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """T @ x along the first axis of x (one vector, or the columns of a block)

@@ -127,7 +127,7 @@ def _cone_step(u_prev: np.ndarray, u: np.ndarray, data: OnlineData, start, cone_
         return 0
     data.cone_map.dot(u_prev, out=cone_rhs)
     np.subtract(data.cone_load, cone_rhs, out=cone_rhs)
-    alpha, _, solves = solve_lcp(data.schur, cone_rhs, None, start, out=out)
+    alpha, _, solves = solve_lcp(data.schur, cone_rhs, start, out=out)
     u += data.sinv_b.dot(alpha)
     return solves
 

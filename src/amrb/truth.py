@@ -23,46 +23,47 @@ Truth steps predict the contact set, then let the iteration certify it.
 The operators come as the bands of ``amrb.fem.Tridiagonal``, and only the
 previous state changes between the steps of a trajectory, so
 ``step_operators(mu, ops, config, psi)`` builds once per trajectory a
-``StepOperators``: the bands of S and of mass/dt - (1-theta) a(mu) (from
-``step_bands``, all that the residual check needs besides the load), the
-load, the lifted obstacle psi and its products with S, and the UL factors
+``StepOperators``, the step's whole complementarity problem: the bands of
+S and of mass/dt - (1-theta) a(mu) (from ``step_bands``, all that the
+residual check needs besides the load), the load and the lifted obstacle
+psi, from which it derives the products of psi with S and the UL factors
 of S (a Brennan-Schwartz elimination from the last node up, LAPACK
 ``gttrf`` on the reversed bands).  ``theta_step(u_prev, step)`` is then
-one step, whose right-hand side is one band product plus the load.
-The put is exercised on one interval [0, k) of low asset prices; the
-projected forward sweep of Brennan and Schwartz (1977) predicts k with one
-bidiagonal solve and one comparison: node i leaves the obstacle when its
-swept value exceeds psi[i] pivots[i] + lower[i-1] psi[i-1], the sweep's
-test with the division by the (positive) pivot multiplied out.  Only
-the trajectory sets that threshold, so ``step_operators`` forms it once.
-The iteration starts from [0, k), passed as the int k.  A correct guess
-is reproduced by the first update, so one solve certifies it
-(Hintermueller, Ito and Kunisch, 2003); on a prefix iterate that update
-reads only lam on [0, k) and the gap after it, two partial passes, and
-no mask of the set is made.  A wrong guess costs further
-iterations but still ends at the exact solution; so does the empty guess
-made where the elimination would need row interchanges or meets a pivot
-that is not positive.
+one step: its right-hand side, one band product plus the load, and
+``solve_lcp(step, rhs)``.  The put is exercised on one interval [0, k)
+of low asset prices; the projected forward sweep of Brennan and Schwartz
+(1977) predicts k with one bidiagonal solve and one comparison: node i
+leaves the obstacle when its swept value exceeds psi[i] pivots[i] +
+lower[i-1] psi[i-1], the sweep's test with the division by the
+(positive) pivot multiplied out.  Only the trajectory sets that
+threshold, so ``StepOperators`` forms it once.  The iteration starts
+from [0, k).  A correct guess is reproduced by the first update, so one
+solve certifies it (Hintermueller, Ito and Kunisch, 2003); on a prefix
+iterate that update reads only lam on [0, k) and the gap after it, two
+partial passes, and no mask of the set is made.  A wrong guess costs
+further iterations but still ends at the exact solution; so does the
+empty guess made where the elimination would need row interchanges or
+meets a pivot that is not positive.
 
-``solve_lcp`` takes the scheme's two problems and refuses any other
-pairing of matrix and obstacle.  The truth step has a ``Tridiagonal``
-S and the lifted payoff as obstacle, and each iteration costs O(H).
-Every prefix active set is solved on the trajectory's UL factors: the
-elimination runs from the last node up, so the trailing blocks of U and
-L factor S[k:, k:].  The step's one sweep U^-1 rhs (BLAS ``tbsv``),
-which the predictor also reads, holds the trailing part of every such
-solve; pinning [0, k) changes row k only, and one lower-bidiagonal
-``tbsv`` over [k, H) is left.  The multipliers on [0, k) are read off
-S psi - rhs, with row k-1, which holds the free u[k], summed again.
-LAPACK ``gtsv`` still solves every other active set, and every set of a
-matrix without UL pivots.  An iterate depends on the right-hand side
-and the active set only, whichever path solves it.  The cone step has a
-dense S (a reduced Schur complement) and the obstacle None, the zero
+``solve_lcp(S, rhs, start, out)`` takes the scheme's two problems, told
+apart by the type of S, and refuses anything else.  The truth step is a
+``StepOperators``, whose obstacle is its lifted payoff, and each
+iteration costs O(H).  Every prefix active set is solved on the
+trajectory's UL factors: the elimination runs from the last node up, so
+the trailing blocks of U and L factor S[k:, k:].  The step's one sweep
+U^-1 rhs (BLAS ``tbsv``), which the predictor also reads, holds the
+trailing part of every such solve; pinning [0, k) changes row k only, and
+one lower-bidiagonal ``tbsv`` over [k, H) is left.  The multipliers on
+[0, k) are read off S psi - rhs, with row k-1, which holds the free u[k],
+summed again.  LAPACK ``gtsv`` still solves every other active set, and
+every set of a matrix without UL pivots.  An iterate depends on the
+right-hand side and the active set only, whichever path solves it.  The
+cone step is a dense S (a reduced Schur complement) with the zero
 obstacle of alpha >= 0: zeros are pinned, LAPACK ``gesv`` solves the
 inactive block, and the update's vector is lam - u, which a third
 ``out`` vector can take back for the caller's next start.  Its solve and
 update are written out in the loop, with no call layer and no per-call
-set-up, told from the truth step's by the obstacle None.
+set-up.
 
 A trajectory allocates nothing per step.  ``solve_trajectory`` allocates
 one (2L + 1, H) block, whose leading L + 1 rows are the returned states
@@ -99,11 +100,12 @@ members of a group that has one without UL pivots or one that fails, so
 that an error names the parameter and step that one-at-a-time marching
 names.
 
-``solve_lcp`` takes one problem's arrays and checks only the right-hand
-side.  A trajectory checks its step matrix (``check_lcp_matrix``) and
-obstacle once and passes each step's arrays straight in, building no
-problem object per step.  A non-finite right-hand side means the state
-blew up; it and a non-finite obstacle raise ``NumericalBreakdownError``.
+``solve_lcp`` checks only the right-hand side and the start.  A
+trajectory checks its step matrix (``check_lcp_matrix``) and obstacle
+once, in ``step_operators``, and passes each step's right-hand side
+straight in with the trajectory's one ``StepOperators``.  A non-finite
+right-hand side means the state blew up; it and a non-finite obstacle
+raise ``NumericalBreakdownError``.
 """
 
 from __future__ import annotations
@@ -205,34 +207,33 @@ def check_lcp_matrix(S):
     return S
 
 
-def _solve_prefix(S: Tridiagonal, rhs, obstacle, k: int, swept, lower_factor, s_obstacle,
-                  s_obstacle_left, u, lam):
-    """Solve with the state pinned to the obstacle on the prefix [0, k),
-    into ``u`` and ``lam``.
+def _solve_prefix(step: StepOperators, rhs, swept, k: int, u, lam):
+    """Solve the step's problem with the state pinned to ``step.psi`` on
+    the prefix [0, k), into ``u`` and ``lam``.
 
     S = U L, eliminated from the last node up, so the trailing blocks of U
-    and L factor S[k:, k:].  ``swept`` = U^-1 rhs already holds the trailing
-    sweep; pinning nodes below k changes only row k, by the coupling
-    lower[k-1] * obstacle[k-1].  With L = D M (``ul_factor``), a
-    division by the pivots and one unit lower-bidiagonal solve are left.
-    Only the pinned rows carry a multiplier: (S obstacle - rhs) on [0, k)
-    from ``s_obstacle`` = S obstacle, except row k-1, which reads the free
-    u[k]: ``s_obstacle_left``, row i of S obstacle without its upper term,
-    plus upper[k-1] * u[k], summed as ``S @ u`` sums the row.
+    and L factor S[k:, k:].  ``swept`` = U^-1 rhs (``step.sweep``) already
+    holds the trailing sweep; pinning nodes below k changes only row k, by
+    ``step.coupling[k]`` = lower[k-1] * psi[k-1].  With L = D M
+    (``ul_factor``), a division by the pivots and one unit lower-bidiagonal
+    solve are left.  Only the pinned rows carry a multiplier: (S psi - rhs)
+    on [0, k) from ``step.s_psi``, except row k-1, which reads the free
+    u[k]: ``step.s_psi_left``, row i of S psi without its upper term, plus
+    upper[k-1] * u[k], summed as ``S @ u`` sums the row.
     """
-    u[:k] = obstacle[:k]
+    u[:k] = step.psi[:k]
     lam[k:] = 0.0
     if k:
-        np.subtract(s_obstacle[:k], rhs[:k], out=lam[:k])
+        np.subtract(step.s_psi[:k], rhs[:k], out=lam[:k])
     if k < u.size:
-        pivots = lower_factor[0, k:]
+        pivots = step.lower_factor[0, k:]
         free = u[k:]
         np.divide(swept[k:], pivots, out=free)
         if k:
-            free[0] = (swept[k] - S.lower[k - 1] * obstacle[k - 1]) / pivots[0]
-        dtbsv(1, lower_factor[:, k:], free, lower=1, diag=1, overwrite_x=1)
+            free[0] = (swept[k] - step.coupling[k]) / pivots[0]
+        dtbsv(1, step.lower_factor[:, k:], free, lower=1, diag=1, overwrite_x=1)
         if k:
-            lam[k - 1] = s_obstacle_left[k - 1] + S.upper[k - 1] * u[k] - rhs[k - 1]
+            lam[k - 1] = step.s_psi_left[k - 1] + step.S.upper[k - 1] * u[k] - rhs[k - 1]
     return u, lam
 
 
@@ -253,21 +254,22 @@ def _singular_iterate(active):
                                    active_size=int(active.sum()))
 
 
-def _solve_pinned(S: Tridiagonal, rhs, obstacle, ul, u, lam, active):
-    """Solve with the state pinned to the obstacle on the active set, into
-    ``u`` and ``lam``.
+def _solve_pinned(step: StepOperators, rhs, swept, u, lam, active):
+    """Solve the step's problem with the state pinned to ``step.psi`` on
+    the active set, into ``u`` and ``lam``.
 
-    With ``ul`` (see ``solve_lcp``), a prefix active set is solved on the
-    UL factors (``_solve_prefix``).  Any other set is solved on the
-    inactive rows and columns by ``_solve_banded``, against the right-hand
-    side less the pinned columns.
+    With the sweep ``swept`` (None without UL pivots), a prefix active set
+    is solved on the step's UL factors (``_solve_prefix``).  Any other set
+    is solved on the inactive rows and columns by ``_solve_banded``,
+    against the right-hand side less the pinned columns.
     """
-    if ul is not None:
+    if swept is not None:
         k = np.count_nonzero(active)
         if not active[k:].any():  # the prefix [0, k)
-            return _solve_prefix(S, rhs, obstacle, k, *ul, u, lam)
+            return _solve_prefix(step, rhs, swept, k, u, lam)
+    S = step.S
     ix = (~active).nonzero()[0]
-    u[...] = obstacle
+    u[...] = step.psi
     u[ix] = 0.0
     b = (rhs - S @ u)[ix] if ix.size < active.size else rhs[ix]
     if ix.size:
@@ -275,74 +277,61 @@ def _solve_pinned(S: Tridiagonal, rhs, obstacle, ul, u, lam, active):
         if info > 0:
             raise _singular_iterate(active)
         u[ix] = x
-    np.subtract(S.dot(u), rhs, out=lam)
+    np.subtract(S @ u, rhs, out=lam)
     lam[ix] = 0.0
     return u, lam
 
 
-def _prefix_length(start, size: int, ul) -> int:
-    """An integer ``solve_lcp`` start as the Python int k of the prefix
-    [0, k); a bool raises ``TypeError``, a k without ``ul`` or outside
-    [0, size] ``ValueError``, each naming the starts ``solve_lcp`` takes."""
-    accepted = f"None, a boolean mask, or with ul an integer prefix length 0 <= k <= {size}"
-    if isinstance(start, (bool, np.bool_)):
-        raise TypeError(f"LCP start must be {accepted}, got {start!r}")
-    if ul is None or not 0 <= start <= size:
-        raise ValueError(f"LCP start must be {accepted}, got {start!r}")
-    return int(start)
+# what ``solve_lcp`` raises for any other form of its arguments
+LCP_FORMS = ("solve_lcp takes a StepOperators S with out=(u, lam), or a dense S with "
+             "out=(u, lam[, update]); start is None or a boolean array of rhs's shape")
 
 
-# what ``solve_lcp`` raises for any other pairing of its arguments
-LCP_FORMS = ("solve_lcp takes a Tridiagonal S with an obstacle array and out=(u, lam), or "
-             "a dense S with the obstacle None, no ul and out=(u, lam[, update])")
-
-
-def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
-              start: np.ndarray | int | None = None, ul=None,
+def solve_lcp(S, rhs: np.ndarray, start: np.ndarray | None = None,
               out=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Primal-dual active-set solve of S u - lam = rhs, u >= obstacle,
-    lam >= 0, lam . (u - obstacle) = 0, in one of the scheme's two forms.
+    lam >= 0, lam . (u - obstacle) = 0, in one of the scheme's two forms,
+    told apart by the type of S.
 
-    The truth step: S a ``Tridiagonal`` and the obstacle an array of its
-    size.  ``ul`` optionally passes (U^-1 rhs, L, S obstacle, S obstacle
-    without its upper terms) for S = U L factored without row
-    interchanges, as ``StepOperators`` gives them; prefix active sets are
-    then solved on those factors (``_solve_prefix``), and ``start`` may
-    also be an integer k (an int or a numpy integer, not a bool) with
-    0 <= k <= H, the prefix [0, k), as ``predict_contact`` gives it.  An
-    integer start without ``ul`` or out of that range raises
-    ``ValueError``, a bool scalar ``TypeError``.  Every other active set
-    is solved by LAPACK ``gtsv`` (``_solve_pinned``).
+    The truth step: S a ``StepOperators``, whose ``psi`` is the obstacle.
+    Where the step has UL pivots, ``rhs`` is swept on its factors once
+    (``StepOperators.sweep``), and every prefix active set is solved on
+    them (``_solve_prefix``); every other set, and every set of a step
+    without UL pivots, is solved by LAPACK ``gtsv`` (``_solve_pinned``).
+    With ``start`` None the iteration starts from the step's
+    Brennan-Schwartz prefix [0, k) (``StepOperators.predict_contact``),
+    the empty set without UL pivots.
 
-    The cone step: S a square dense array and the obstacle None, the zero
-    obstacle of the reduced cone problems alpha >= 0.  Zeros are pinned,
-    the inactive block is solved by LAPACK ``gesv``, and the update's
-    vector is lam - u, one pass; all of it is written out in the loop.  A
-    third vector in ``out`` receives, whichever way the iteration stops,
-    the returned iterate's lam - u, from which a reduced trajectory starts
-    its next step.  Any other pairing, ``ul`` on a cone step or a third
-    ``out`` vector on a truth step included, raises ``ValueError``
-    (``LCP_FORMS``).
+    The cone step: S a square dense array, with the zero obstacle of the
+    reduced cone problems alpha >= 0; ``start`` None is the empty set.
+    Zeros are pinned, the inactive block is solved by LAPACK ``gesv``, and
+    the update's vector is lam - u, one pass; all of it is written out in
+    the loop.  A third vector in ``out`` receives, whichever way the
+    iteration stops, the returned iterate's lam - u, from which a reduced
+    trajectory starts its next step.
 
-    Returns (u, lam, number of linear solves).  S and the obstacle are
-    taken as checked: S by ``check_lcp_matrix``, the obstacle finite, as a
-    trajectory checks them once.  Only the float vector rhs is checked
-    here, for its shape against the obstacle's (``ValueError``) and
-    finiteness: a non-finite rhs raises ``NumericalBreakdownError``, since
-    a trajectory computes it from its own states.  ``start`` is a boolean
-    active set (empty if None).  ``out`` may pass two float vectors
-    (u, lam) of S's size, such as a trajectory's rows: every iterate is
+    Any other S, a third ``out`` vector on a truth step, and a ``start``
+    that is neither None nor a boolean array of ``rhs``'s shape raise
+    ``ValueError`` (``LCP_FORMS``).  Returns (u, lam, number of linear
+    solves).  S is taken as checked: a dense S by ``check_lcp_matrix``, a
+    ``StepOperators`` as ``step_operators`` checks it, as a trajectory
+    checks them once.  Only the float vector rhs is checked here, for its
+    shape against the obstacle's (``ValueError``) and finiteness: a
+    non-finite rhs raises ``NumericalBreakdownError``, since a trajectory
+    computes it from its own states.  ``out`` may pass two float vectors
+    (u, lam) of rhs's size, such as a trajectory's rows: every iterate is
     solved into them, and they are returned.  Without it, u and lam are
     fresh arrays.
 
     The iteration starts from ``start`` and stops as soon as the updated
     active set {i : lam_i + (obstacle_i - u_i) > tol} reproduces the
     current one, which makes the final iterate feasible and exactly
-    complementary.  From an int start k the first update is made in two
-    partial passes, lam[:k] > tol everywhere and obstacle[k:] - u[k:] > tol
-    nowhere: a prefix iterate has u = obstacle on [0, k) and lam = 0 after
-    it, so that is the full update's decision.  Only if it fails is the
-    mask of [0, k) built, for the loop to go on from.
+    complementary.  From a truth step's predicted prefix [0, k) the first
+    update is made in two partial passes, lam[:k] > tol everywhere and
+    obstacle[k:] - u[k:] > tol nowhere: a prefix iterate has u = obstacle
+    on [0, k) and lam = 0 after it, so that is the full update's decision.
+    Only if it fails is the mask of [0, k) built, for the loop to go on
+    from.
 
     ``tol = TIE_TOL * ||rhs||_inf`` (``TIE_TOL`` is 16 machine epsilons)
     breaks ties; it is a property of the iteration, not a relaxed check.
@@ -362,13 +351,17 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
     with a negative multiplier (active) or a negative gap (inactive), which
     keep the run deterministic and stop only at exact signs.
     """
-    if obstacle is None:
-        if ul is not None or isinstance(S, Tridiagonal):
-            raise ValueError(LCP_FORMS)
-    elif not isinstance(S, Tridiagonal) or out is not None and len(out) > 2:
+    if isinstance(S, np.ndarray):
+        obstacle = None
+    elif isinstance(S, StepOperators) and (out is None or len(out) == 2):
+        obstacle = S.psi
+        if rhs.shape != obstacle.shape:
+            raise ValueError("inconsistent LCP dimensions")
+    else:
         raise ValueError(LCP_FORMS)
-    elif rhs.shape != obstacle.shape:
-        raise ValueError("inconsistent LCP dimensions")
+    if start is not None and not (isinstance(start, np.ndarray) and start.dtype == bool
+                                  and start.shape == rhs.shape):
+        raise ValueError(LCP_FORMS)
     # nan or inf unless rhs is finite; the ufunc's reduce skips ndarray.max's
     # Python wrapper
     scale = float(np.maximum.reduce(np.abs(rhs)))
@@ -379,21 +372,19 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
         u, lam, update = np.empty(rhs.size), np.empty(rhs.size), None
     else:
         u, lam, update = out[0], out[1], out[2] if len(out) > 2 else None
-    if isinstance(start, np.ndarray):
-        active, solves = start, 0
-    elif isinstance(start, (int, np.integer, np.bool_)):
-        # the prefix [0, start), certified in two partial passes
-        start = _prefix_length(start, rhs.size, ul)
-        _solve_prefix(S, rhs, obstacle, start, *ul, u, lam)
-        # a nan fails the first test and, skipped by fmax, passes the second,
-        # as it does in the full update
-        if (np.minimum.reduce(lam[:start], initial=math.inf) > tol
-                and not np.fmax.reduce(obstacle[start:] - u[start:], initial=-math.inf) > tol):
-            return u, lam, 1
-        active, solves = np.arange(rhs.size) < start, 1
-    else:
-        active = np.zeros(rhs.size, dtype=bool) if start is None else start
-        solves = 0
+    solves = 0
+    if obstacle is not None:
+        swept = S.sweep(rhs)
+        k = S.predict_contact(swept) if start is None else None
+        if k is not None:  # the prefix [0, k), certified in two partial passes
+            _solve_prefix(S, rhs, swept, k, u, lam)
+            # a nan fails the first test and, skipped by fmax, passes the
+            # second, as it does in the full update
+            if (np.minimum.reduce(lam[:k], initial=math.inf) > tol
+                    and not np.fmax.reduce(obstacle[k:] - u[k:], initial=-math.inf) > tol):
+                return u, lam, 1
+            start, solves = np.arange(rhs.size) < k, 1
+    active = np.zeros(rhs.size, dtype=bool) if start is None else start
     pinned = 0.0 if obstacle is None else obstacle
     work = np.empty(rhs.size) if update is None else update
     key, seen = active.tobytes(), None  # the revisit check's set from the second update on
@@ -411,7 +402,7 @@ def solve_lcp(S, rhs: np.ndarray, obstacle: np.ndarray | None,
                 np.subtract(S.dot(u), rhs, out=lam)
                 lam[ix] = 0.0
             else:
-                _solve_pinned(S, rhs, obstacle, ul, u, lam, active)
+                _solve_pinned(S, rhs, swept, u, lam, active)
             solves += 1
             solved = True
         if least_index_mode:
@@ -465,21 +456,22 @@ def first_leaving_node(swept, threshold, above):
 
 @dataclass(frozen=True)
 class StepOperators:
-    """What every step of one trajectory shares: operators, load, obstacle,
-    factors and a workspace.
+    """The truth step's complementarity problem, shared by every step of one
+    trajectory: operators, load, obstacle, factors and a workspace.
 
-    ``explicit`` is mass/dt - (1 - theta) a(mu), the bands that act on the
-    previous state.  ``psi`` is the lifted obstacle, checked finite;
-    ``coupling[i]`` = lower[i-1] * psi[i-1] is what pinning node i-1 takes
-    off row i (0 at node 0), ``s_psi`` = S psi, and ``s_psi_left`` row i
-    of S psi without its upper term, diag[i] psi[i] + coupling[i] (no added
-    zero at node 0, so that a -0.0 stays -0.0).  ``coupling`` is read where
-    these are built and by ``march_group``, which pins its predicted nodes
-    with it; a single step reads ``threshold`` = psi * pivots + coupling,
-    ``first_leaving_node``'s per-trajectory threshold.  ``upper_factor``,
-    ``lower_factor`` and ``threshold`` are None where ``ul_factor(S)``
-    finds no (positive) UL pivots; else the factors are that function's.
-    ``S`` has passed ``check_lcp_matrix``.
+    It is built from four fields, and derives the rest on construction.
+    ``S`` is the step matrix, checked by ``check_lcp_matrix``, ``explicit``
+    the bands mass/dt - (1 - theta) a(mu) that act on the previous state,
+    ``f_mu`` the load and ``psi`` the lifted obstacle, checked finite;
+    ``step_operators`` builds the four at a parameter.  Derived:
+    ``coupling[i]`` = lower[i-1] * psi[i-1], what pinning node i-1 takes
+    off row i (0 at node 0), ``s_psi`` = S psi, and ``s_psi_left`` row i of
+    S psi without its upper term, diag[i] psi[i] + coupling[i] (no added
+    zero at node 0, so that a -0.0 stays -0.0); ``upper_factor`` and
+    ``lower_factor``, those of ``ul_factor(S)``, and ``threshold`` = psi *
+    pivots + coupling, ``first_leaving_node``'s per-trajectory threshold,
+    all three None where ``ul_factor`` finds no (positive) UL pivots.
+    ``march_group`` pins its predicted nodes with ``coupling``.
 
     The workspace is made with the object, sized by ``psi`` (so
     ``dataclasses.replace`` gives a copy its own): three float vectors and
@@ -493,20 +485,32 @@ class StepOperators:
     explicit: Tridiagonal
     f_mu: np.ndarray
     psi: np.ndarray
-    coupling: np.ndarray
-    s_psi: np.ndarray
-    s_psi_left: np.ndarray
-    upper_factor: np.ndarray | None
-    lower_factor: np.ndarray | None
-    threshold: np.ndarray | None
+    coupling: np.ndarray = field(init=False)
+    s_psi: np.ndarray = field(init=False)
+    s_psi_left: np.ndarray = field(init=False)
+    upper_factor: np.ndarray | None = field(init=False)
+    lower_factor: np.ndarray | None = field(init=False)
+    threshold: np.ndarray | None = field(init=False)
     work: np.ndarray = field(init=False, repr=False)   # (3, H): rhs, sweep, scratch
     above: np.ndarray = field(init=False, repr=False)  # (H + 1,), True at H
 
     def __post_init__(self):
-        above = np.zeros(self.psi.size + 1, dtype=bool)
+        S, psi = self.S, self.psi
+        coupling = np.zeros(psi.size)
+        np.multiply(S.lower, psi[:-1], out=coupling[1:])
+        s_psi_left = S.diag * psi
+        s_psi_left[1:] += coupling[1:]
+        upper_factor, lower_factor = ul_factor(S)
+        above = np.zeros(psi.size + 1, dtype=bool)
         above[-1] = True
-        object.__setattr__(self, "work", np.empty((3, self.psi.size)))
-        object.__setattr__(self, "above", above)
+        derived = {
+            "coupling": coupling, "s_psi": S @ psi, "s_psi_left": s_psi_left,
+            "upper_factor": upper_factor, "lower_factor": lower_factor,
+            "threshold": None if lower_factor is None else psi * lower_factor[0] + coupling,
+            "work": np.empty((3, psi.size)), "above": above,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
         """Right-hand side of the step that starts from ``u_prev``: one band
@@ -527,8 +531,8 @@ class StepOperators:
 
     def predict_contact(self, swept: np.ndarray | None) -> int | None:
         """Brennan-Schwartz guess of the active set: the length k of the
-        prefix [0, k) of ``first_leaving_node``, a Python int, which
-        ``solve_lcp`` takes as its start.
+        prefix [0, k) of ``first_leaving_node``, a Python int, from which
+        ``solve_lcp`` starts a truth step.
 
         ``swept`` is ``sweep(rhs)``.  Without pivots the guess is None, the
         empty start, which the iteration corrects as it does any wrong guess.
@@ -588,8 +592,8 @@ def step_bands(mu, ops: AffineOperatorSet,
 
 def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
                    psi: np.ndarray) -> StepOperators:
-    """Build the loop invariants of a trajectory at parameter ``mu`` against
-    the lifted obstacle ``psi``.
+    """The ``StepOperators`` of a trajectory at parameter ``mu`` against
+    the lifted obstacle ``psi``: its bands, its load and ``psi``.
 
     Fails as ``step_bands`` does; a non-finite ``psi`` raises
     ``NumericalBreakdownError``, as a non-finite step right-hand side does.
@@ -597,26 +601,15 @@ def step_operators(mu, ops: AffineOperatorSet, config: SchemeConfig,
     S, explicit = step_bands(mu, ops, config)
     if np.count_nonzero(np.isfinite(psi)) < psi.size:
         raise NumericalBreakdownError("LCP obstacle must be finite")
-    upper_factor, lower_factor = ul_factor(S)
-    coupling = np.zeros(psi.size)
-    np.multiply(S.lower, psi[:-1], out=coupling[1:])
-    s_psi_left = S.diag * psi
-    s_psi_left[1:] += coupling[1:]
-    threshold = None if lower_factor is None else psi * lower_factor[0] + coupling
-    return StepOperators(S=S, explicit=explicit, f_mu=load_vector(mu, ops.f1, ops.f2),
-                         psi=psi, coupling=coupling, s_psi=S @ psi, s_psi_left=s_psi_left,
-                         upper_factor=upper_factor, lower_factor=lower_factor,
-                         threshold=threshold)
+    return StepOperators(S, explicit, load_vector(mu, ops.f1, ops.f2), psi)
 
 
 def theta_step(u_prev: np.ndarray, step: StepOperators, out):
-    """One backward-time step against ``step.psi``, solved into ``out`` =
-    (u, lam) as ``solve_lcp`` does; returns (u_next, lam_next, solver
-    iterations)."""
-    rhs = step.rhs(u_prev)
-    swept = step.sweep(rhs)
-    ul = None if swept is None else (swept, step.lower_factor, step.s_psi, step.s_psi_left)
-    return solve_lcp(step.S, rhs, step.psi, step.predict_contact(swept), ul, out=out)
+    """One backward-time step from ``u_prev``: its right-hand side, one
+    band product plus the load, and ``solve_lcp`` of the step's problem
+    from its predicted prefix, solved into ``out`` = (u, lam); returns
+    (u_next, lam_next, solver iterations)."""
+    return solve_lcp(step, step.rhs(u_prev), out=out)
 
 
 @dataclass(frozen=True)
@@ -787,11 +780,8 @@ def march_group(params, ops: AffineOperatorSet,
         if certified.all():
             continue
         for m in np.flatnonzero(~certified.all(axis=1)):
-            step = steps[m]
-            ul = (swept[m, :H], step.lower_factor, step.s_psi, step.s_psi_left)
             try:
-                iterations[m, n] = solve_lcp(step.S, rhs[m], step.psi, contact[m], ul,
-                                             out=(u[m], lam[m]))[2]
+                iterations[m, n] = solve_lcp(steps[m], rhs[m], contact[m], out=(u[m], lam[m]))[2]
             except AmrbError:
                 return None
     return [Trajectory(mu=mu, states=block[m, :L + 1], multipliers=block[m, L + 1:],

@@ -43,6 +43,12 @@ def mu0():
 
 
 @pytest.fixture(scope="session")
+def bbsr_at_strike(mu0):
+    """``bbsr_put`` at s = K, stock mu and T = 1 by its number of steps."""
+    return {steps: bbsr_put(mu0.K, mu0, 1.0, steps) for steps in (2000, 4000, 8000)}
+
+
+@pytest.fixture(scope="session")
 def store16(default_ops, default_scheme, default_box):
     params = sample_training_set(default_box, 16, train_stream(0))
     return generate_snapshots(params, default_ops, default_scheme)
@@ -186,3 +192,28 @@ def bsm_call(s: float, mu, T: float) -> float:
     d1, d2 = _bsm_terms(s, mu, T)
     return (s * math.exp(-mu.q * T) * _normal_cdf(d1)
             - mu.K * math.exp(-mu.r * T) * _normal_cdf(d2))
+
+
+def _bbs_put(s: float, mu, T: float, steps: int) -> float:
+    """The American put by the binomial Black-Scholes method: a
+    Cox-Ross-Rubinstein tree of ``steps`` steps whose last step prices the
+    continuation by the closed-form European put over one step."""
+    dt = T / steps
+    up = math.exp(mu.sigma * math.sqrt(dt))
+    p_up = (math.exp((mu.r - mu.q) * dt) - 1.0 / up) / (up - 1.0 / up)
+    discount = math.exp(-mu.r * dt)
+    # the asset prices at step n of the tree are s up^(2j - n), j = 0..n
+    n = steps - 1
+    prices = s * up ** (2.0 * np.arange(n + 1) - n)
+    values = np.maximum(mu.K - prices, [bsm_put(x, mu, dt) for x in prices])
+    for n in range(steps - 2, -1, -1):
+        values = discount * (p_up * values[1:] + (1.0 - p_up) * values[:-1])
+        np.maximum(values, mu.K - s * up ** (2.0 * np.arange(n + 1) - n), out=values)
+    return float(values[0])
+
+
+def bbsr_put(s: float, mu, T: float, steps: int) -> float:
+    """BBS-R, the American put of Broadie and Detemple (1996): the binomial
+    Black-Scholes price at ``steps`` (even) and ``steps / 2`` steps with
+    two-point Richardson extrapolation, 2 P(steps) - P(steps / 2)."""
+    return 2.0 * _bbs_put(s, mu, T, steps) - _bbs_put(s, mu, T, steps // 2)

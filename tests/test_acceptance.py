@@ -84,7 +84,7 @@ def test_criterion_02_lcp_oracle():
         rhs = rng.normal(size=n) * n
         obstacle = rng.normal(size=n)
         # the dense problem in its cone form: the excess u - obstacle >= 0
-        w, lam, _ = solve_lcp(check_lcp_matrix(S), rhs - S @ obstacle, None)
+        w, lam, _ = solve_lcp(check_lcp_matrix(S), rhs - S @ obstacle)
         u = obstacle + w
         ref = lcp_by_enumeration(S, rhs, obstacle)
         assert ref is not None

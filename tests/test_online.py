@@ -384,7 +384,7 @@ def fresh_march(model, mu):
     states, alphas, counts = [u], [], []
     for _ in range(model.config.L):
         rhs = data.cone_load - data.cone_map.dot(u)
-        alpha, lam, count = solve_lcp(data.schur, rhs, None, start)
+        alpha, lam, count = solve_lcp(data.schur, rhs, start)
         u = data.step_map.dot(u) + data.step_load + data.sinv_b.dot(alpha)
         v = lam - alpha
         start = (v if v_prev is None else 2.0 * v - v_prev) > 0.0

@@ -25,7 +25,7 @@ from amrb import (
     trajectory_residuals,
 )
 from amrb.fem import band_product
-from amrb.truth import check_lcp_matrix, load_vector, step_pair
+from amrb.truth import StepOperators, check_lcp_matrix, load_vector, step_pair
 from amrb.cli import train_stream
 import amrb.truth as truth_mod
 
@@ -64,8 +64,22 @@ def solve_excess(S, rhs, obstacle, start=None):
     """``solve_lcp`` of a dense obstacle problem in its cone form: the excess
     w = u - obstacle >= 0 solves S w - lam = rhs - S obstacle; returns
     (obstacle + w, lam, solves)."""
-    w, lam, solves = solve_lcp(S, rhs - S @ obstacle, None, start)
+    w, lam, solves = solve_lcp(S, rhs - S @ obstacle, start)
     return obstacle + w, lam, solves
+
+
+def banded_lcp(S, obstacle):
+    """A tridiagonal problem against ``obstacle`` in the truth form: the
+    ``StepOperators`` of the checked S, with S as its explicit bands and a
+    zero load, which ``solve_lcp`` reads S and the obstacle off."""
+    return StepOperators(check_lcp_matrix(S), S, np.zeros(obstacle.size), obstacle)
+
+
+def solve_from_prediction(step, rhs, k):
+    """``solve_lcp`` of a truth step whose prediction is the prefix [0, k)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StepOperators, "predict_contact", lambda self, swept: k)
+        return solve_lcp(step, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -91,39 +105,54 @@ def test_lcp_problem_validation():
         check_lcp_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
     with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
-        solve_lcp(check_lcp_matrix(banded), np.zeros(2), np.zeros(3))
-    # the zero obstacle None gives no shape to check rhs against; a
-    # misshaped rhs still fails, in the product with S
+        solve_lcp(banded_lcp(banded, np.zeros(3)), np.zeros(2))
+    # the zero obstacle gives no shape to check rhs against; a misshaped rhs
+    # still fails, in the product with S
     with pytest.raises(ValueError):
-        solve_lcp(check_lcp_matrix(np.eye(3)), np.ones(2), None)
+        solve_lcp(check_lcp_matrix(np.eye(3)), np.ones(2))
     for shape in ((3, 4), (4, 3)):
         with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
             check_lcp_matrix(np.eye(*shape))
 
 
 def test_solve_lcp_takes_the_truth_and_cone_forms_only():
-    # a Tridiagonal S with an obstacle array, or a dense S with the obstacle
-    # None; every other pairing is refused by one error naming both
-    banded = check_lcp_matrix(Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0)))
-    matrix = check_lcp_matrix(dense(banded))
-    rhs, obstacle, rows = np.ones(3), np.zeros(3), np.empty((3, 3))
-    refused = [lambda: solve_lcp(matrix, rhs, obstacle),
-               lambda: solve_lcp(banded, rhs, None),
-               lambda: solve_lcp(banded, rhs, obstacle, out=rows),
-               lambda: solve_lcp(matrix, rhs, None, ul=())]
+    # a StepOperators S, or a dense S; a bare Tridiagonal, any other S and
+    # a third out vector on a truth step are refused by one error naming both
+    banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
+    step, matrix = banded_lcp(banded, np.zeros(3)), check_lcp_matrix(dense(banded))
+    rhs, rows = np.ones(3), np.empty((3, 3))
+    refused = [lambda: solve_lcp(banded, rhs),
+               lambda: solve_lcp(matrix.tolist(), rhs),
+               lambda: solve_lcp(step, rhs, out=rows)]
     for call in refused:
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == truth_mod.LCP_FORMS
-    assert "Tridiagonal S with an obstacle array" in truth_mod.LCP_FORMS
-    assert "dense S with the obstacle None" in truth_mod.LCP_FORMS
+    assert "StepOperators S" in truth_mod.LCP_FORMS
+    assert "dense S" in truth_mod.LCP_FORMS
+
+
+def test_solve_lcp_rejects_malformed_starts():
+    # a start is None or a boolean array of rhs's shape, on both forms: a
+    # list, a mask one node short, an integer 0/1 array (which ~ would
+    # invert bitwise) and scalars are refused by the error naming the forms
+    banded = Tridiagonal(np.full(3, -1.0), np.full(4, 4.0), np.full(3, -1.0))
+    rhs = np.array([1.0, -2.0, 0.5, 3.0])
+    malformed = ([True, False, False, False], np.zeros(3, dtype=bool), np.array([1, 0, 0, 0]),
+                 np.zeros((1, 4), dtype=bool), 2, True)
+    for S in (banded_lcp(banded, np.zeros(4)), check_lcp_matrix(dense(banded))):
+        for start in malformed:
+            with pytest.raises(ValueError) as err:
+                solve_lcp(S, rhs, start)
+            assert str(err.value) == truth_mod.LCP_FORMS
+        solve_lcp(S, rhs, np.array([True, False, False, False]))
 
 
 def test_lcp_problem_rejects_non_finite_inputs():
     banded = Tridiagonal(np.full(2, -1.0), np.full(3, 4.0), np.full(2, -1.0))
-    for S, obstacle in ((np.eye(3) * 4.0, None), (banded, np.zeros(3))):
+    for S in (check_lcp_matrix(np.eye(3) * 4.0), banded_lcp(banded, np.zeros(3))):
         with pytest.raises(NumericalBreakdownError, match="must be finite"):
-            solve_lcp(check_lcp_matrix(S), np.array([1.0, np.nan, 0.0]), obstacle)
+            solve_lcp(S, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ValueError, match="must be finite"):
         check_lcp_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="must be finite"):
@@ -134,38 +163,14 @@ def test_lcp_step_checks_vectors_only():
     # the trajectory checks the matrix once; each step still checks its rhs,
     # and a non-finite one is a blown-up state, not bad input
     S = np.array([[1.0, 0.0], [0.0, -1.0]])
-    solve_lcp(S, np.zeros(2), None)
-    solve_lcp(Tridiagonal(np.zeros(1), S.diagonal().copy(), np.zeros(1)), np.zeros(2),
-              np.zeros(2))
+    solve_lcp(S, np.zeros(2))
+    bands = Tridiagonal(np.zeros(1), S.diagonal().copy(), np.zeros(1))
+    solve_lcp(StepOperators(bands, bands, np.zeros(2), np.zeros(2)), np.zeros(2))
     with pytest.raises(NumericalBreakdownError, match="must be finite"):
-        solve_lcp(np.eye(2), np.array([np.inf, 0.0]), None)
+        solve_lcp(np.eye(2), np.array([np.inf, 0.0]))
+    bands = Tridiagonal(np.zeros(1), np.ones(2), np.zeros(1))
     with pytest.raises(ValueError, match="inconsistent LCP dimensions"):
-        solve_lcp(Tridiagonal(np.zeros(1), np.ones(2), np.zeros(1)), np.zeros(3), np.zeros(2))
-
-
-def test_solve_lcp_integer_starts(default_ops, default_scheme, mu0):
-    # a numpy integer is a prefix length as an int is; an integer without
-    # the UL factors or outside [0, H], and a bool, are refused by name
-    psi = obstacle_data(default_ops.mesh, mu0.K).psi_tilde
-    step = truth_mod.step_operators(mu0, default_ops, default_scheme, psi)
-    rhs = step.rhs(psi).copy()
-    swept = step.sweep(rhs).copy()
-    ul = (swept, step.lower_factor, step.s_psi, step.s_psi_left)
-    H = default_ops.dim
-    k = step.predict_contact(swept)
-    for j in (k, k + 3, 0, H):
-        by_int = solve_lcp(step.S, rhs, psi, j, ul)
-        by_numpy = solve_lcp(step.S, rhs, psi, np.int64(j), ul)
-        assert by_numpy[0].tobytes() == by_int[0].tobytes()
-        assert by_numpy[1].tobytes() == by_int[1].tobytes()
-        assert by_numpy[2] == by_int[2]
-    for start, given in ((k, None), (np.int32(k), None), (-1, ul), (H + 1, ul),
-                         (np.int64(H + 1), ul)):
-        with pytest.raises(ValueError, match="integer prefix length 0 <= k <= 99"):
-            solve_lcp(step.S, rhs, psi, start, given)
-    for start in (True, False, np.True_):
-        with pytest.raises(TypeError, match="integer prefix length 0 <= k <= 99"):
-            solve_lcp(step.S, rhs, psi, start, ul)
+        solve_lcp(StepOperators(bands, bands, np.zeros(2), np.zeros(2)), np.zeros(3))
 
 
 def test_trajectory_checks_its_matrix_once(default_ops, default_scheme, mu0, monkeypatch):
@@ -190,10 +195,10 @@ def test_solve_lcp_singular_subsystem_breaks_down():
     # one in gtsv; each names the empty active set
     rhs = np.array([1.0, 2.0])
     dense_matrix = check_lcp_matrix(np.ones((2, 2)))
-    banded = check_lcp_matrix(Tridiagonal(np.ones(1), np.ones(2), np.ones(1)))
+    banded = Tridiagonal(np.ones(1), np.ones(2), np.ones(1))
     for obstacle in (np.full(2, -10.0), np.zeros(2)):
         for solve in (lambda: solve_excess(dense_matrix, rhs, obstacle),
-                      lambda: solve_lcp(banded, rhs, obstacle)):
+                      lambda: solve_lcp(banded_lcp(banded, obstacle), rhs)):
             with pytest.raises(NumericalBreakdownError) as err:
                 solve()
             assert (str(err.value), err.value.info) == (
@@ -248,12 +253,13 @@ def test_solve_lcp_banded_equals_dense():
     assert not np.array_equal(contact, np.arange(n) < contact.sum())
     u_star = obstacle + np.where(contact, 0.0, rng.random(n) + 0.1)
     lam_star = np.where(contact, rng.random(n) + 0.1, 0.0)
+    step = banded_lcp(S, obstacle)
     for rhs in (rng.normal(size=n) * 5, S @ u_star - lam_star):
-        u1, lam1, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle)
         u2, lam2, _ = solve_excess(check_lcp_matrix(dense), rhs, obstacle)
-        # a wrong prefix guess is corrected by the iteration
-        u3, lam3, _ = solve_lcp(check_lcp_matrix(S), rhs, obstacle, np.arange(n) < n // 2)
-        for u, lam in ((u1, lam1), (u3, lam3)):
+        # from the prediction, the empty set and a wrong prefix guess, which
+        # the iteration corrects
+        for start in (None, np.zeros(n, dtype=bool), np.arange(n) < n // 2):
+            u, lam, _ = solve_lcp(step, rhs, start)
             assert np.abs(u - u2).max() <= 1e-11 * (1 + np.abs(u2).max())
             assert np.abs(lam - lam2).max() <= 1e-11 * (1 + np.abs(lam2).max())
     assert np.abs(u2 - u_star).max() <= 1e-11 * (1 + np.abs(u_star).max())
@@ -279,12 +285,13 @@ def test_solve_lcp_dense_from_any_start():
             assert np.abs(u - u_ref).max() <= 1e-12 * (1 + np.abs(u_ref).max())
             assert np.abs(lam - lam_ref).max() <= 1e-12 * (1 + np.abs(lam_ref).max())
         # on a tridiagonal matrix every start ends on the bytes of the empty
-        # start: an iterate depends on rhs and its active set only
-        banded = check_lcp_matrix(Tridiagonal(rng.uniform(-1, 1, n - 1), 2.0 + rng.random(n),
-                                              rng.uniform(-1, 1, n - 1)))
+        # start and the prediction: an iterate depends on rhs and its active
+        # set only
+        banded = banded_lcp(Tridiagonal(rng.uniform(-1, 1, n - 1), 2.0 + rng.random(n),
+                                        rng.uniform(-1, 1, n - 1)), obstacle)
         results = {(u.tobytes(), lam.tobytes())
-                   for u, lam, _ in (solve_lcp(banded, rhs, obstacle, start)
-                                     for start in (None, *starts))}
+                   for u, lam, _ in (solve_lcp(banded, rhs, start)
+                                     for start in (None, np.zeros(n, dtype=bool), *starts))}
         assert len(results) == 1
 
 
@@ -303,12 +310,12 @@ def test_solve_lcp_degenerate_node_from_any_start():
             u_star = obstacle + np.where(np.arange(n) < 6, 0.0, rng.random(n) + 0.1)
             lam_star = np.where(np.arange(n) < 5, rng.random(n) + 0.1, 0.0)
             if isinstance(S, Tridiagonal):
-                rhs, pinned = S @ u_star - lam_star, obstacle
+                rhs, problem = S @ u_star - lam_star, banded_lcp(S, obstacle)
             else:  # the cone form, whose solution is the excess u_star - obstacle
-                rhs, pinned = S @ (u_star - obstacle) - lam_star, None
+                rhs, problem = S @ (u_star - obstacle) - lam_star, check_lcp_matrix(S)
             results = set()
             for start in starts:
-                u, lam, _ = solve_lcp(check_lcp_matrix(S), rhs, pinned, start)
+                u, lam, _ = solve_lcp(problem, rhs, start)
                 assert lam[5] == 0.0
                 results.add((u.tobytes(), lam.tobytes()))
             assert len(results) == 1
@@ -345,7 +352,7 @@ def test_solve_lcp_complementarity_exact():
     for _ in range(10):
         S, rhs, obstacle = random_spd_lcp(rng, 9)
         # in the cone form the gap u - obstacle is the solution w itself
-        gap, lam, _ = solve_lcp(check_lcp_matrix(S), rhs - S @ obstacle, None)
+        gap, lam, _ = solve_lcp(check_lcp_matrix(S), rhs - S @ obstacle)
         assert np.all((lam == 0.0) | (gap == 0.0))
         assert gap.min() >= 0.0
         assert lam.min() >= 0.0
@@ -525,13 +532,10 @@ def test_ul_factor_row_interchange_predicts_empty_prefix(default_ops, default_sc
 
     rng = np.random.default_rng(12)
     rhs, obstacle = rng.normal(size=5), rng.normal(size=5)
-    step = dataclasses.replace(truth_mod.step_operators(mu0, default_ops, default_scheme,
-                                                        np.zeros(default_ops.dim)),
-                               S=S, psi=obstacle, upper_factor=None, lower_factor=None,
-                               threshold=None)
-    start = step.predict_contact(rhs)
-    assert start is None
-    u, lam, _ = solve_lcp(S, rhs, obstacle, start)
+    step = banded_lcp(S, obstacle)
+    assert step.upper_factor is None and step.lower_factor is None and step.threshold is None
+    assert step.sweep(rhs) is None and step.predict_contact(None) is None
+    u, lam, _ = solve_lcp(step, rhs)
     ref = lcp_by_enumeration(dense(S), rhs, obstacle)
     assert ref is not None
     assert np.abs(u - ref[0]).max() <= 1e-12 * (1 + np.abs(ref[0]).max())
@@ -589,10 +593,9 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
                                 for band in (S.lower[k:], S.diag[k:], S.upper[k:])))
             b = rhs[k:].astype(np.longdouble)
             b[0] -= np.longdouble(S.lower[k - 1]) * np.longdouble(psi[k - 1])
-            ul_u, _ = truth_mod._solve_prefix(S, rhs, psi, k, swept, step.lower_factor,
-                                              step.s_psi, step.s_psi_left, np.empty(H),
-                                              np.empty(H))
-            gtsv_u, _ = truth_mod._solve_pinned(S, rhs, psi, None, np.empty(H), np.empty(H),
+            ul_u, _ = truth_mod._solve_prefix(step, rhs, swept, k, np.empty(H), np.empty(H))
+            # without the sweep, the prefix set goes to gtsv
+            gtsv_u, _ = truth_mod._solve_pinned(step, rhs, None, np.empty(H), np.empty(H),
                                                 np.arange(H) < k)
             for u in (ul_u, gtsv_u):
                 assert np.array_equal(u[:k], psi[:k])
@@ -607,24 +610,25 @@ def test_ul_prefix_solve_is_backward_stable(default_box, H):
 def test_wrong_prefix_starts_reach_the_predicted_bytes(default_box, H, theta):
     # an iterate depends on (rhs, active set) only, so every start that the
     # iteration corrects ends on the bytes of the predicted start, whether
-    # the start is a mask or a prefix length.  From the all-active start at
-    # H=999 one step per theta releases its spurious contact nodes about one
-    # per update and overruns max_iter, as it does with gtsv solves alone: a
-    # known defect of the full-set update on fine meshes, not of the UL path
+    # the start is a mask or a wrong prediction of the prefix, certified in
+    # two partial passes.  From the all-active start at H=999 one step per
+    # theta releases its spurious contact nodes about one per update and
+    # overruns max_iter, as it does with gtsv solves alone: a known defect of
+    # the full-set update on fine meshes, not of the UL path
     ops = assemble_operators(build_mesh(H, 300.0))
     scheme = SchemeConfig(T=1.0, L=20, theta=theta)
     nodes = np.arange(H)
     corrected, diverged = 0, Counter()  # divergences by the start's form
     for mu in sample_training_set(default_box, 2, np.random.SeedSequence([15, 1])):
-        psi = obstacle_data(ops.mesh, mu.K).psi_tilde
         for step, rhs, swept, k, traj, n in predicted_prefixes(mu, ops, scheme):
             wrong = [min(max(j, 0), H) for j in (k - 5, k - 1, k + 1, k + 5, 0, H)]
             starts = [None] + [nodes < j for j in wrong] + wrong
             for start in starts:
                 try:
-                    u, lam, solves = solve_lcp(step.S, rhs, psi, start,
-                                               (swept, step.lower_factor, step.s_psi,
-                                                step.s_psi_left))
+                    if isinstance(start, int):
+                        u, lam, solves = solve_from_prediction(step, rhs, start)
+                    else:
+                        u, lam, solves = solve_lcp(step, rhs, start)
                 except SolverDivergenceError:
                     all_active = start.all() if isinstance(start, np.ndarray) else start == H
                     assert H > 99 and all_active
@@ -672,9 +676,7 @@ def test_prefix_solve_and_predictor_match_their_references(default_box, H):
         assert np.array_equal(np.arange(H) < k, nine_pass_prefix(step, swept))
         most = max(most, traj.pdas_iterations[n])
         for j in sorted({0, 1, k, H - 1, H}):
-            u, lam = truth_mod._solve_prefix(step.S, rhs, step.psi, j, swept, step.lower_factor,
-                                             step.s_psi, step.s_psi_left, np.empty(H),
-                                             np.empty(H))
+            u, lam = truth_mod._solve_prefix(step, rhs, swept, j, np.empty(H), np.empty(H))
             assert (step.S @ u - rhs)[:j].tobytes() == lam[:j].tobytes()
             assert not lam[j:].any()
     assert most > 1 or H < 3999
@@ -800,7 +802,7 @@ def test_trajectory_determinism(default_ops, default_scheme, mu0):
 def test_trajectory_error_annotation(default_ops, default_scheme, mu0, monkeypatch):
     obstacle = obstacle_data(default_ops.mesh, mu0.K)
 
-    def boom(S, rhs, obstacle, start=None, ul=None, out=None):
+    def boom(S, rhs, start=None, out=None):
         raise SolverDivergenceError("forced failure", min_gap=0.0)
 
     monkeypatch.setattr(truth_mod, "solve_lcp", boom)
@@ -870,22 +872,19 @@ def test_workspace_carries_no_state(default_box):
 
 
 def assert_rows_are_fresh_solves(traj, step):
-    """Each step's rows and solve count equal a fresh solve from the step's
-    own start on the checked matrix, and, for a prefix length k, one from
-    the mask of [0, k) too; returns the solve counts."""
+    """Each step's rows and solve count equal a fresh solve of the step from
+    its own prediction, and, for a predicted prefix [0, k), one from the
+    mask of [0, k) too; returns the solve counts."""
     counts = []
     for n in range(traj.config.L):
         rhs = step.rhs(traj.states[n]).copy()
-        swept = step.sweep(rhs)
-        start = step.predict_contact(swept)
-        ul = None if swept is None else (swept.copy(), step.lower_factor, step.s_psi,
-                                         step.s_psi_left)
-        starts = [start]
-        if ul is not None:  # the int start certifies in two partial passes, the mask fully
-            assert type(start) is int
-            starts.append(np.arange(rhs.size) < start)
+        k = step.predict_contact(step.sweep(rhs))
+        starts = [None]
+        if k is not None:  # the prediction certifies in two partial passes, the mask fully
+            assert type(k) is int
+            starts.append(np.arange(rhs.size) < k)
         for start in starts:
-            u, lam, solves = solve_lcp(check_lcp_matrix(step.S), rhs, step.psi, start, ul)
+            u, lam, solves = solve_lcp(step, rhs, start)
             assert u.tobytes() == traj.states[n + 1].tobytes(), n
             assert lam.tobytes() == traj.multipliers[n].tobytes(), n
             assert solves == traj.pdas_iterations[n], n
@@ -910,9 +909,10 @@ def test_step_rows_equal_fresh_solves(default_box, H):
 
 def test_prefix_length_start_decides_ties_as_its_mask(default_ops, default_scheme, mu0):
     # right-hand sides whose prefix iterate puts the last pinned multiplier
-    # and the first free gap within a few tie thresholds of zero: the int
-    # start's two partial passes certify exactly where the mask's full update
-    # reproduces its set, and both end on the same bytes and solve count
+    # and the first free gap within a few tie thresholds of zero: the
+    # predicted prefix's two partial passes certify exactly where the mask's
+    # full update reproduces its set, and both end on the same bytes and
+    # solve count
     psi = obstacle_data(default_ops.mesh, mu0.K).psi_tilde
     step = truth_mod.step_operators(mu0, default_ops, default_scheme, psi)
     traj = solve_trajectory(mu0, default_ops, obstacle_data(default_ops.mesh, mu0.K),
@@ -925,13 +925,12 @@ def test_prefix_length_start_decides_ties_as_its_mask(default_ops, default_schem
             u, lam = traj.states[n + 1].copy(), traj.multipliers[n].copy()
             lam[k - 1], u[k] = lam_ties * tol, psi[k] - gap_ties * tol
             rhs = step.S @ u - lam
-            ul = (step.sweep(rhs).copy(), step.lower_factor, step.s_psi, step.s_psi_left)
-            by_int = solve_lcp(step.S, rhs, psi, k, ul)
-            by_mask = solve_lcp(step.S, rhs, psi, np.arange(default_ops.dim) < k, ul)
-            assert by_int[0].tobytes() == by_mask[0].tobytes()
-            assert by_int[1].tobytes() == by_mask[1].tobytes()
-            assert by_int[2] == by_mask[2]
-            counts.add(by_int[2])
+            by_prediction = solve_from_prediction(step, rhs, k)
+            by_mask = solve_lcp(step, rhs, np.arange(default_ops.dim) < k)
+            assert by_prediction[0].tobytes() == by_mask[0].tobytes()
+            assert by_prediction[1].tobytes() == by_mask[1].tobytes()
+            assert by_prediction[2] == by_mask[2]
+            counts.add(by_prediction[2])
     assert counts == {1, 2, 3}
 
 
@@ -961,7 +960,7 @@ def spy_on_solves(monkeypatch, cone):
     """Record each pinned solve's active set, and whether the update from
     its iterate revisits an earlier set, in two lists.
 
-    The banded obstacle solves are ``_solve_pinned`` calls.  The cone
+    The banded obstacle solves of the loop are ``_solve_pinned`` calls.  The cone
     problem ``cone`` = (S, rhs) is solved in ``solve_lcp``'s loop, seen at
     its gesv calls: the inactive set is read off the block's diagonal, which
     must hold each entry of S's diagonal once, and the iterate is formed
@@ -976,9 +975,9 @@ def spy_on_solves(monkeypatch, cone):
         update = (update > truth_mod.TIE_TOL * np.abs(rhs).max()).tobytes()
         revisited.append(update != solved[-1] and update in solved)
 
-    def pinned_spy(S, rhs, obstacle, ul, u, lam, active):
-        u, lam = solve_pinned(S, rhs, obstacle, ul, u, lam, active)
-        record(active, lam + (obstacle - u), rhs)
+    def pinned_spy(step, rhs, swept, u, lam, active):
+        u, lam = solve_pinned(step, rhs, swept, u, lam, active)
+        record(active, lam + (step.psi - u), rhs)
         return u, lam
 
     def cone_spy(block, b, *flags):
@@ -1003,13 +1002,13 @@ def test_least_index_run_into_rows_equals_fresh_solve(monkeypatch):
     matrix = dense(banded)
     excess = rhs - matrix @ obstacle
     solved, revisited = spy_on_solves(monkeypatch, (matrix, excess))
-    for S, b, pinned in ((banded, rhs, obstacle), (matrix, excess, None)):
+    for S, b in ((banded_lcp(banded, obstacle), rhs), (check_lcp_matrix(matrix), excess)):
         solved.clear()
         revisited.clear()
         rows = np.full((3, n), np.nan)
-        u, lam, solves = solve_lcp(S, b, pinned, start, out=(rows[1], rows[2]))
+        u, lam, solves = solve_lcp(S, b, start, out=(rows[1], rows[2]))
         assert any(revisited) and len(solved) == solves
-        ref_u, ref_lam, ref_solves = solve_lcp(check_lcp_matrix(S), b, pinned, start)
+        ref_u, ref_lam, ref_solves = solve_lcp(S, b, start)
         assert np.shares_memory(u, rows[1]) and np.shares_memory(lam, rows[2])
         assert (rows[1].tobytes(), rows[2].tobytes(), solves) == (
             ref_u.tobytes(), ref_lam.tobytes(), ref_solves)
@@ -1028,14 +1027,14 @@ def test_update_vector_on_every_exit(monkeypatch):
     excess = rhs - S @ obstacle
     tol = truth_mod.TIE_TOL * np.abs(excess).max()
     solved, revisited = spy_on_solves(monkeypatch, (S, excess))
-    solve_lcp(S, excess, None, cycling_start)
+    solve_lcp(S, excess, cycling_start)
     solution_set = np.frombuffer(solved[-1], dtype=bool)
     exits = set()
     for start in (cycling_start, None, solution_set, np.ones(n, dtype=bool)):
         solved.clear()
         revisited.clear()
         rows = np.full((3, n), np.nan)
-        w, lam, solves = solve_lcp(S, excess, None, start, out=rows)
+        w, lam, solves = solve_lcp(S, excess, start, out=rows)
         exits.add("least-index" if any(revisited) else "first" if solves == 1 else "iterated")
         assert rows[2].tobytes() == (lam - w).tobytes()
         assert (rows[2] > tol).tobytes() == solved[-1]
@@ -1330,3 +1329,35 @@ def test_unconstrained_march_converges_to_bsm_put(mu0):
         errors[L] = price - bsm_put(mu0.K, mu0, 1.0)
     assert abs(errors[2000]) <= 2e-3
     assert 1.8 <= errors[1000] / errors[2000] <= 2.2
+
+
+def test_bbsr_put_converges_in_steps(mu0, bbsr_at_strike):
+    # BBS-R at s=K reads 17.492756, 17.492718 and 17.492707 at 2000, 4000
+    # and 8000 steps: each doubling cuts the change by more than half, and
+    # the price lies above the European put and the payoff
+    prices = [bbsr_at_strike[steps] for steps in (2000, 4000, 8000)]
+    changes = np.abs(np.diff(prices))
+    assert changes[0] <= 1e-4 and changes[1] <= 0.5 * changes[0]
+    assert min(prices) > bsm_put(mu0.K, mu0, 1.0) > 0.0
+
+
+def american_error_at_strike(mu, L, reference):
+    """The truth's price at s=K, by linear interpolation, less ``reference``:
+    H=999, theta=1, T=1 and L steps."""
+    mesh = build_mesh(999, 300.0)
+    lift = obstacle_data(mesh, mu.K)
+    traj = solve_trajectory(mu, assemble_operators(mesh), lift,
+                            SchemeConfig(T=1.0, L=L, theta=1.0))
+    return np.interp(mu.K, mesh.interior_nodes, traj.states[-1] + lift.p0) - reference
+
+
+def test_american_march_error_against_bbsr(mu0, bbsr_at_strike):
+    # at L=2000 the truth is -1.89e-3 off BBS-R at 8000 steps
+    assert abs(american_error_at_strike(mu0, 2000, bbsr_at_strike[8000])) <= 3e-3
+
+
+def test_american_march_is_first_order_against_bbsr(mu0, bbsr_at_strike):
+    # implicit Euler halves the error from L=20 to L=40: -0.16699 and
+    # -0.08676, a ratio of 1.925
+    errors = [american_error_at_strike(mu0, L, bbsr_at_strike[8000]) for L in (20, 40)]
+    assert 1.8 <= errors[0] / errors[1] <= 2.2
