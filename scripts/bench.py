@@ -9,6 +9,10 @@ Rows, first one without a mesh:
 then at each mesh size H of ``--H`` (stock time grid and box):
 
   truth             one ``solve_trajectory`` at the first stock training draw
+  step_operators    the set-up of that trajectory: ``obstacle_data`` and
+                    ``truth.step_operators`` at the same draw, the operator
+                    build of the truth step (its LCP solves are the rest of
+                    ``truth``)
   snapshots         ``offline.generate_snapshots`` of the 16 stock training
                     draws (seed 0), as ``amrb offline`` calls it
   snapshots_single  the same 16 trajectories, one ``solve_trajectory`` each
@@ -104,6 +108,8 @@ def rows_at(H: int, workdir: str) -> dict:
 
     rows = {
         "truth": lambda: single(params[0]),
+        "step_operators": lambda: truth.step_operators(
+            params[0], ops, scheme, obstacle_data(ops.mesh, params[0].K).psi_tilde),
         "snapshots": lambda: offline.generate_snapshots(params, ops, scheme),
         "snapshots_single": lambda: [single(mu) for mu in params],
         "snapshots_group": lambda: truth.march_group(params, ops, scheme),

@@ -273,8 +273,9 @@ class ObstacleData:
 
 
 def boundary_lift(mesh: Mesh1D, K: float) -> np.ndarray:
-    """The price's affine boundary lift K (1 - s/s_f) at interior nodes."""
-    if K <= 0:
+    """The price's affine boundary lift K (1 - s/s_f) at interior nodes; a
+    column of strikes gives a row per strike."""
+    if np.count_nonzero(K <= 0):
         raise ValueError(f"strike must be positive, got K={K}")
     return K * (1.0 - mesh.interior_nodes / mesh.s_f)
 

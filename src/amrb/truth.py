@@ -26,10 +26,10 @@ previous state changes between the steps of a trajectory, so
 ``StepOperators``, the step's whole complementarity problem: the bands of
 S and of mass/dt - (1-theta) a(mu) (from ``step_bands``, all that the
 residual check needs besides the load), the load and the lifted obstacle
-psi, from which it derives the products of psi with S and the UL factors
-of S (a Brennan-Schwartz elimination from the last node up, LAPACK
-``gttrf`` on the reversed bands).  ``theta_step(u_prev, step)`` is then
-one step: its right-hand side, one band product plus the load, and
+psi, from which ``derived_operators`` derives the products of psi with S
+and the UL factors of S (a Brennan-Schwartz elimination from the last
+node up, LAPACK ``gttrf`` on the reversed bands).  ``theta_step(u_prev,
+step)`` is then one step: its right-hand side, one band product plus the load, and
 ``solve_lcp(step, rhs)``.  The put is exercised on one interval [0, k)
 of low asset prices; the projected forward sweep of Brennan and Schwartz
 (1977) predicts k with one bidiagonal solve and one comparison: node i
@@ -74,25 +74,32 @@ side, sweep and the predictor's flags fill a workspace that
 methods return are that workspace, overwritten by the next step.
 
 Two or more parameters on one mesh and time grid (a training set, a
-test set) march in lockstep through ``solve_trajectories``: at each time
+test set) march in lockstep through ``solve_trajectories``.  Their
+operators are (M, ·) rows, built once by the lines of one parameter:
+``step_pair``, ``load_vector`` and ``obstacle_data`` run on (M, 1) columns
+of K, r, q and sigma, and ``derived_operators`` derives the rest along
+the last axis, the UL factors of all members by one ``gttrf`` of their
+rows laid end to end with a pad node after each.  At each time
 level one band product forms every right-hand side on an (M, H) block,
 one upper ``tbsv`` sweeps the members laid end to end, and the
 prediction, the prefix solve and the certification run once over all
 members, with each member's own tie threshold.  The prediction is the
 single step's ``first_leaving_node`` over the blocks' last axis, against
-the members' stacked thresholds; the lower sweep pins node k of each
+the members' rows of thresholds; the lower sweep pins node k of each
 member from its ``coupling`` at that one node, and the prefix
 multipliers read each member's ``s_psi`` and row sums ``s_psi_left``, as
 ``_solve_prefix`` does; the sweeps, the prefix solve and the
 certification stay the group's own, since every way tried of running
 both marches through one step was slower.  A member whose
 prediction the first update does not reproduce is solved again from it
-by ``solve_lcp``, the one active-set loop.  The results are the bits of
-one ``solve_trajectory`` per member: every float is made by the same
-IEEE operation on the same operands, only for many members at a time,
-and the sweeps' couplings across members are zero couplings to pad
-nodes that hold 1.0, each of which adds -0.0 to a member's node, which
-changes no float (see ``march_group``).  The group pays where per-call
+by ``solve_lcp``, the one active-set loop, on the ``StepOperators`` of
+its own rows.  The results are the bits of one ``solve_trajectory`` per
+member: every float is made by the same IEEE operation on the same
+operands, only for many members at a time (each sigma ** 2 by C's
+``pow``, as one parameter squares it), and the sweeps' couplings across
+members are zero couplings to pad nodes that hold 1.0, each of which
+adds -0.0 to a member's node, which changes no float (see
+``march_group``).  The group pays where per-call
 overhead dominates a step: up to ``GROUP_MAX_NODES`` mesh nodes, above
 which the arithmetic of its extra passes outweighs the calls it saves,
 the parameters march one at a time.  So do a single parameter, and the
@@ -112,6 +119,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -173,12 +181,21 @@ def step_pair(mu, config: SchemeConfig, mass, a1, a2):
 
     The terms are arrays of one shape: a band of the truth operators
     (``step_bands``) or the reduced blocks (``amrb.online.online_setup``).
-    A market parameter too large to square raises OverflowError; entries
-    that overflow are left infinite, for the caller's check.
+    ``mu``'s fields are floats, or a group's (M, 1) columns, which give row
+    m the floats of member m's own call (``march_group``).  A market
+    parameter too large to square raises OverflowError; entries that
+    overflow are left infinite, for the caller's check.
     """
-    a_mu = (mu.sigma ** 2) * a1 + (mu.r - mu.q) * a2 + mu.r * mass
+    a_mu = _square(mu.sigma) * a1 + (mu.r - mu.q) * a2 + mu.r * mass
     m_dt = mass * (1.0 / config.delta_t)
     return m_dt + config.theta * a_mu, m_dt - (1.0 - config.theta) * a_mu
+
+
+def _square(x):
+    """x ** 2 as Python squares a float (C ``pow``), also for each entry of
+    a group's (M, 1) column, which numpy would square as x * x: the two
+    round apart in about one square in a thousand."""
+    return np.array([[v ** 2] for [v] in x.tolist()]) if isinstance(x, np.ndarray) else x ** 2
 
 
 def load_vector(mu, f1, f2):
@@ -190,11 +207,12 @@ def load_vector(mu, f1, f2):
 def check_lcp_matrix(S):
     """Check a complementarity matrix once for every problem posed on it.
 
-    S is a ``Tridiagonal`` or a square dense array (returned in floats); it
-    must be finite with a positive diagonal.
+    S is a ``Tridiagonal``, or a group's bands with a row per member, or a
+    square dense array (returned in floats); it must be finite with a
+    positive diagonal.
     """
     if isinstance(S, Tridiagonal):
-        diag, entries = S.diag, np.concatenate(S)
+        diag, entries = S.diag, np.concatenate(S, axis=-1)
     else:
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -459,19 +477,14 @@ class StepOperators:
     """The truth step's complementarity problem, shared by every step of one
     trajectory: operators, load, obstacle, factors and a workspace.
 
-    It is built from four fields, and derives the rest on construction.
-    ``S`` is the step matrix, checked by ``check_lcp_matrix``, ``explicit``
-    the bands mass/dt - (1 - theta) a(mu) that act on the previous state,
-    ``f_mu`` the load and ``psi`` the lifted obstacle, checked finite;
-    ``step_operators`` builds the four at a parameter.  Derived:
-    ``coupling[i]`` = lower[i-1] * psi[i-1], what pinning node i-1 takes
-    off row i (0 at node 0), ``s_psi`` = S psi, and ``s_psi_left`` row i of
-    S psi without its upper term, diag[i] psi[i] + coupling[i] (no added
-    zero at node 0, so that a -0.0 stays -0.0); ``upper_factor`` and
-    ``lower_factor``, those of ``ul_factor(S)``, and ``threshold`` = psi *
-    pivots + coupling, ``first_leaving_node``'s per-trajectory threshold,
-    all three None where ``ul_factor`` finds no (positive) UL pivots.
-    ``march_group`` pins its predicted nodes with ``coupling``.
+    It is built from four fields, and derives the rest on construction
+    (``derived_operators``).  ``S`` is the step matrix, checked by
+    ``check_lcp_matrix``, ``explicit`` the bands mass/dt - (1 - theta) a(mu)
+    that act on the previous state, ``f_mu`` the load and ``psi`` the
+    lifted obstacle, checked finite; ``step_operators`` builds the four at
+    a parameter.  Derived: ``coupling``, ``s_psi``, ``s_psi_left``, the UL
+    factors and ``threshold``, the last three None without (positive) UL
+    pivots.
 
     The workspace is made with the object, sized by ``psi`` (so
     ``dataclasses.replace`` gives a copy its own): three float vectors and
@@ -495,21 +508,7 @@ class StepOperators:
     above: np.ndarray = field(init=False, repr=False)  # (H + 1,), True at H
 
     def __post_init__(self):
-        S, psi = self.S, self.psi
-        coupling = np.zeros(psi.size)
-        np.multiply(S.lower, psi[:-1], out=coupling[1:])
-        s_psi_left = S.diag * psi
-        s_psi_left[1:] += coupling[1:]
-        upper_factor, lower_factor = ul_factor(S)
-        above = np.zeros(psi.size + 1, dtype=bool)
-        above[-1] = True
-        derived = {
-            "coupling": coupling, "s_psi": S @ psi, "s_psi_left": s_psi_left,
-            "upper_factor": upper_factor, "lower_factor": lower_factor,
-            "threshold": None if lower_factor is None else psi * lower_factor[0] + coupling,
-            "work": np.empty((3, psi.size)), "above": above,
-        }
-        for name, value in derived.items():
+        for name, value in derived_operators(self.S, self.psi).items():
             object.__setattr__(self, name, value)
 
     def rhs(self, u_prev: np.ndarray) -> np.ndarray:
@@ -542,6 +541,39 @@ class StepOperators:
         return int(first_leaving_node(swept, self.threshold, self.above))
 
 
+def derived_operators(S: Tridiagonal, psi: np.ndarray) -> dict:
+    """What a truth step derives from its step matrix S and obstacle psi,
+    by ``StepOperators`` field name, along the last axis: of one
+    parameter's (H,) vectors, or of a group's (M, H) rows (``march_group``).
+
+    ``coupling[i]`` = lower[i-1] * psi[i-1], what pinning node i-1 takes
+    off row i (0 at node 0); ``s_psi_left``, row i of S psi without its
+    upper term, diag[i] psi[i] + coupling[i] (no added zero at node 0, so
+    that a -0.0 stays -0.0); ``s_psi`` = S psi, that plus upper[i]
+    psi[i+1], summed as ``S @ psi`` sums it; ``upper_factor`` and
+    ``lower_factor``, those of ``ul_factor(S)``, one ``gttrf`` for a whole
+    group; and ``threshold`` = psi * pivots + coupling,
+    ``first_leaving_node``'s per-trajectory threshold, None with the
+    factors.  The workspace: ``work``, three float rows of psi's shape,
+    and ``above``, one boolean node more than psi along the last axis, True
+    in that pad.
+    """
+    coupling = np.zeros(psi.shape)
+    np.multiply(S.lower, psi[..., :-1], out=coupling[..., 1:])
+    s_psi_left = S.diag * psi
+    s_psi_left[..., 1:] += coupling[..., 1:]
+    s_psi = s_psi_left.copy()
+    s_psi[..., :-1] += S.upper * psi[..., 1:]
+    upper_factor, lower_factor = ul_factor(S)
+    above = np.zeros((*psi.shape[:-1], psi.shape[-1] + 1), dtype=bool)
+    above[..., -1] = True
+    return {"coupling": coupling, "s_psi": s_psi, "s_psi_left": s_psi_left,
+            "upper_factor": upper_factor, "lower_factor": lower_factor,
+            "threshold": None if lower_factor is None else psi * lower_factor[0].reshape(
+                *psi.shape[:-1], -1)[..., :psi.shape[-1]] + coupling,
+            "work": np.empty((3, *psi.shape)), "above": above}
+
+
 def ul_factor(S: Tridiagonal):
     """Factors of the UL elimination S = U L, in BLAS band storage.
 
@@ -557,10 +589,21 @@ def ul_factor(S: Tridiagonal):
     since ``first_leaving_node``'s threshold multiplies out the division
     by a positive pivot, and below three nodes, which scipy's ``gttrf``
     wrapper rejects.
+
+    A group's bands, with a row per member, are factored by one ``gttrf``
+    of the rows laid end to end, each followed by a pad node with 1.0 on
+    the diagonal and 0.0 couplings: every row's pivots and multipliers are
+    its own bits, each pad's are 1.0 and 0.0, and the (2, M (H + 1))
+    factors are the layout that ``march_group``'s chained sweeps read.  A
+    row with no UL pivots leaves the whole group without.
     """
-    n = S.diag.size
-    if n < 3:
+    if S.diag.shape[-1] < 3:
         return None, None
+    if S.diag.ndim > 1:  # the rows end to end, each followed by a pad node
+        ends = np.zeros((len(S.diag), 2))
+        lower, upper = (np.hstack([band, ends]).ravel()[:-1] for band in (S.lower, S.upper))
+        S = Tridiagonal(lower, np.hstack([S.diag, ends[:, :1] + 1.0]).ravel(), upper)
+    n = S.diag.size
     multipliers, pivots, _, _, ipiv, info = dgttrf(
         S.upper[::-1].copy(), S.diag[::-1].copy(), S.lower[::-1].copy(), 1, 1, 1)
     if (info > 0 or np.count_nonzero(ipiv != np.arange(1, n + 1))
@@ -685,66 +728,50 @@ def march_group(params, ops: AffineOperatorSet,
     ``solve_trajectory`` calls would; None where a member has no UL pivots
     or fails, for the single march to report.
 
-    Each member has its own ``StepOperators``.  The group stacks their
-    arrays into (M, H) blocks, so that each elementwise operation of
-    ``theta_step`` runs once for all members, on the same operands, the
-    prediction by the same ``first_leaving_node``.  Each of
-    the two bidiagonal sweeps runs once, on the members laid end to end with
-    a pad node holding 1.0 after each and zero couplings across the pads:
+    The members' K, r, q and sigma are (M, 1) columns, on which
+    ``step_bands``, ``load_vector`` and ``obstacle_data`` run the lines of
+    one parameter, so that row m of each (M, ·) block holds member m's
+    bits, and ``derived_operators`` derives the rest from all the rows at
+    once.  Each elementwise operation of ``theta_step`` runs once for all
+    members, on the same operands, the prediction by the same
+    ``first_leaving_node``.  Each of the two bidiagonal sweeps runs once,
+    on the members laid end to end with a pad node holding 1.0 after each
+    and zero couplings across the pads, the layout of the group's factors:
     such a coupling adds -1.0 * 0.0 = -0.0 to a member's node, which
     changes no float.  The lower sweep pads a member's predicted prefix
     [0, k) too, so that node k starts as ``_solve_prefix`` starts it.  A
     pad left other than 1.0 has met a non-finite neighbour, and the group
     gives up.  A member whose predicted prefix the first update does not
-    reproduce is solved again from it by ``solve_lcp``.  The states and
-    multipliers are rows of one (M, 2L + 1, H) block; member m's
-    trajectory is block[m].
+    reproduce is solved again from it by ``solve_lcp``, on the
+    ``StepOperators`` of its own rows.  The states and multipliers are rows
+    of one (M, 2L + 1, H) block; member m's trajectory is block[m].
     """
-    mesh, H, L, M = ops.mesh, ops.dim, config.L, len(params)
-    try:
-        steps = [step_operators(mu, ops, config, obstacle_data(mesh, mu.K).psi_tilde)
-                 for mu in params]
-    except AmrbError:
+    H, L, M = ops.dim, config.L, len(params)
+    columns = SimpleNamespace(**{name: np.array([[getattr(mu, name)] for mu in params],
+                                                dtype=float) for name in ("K", "r", "q", "sigma")})
+    try:  # what a member's own step_bands or obstacle_data raises
+        S, explicit = step_bands(columns, ops, config)
+        psi = obstacle_data(ops.mesh, columns.K).psi_tilde
+    except (AssemblyError, ValueError):
         return None
-    if any(step.lower_factor is None for step in steps):
+    group = SimpleNamespace(**derived_operators(S, psi)) if np.isfinite(psi).all() else None
+    if group is None or group.lower_factor is None:
         return None
-
-    def stack(rows):
-        return np.array(list(rows))
-
-    explicit_columns = Tridiagonal(*(stack(bands).T  # nodes along axis 0
-                                     for bands in zip(*(step.explicit for step in steps))))
-    f_mu, psi, threshold, s_psi, s_psi_left = (
-        stack(getattr(step, name) for step in steps)
-        for name in ("f_mu", "psi", "threshold", "s_psi", "s_psi_left"))
-    upper = stack(step.S.upper for step in steps)
-    # coupling and pivots with a pad column, 0.0 and 1.0, so that a member
-    # predicted to leave no node (k = H) pins its pad to 1.0
-    coupling, pivots = np.zeros((M, H + 1)), np.ones((M, H + 1))
-    coupling[:, :H] = stack(step.coupling for step in steps)
-    pivots[:, :H] = stack(step.lower_factor[0] for step in steps)
-    # both factors laid end to end with a pad after each member, in BLAS band
-    # storage: Fortran (2, M (H + 1)) arrays, each the transpose of an
-    # (M, H + 1, 2) block; the couplings are the upper factor's [..., 0] and
-    # the lower's [..., 1], and the unit diagonals the ones left
-    upper_pads, lower_pads = np.ones((2, M, H + 1, 2))
-    upper_pads[:, 0, 0] = upper_pads[:, H, 0] = 0.0
-    upper_pads[:, 1:H, 0] = stack(step.upper_factor[0, 1:] for step in steps)
-    upper_group, lower_group = (pads.reshape(-1, 2).T for pads in (upper_pads, lower_pads))
-    sub, sub_members = lower_pads[..., 1], np.zeros((M, H + 1))
-    sub_members[:, :H] = stack(step.lower_factor[1] for step in steps)  # ends in 0
+    f_mu = load_vector(columns, ops.f1, ops.f2)
+    explicit_columns = Tridiagonal(*(band.T for band in explicit))  # nodes along axis 0
+    pivots = group.lower_factor[0].reshape(M, H + 1)[:, :H]
+    # the lower factor's couplings, which each step zeroes on the predicted
+    # prefixes, and the members' own
+    sub = group.lower_factor[1].reshape(M, H + 1)
+    sub_members = sub.copy()
 
     block = np.zeros((M, 2 * L + 1, H))
     block[:, 0] = psi
     iterations = np.ones((M, L), dtype=int)
-    rhs, work = np.empty((2, M, H))
+    rhs, _, work = group.work
     # the upward sweep and the sweep down from the predicted prefixes;
     # column H holds their pads
-    sweeps = np.ones((2, M, H + 1))
-    swept, free = sweeps
-    pads = sweeps[:, :, H]
-    above = np.ones((M, H + 1), dtype=bool)  # ``first_leaving_node``'s, True at H
-    members, nodes = np.arange(M), np.arange(H)
+    swept, free = sweeps = np.ones((2, M, H + 1))
     for n in range(L):
         u, lam = block[:, n + 1], block[:, L + 1 + n]
         band_product(explicit_columns, block[:, n].T, rhs.T, work.T)
@@ -753,35 +780,42 @@ def march_group(params, ops: AffineOperatorSet,
         if not math.isfinite(np.maximum.reduce(scale)):
             return None
         swept[:, :H] = rhs
-        dtbsv(1, upper_group, swept.reshape(-1), diag=1, overwrite_x=1)
-        k = first_leaving_node(swept[:, :H], threshold, above)
-        contact = nodes < k[:, None]
-        # ``_solve_prefix`` from every prediction, node k pinned
-        np.divide(swept[:, :H], pivots[:, :H], out=free[:, :H])
-        free[members, k] = (swept[members, k] - coupling[members, k]) / pivots[members, k]
+        dtbsv(1, group.upper_factor, swept.reshape(-1), diag=1, overwrite_x=1)
+        k = first_leaving_node(swept[:, :H], group.threshold, group.above)
+        contact = np.arange(H) < k[:, None]
+        # ``_solve_prefix`` from every prediction: node k takes off its
+        # coupling where 0 < k < H (at node 0 it is zero, and at k = H only
+        # the pad, which holds 1.0, is left)
+        inner = np.flatnonzero((k > 0) & (k < H))
+        ki = k[inner]
+        np.divide(swept[:, :H], pivots, out=free[:, :H])
+        free[inner, ki] = (swept[inner, ki] - group.coupling[inner, ki]) / pivots[inner, ki]
         np.copyto(free[:, :H], 1.0, where=contact)
         np.copyto(sub, sub_members)
         np.copyto(sub[:, :H], 0.0, where=contact)
-        dtbsv(1, lower_group, free.reshape(-1), lower=1, diag=1, overwrite_x=1)
-        if np.add.reduce(pads, axis=None) != 2 * M:  # else a pad holds nan
+        dtbsv(1, group.lower_factor, free.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        # a pad left other than 1.0 has met a nan
+        if np.add.reduce(sweeps[:, :, H], axis=None) != 2 * M:
             return None
         np.copyto(u, free[:, :H])
         np.copyto(u, psi, where=contact)
-        np.subtract(s_psi, rhs, out=lam, where=contact)  # zero elsewhere from the start
-        resum = np.flatnonzero((k > 0) & (k < H))  # row k-1 reads the free u[k]
-        i = k[resum] - 1
-        lam[resum, i] = s_psi_left[resum, i] + upper[resum, i] * u[resum, i + 1] - rhs[resum, i]
+        np.subtract(group.s_psi, rhs, out=lam, where=contact)  # zero elsewhere from the start
+        i = ki - 1  # row k-1 reads the free u[k]
+        lam[inner, i] = (group.s_psi_left[inner, i] + S.upper[inner, i] * u[inner, ki]
+                         - rhs[inner, i])
         # the first update of ``solve_lcp``, which certifies the prediction
         np.subtract(psi, u, out=work)
         work += lam
-        certified = above[:, :H]
+        certified = group.above[:, :H]
         np.greater(work, (TIE_TOL * scale)[:, None], out=certified)
         np.equal(certified, contact, out=certified)
         if certified.all():
             continue
         for m in np.flatnonzero(~certified.all(axis=1)):
+            alone = StepOperators(*(Tridiagonal(*(band[m] for band in bands))
+                                    for bands in (S, explicit)), f_mu[m], psi[m])
             try:
-                iterations[m, n] = solve_lcp(steps[m], rhs[m], contact[m], out=(u[m], lam[m]))[2]
+                iterations[m, n] = solve_lcp(alone, rhs[m], contact[m], out=(u[m], lam[m]))[2]
             except AmrbError:
                 return None
     return [Trajectory(mu=mu, states=block[m, :L + 1], multipliers=block[m, L + 1:],

@@ -1153,6 +1153,110 @@ def test_group_member_without_ul_pivots_marches_alone(default_ops, default_schem
                      single_marches(params, default_ops, default_scheme))
 
 
+def group_rows(params, ops, scheme):
+    """The group's (M, ·) rows as ``march_group`` forms them: ``step_bands``,
+    ``load_vector`` and ``obstacle_data`` on (M, 1) columns of the
+    parameters, and ``derived_operators`` of the rows."""
+    mu = SimpleNamespace(**{name: np.array([[getattr(p, name)] for p in params], dtype=float)
+                            for name in ("K", "r", "q", "sigma")})
+    S, explicit = truth_mod.step_bands(mu, ops, scheme)
+    psi = obstacle_data(ops.mesh, mu.K).psi_tilde
+    derived = truth_mod.derived_operators(S, psi)
+    return S, explicit, load_vector(mu, ops.f1, ops.f2), psi, derived
+
+
+def assert_rows_are_the_members_own(params, ops, scheme):
+    """Row m of every group array holds, byte for byte, member m's own
+    ``StepOperators`` field; the factors are each member's own between the
+    pads, and the group has UL factors exactly when every member has.
+    Returns the members' own operators and the group's derivation."""
+    S, explicit, f_mu, psi, derived = group_rows(params, ops, scheme)
+    H = ops.dim
+    own = [truth_mod.step_operators(mu, ops, scheme, obstacle_data(ops.mesh, mu.K).psi_tilde)
+           for mu in params]
+    assert (derived["lower_factor"] is None) == any(step.lower_factor is None for step in own)
+    for m, step in enumerate(own):
+        for name, bands in (("S", S), ("explicit", explicit)):
+            for mine, rows in zip(getattr(step, name), bands):
+                assert mine.tobytes() == rows[m].tobytes(), name
+        rows = {"f_mu": f_mu, "psi": psi, **derived}
+        for name in ("f_mu", "psi", "coupling", "s_psi", "s_psi_left"):
+            assert getattr(step, name).tobytes() == rows[name][m].tobytes(), name
+        if derived["lower_factor"] is None:
+            assert derived["upper_factor"] is None and derived["threshold"] is None
+            continue
+        assert step.threshold.tobytes() == derived["threshold"][m].tobytes()
+        nodes = slice(m * (H + 1), m * (H + 1) + H)
+        upper_factor, lower_factor = (factor[:, nodes] for factor in (derived["upper_factor"],
+                                                                      derived["lower_factor"]))
+        assert step.upper_factor[:, 1:].tobytes() == upper_factor[:, 1:].tobytes()
+        assert step.lower_factor.tobytes() == np.asfortranarray(lower_factor).tobytes()
+        pad = m * (H + 1) + H
+        assert derived["lower_factor"][:, pad].tolist() == [1.0, 0.0]
+        assert derived["upper_factor"][:, pad].tolist() == [0.0, 1.0]
+    return own, derived
+
+
+@pytest.mark.parametrize("H", [3, 99, 999])
+def test_group_derivation_is_each_members_own(default_box, default_scheme, H):
+    # the training set of ``amrb offline``, with two more draws whose
+    # sigma ** 2 C's pow rounds otherwise than sigma * sigma: the group's
+    # columns must square as one parameter's floats square
+    ops = assemble_operators(build_mesh(H, 300.0))
+    params = sample_training_set(default_box, 16, train_stream(0))
+    sigmas = [s for s in np.linspace(0.3, 0.7, 2001).tolist() if s ** 2 != s * s][:2]
+    params += [dataclasses.replace(params[0], sigma=sigma) for sigma in sigmas]
+    derived = assert_rows_are_the_members_own(params, ops, default_scheme)[1]
+    assert derived["lower_factor"].shape == (2, len(params) * (H + 1))
+
+
+def test_group_derivation_across_a_wide_box(default_ops, default_scheme):
+    box = ParameterBox(K0=100.0, r0=0.05, q0=0.0015, sigma0=0.5, eps=1.5)
+    params = sample_training_set(box, 12, train_stream(5))
+    assert assert_rows_are_the_members_own(params, default_ops, default_scheme)[1][
+        "lower_factor"] is not None
+
+
+def test_group_derivation_without_ul_pivots(default_box, default_ops, default_scheme, mu0):
+    # below three nodes no member has UL pivots, and neither has the group,
+    # though its rows laid end to end are longer; one member whose
+    # elimination swaps rows leaves the whole group without
+    ops = assemble_operators(build_mesh(2, 300.0))
+    params = sample_training_set(default_box, 16, train_stream(0))
+    own, derived = assert_rows_are_the_members_own(params, ops, default_scheme)
+    assert all(step.lower_factor is None for step in own) and derived["lower_factor"] is None
+    convective = SimpleNamespace(K=100.0, r=2.0, q=0.0, sigma=0.1)
+    own, derived = assert_rows_are_the_members_own([mu0, convective], default_ops,
+                                                   default_scheme)
+    assert own[0].lower_factor is not None and own[1].lower_factor is None
+    assert derived["lower_factor"] is None
+
+
+def test_one_gttrf_per_trajectory_and_per_group(default_box, default_ops, default_scheme,
+                                                monkeypatch):
+    # a single trajectory factors its step matrix once; a group factors all
+    # its members in one call, and once more for each member-step whose
+    # prediction fails certification, on that member's own rows
+    calls = []
+    gttrf = truth_mod.dgttrf
+    monkeypatch.setattr(truth_mod, "dgttrf", lambda *args: calls.append(1) or gttrf(*args))
+    params = sample_training_set(default_box, 16, train_stream(0))
+    single = single_marches(params, default_ops, default_scheme)
+    assert len(calls) == len(params)
+    assert all((traj.pdas_iterations == 1).all() for traj in single)
+    calls.clear()
+    assert_same_bits(truth_mod.march_group(params, default_ops, default_scheme), single)
+    assert len(calls) == 1
+
+    ops = assemble_operators(build_mesh(3, 300.0))
+    single = single_marches(params, ops, default_scheme)
+    failures = sum(int(np.count_nonzero(traj.pdas_iterations > 1)) for traj in single)
+    assert failures > 0
+    calls.clear()
+    assert_same_bits(truth_mod.march_group(params, ops, default_scheme), single)
+    assert len(calls) == 1 + failures
+
+
 def test_group_runs_up_to_its_mesh_size(default_box, default_scheme, monkeypatch):
     sizes = []
     march = truth_mod.march_group
